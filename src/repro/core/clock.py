@@ -9,19 +9,61 @@ The one invariant every bus model relies on: :meth:`Clock.edge` resolves to
 the **next strictly future** rising edge.  A process woken at an edge that
 immediately yields ``clock.edge()`` therefore advances exactly one period —
 there is no way to observe the same edge twice.
+
+A process that must retry on *every* edge until something changes does not
+loop over :meth:`Clock.edge` itself: :meth:`Clock.edge_until` schedules the
+same edge events and spares the process the resumes that would find nothing
+new (``docs/PERFORMANCE.md``, "The edge-stall wait").
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from .events import Timeout, PRIORITY_NORMAL
+from .events import Event, Timeout, PRIORITY_NORMAL
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Simulator
 
 #: Picoseconds per second, used to convert frequencies to integer periods.
 _PS_PER_S = 1_000_000_000_000
+
+
+class EdgeStall(Event):
+    """The event behind :meth:`Clock.edge_until`: a wait that rides the
+    clock's per-cycle edge events instead of resuming its process on them.
+
+    It is never queued itself.  It hangs :meth:`_on_edge` on one pooled
+    edge timeout at a time — the very timeout ``yield clk.edge()`` would
+    have scheduled, created at the same point of the same callback, so it
+    takes the same ``(time, priority, sequence)`` slot — and runs its own
+    callbacks (resuming the waiting process) from inside the first edge
+    event that finds the watched generation moved.  No reference to a
+    timeout is kept, so the pool may recycle each one as usual.
+    """
+
+    __slots__ = ("clock", "since", "_watched", "_seen")
+
+    def __init__(self, clock: "Clock", watched: Any) -> None:
+        super().__init__(clock.sim, name=clock._stall_name)
+        self.clock = clock
+        #: When the wait began (for :func:`repro.core.debug.diagnose`).
+        self.since = clock.sim._now
+        self._watched = watched
+        self._seen = watched.generation
+        clock.edge().callbacks.append(self._on_edge)
+
+    def _on_edge(self, _edge: Event) -> None:
+        if self._watched.generation == self._seen:
+            # Still stalled.  The callback runs on an edge, so the next
+            # one is exactly a period away.
+            clock = self.clock
+            clock.sim.pooled_timeout(
+                clock.period_ps, name=clock._edge_name
+            ).callbacks.append(self._on_edge)
+        else:
+            self._value = None
+            self._run_callbacks()
 
 
 class Clock:
@@ -56,6 +98,7 @@ class Clock:
         # overhead on the hottest allocation site in the simulator.
         self._edge_name = name + ".edge"
         self._delay_name = name + ".delay"
+        self._stall_name = name + ".stall"
 
     # ------------------------------------------------------------------
     @property
@@ -110,6 +153,29 @@ class Clock:
             delay = period - (now - phase) % period
         return sim.pooled_timeout(delay, priority=priority,
                                   name=self._edge_name)
+
+    def edge_until(self, watched: Any) -> EdgeStall:
+        """Event firing at the first future rising edge that finds
+        ``watched.generation`` different from what it is now.
+
+        ``watched`` is a :class:`~repro.core.sync.WorkSignal` (anything
+        with an integer ``generation``).  The wait is *exactly* ::
+
+            seen = watched.generation
+            yield clk.edge()
+            while watched.generation == seen:
+                yield clk.edge()
+
+        including the events it schedules: one pooled edge timeout per
+        cycle, under the same name and in the same queue slot, so event
+        counts, traces and checkpoints cannot tell the two apart.  What it
+        saves is host work — a stalled cycle costs one integer comparison
+        and a re-arm instead of a generator resume and a rescan.  Use it
+        where a process must retry on every edge until one of its inputs
+        changes, and make every such change bump the generation at the
+        instant it happens.
+        """
+        return EdgeStall(self, watched)
 
     def edges(self, n: int, priority: int = PRIORITY_NORMAL) -> Timeout:
         """Event firing ``n`` rising edges from now (``n`` >= 1).

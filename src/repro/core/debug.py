@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional
 
+from .clock import EdgeStall
 from .component import Component
 from .events import Event
 from .fifo import Fifo
@@ -29,12 +30,22 @@ def _fifos_of(obj: object) -> List[Fifo]:
 
 
 def _scheduled_wakes(sim: Simulator) -> Dict[int, int]:
-    """Earliest scheduled fire time per queued event, keyed by ``id()``."""
+    """Earliest scheduled fire time per queued event, keyed by ``id()``.
+
+    An :class:`EdgeStall` is never queued itself; it is entered under the
+    clock-edge event its per-cycle callback currently hangs on.
+    """
     table: Dict[int, int] = {}
     for when, _priority, _sequence, event in sim._queue:
-        known = table.get(id(event))
-        if known is None or when < known:
-            table[id(event)] = when
+        waits = [event]
+        for callback in event.callbacks or ():
+            owner = getattr(callback, "__self__", None)
+            if isinstance(owner, EdgeStall):
+                waits.append(owner)
+        for wait in waits:
+            known = table.get(id(wait))
+            if known is None or when < known:
+                table[id(wait)] = when
     return table
 
 
@@ -62,9 +73,10 @@ def diagnose(root: Component) -> str:
     """A human-readable stall report for ``root``'s component tree.
 
     Every blocked process shows its scheduled wake time when one exists
-    ("no scheduled wake" is the deadlock signature), and every FIFO shows
-    its high-water mark so undersized buffers stand out even after they
-    drained.
+    ("no scheduled wake" is the deadlock signature); a process ticking
+    through a stall on :meth:`Clock.edge_until` shows since when and the
+    edge it will re-check on.  Every FIFO shows its high-water mark so
+    undersized buffers stand out even after they drained.
     """
     lines = [f"stall diagnosis of {root.path!r} at t={root.sim.now} ps",
              f"event queue: {'empty' if root.sim.peek() is None else 'non-empty'}"]
@@ -79,8 +91,13 @@ def diagnose(root: Component) -> str:
                 entries.append(f"    process {proc.name}: (running)")
                 continue
             when = _wake_time(target, wakes)
-            fate = (f"wakes at t={when} ps" if when is not None
-                    else "no scheduled wake")
+            if when is None:
+                fate = "no scheduled wake"
+            elif isinstance(target, EdgeStall):
+                fate = (f"stalled since t={target.since} ps on "
+                        f"{target.clock.name} (next edge t={when} ps)")
+            else:
+                fate = f"wakes at t={when} ps"
             entries.append(
                 f"    process {proc.name}: waiting on {target!r} ({fate})")
         for fifo in _fifos_of(component):

@@ -96,6 +96,14 @@ class WorkSignal:
 
     Consumers must scan for work after every wake-up (spurious wake-ups are
     possible by design; missed work is not).
+
+    A consumer that is *stalled* rather than idle — it has work but must
+    retry on every clock edge until something it scanned changes — waits
+    with :meth:`Clock.edge_until(signal) <repro.core.clock.Clock.edge_until>`
+    instead: that wait watches :attr:`generation`, which every
+    :meth:`notify` bumps and which producers may also bump directly for a
+    change that must be *seen* by a stalled consumer without *waking* an
+    idle one.
     """
 
     def __init__(self, sim: Simulator, name: str = "work") -> None:
@@ -103,12 +111,16 @@ class WorkSignal:
         self.name = name
         self._event = Event(sim, name=name)
         self._dirty = False
+        #: Change count watched by :meth:`Clock.edge_until`; only ever
+        #: compared for equality, so bump it inline (``generation += 1``).
+        self.generation = 0
         #: Loosely-timed flag, captured once (select-once discipline).
         self._lt = sim.lt_enabled
 
     def notify(self) -> None:
         """Signal that work may be available."""
         self._dirty = True
+        self.generation += 1
         event = self._event
         if not event.triggered:
             if self._lt:

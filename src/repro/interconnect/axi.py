@@ -98,7 +98,9 @@ class AxiFabric(Fabric):
             candidates = self._candidates_for(opcode)
             if not candidates:
                 if self._has_blocked(opcode):
-                    yield clk.edge()
+                    # Backpressured: retry each cycle once a head or a
+                    # target FIFO changed.
+                    yield clk.edge_until(self._request_work)
                 else:
                     yield self._wait_request_work()
                 continue

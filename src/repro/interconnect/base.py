@@ -247,18 +247,23 @@ class Fabric(Component):
                           request_depth=request_depth,
                           response_depth=response_depth)
         self.targets.append(port)
-        if self._lt:
-            # LT replaces the request channel's per-cycle "target full"
-            # poll with an event-driven wait, so a draining target FIFO
-            # must wake it (in CA the poll observes the drain by itself).
-            port.request_fifo.watch(self._on_target_request_level)
+        port.request_fifo.watch(self._on_target_request_level)
         return port
 
     def _on_target_request_level(self, _time: int, old: int, new: int) -> None:
-        """LT-only: a target request FIFO drained — grants may now be
-        possible for initiators that were blocked on that target."""
+        """A target request FIFO drained — grants may now be possible for
+        initiators that were blocked on that target.
+
+        A request channel stalled on ``clock.edge_until(_request_work)``
+        rescans at its next edge.  LT additionally wakes the channel: it
+        sleeps through a "target full" stall instead of ticking through it
+        (CA must not — the wake-up would be an event CA never scheduled).
+        Fills are ignored: they can only take grant candidates away.
+        """
         if new < old:
-            self._request_work.notify()
+            self._request_work.generation += 1
+            if self._lt:
+                self._request_work.notify()
 
     #: What to do with an address no target decodes: "raise" is a wiring
     #: error (strict default); "respond" returns a bus error to the
@@ -301,6 +306,12 @@ class Fabric(Component):
 
     # ------------------------------------------------------------------
     # work notification (processes sleep while idle)
+    #
+    # Each signal's generation doubles as the "a scan input changed" count
+    # that stalled channel processes watch through ``clock.edge_until``:
+    # request side = a port queue gained an item or surfaced a new head
+    # (``_notify_request``) or a target request FIFO drained (above);
+    # response side = a target response FIFO gained a beat.
     # ------------------------------------------------------------------
     def _notify_request(self) -> None:
         self._request_work.notify()

@@ -135,7 +135,9 @@ class StbusCrossbar(StbusNode):
             if not candidates or (self.supports_split
                                   and port.request_fifo.is_full):
                 if candidates:
-                    yield clk.edge()  # backpressured: poll
+                    # Backpressured: retry each cycle once a head or a
+                    # target FIFO changed.
+                    yield clk.edge_until(self._request_work)
                 else:
                     yield self._wait_request_work()
                 continue

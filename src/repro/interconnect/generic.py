@@ -127,7 +127,7 @@ class GenericFabric(Fabric):
                         if not clk.at_edge():
                             yield clk.edge()
                     else:
-                        yield clk.edge()
+                        yield clk.edge_until(self._request_work)
                 else:
                     yield self._wait_request_work()
                 continue
@@ -183,8 +183,9 @@ class GenericFabric(Fabric):
             if beat is None:
                 if current is not None:
                     # Packet atomicity: the in-flight packet's next beat
-                    # is not buffered yet — the channel idles this cycle.
-                    yield clk.edge()
+                    # is not buffered yet — the channel idles, cycle by
+                    # cycle, until some target buffers a beat.
+                    yield clk.edge_until(self._response_work)
                 else:
                     yield self._wait_response_work()
                 continue

@@ -138,8 +138,9 @@ class StbusNode(Fabric):
                             yield clk.edge()
                     else:
                         # Requests exist but every decoded target is full:
-                        # the request/grant handshake stalls for a cycle.
-                        yield clk.edge()
+                        # the request/grant handshake stalls, cycle by
+                        # cycle, until a head or a target FIFO changes.
+                        yield clk.edge_until(self._request_work)
                 else:
                     yield self._wait_request_work()
                 continue
@@ -205,8 +206,9 @@ class StbusNode(Fabric):
             if beat is None:
                 if current is not None:
                     # Packet atomicity (T1/T2): the next beat of the packet in
-                    # flight is not ready yet — the channel idles this cycle.
-                    yield clk.edge()
+                    # flight is not ready yet — the channel idles, cycle by
+                    # cycle, until some target buffers a beat.
+                    yield clk.edge_until(self._response_work)
                 else:
                     yield self._wait_response_work()
                 continue

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.core import Simulator
+from repro.core import Simulator, Timeout
+from repro.core.clock import EdgeStall
+from repro.core.events import (
+    PRIORITY_LOW,
+    PRIORITY_NORMAL,
+    PRIORITY_URGENT,
+    _PooledTimeout,
+)
+from repro.core.sync import WorkSignal
 
 
 class TestConstruction:
@@ -143,3 +151,242 @@ class TestMultiClock:
         # so deterministic FIFO ordering puts it first.
         assert log == [(2_000, "a"), (3_000, "b"), (4_000, "a"),
                        (6_000, "b"), (6_000, "a")]
+
+
+# ----------------------------------------------------------------------
+# Clock.edge_until — equivalence with the literal per-edge poll
+# ----------------------------------------------------------------------
+STALL_PERIOD = 1_000
+STALL_HORIZON = 30 * STALL_PERIOD
+RUN_MODES = ("fast", "traced", "budgeted", "step")
+
+
+def _literal_edge_until(clk, signal):
+    """What ``clk.edge_until(signal)`` is defined to be."""
+    seen = signal.generation
+    yield clk.edge()
+    while signal.generation == seen:
+        yield clk.edge()
+
+
+def _run_stall_schedule(use_wait, mode, changes, rounds, gap_ps):
+    """One waiter stalling ``rounds`` times on a signal while ``changes``
+    move it; returns everything an observer could tell the variants by.
+
+    Each change is ``(cycle, offset_ps, priority, how, bump)``: it lands
+    ``offset_ps`` after bus edge ``cycle`` (0 = exactly on it), from an
+    event queued at t=0 (``early``: lower sequence than the poll's edge),
+    from one queued at that very instant (``late``: higher sequence), or
+    ``cycle`` edges into a second clock domain (``other``).
+    """
+    trace = []
+    sim = Simulator(trace=None if mode == "fast" else
+                    (lambda when, event: trace.append((when, event.name))))
+    clk = sim.clock(period_ps=STALL_PERIOD, name="bus")
+    other = sim.clock(period_ps=700, phase_ps=300, name="other")
+    signal = WorkSignal(sim, name="sig")
+    log = []
+
+    def mark(who):
+        log.append((who, sim.now, sim.processed_events))
+
+    def waiter():
+        for index in range(rounds):
+            if use_wait:
+                yield clk.edge_until(signal)
+            else:
+                yield from _literal_edge_until(clk, signal)
+            mark(f"resume{index}")
+            yield sim.timeout(gap_ps)  # a transfer: leaves the edge grid
+
+    def bystander(who):
+        # Shares every bus edge with the waiter, one queued before it and
+        # one after: a re-arm that took a different place in the queue
+        # would swap their order in the log.
+        while True:
+            yield clk.edge()
+            mark(who)
+
+    def changer(index, bump):
+        def apply(_event):
+            mark(f"change{index}")
+            if bump == "notify":
+                signal.notify()
+            else:
+                signal.generation += 1
+        return apply
+
+    def from_other_domain(edges, apply):
+        yield other.edges(edges)
+        apply(None)
+
+    sim.process(bystander("before"), name="before")
+    sim.process(waiter(), name="waiter")
+    sim.process(bystander("after"), name="after")
+    for index, (cycle, offset, priority, how, bump) in enumerate(changes):
+        apply = changer(index, bump)
+        delay = cycle * STALL_PERIOD + offset
+        if how == "early":
+            Timeout(sim, delay, priority=priority).add_callback(apply)
+        elif how == "late":
+            Timeout(sim, delay).add_callback(
+                lambda _e, apply=apply, priority=priority:
+                Timeout(sim, 0, priority=priority).add_callback(apply))
+        else:
+            sim.process(from_other_domain(cycle, apply), name=f"other{index}")
+
+    if mode in ("fast", "traced"):
+        sim.run(until=STALL_HORIZON)
+    elif mode == "budgeted":
+        while sim.peek() is not None and sim.peek() <= STALL_HORIZON:
+            sim.run(until=STALL_HORIZON, max_events=7)
+    else:
+        while sim.peek() is not None and sim.peek() <= STALL_HORIZON:
+            sim.step()
+    return {"log": log, "trace": trace, "events": sim.processed_events,
+            "pool": len(sim._timeout_pool)}
+
+
+class TestEdgeUntil:
+    def test_wakes_on_first_edge_after_a_change(self, sim):
+        clk = sim.clock(period_ps=1_000)
+        signal = WorkSignal(sim)
+        woke = []
+
+        def body():
+            yield clk.edge_until(signal)
+            woke.append(sim.now)
+
+        sim.process(body())
+        sim.timeout(3_400).add_callback(lambda _e: signal.notify())
+        sim.run(until=10_000)
+        assert woke == [4_000]
+
+    def test_change_before_the_wait_does_not_count(self, sim):
+        clk = sim.clock(period_ps=1_000)
+        signal = WorkSignal(sim)
+        signal.generation += 1
+        woke = []
+
+        def body():
+            yield clk.edge_until(signal)
+            woke.append(sim.now)
+
+        sim.process(body())
+        sim.run(until=5_000)
+        assert woke == []
+
+    def test_schedules_one_named_edge_event_per_stalled_cycle(self):
+        names = []
+        sim = Simulator(trace=lambda _when, event: names.append(event.name))
+        clk = sim.clock(period_ps=1_000, name="bus")
+        signal = WorkSignal(sim)
+
+        def body():
+            yield clk.edge_until(signal)
+
+        sim.process(body(), name="p")
+        sim.timeout(4_500).add_callback(lambda _e: signal.notify())
+        sim.run()
+        # init, five polled edges (t=1000..5000), the timeout, the work
+        # event the notify scheduled and the process's completion —
+        # nothing for the stall itself, which is never queued.
+        assert names.count("bus.edge") == 5
+        assert "bus.stall" not in names
+        assert sim.processed_events == 9
+
+    def test_holds_no_pooled_timeout_and_keeps_the_pool_small(self, sim):
+        clk = sim.clock(period_ps=1_000)
+        signal = WorkSignal(sim)
+
+        def body():
+            yield clk.edge_until(signal)
+
+        proc = sim.process(body())
+        sim.run(until=50_500)
+        stall = proc._target
+        assert isinstance(stall, EdgeStall) and stall.since == 0
+        held = [getattr(stall, slot) for slot in EdgeStall.__slots__]
+        assert not any(isinstance(value, _PooledTimeout) for value in held)
+        # Fifty re-arms, two timeouts: each edge is re-armed from inside
+        # the previous one's callback, before that one is reclaimed.
+        assert len(sim._timeout_pool) == 1
+        assert len(sim._queue) == 1
+
+    def test_conditions_over_edges_stay_pinned_during_a_stall(self, sim):
+        clk = sim.clock(period_ps=1_000, name="a")
+        other = sim.clock(period_ps=1_500, name="b")
+        signal = WorkSignal(sim)
+        seen = {}
+
+        def staller():
+            yield clk.edge_until(signal)
+
+        def joiner():
+            yield sim.timeout(2_200)
+            edge_a, edge_b = clk.edge(), other.edge()
+            value = yield sim.all_of([edge_a, edge_b])
+            seen["value"] = value
+            seen["edges"] = (edge_a, edge_b)
+            yield clk.edges(3)  # more re-arms after the condition fired
+
+        sim.process(staller())
+        sim.process(joiner())
+        sim.run(until=10_000)
+        edge_a, edge_b = seen["edges"]
+        assert seen["value"] == {edge_a: None, edge_b: None}
+        assert edge_a.processed and edge_b.processed
+        assert edge_a not in sim._timeout_pool
+        assert edge_b not in sim._timeout_pool
+
+    def test_usable_as_a_condition_child(self, sim):
+        clk = sim.clock(period_ps=1_000)
+        signal = WorkSignal(sim)
+        out = []
+
+        def body():
+            stall = clk.edge_until(signal)
+            limit = sim.timeout(2_500)
+            done = yield sim.any_of([stall, limit])
+            out.append((sim.now, stall in done, limit in done))
+
+        sim.process(body())
+        sim.timeout(1_200).add_callback(lambda _e: signal.notify())
+        sim.run(until=4_000)
+        assert out == [(2_000, True, False)]
+
+    def test_equivalent_to_the_literal_loop(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        change = st.tuples(
+            st.integers(1, 24),
+            st.sampled_from([0, 0, 0, 1, 250, 999]),
+            st.sampled_from([PRIORITY_URGENT, PRIORITY_NORMAL,
+                             PRIORITY_LOW]),
+            st.sampled_from(["early", "late", "other"]),
+            st.sampled_from(["notify", "touch"]))
+
+        @settings(max_examples=60, derandomize=True, deadline=None)
+        @given(changes=st.lists(change, max_size=8),
+               rounds=st.integers(1, 4),
+               gap_ps=st.sampled_from([0, 1, 300, 1_000, 1_700]))
+        def check(changes, rounds, gap_ps):
+            outcomes = {}
+            for mode in RUN_MODES:
+                waited = _run_stall_schedule(True, mode, changes, rounds,
+                                             gap_ps)
+                polled = _run_stall_schedule(False, mode, changes, rounds,
+                                             gap_ps)
+                assert waited == polled, mode
+                outcomes[mode] = waited
+            assert len({o["events"] for o in outcomes.values()}) == 1
+            assert outcomes["traced"]["trace"] \
+                == outcomes["budgeted"]["trace"] \
+                == outcomes["step"]["trace"]
+            # (time, who) order is the kernel's, whichever loop ran it.
+            orders = {mode: [(who, when) for who, when, _ in o["log"]]
+                      for mode, o in outcomes.items()}
+            assert all(order == orders["fast"] for order in orders.values())
+
+        check()

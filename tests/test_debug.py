@@ -78,6 +78,55 @@ class TestDiagnose:
         assert "burst: empty" in diagnose(root)
         assert "high_water=6" in diagnose(root)
 
+    @staticmethod
+    def _backpressured_node(sim, drain_at_ps=None):
+        """Two reads into a depth-1 target: the second one stalls the
+        request channel until the target drains (never, or late)."""
+        from repro.interconnect import AddressRange
+
+        node = make_node(sim)
+        target = node.add_target("slow", AddressRange(0, 1 << 20),
+                                 request_depth=1)
+        if drain_at_ps is not None:
+            def late_device():
+                yield sim.timeout(drain_at_ps)
+                yield target.get_request()
+            sim.process(late_device(), name="late_device")
+        port = node.connect_initiator("ip0", max_outstanding=2)
+        txns = [read(0x0), read(0x40)]
+        for txn in txns:
+            port.issue(txn)
+        return node, txns
+
+    @staticmethod
+    def _req_line(text):
+        return next(line for line in text.splitlines()
+                    if "process node.req:" in line)
+
+    def test_stalled_channel_is_not_reported_as_deadlocked(self, sim):
+        node, txns = self._backpressured_node(sim)  # never drains
+        sim.run(until=1_000_000)
+        assert txns[1].t_accepted is None
+        line = self._req_line(diagnose(node))
+        # The request channel ticks on its clock while the target is
+        # full: stalled, with a scheduled re-check — not a lost wake-up.
+        assert "no scheduled wake" not in line
+        assert "stalled since t=" in line and "on node_clk" in line
+        period = node.clock.period_ps
+        next_edge = node.clock.next_edge_time()
+        assert f"(next edge t={next_edge} ps)" in line
+        since = int(line.split("stalled since t=")[1].split()[0])
+        assert 0 < since < 1_000_000 and since % period == 0
+
+    def test_stall_ends_when_the_target_drains_late(self, sim):
+        node, txns = self._backpressured_node(sim, drain_at_ps=2_000_000)
+        sim.run(until=1_000_000)
+        assert "stalled since t=" in self._req_line(diagnose(node))
+        sim.run(until=3_000_000)
+        assert txns[1].t_accepted is not None
+        line = self._req_line(diagnose(node))
+        assert "stalled" not in line and "req_work" in line
+
     def test_incomplete_transactions_filter(self, sim):
         done = read(0x0)
         done.t_done = 100

@@ -8,7 +8,9 @@ resolutions (:func:`repro.check.LtRun`) and each pair must satisfy every
 clause — exact transaction/byte counts, execution-time drift within
 ``EXECUTION_TIME_DRIFT``, latency drift within ``LATENCY_DRIFT``,
 utilization within ``UTILIZATION_ABS_DRIFT``, total energy within
-``ENERGY_DRIFT`` (the accountant is force-enabled on both legs).
+``ENERGY_DRIFT`` (the accountant is force-enabled on both legs), and an
+event ratio of at least ``MIN_CORPUS_EVENT_RATIO``, so a fabric that
+starts scheduling per-cycle events through its stalls again fails here.
 
 On top of the per-entry accuracy clauses, the gate asserts the headline
 speedup claim: the STBus reference platform (the ``platform_run`` bench
@@ -72,7 +74,10 @@ def main(argv=None):
 
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.check import LtRun
-    from repro.check.lt_accuracy import MIN_EVENT_SPEEDUP
+    from repro.check.lt_accuracy import (
+        MIN_CORPUS_EVENT_RATIO,
+        MIN_EVENT_SPEEDUP,
+    )
     from repro.snapshot.golden import golden_configs
 
     manifest = golden_configs()
@@ -86,7 +91,8 @@ def main(argv=None):
 
     failures = []
     for name, (config, max_ps) in sorted(manifest.items()):
-        comparison = LtRun(config, max_ps=max_ps)
+        comparison = LtRun(config, max_ps=max_ps,
+                           min_event_ratio=MIN_CORPUS_EVENT_RATIO)
         print(comparison.describe())
         failures.extend(f"{name}: {failure}"
                         for failure in comparison.failures)

@@ -13,11 +13,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional
 
-from .clock import EdgeStall
+from .clock import EdgeStall, SignalStall
 from .component import Component
 from .events import Event
 from .fifo import Fifo
 from .kernel import Simulator
+
+#: Waits that are never queued themselves: they ride clock-edge events.
+_STALL_WAITS = (EdgeStall, SignalStall)
 
 
 def _fifos_of(obj: object) -> List[Fifo]:
@@ -33,14 +36,15 @@ def _scheduled_wakes(sim: Simulator) -> Dict[int, int]:
     """Earliest scheduled fire time per queued event, keyed by ``id()``.
 
     An :class:`EdgeStall` is never queued itself; it is entered under the
-    clock-edge event its per-cycle callback currently hangs on.
+    clock-edge event its per-cycle callback currently hangs on — as is a
+    :class:`SignalStall` that was notified and is realigning to an edge.
     """
     table: Dict[int, int] = {}
     for when, _priority, _sequence, event in sim._queue:
         waits = [event]
         for callback in event.callbacks or ():
             owner = getattr(callback, "__self__", None)
-            if isinstance(owner, EdgeStall):
+            if isinstance(owner, _STALL_WAITS):
                 waits.append(owner)
         for wait in waits:
             known = table.get(id(wait))
@@ -75,8 +79,10 @@ def diagnose(root: Component) -> str:
     Every blocked process shows its scheduled wake time when one exists
     ("no scheduled wake" is the deadlock signature); a process ticking
     through a stall on :meth:`Clock.edge_until` shows since when and the
-    edge it will re-check on.  Every FIFO shows its high-water mark so
-    undersized buffers stand out even after they drained.
+    edge it will re-check on, one sleeping through it on
+    :meth:`Clock.edge_after` since when and the signal that ends it.
+    Every FIFO shows its high-water mark so undersized buffers stand out
+    even after they drained.
     """
     lines = [f"stall diagnosis of {root.path!r} at t={root.sim.now} ps",
              f"event queue: {'empty' if root.sim.peek() is None else 'non-empty'}"]
@@ -91,11 +97,16 @@ def diagnose(root: Component) -> str:
                 entries.append(f"    process {proc.name}: (running)")
                 continue
             when = _wake_time(target, wakes)
-            if when is None:
+            stalled = isinstance(target, _STALL_WAITS) and (
+                f"stalled since t={target.since} ps on {target.clock.name}")
+            if when is None and isinstance(target, SignalStall):
+                # Live, not lost: whatever unblocks the channel notifies
+                # the signal.
+                fate = f"{stalled}, waiting for {target.signal.name}"
+            elif when is None:
                 fate = "no scheduled wake"
-            elif isinstance(target, EdgeStall):
-                fate = (f"stalled since t={target.since} ps on "
-                        f"{target.clock.name} (next edge t={when} ps)")
+            elif stalled:
+                fate = f"{stalled} (next edge t={when} ps)"
             else:
                 fate = f"wakes at t={when} ps"
             entries.append(

@@ -116,6 +116,9 @@ class WorkSignal:
         self.generation = 0
         #: Loosely-timed flag, captured once (select-once discipline).
         self._lt = sim.lt_enabled
+        #: What an LT :meth:`wait` after a missed notify returns: processed
+        #: events are never written to, so one serves every such wait.
+        self._missed = completed_event(sim, name=name) if self._lt else None
 
     def notify(self) -> None:
         """Signal that work may be available."""
@@ -139,7 +142,7 @@ class WorkSignal:
             if self._dirty:
                 self._dirty = False
                 # A missed notify: resume the consumer synchronously.
-                return completed_event(self.sim, name=self.name)
+                return self._missed
             return self._event
         if self._event.processed:
             self._event = Event(self.sim, name=self.name)

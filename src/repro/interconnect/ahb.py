@@ -117,9 +117,9 @@ class AhbLayer(Fabric):
                     raise RuntimeError(
                         f"AHB {self.name}: foreign beat {head!r} during {txn!r}")
             if beat is None:
-                # Slave wait states: the layer idles but stays held, cycle
-                # by cycle, until the target buffers a beat.
-                yield clk.edge_until(self._response_work)
+                # Slave wait states: the layer idles but stays held until
+                # the target buffers a beat.
+                yield self._stall(self._response_work)
                 continue
             cycles = self.bus_cycles_for_beat(txn.beat_bytes)
             if beat.is_write_ack:

@@ -20,6 +20,7 @@ the protocol subclasses.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.clock import Clock
@@ -195,6 +196,12 @@ class Fabric(Component):
     #: Protocol label, overridden by subclasses ("stbus", "ahb", "axi").
     protocol = "fabric"
 
+    #: LT realignment rule of this fabric's stall sites: a wake-up landing
+    #: exactly on a bus edge re-enters arbitration on that edge (True) or
+    #: on the next (False).  CA does either, by intra-timestamp order; each
+    #: fabric takes the rule its accuracy gate measured (docs/FAST_SIM.md).
+    lt_stall_same_edge = True
+
     def __init__(self, sim: Simulator, name: str, clock: Clock,
                  data_width_bytes: int = 4,
                  arbiter: Optional[Arbiter] = None,
@@ -209,10 +216,19 @@ class Fabric(Component):
         self._request_work = WorkSignal(sim, name=f"{name}.req_work")
         self._response_work = WorkSignal(sim, name=f"{name}.resp_work")
         #: Loosely-timed mode, captured once at construction (select-once
-        #: discipline).  When set, channel processes replace per-cycle
-        #: stall polling with event-driven waits and batch contention-free
+        #: discipline).  When set, channel processes batch contention-free
         #: beat runs analytically (docs/FAST_SIM.md).
         self._lt = sim.lt_enabled
+        #: The stall wait, chosen once: ``yield self._stall(signal)`` is
+        #: what a channel process does when work is queued but blocked.
+        #: CA rides one edge event per stalled cycle until the signal's
+        #: generation moves; LT sleeps on the signal, scheduling nothing.
+        if not self._lt:
+            self._stall = clock.edge_until
+        elif self.lt_stall_same_edge:
+            self._stall = clock.edge_after
+        else:
+            self._stall = partial(clock.edge_after, same_edge=False)
         #: Invariant checker (``None`` outside a checked session); captured
         #: once so the per-hop guards below stay a single attribute test.
         self._checks = sim._checks
@@ -254,11 +270,11 @@ class Fabric(Component):
         """A target request FIFO drained — grants may now be possible for
         initiators that were blocked on that target.
 
-        A request channel stalled on ``clock.edge_until(_request_work)``
-        rescans at its next edge.  LT additionally wakes the channel: it
-        sleeps through a "target full" stall instead of ticking through it
-        (CA must not — the wake-up would be an event CA never scheduled).
-        Fills are ignored: they can only take grant candidates away.
+        A request channel stalled on :attr:`_stall` watches the generation
+        (CA, rescanning at its next edge) or sleeps on the signal (LT), so
+        LT also notifies — CA must not: the wake-up would be an event CA
+        never scheduled.  Fills are ignored: they can only take grant
+        candidates away.
         """
         if new < old:
             self._request_work.generation += 1
@@ -308,7 +324,7 @@ class Fabric(Component):
     # work notification (processes sleep while idle)
     #
     # Each signal's generation doubles as the "a scan input changed" count
-    # that stalled channel processes watch through ``clock.edge_until``:
+    # that stalled cycle-accurate channel processes watch (``_stall``):
     # request side = a port queue gained an item or surfaced a new head
     # (``_notify_request``) or a target request FIFO drained (above);
     # response side = a target response FIFO gained a beat.

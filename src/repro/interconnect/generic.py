@@ -115,19 +115,12 @@ class GenericFabric(Fabric):
 
     def _request_process(self):
         clk = self.clock
-        lt = self._lt
         while True:
             candidates = self._eligible_requests()
             if not candidates:
                 if any(p.pending._items for p in self.initiators):
-                    if lt:
-                        # LT: every decoded target is full — sleep until
-                        # one drains instead of polling each cycle.
-                        yield self._wait_request_work()
-                        if not clk.at_edge():
-                            yield clk.edge()
-                    else:
-                        yield clk.edge_until(self._request_work)
+                    # Every decoded target is full.
+                    yield self._stall(self._request_work)
                 else:
                     yield self._wait_request_work()
                 continue
@@ -183,9 +176,9 @@ class GenericFabric(Fabric):
             if beat is None:
                 if current is not None:
                     # Packet atomicity: the in-flight packet's next beat
-                    # is not buffered yet — the channel idles, cycle by
-                    # cycle, until some target buffers a beat.
-                    yield clk.edge_until(self._response_work)
+                    # is not buffered yet — the channel idles until some
+                    # target buffers a beat.
+                    yield self._stall(self._response_work)
                 else:
                     yield self._wait_response_work()
                 continue

@@ -121,26 +121,15 @@ class StbusNode(Fabric):
 
     def _request_process(self):
         clk = self.clock
-        lt = self._lt
         stalled_rounds = 0
         while True:
             candidates = self._eligible_requests()
             if not candidates:
                 if any(p.pending._items for p in self.initiators):
-                    if lt:
-                        # LT: requests exist but every decoded target is
-                        # full.  Instead of polling every cycle, sleep
-                        # until a target FIFO drains (the Fabric base
-                        # watches target levels in LT mode) and re-enter
-                        # arbitration at the next grant edge.
-                        yield self._wait_request_work()
-                        if not clk.at_edge():
-                            yield clk.edge()
-                    else:
-                        # Requests exist but every decoded target is full:
-                        # the request/grant handshake stalls, cycle by
-                        # cycle, until a head or a target FIFO changes.
-                        yield clk.edge_until(self._request_work)
+                    # Requests exist but every decoded target is full:
+                    # the request/grant handshake stalls until a head or
+                    # a target FIFO changes.
+                    yield self._stall(self._request_work)
                 else:
                     yield self._wait_request_work()
                 continue
@@ -206,9 +195,9 @@ class StbusNode(Fabric):
             if beat is None:
                 if current is not None:
                     # Packet atomicity (T1/T2): the next beat of the packet in
-                    # flight is not ready yet — the channel idles, cycle by
-                    # cycle, until some target buffers a beat.
-                    yield clk.edge_until(self._response_work)
+                    # flight is not ready yet — the channel idles until some
+                    # target buffers a beat.
+                    yield self._stall(self._response_work)
                 else:
                     yield self._wait_response_work()
                 continue
@@ -225,18 +214,13 @@ class StbusNode(Fabric):
     def _response_process_lt(self):
         """Loosely-timed response channel (see docs/FAST_SIM.md).
 
-        Two departures from the cycle-accurate body:
-
-        * the packet-atomicity wait (T1/T2: next beat of the in-flight
-          packet not buffered yet) sleeps on the response work signal and
-          realigns to the next bus edge, instead of polling every cycle;
-        * a run of consecutive buffered beats of the same packet is
-          transferred in one closed-form step — CA would stream exactly
-          those beats back to back anyway (the in-flight packet always
-          wins :meth:`_pick_beat`), so the run's start, duration and
-          last-beat instant are identical; only the intermediate beats'
-          delivery is deferred to the end of the run.  The first-data
-          timestamp is back-annotated analytically.
+        One departure from the cycle-accurate body: a run of consecutive
+        buffered beats of the same packet is transferred in one
+        closed-form step — CA would stream exactly those beats back to
+        back anyway (the in-flight packet always wins :meth:`_pick_beat`),
+        so the run's start, duration and last-beat instant are identical;
+        only the intermediate beats' delivery is deferred to the end of
+        the run.  The first-data timestamp is back-annotated analytically.
         """
         clk = self.clock
         sim = self.sim
@@ -244,9 +228,8 @@ class StbusNode(Fabric):
         while True:
             beat = self._pick_beat(current)
             if beat is None:
-                yield self._wait_response_work()
-                if current is not None and not clk.at_edge():
-                    yield clk.edge()
+                yield (self._stall(self._response_work) if current is not None
+                       else self._wait_response_work())
                 continue
             target, item = beat
             fifo = target.response_fifo

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Simulator, Timeout
-from repro.core.clock import EdgeStall
+from repro.core.clock import EdgeStall, SignalStall
 from repro.core.events import (
     PRIORITY_LOW,
     PRIORITY_NORMAL,
@@ -390,3 +390,91 @@ class TestEdgeUntil:
             assert all(order == orders["fast"] for order in orders.values())
 
         check()
+
+
+class TestEdgeAfter:
+    """``Clock.edge_after``: the loosely-timed stall wait."""
+
+    @staticmethod
+    def _literal(clk, signal, same_edge):
+        yield signal.wait()
+        if not (same_edge and clk.at_edge()):
+            yield clk.edge()
+
+    @staticmethod
+    def _run(wait, notify_at, same_edge, notify_first=False):
+        """Wake instant and ``bus.edge`` events of one consumer that goes
+        to wait at t=2000 while the signal fires at ``notify_at``."""
+        names = []
+        sim = Simulator(trace=lambda _when, event: names.append(event.name),
+                        resolution="lt")
+        clk = sim.clock(period_ps=1_000, name="bus")
+        signal = WorkSignal(sim)
+        woke = []
+        if notify_first:
+            signal.notify()  # nobody waits yet: a missed notify
+
+        def body():
+            yield clk.edges(2)
+            yield wait(clk, signal, same_edge)
+            woke.append(sim.now)
+
+        sim.process(body(), name="p")
+        for when in notify_at:
+            sim.timeout(when).add_callback(lambda _e: signal.notify())
+        sim.run()
+        return woke, names.count("bus.edge")
+
+    @staticmethod
+    def _wait(clk, signal, same_edge):
+        return clk.edge_after(signal, same_edge=same_edge)
+
+    @pytest.mark.parametrize("same_edge", [True, False])
+    @pytest.mark.parametrize("notify_first", [False, True])
+    @pytest.mark.parametrize("notify_at", [
+        (3_400,),           # between edges
+        (4_000,),           # exactly on an edge
+        (2_000,),           # on the edge the wait starts on
+        (3_400, 3_400),     # two notifies, one instant
+        (3_400, 3_600),     # a second notify while realigning
+    ])
+    def test_equivalent_to_the_literal_two_step_wait(self, notify_at,
+                                                     notify_first, same_edge):
+        def literal(clk, signal, rule):
+            # A sub-process stands in for the two yields the fabrics used.
+            return clk.sim.process(self._literal(clk, signal, rule),
+                                   immediate=True)
+
+        assert self._run(self._wait, notify_at, same_edge, notify_first) \
+            == self._run(literal, notify_at, same_edge, notify_first)
+
+    def test_same_edge_rule(self):
+        # (wake instant, edge events incl. the one that leads to t=2000)
+        assert self._run(self._wait, (4_000,), True) == ([4_000], 1)
+        assert self._run(self._wait, (4_000,), False) == ([5_000], 2)
+        for rule in (True, False):
+            assert self._run(self._wait, (3_400,), rule) == ([4_000], 2)
+            # A missed notify is consumed by the wait itself.
+            assert self._run(self._wait, (), rule, notify_first=True) \
+                == ([2_000] if rule else [3_000], 1 if rule else 2)
+
+    def test_schedules_nothing_while_the_signal_is_quiet(self):
+        sim = Simulator(resolution="lt")
+        clk = sim.clock(period_ps=1_000, name="bus")
+        signal = WorkSignal(sim, name="work")
+
+        def body():
+            yield clk.edge_after(signal)
+
+        proc = sim.process(body(), name="p")
+        sim.timeout(500_300).add_callback(lambda _e: signal.notify())
+        sim.run(until=400_000)
+        stall = proc._target
+        assert isinstance(stall, SignalStall)
+        assert stall.since == 0 and stall.signal is signal
+        # The process's init event and nothing else, 400 cycles in.
+        assert sim.processed_events == 1 and len(sim._queue) == 1
+        sim.run()
+        # Plus the notifying timeout and the one realignment edge.
+        assert sim.now == 501_000 and sim.processed_events == 3
+        assert not proc.is_alive

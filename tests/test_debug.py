@@ -1,6 +1,6 @@
 """Tests for the stall-diagnosis utilities."""
 
-from repro.core import Component, Fifo
+from repro.core import Component, Fifo, Simulator
 from repro.core.debug import diagnose, incomplete_transactions, stall_summary
 
 from .helpers import add_memory, make_node, read
@@ -122,6 +122,35 @@ class TestDiagnose:
         node, txns = self._backpressured_node(sim, drain_at_ps=2_000_000)
         sim.run(until=1_000_000)
         assert "stalled since t=" in self._req_line(diagnose(node))
+        sim.run(until=3_000_000)
+        assert txns[1].t_accepted is not None
+        line = self._req_line(diagnose(node))
+        assert "stalled" not in line and "req_work" in line
+
+    def test_loosely_timed_stall_is_not_reported_as_deadlocked(self):
+        sim = Simulator(resolution="lt")
+        node, txns = self._backpressured_node(sim)  # never drains
+        sim.run(until=1_000_000)
+        assert txns[1].t_accepted is None
+        line = self._req_line(diagnose(node))
+        # The channel sleeps through the backpressure and nothing is
+        # scheduled for it, yet it is live: a drain notifies the signal.
+        assert "no scheduled wake" not in line
+        assert "stalled since t=" in line and "on node_clk" in line
+        assert line.rstrip(")").endswith("waiting for node.req_work")
+        since = int(line.split("stalled since t=")[1].split()[0])
+        assert 0 < since < 1_000_000
+        assert since % node.clock.period_ps == 0
+
+    def test_loosely_timed_stall_ends_when_the_target_drains_late(self):
+        sim = Simulator(resolution="lt")
+        node, txns = self._backpressured_node(sim, drain_at_ps=2_002_000)
+        sim.run(until=1_000_000)
+        assert "waiting for node.req_work" in self._req_line(diagnose(node))
+        # Notified between two edges: realigning, with a scheduled wake.
+        sim.run(until=2_003_000)
+        assert txns[1].t_accepted is None
+        assert "(next edge t=2005000 ps)" in self._req_line(diagnose(node))
         sim.run(until=3_000_000)
         assert txns[1].t_accepted is not None
         line = self._req_line(diagnose(node))

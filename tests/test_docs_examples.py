@@ -32,7 +32,7 @@ _CONSTANT = re.compile(r"`([A-Z][A-Z0-9_]*)\s*=\s*([0-9.]+)`")
 #: Every bound the contract publishes must appear in the document.
 _REQUIRED_CONSTANTS = ("EXECUTION_TIME_DRIFT", "LATENCY_DRIFT",
                       "UTILIZATION_ABS_DRIFT", "ENERGY_DRIFT",
-                      "MIN_EVENT_SPEEDUP")
+                      "MIN_EVENT_SPEEDUP", "MIN_CORPUS_EVENT_RATIO")
 
 
 def test_fast_sim_constants_match_code():

@@ -17,6 +17,7 @@ from repro.check import CheckedRun, LtRun, random_config
 from repro.check.lt_accuracy import (
     EXECUTION_TIME_DRIFT,
     LATENCY_DRIFT,
+    MIN_CORPUS_EVENT_RATIO,
     MIN_EVENT_SPEEDUP,
     UTILIZATION_ABS_DRIFT,
     universal_failures,
@@ -24,8 +25,9 @@ from repro.check.lt_accuracy import (
 )
 from repro.cli import main
 from repro.core import Simulator
+from repro.core.clock import EdgeStall, SignalStall
 from repro.core.events import Event, completed_event
-from repro.platforms import build_platform, quick_config
+from repro.platforms import build_platform, instance, onchip_memory, quick_config
 from repro.platforms.loader import config_from_dict, load_config, save_config
 
 QUICK_MAX_PS = 10**13
@@ -237,14 +239,18 @@ class TestAccuracyContract:
 
         check()
 
-    @pytest.mark.parametrize("entry", ["quick_two_phase", "fig3_full_stbus"])
+    @pytest.mark.parametrize("entry", [
+        "quick_two_phase", "fig3_full_stbus", "fig3_full_ahb",
+        "fig5_collapsed_axi", "quick_crossbar"])
     def test_golden_corpus_entries_within_bounds(self, entry):
-        # Two representative corpus entries inline in tier-1; the full
-        # corpus sweep is benchmarks/lt_gate.py's job in the CI smoke tier.
+        # One representative corpus entry per fabric inline in tier-1; the
+        # full corpus sweep is benchmarks/lt_gate.py's job in the CI
+        # smoke tier.
         from repro.snapshot.golden import golden_configs
 
         config, max_ps = golden_configs()[entry]
-        comparison = LtRun(config, max_ps=max_ps)
+        comparison = LtRun(config, max_ps=max_ps,
+                           min_event_ratio=MIN_CORPUS_EVENT_RATIO)
         assert comparison.ok, comparison.describe()
 
     @pytest.mark.parametrize("seed", [1, 7, 13])
@@ -254,6 +260,91 @@ class TestAccuracyContract:
         config = random_config(seed).scaled(resolution="lt")
         outcome = CheckedRun(config)
         assert outcome.ok, outcome.format()
+
+
+# ---------------------------------------------------------------------------
+# Stalls schedule nothing (docs/FAST_SIM.md, "Stalls")
+# ---------------------------------------------------------------------------
+
+def _stall_site_configs():
+    from repro.snapshot.golden import golden_configs
+
+    corpus = golden_configs()
+    return {
+        "ahb": corpus["fig3_full_ahb"][0],
+        "axi": corpus["fig5_collapsed_axi"][0],
+        "crossbar": corpus["quick_crossbar"][0],
+        "generic": instance("tilelink", "distributed", onchip_memory(1),
+                            traffic_scale=0.2),
+    }
+
+
+class TestStallsScheduleNothing:
+    @pytest.mark.parametrize("fabric", ["ahb", "axi", "crossbar", "generic"])
+    def test_blocked_channels_tick_in_ca_and_sleep_in_lt(self, fabric,
+                                                         monkeypatch):
+        config = _stall_site_configs()[fabric]
+        stalls = []     # (cycles stalled) per finished LT stall wait
+        fire = SignalStall._fire
+
+        def recording_fire(stall, edge):
+            clock = stall.clock
+            stalls.append((clock.sim.now - stall.since) // clock.period_ps)
+            fire(stall, edge)
+
+        monkeypatch.setattr(SignalStall, "_fire", recording_fire)
+
+        def run(resolution):
+            """Clock-edge events a stall wait hung a callback on: per
+            ``EdgeStall`` tick, and per ``SignalStall`` realignment."""
+            ticks, realigns = 0, {}
+
+            def hook(_when, event):
+                nonlocal ticks
+                for callback in event.callbacks or ():
+                    owner = getattr(callback, "__self__", None)
+                    if isinstance(owner, (EdgeStall, SignalStall)):
+                        assert event.name == owner.clock.name + ".edge"
+                        if isinstance(owner, EdgeStall):
+                            ticks += 1
+                        else:
+                            realigns[owner] = realigns.get(owner, 0) + 1
+
+            sim = Simulator(trace=hook)
+            build_platform(sim, config.scaled(resolution=resolution)).run()
+            return ticks, realigns
+
+        ca_ticks, ca_realigns = run("ca")
+        assert ca_ticks > 1000 and not ca_realigns and not stalls
+        lt_ticks, lt_realigns = run("lt")
+        # Loosely timed, the same backpressure costs no per-cycle event:
+        # a stall is at most the one edge it realigns on, however long.
+        assert lt_ticks == 0
+        assert set(lt_realigns.values()) <= {1}
+        assert len(lt_realigns) <= len(stalls)
+        assert sum(stalls) > 2 * len(stalls)
+        # ...and it is the same backpressure: as many stalled cycles.
+        assert abs(sum(stalls) - ca_ticks) < 0.1 * ca_ticks
+
+    def test_hypothesis_new_stall_sites_universal_clauses(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        # AHB wait states, AXI AR/AW backpressure and the crossbar's
+        # request engines only learnt to sleep through a stall in LT
+        # late; give exactly those the universal clauses at random seeds.
+        fabrics = st.sampled_from([
+            {"protocol": "ahb"}, {"protocol": "axi"},
+            {"protocol": "stbus", "central_crossbar": True}])
+
+        @settings(max_examples=24, deadline=None)
+        @given(seed=st.integers(min_value=0, max_value=10**6),
+               fabric=fabrics)
+        def check(seed, fabric):
+            comparison = LtRun(random_config(seed).scaled(**fabric))
+            assert not universal_failures(comparison), comparison.describe()
+
+        check()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ scanned changed.  Each case below holds one engine's channel stalled for
 40 and then for 400 cycles and requires the same number of generator
 resumes both times, while the event count grows with the stall — so a
 refactor cannot quietly bring the per-cycle rescan back.
+
+Loosely timed, the same channels sleep on the work signal through
+``Clock.edge_after`` and schedule nothing while blocked: resumes *and*
+processed events are the same at both stall lengths.
 """
 
 import pytest
@@ -47,10 +51,10 @@ def _device(sim, port, clk, hold_before=0, pause_after_beats=None,
     sim.process(body(), name="device")
 
 
-def _stalled_run(build, channel, txns, hold, where):
+def _stalled_run(build, channel, txns, hold, where, resolution="ca"):
     """Resumes of ``channel`` and total events for one run whose stall
     lasts ``hold`` cycles."""
-    sim = Simulator()
+    sim = Simulator(resolution=resolution)
     node = build(sim)
     port = node.add_target("mem", AddressRange(0, 1 << 20),
                            request_depth=1, response_depth=2)
@@ -125,3 +129,13 @@ def test_stalled_channel_resumes_do_not_grow_with_the_stall(case):
     assert long_resumes == short_resumes
     # The stall is real and still ticks: one edge event per extra cycle.
     assert long_events - short_events >= HOLDS[1] - HOLDS[0]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_loosely_timed_stall_schedules_nothing(case):
+    build, channel, make_txns, where = CASES[case]
+    short, long = (
+        _stalled_run(build, channel, make_txns(), hold, where, "lt")
+        for hold in HOLDS)
+    # Neither generator resumes nor kernel events grow with the stall.
+    assert long == short

@@ -1,37 +1,30 @@
 #!/usr/bin/env python
-"""CI performance gate: rerun the kernel bench scenarios and compare
-events/sec against the committed baseline (``BENCH_kernel.json``).
+"""CI gate on exact kernel event counts: rerun the kernel bench scenarios
+and compare the ``events`` column against the committed baseline
+(``BENCH_kernel.json``).
 
-A scenario that drops more than the threshold (default 15%) fails the
-gate with exit code 1.  The smoke job in ``.github/workflows/ci.yml``
-runs this after the ``bench_smoke`` marker tier; see ``docs/CI.md``.
+A scenario whose event count differs from the baseline fails the gate
+with exit code 1 — a changed count means the simulation itself changed,
+on any machine, and belongs in a golden-corpus refresh.  That is the
+only failing condition: events/sec is printed beside it, report-only.
+The committed rates were measured on some other machine, and identical
+code has been recorded 5-18 % apart on a shared box (docs/PERFORMANCE.md),
+so a wall-clock threshold is red on unchanged code; the counts repeat
+exactly.  The smoke job in ``.github/workflows/ci.yml`` runs this after
+the ``bench_smoke`` marker tier; see ``docs/CI.md``.
 
-Overrides:
-
-* When a slowdown is expected and accepted (say, a correctness fix with
-  a known cost), apply the ``perf-regression-ok`` label to the PR — the
-  workflow exports ``CI_ALLOW_PERF_REGRESSION=1`` and the gate reports
-  the regression but exits 0.
-* When the new numbers are the intended steady state, refresh the
-  baseline with ``python benchmarks/ci_gate.py --update`` and commit
-  the rewritten ``BENCH_kernel.json``.
-
-Speed-ups beyond the threshold are reported, not failed: the committed
-baseline was measured on some other machine, and CI runners are only
-ever slower or faster wholesale.  The event-count columns *are* checked
-strictly — a changed event count means the simulation changed, and that
-belongs in a golden-corpus refresh, not a perf delta.
+When the new counts are the intended steady state, refresh the baseline
+with ``python benchmarks/ci_gate.py --update`` and commit the rewritten
+``BENCH_kernel.json`` together with the golden corpus.
 """
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE = REPO_ROOT / "BENCH_kernel.json"
-DEFAULT_THRESHOLD = 0.15
 
 
 def load_baseline(path):
@@ -45,18 +38,21 @@ def load_baseline(path):
         return None
 
 
-def compare(baseline, current, threshold):
+def compare(baseline, current):
     """Return (failures, report_lines) for current vs baseline."""
     failures = []
-    lines = [f"{'scenario':<16}{'baseline ev/s':>15}{'current ev/s':>15}"
-             f"{'delta':>9}  verdict"]
+    lines = [f"{'scenario':<16}{'events':>10}  {'verdict':<8}"
+             f"{'baseline ev/s':>15}{'current ev/s':>15}{'delta':>9}"
+             "  (ev/s: report only)"]
     for name in sorted(baseline):
         if name not in current:
             failures.append(f"{name}: present in baseline but not rerun")
             continue
         base = baseline[name]
         cur = current[name]
+        verdict = "ok"
         if cur["events"] != base["events"]:
+            verdict = "FAIL"
             failures.append(
                 f"{name}: event count changed "
                 f"{base['events']} -> {cur['events']} — the simulation "
@@ -65,32 +61,21 @@ def compare(baseline, current, threshold):
         base_rate = float(base["events_per_sec"])
         cur_rate = float(cur["events_per_sec"])
         delta = (cur_rate - base_rate) / base_rate if base_rate else 0.0
-        if delta < -threshold:
-            verdict = "FAIL"
-            failures.append(
-                f"{name}: {cur_rate:,.0f} ev/s is {-delta:.1%} below the "
-                f"baseline {base_rate:,.0f} ev/s (threshold {threshold:.0%})")
-        elif delta > threshold:
-            verdict = "fast"
-        else:
-            verdict = "ok"
-        lines.append(f"{name:<16}{base_rate:>15,.0f}{cur_rate:>15,.0f}"
-                     f"{delta:>+8.1%}  {verdict}")
+        lines.append(f"{name:<16}{cur['events']:>10}  {verdict:<8}"
+                     f"{base_rate:>15,.0f}{cur_rate:>15,.0f}{delta:>+8.1%}")
     for name in sorted(set(current) - set(baseline)):
-        lines.append(f"{name:<16}{'(new)':>15}"
+        lines.append(f"{name:<16}{current[name]['events']:>10}  {'(new)':<8}"
+                     f"{'':>15}"
                      f"{float(current[name]['events_per_sec']):>15,.0f}")
     return failures, lines
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="fail CI when kernel throughput regresses vs the "
-                    "committed BENCH_kernel.json baseline")
+        description="fail CI when a kernel scenario's exact event count "
+                    "differs from the committed BENCH_kernel.json baseline")
     parser.add_argument("--baseline", default=str(BASELINE),
                         help="baseline file (default BENCH_kernel.json)")
-    parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                        help="allowed events/sec drop as a fraction "
-                             "(default 0.15)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed repeats per scenario; best is kept")
     parser.add_argument("--update", action="store_true",
@@ -115,21 +100,17 @@ def main(argv=None):
               f"to create one", file=sys.stderr)
         return 2
 
-    failures, lines = compare(baseline, current, args.threshold)
+    failures, lines = compare(baseline, current)
     print("\n".join(lines))
     if not failures:
-        print("ci_gate: throughput within threshold")
+        print("ci_gate: event counts match the baseline")
         return 0
 
     print(f"\nci_gate: {len(failures)} failure(s):", file=sys.stderr)
     for failure in failures:
         print(f"  - {failure}", file=sys.stderr)
-    if os.environ.get("CI_ALLOW_PERF_REGRESSION"):
-        print("ci_gate: CI_ALLOW_PERF_REGRESSION set "
-              "(perf-regression-ok label) — reporting only", file=sys.stderr)
-        return 0
-    print("ci_gate: apply the perf-regression-ok label for an accepted "
-          "slowdown, or refresh the baseline with --update", file=sys.stderr)
+    print("ci_gate: if the new counts are intended, refresh the baseline "
+          "with --update", file=sys.stderr)
     return 1
 
 

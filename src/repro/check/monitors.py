@@ -9,8 +9,8 @@ a single ``is not None`` check per transaction hop:
 * ``note_issue``  — :meth:`InitiatorPort.issue` (per-source program order),
 * ``note_grant``  — :meth:`Fabric.pop_granted` (the single grant point of
   every fabric: shared-bus STBus, AHB, AXI, crossbar, TLM),
-* ``note_accept`` — the three protocol serve paths, right after
-  ``mark_accepted`` (request/acceptance pairing),
+* ``note_accept`` — the channel engine's request body and AHB's serve
+  path, right after ``mark_accepted`` (request/acceptance pairing),
 * ``note_beat``   — :meth:`Fabric.deliver_beat` (live per-transaction beat
   ordering; this is where AXI ID ordering is enforced, since every
   :class:`Transaction` carries a unique id).
@@ -177,15 +177,15 @@ class SimChecker:
             self._check_lifecycle(port, txns, expect_drained, found)
             self._check_source_order(port, txns, found)
         for fabric in self.fabrics:
-            spec = getattr(fabric, "spec", None)
-            if spec is not None:
-                self._check_generic(fabric, spec, expect_drained, found)
-            elif fabric.protocol == "stbus":
+            if fabric.protocol in ("stbus", "stbus-xbar"):
                 self._check_stbus(fabric, expect_drained, found)
             elif fabric.protocol == "ahb":
                 self._check_ahb(fabric, expect_drained, found)
             elif fabric.protocol == "axi":
                 self._check_axi(fabric, expect_drained, found)
+            elif getattr(fabric, "spec", None) is not None:
+                self._check_generic(fabric, fabric.spec, expect_drained,
+                                    found)
         for bridge in self.bridges:
             self._check_bridge(bridge, expect_drained, found)
         for fifo in self.fifos:
@@ -241,15 +241,17 @@ class SimChecker:
                 if fabric.try_route(txn.address) is not None]
 
     def _check_pairing(self, fabric, rule: str, expect_drained: bool,
-                       found: List[Violation], opcode=None) -> None:
+                       found: List[Violation], tag: str = "",
+                       travels=None) -> None:
+        """Acceptance order pairs with grant order on one request channel
+        (``travels`` selects the channel's transactions; ``None``: all)."""
         routed = self._routed_grants(fabric)
         accepts = self._accepts.get(fabric, [])
-        if opcode is not None:
-            routed = [t for t in routed if t.opcode is opcode]
-            accepts = [t for t in accepts if t.opcode is opcode]
+        if travels is not None:
+            routed = [t for t in routed if travels(t)]
+            accepts = [t for t in accepts if travels(t)]
         granted_ids = [t.tid for t in routed]
         accepted_ids = [t.tid for t in accepts]
-        tag = f" {opcode.value}" if opcode is not None else ""
         if accepted_ids != granted_ids[:len(accepted_ids)]:
             found.append(Violation(
                 component=fabric.name, time_ps=self.sim.now, rule=rule,
@@ -265,13 +267,26 @@ class SimChecker:
     # -- STBus ----------------------------------------------------------
     def _check_stbus(self, fabric, expect_drained: bool,
                      found: List[Violation]) -> None:
-        self._check_pairing(fabric, "stbus.split_pairing", expect_drained,
-                            found)
-        if not fabric.supports_split:
-            # Type 1: the node is held end to end — no grant may precede
-            # the completion of the previous transaction.
+        if fabric.protocol == "stbus-xbar":
+            # One request channel per target: pairing and the Type 1 hold
+            # apply to each channel, not across them.
+            channels = [(f" to {target.name}",
+                         lambda txn, target=target:
+                         fabric.try_route(txn.address) is target)
+                        for target in fabric.targets]
+        else:
+            channels = [("", None)]
+        for tag, travels in channels:
+            self._check_pairing(fabric, "stbus.split_pairing",
+                                expect_drained, found, tag, travels)
+            if fabric.supports_split:
+                continue
+            # Type 1: the channel is held end to end — no grant may
+            # precede the completion of the previous transaction.
             previous = None
             for _port, txn in self._grants.get(fabric, []):
+                if travels is not None and not travels(txn):
+                    continue
                 if previous is not None and (
                         previous.t_done is None
                         or txn.t_granted < previous.t_done):
@@ -343,10 +358,11 @@ class SimChecker:
 
         # AR and AW are independent serial channels: pairing holds per
         # address channel, not across them.
-        self._check_pairing(fabric, "axi.handshake", expect_drained, found,
-                            opcode=Opcode.READ)
-        self._check_pairing(fabric, "axi.handshake", expect_drained, found,
-                            opcode=Opcode.WRITE)
+        for opcode in (Opcode.READ, Opcode.WRITE):
+            self._check_pairing(fabric, "axi.handshake", expect_drained,
+                                found, f" {opcode.value}",
+                                lambda txn, opcode=opcode:
+                                txn.opcode is opcode)
         for txn in self._accepts.get(fabric, []):
             if txn.is_read:
                 if txn.t_done is None:

@@ -30,14 +30,19 @@ from ..interconnect.protocols import PROTOCOLS, ProtocolSpec, bridgeable_specs
 
 
 def _engine_class(spec: ProtocolSpec) -> type:
+    """The class serving ``spec``.  Channel-engine classes declare the
+    ``engine`` value they accept (and refuse every other spec); AHB and
+    the TLM tier are models of their own."""
     from ..interconnect.ahb import AhbLayer
     from ..interconnect.axi import AxiFabric
     from ..interconnect.generic import GenericFabric
     from ..interconnect.stbus import StbusNode
     from ..interconnect.tlm import TlmNode
 
-    return {"stbus": StbusNode, "ahb": AhbLayer, "axi": AxiFabric,
-            "tlm": TlmNode, "generic": GenericFabric}[spec.engine]
+    served = {cls.engine: cls
+              for cls in (GenericFabric, StbusNode, AxiFabric)}
+    served.update(ahb=AhbLayer, tlm=TlmNode)
+    return served[spec.engine]
 
 
 def lint_registry() -> List[str]:

@@ -1,9 +1,11 @@
 """Interconnect fabric models and the declarative protocol registry.
 
-Hand-written engines (STBus, AMBA AHB, AMBA AXI, the analytic TLM tier)
-plus :class:`GenericFabric`, a shared engine that elaborates any
-registered :class:`ProtocolSpec` (Wishbone, APB, AXI4-Lite, Avalon-MM,
-TileLink-UL ship as pure spec entries — see docs/PROTOCOLS.md).
+One channel engine, :class:`GenericFabric`, elaborates any registered
+:class:`ProtocolSpec`: Wishbone, APB, AXI4-Lite, Avalon-MM and
+TileLink-UL are pure spec entries (see docs/PROTOCOLS.md); STBus nodes,
+the STBus crossbar and AMBA AXI are subclasses that choose which
+channels to instantiate.  AMBA AHB and the analytic TLM tier are models
+of their own.
 """
 
 from .arbiter import (

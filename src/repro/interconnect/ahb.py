@@ -62,7 +62,7 @@ class AhbLayer(Fabric):
             candidates = self.request_candidates()
             if not candidates:
                 pipelined = False  # the bus went idle; pipelining is lost
-                yield self._wait_request_work()
+                yield self._request_work.wait()
                 continue
             try:
                 port, txn = self.arbiter.select(candidates)

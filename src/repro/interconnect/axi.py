@@ -30,15 +30,21 @@ from typing import List, Optional, Tuple
 from ..core.clock import Clock
 from ..core.component import Component
 from ..core.kernel import Simulator
-from .arbiter import Arbiter, MessageLockStall, RoundRobin
+from .arbiter import Arbiter, RoundRobin
 from .base import Fabric, TargetPort
-from .types import Opcode, ResponseBeat, Transaction
+from .generic import GenericFabric
+from .types import Opcode, ResponseBeat
 
 
-class AxiFabric(Fabric):
-    """An AXI interconnect (point-to-point channels + address decode)."""
+class AxiFabric(GenericFabric):
+    """An AXI interconnect (point-to-point channels + address decode).
+
+    The channel engine serving the ``axi`` registry spec: the request
+    body runs twice, filtered by opcode, and R/B re-arbitrate per beat.
+    """
 
     protocol = "axi"
+    engine = "axi"
 
     #: AR/AW backpressure resumes on the next strictly-future edge: with
     #: the same-edge rule ``fig5_collapsed_axi`` drifts 8.97 % in p95
@@ -50,10 +56,13 @@ class AxiFabric(Fabric):
                  arbiter: Optional[Arbiter] = None,
                  write_arbiter: Optional[Arbiter] = None,
                  parent: Optional[Component] = None) -> None:
-        super().__init__(sim, name, clock, data_width_bytes=data_width_bytes,
-                         arbiter=arbiter, parent=parent)
         #: Write path gets its own arbiter: AR and AW are independent.
         self.write_arbiter = write_arbiter if write_arbiter is not None else RoundRobin()
+        super().__init__(sim, name, clock, "axi",
+                         data_width_bytes=data_width_bytes,
+                         arbiter=arbiter, parent=parent)
+
+    def _start_channels(self) -> None:
         self.ar_channel = self.channel("ar")
         self.w_channel = self.channel("w")
         self.r_channel = self.channel("r")
@@ -61,75 +70,24 @@ class AxiFabric(Fabric):
         #: Mid-burst switches on the R channel — consecutive data beats from
         #: different, still-open bursts.  This is the "fine granularity
         #: arbitration" at work; zero means responses streamed back-to-back.
-        self.r_interleaves = sim.metrics.counter(f"{name}.r_interleaves")
-        self.process(self._address_process(Opcode.READ), name="ar")
-        self.process(self._address_process(Opcode.WRITE), name="aw_w")
+        self.r_interleaves = self.sim.metrics.counter(
+            f"{self.name}.r_interleaves")
+        # Every write returns a B response: the spec posts none.
+        self.process(self._request_channel(
+            self.arbiter, self.ar_channel,
+            lambda txn, _target: txn.opcode is Opcode.READ), name="ar")
+        self.process(self._request_channel(
+            self.write_arbiter, self.w_channel,
+            lambda txn, _target: txn.opcode is Opcode.WRITE), name="aw_w")
         self.process(self._data_return_process(want_acks=False), name="r")
         self.process(self._data_return_process(want_acks=True), name="b")
 
     def snapshot_state(self, encoder):
-        state = super().snapshot_state(encoder)
+        # AXI's own keys, not the bare engine's.
+        state = Fabric.snapshot_state(self, encoder)
         state["write_arbiter"] = encoder.arbiter(self.write_arbiter)
         state["r_interleaves"] = self.r_interleaves.value
         return state
-
-    # ------------------------------------------------------------------
-    # request side (AR / AW+W)
-    # ------------------------------------------------------------------
-    def _candidates_for(self, opcode: Opcode):
-        """Ports whose head-of-queue transaction travels this address channel
-        and whose decoded target can accept it."""
-        ready = []
-        for port, txn in self.request_candidates():
-            if txn.opcode is not opcode:
-                continue
-            target = self.try_route(txn.address)
-            if target is not None and target.request_fifo.is_full:
-                continue
-            # Unmapped addresses stay eligible and become DECERR responses.
-            ready.append((port, txn))
-        return ready
-
-    def _has_blocked(self, opcode: Opcode) -> bool:
-        return any(not port.pending.is_empty and
-                   port.pending.peek().opcode is opcode
-                   for port in self.initiators)
-
-    def _address_process(self, opcode: Opcode):
-        clk = self.clock
-        arbiter = self.arbiter if opcode is Opcode.READ else self.write_arbiter
-        channel = self.ar_channel if opcode is Opcode.READ else self.w_channel
-        while True:
-            candidates = self._candidates_for(opcode)
-            if not candidates:
-                if self._has_blocked(opcode):
-                    # Backpressured until a head or a target FIFO changes.
-                    yield self._stall(self._request_work)
-                else:
-                    yield self._wait_request_work()
-                continue
-            try:
-                port, txn = arbiter.select(candidates)
-            except MessageLockStall:
-                yield clk.edge()
-                continue
-            self.pop_granted(port, txn)
-            target = self.try_route(txn.address)
-            if target is None:
-                yield clk.edges(1)
-                self.decode_failed(txn)  # the AXI DECERR default slave
-                continue
-            cycles = self.request_cycles(txn)  # 1 for AR; W beats for writes
-            target.notify_request_state("storing")
-            yield clk.edges(cycles)
-            channel.add_busy(clk.to_ps(cycles))
-            txn.meta["needs_ack"] = txn.is_write  # B response always returned
-            yield target.request_fifo.put(txn)
-            target.notify_request_state("idle")
-            target.accepted.add()
-            txn.mark_accepted(self.sim.now)
-            if self._checks is not None:
-                self._checks.note_accept(self, txn)
 
     # ------------------------------------------------------------------
     # response side (R / B)
@@ -154,7 +112,7 @@ class AxiFabric(Fabric):
         while True:
             candidates = self._scan_beats(want_acks)
             if not candidates:
-                yield self._wait_response_work()
+                yield self._response_work.wait()
                 continue
             # Per-beat (cycle-by-cycle) re-arbitration across targets.
             rotation += 1
@@ -165,8 +123,6 @@ class AxiFabric(Fabric):
                     and previous_txn.t_done is None):
                 self.r_interleaves.add()
             previous_txn = beat.txn
-            cycles = 1 if beat.is_write_ack else \
-                self.bus_cycles_for_beat(beat.txn.beat_bytes)
+            cycles = self._beat_cycles(beat)
             yield clk.edges(cycles)
-            channel.add_busy(clk.to_ps(cycles))
-            self.deliver_beat(beat)
+            self._forwarded(channel, beat, cycles)

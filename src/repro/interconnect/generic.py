@@ -1,20 +1,20 @@
-"""The shared spec-driven fabric engine.
+"""The channel engine every spec-driven fabric is an instance of.
 
-:class:`GenericFabric` is one timing model parameterised entirely by a
-:class:`~repro.interconnect.protocols.ProtocolSpec`: request arbitration
-and transfer costs, burst serialisation for single-beat protocols,
-posted-write and split behaviour, packet-atomic vs interleaved response
-streaming.  Wishbone, APB, AXI4-Lite, Avalon-MM and TileLink-UL are all
-instances of this class — adding another protocol is a registry entry,
-not a new fabric model (docs/PROTOCOLS.md walks through it).
-
-The structure deliberately mirrors :class:`~repro.interconnect.stbus
-.StbusNode` (request process + response process over the shared
-:class:`~repro.interconnect.base.Fabric` port machinery), so devices,
-bridges, monitors, the energy model and the snapshot encoder see the
-same contracts they already handle.  The legacy fabrics keep their own
-hand-written engines: their cycle behaviour is pinned by the golden
-corpus and is not re-derived from specs.
+:class:`GenericFabric` writes the two channel bodies of an interconnect
+layer once — a *request channel* that arbitrates, transfers and hands a
+transaction to its decoded target, and a *response channel* that streams
+beats back — and takes every protocol difference from a
+:class:`~repro.interconnect.protocols.ProtocolSpec`.  A protocol is a
+spec plus the channels it instantiates (the STbus-node view of Murali &
+De Micheli: shared bus, partial and full crossbar differ only in how
+many channels exist).  Wishbone, APB, AXI4-Lite, Avalon-MM and
+TileLink-UL are this class itself, one request and one response
+channel — adding another protocol is a registry entry (docs/PROTOCOLS.md
+walks through it); the STBus node, the STBus crossbar and AXI subclass
+it only to choose which channels exist.  AHB (one data link = one
+process) and the analytic TLM tier stay outside; devices, bridges,
+monitors, the energy model and the snapshot encoder see the same
+:class:`~repro.interconnect.base.Fabric` port contracts on all of them.
 
 Timing rules, all spec-driven:
 
@@ -24,33 +24,53 @@ request channel
     reads.  Single-beat protocols (``max_burst_beats == 1``) serialise a
     burst into one transfer per beat, each paying its own setup — the
     APB SETUP phase, the per-message TileLink A-channel cost.  Without
-    split support the engine holds the fabric until the transaction
-    fully completes (the Wishbone ``cyc`` envelope, the APB access).
+    split support the channel holds the fabric until the transaction
+    fully completes (STBus Type 1, the Wishbone ``cyc`` envelope, the
+    APB access).
 
 response channel
     One width-adjusted cell per beat plus ``resp_overhead_cycles``
     handshake turnaround (classic Wishbone ack registration); write
     acknowledgements cost one cell.  ``response_interleave`` selects
     per-beat switching between packets; packet-atomic protocols only
-    start a packet the prefetch FIFO can sustain, exactly like the
-    STBus rule.
+    start a packet the prefetch FIFO can sustain.
+
+The zero-handover property of Section 4.1.2 ("the grant signal is
+propagated asynchronously from the target to the waiting initiator
+through the STBus node in the same clock cycle") holds by construction:
+a beat that is ready in a response FIFO is forwarded on the very cycle
+the channel frees up, and a queued request wins arbitration on the cycle
+the target FIFO has room.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..core.clock import Clock
 from ..core.component import Component
 from ..core.kernel import Simulator
-from .arbiter import Arbiter, MessageLockStall
+from ..core.statistics import ChannelUtilization
+from .arbiter import Arbiter, MessageArbiter, MessageLockStall
 from .base import Fabric, TargetPort
 from .protocols import ProtocolSpec, get_spec
 from .types import ResponseBeat, Transaction
 
+#: A request channel's head filter: does the transaction at the head of
+#: an initiator queue, decoded to ``target``, travel this channel?
+HeadFilter = Callable[[Transaction, Optional[TargetPort]], bool]
+
 
 class GenericFabric(Fabric):
     """One interconnect layer whose protocol semantics come from a spec."""
+
+    #: The ``ProtocolSpec.engine`` value this class serves; subclasses
+    #: that instantiate the channels differently name their own.
+    engine = "generic"
+
+    #: Arbitration rounds a message lock may stall a request channel
+    #: before it is forcibly broken (bounded message atomicity).
+    MAX_LOCK_STALL_ROUNDS = 64
 
     def __init__(self, sim: Simulator, name: str, clock: Clock,
                  spec: ProtocolSpec,
@@ -59,23 +79,36 @@ class GenericFabric(Fabric):
                  parent: Optional[Component] = None) -> None:
         if isinstance(spec, str):
             spec = get_spec(spec)
-        if spec.engine != "generic":
+        if spec.engine != self.engine:
             raise ValueError(
-                f"{spec.name!r} is served by the hand-written {spec.engine!r}"
-                f" engine, not GenericFabric")
+                f"{spec.name!r} is served by the {spec.engine!r} engine "
+                f"class, not {type(self).__name__}")
         super().__init__(sim, name, clock, data_width_bytes=data_width_bytes,
                          arbiter=arbiter, parent=parent)
         self.spec = spec
-        #: Instance attribute shadowing the class-level label: monitors,
-        #: energy resolution and bridge plans all key on the spec name.
-        self.protocol = spec.name
-        self.req_channel = self.channel("request")
-        self.resp_channel = self.channel("response")
+        #: Forced message-lock releases (bounded atomicity tripped); a
+        #: non-zero value flags pathological message shaping.
+        self.lock_breaks = sim.metrics.counter(f"{name}.lock_breaks")
         #: Extra transfers created by serialising bursts on single-beat
         #: protocols (zero on burst-capable specs).
         self.burst_segments = sim.metrics.counter(f"{name}.burst_segments")
-        self.process(self._request_process(), name="req")
-        self.process(self._response_process(), name="resp")
+        self._start_channels()
+
+    def _start_channels(self) -> None:
+        """Instantiate this protocol's channels — here the shared-bus
+        pair, one request and one response channel."""
+        #: Instance attribute shadowing the class-level label: monitors,
+        #: energy resolution and bridge plans all key on it.
+        self.protocol = self.spec.fabric_label
+        self.req_channel = self.channel("request")
+        self.resp_channel = self.channel("response")
+        self.process(self._request_channel(self.arbiter, self.req_channel),
+                     name="req")
+        # The loosely-timed batched body is a separate generator so the
+        # cycle-accurate one pays nothing for it.
+        self.process(self._response_channel_lt()
+                     if self._lt and self.lt_batch_responses
+                     else self._response_channel(), name="resp")
 
     # ------------------------------------------------------------------
     # request channel
@@ -97,128 +130,234 @@ class GenericFabric(Fabric):
         cells = txn.beats * self.bus_cycles_for_beat(txn.beat_bytes)
         return transfers * spec.setup_cycles + cells
 
-    def _eligible_requests(self):
-        """Grant candidates; split specs skip targets with no FIFO room
-        (granting them would block the channel during target latency)."""
-        candidates = self.request_candidates()
-        if not self.spec.split:
-            return candidates
-        ready = []
-        for port, txn in candidates:
-            target = self.try_route(txn.address)
-            # Unmapped addresses stay eligible: the grant becomes a
-            # decode-error response (or a wiring error, per policy).
-            if target is None or len(target.request_fifo._items) \
-                    < target.request_fifo.capacity:
-                ready.append((port, txn))
-        return ready
+    def _eligible_requests(self, wants: Optional[HeadFilter] = None):
+        """``(candidates, blocked)`` of one request channel.
 
-    def _request_process(self):
+        Candidates are the queue heads that pass the channel's head
+        filter; with split support, only those whose target can accept
+        the request right now — granting the others would block the
+        channel during target latency, so they report the channel
+        *blocked* instead.  Unmapped addresses stay eligible: the grant
+        turns into a decode-error response (or a wiring error, per
+        policy).
+        """
+        split = self.spec.split
+        decode = split or wants is not None
+        ready = []
+        blocked = False
+        for port in self.initiators:
+            # (Head peeks and the fullness check bypass the Fifo frames:
+            # this scan runs every arbitration round; target request
+            # FIFOs are always base Fifos.)
+            queue = port.pending._items
+            if not queue:
+                continue
+            txn = queue[0]
+            target = self.try_route(txn.address) if decode else None
+            if wants is not None and not wants(txn, target):
+                continue
+            if split and target is not None \
+                    and len(target.request_fifo._items) \
+                    >= target.request_fifo.capacity:
+                blocked = True
+            else:
+                ready.append((port, txn))
+        return ready, blocked
+
+    def _request_channel(self, arbiter: Arbiter, channel: ChannelUtilization,
+                         wants: Optional[HeadFilter] = None):
+        """One request channel: arbitrate, transfer, hand over, repeat.
+
+        A protocol instantiates this body once per physical request path
+        — its arbiter, its busy-time monitor and the heads that travel
+        it are the only parameters.
+        """
         clk = self.clock
+        sim = self.sim
+        spec = self.spec
+        lt = self._lt
+        work = self._request_work
+        stalled_rounds = 0
         while True:
-            candidates = self._eligible_requests()
+            candidates, blocked = self._eligible_requests(wants)
             if not candidates:
-                if any(p.pending._items for p in self.initiators):
-                    # Every decoded target is full.
-                    yield self._stall(self._request_work)
-                else:
-                    yield self._wait_request_work()
+                # Blocked: requests exist but every decoded target is
+                # full, so the request/grant handshake stalls until a
+                # head or a target FIFO changes.  Otherwise: idle.
+                yield (self._stall(work) if blocked else work.wait())
                 continue
             try:
-                port, txn = self.arbiter.select(candidates)
-            except MessageLockStall:  # pragma: no cover - plain arbiters
+                port, txn = arbiter.select(candidates)
+            except MessageLockStall:
+                stalled_rounds += 1
+                if (stalled_rounds >= self.MAX_LOCK_STALL_ROUNDS
+                        and isinstance(arbiter, MessageArbiter)):
+                    arbiter.break_lock()
+                    self.lock_breaks.add()
                 yield clk.edge()
                 continue
+            stalled_rounds = 0
             self.pop_granted(port, txn)
-            yield from self._transfer_request(txn)
-
-    def _transfer_request(self, txn: Transaction):
-        clk = self.clock
-        spec = self.spec
-        target = self.try_route(txn.address)
-        if target is None:
-            yield clk.edges(1)  # the decode stage samples the address
-            self.decode_failed(txn)
-            return
-        transfers = self._transfers(txn)
-        if transfers > 1:
-            self.burst_segments.add(transfers - 1)
-        cycles = self.request_cycles(txn)
-        target.notify_request_state("storing")
-        yield clk.edges(cycles)
-        self.req_channel.add_busy(clk.to_ps(cycles))
-        is_posted = txn.is_write and txn.posted and spec.posted_writes
-        txn.meta["needs_ack"] = txn.is_write and not is_posted
-        if not (self._lt and target.request_fifo.try_put(txn)):
-            yield target.request_fifo.put(txn)
-        target.notify_request_state("idle")
-        target.accepted.add()
-        txn.mark_accepted(self.sim.now)
-        if self._checks is not None:
-            self._checks.note_accept(self, txn)
-        if is_posted:
-            txn.complete(self.sim.now)
-        if not spec.split:
-            # The handshake envelope (Wishbone cyc, APB access) holds the
-            # fabric until the transaction fully completes.
-            if not txn.ev_done.triggered:
+            target = self.try_route(txn.address)
+            if target is None:
+                yield clk.edges(1)  # the decode stage samples the address
+                self.decode_failed(txn)
+                continue
+            if spec.max_burst_beats:
+                self.burst_segments.add(self._transfers(txn) - 1)
+            cycles = self.request_cycles(txn)
+            target.notify_request_state("storing")
+            yield clk.edges(cycles)
+            channel.add_busy(clk.to_ps(cycles))
+            is_write = txn.is_write
+            is_posted = is_write and txn.posted and spec.posted_writes
+            txn.meta["needs_ack"] = is_write and not is_posted
+            if not (lt and target.request_fifo.try_put(txn)):
+                # CA always takes the queued put (the same-timestamp
+                # round trip is the modelled handshake); LT falls back
+                # to it only when the FIFO is actually full (no split
+                # eligibility, or a sibling channel filled it).
+                yield target.request_fifo.put(txn)
+            target.notify_request_state("idle")
+            target.accepted.add()
+            now = sim.now
+            txn.mark_accepted(now)
+            if self._checks is not None:
+                self._checks.note_accept(self, txn)
+            if is_posted:
+                txn.complete(now)
+            if not spec.split and not txn.ev_done.triggered:
+                # The handshake envelope (STBus Type 1, Wishbone cyc, APB
+                # access) holds the fabric until the transaction fully
+                # completes.
                 yield txn.ev_done
 
     # ------------------------------------------------------------------
     # response channel
     # ------------------------------------------------------------------
-    def _response_process(self):
+    def _beat_cycles(self, beat: ResponseBeat) -> int:
+        """Response-channel cycles of one beat: a write acknowledgement
+        is a single cell; data costs its width-adjusted cells plus the
+        spec's handshake turnaround."""
+        if beat.is_write_ack:
+            return 1
+        return (self.bus_cycles_for_beat(beat.txn.beat_bytes)
+                + self.spec.resp_overhead_cycles)
+
+    def _forwarded(self, channel: ChannelUtilization, beat: ResponseBeat,
+                   cycles: int) -> None:
+        """``beat`` has crossed ``channel`` in ``cycles``: account, deliver."""
+        channel.add_busy(self.clock.to_ps(cycles))
+        self.deliver_beat(beat)
+
+    def _response_channel(self):
         clk = self.clock
-        spec = self.spec
+        channel = self.resp_channel
+        work = self._response_work
         current: Optional[Tuple[TargetPort, Transaction]] = None
         while True:
             beat = self._pick_beat(current)
             if beat is None:
-                if current is not None:
-                    # Packet atomicity: the in-flight packet's next beat
-                    # is not buffered yet — the channel idles until some
-                    # target buffers a beat.
-                    yield self._stall(self._response_work)
-                else:
-                    yield self._wait_response_work()
+                # Packet atomicity: the next beat of the packet in flight
+                # is not buffered yet — the channel idles until some
+                # target buffers a beat.
+                yield (self._stall(work) if current is not None
+                       else work.wait())
                 continue
             target, item = beat
             taken = target.response_fifo.try_get()
             if taken is not item:  # pragma: no cover - single consumer
                 raise RuntimeError("response FIFO raced")
-            if item.is_write_ack:
-                cycles = 1
-            else:
-                cycles = (self.bus_cycles_for_beat(item.txn.beat_bytes)
-                          + spec.resp_overhead_cycles)
+            cycles = self._beat_cycles(item)
             yield clk.edges(cycles)
-            self.resp_channel.add_busy(clk.to_ps(cycles))
-            self.deliver_beat(item)
+            self._forwarded(channel, item, cycles)
             current = None if item.is_last else (target, item.txn)
 
+    def _response_channel_lt(self):
+        """Loosely-timed response channel (see docs/FAST_SIM.md).
+
+        One departure from the cycle-accurate body: a run of consecutive
+        buffered beats of the same packet is transferred in one
+        closed-form step — CA would stream exactly those beats back to
+        back anyway (the in-flight packet always wins :meth:`_pick_beat`),
+        so the run's start, duration and last-beat instant are identical;
+        only the intermediate beats' delivery is deferred to the end of
+        the run.  The first-data timestamp is back-annotated analytically.
+        """
+        clk = self.clock
+        sim = self.sim
+        work = self._response_work
+        current: Optional[Tuple[TargetPort, Transaction]] = None
+        while True:
+            beat = self._pick_beat(current)
+            if beat is None:
+                yield (self._stall(work) if current is not None
+                       else work.wait())
+                continue
+            target, item = beat
+            fifo = target.response_fifo
+            items = fifo._items
+            run = 1
+            if not item.is_last:
+                txn = item.txn
+                while run < len(items) and items[run].txn is txn \
+                        and not items[run - 1].is_last:
+                    run += 1
+            beats = [fifo.try_get() for _ in range(run)]
+            cycles = self._beat_cycles(item)
+            yield clk.edges(cycles * run)
+            self.resp_channel.add_busy(clk.to_ps(cycles * run))
+            if run > 1:
+                sim.note_fastforward(run - 1)
+                first = beats[0]
+                if first.txn.t_first_data is None and not first.is_write_ack:
+                    # CA delivers the run's first beat `cycles` edges in;
+                    # the batch ends (run-1)*cycles later.
+                    first.txn.t_first_data = \
+                        sim.now - clk.to_ps(cycles * (run - 1))
+            for delivered in beats:
+                self.deliver_beat(delivered)
+            last = beats[-1]
+            current = None if last.is_last else (target, last.txn)
+
     def _pick_beat(self, current):
-        """Next response beat to forward (see ``StbusNode._pick_beat``)."""
-        candidates = self.response_candidates()
+        """Choose the next response beat to forward.
+
+        With a packet in flight: its next beat when ready; otherwise
+        another target's beat only if the spec interleaves responses.
+
+        Packet-atomic specs only *start* a packet once the target's
+        prefetch FIFO can sustain it (:meth:`_packet_streamable`).  This
+        is how deeper prefetch FIFOs let STBus mask target wait states:
+        the channel streams buffered packets back to back instead of
+        idling in each wait-state gap.
+        """
+        interleave = self.spec.response_interleave
         if current is not None:
             target, txn = current
             beats = target.response_fifo._items
             if beats and beats[0].txn is txn:
                 return target, beats[0]
-            if not self.spec.response_interleave:
+            if not interleave:
                 return None
-            candidates = [(t, b) for t, b in candidates
+            candidates = [(t, b) for t, b in self.response_candidates()
                           if not (t is target and b.txn is txn)]
-        elif not self.spec.response_interleave:
-            candidates = [(t, b) for t, b in candidates
+        elif interleave:
+            candidates = self.response_candidates()
+        else:
+            candidates = [(t, b) for t, b in self.response_candidates()
                           if self._packet_streamable(t, b)]
         if not candidates:
             return None
+        # Per-beat rotation across targets: deterministic round robin
+        # keyed on the target port.
         return min(candidates, key=lambda cand: cand[0].name)
 
     @staticmethod
     def _packet_streamable(target: TargetPort, beat: ResponseBeat) -> bool:
         """Packet-atomic start rule: the prefetch FIFO must be able to
-        sustain the packet (fully buffered, or full and draining)."""
+        sustain the packet (fully buffered, or full and draining — it
+        cannot accumulate further)."""
         if beat.is_write_ack:
             return True
         remaining = beat.txn.beats - beat.index

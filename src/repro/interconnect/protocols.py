@@ -1,16 +1,15 @@
 """Declarative protocol registry.
 
-The bus layer grew as seven hand-written fabric/bridge classes; what
-actually distinguishes the protocols is a small table of handshake,
+What actually distinguishes bus protocols is a small table of handshake,
 burst, posted-write and split semantics — the observation behind
 bus-interface signal tables like processor_ci_connector's ``PROTOCOLS``
 (see SNIPPETS.md) and the Samsung cycle-count-accurate AMBA TLM work.
 This module makes that table explicit: a :class:`ProtocolSpec` per
 protocol, a registry keyed by spec name, and lookup helpers used by
 
-* :mod:`repro.interconnect.generic` — a shared engine that turns a pure
+* :mod:`repro.interconnect.generic` — the channel engine that turns a
   spec entry into a runnable fabric (Wishbone, APB, AXI4-Lite, Avalon,
-  TileLink-UL ship this way; adding another protocol is ~50 lines of
+  TileLink-UL are nothing else; adding another protocol is ~50 lines of
   table, see docs/PROTOCOLS.md),
 * :mod:`repro.bridge.matrix` — the derived N x N bridge matrix
   (spec diff -> store-and-forward conversion plan),
@@ -19,10 +18,10 @@ protocol, a registry keyed by spec name, and lookup helpers used by
   per-beat energy coefficients, cross-checked by the
   registry-completeness lint (:mod:`repro.check.registry_lint`).
 
-The five legacy fabrics (STBus T1/T2/T3 as one hand-written engine,
-AHB, AXI, TLM) are *re-expressed* as registry entries whose ``engine``
-field points at the existing classes — their timing code is untouched,
-which is what keeps the golden corpus bit-identical.
+STBus T1/T2/T3 and AXI are served by the same engine through classes
+that choose which channels to instantiate (``engine`` names the class);
+AHB and the analytic TLM tier keep models of their own.  The golden
+corpus pins every one of them bit for bit.
 """
 
 from __future__ import annotations
@@ -41,20 +40,23 @@ class ProtocolSpec:
     """Everything the generic engine, bridge matrix, monitors and energy
     model need to know about one bus protocol.
 
-    ``engine`` selects the timing model: ``"stbus"`` / ``"ahb"`` /
-    ``"axi"`` / ``"tlm"`` keep the hand-written classes; ``"generic"``
-    runs :class:`~repro.interconnect.generic.GenericFabric`, which is
-    parameterised entirely by this spec.
+    ``engine`` names the class that serves the spec.  ``"generic"`` is
+    :class:`~repro.interconnect.generic.GenericFabric` itself — the
+    channel engine, parameterised entirely by this spec; ``"stbus"``
+    (:class:`StbusNode`, :class:`StbusCrossbar`) and ``"axi"``
+    (:class:`AxiFabric`) are subclasses that run the same channel bodies
+    and only choose how many to instantiate; ``"ahb"`` and ``"tlm"`` are
+    models of their own, which the engine refuses.
     """
 
     #: Registry key; also the ``Fabric.protocol`` label of generic
-    #: fabrics (legacy engines keep their historical labels).
+    #: fabrics (the other engines keep their historical labels).
     name: str
     #: Human-readable protocol name for docs and CLI tables.
     title: str
     #: Protocol family ("stbus", "amba", "open").
     family: str
-    #: Timing engine: "stbus" | "ahb" | "axi" | "tlm" | "generic".
+    #: Serving class: "stbus" | "ahb" | "axi" | "tlm" | "generic".
     engine: str
     #: ``PlatformConfig.protocol`` value that elaborates this spec
     #: (``None`` for specs not selectable as a platform protocol —
@@ -110,13 +112,10 @@ class ProtocolSpec:
     def fabric_label(self) -> str:
         """The ``Fabric.protocol`` label instances of this spec carry.
 
-        Legacy engines keep their historical labels (all three STBus
-        types report ``"stbus"``); generic fabrics use the spec name.
+        Generic fabrics use the spec name; the other engines carry the
+        engine name (all three STBus types report ``"stbus"``).
         """
-        if self.engine == "generic":
-            return self.name
-        return {"stbus": "stbus", "ahb": "ahb",
-                "axi": "axi", "tlm": "tlm"}[self.engine]
+        return self.name if self.engine == "generic" else self.engine
 
     @property
     def single_beat(self) -> bool:
@@ -143,7 +142,8 @@ class ProtocolSpec:
         return total
 
 
-#: The registry.  Ordered: legacy engines first, generic entries after.
+#: The registry.  Ordered: the paper's protocols first, then the entries
+#: served by the bare engine.
 PROTOCOLS: Dict[str, ProtocolSpec] = {}
 
 
@@ -167,16 +167,12 @@ def get_spec(name: str) -> ProtocolSpec:
 def spec_for_fabric(fabric) -> ProtocolSpec:
     """The spec describing a live fabric instance.
 
-    Generic fabrics carry their spec directly; STBus nodes (shared-bus
-    and crossbar) resolve through ``bus_type``; the remaining legacy
-    engines resolve through their protocol label.
+    Channel-engine fabrics carry their spec directly; AHB and TLM
+    resolve through their protocol label.
     """
     spec = getattr(fabric, "spec", None)
     if spec is not None:
         return spec
-    bus_type = getattr(fabric, "bus_type", None)
-    if bus_type is not None:
-        return PROTOCOLS[f"stbus_t{int(bus_type)}"]
     protocol = getattr(fabric, "protocol", None)
     if protocol in PROTOCOLS:
         return PROTOCOLS[protocol]
@@ -212,7 +208,7 @@ def spec_for_platform(platform_key: str,
 
 
 def generic_specs() -> Tuple[ProtocolSpec, ...]:
-    """Specs served by the shared generic engine."""
+    """Specs served by the bare channel engine, with no class of their own."""
     return tuple(s for s in PROTOCOLS.values() if s.engine == "generic")
 
 
@@ -320,7 +316,7 @@ _TILELINK_SIGNALS = (
 
 
 # ---------------------------------------------------------------------------
-# legacy engines, re-expressed as registry entries
+# the paper's protocols (and the TLM tier), served through their classes
 # ---------------------------------------------------------------------------
 register_protocol(ProtocolSpec(
     name="stbus_t1", title="STBus Type 1", family="stbus", engine="stbus",
@@ -383,7 +379,7 @@ register_protocol(ProtocolSpec(
 
 
 # ---------------------------------------------------------------------------
-# pure spec entries served by the generic engine
+# pure spec entries served by the bare engine
 # ---------------------------------------------------------------------------
 register_protocol(ProtocolSpec(
     name="wishbone", title="Wishbone B4 (classic)", family="open",

@@ -177,7 +177,7 @@ class TlmNode(Fabric):
         while True:
             candidates = self.request_candidates()
             if not candidates:
-                yield self._wait_request_work()
+                yield self._request_work.wait()
                 continue
             try:
                 port, txn = self.arbiter.select(candidates)

@@ -123,24 +123,16 @@ class EnergyConfig:
     def fabric_pj_per_beat(self, fabric) -> float:
         """Coefficient for one bus cell on ``fabric``.
 
-        STBus nodes (shared-bus and crossbar) carry a ``bus_type``;
-        registry-served generic fabrics resolve through their spec's
-        ``energy_coefficient`` field; the remaining legacy fabrics are
-        identified by their ``protocol`` label.
+        Channel-engine fabrics (STBus, AXI, the registry-spec protocols)
+        resolve through their spec's ``energy_coefficient`` field; AHB
+        and TLM are identified by their ``protocol`` label.
         """
-        bus_type = getattr(fabric, "bus_type", None)
-        if bus_type is not None:
-            return {1: self.stbus_t1_pj_per_beat,
-                    2: self.stbus_t2_pj_per_beat,
-                    3: self.stbus_t3_pj_per_beat}[int(bus_type)]
         spec = getattr(fabric, "spec", None)
         if spec is not None:
             return float(getattr(self, spec.energy_coefficient))
         protocol = getattr(fabric, "protocol", "")
         if protocol == "ahb":
             return self.ahb_pj_per_beat
-        if protocol == "axi":
-            return self.axi_pj_per_beat
         if protocol == "tlm":
             return self.tlm_pj_per_beat
         return self.stbus_t2_pj_per_beat
@@ -175,7 +167,7 @@ class EnergyAccountant:
         self._timeline: Optional[Dict[str, List[Tuple[int, int]]]] = \
             {} if timeline else None
         #: Lazily resolved ``id(fabric) -> (component path, fJ/cell)``.
-        #: Lazy because ``StbusNode`` assigns its ``bus_type`` *after*
+        #: Lazy because the channel engine assigns its ``spec`` *after*
         #: the base ``Fabric.__init__`` captured this accountant.
         self._fabric_cache: Dict[int, Tuple[str, int]] = {}
         #: End-of-run integrators (SDRAM background power, open rows).

@@ -194,6 +194,37 @@ class TestProtocolPasses:
         checker._accepts[fabric].pop()  # a granted request never accepted
         assert "stbus.split_pairing" in rules_of(checker.finalize())
 
+    def test_crossbar_split_pairing_lost_request(self):
+        config = quick_config(protocol="stbus", central_crossbar=True)
+        sim, platform, session = run_checked(config)
+        assert session.finalize() == []
+        checker = session.checkers[0]
+        crossbar = platform.central
+        assert crossbar.protocol == "stbus-xbar"
+        # Every request channel of the crossbar reports its acceptances...
+        assert len(checker._accepts[crossbar]) \
+            == sum(t.accepted.value for t in crossbar.targets)
+        # ...so a request lost between grant and target is caught.
+        checker._accepts[crossbar].pop()
+        assert "stbus.split_pairing" in rules_of(checker.finalize())
+
+    def test_crossbar_t1_hold_is_per_request_channel(self):
+        from repro.interconnect.types import StbusType
+
+        config = quick_config(central_crossbar=True,
+                              central_stbus_type=StbusType.T1)
+        sim, platform, session = run_checked(config)
+        # Type 1 channels to different targets legally overlap.
+        assert session.finalize() == []
+        checker = session.checkers[0]
+        crossbar = platform.central
+        target = max(crossbar.targets, key=lambda t: t.accepted.value)
+        first, second = [txn for _port, txn in checker._grants[crossbar]
+                         if crossbar.try_route(txn.address) is target][:2]
+        first.t_done = second.t_granted + 1
+        found = checker.finalize(expect_drained=False)
+        assert "stbus.t1_hold" in rules_of(found)
+
     def test_split_pairing_reorder(self):
         sim, platform, session = run_checked(quick_config(protocol="stbus"))
         checker = session.checkers[0]

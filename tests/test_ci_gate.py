@@ -1,7 +1,7 @@
-"""Unit tests for the CI performance gate (``benchmarks/ci_gate.py``).
+"""Unit tests for the CI event-count gate (``benchmarks/ci_gate.py``).
 
 The gate script lives outside the package, so it is loaded by path; the
-tests cover only the pure comparison logic and the override/exit-code
+tests cover only the pure comparison logic and the exit-code
 contract — the actual benchmark rerun is the smoke CI job's business.
 """
 
@@ -24,39 +24,38 @@ def _row(events=1000, rate=100_000.0):
 
 
 class TestCompare:
-    def test_within_threshold_passes(self):
+    def test_same_counts_pass(self):
         failures, lines = ci_gate.compare(
-            {"a": _row(rate=100_000)}, {"a": _row(rate=90_000)}, 0.15)
+            {"a": _row(rate=100_000)}, {"a": _row(rate=90_000)})
         assert failures == []
         assert any("ok" in line for line in lines[1:])
 
-    def test_regression_beyond_threshold_fails(self):
-        failures, _ = ci_gate.compare(
-            {"a": _row(rate=100_000)}, {"a": _row(rate=80_000)}, 0.15)
-        assert len(failures) == 1
-        assert "below the baseline" in failures[0]
-
-    def test_speedup_is_reported_not_failed(self):
+    @pytest.mark.parametrize("rate", [20_000, 80_000, 200_000])
+    def test_events_per_second_is_report_only(self, rate):
+        # Identical code has measured 5-18 % apart on a shared box: no
+        # wall-clock figure fails the gate, however far it moved.
         failures, lines = ci_gate.compare(
-            {"a": _row(rate=100_000)}, {"a": _row(rate=200_000)}, 0.15)
+            {"a": _row(rate=100_000)}, {"a": _row(rate=rate)})
         assert failures == []
-        assert any("fast" in line for line in lines[1:])
+        assert "report only" in lines[0]
+        assert f"{rate:,}" in lines[1]
 
     def test_changed_event_count_fails_regardless_of_speed(self):
-        failures, _ = ci_gate.compare(
+        failures, lines = ci_gate.compare(
             {"a": _row(events=1000, rate=100_000)},
-            {"a": _row(events=1001, rate=100_000)}, 0.15)
+            {"a": _row(events=1001, rate=100_000)})
         assert len(failures) == 1
         assert "event count changed" in failures[0]
+        assert "FAIL" in lines[1]
 
     def test_missing_scenario_fails(self):
         failures, _ = ci_gate.compare(
-            {"a": _row(), "b": _row()}, {"a": _row()}, 0.15)
+            {"a": _row(), "b": _row()}, {"a": _row()})
         assert any("not rerun" in failure for failure in failures)
 
     def test_new_scenario_is_listed(self):
         _, lines = ci_gate.compare({"a": _row()},
-                                   {"a": _row(), "b": _row()}, 0.15)
+                                   {"a": _row(), "b": _row()})
         assert any("(new)" in line for line in lines)
 
 
@@ -84,19 +83,25 @@ class TestGateProcess:
         assert ci_gate.main(["--baseline", str(target), "--update"]) == 0
         assert json.loads(target.read_text())["a"]["events"] == 1000
 
-    def test_regression_fails_then_override_reports_only(
+    def test_changed_count_fails_and_no_override_exists(
             self, tmp_path, fast_bench, monkeypatch, capsys):
         target = tmp_path / "base.json"
-        target.write_text(json.dumps({"a": _row(rate=100_000)}))
-        monkeypatch.delenv("CI_ALLOW_PERF_REGRESSION", raising=False)
-        assert ci_gate.main(["--baseline", str(target)]) == 1
-        assert "perf-regression-ok" in capsys.readouterr().err
+        target.write_text(json.dumps({"a": _row(events=999, rate=50_000)}))
+        # No environment switch turns a changed count into a report: it
+        # is a changed simulation whatever the environment says.
         monkeypatch.setenv("CI_ALLOW_PERF_REGRESSION", "1")
+        assert ci_gate.main(["--baseline", str(target)]) == 1
+        assert "--update" in capsys.readouterr().err
+
+    def test_slower_run_with_same_counts_passes(self, tmp_path, fast_bench,
+                                                capsys):
+        target = tmp_path / "base.json"
+        target.write_text(json.dumps({"a": _row(rate=100_000)}))
         assert ci_gate.main(["--baseline", str(target)]) == 0
-        assert "reporting only" in capsys.readouterr().err
+        assert "-50.0%" in capsys.readouterr().out
 
     def test_clean_run_passes(self, tmp_path, fast_bench, capsys):
         target = tmp_path / "base.json"
         target.write_text(json.dumps({"a": _row(rate=52_000)}))
         assert ci_gate.main(["--baseline", str(target)]) == 0
-        assert "within threshold" in capsys.readouterr().out
+        assert "event counts match" in capsys.readouterr().out

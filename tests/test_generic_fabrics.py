@@ -24,11 +24,36 @@ class TestConstruction:
         assert by_name.spec is by_spec.spec
         assert by_name.protocol == "wishbone"
 
-    def test_rejects_legacy_engine_specs(self, sim):
+    def test_refuses_ahb_and_tlm_specs(self, sim):
+        # AHB and the TLM tier are models of their own, not channel-engine
+        # instances: no engine class takes their specs.
+        from repro.interconnect import AxiFabric, StbusNode
+
         clk = sim.clock(freq_mhz=200, name="gclk")
-        for name in ("stbus_t2", "ahb", "axi", "tlm"):
+        for name in ("ahb", "tlm"):
             with pytest.raises(ValueError, match="engine"):
                 GenericFabric(sim, f"bad_{name}", clk, name)
+        assert {cls.engine for cls in (GenericFabric, StbusNode, AxiFabric)} \
+            == {"generic", "stbus", "axi"}
+
+    def test_stbus_and_axi_specs_are_served_through_their_classes(self, sim):
+        # The same engine, but the class decides which channels exist
+        # (message arbitration, AR/AW split): the bare engine sends the
+        # caller there instead of guessing.
+        from repro.interconnect import AxiFabric, StbusNode, StbusType
+
+        clk = sim.clock(freq_mhz=200, name="gclk")
+        for name in ("stbus_t1", "stbus_t2", "stbus_t3", "axi"):
+            with pytest.raises(ValueError, match="engine"):
+                GenericFabric(sim, f"bare_{name}", clk, name)
+        for bus_type in StbusType:
+            node = StbusNode(sim, f"t{int(bus_type)}", clk, bus_type=bus_type)
+            assert isinstance(node, GenericFabric)
+            assert node.spec is get_spec(f"stbus_t{int(bus_type)}")
+            assert node.protocol == "stbus"
+        axi = AxiFabric(sim, "axi", clk)
+        assert isinstance(axi, GenericFabric)
+        assert axi.spec is get_spec("axi") and axi.protocol == "axi"
 
 
 class TestEndToEnd:

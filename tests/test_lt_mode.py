@@ -348,6 +348,44 @@ class TestStallsScheduleNothing:
 
 
 # ---------------------------------------------------------------------------
+# One request body: every fabric accepts inline (docs/FAST_SIM.md)
+# ---------------------------------------------------------------------------
+
+class TestInlineAcceptOnEveryFabric:
+    #: LT kernel events of the same runs before AXI and the crossbar rode
+    #: the shared request body (their accept was always a queued put).
+    @pytest.mark.parametrize("fabric, events_before", [
+        ({"protocol": "axi"}, 3209),
+        ({"protocol": "stbus", "central_crossbar": True}, 2661)])
+    def test_axi_and_crossbar_accept_inline(self, fabric, events_before,
+                                            monkeypatch):
+        from repro.core.fifo import Fifo
+
+        config = quick_config(resolution="lt", **fabric)
+        inline = set()
+        try_put = Fifo.try_put
+
+        def recording_try_put(fifo, item):
+            stored = try_put(fifo, item)
+            if stored:
+                inline.add(fifo)
+            return stored
+
+        monkeypatch.setattr(Fifo, "try_put", recording_try_put)
+        sim = Simulator()
+        platform = build_platform(sim, config)
+        result = platform.run()
+        monkeypatch.undo()
+        # (The queued put survives only as the fallback for a FIFO that
+        # is actually full at hand-over.)
+        assert {t.request_fifo for t in platform.central.targets} <= inline
+        assert sim.processed_events <= events_before
+        assert (result.transactions, result.bytes_transferred) == (126, 6336)
+        outcome = CheckedRun(config)
+        assert outcome.ok, outcome.format()
+
+
+# ---------------------------------------------------------------------------
 # CLI and bench surfaces
 # ---------------------------------------------------------------------------
 

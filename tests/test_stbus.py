@@ -38,6 +38,19 @@ class TestManyToOneEfficiency:
         assert node.resp_channel.utilization() == pytest.approx(0.5, abs=0.05)
 
 
+class TestWriteAcknowledge:
+    def test_ack_is_one_response_cell_whatever_the_beat_width(self, sim):
+        """A store acknowledge is one cell (``response_packet``), also when
+        the write's beats are wider than the node's data path."""
+        node = make_node(sim, bus_type=StbusType.T1, width=4)
+        add_memory(sim, node)
+        port = node.connect_initiator("ip0")
+        txn = write(0x100, beats=2, beat_bytes=8, posted=False)
+        run_transactions(sim, port, [txn])
+        assert node.resp_channel.busy_ps == node.clock.period_ps
+        assert node.resp_channel.transfers == 1
+
+
 class TestSplitBehaviour:
     def test_t2_overlaps_transactions(self, sim):
         """With split support, a second read is accepted by the target

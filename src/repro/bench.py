@@ -140,12 +140,11 @@ def platform_run(scale: float = 1.0,
     dual-resolution scenario: contention-free stretches are fast-forwarded
     analytically (docs/FAST_SIM.md quotes its numbers).
     """
-    from .platforms import build_platform, quick_config
+    from .platforms import quick_config
+    from .sweep import Run
 
-    sim = Simulator()
-    platform = build_platform(sim, quick_config(resolution=resolution))
-    platform.run(max_ps=10**13)
-    return sim.processed_events, sim.now
+    done = Run(quick_config(resolution=resolution), 10**13).finish()
+    return done.events, done.sim_time_ps
 
 
 def sweep_fanout(scale: float = 1.0,
@@ -193,15 +192,13 @@ def _platform_energy_pj(resolution: str) -> float:
     """
     import dataclasses
 
-    from .platforms import build_platform, quick_config
+    from .platforms import quick_config
+    from .sweep import Run
 
     config = quick_config(resolution=resolution)
     config = config.scaled(
         energy=dataclasses.replace(config.energy, enabled=True))
-    sim = Simulator()
-    platform = build_platform(sim, config)
-    result = platform.run(max_ps=10**13)
-    return result.energy_total_pj
+    return Run(config, 10**13).finish().result.energy_total_pj
 
 
 def run_benchmarks(names: Optional[Iterable[str]] = None, repeats: int = 3,

@@ -40,7 +40,7 @@ from ..platforms.config import (
     TwoPhaseSpec,
 )
 from ..interconnect.types import StbusType
-from ..platforms.reference import build_platform
+from ..sweep import Run
 from .violations import Violation
 
 
@@ -93,10 +93,10 @@ def _run_leg(config: PlatformConfig, max_ps: Optional[int],
     from . import checked
 
     with checked() as session:
-        sim = Simulator(trace=_noop_trace) if reference else Simulator()
-        platform = build_platform(sim, config)
-        result = platform.run(max_ps=max_ps)
-    return sim, result, session.finalize(expect_drained=True)
+        run = Run(config, max_ps,
+                  sim=Simulator(trace=_noop_trace) if reference else None)
+        result = run.finish().result
+    return run.sim, result, session.finalize(expect_drained=True)
 
 
 def CheckedRun(config: PlatformConfig,

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..analysis.metrics import RunResult
-from ..core.kernel import Simulator
 from ..platforms.config import PlatformConfig
-from ..platforms.reference import build_platform
+from ..sweep import Run
 
 # ---------------------------------------------------------------------------
 # The published accuracy contract (docs/FAST_SIM.md, "The contract").
@@ -225,15 +224,13 @@ def within_bounds(comparison: LtComparison,
 
 def _run_mode(config: PlatformConfig, resolution: str,
               max_ps: Optional[int]):
-    sim = Simulator()
     # Energy accounting is force-enabled on both legs so the energy
     # clause always has data to compare; with both sides instrumented
     # through the same taps this perturbs neither timing nor events.
-    platform = build_platform(sim, config.scaled(
+    run = Run(config.scaled(
         resolution=resolution,
-        energy=dataclasses.replace(config.energy, enabled=True)))
-    result = platform.run(max_ps=max_ps)
-    return sim, result
+        energy=dataclasses.replace(config.energy, enabled=True)), max_ps)
+    return run.sim, run.finish().result
 
 
 def LtRun(config: PlatformConfig, max_ps: Optional[int] = 10**9,

@@ -41,76 +41,32 @@ from .analysis import format_table
 Registry = Dict[str, Tuple[str, Callable]]
 
 
-def _wrap(module, **fixed):
+def _wrap(module, suffix: str = "", sizing=None):
+    """Registry runner for ``module``'s ``run/report/check<suffix>``.
+
+    ``sizing`` is ``(keyword, floor, per_unit_scale)`` for the studies
+    sized by a count rather than by ``traffic_scale``.
+    """
     def runner(scale: float, jobs: Optional[int] = None):
-        data = module.run(traffic_scale=scale, jobs=jobs, **fixed)
-        return data, module.report(data), module.check(data)
-    return runner
-
-
-def _wrap_single_layer_m2m():
-    def runner(scale: float, jobs: Optional[int] = None):
-        transactions = max(8, int(50 * scale))
-        data = experiments.single_layer.run_many_to_many(
-            transactions=transactions, jobs=jobs)
-        return (data, experiments.single_layer.report_many_to_many(data),
-                experiments.single_layer.check_many_to_many(data))
-    return runner
-
-
-def _wrap_single_layer_m2o():
-    def runner(scale: float, jobs: Optional[int] = None):
-        transactions = max(8, int(60 * scale))
-        data = experiments.single_layer.run_many_to_one(
-            transactions=transactions, jobs=jobs)
-        return (data, experiments.single_layer.report_many_to_one(data),
-                experiments.single_layer.check_many_to_one(data))
-    return runner
-
-
-def _wrap_arbitration():
-    def runner(scale: float, jobs: Optional[int] = None):
-        transactions = max(8, int(40 * scale))
-        data = experiments.arbitration_study.run(transactions=transactions,
-                                                 jobs=jobs)
-        return (data, experiments.arbitration_study.report(data),
-                experiments.arbitration_study.check(data))
-    return runner
-
-
-def _wrap_segmentation():
-    def runner(scale: float, jobs: Optional[int] = None):
-        transactions = max(8, int(20 * scale))
-        data = experiments.path_segmentation.run(transactions=transactions,
-                                                 jobs=jobs)
-        return (data, experiments.path_segmentation.report(data),
-                experiments.path_segmentation.check(data))
-    return runner
-
-
-def _wrap_io_qos():
-    def runner(scale: float, jobs: Optional[int] = None):
-        lines = max(10, int(40 * scale))
-        data = experiments.io_qos.run(lines=lines, jobs=jobs)
-        return (data, experiments.io_qos.report(data),
-                experiments.io_qos.check(data))
-    return runner
-
-
-def _wrap_crossbar_dse():
-    def runner(scale: float, jobs: Optional[int] = None):
-        data = experiments.crossbar_dse.run(traffic_scale=scale, jobs=jobs)
-        return (data, experiments.crossbar_dse.report(data),
-                experiments.crossbar_dse.check(data))
+        if sizing is None:
+            size = {"traffic_scale": scale}
+        else:
+            keyword, floor, per_scale = sizing
+            size = {keyword: max(floor, int(per_scale * scale))}
+        data = getattr(module, "run" + suffix)(jobs=jobs, **size)
+        return (data, getattr(module, "report" + suffix)(data),
+                getattr(module, "check" + suffix)(data))
     return runner
 
 
 def registry() -> Registry:
     return {
         "s411": ("Section 4.1.1 — many-to-many single layer",
-                 _wrap_single_layer_m2m()),
+                 _wrap(experiments.single_layer, "_many_to_many",
+                       ("transactions", 8, 50))),
         "s412": ("Section 4.1.2 — many-to-one single layer",
-                 _wrap_single_layer_m2o()),
+                 _wrap(experiments.single_layer, "_many_to_one",
+                       ("transactions", 8, 60))),
         "fig3": ("Fig. 3 — platform instances, on-chip memory",
                  _wrap(experiments.fig3_platform_instances)),
         "fig4": ("Fig. 4 — distributed vs centralized vs memory speed",
@@ -122,13 +78,17 @@ def registry() -> Registry:
         "ablations": ("Section 6 — guideline ablations",
                       _wrap(experiments.ablations)),
         "arbitration": ("Extension — arbitration policy study",
-                        _wrap_arbitration()),
+                        _wrap(experiments.arbitration_study,
+                              sizing=("transactions", 8, 40))),
         "segmentation": ("Extension — path segmentation (guideline 5)",
-                         _wrap_segmentation()),
+                         _wrap(experiments.path_segmentation,
+                               sizing=("transactions", 8, 20))),
         "io_qos": ("Extension — display QoS under DMA contention "
-                   "(guideline 4)", _wrap_io_qos()),
+                   "(guideline 4)",
+                   _wrap(experiments.io_qos, sizing=("lines", 10, 40))),
         "crossbar_dse": ("Extension — application-specific crossbar "
-                         "choice via Pareto search", _wrap_crossbar_dse()),
+                         "choice via Pareto search",
+                         _wrap(experiments.crossbar_dse)),
     }
 
 
@@ -173,9 +133,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_platform(args) -> int:
-    from .core import Simulator
-    from .platforms import build_platform
     from .platforms.loader import ConfigError, load_config
+    from .sweep import Run
 
     try:
         config = load_config(args.config)
@@ -198,9 +157,7 @@ def cmd_platform(args) -> int:
             for path in saved:
                 print(f"checkpoint: {path}")
         else:
-            sim = Simulator()
-            platform = build_platform(sim, config)
-            result = platform.run(max_ps=max_ps)
+            result = Run(config, max_ps).finish().result
     finally:
         _finish_capture(args, session)
     print(f"platform:        {config.label()}")
@@ -316,9 +273,8 @@ def cmd_stats(args) -> int:
         with capture(energy=args.energy) as cap:
             runner(args.scale)
     else:
-        from .core import Simulator
-        from .platforms import build_platform
         from .platforms.loader import ConfigError, load_config
+        from .sweep import Run
 
         try:
             config = load_config(args.target)
@@ -329,9 +285,7 @@ def cmd_stats(args) -> int:
             return 2
         title = config.label()
         with capture(energy=args.energy) as cap:
-            sim = Simulator()
-            platform = build_platform(sim, config)
-            platform.run(max_ps=int(args.max_us * 1_000_000))
+            Run(config, int(args.max_us * 1_000_000)).finish()
     rows = cap.metrics_snapshot()
     sim_time = max((sim.now for sim in cap.simulators), default=0)
     if args.json:
@@ -489,9 +443,8 @@ def cmd_check(args) -> int:
     else:
         import json
 
-        from .core import Simulator
-        from .platforms import build_platform
         from .platforms.loader import ConfigError, load_config
+        from .sweep import Run, load_sweep
 
         try:
             with open(args.target, encoding="utf-8") as handle:
@@ -504,8 +457,6 @@ def cmd_check(args) -> int:
         max_ps = int(args.max_us * 1_000_000)
         if isinstance(document, dict) and \
                 ("points" in document or "grid" in document):
-            from .sweep import load_sweep
-
             spec = load_sweep(args.target)
             targets = list(zip(spec.labels, spec.configs))
             max_ps = spec.max_ps
@@ -527,11 +478,9 @@ def cmd_check(args) -> int:
                       f"{'identical' if not outcome.mismatches else 'DIVERGED'}")
             else:
                 with checked() as session:
-                    sim = Simulator()
-                    platform = build_platform(sim, config)
-                    platform.run(max_ps=max_ps)
+                    done = Run(config, max_ps).finish()
                 violations.extend(session.finalize())
-                print(f"checked {label}: {sim.processed_events} events")
+                print(f"checked {label}: {done.events} events")
     print()
     if mismatches:
         print("fast path diverged from the reference kernel:")
@@ -692,7 +641,7 @@ def cmd_serve(args) -> int:
         slice_ps=int(args.slice_us * 1_000_000),
         use_processes=args.processes, cache=cache))
 
-    async def _serve() -> None:
+    async def _main() -> None:
         await server.start()
         print(f"repro service listening on "
               f"http://{args.host}:{server.port} "
@@ -700,14 +649,10 @@ def cmd_serve(args) -> int:
               f"unit(s)/tenant)")
         if args.socket:
             print(f"local-socket queue: {args.socket}")
-        try:
-            assert server._http_server is not None
-            await server._http_server.serve_forever()
-        finally:
-            await server.stop()
+        await server.run_forever()
 
     try:
-        asyncio.run(_serve())
+        asyncio.run(_main())
     except KeyboardInterrupt:
         print("\nservice stopped")
     return 0
@@ -1100,8 +1045,9 @@ def build_parser() -> argparse.ArgumentParser:
                               help="offload plain units to a process pool "
                                    "(the sweep executor)")
     serve_parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                              help="shared sweep-cache directory "
-                                   "(default: .repro_cache)")
+                              help="shared sweep-cache directory (default "
+                                   "$REPRO_SWEEP_CACHE or "
+                                   "~/.cache/repro/sweeps)")
     serve_parser.add_argument("--no-cache", action="store_true",
                               help="disable the shared result cache")
     serve_parser.set_defaults(func=cmd_serve)

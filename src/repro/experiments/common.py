@@ -26,10 +26,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from ..analysis.metrics import RunResult
-from ..core.kernel import Simulator
 from ..platforms.config import PlatformConfig
-from ..platforms.reference import PlatformInstance, build_platform
-from ..sweep import DEFAULT_MAX_PS, default_jobs, sweep
+from ..sweep import DEFAULT_MAX_PS, Run, default_jobs, sweep
 
 #: Process-wide default worker count override (set by the CLI ``--jobs``).
 _jobs_override: Optional[int] = None
@@ -55,9 +53,7 @@ def get_default_jobs() -> int:
 def run_config(config: PlatformConfig,
                max_ps: int = DEFAULT_MAX_PS) -> RunResult:
     """Elaborate and run one platform configuration on a fresh simulator."""
-    sim = Simulator()
-    platform = build_platform(sim, config)
-    return platform.run(max_ps=max_ps)
+    return Run(config, max_ps).finish().result
 
 
 def run_configs(configs: Iterable[PlatformConfig],
@@ -79,10 +75,8 @@ def run_configs(configs: Iterable[PlatformConfig],
 def run_config_with_platform(config: PlatformConfig,
                              max_ps: int = DEFAULT_MAX_PS):
     """Like :func:`run_config` but also returns the platform for inspection."""
-    sim = Simulator()
-    platform = build_platform(sim, config)
-    result = platform.run(max_ps=max_ps)
-    return result, platform
+    run = Run(config, max_ps)
+    return run.finish().result, run.platform
 
 
 def normalized(results: Dict[str, RunResult],

@@ -3,21 +3,21 @@
 The scheduler turns queued :class:`~repro.service.jobqueue.Unit` s into
 finished results using three layers the repo already trusts:
 
-* **execution** wraps :mod:`repro.sweep` — the same worker body
-  (:func:`repro.sweep._simulate` semantics, one fresh
-  :class:`~repro.core.kernel.Simulator` per configuration) runs either
-  sliced on the fleet's thread executor (preemptible) or offloaded to a
-  :mod:`concurrent.futures` process pool via :func:`repro.sweep._worker`
-  (``use_processes=True``, the sweep engine's own entry point);
+* **execution** is one body, :func:`_execute`, driving one
+  :class:`repro.sweep.Run` per unit.  It is submitted to the fleet's
+  thread executor, or — for plain units under ``use_processes=True`` —
+  unchanged to a :mod:`concurrent.futures` process pool;
 * **dedupe** uses the :class:`~repro.sweep.SweepCache` as a *shared
   store*: a unit whose SHA-256 config key is already on disk is served
   without simulating (``cached="cache"``), and identical units in
   flight at the same moment coalesce onto one execution
   (``cached="inflight"``) — both safe because every simulation is
   deterministic and cache writes are atomic per writer;
-* **preemption** uses :mod:`repro.snapshot`: a draining worker runs its
-  unit only to the next slice boundary, captures a checkpoint there and
-  requeues the unit; whichever worker picks it up resumes through
+* **preemption** uses :mod:`repro.snapshot`: the body advances its run
+  to each instant in ``pauses`` (slice boundaries for a preemptible
+  unit, the one forced ``checkpoint_at_us`` instant otherwise); at a
+  pause with the worker draining it captures a checkpoint and the unit
+  is requeued; whichever worker picks it up resumes through
   :func:`repro.snapshot.resume_checkpoint`, which re-verifies the whole
   state tree bit for bit before continuing — so a migrated run is
   bit-identical to its straight-through counterpart by construction.
@@ -34,17 +34,12 @@ from __future__ import annotations
 import asyncio
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..platforms.loader import config_to_dict
-from ..sweep import (
-    CachedRun,
-    SweepCache,
-    _make_executor,
-    _worker,
-    result_from_dict,
-    result_to_dict,
-)
+from ..core.kernel import Simulator
+from ..platforms.loader import config_from_dict, config_to_dict
+from ..snapshot import Checkpoint, checkpoint_here, resume_checkpoint
+from ..sweep import CachedRun, Run, SweepCache, _make_executor, result_to_dict
 from .jobqueue import JobQueue, Unit
 from .protocol import UnknownWorker
 
@@ -73,24 +68,29 @@ class Worker:
 
 
 # ----------------------------------------------------------------------
-# execution bodies (run on executors, never touch queue state)
+# the execution body (runs on either executor, never touches queue state)
 # ----------------------------------------------------------------------
-def _execute_fresh(document: Dict[str, Any], max_ps: int, slice_ps: int,
-                   trace: bool, forced_at_ps: Optional[int],
-                   drain: Optional[threading.Event]) -> Dict[str, Any]:
-    """Run one configuration from scratch, preemptibly.
+def _execute(document: Dict[str, Any], max_ps: int,
+             checkpoint_doc: Optional[Dict[str, Any]], trace: bool,
+             pauses: Iterable[int],
+             drain: Optional[threading.Event]) -> Dict[str, Any]:
+    """Run one unit: from scratch, or from ``checkpoint_doc`` if given.
 
-    Returns either ``{"kind": "done", ...}`` with the result document or
-    ``{"kind": "preempted", "checkpoint": ..., "at_ps": ...}`` when a
-    drain request (or the forced ``checkpoint_at_ps`` instant) carved
-    the run into a resumable checkpoint.
+    A fresh run stops at each instant in ``pauses`` it can still be
+    paused at and — when ``drain`` is set, or unconditionally with no
+    drain flag (the forced ``checkpoint_at_ps`` instant) — gives the unit
+    up as ``{"kind": "preempted", "checkpoint": ..., "at_ps": ...}``.
+    Otherwise, and always for a resume, returns ``{"kind": "done", ...}``
+    around the finished-run document.  ``resume_checkpoint`` verifies
+    every component against the stored state tree before continuing, so
+    the continuation is bit-identical to an uninterrupted run
+    (``docs/SERVICE.md``).
     """
-    from ..core import Simulator
-    from ..platforms import build_platform
-    from ..platforms.loader import config_from_dict
-    from ..snapshot.checkpoint import _snapshot_here
-
-    config = config_from_dict(document)
+    if checkpoint_doc is not None:
+        outcome = resume_checkpoint(Checkpoint.from_document(checkpoint_doc))
+        done = CachedRun(outcome.result, outcome.final_events,
+                         outcome.final_time_ps)
+        return {"kind": "done", "resumed": True, **done.to_document()}
     sim = Simulator()
     cap = None
     if trace:
@@ -100,57 +100,17 @@ def _execute_fresh(document: Dict[str, Any], max_ps: int, slice_ps: int,
         # recorded, so concurrent units never leak into the trace.
         cap = Capture()
         cap.attach(sim)
-    platform = build_platform(sim, config)
-    platform.prepare()
-
-    if forced_at_ps is not None:
-        sim.run(until=min(forced_at_ps, max_ps))
-        if platform._finish_ps is None and sim.now < max_ps:
-            checkpoint = _snapshot_here(platform, config, max_ps)
-            return {"kind": "preempted",
-                    "checkpoint": checkpoint.to_document(),
-                    "at_ps": sim.now}
-        # The run finished before the requested instant: fall through.
-    elif drain is not None and slice_ps > 0:
-        next_at = slice_ps
-        while next_at < max_ps:
-            sim.run(until=next_at)
-            if platform._finish_ps is not None:
-                break
-            if drain.is_set():
-                checkpoint = _snapshot_here(platform, config, max_ps)
-                return {"kind": "preempted",
-                        "checkpoint": checkpoint.to_document(),
-                        "at_ps": sim.now}
-            next_at += slice_ps
-
-    result = platform.run(max_ps=max_ps)
-    out: Dict[str, Any] = {"kind": "done",
-                           "result": result_to_dict(result),
-                           "events": sim.processed_events,
-                           "sim_time_ps": sim.now}
+    run = Run(config_from_dict(document), max_ps, sim=sim)
+    for at_ps in pauses:
+        if not run.advance(at_ps):
+            break  # finished (or out of bound) first: fall through
+        if drain is None or drain.is_set():
+            return {"kind": "preempted", "at_ps": sim.now,
+                    "checkpoint": checkpoint_here(run).to_document()}
+    out: Dict[str, Any] = {"kind": "done", **run.finish().to_document()}
     if cap is not None:
         out["trace"] = cap.to_trace_json()
     return out
-
-
-def _execute_resume(checkpoint_doc: Dict[str, Any]) -> Dict[str, Any]:
-    """Resume a preempted unit from its checkpoint document.
-
-    ``resume_checkpoint`` re-elaborates the configuration, deterministically
-    fast-forwards to the checkpoint instant and verifies every component
-    against the stored state tree before continuing, so the continuation
-    is bit-identical to an uninterrupted run (``docs/SERVICE.md``).
-    """
-    from ..snapshot import Checkpoint, resume_checkpoint
-
-    checkpoint = Checkpoint.from_document(checkpoint_doc)
-    outcome = resume_checkpoint(checkpoint)
-    return {"kind": "done",
-            "result": result_to_dict(outcome.result),
-            "events": outcome.final_events,
-            "sim_time_ps": outcome.final_time_ps,
-            "resumed": True}
 
 
 class Scheduler:
@@ -169,7 +129,8 @@ class Scheduler:
                                       for n in range(max(1, int(fleet)))]
         self._threads: Optional[ThreadPoolExecutor] = None
         self._processes = None
-        self._inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
+        self._inflight: Dict[
+            str, "asyncio.Future[Tuple[CachedRun, bool]]"] = {}
         self._dispatch_task: Optional["asyncio.Task[None]"] = None
         self._unit_tasks: "set[asyncio.Task[None]]" = set()
         self._stopping = False
@@ -295,10 +256,7 @@ class Scheduler:
                 unit.state = "running"
                 queue.record_event(job, "unit_started", unit=unit.index,
                                    label=unit.label, worker=None)
-                self._finish_unit(unit, {
-                    "kind": "done", "result": result_to_dict(hit.result),
-                    "events": hit.events, "sim_time_ps": hit.sim_time_ps,
-                }, cached="cache")
+                self._finish_unit(unit, hit, cached="cache")
                 return True
         if dedupe_ok and unit.key in self._inflight:
             unit.state = "running"
@@ -335,31 +293,27 @@ class Scheduler:
     # unit execution
     # ------------------------------------------------------------------
     async def _run_unit(self, worker: Worker, unit: Unit) -> None:
-        loop = asyncio.get_running_loop()
         job = unit.job
+        checkpoint_doc, unit.checkpoint = unit.checkpoint, None
+        # A resumed unit runs through; a forced instant replaces slicing.
+        pauses: Iterable[int] = ()
+        drain = None
+        if checkpoint_doc is None and job.preemptible:
+            if job.checkpoint_at_ps is not None:
+                pauses = (job.checkpoint_at_ps,)
+            elif self.slice_ps > 0:
+                pauses = range(self.slice_ps, unit.max_ps, self.slice_ps)
+                drain = worker.drain_flag
+        # Only plain units go to the process pool: a drain flag must be
+        # shared memory, and a trace or a checkpoint is a large document.
+        executor = self._threads
+        if self._processes is not None and not job.trace_requested \
+                and not job.preemptible:
+            executor = self._processes
         try:
-            if unit.checkpoint is not None:
-                checkpoint_doc, unit.checkpoint = unit.checkpoint, None
-                out = await loop.run_in_executor(
-                    self._threads, _execute_resume, checkpoint_doc)
-            elif self._processes is not None and not job.trace_requested \
-                    and not job.preemptible:
-                # Offload through the sweep engine's process worker.
-                raw = await loop.run_in_executor(
-                    self._processes, _worker,
-                    (config_to_dict(unit.config), unit.max_ps))
-                out = {"kind": "done", "result": raw["result"],
-                       "events": int(raw["events"]),
-                       "sim_time_ps": int(raw["sim_time_ps"])}
-            else:
-                forced = None
-                if job.preemptible and unit.preemptions == 0:
-                    forced = self._forced_checkpoint_ps(unit)
-                drain = worker.drain_flag if job.preemptible else None
-                out = await loop.run_in_executor(
-                    self._threads, _execute_fresh,
-                    config_to_dict(unit.config), unit.max_ps,
-                    self.slice_ps, job.trace_requested, forced, drain)
+            out = await asyncio.get_running_loop().run_in_executor(
+                executor, _execute, config_to_dict(unit.config), unit.max_ps,
+                checkpoint_doc, job.trace_requested, pauses, drain)
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # simulation / snapshot failures
@@ -377,47 +331,45 @@ class Scheduler:
             self.queue.notify()
             return
 
-        self._finish_unit(unit, out, cached=None)
+        self._finish_unit(unit, CachedRun.from_document(out), cached=None,
+                          trace=out.get("trace"),
+                          resumed=bool(out.get("resumed")))
         worker.completed += 1
         self._release_worker(worker)
 
-    def _forced_checkpoint_ps(self, unit: Unit) -> Optional[int]:
-        return unit.job.checkpoint_at_ps
-
     async def _follow_inflight(
             self, unit: Unit,
-            future: "asyncio.Future[Dict[str, Any]]") -> None:
+            future: "asyncio.Future[Tuple[CachedRun, bool]]") -> None:
         try:
-            out = await asyncio.shield(future)
+            run, resumed = await asyncio.shield(future)
         except asyncio.CancelledError:
             raise
         except Exception as exc:
             self._fail_unit(unit, f"{type(exc).__name__}: {exc}")
             return
-        self._finish_unit(unit, dict(out), cached="inflight",
+        self._finish_unit(unit, run, cached="inflight", resumed=resumed,
                           publish=False)
 
-    def _finish_unit(self, unit: Unit, out: Dict[str, Any],
-                     cached: Optional[str], publish: bool = True) -> None:
+    def _finish_unit(self, unit: Unit, run: CachedRun,
+                     cached: Optional[str], trace: Optional[Dict] = None,
+                     resumed: bool = False, publish: bool = True) -> None:
         job = unit.job
-        unit.result = out["result"]
-        unit.events = int(out["events"])
-        unit.sim_time_ps = int(out["sim_time_ps"])
-        unit.trace = out.get("trace")
+        unit.result = result_to_dict(run.result)
+        unit.events = run.events
+        unit.sim_time_ps = run.sim_time_ps
+        unit.trace = trace
         unit.cached = cached
         unit.state = "done"
         unit.worker = None
         if publish:
             if cached is None and self.cache is not None:
-                self.cache.put(unit.key, CachedRun(
-                    result=result_from_dict(dict(unit.result)),
-                    events=unit.events, sim_time_ps=unit.sim_time_ps))
+                self.cache.put(unit.key, run)
             future = self._inflight.pop(unit.key, None)
             if future is not None and not future.done():
-                future.set_result(out)
+                future.set_result((run, resumed))
         self.queue.record_event(
             job, "unit_done", unit=unit.index, label=unit.label,
-            cached=cached, resumed=bool(out.get("resumed")),
+            cached=cached, resumed=resumed,
             events=unit.events, sim_time_ps=unit.sim_time_ps)
         self.queue.finish_unit_bookkeeping(job)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
-from ..sweep import SweepCache
+from ..sweep import SweepCache, _resolve_cache
 from .jobqueue import DEFAULT_QUOTA_UNITS, JobQueue
 from .protocol import (
     PROTOCOL_VERSION,
@@ -66,17 +66,6 @@ class ServiceConfig:
     #: Shared result store: a SweepCache, a directory path, or False to
     #: disable dedupe entirely (None = the default on-disk cache).
     cache: Union[SweepCache, str, None, bool] = None
-
-
-def _resolve_cache(cache: Union[SweepCache, str, None, bool]
-                   ) -> Optional[SweepCache]:
-    if cache is False:
-        return None
-    if cache is None or cache is True:
-        return SweepCache()
-    if isinstance(cache, SweepCache):
-        return cache
-    return SweepCache(cache)
 
 
 class ServiceServer:
@@ -122,9 +111,10 @@ class ServiceServer:
         await self.scheduler.stop()
 
     async def run_forever(self) -> None:
-        await self.start()
+        """Serve a started instance until cancelled, then :meth:`stop`."""
+        if self._http_server is None:
+            raise RuntimeError("run_forever() needs start() first")
         try:
-            assert self._http_server is not None
             await self._http_server.serve_forever()
         finally:
             await self.stop()

@@ -40,6 +40,7 @@ from .checkpoint import (
     SnapshotFormatError,
     StateMismatch,
     TakeOutcome,
+    checkpoint_here,
     load_checkpoint,
     resume_checkpoint,
     result_digest,
@@ -66,6 +67,7 @@ __all__ = [
     "StateMismatch",
     "TakeOutcome",
     "capture_state",
+    "checkpoint_here",
     "corpus_summary",
     "diff_states",
     "golden_configs",

@@ -44,11 +44,10 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..analysis.metrics import RunResult
-from ..core.kernel import Simulator
 from ..platforms.config import PlatformConfig
 from ..platforms.loader import config_from_dict, config_to_dict
-from ..platforms.reference import PlatformInstance, build_platform
-from ..sweep import DEFAULT_MAX_PS, result_to_dict
+from ..platforms.reference import PlatformInstance
+from ..sweep import DEFAULT_MAX_PS, Run, result_to_dict
 from .state import (
     StateEncoder,
     canonical_json,
@@ -231,16 +230,16 @@ class TakeOutcome:
     final_events: int
 
 
-def _snapshot_here(platform: PlatformInstance, config: PlatformConfig,
-                   max_ps: int) -> Checkpoint:
-    """Capture the platform's current instant as a checkpoint (no expect)."""
-    sim = platform.sim
-    state = capture_state(platform)
+def checkpoint_here(run: Run) -> Checkpoint:
+    """Capture a paused run's current instant as a checkpoint (no expect)."""
+    if run.max_ps is None:
+        raise ValueError("an unbounded run cannot be checkpointed")
+    state = capture_state(run.platform)
     return Checkpoint(
-        config=config_to_dict(config),
-        max_ps=int(max_ps),
-        at_ps=sim.now,
-        events=sim.processed_events,
+        config=config_to_dict(run.config),
+        max_ps=int(run.max_ps),
+        at_ps=run.sim.now,
+        events=run.sim.processed_events,
         state=state,
         state_digest=state_digest(state),
     )
@@ -261,27 +260,24 @@ def take_checkpoint(config: PlatformConfig,
     if at_ps is None:
         if not 0.0 < fraction < 1.0:
             raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-        probe_sim = Simulator()
-        probe = build_platform(probe_sim, config).run(max_ps=max_ps)
+        probe = Run(config, max_ps).finish().result
         at_ps = max(1, int(probe.execution_time_ps * fraction))
     if at_ps <= 0:
         raise ValueError(f"at_ps must be positive, got {at_ps}")
 
-    sim = Simulator()
-    platform = build_platform(sim, config)
-    platform.prepare()
-    sim.run(until=at_ps)
-    checkpoint = _snapshot_here(platform, config, max_ps)
-    result = platform.run(max_ps=max_ps)
+    run = Run(config, max_ps)
+    run.advance(at_ps)
+    checkpoint = checkpoint_here(run)
+    done = run.finish()
     checkpoint.expect = {
-        "final_time_ps": sim.now,
-        "final_events": sim.processed_events,
-        "result": result_to_dict(result),
-        "result_digest": result_digest(result),
+        "final_time_ps": done.sim_time_ps,
+        "final_events": done.events,
+        "result": result_to_dict(done.result),
+        "result_digest": result_digest(done.result),
     }
-    return TakeOutcome(checkpoint=checkpoint, result=result,
-                       final_time_ps=sim.now,
-                       final_events=sim.processed_events)
+    return TakeOutcome(checkpoint=checkpoint, result=done.result,
+                       final_time_ps=done.sim_time_ps,
+                       final_events=done.events)
 
 
 def run_with_checkpoints(config: PlatformConfig,
@@ -299,20 +295,13 @@ def run_with_checkpoints(config: PlatformConfig,
     """
     if every_ps <= 0:
         raise ValueError(f"every_ps must be positive, got {every_ps}")
-    sim = Simulator()
-    platform = build_platform(sim, config)
-    platform.prepare()
+    run = Run(config, max_ps)
     paths: List[Path] = []
-    next_at = every_ps
-    while next_at < max_ps:
-        sim.run(until=next_at)
-        if platform._finish_ps is not None:
+    for next_at in range(every_ps, max_ps, every_ps):
+        if not run.advance(next_at):
             break
-        paths.append(save_checkpoint(
-            _snapshot_here(platform, config, max_ps), out_dir))
-        next_at += every_ps
-    result = platform.run(max_ps=max_ps)
-    return result, paths
+        paths.append(save_checkpoint(checkpoint_here(run), out_dir))
+    return run.finish().result, paths
 
 
 # ----------------------------------------------------------------------
@@ -410,29 +399,27 @@ def resume_checkpoint(checkpoint: Checkpoint,
     off), then continues the run.  The returned outcome reports any
     divergence from the checkpoint's recorded final result.
     """
-    config = checkpoint.platform_config()
-    sim = Simulator()
-    platform = build_platform(sim, config)
-    platform.prepare()
-    sim.run(until=checkpoint.at_ps)
+    run = Run(checkpoint.platform_config(),
+              checkpoint.max_ps if max_ps is None else max_ps)
+    run.advance(checkpoint.at_ps)
 
     if verify:
-        digest = _restore_platform(platform, checkpoint)
+        digest = _restore_platform(run.platform, checkpoint)
     else:
-        digest = state_digest(capture_state(platform))
+        digest = state_digest(capture_state(run.platform))
 
-    result = platform.run(
-        max_ps=checkpoint.max_ps if max_ps is None else max_ps)
+    done = run.finish()
+    result = done.result
 
     mismatches: List[str] = []
     expect = checkpoint.expect
     if verify and expect is not None and max_ps is None:
-        if sim.now != expect.get("final_time_ps"):
-            mismatches.append(f"final time: resumed={sim.now}ps "
+        if done.sim_time_ps != expect.get("final_time_ps"):
+            mismatches.append(f"final time: resumed={done.sim_time_ps}ps "
                               f"recorded={expect.get('final_time_ps')}ps")
-        if sim.processed_events != expect.get("final_events"):
+        if done.events != expect.get("final_events"):
             mismatches.append(
-                f"processed events: resumed={sim.processed_events} "
+                f"processed events: resumed={done.events} "
                 f"recorded={expect.get('final_events')}")
         digest_now = result_digest(result)
         if digest_now != expect.get("result_digest"):
@@ -452,8 +439,8 @@ def resume_checkpoint(checkpoint: Checkpoint,
     return ResumeOutcome(
         checkpoint=checkpoint,
         result=result,
-        final_time_ps=sim.now,
-        final_events=sim.processed_events,
+        final_time_ps=done.sim_time_ps,
+        final_events=done.events,
         resumed_state_digest=digest,
         mismatches=mismatches,
     )
@@ -473,6 +460,7 @@ __all__ = [
     "SnapshotFormatError",
     "StateMismatch",
     "TakeOutcome",
+    "checkpoint_here",
     "load_checkpoint",
     "resume_checkpoint",
     "result_digest",

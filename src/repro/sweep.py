@@ -6,6 +6,16 @@ Fig. 6 each simulate many configurations that are completely independent
 of one another.  This module is the execution layer those loops route
 through:
 
+:class:`Run`
+    The one place a configuration becomes a live platform: elaborate in
+    the constructor, ``advance(until_ps)`` as often as the caller likes
+    (checkpoint takers and the service's preemptible units pause between
+    calls), ``finish()`` for the :class:`CachedRun`.  The sweep workers,
+    the CLI, the experiment helpers, the check harnesses,
+    :mod:`repro.snapshot` and :mod:`repro.service` all drive this object
+    and nothing else calls ``build_platform``
+    (``tests/test_run_seam.py`` pins that).
+
 :func:`sweep`
     Fan a list of :class:`~repro.platforms.config.PlatformConfig` objects
     out across worker processes and aggregate the
@@ -72,6 +82,7 @@ from .analysis.metrics import RunResult
 from .core import kernel as _kernel
 from .platforms.config import PlatformConfig
 from .platforms.loader import ConfigError, config_from_dict, config_to_dict
+from .platforms.reference import build_platform
 
 #: Default wall-clock guard for platform runs (simulated picoseconds).
 DEFAULT_MAX_PS = 20_000_000_000_000
@@ -128,11 +139,24 @@ def result_from_dict(document: Dict[str, Any]) -> RunResult:
 
 @dataclass
 class CachedRun:
-    """One simulated point as persisted by the cache."""
+    """One finished run: what the cache persists and every layer returns."""
 
     result: RunResult
     events: int
     sim_time_ps: int
+
+    def to_document(self) -> Dict[str, Any]:
+        """The finished-run document (cache entries, pool and service
+        executors all carry exactly this)."""
+        return {"result": result_to_dict(self.result),
+                "events": self.events, "sim_time_ps": self.sim_time_ps}
+
+    @classmethod
+    def from_document(cls, document: Dict[str, Any]) -> "CachedRun":
+        """Inverse of :meth:`to_document`; extra keys are ignored."""
+        return cls(result=result_from_dict(document["result"]),
+                   events=int(document["events"]),
+                   sim_time_ps=int(document["sim_time_ps"]))
 
 
 @dataclass
@@ -199,16 +223,12 @@ class SweepCache:
             document = json.loads(self.path_for(key).read_text())
             if document.get("schema") != CACHE_SCHEMA:
                 return None
-            return CachedRun(result=result_from_dict(document["result"]),
-                             events=int(document["events"]),
-                             sim_time_ps=int(document["sim_time_ps"]))
+            return CachedRun.from_document(document)
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
     def put(self, key: str, run: CachedRun) -> None:
-        document = {"schema": CACHE_SCHEMA, "key": key,
-                    "result": result_to_dict(run.result),
-                    "events": run.events, "sim_time_ps": run.sim_time_ps}
+        document = {"schema": CACHE_SCHEMA, "key": key, **run.to_document()}
         # The temp file must be unique per *writer*, not per key: two
         # processes simulating the same uncached config would otherwise
         # interleave writes into one shared "<key>.tmp" and the rename
@@ -267,24 +287,52 @@ def _capture_active() -> bool:
     return bool(_kernel._new_sim_hooks)
 
 
-def _simulate(config: PlatformConfig, max_ps: int) -> CachedRun:
-    """Run one configuration on a fresh simulator (the worker body)."""
-    from .core import Simulator
-    from .platforms import build_platform
+class Run:
+    """One configuration elaborated on one simulator.
 
-    sim = Simulator()
-    platform = build_platform(sim, config)
-    result = platform.run(max_ps=max_ps)
-    return CachedRun(result=result, events=sim.processed_events,
-                     sim_time_ps=sim.now)
+    The constructor is the only place a :class:`PlatformConfig` becomes a
+    live platform; after it the caller may :meth:`advance` any number of
+    times (to capture state or yield a worker in between) and then
+    :meth:`finish`.  Pausing changes nothing: a run advanced in slices
+    is bit-identical to an uninterrupted one (``tests/test_kernel.py``).
+    ``sim`` is for callers whose simulator must exist before elaboration
+    (a trace hook, an attached :class:`~repro.obs.Capture`).
+    """
+
+    def __init__(self, config: PlatformConfig,
+                 max_ps: Optional[int] = DEFAULT_MAX_PS,
+                 sim: Optional[_kernel.Simulator] = None) -> None:
+        self.config = config
+        self.max_ps = max_ps
+        self.sim = _kernel.Simulator() if sim is None else sim
+        self.platform = build_platform(self.sim, config)
+        self.platform.prepare()
+
+    def advance(self, until_ps: int) -> bool:
+        """Simulate to ``until_ps`` (never past ``max_ps``).
+
+        True while the run can still be paused here — traffic in flight
+        and the bound not reached; False means only :meth:`finish` is
+        left to call.
+        """
+        bound = self.max_ps
+        if bound is not None:
+            until_ps = min(until_ps, bound)
+        self.sim.run(until=until_ps)
+        return self.platform._finish_ps is None and (
+            bound is None or self.sim.now < bound)
+
+    def finish(self) -> CachedRun:
+        """Run to completion; raises if the bound is hit first."""
+        result = self.platform.run(max_ps=self.max_ps)
+        return CachedRun(result=result, events=self.sim.processed_events,
+                         sim_time_ps=self.sim.now)
 
 
 def _worker(payload: Tuple[Dict[str, Any], int]) -> Dict[str, Any]:
     """Process-pool entry point: config document in, result document out."""
     document, max_ps = payload
-    run = _simulate(config_from_dict(document), max_ps)
-    return {"result": result_to_dict(run.result), "events": run.events,
-            "sim_time_ps": run.sim_time_ps}
+    return Run(config_from_dict(document), max_ps).finish().to_document()
 
 
 def _make_executor(jobs: int):
@@ -405,13 +453,10 @@ def sweep(configs: Iterable[PlatformConfig],
             pool_out = _pool_map(_worker, payloads, jobs, timeout_s, retries)
         if pool_out is None:
             for index in misses:
-                executed[index] = _simulate(configs[index], max_ps)
+                executed[index] = Run(configs[index], max_ps).finish()
         else:
             for index, raw in zip(misses, pool_out):
-                executed[index] = CachedRun(
-                    result=result_from_dict(raw["result"]),
-                    events=int(raw["events"]),
-                    sim_time_ps=int(raw["sim_time_ps"]))
+                executed[index] = CachedRun.from_document(raw)
         for index in misses:
             run = executed[index]
             if store is not None:
@@ -557,11 +602,6 @@ def set_dotted(document: Dict[str, Any], dotted: str, value: Any) -> None:
             node[part] = child
         node = child
     node[parts[-1]] = value
-
-
-# Historical aliases (pre-DSE internal names).
-_deep_merge = deep_merge
-_set_dotted = set_dotted
 
 
 def parse_sweep(document: Dict[str, Any]) -> SweepSpec:

@@ -1,0 +1,152 @@
+"""The one execution seam: ``repro.sweep.Run`` and the finished-run
+document (docs/ARCHITECTURE.md, "Sweep execution layer").
+
+``Run`` is the only place a configuration becomes a live platform; the
+structural test at the bottom keeps it that way.
+"""
+
+import ast
+import json
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.core import Simulator
+from repro.obs import Capture, capture
+from repro.platforms import quick_config
+from repro.sweep import CachedRun, Run
+
+MAX_PS = 10**13
+
+
+def config():
+    return quick_config(traffic_scale=0.05)
+
+
+@pytest.fixture(scope="module")
+def straight():
+    """The uninterrupted reference run every test compares against."""
+    return Run(config(), MAX_PS).finish()
+
+
+class TestAdvance:
+    def test_true_mid_traffic_and_stops_exactly_there(self):
+        run = Run(config(), MAX_PS)
+        assert run.advance(500_000) is True
+        assert run.sim.now == 500_000
+
+    def test_false_once_the_traffic_finished(self, straight):
+        run = Run(config(), MAX_PS)
+        assert run.advance(10**12) is False
+        # The queue drained: time stays at the last event, not at 1 s.
+        assert run.sim.now == straight.sim_time_ps
+        assert run.finish() == straight
+
+    def test_false_at_the_bound_and_never_simulates_past_it(self, straight):
+        bound = straight.sim_time_ps // 2
+        run = Run(config(), bound)
+        assert run.advance(10 * bound) is False
+        assert run.sim.now == bound
+        with pytest.raises(RuntimeError, match="did not finish"):
+            run.finish()
+
+    def test_unbounded_run(self, straight):
+        run = Run(config(), max_ps=None)
+        assert run.advance(500_000) is True
+        assert run.advance(10**12) is False
+        assert run.finish() == straight
+
+    def test_sliced_run_is_bit_identical_to_a_straight_one(self, straight):
+        run = Run(config(), MAX_PS)
+        pauses = 0
+        while run.advance(run.sim.now + 300_000):
+            pauses += 1
+        assert pauses > 2
+        assert run.finish() == straight
+
+
+class TestCallerSimulator:
+    def test_trace_hook_sees_every_event(self, straight):
+        seen = []
+        sim = Simulator(trace=lambda time_ps, event: seen.append(time_ps))
+        run = Run(config(), MAX_PS, sim=sim)
+        assert run.sim is sim
+        assert run.finish() == straight
+        assert len(seen) == straight.events
+
+    def test_attached_capture_sees_every_span(self, straight):
+        """A Capture attached before elaboration (the service's trace
+        unit) records what an ambient capture of the same run does."""
+        sim = Simulator()
+        cap = Capture()
+        cap.attach(sim)
+        assert Run(config(), MAX_PS, sim=sim).finish() == straight
+        with capture() as ambient:
+            Run(config(), MAX_PS).finish()
+        assert len(cap.completed()) == len(ambient.completed()) > 0
+        assert len(cap.to_trace_json()["traceEvents"]) \
+            == len(ambient.to_trace_json()["traceEvents"])
+
+
+class TestFinishedRunDocument:
+    def test_round_trip(self, straight):
+        assert CachedRun.from_document(straight.to_document()) == straight
+
+    def test_survives_json_and_ignores_envelope_keys(self, straight):
+        """Cache entries and executor returns wrap the document in their
+        own keys (``schema``/``key``, ``kind``/``trace``)."""
+        wire = json.loads(json.dumps(
+            {"kind": "done", "schema": 2, **straight.to_document()}))
+        assert CachedRun.from_document(wire) == straight
+
+    def test_malformed_document_raises(self):
+        with pytest.raises((KeyError, ValueError)):
+            CachedRun.from_document({"result": {}, "events": 1})
+
+
+# ----------------------------------------------------------------------
+# structural invariant: one elaboration site
+# ----------------------------------------------------------------------
+SRC = Path(repro.__file__).parent
+ELABORATORS = {"build_platform", "PlatformInstance"}
+
+
+def _name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def test_only_run_elaborates_and_watches_for_the_finish():
+    """Every layer drives a ``Run``: under ``src/repro`` only ``sweep.py``
+    (and the platform module itself) calls ``build_platform`` /
+    ``PlatformInstance``, and only ``Run.advance`` reads the platform's
+    private ``_finish_ps``."""
+    elaborations, finish_reads = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        where = path.relative_to(SRC).as_posix()
+        if where == "platforms/reference.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        advance = set()
+        if where == "sweep.py":
+            advance = {id(node) for cls in tree.body
+                       if isinstance(cls, ast.ClassDef) and cls.name == "Run"
+                       for method in cls.body
+                       if getattr(method, "name", None) == "advance"
+                       for node in ast.walk(method)}
+            assert advance, "Run.advance moved: update this test"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and where != "sweep.py" \
+                    and _name(node.func) in ELABORATORS:
+                elaborations.append(f"{where}:{node.lineno}")
+            if isinstance(node, ast.Attribute) and node.attr == "_finish_ps" \
+                    and id(node) not in advance:
+                finish_reads.append(f"{where}:{node.lineno}")
+    assert elaborations == [], \
+        f"elaborate through repro.sweep.Run instead: {elaborations}"
+    assert finish_reads == [], \
+        f"ask Run.advance() instead of reading _finish_ps: {finish_reads}"

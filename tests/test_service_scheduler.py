@@ -3,25 +3,30 @@ and migration — driven directly on an event loop (docs/SERVICE.md)."""
 
 import asyncio
 
+import pytest
+
 from repro.platforms.loader import config_to_dict
 from repro.platforms.variants import quick_config
 from repro.service import JobQueue, Scheduler, parse_submission
-from repro.sweep import SweepCache, _simulate, result_to_dict
+from repro.sweep import Run, SweepCache, result_to_dict
 
 CONFIG = config_to_dict(quick_config(traffic_scale=0.05))
 MAX_PS = 10_000_000
 
 
 def run_jobs(documents, fleet=2, cache=None, slice_ps=500_000,
-             prepare=None, timeout=120.0):
+             prepare=None, timeout=120.0, use_processes=False,
+             started=None):
     """Submit every document up front, run the scheduler to completion.
 
     Submitting before the dispatch loop starts makes the dispatch order a
     pure function of the queue contents — no wall-clock races.
+    ``prepare`` sees the scheduler before ``start()``, ``started`` right
+    after it (executors exist, nothing dispatched yet).
     """
     queue = JobQueue()
     scheduler = Scheduler(queue, fleet=fleet, cache=cache,
-                          slice_ps=slice_ps)
+                          slice_ps=slice_ps, use_processes=use_processes)
     jobs = [queue.submit(parse_submission(document))
             for document in documents]
     if prepare is not None:
@@ -29,6 +34,8 @@ def run_jobs(documents, fleet=2, cache=None, slice_ps=500_000,
 
     async def scenario():
         await scheduler.start()
+        if started is not None:
+            started(scheduler)
         try:
             done = await queue.wait(
                 lambda: all(job.state in ("done", "failed")
@@ -133,7 +140,7 @@ class TestPreemption:
         # Migration: resumed on a different worker than it started on.
         assert events["unit_resumed"]["worker"] \
             != events["unit_started"]["worker"]
-        straight = _simulate(quick_config(traffic_scale=0.05), MAX_PS)
+        straight = Run(quick_config(traffic_scale=0.05), MAX_PS).finish()
         assert unit.result == result_to_dict(straight.result)
         assert unit.events == straight.events
         assert unit.sim_time_ps == straight.sim_time_ps
@@ -152,7 +159,7 @@ class TestPreemption:
         preempted = [event for event in jobs[0].events
                      if event["event"] == "unit_preempted"]
         assert preempted[0]["at_ps"] == 500_000
-        straight = _simulate(quick_config(traffic_scale=0.05), MAX_PS)
+        straight = Run(quick_config(traffic_scale=0.05), MAX_PS).finish()
         assert unit.result == result_to_dict(straight.result)
 
     def test_non_preemptible_units_ignore_the_drain_flag(self):
@@ -165,6 +172,59 @@ class TestPreemption:
         assert unit.state == "done"
 
 
+class TestProcessOffload:
+    def test_plain_units_run_in_the_pool_the_rest_stay_on_threads(self):
+        """``use_processes=True``: the same ``_execute`` goes to both
+        executors.  Plain units cross the process boundary and come back
+        bit-identical to a direct run; a forced-checkpoint unit and a
+        trace unit in the same batch stay on threads and still
+        preempt/resume/trace."""
+        from repro.service import scheduler as scheduler_module
+
+        submitted = {"_processes": [], "_threads": []}
+
+        def spy(scheduler):
+            if scheduler._processes is None:
+                pytest.skip("no process pool on this host")
+            for name, calls in submitted.items():
+                executor = getattr(scheduler, name)
+
+                def submit(fn, *args, _real=executor.submit, _calls=calls):
+                    _calls.append((fn, args))
+                    return _real(fn, *args)
+                executor.submit = submit
+
+        # Plain units first: both pool workers fork before any fleet
+        # thread exists.
+        documents = [doc(seed=1), doc(seed=2), doc(seed=3),
+                     doc(seed=4, checkpoint_at_us=1.0),
+                     doc(seed=5, trace=True)]
+        _q, _s, jobs = run_jobs(documents, fleet=2, use_processes=True,
+                                started=spy)
+        assert [job.state for job in jobs] == ["done"] * 5
+        units = [job.units[0] for job in jobs]
+
+        assert {fn for calls in submitted.values() for fn, _ in calls} \
+            == {scheduler_module._execute}
+        assert [args[0]["seed"] for _, args in submitted["_processes"]] \
+            == [1, 2, 3]
+        # Threads: the forced unit twice (fresh, then resumed) + the trace.
+        assert sorted(args[0]["seed"] for _, args in submitted["_threads"]) \
+            == [4, 4, 5]
+
+        for unit in units:
+            straight = Run(unit.config, MAX_PS).finish()
+            assert unit.result == result_to_dict(straight.result)
+            assert unit.events == straight.events
+            assert unit.sim_time_ps == straight.sim_time_ps
+        assert [unit.preemptions for unit in units] == [0, 0, 0, 1, 0]
+        events = {event["event"]: event for event in jobs[3].events}
+        assert events["unit_preempted"]["at_ps"] == 1_000_000
+        assert events["unit_done"]["resumed"] is True
+        assert len(units[4].trace["traceEvents"]) > 0
+        assert all(unit.trace is None for unit in units[:4])
+
+
 class TestFailures:
     def test_execution_failure_fails_the_job_not_the_service(
             self, monkeypatch):
@@ -173,7 +233,7 @@ class TestFailures:
         def boom(*_args):
             raise RuntimeError("exploded")
 
-        monkeypatch.setattr(scheduler_module, "_execute_fresh", boom)
+        monkeypatch.setattr(scheduler_module, "_execute", boom)
         _q, _s, jobs = run_jobs([doc()])
         unit = jobs[0].units[0]
         assert unit.state == "failed"

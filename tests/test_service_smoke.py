@@ -28,7 +28,7 @@ from repro.service import (
     UnknownJob,
     UnknownWorker,
 )
-from repro.sweep import SweepCache, _simulate, result_to_dict
+from repro.sweep import Run, SweepCache, result_to_dict
 
 pytestmark = pytest.mark.service_smoke
 
@@ -110,7 +110,7 @@ class TestPreemptionLane:
         # Migration: the resume landed on a different worker.
         assert events["unit_resumed"]["worker"] \
             != events["unit_started"]["worker"]
-        straight = _simulate(config_from_dict(CONFIG), MAX_PS)
+        straight = Run(config_from_dict(CONFIG), MAX_PS).finish()
         assert row["result"] == result_to_dict(straight.result)
 
     def test_drain_and_undrain_workers(self, client):

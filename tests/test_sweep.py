@@ -19,7 +19,7 @@ from repro.sweep import (
     SweepCache,
     SweepError,
     _pool_map,
-    _simulate,
+    Run,
     config_key,
     default_jobs,
     load_sweep,
@@ -85,7 +85,7 @@ def _sleep_job(seconds):
 def quick_run():
     """One simulated quick-config point, shared across this module."""
     config = quick_config(traffic_scale=0.05)
-    return config, _simulate(config, QUICK_MAX_PS)
+    return config, Run(config, QUICK_MAX_PS).finish()
 
 
 class TestConfigKey:

@@ -1,30 +1,56 @@
 #!/usr/bin/env python
-"""CI gate on exact kernel event counts: rerun the kernel bench scenarios
-and compare the ``events`` column against the committed baseline
-(``BENCH_kernel.json``).
+"""CI gate on exact counts, in two tables.
 
+**Kernel events.**  Rerun the kernel bench scenarios and compare the
+``events`` column against the committed baseline (``BENCH_kernel.json``).
 A scenario whose event count differs from the baseline fails the gate
 with exit code 1 — a changed count means the simulation itself changed,
-on any machine, and belongs in a golden-corpus refresh.  That is the
-only failing condition: events/sec is printed beside it, report-only.
-The committed rates were measured on some other machine, and identical
-code has been recorded 5-18 % apart on a shared box (docs/PERFORMANCE.md),
-so a wall-clock threshold is red on unchanged code; the counts repeat
-exactly.  The smoke job in ``.github/workflows/ci.yml`` runs this after
-the ``bench_smoke`` marker tier; see ``docs/CI.md``.
+on any machine, and belongs in a golden-corpus refresh.
 
-When the new counts are the intended steady state, refresh the baseline
-with ``python benchmarks/ci_gate.py --update`` and commit the rewritten
-``BENCH_kernel.json`` together with the golden corpus.
+**Stack counts.**  Rerun the four stack-benchmark workloads' smoke
+command (``python3 benchmarks/stack/run.py --workload W --smoke --seed
+1``) and compare ``events_per_txn``, ``accuracy_pct`` and
+``repro_calls_per_txn`` against ``BENCH_stack.json``.  The first two
+must not differ at all (a changed simulation again); calls per
+transaction — Python calls plus generator resumes into ``src/repro``,
+what a transaction costs the host on any machine — may not rise by more
+than 2 %, the bound ``BENCHMARK.json`` puts on it.  A fall is reported
+as an improvement to commit with ``--update``.
+
+Those are the only failing conditions: every wall-clock figure
+(events/sec, transactions per calibrated second) is printed beside the
+counts, report-only.  The committed rates were measured on some other
+machine, and identical code has been recorded 5-18 % apart on a shared
+box (docs/PERFORMANCE.md), so a wall-clock threshold is red on unchanged
+code; the counts repeat exactly.  The smoke job in
+``.github/workflows/ci.yml`` runs this after the ``bench_smoke`` marker
+tier; see ``docs/CI.md``.
+
+When the new counts are the intended steady state, refresh both
+baselines with ``python benchmarks/ci_gate.py --update`` and commit the
+rewritten files (``BENCH_kernel.json`` together with the golden corpus).
 """
 
 import argparse
 import json
+import subprocess
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE = REPO_ROOT / "BENCH_kernel.json"
+STACK_BASELINE = REPO_ROOT / "BENCH_stack.json"
+STACK_RUN = REPO_ROOT / "benchmarks" / "stack" / "run.py"
+STACK_WORKLOADS = ("platform_ca", "platform_lt", "sweep_fanout",
+                   "service_mixed")
+#: Gated stack metric -> how far it may rise (relative); ``None`` means
+#: it may not differ at all.  Values are kept as the benchmark prints
+#: them, to six decimals.
+STACK_COUNTS = {"events_per_txn": None, "accuracy_pct": None,
+                "repro_calls_per_txn": 0.02}
+#: A fall smaller than this is not announced as an improvement:
+#: ``service_mixed`` moves +-0.03 calls (0.007 %) with thread interleaving.
+STACK_NOISE = 0.0005
 
 
 def load_baseline(path):
@@ -70,12 +96,70 @@ def compare(baseline, current):
     return failures, lines
 
 
+def run_stack():
+    """``{workload: {metric: value}}`` from the four smoke commands."""
+    current = {}
+    for workload in STACK_WORKLOADS:
+        done = subprocess.run(
+            [sys.executable, str(STACK_RUN), "--workload", workload,
+             "--smoke", "--seed", "1"],
+            cwd=REPO_ROOT, capture_output=True, text=True, check=True)
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+        if not result["correct"] or result["failed"]:
+            raise RuntimeError(
+                f"stack workload {workload}: {result['failed']} of "
+                f"{result['attempted']} units failed or were wrong")
+        current[workload] = {name: round(metric["value"], 6)
+                             for name, metric in result["metrics"].items()}
+    return current
+
+
+def compare_stack(baseline, current):
+    """Return (failures, report_lines) for the stack counts."""
+    failures = []
+    lines = [f"{'workload':<16}{'metric':<22}{'baseline':>14}"
+             f"{'current':>14}  verdict"]
+    for workload in sorted(baseline):
+        if workload not in current:
+            failures.append(f"{workload}: present in baseline but not rerun")
+            continue
+        for name, allowed_rise in STACK_COUNTS.items():
+            base = baseline[workload][name]
+            cur = current[workload][name]
+            verdict = "ok"
+            if allowed_rise is None:
+                if cur != base:
+                    verdict = "FAIL"
+                    failures.append(
+                        f"{workload}: {name} changed {base} -> {cur} — the "
+                        f"simulation itself changed")
+            elif cur > base * (1 + allowed_rise):
+                verdict = "FAIL"
+                failures.append(
+                    f"{workload}: {name} rose {base} -> {cur} "
+                    f"({cur / base - 1:+.1%}, bound +{allowed_rise:.0%}) — "
+                    f"a transaction costs more Python calls than it did")
+            elif cur < base * (1 - STACK_NOISE):
+                verdict = (f"improved {cur / base - 1:+.1%} — refresh with "
+                           f"`--update`")
+            lines.append(f"{workload:<16}{name:<22}{base:>14.6f}"
+                         f"{cur:>14.6f}  {verdict}")
+        rate = current[workload].get("txn_per_cal_s")
+        if rate is not None:
+            lines.append(f"{workload:<16}{'txn_per_cal_s':<22}{'':>14}"
+                         f"{rate:>14.1f}  (report only)")
+    return failures, lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="fail CI when a kernel scenario's exact event count "
-                    "differs from the committed BENCH_kernel.json baseline")
+        description="fail CI when an exact count — kernel events per "
+                    "scenario, stack events / calls / accuracy per "
+                    "workload — leaves its committed baseline")
     parser.add_argument("--baseline", default=str(BASELINE),
                         help="baseline file (default BENCH_kernel.json)")
+    parser.add_argument("--stack-baseline", default=str(STACK_BASELINE),
+                        help="stack baseline (default BENCH_stack.json)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed repeats per scenario; best is kept")
     parser.add_argument("--update", action="store_true",
@@ -86,24 +170,36 @@ def main(argv=None):
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.bench import format_results, run_benchmarks, write_results
 
+    if not args.update:
+        baseline = load_baseline(args.baseline)
+        stack_baseline = load_baseline(args.stack_baseline)
+        for path, loaded in ((args.baseline, baseline),
+                             (args.stack_baseline, stack_baseline)):
+            if loaded is None:
+                print(f"ci_gate: no baseline at {path}; run with --update "
+                      f"to create one", file=sys.stderr)
+                return 2
+
     current = run_benchmarks(repeats=args.repeats)
+    stack = run_stack()
 
     if args.update:
         write_results(args.baseline, current)
         print(f"ci_gate: baseline {args.baseline} updated")
         print(format_results(current))
+        Path(args.stack_baseline).write_text(json.dumps(
+            {workload: {name: metrics[name] for name in STACK_COUNTS}
+             for workload, metrics in stack.items()}, indent=2) + "\n")
+        print(f"ci_gate: baseline {args.stack_baseline} updated")
         return 0
 
-    baseline = load_baseline(args.baseline)
-    if baseline is None:
-        print(f"ci_gate: no baseline at {args.baseline}; run with --update "
-              f"to create one", file=sys.stderr)
-        return 2
-
     failures, lines = compare(baseline, current)
-    print("\n".join(lines))
+    stack_failures, stack_lines = compare_stack(stack_baseline, stack)
+    failures += stack_failures
+    print("\n".join(lines + [""] + stack_lines))
     if not failures:
-        print("ci_gate: event counts match the baseline")
+        print("ci_gate: event counts match the baseline; stack counts "
+              "within bounds")
         return 0
 
     print(f"\nci_gate: {len(failures)} failure(s):", file=sys.stderr)

@@ -59,7 +59,8 @@ class InterfaceMonitor:
 
     # ------------------------------------------------------------------
     def _classify(self) -> str:
-        if self.port.request_fifo.is_full:
+        fifo = self.port.request_fifo
+        if len(fifo._items) >= fifo.capacity:
             return STATE_FULL
         if self._storing:
             return STATE_STORING
@@ -68,7 +69,7 @@ class InterfaceMonitor:
     def _on_level(self, _time: int, _old: int, _new: int) -> None:
         self._states.set_state(self._classify())
         self._empty.set_state(
-            "empty" if self.port.request_fifo.is_empty else "nonempty")
+            "nonempty" if self.port.request_fifo._items else "empty")
 
     def _on_request_state(self, state: str) -> None:
         self._storing = state == "storing"

@@ -27,6 +27,7 @@ from collections import deque
 from typing import Deque, Optional
 
 from ..core.component import Component
+from ..core.events import _PENDING
 from ..core.kernel import Simulator
 from ..core.sync import WorkSignal
 from ..interconnect.base import Fabric
@@ -104,9 +105,9 @@ class GenConvBridge(BridgeBase):
                 job = _RelayJob(self, txn, child, is_ack=True)
                 self._enqueue(job)
                 child.meta["ack_job"] = job
-            elif not txn.ev_done.triggered:
+            elif txn.ev_done._value is _PENDING:
                 # Posted write: source side considers it done at acceptance.
-                txn.complete(self.sim.now)
+                txn.complete(self.sim._now)
             yield self.init_port.issue(child)
             if "ack_job" in child.meta or "err_watch" in child.meta:
                 child.ev_done.add_callback(lambda _e: self._notify())
@@ -123,9 +124,6 @@ class GenConvBridge(BridgeBase):
 
     def _notify(self) -> None:
         self._relay_work.notify()
-
-    def _wait_work(self):
-        return self._relay_work.wait()
 
     def snapshot_state(self, encoder):
         """Store-and-forward state: every open relay job with its buffered
@@ -167,14 +165,15 @@ class GenConvBridge(BridgeBase):
 
     @staticmethod
     def _job_ready(job: _RelayJob) -> bool:
+        done = job.child.ev_done
         if job.is_ack:
-            return job.child.ev_done is not None and job.child.ev_done.triggered
+            return done is not None and done._value is not _PENDING
         if job.buffer:
             return True
         # A read whose child failed without delivering data (decode error)
         # still needs its error response relayed.
-        return (job.child.error and job.child.ev_done is not None
-                and job.child.ev_done.triggered)
+        return (job.child.error and done is not None
+                and done._value is not _PENDING)
 
     def _relay_loop(self):
         lt = self._lt
@@ -182,7 +181,7 @@ class GenConvBridge(BridgeBase):
         while True:
             job = self._pick_job()
             if job is None:
-                yield self._wait_work()
+                yield self._relay_work.wait()
                 continue
             if not job.crossed:
                 yield from self.cross(self.source.clock)
@@ -192,7 +191,7 @@ class GenConvBridge(BridgeBase):
                 ack = ResponseBeat(job.txn, index=-1, is_last=True,
                                    error=job.child.error)
                 if not (lt and fifo.try_put(ack)):
-                    yield self.target_port.put_beat(ack)
+                    yield fifo.put(ack)
                 continue
             if not job.buffer:
                 # Errored child with no data: synthesise the error response.
@@ -201,13 +200,13 @@ class GenConvBridge(BridgeBase):
                 while not job.relay.done:
                     beat = job.relay.emit()
                     if not (lt and fifo.try_put(beat)):
-                        yield self.target_port.put_beat(beat)
+                        yield fifo.put(beat)
                 continue
             beat = job.buffer.popleft()
             fresh = job.relay.arrived(beat)
             for _ in range(fresh):
                 out = job.relay.emit()
                 if not (lt and fifo.try_put(out)):
-                    yield self.target_port.put_beat(out)
+                    yield fifo.put(out)
             if job.relay.done:
                 self._jobs.remove(job)

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.component import Component
+from ..core.events import _PENDING
 from ..core.fifo import Fifo
 from ..core.kernel import Simulator
 from ..interconnect.base import Fabric
@@ -71,7 +72,7 @@ class LightweightBridge(BridgeBase):
         complexity" and the lightweight design explicitly avoids it).
         """
         yield self.init_port.issue(child)
-        if not child.ev_done.triggered:
+        if child.ev_done._value is _PENDING:
             yield child.ev_done
         # Return crossing.
         yield from self.cross(self.source.clock)
@@ -81,7 +82,7 @@ class LightweightBridge(BridgeBase):
         for _ in range(txn.beats):
             beat = relay.emit()
             if not (self._lt and fifo.try_put(beat)):
-                yield self.target_port.put_beat(beat)
+                yield fifo.put(beat)
 
     def _store_and_forward_write(self, txn: Transaction, child: Transaction):
         """Forward a fully-buffered write (store-and-forward).
@@ -97,12 +98,13 @@ class LightweightBridge(BridgeBase):
         yield self.dest.clock.edges(child.beats)
         yield self.init_port.issue(child)
         if txn.meta.get("needs_ack", False):
-            if not child.ev_done.triggered:
+            if child.ev_done._value is _PENDING:
                 yield child.ev_done
             yield from self.cross(self.source.clock)
             ack = ResponseBeat(txn, index=-1, is_last=True,
                                error=child.error)
-            if not (self._lt and self.target_port.response_fifo.try_put(ack)):
-                yield self.target_port.put_beat(ack)
-        elif not txn.ev_done.triggered:
-            txn.complete(self.sim.now)
+            fifo = self.target_port.response_fifo
+            if not (self._lt and fifo.try_put(ack)):
+                yield fifo.put(ack)
+        elif txn.ev_done._value is _PENDING:
+            txn.complete(self.sim._now)

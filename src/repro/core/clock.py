@@ -18,6 +18,7 @@ new (``docs/PERFORMANCE.md``, "The edge-stall wait").
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Optional
 
 from .events import Event, Timeout, PRIORITY_NORMAL, _PENDING
@@ -45,25 +46,51 @@ class EdgeStall(Event):
     __slots__ = ("clock", "since", "_watched", "_seen")
 
     def __init__(self, clock: "Clock", watched: Any) -> None:
-        super().__init__(clock.sim, name=clock._stall_name)
+        # Flattened Event.__init__, as SignalStall below has it.
+        sim = self.sim = clock.sim
+        self.name = clock._stall_name
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._processed = False
         self.clock = clock
         #: When the wait began (for :func:`repro.core.debug.diagnose`).
-        self.since = clock.sim._now
+        self.since = sim._now
         self._watched = watched
         self._seen = watched.generation
         clock.edge().callbacks.append(self._on_edge)
 
     def _on_edge(self, _edge: Event) -> None:
-        if self._watched.generation == self._seen:
-            # Still stalled.  The callback runs on an edge, so the next
-            # one is exactly a period away.
-            clock = self.clock
-            clock.sim.pooled_timeout(
-                clock.period_ps, name=clock._edge_name
-            ).callbacks.append(self._on_edge)
-        else:
+        if self._watched.generation != self._seen:
+            # Inlined Event._run_callbacks(), as SignalStall._fire has it.
             self._value = None
-            self._run_callbacks()
+            callbacks, self.callbacks = self.callbacks, None
+            self._processed = True
+            for callback in callbacks:
+                callback(self)
+            return
+        # Still stalled.  The callback runs on an edge, so the next one is
+        # exactly a period away.
+        clock = self.clock
+        sim = self.sim
+        period = clock.period_ps
+        pool = sim._timeout_pool
+        if not pool:
+            sim.pooled_timeout(period, name=clock._edge_name
+                               ).callbacks.append(self._on_edge)
+            return
+        # Inlined Simulator.pooled_timeout(): the re-arm is all a stalled
+        # cycle costs, so it does not pay for a second frame.
+        timeout = pool.pop()
+        timeout.callbacks = [self._on_edge]
+        timeout._value = None
+        timeout._ok = True
+        timeout._processed = False
+        timeout.delay = period
+        timeout.name = clock._edge_name
+        sim._sequence = sequence = sim._sequence + 1
+        heappush(sim._queue,
+                 (sim._now + period, PRIORITY_NORMAL, sequence, timeout))
 
 
 class SignalStall(Event):
@@ -156,7 +183,7 @@ class Clock:
     def cycle_index(self, time_ps: Optional[int] = None) -> int:
         """Number of rising edges at or before ``time_ps`` (default: now)."""
         if time_ps is None:
-            time_ps = self.sim.now
+            time_ps = self.sim._now
         if time_ps < self.phase_ps:
             return 0
         return (time_ps - self.phase_ps) // self.period_ps + 1
@@ -164,7 +191,7 @@ class Clock:
     def next_edge_time(self, time_ps: Optional[int] = None) -> int:
         """Absolute time of the next strictly-future rising edge."""
         if time_ps is None:
-            time_ps = self.sim.now
+            time_ps = self.sim._now
         if time_ps < self.phase_ps:
             return self.phase_ps
         since = (time_ps - self.phase_ps) % self.period_ps
@@ -173,7 +200,7 @@ class Clock:
     def at_edge(self, time_ps: Optional[int] = None) -> bool:
         """True when ``time_ps`` (default now) falls exactly on a rising edge."""
         if time_ps is None:
-            time_ps = self.sim.now
+            time_ps = self.sim._now
         return time_ps >= self.phase_ps and (
             (time_ps - self.phase_ps) % self.period_ps == 0)
 
@@ -191,8 +218,9 @@ class Clock:
         sim = self.sim
         now = sim._now
         phase = self.phase_ps
-        # Inlined next_edge_time(): one frame less per edge wait, and edge
-        # waits are most of what a cycle-accurate platform schedules.
+        # Inlined next_edge_time() (here and in edges()): one frame less per
+        # edge wait, and edge waits are most of what a cycle-accurate
+        # platform schedules.
         if now < phase:
             delay = phase - now
         else:
@@ -256,8 +284,14 @@ class Clock:
         if n < 1:
             raise ValueError(f"edges() needs n >= 1, got {n}")
         sim = self.sim
-        target = self.next_edge_time() + (n - 1) * self.period_ps
-        return sim.pooled_timeout(target - sim._now, priority=priority,
+        now = sim._now
+        phase = self.phase_ps
+        period = self.period_ps
+        if now < phase:
+            delay = phase - now
+        else:
+            delay = period - (now - phase) % period
+        return sim.pooled_timeout(delay + (n - 1) * period, priority=priority,
                                   name=self._edge_name)
 
     def delay(self, cycles: int) -> Timeout:

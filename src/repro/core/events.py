@@ -114,10 +114,11 @@ class Event:
         The loosely-timed mode's same-timestamp handoff: work notifications,
         credit grants, FIFO waiter service and transaction completions that
         would each cost one scheduled event in CA resolve as plain function
-        calls.  Callbacks drain through the simulator's inline trampoline in
-        FIFO order, so arbitrarily long handoff chains execute iteratively —
-        a callback that inline-succeeds further events only appends to the
-        queue of the already-running drain.
+        calls.  Callbacks drain through the simulator's inline queue in FIFO
+        order, so arbitrarily long handoff chains execute iteratively — a
+        callback that inline-succeeds further events only appends to the
+        queue of the already-running drain, and the outermost call is the
+        drain: the whole trampoline is this one frame.
 
         State is decided eagerly: ``triggered`` is True on return even when
         an outer drain still owns the callback execution.  Never called on
@@ -128,7 +129,23 @@ class Event:
             raise EventError(f"event {self!r} already triggered")
         self._ok = True
         self._value = value
-        self.sim._dispatch_inline(self)
+        sim = self.sim
+        pending = sim._inline_queue
+        pending.append(self)
+        if not sim._inline_active:
+            sim._inline_active = True
+            try:
+                while pending:
+                    event = pending.popleft()
+                    # Inlined Event._run_callbacks(), as _run_fast has it.
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    event._processed = True
+                    if callbacks:
+                        for callback in callbacks:
+                            callback(event)
+            finally:
+                sim._inline_active = False
         return self
 
     def fail(self, exception: BaseException, priority: int = PRIORITY_NORMAL) -> "Event":
@@ -291,40 +308,42 @@ class Process(Event):
         if self._value is not _PENDING:
             # Interrupted-then-completed race; nothing to resume.
             return
-        self._target = None
         event: Optional[Event]
-        try:
-            if trigger._ok:
-                event = self._send(trigger._value)
-            else:
-                event = self._throw(trigger._value)
-        except StopIteration as stop:
-            self._ok = True
-            self._value = stop.value
-            sim = self.sim
-            if sim.lt_enabled:
-                sim._dispatch_inline(self)
-            else:
-                sim._enqueue(self, 0, PRIORITY_NORMAL)
-            return
-        except BaseException as exc:  # noqa: BLE001 - propagate as failure
-            self._ok = False
-            self._value = exc
-            self.sim._enqueue(self, 0, PRIORITY_NORMAL)
-            if not self.callbacks:
-                # Nobody is watching: re-raise so errors never pass silently.
-                raise
-            return
-        if not isinstance(event, Event):
-            raise EventError(
-                f"process {self.name!r} yielded non-event {event!r}")
-        self._target = event
-        # Inline add_callback: one call per process step adds up.
-        callbacks = event.callbacks
-        if callbacks is None:
-            self._resume_cb(event)
-        else:
-            callbacks.append(self._resume_cb)
+        while True:
+            self._target = None
+            try:
+                if trigger._ok:
+                    event = self._send(trigger._value)
+                else:
+                    event = self._throw(trigger._value)
+            except StopIteration as stop:
+                if self.sim.lt_enabled:
+                    self.succeed_inline(stop.value)
+                else:
+                    self._ok = True
+                    self._value = stop.value
+                    self.sim._enqueue(self, 0, PRIORITY_NORMAL)
+                return
+            except BaseException as exc:  # noqa: BLE001 - propagate as failure
+                self._ok = False
+                self._value = exc
+                self.sim._enqueue(self, 0, PRIORITY_NORMAL)
+                if not self.callbacks:
+                    # Nobody is watching: re-raise so errors never pass silently.
+                    raise
+                return
+            if not isinstance(event, Event):
+                raise EventError(
+                    f"process {self.name!r} yielded non-event {event!r}")
+            self._target = event
+            # Inline add_callback: one call per process step adds up.
+            callbacks = event.callbacks
+            if callbacks is not None:
+                callbacks.append(self._resume_cb)
+                return
+            # Already processed (LT completions): continue the generator
+            # here — a loop, so a run of them costs no stack depth.
+            trigger = event
 
 
 class Interrupt(Exception):
@@ -364,7 +383,7 @@ class Condition(Event):
         its value from construction (so ``triggered`` is immediately true),
         but it has not *happened* until the kernel processed it.
         """
-        return {event: event._value for event in self.events if event.processed}
+        return {event: event._value for event in self.events if event._processed}
 
     def _on_child(self, event: Event) -> None:
         raise NotImplementedError
@@ -379,7 +398,7 @@ class AllOf(Condition):
     __slots__ = ()
 
     def _on_child(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         if not event._ok:
             self.fail(event._value)
@@ -395,7 +414,7 @@ class AnyOf(Condition):
     __slots__ = ()
 
     def _on_child(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         if not event._ok:
             self.fail(event._value)

@@ -151,7 +151,7 @@ class Fifo(Generic[T]):
     # ------------------------------------------------------------------
     def try_put(self, item: T) -> bool:
         """Store ``item`` if space is available right now; report success."""
-        if self.is_full or self._put_waiters:
+        if len(self._items) >= self.capacity or self._put_waiters:
             return False
         self._store(item)
         return True
@@ -279,12 +279,12 @@ class Fifo(Generic[T]):
     def _admit_waiting_puts(self) -> None:
         sim = self.sim
         if self._lt:
-            while self._put_waiters and not self.is_full:
+            while self._put_waiters and len(self._items) < self.capacity:
                 event, item = self._put_waiters.popleft()
                 self._store(item)
                 event.succeed_inline()
             return
-        while self._put_waiters and not self.is_full:
+        while self._put_waiters and len(self._items) < self.capacity:
             event, item = self._put_waiters.popleft()
             self._store(item)
             event._value = None
@@ -292,7 +292,7 @@ class Fifo(Generic[T]):
             heappush(sim._queue, (sim._now, PRIORITY_NORMAL, sequence, event))
 
     def _level_changed(self, old_level: int) -> None:
-        now = self.sim.now
+        now = self.sim._now
         span = now - self._last_change_ps
         if span > 0:
             self._level_time[old_level] = self._level_time.get(old_level, 0) + span
@@ -327,14 +327,18 @@ class CdcFifo(Fifo[T]):
         self._in_flight: Deque[Tuple[int, T]] = deque()
 
     def put(self, item: T) -> Event:
+        sim = self.sim
         if self._total_level() < self.capacity and not self._put_waiters:
             self._launch(item)
             if self._lt:
-                return completed_event(self.sim, name=f"{self.name}.put")
-            event = Event(self.sim, name=f"{self.name}.put")
-            event.succeed()
+                return completed_event(sim, name=self._put_name)
+            event = Event(sim, name=self._put_name)
+            # Inlined event.succeed(), as in Fifo.put.
+            event._value = None
+            sim._sequence = sequence = sim._sequence + 1
+            heappush(sim._queue, (sim._now, PRIORITY_NORMAL, sequence, event))
             return event
-        event = Event(self.sim, name=f"{self.name}.put")
+        event = Event(sim, name=self._put_name)
         self._put_waiters.append((event, item))
         return event
 
@@ -355,7 +359,7 @@ class CdcFifo(Fifo[T]):
         if self.latency_ps == 0:
             self._store(item)
             return
-        ready = self.sim.now + self.latency_ps
+        ready = self.sim._now + self.latency_ps
         self._in_flight.append((ready, item))
         # Pooled: the synchroniser wakeup is internal and never outlives
         # _land, so the kernel can recycle it like a clock-edge wait.
@@ -363,16 +367,20 @@ class CdcFifo(Fifo[T]):
                                 name=self._cdc_name).add_callback(self._land)
 
     def _land(self, _event: Event) -> None:
-        now = self.sim.now
+        now = self.sim._now
         while self._in_flight and self._in_flight[0][0] <= now:
             __, item = self._in_flight.popleft()
             self._store(item)
 
     def _admit_waiting_puts(self) -> None:
+        sim = self.sim
         while self._put_waiters and self._total_level() < self.capacity:
             event, item = self._put_waiters.popleft()
             self._launch(item)
             if self._lt:
                 event.succeed_inline()
             else:
-                event.succeed()
+                event._value = None
+                sim._sequence = sequence = sim._sequence + 1
+                heappush(sim._queue,
+                         (sim._now, PRIORITY_NORMAL, sequence, event))

@@ -142,10 +142,10 @@ class Simulator:
         #: never inside the event loops.
         self._resolution = resolution
         self.lt_enabled = resolution == "lt"
-        #: Inline-trigger trampoline (LT mode only, see
-        #: :meth:`~repro.core.events.Event.succeed_inline`): events whose
-        #: callbacks run synchronously at the current time queue here so
-        #: chained handoffs drain iteratively instead of recursing.
+        #: Inline-trigger trampoline (LT mode only; the drain loop is
+        #: :meth:`~repro.core.events.Event.succeed_inline` itself): events
+        #: whose callbacks run synchronously at the current time queue here
+        #: so chained handoffs drain iteratively instead of recursing.
         self._inline_queue: deque = deque()
         self._inline_active = False
         #: Analytic fast-forwards taken so far (LT mode only): every time a
@@ -330,24 +330,6 @@ class Simulator:
         self._sequence = sequence = self._sequence + 1
         heapq.heappush(
             self._queue, (self._now + delay, priority, sequence, event))
-
-    def _dispatch_inline(self, event: Event) -> None:
-        """Run a *triggered* event's callbacks through the inline trampoline.
-
-        LT-only (see :meth:`Event.succeed_inline`): the event bypasses the
-        heap entirely.  Re-entrant calls — a callback dispatching further
-        inline events — append to the already-draining queue, so handoff
-        chains of any length execute iteratively in FIFO order.
-        """
-        pending = self._inline_queue
-        pending.append(event)
-        if not self._inline_active:
-            self._inline_active = True
-            try:
-                while pending:
-                    pending.popleft()._run_callbacks()
-            finally:
-                self._inline_active = False
 
     def peek(self) -> Optional[int]:
         """Time of the next queued event, or None when the queue is empty."""

@@ -94,7 +94,7 @@ class TimeWeightedStates:
         """Enter ``state`` at the current time (no-op when unchanged)."""
         if state == self._state:
             return
-        now = self.sim.now
+        now = self.sim._now
         span = now - self._since
         if span > 0:
             self._durations[self._state] = self._durations.get(self._state, 0) + span
@@ -146,8 +146,20 @@ class PhasedStates:
         self._phases.append((name, tracker))
 
     def set_state(self, state: str) -> None:
+        if state == self._current_state:
+            return
         self._current_state = state
-        self._phases[-1][1].set_state(state)
+        # Inlined TimeWeightedStates.set_state() on the open phase: an
+        # interface monitor reports a state per request and per FIFO level
+        # change, and the tracker's frame would double each report.
+        tracker = self._phases[-1][1]
+        now = self.sim._now
+        span = now - tracker._since
+        if span > 0:
+            durations = tracker._durations
+            durations[tracker._state] = durations.get(tracker._state, 0) + span
+        tracker._state = state
+        tracker._since = now
 
     @property
     def state(self) -> str:
@@ -234,7 +246,7 @@ class ChannelUtilization:
     def utilization(self, until_ps: Optional[int] = None) -> float:
         """Fraction of elapsed time the channel was occupied."""
         if until_ps is None:
-            until_ps = self.sim.now
+            until_ps = self.sim._now
         elapsed = until_ps - self._start_ps
         if elapsed <= 0:
             return 0.0

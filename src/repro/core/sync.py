@@ -9,9 +9,10 @@ inter-agent synchronisation points.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Deque
 
-from .events import Event, completed_event
+from .events import Event, PRIORITY_NORMAL, _PENDING, completed_event
 from .kernel import Simulator
 
 
@@ -125,14 +126,19 @@ class WorkSignal:
         self._dirty = True
         self.generation += 1
         event = self._event
-        if not event.triggered:
+        if event._value is _PENDING:
             if self._lt:
                 # LT: hand the wakeup over synchronously (trampolined) —
                 # the consumer resumes within the notifier's frame at the
                 # same timestamp, costing zero scheduled events.
                 event.succeed_inline()
             else:
-                event.succeed()
+                # Inlined event.succeed(), as Fifo.put has it.
+                event._value = None
+                sim = self.sim
+                sim._sequence = sequence = sim._sequence + 1
+                heappush(sim._queue,
+                         (sim._now, PRIORITY_NORMAL, sequence, event))
 
     def wait(self) -> Event:
         """Event that fires when work may be available (possibly now)."""
@@ -144,12 +150,18 @@ class WorkSignal:
                 # A missed notify: resume the consumer synchronously.
                 return self._missed
             return self._event
-        if self._event.processed:
-            self._event = Event(self.sim, name=self.name)
+        event = self._event
+        if event._processed:
+            sim = self.sim
+            event = self._event = Event(sim, name=self.name)
             if self._dirty:
-                self._event.succeed()
+                # A missed notify; inlined event.succeed(), as in notify().
+                event._value = None
+                sim._sequence = sequence = sim._sequence + 1
+                heappush(sim._queue,
+                         (sim._now, PRIORITY_NORMAL, sequence, event))
         self._dirty = False
-        return self._event
+        return event
 
 
 class Barrier:

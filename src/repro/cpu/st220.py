@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.component import Component
-from ..core.events import Event
+from ..core.events import Event, _PENDING
 from ..core.kernel import Simulator
 from ..core.statistics import Counter, LatencySummary
 from ..interconnect.base import InitiatorPort
@@ -124,11 +124,11 @@ class St220Core(Component):
         refill = Transaction(initiator=self.name, opcode=Opcode.READ,
                              address=refill_address,
                              beats=line_bytes // 4, beat_bytes=4)
-        start = self.sim.now
+        start = self.sim._now
         yield self.port.issue(refill)
-        if not refill.ev_done.triggered:
+        if refill.ev_done._value is _PENDING:
             yield refill.ev_done
-        stalled = self.sim.now - start
+        stalled = self.sim._now - start
         self.stall_cycles.add(int(clk.to_cycles(stalled)))
         self.miss_latency.add(stalled)
 

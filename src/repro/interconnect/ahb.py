@@ -96,21 +96,22 @@ class AhbLayer(Fabric):
             # width-adjusted cycle per beat, before the target commits it.
             data_cycles = txn.beats * self.bus_cycles_for_beat(txn.beat_bytes)
             yield clk.edges(data_cycles)
-            self.bus.add_busy(clk.to_ps(data_cycles), transfers=txn.beats)
+            self.bus.add_busy(data_cycles * clk.period_ps, transfers=txn.beats)
         # Hand the transaction to the target; a full target FIFO shows up as
         # slave wait states that stall the whole layer.
         yield target.request_fifo.put(txn)
         target.notify_request_state("idle")
         target.accepted.add()
-        txn.mark_accepted(self.sim.now)
+        txn.mark_accepted(self.sim._now)
         if self._checks is not None:
             self._checks.note_accept(self, txn)
         # No split support: hold the layer until every response beat (read
         # data or write acknowledgement) has been received.
+        responses = target.response_fifo._items
         while True:
             beat = None
-            if not target.response_fifo.is_empty:
-                head = target.response_fifo.peek()
+            if responses:
+                head = responses[0]
                 if head.txn is txn:
                     beat = target.response_fifo.try_get()
                 else:  # pragma: no cover - serial layer, single txn in flight
@@ -122,10 +123,10 @@ class AhbLayer(Fabric):
                 yield self._stall(self._response_work)
                 continue
             cycles = self.bus_cycles_for_beat(txn.beat_bytes)
-            if beat.is_write_ack:
+            if beat.index == -1:
                 cycles = 1
             yield clk.edges(cycles)
-            self.bus.add_busy(clk.to_ps(cycles))
+            self.bus.add_busy(cycles * clk.period_ps)
             self.deliver_beat(beat)
             if beat.is_last:
                 break

@@ -98,8 +98,10 @@ class AxiFabric(GenericFabric):
         models the same decoupling)."""
         found = []
         for target in self.targets:
-            for beat in target.response_fifo.snapshot():
-                if beat.is_write_ack == want_acks:
+            # The stored deque, not a snapshot() copy: the scan runs per
+            # beat and nothing mutates the FIFO while it looks.
+            for beat in target.response_fifo._items:
+                if (beat.index == -1) == want_acks:
                     found.append((target, beat))
                     break
         return found
@@ -107,6 +109,7 @@ class AxiFabric(GenericFabric):
     def _data_return_process(self, want_acks: bool):
         clk = self.clock
         channel = self.b_channel if want_acks else self.r_channel
+        overhead = self.spec.resp_overhead_cycles
         rotation = 0
         previous_txn = None
         while True:
@@ -123,6 +126,8 @@ class AxiFabric(GenericFabric):
                     and previous_txn.t_done is None):
                 self.r_interleaves.add()
             previous_txn = beat.txn
-            cycles = self._beat_cycles(beat)
+            cycles = 1 if want_acks else (
+                self.bus_cycles_for_beat(beat.txn.beat_bytes) + overhead)
             yield clk.edges(cycles)
-            self._forwarded(channel, beat, cycles)
+            channel.add_busy(cycles * clk.period_ps)
+            self.deliver_beat(beat)

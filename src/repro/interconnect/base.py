@@ -54,6 +54,8 @@ class InitiatorPort:
         self.pending: Fifo[Transaction] = Fifo(self.sim, depth,
                                                name=f"{name}.pending")
         self.credits = Semaphore(self.sim, max_outstanding, name=f"{name}.credits")
+        # Precomputed event label: issue() runs once per transaction.
+        self._issue_name = name + ".issue"
         # Port statistics live in the simulator-wide metric registry under
         # "<fabric>.<port>.*" so a whole run's numbers are path-addressable;
         # the objects themselves are the same plain counters as before.
@@ -78,8 +80,9 @@ class InitiatorPort:
         multiple-outstanding interfaces "keep pushing transactions into the
         bus" (Section 4.2).
         """
-        txn.bind(self.sim)
-        txn.t_issued = self.sim.now
+        sim = self.sim
+        txn.bind(sim)
+        txn.t_issued = sim._now
         if self._checks is not None:
             self._checks.note_issue(self, txn)
         if self._lt and not self.pending._put_waiters \
@@ -93,12 +96,11 @@ class InitiatorPort:
             txn.ev_done.add_callback(self._on_done)
             self.pending.try_put(txn)
             self.issued.add()
-            self.fabric._notify_request()
-            return completed_event(self.sim, txn, name=f"{self.name}.issue")
-        accepted = Event(self.sim, name=f"{self.name}.issue")
-        self.sim.process(self._issue_flow(txn, accepted),
-                         name=f"{self.name}.issue{txn.tid}",
-                         immediate=True)
+            self.fabric._request_work.notify()
+            return completed_event(sim, txn, name=self._issue_name)
+        accepted = Event(sim, name=self._issue_name)
+        sim.process(self._issue_flow(txn, accepted),
+                    name=f"{self._issue_name}{txn.tid}", immediate=True)
         return accepted
 
     def _issue_flow(self, txn: Transaction, accepted: Event):
@@ -106,17 +108,18 @@ class InitiatorPort:
         txn.ev_done.add_callback(self._on_done)
         yield self.pending.put(txn)
         self.issued.add()
-        self.fabric._notify_request()
+        self.fabric._request_work.notify()
         if self._lt:
             accepted.succeed_inline(txn)
         else:
             accepted.succeed(txn)
 
     def _on_done(self, event: Event) -> None:
-        txn: Transaction = event.value
+        txn: Transaction = event._value
         self.completed.add()
-        if txn.latency_ps is not None:
-            self.latency.add(txn.latency_ps)
+        latency = txn.latency_ps
+        if latency is not None:
+            self.latency.add(latency)
         self.credits.release()
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -170,7 +173,7 @@ class TargetPort:
     # -- fabric-side plumbing ---------------------------------------------
     def _on_response_level(self, _time: int, old: int, new: int) -> None:
         if new > old:
-            self.fabric._notify_response()
+            self.fabric._response_work.notify()
 
     def notify_request_state(self, state: str) -> None:
         """Forward request-channel activity to any attached monitors."""
@@ -220,6 +223,14 @@ class Fabric(Component):
         self.arbiter = arbiter if arbiter is not None else RoundRobin()
         self.initiators: List[InitiatorPort] = []
         self.targets: List[TargetPort] = []
+        #: Work notification (channel processes sleep while idle); the
+        #: producers notify the signals directly.  Each generation doubles
+        #: as the "a scan input changed" count that stalled cycle-accurate
+        #: channel processes watch (``_stall``): request side = a port
+        #: queue gained an item (``InitiatorPort``) or surfaced a new head
+        #: (``pop_granted``), or a target request FIFO drained
+        #: (``_on_target_request_level``); response side = a target
+        #: response FIFO gained a beat (``TargetPort._on_response_level``).
         self._request_work = WorkSignal(sim, name=f"{name}.req_work")
         self._response_work = WorkSignal(sim, name=f"{name}.resp_work")
         #: Loosely-timed mode, captured once at construction (select-once
@@ -328,21 +339,6 @@ class Fabric(Component):
         return self.channels[name]
 
     # ------------------------------------------------------------------
-    # work notification (processes sleep while idle)
-    #
-    # Each signal's generation doubles as the "a scan input changed" count
-    # that stalled cycle-accurate channel processes watch (``_stall``):
-    # request side = a port queue gained an item or surfaced a new head
-    # (``_notify_request``) or a target request FIFO drained (above);
-    # response side = a target response FIFO gained a beat.
-    # ------------------------------------------------------------------
-    def _notify_request(self) -> None:
-        self._request_work.notify()
-
-    def _notify_response(self) -> None:
-        self._response_work.notify()
-
-    # ------------------------------------------------------------------
     # shared helpers for subclasses
     # ------------------------------------------------------------------
     def request_candidates(self) -> List[Tuple[InitiatorPort, Transaction]]:
@@ -377,18 +373,18 @@ class Fabric(Component):
         if head is not txn:
             raise FabricError(
                 f"{self.name}: arbitration raced ({head!r} vs {txn!r})")
-        txn.t_granted = self.sim.now
+        txn.t_granted = self.sim._now
         if self._checks is not None:
             self._checks.note_grant(self, port, txn)
         if self._energy is not None:
             # One charge per request-channel cell the transfer will occupy
             # (reads: one cell; writes: data travels on the request path).
             self._energy.bus_request(self, txn)
-        if not port.pending.is_empty:
+        if port.pending._items:
             # A new head surfaced; a channel process that went to sleep
             # because no head matched its direction must re-examine it
             # (e.g. AXI's AW engine when a write emerges behind reads).
-            self._notify_request()
+            self._request_work.notify()
 
     def deliver_beat(self, beat: ResponseBeat) -> None:
         """Complete bookkeeping when a response beat reaches the initiator.
@@ -401,15 +397,15 @@ class Fabric(Component):
             self._checks.note_beat(self, beat)
         if self._energy is not None:
             self._energy.bus_beat(self, txn)
-        if txn.t_first_data is None and not beat.is_write_ack:
-            txn.t_first_data = self.sim.now
+        if txn.t_first_data is None and beat.index != -1:
+            txn.t_first_data = self.sim._now
         if beat.error:
             txn.error = True
         sink = txn.meta.get("beat_sink")
         if sink is not None:
             sink(beat)
         if beat.is_last:
-            txn.complete(self.sim.now)
+            txn.complete(self.sim._now)
 
     # ------------------------------------------------------------------
     # stats

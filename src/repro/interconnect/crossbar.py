@@ -92,11 +92,14 @@ class StbusCrossbar(StbusNode):
     # ------------------------------------------------------------------
     def _response_engine(self, port: TargetPort):
         clk = self.clock
+        overhead = self.spec.resp_overhead_cycles
         while True:
             beat = yield port.response_fifo.get()
             lane = self._lane(beat.txn.initiator)
             yield lane.acquire()
-            cycles = self._beat_cycles(beat)
+            cycles = 1 if beat.index == -1 else (
+                self.bus_cycles_for_beat(beat.txn.beat_bytes) + overhead)
             yield clk.edges(cycles)
-            self._forwarded(self.resp_channel, beat, cycles)
+            self.resp_channel.add_busy(cycles * clk.period_ps)
+            self.deliver_beat(beat)
             lane.release()

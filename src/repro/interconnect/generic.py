@@ -49,6 +49,7 @@ from typing import Callable, Optional, Tuple
 
 from ..core.clock import Clock
 from ..core.component import Component
+from ..core.events import _PENDING
 from ..core.kernel import Simulator
 from ..core.statistics import ChannelUtilization
 from .arbiter import Arbiter, MessageArbiter, MessageLockStall
@@ -208,7 +209,7 @@ class GenericFabric(Fabric):
             cycles = self.request_cycles(txn)
             target.notify_request_state("storing")
             yield clk.edges(cycles)
-            channel.add_busy(clk.to_ps(cycles))
+            channel.add_busy(cycles * clk.period_ps)
             is_write = txn.is_write
             is_posted = is_write and txn.posted and spec.posted_writes
             txn.meta["needs_ack"] = is_write and not is_posted
@@ -220,13 +221,13 @@ class GenericFabric(Fabric):
                 yield target.request_fifo.put(txn)
             target.notify_request_state("idle")
             target.accepted.add()
-            now = sim.now
+            now = sim._now
             txn.mark_accepted(now)
             if self._checks is not None:
                 self._checks.note_accept(self, txn)
             if is_posted:
                 txn.complete(now)
-            if not spec.split and not txn.ev_done.triggered:
+            if not spec.split and txn.ev_done._value is _PENDING:
                 # The handshake envelope (STBus Type 1, Wishbone cyc, APB
                 # access) holds the fabric until the transaction fully
                 # completes.
@@ -235,25 +236,11 @@ class GenericFabric(Fabric):
     # ------------------------------------------------------------------
     # response channel
     # ------------------------------------------------------------------
-    def _beat_cycles(self, beat: ResponseBeat) -> int:
-        """Response-channel cycles of one beat: a write acknowledgement
-        is a single cell; data costs its width-adjusted cells plus the
-        spec's handshake turnaround."""
-        if beat.is_write_ack:
-            return 1
-        return (self.bus_cycles_for_beat(beat.txn.beat_bytes)
-                + self.spec.resp_overhead_cycles)
-
-    def _forwarded(self, channel: ChannelUtilization, beat: ResponseBeat,
-                   cycles: int) -> None:
-        """``beat`` has crossed ``channel`` in ``cycles``: account, deliver."""
-        channel.add_busy(self.clock.to_ps(cycles))
-        self.deliver_beat(beat)
-
     def _response_channel(self):
         clk = self.clock
         channel = self.resp_channel
         work = self._response_work
+        overhead = self.spec.resp_overhead_cycles
         current: Optional[Tuple[TargetPort, Transaction]] = None
         while True:
             beat = self._pick_beat(current)
@@ -268,9 +255,13 @@ class GenericFabric(Fabric):
             taken = target.response_fifo.try_get()
             if taken is not item:  # pragma: no cover - single consumer
                 raise RuntimeError("response FIFO raced")
-            cycles = self._beat_cycles(item)
+            # A write acknowledgement is a single cell; data costs its
+            # width-adjusted cells plus the spec's handshake turnaround.
+            cycles = 1 if item.index == -1 else (
+                self.bus_cycles_for_beat(item.txn.beat_bytes) + overhead)
             yield clk.edges(cycles)
-            self._forwarded(channel, item, cycles)
+            channel.add_busy(cycles * clk.period_ps)
+            self.deliver_beat(item)
             current = None if item.is_last else (target, item.txn)
 
     def _response_channel_lt(self):
@@ -287,6 +278,7 @@ class GenericFabric(Fabric):
         clk = self.clock
         sim = self.sim
         work = self._response_work
+        overhead = self.spec.resp_overhead_cycles
         current: Optional[Tuple[TargetPort, Transaction]] = None
         while True:
             beat = self._pick_beat(current)
@@ -304,17 +296,18 @@ class GenericFabric(Fabric):
                         and not items[run - 1].is_last:
                     run += 1
             beats = [fifo.try_get() for _ in range(run)]
-            cycles = self._beat_cycles(item)
+            cycles = 1 if item.index == -1 else (
+                self.bus_cycles_for_beat(item.txn.beat_bytes) + overhead)
             yield clk.edges(cycles * run)
-            self.resp_channel.add_busy(clk.to_ps(cycles * run))
+            self.resp_channel.add_busy(cycles * run * clk.period_ps)
             if run > 1:
                 sim.note_fastforward(run - 1)
                 first = beats[0]
-                if first.txn.t_first_data is None and not first.is_write_ack:
+                if first.txn.t_first_data is None and first.index != -1:
                     # CA delivers the run's first beat `cycles` edges in;
                     # the batch ends (run-1)*cycles later.
                     first.txn.t_first_data = \
-                        sim.now - clk.to_ps(cycles * (run - 1))
+                        sim._now - cycles * (run - 1) * clk.period_ps
             for delivered in beats:
                 self.deliver_beat(delivered)
             last = beats[-1]
@@ -340,29 +333,28 @@ class GenericFabric(Fabric):
                 return target, beats[0]
             if not interleave:
                 return None
-            candidates = [(t, b) for t, b in self.response_candidates()
-                          if not (t is target and b.txn is txn)]
-        elif interleave:
-            candidates = self.response_candidates()
-        else:
-            candidates = [(t, b) for t, b in self.response_candidates()
-                          if self._packet_streamable(t, b)]
-        if not candidates:
-            return None
         # Per-beat rotation across targets: deterministic round robin
-        # keyed on the target port.
-        return min(candidates, key=lambda cand: cand[0].name)
+        # keyed on the target port.  (One pass over the response FIFO
+        # heads: this runs per beat, a candidate list and a key function
+        # cost more frames than the choice.)
+        best = None
+        for port in self.targets:
+            beats = port.response_fifo._items
+            if beats and (best is None or port.name < best[0].name) and (
+                    interleave or self._packet_streamable(port, beats[0])):
+                best = port, beats[0]
+        return best
 
     @staticmethod
     def _packet_streamable(target: TargetPort, beat: ResponseBeat) -> bool:
         """Packet-atomic start rule: the prefetch FIFO must be able to
         sustain the packet (fully buffered, or full and draining — it
         cannot accumulate further)."""
-        if beat.is_write_ack:
+        if beat.index == -1:
             return True
         remaining = beat.txn.beats - beat.index
         fifo = target.response_fifo
-        return fifo.level >= min(remaining, fifo.capacity)
+        return len(fifo._items) >= min(remaining, fifo.capacity)
 
     # ------------------------------------------------------------------
     # checkpoint state

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..core.events import Event
+from ..core.events import Event, _PENDING
 from ..core.kernel import Simulator
 
 _txn_ids = itertools.count(1)
@@ -167,7 +167,7 @@ class Transaction:
         """
         if self.ev_done is not None:
             raise RuntimeError(f"transaction {self.tid} already bound")
-        self.t_created = sim.now
+        self.t_created = sim._now
         self.ev_accepted = Event(sim, name=f"txn{self.tid}.accepted")
         self.ev_done = Event(sim, name=f"txn{self.tid}.done")
         spans = sim._spans
@@ -180,7 +180,7 @@ class Transaction:
         if self.t_accepted is None:
             self.t_accepted = time_ps
         event = self.ev_accepted
-        if event is not None and not event.triggered:
+        if event is not None and event._value is _PENDING:
             if event.sim.lt_enabled:
                 event.succeed_inline(self)
             else:
@@ -190,7 +190,7 @@ class Transaction:
         """Record completion and wake whoever waits on ``ev_done``."""
         self.t_done = time_ps
         event = self.ev_done
-        if event is not None and not event.triggered:
+        if event is not None and event._value is _PENDING:
             if event.sim.lt_enabled:
                 event.succeed_inline(self)
             else:

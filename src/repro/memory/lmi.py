@@ -35,6 +35,7 @@ from typing import List, Optional, Sequence
 
 from ..core.clock import Clock
 from ..core.component import Component
+from ..core.events import _PENDING
 from ..core.kernel import Simulator
 from ..core.sync import WorkSignal
 from ..interconnect.base import TargetPort
@@ -166,9 +167,6 @@ class LmiController(Component):
         if new > old:
             self._work.notify()
 
-    def _wait_work(self):
-        return self._work.wait()
-
     # ------------------------------------------------------------------
     # optimisation engine
     # ------------------------------------------------------------------
@@ -232,22 +230,23 @@ class LmiController(Component):
     # ------------------------------------------------------------------
     def _engine(self):
         clk = self.clock
+        sim = self.sim
         cfg = self.config
         fifo = self.port.request_fifo
         while True:
-            if cfg.refresh_enabled and self.sim.now >= self._next_refresh_ps:
-                done = self.device.refresh(self.sim.now)
+            if cfg.refresh_enabled and sim._now >= self._next_refresh_ps:
+                done = self.device.refresh(sim._now)
                 # Catch-up is bounded: after a long idle period the refresh
                 # debt is considered paid rather than replayed one by one.
-                interval = clk.to_ps(self.device.timing.t_refi)
+                interval = self.device.timing.t_refi * clk.period_ps
                 self._next_refresh_ps = max(self._next_refresh_ps + interval,
                                             done)
-                if done > self.sim.now:
-                    yield self.sim.timeout(done - self.sim.now)
+                if done > sim._now:
+                    yield sim.timeout(done - sim._now)
                 continue
             window = fifo.snapshot()[:cfg.lookahead_depth]
             if not window:
-                yield self._wait_work()
+                yield self._work.wait()
                 continue
             txn = self._choose(window)
             fifo.remove(txn)
@@ -270,7 +269,7 @@ class LmiController(Component):
         # Controller front pipeline: decode, optimisation, command issue.
         yield clk.edges(cfg.pipeline_front_cycles)
         first_data, last_data, _hit = self.device.access(
-            first_txn.is_write, first_txn.address, device_beats, self.sim.now)
+            first_txn.is_write, first_txn.address, device_beats, self.sim._now)
         if spans is not None:
             for txn in group:
                 spans.mark(txn, "sdram.cmd")
@@ -283,16 +282,18 @@ class LmiController(Component):
 
     def _finish_writes(self, group: List[Transaction], last_data: int):
         """Wait out the device write burst, then acknowledge if required."""
-        if last_data > self.sim.now:
-            yield self.sim.timeout(last_data - self.sim.now)
+        sim = self.sim
+        if last_data > sim._now:
+            yield sim.timeout(last_data - sim._now)
         yield self.clock.edges(self.config.pipeline_back_cycles)
+        fifo = self.port.response_fifo
         for txn in group:
             if txn.meta.get("needs_ack", not txn.posted):
                 ack = ResponseBeat(txn, index=-1, is_last=True)
-                if not (self._lt and self.port.response_fifo.try_put(ack)):
-                    yield self.port.put_beat(ack)
-            elif not txn.ev_done.triggered:
-                txn.complete(self.sim.now)
+                if not (self._lt and fifo.try_put(ack)):
+                    yield fifo.put(ack)
+            elif txn.ev_done._value is _PENDING:
+                txn.complete(sim._now)
 
     def _return_read_data(self, group: List[Transaction],
                           first_data: int, last_data: int):
@@ -303,8 +304,8 @@ class LmiController(Component):
         return path (the device transfer itself is already committed — the
         output FIFO is exactly what absorbs that skid).
         """
-        clk = self.clock
-        back = clk.to_ps(self.config.pipeline_back_cycles)
+        sim = self.sim
+        back = self.config.pipeline_back_cycles * self.clock.period_ps
         bus_beats = sum(t.beats for t in group)
         window = max(0, last_data - first_data)
         step = window // bus_beats if bus_beats else 0
@@ -321,14 +322,14 @@ class LmiController(Component):
                 # skips the put handshake when the FIFO has room — a pure
                 # same-timestamp saving (docs/FAST_SIM.md).
                 ready = first_data + beat_no * step + back
-                if ready > self.sim.now:
-                    yield self.sim.timeout(ready - self.sim.now)
+                if ready > sim._now:
+                    yield sim.timeout(ready - sim._now)
                 beat = ResponseBeat(txn, index=index,
                                     is_last=index == txn.beats - 1)
                 if lt and fifo.try_put(beat):
-                    self.sim.note_fastforward()
+                    sim.note_fastforward()
                 else:
-                    yield self.port.put_beat(beat)
+                    yield fifo.put(beat)
                 beat_no += 1
             if txn.t_accepted is not None:
-                self.read_latency.add(self.sim.now - txn.t_accepted)
+                self.read_latency.add(sim._now - txn.t_accepted)

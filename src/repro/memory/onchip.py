@@ -28,6 +28,7 @@ from typing import Optional
 
 from ..core.clock import Clock
 from ..core.component import Component
+from ..core.events import _PENDING
 from ..core.kernel import Simulator
 from ..core.statistics import Counter
 from ..core.sync import Semaphore
@@ -126,7 +127,7 @@ class OnChipMemory(Component):
         # Bursts stream strictly in arrival order on the single data port.
         while self._next_to_stream != ticket:
             waiter = self._turn_events.get(ticket)
-            if waiter is None or waiter.processed:
+            if waiter is None or waiter._processed:
                 waiter = self.sim.event(name=f"{self.name}.turn{ticket}")
                 self._turn_events[ticket] = waiter
             yield waiter
@@ -144,7 +145,7 @@ class OnChipMemory(Component):
             self._slots.release()
             self._next_to_stream += 1
             waiter = self._turn_events.pop(self._next_to_stream, None)
-            if waiter is not None and not waiter.triggered:
+            if waiter is not None and waiter._value is _PENDING:
                 waiter.succeed()
 
     def _charge_beats(self, txn: Transaction, count: int) -> None:
@@ -169,7 +170,7 @@ class OnChipMemory(Component):
                 self._charge_beats(txn, 1)
             beat = ResponseBeat(txn, index=index, is_last=index == txn.beats - 1)
             # A full response FIFO back-pressures the array naturally.
-            yield self.port.put_beat(beat)
+            yield self.port.response_fifo.put(beat)
 
     def _stream_read_lt(self, txn: Transaction, clk: Clock,
                         base: int, remainder: int):
@@ -191,7 +192,7 @@ class OnChipMemory(Component):
                 self.beats_served.add()
                 if self._energy is not None:
                     self._charge_beats(txn, 1)
-                yield self.port.put_beat(ResponseBeat(
+                yield fifo.put(ResponseBeat(
                     txn, index=index, is_last=index == txn.beats - 1))
                 index += 1
                 continue
@@ -217,8 +218,9 @@ class OnChipMemory(Component):
             self._charge_beats(txn, txn.beats)
         if txn.meta.get("needs_ack", not txn.posted):
             ack = ResponseBeat(txn, index=-1, is_last=True)
-            if not (self._lt and self.port.response_fifo.try_put(ack)):
-                yield self.port.put_beat(ack)
-        elif not txn.ev_done.triggered:
+            fifo = self.port.response_fifo
+            if not (self._lt and fifo.try_put(ack)):
+                yield fifo.put(ack)
+        elif txn.ev_done._value is _PENDING:
             # Posted write on a fabric that did not already complete it.
-            txn.complete(self.sim.now)
+            txn.complete(self.sim._now)

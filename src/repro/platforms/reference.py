@@ -365,7 +365,7 @@ class PlatformInstance(Component):
         return self.result()
 
     def _record_finish(self, _event) -> None:
-        self._finish_ps = self.sim.now
+        self._finish_ps = self.sim._now
 
     def snapshot_state(self, encoder) -> Dict[str, object]:
         return {

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional
 
 from ..core.component import Component
-from ..core.events import Event
+from ..core.events import Event, _PENDING
 from ..core.kernel import Simulator
 from ..core.statistics import Counter
 from ..interconnect.base import InitiatorPort
@@ -139,7 +139,7 @@ class Iptg(Component):
                 remaining -= group
         # Drain: wait for every outstanding transaction.
         for txn in self.transactions:
-            if not txn.ev_done.triggered:
+            if txn.ev_done._value is _PENDING:
                 yield txn.ev_done
         self.done.succeed(len(self.transactions))
 
@@ -169,7 +169,7 @@ class Iptg(Component):
             self.transactions.append(txn)
             self.generated.add()
             yield self.port.issue(txn)
-            if phase.blocking and not txn.ev_done.triggered:
+            if phase.blocking and txn.ev_done._value is _PENDING:
                 yield txn.ev_done
 
     # ------------------------------------------------------------------

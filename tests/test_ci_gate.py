@@ -1,8 +1,9 @@
-"""Unit tests for the CI event-count gate (``benchmarks/ci_gate.py``).
+"""Unit tests for the CI count gate (``benchmarks/ci_gate.py``).
 
 The gate script lives outside the package, so it is loaded by path; the
-tests cover only the pure comparison logic and the exit-code
-contract — the actual benchmark rerun is the smoke CI job's business.
+tests cover only the pure comparison logic of its two tables (kernel
+event counts, stack-benchmark counts) and the exit-code contract — the
+actual benchmark reruns are the smoke CI job's business.
 """
 
 import importlib.util
@@ -59,49 +60,111 @@ class TestCompare:
         assert any("(new)" in line for line in lines)
 
 
+def _stack(events=154.629845, calls=1000.0, accuracy=100.0, rate=2500.0):
+    return {"platform_ca": {"events_per_txn": events,
+                            "repro_calls_per_txn": calls,
+                            "accuracy_pct": accuracy,
+                            "txn_per_cal_s": rate}}
+
+
+class TestCompareStack:
+    def test_same_counts_pass_and_wall_clock_is_report_only(self):
+        failures, lines = ci_gate.compare_stack(_stack(rate=2500.0),
+                                                _stack(rate=900.0))
+        assert failures == []
+        assert any("900.0" in line and "report only" in line
+                   for line in lines)
+
+    @pytest.mark.parametrize("doctored", [
+        dict(events=154.629846), dict(events=154.0),
+        dict(accuracy=99.999999), dict(accuracy=100.000001)])
+    def test_events_and_accuracy_may_not_differ_at_all(self, doctored):
+        failures, lines = ci_gate.compare_stack(_stack(), _stack(**doctored))
+        assert len(failures) == 1
+        assert "simulation itself changed" in failures[0]
+        assert sum("FAIL" in line for line in lines) == 1
+
+    def test_calls_may_rise_two_percent_and_no_more(self):
+        assert ci_gate.compare_stack(_stack(), _stack(calls=1020.0))[0] == []
+        failures, _ = ci_gate.compare_stack(_stack(), _stack(calls=1020.1))
+        assert len(failures) == 1 and "repro_calls_per_txn rose" in failures[0]
+
+    def test_a_fall_passes_and_asks_for_a_refresh(self):
+        failures, lines = ci_gate.compare_stack(_stack(), _stack(calls=800.0))
+        assert failures == []
+        assert any("improved -20.0%" in line and "--update" in line
+                   for line in lines)
+        # Thread-interleaving noise on service_mixed is not an improvement.
+        _, lines = ci_gate.compare_stack(_stack(), _stack(calls=999.97))
+        assert not any("improved" in line for line in lines)
+
+    def test_missing_workload_fails(self):
+        failures, _ = ci_gate.compare_stack(_stack(), {})
+        assert any("not rerun" in failure for failure in failures)
+
+
 class TestGateProcess:
-    """End-to-end exit codes with the benchmark rerun stubbed out."""
+    """End-to-end exit codes with both benchmark reruns stubbed out."""
 
     @pytest.fixture
-    def fast_bench(self, monkeypatch):
-        """Make run_benchmarks instant and deterministic for the gate."""
+    def gate(self, monkeypatch, tmp_path):
+        """``gate(*extra_args)`` runs the gate against baselines in
+        ``tmp_path`` with instant, deterministic reruns."""
         import repro.bench as bench
 
-        table = {"a": _row(rate=50_000)}
         monkeypatch.setattr(bench, "run_benchmarks",
-                            lambda repeats=3: dict(table))
-        return table
+                            lambda repeats=3: {"a": _row(rate=50_000)})
+        monkeypatch.setattr(ci_gate, "run_stack", lambda: _stack())
+        self.kernel = tmp_path / "kernel.json"
+        self.stack = tmp_path / "stack.json"
+        self.kernel.write_text(json.dumps({"a": _row(rate=52_000)}))
+        self.stack.write_text(json.dumps(_stack()))
+        return lambda *extra: ci_gate.main(
+            ["--baseline", str(self.kernel),
+             "--stack-baseline", str(self.stack), *extra])
 
-    def test_missing_baseline_is_usage_error(self, tmp_path, fast_bench,
-                                             capsys):
-        code = ci_gate.main(["--baseline", str(tmp_path / "none.json")])
-        assert code == 2
+    def test_missing_baseline_is_usage_error(self, gate, capsys):
+        self.kernel.unlink()
+        assert gate() == 2
         assert "--update" in capsys.readouterr().err
 
-    def test_update_writes_baseline(self, tmp_path, fast_bench, capsys):
-        target = tmp_path / "base.json"
-        assert ci_gate.main(["--baseline", str(target), "--update"]) == 0
-        assert json.loads(target.read_text())["a"]["events"] == 1000
+    def test_missing_stack_baseline_is_usage_error(self, gate, capsys):
+        self.stack.unlink()
+        assert gate() == 2
+        assert "stack.json" in capsys.readouterr().err
+
+    def test_update_writes_baseline(self, gate, capsys):
+        self.kernel.unlink()
+        self.stack.unlink()
+        assert gate("--update") == 0
+        assert json.loads(self.kernel.read_text())["a"]["events"] == 1000
+        # Counts only: the wall-clock figure is not committed.
+        assert json.loads(self.stack.read_text()) == {"platform_ca": {
+            "events_per_txn": 154.629845, "accuracy_pct": 100.0,
+            "repro_calls_per_txn": 1000.0}}
 
     def test_changed_count_fails_and_no_override_exists(
-            self, tmp_path, fast_bench, monkeypatch, capsys):
-        target = tmp_path / "base.json"
-        target.write_text(json.dumps({"a": _row(events=999, rate=50_000)}))
+            self, gate, monkeypatch, capsys):
+        self.kernel.write_text(
+            json.dumps({"a": _row(events=999, rate=50_000)}))
         # No environment switch turns a changed count into a report: it
         # is a changed simulation whatever the environment says.
         monkeypatch.setenv("CI_ALLOW_PERF_REGRESSION", "1")
-        assert ci_gate.main(["--baseline", str(target)]) == 1
+        assert gate() == 1
         assert "--update" in capsys.readouterr().err
 
-    def test_slower_run_with_same_counts_passes(self, tmp_path, fast_bench,
-                                                capsys):
-        target = tmp_path / "base.json"
-        target.write_text(json.dumps({"a": _row(rate=100_000)}))
-        assert ci_gate.main(["--baseline", str(target)]) == 0
+    def test_costlier_transactions_fail(self, gate, capsys):
+        self.stack.write_text(json.dumps(_stack(calls=950.0)))
+        assert gate() == 1
+        assert "repro_calls_per_txn rose" in capsys.readouterr().err
+
+    def test_slower_run_with_same_counts_passes(self, gate, capsys):
+        self.kernel.write_text(json.dumps({"a": _row(rate=100_000)}))
+        assert gate() == 0
         assert "-50.0%" in capsys.readouterr().out
 
-    def test_clean_run_passes(self, tmp_path, fast_bench, capsys):
-        target = tmp_path / "base.json"
-        target.write_text(json.dumps({"a": _row(rate=52_000)}))
-        assert ci_gate.main(["--baseline", str(target)]) == 0
-        assert "event counts match" in capsys.readouterr().out
+    def test_clean_run_passes(self, gate, capsys):
+        assert gate() == 0
+        out = capsys.readouterr().out
+        assert "event counts match" in out
+        assert "stack counts within bounds" in out

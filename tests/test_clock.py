@@ -74,6 +74,34 @@ class TestEdges:
         sim.run()
         assert log == [5_000]
 
+    def test_edges_fire_where_next_edge_time_says(self):
+        # edges() inlines the arithmetic of next_edge_time(); the public
+        # method stays the definition.
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=200, derandomize=True, deadline=None)
+        @given(period=st.integers(1, 5_000), phase=st.integers(0, 12_000),
+               start=st.integers(0, 20_000), n=st.integers(1, 9))
+        def check(period, phase, start, n):
+            sim = Simulator()
+            clk = sim.clock(period_ps=period, phase_ps=phase)
+            fired = []
+
+            def body():
+                if start:  # before the first edge, on an edge, between two
+                    yield sim.timeout(start)
+                expected = clk.next_edge_time() + (n - 1) * period
+                yield clk.edges(n)
+                fired.append((sim.now, expected))
+
+            sim.process(body())
+            sim.run()
+            (now, expected), = fired
+            assert now == expected and clk.at_edge()
+
+        check()
+
     def test_edges_requires_positive(self, sim):
         clk = sim.clock(period_ps=1_000)
         with pytest.raises(ValueError):
@@ -312,6 +340,45 @@ class TestEdgeUntil:
         # the previous one's callback, before that one is reclaimed.
         assert len(sim._timeout_pool) == 1
         assert len(sim._queue) == 1
+
+    def test_rearms_from_an_empty_pool_like_from_a_stocked_one(self):
+        # The re-arm recycles a pooled timeout inline and falls back to a
+        # fresh one when the pool is empty: either way the same events, in
+        # the same slots, and the same wake-up.
+        def run(drain_pool):
+            trace = []
+            sim = Simulator(trace=lambda when, event:
+                            trace.append((when, event)))
+            clk = sim.clock(period_ps=1_000, name="bus")
+            signal = WorkSignal(sim)
+            woke = []
+
+            def body():
+                yield clk.edge_until(signal)
+                woke.append((sim.now, sim.processed_events))
+
+            def between_edges():
+                yield sim.timeout(500)
+                while True:
+                    if drain_pool:
+                        sim._timeout_pool.clear()
+                    yield sim.timeout(1_000)
+
+            sim.process(body(), name="p")
+            sim.process(between_edges(), name="q")
+            sim.timeout(8_200).add_callback(lambda _e: signal.notify())
+            sim.run(until=12_000)
+            edges = [event for _when, event in trace
+                     if event.name == "bus.edge"]
+            return ([(when, event.name) for when, event in trace], woke,
+                    len({id(event) for event in edges}))
+
+        stocked_trace, stocked_woke, stocked_objects = run(False)
+        drained_trace, drained_woke, drained_objects = run(True)
+        assert drained_trace == stocked_trace
+        assert drained_woke == stocked_woke and stocked_woke[0][0] == 9_000
+        # Nine edges: two timeouts taking turns, or a fresh one each time.
+        assert (stocked_objects, drained_objects) == (2, 9)
 
     def test_conditions_over_edges_stay_pinned_during_a_stall(self, sim):
         clk = sim.clock(period_ps=1_000, name="a")

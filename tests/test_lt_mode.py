@@ -26,7 +26,16 @@ from repro.check.lt_accuracy import (
 from repro.cli import main
 from repro.core import Simulator
 from repro.core.clock import EdgeStall, SignalStall
-from repro.core.events import Event, completed_event
+from repro.core.events import (
+    PRIORITY_NORMAL,
+    _PENDING,
+    Event,
+    EventError,
+    Process,
+    completed_event,
+)
+from repro.core.fifo import Fifo
+from repro.core.sync import WorkSignal
 from repro.platforms import build_platform, instance, onchip_memory, quick_config
 from repro.platforms.loader import config_from_dict, load_config, save_config
 
@@ -110,6 +119,124 @@ class TestKernelPrimitives:
             event.callbacks.append(chain(i))
         events[0].succeed_inline()
         assert fired == list(range(depth))
+
+    def test_uncontended_puts_in_a_row_do_not_recurse(self):
+        # Every put into a FIFO with room completes on the spot in LT, so
+        # the producer yields thousands of already-completed events in a
+        # row: continued in a loop, not one _resume frame per event.
+        sim = Simulator(resolution="lt")
+        fifo = Fifo(sim, 10_000, name="deep")
+
+        def producer():
+            for i in range(3000):
+                yield fifo.put(i)
+
+        proc = sim.process(producer())
+        sim.run()
+        assert proc.ok and len(fifo) == 3000
+        assert sim.processed_events == 1  # the producer's init, nothing else
+
+    def test_completed_events_in_a_row_do_not_recurse(self):
+        sim = Simulator(resolution="lt")
+        seen = []
+
+        def body():
+            for i in range(5000):
+                seen.append((yield completed_event(sim, value=i)))
+
+        sim.process(body())
+        sim.run()
+        assert seen == list(range(5000))
+
+    def test_resume_loop_equals_the_recursion_it_replaced(self, monkeypatch):
+        # Two processes ping-ponging through FIFOs and work signals — runs
+        # of completed puts/gets, inline wake-ups, real waits, a failure
+        # thrown in — log the same side effects, in the same order, at the
+        # same times, whether Process._resume continues a completed event
+        # by looping or (the implementation it replaced) by calling itself.
+        def resume_by_recursion(self, trigger):
+            if self._value is not _PENDING:
+                return
+            self._target = None
+            try:
+                if trigger._ok:
+                    event = self._send(trigger._value)
+                else:
+                    event = self._throw(trigger._value)
+            except StopIteration as stop:
+                self.succeed_inline(stop.value)
+                return
+            except BaseException as exc:  # noqa: BLE001
+                self._ok = False
+                self._value = exc
+                self.sim._enqueue(self, 0, PRIORITY_NORMAL)
+                if not self.callbacks:
+                    raise
+                return
+            if not isinstance(event, Event):
+                raise EventError(f"yielded non-event {event!r}")
+            self._target = event
+            if event.callbacks is None:
+                self._resume_cb(event)
+            else:
+                event.callbacks.append(self._resume_cb)
+
+        def scenario():
+            sim = Simulator(resolution="lt")
+            clk = sim.clock(period_ps=1_000)
+            ping, pong = Fifo(sim, 4, name="ping"), Fifo(sim, 2, name="pong")
+            work, credit = WorkSignal(sim, "work"), WorkSignal(sim, "credit")
+            log = []
+
+            def mark(*what):
+                log.append((sim.now, sim.processed_events) + what)
+
+            def left():
+                for round_no in range(6):
+                    for i in range(3):          # completed puts in a row
+                        yield ping.put((round_no, i))
+                        mark("left put", round_no, i)
+                    work.notify()
+                    mark("left notified")
+                    yield credit.wait()         # a real wait
+                    while len(pong):            # completed gets in a row
+                        mark("left got", (yield pong.get()))
+                    if round_no % 2:
+                        yield clk.edge()
+                failed = Event(sim, name="boom")
+                failed.fail(RuntimeError("boom"))
+                try:
+                    yield failed
+                except RuntimeError as exc:
+                    mark("left caught", str(exc))
+                return "left done"
+
+            def right():
+                while True:
+                    yield work.wait()           # missed notifies included
+                    mark("right woke")
+                    while len(ping):
+                        item = yield ping.get()
+                        yield pong.put(item)    # blocks when pong is full
+                        mark("right moved", item)
+                        if len(pong) == pong.capacity:
+                            credit.notify()
+                    credit.notify()
+                    yield completed_event(sim)
+                    yield clk.edges(2)
+
+            procs = [sim.process(left(), name="left"),
+                     sim.process(right(), name="right")]
+            sim.run(until=100_000)
+            return log, sim.now, sim.processed_events, procs[0].value
+
+        looped = scenario()
+        monkeypatch.setattr(Process, "_resume", resume_by_recursion)
+        recursed = scenario()
+        assert looped == recursed
+        assert looped[3] == "left done"
+        assert looped[0][-1][2:] == ("left caught", "boom")
+        assert sum(entry[2] == "right moved" for entry in looped[0]) == 15
 
     def test_completed_event_is_pre_triggered(self):
         sim = Simulator(resolution="lt")

@@ -20,23 +20,32 @@ simulation, over the recorded grant/accept histories — the checks never
 schedule events or perturb arbitration, so a checked run is bit-identical
 to an unchecked one (the differential harness asserts exactly that).
 
+The protocol rules are not written per protocol: one pass
+(:meth:`SimChecker._check_fabric`) reads each fabric's
+:class:`~repro.interconnect.protocols.ProtocolSpec`, as the channel
+engine does, and derives what must hold — pairing on every request
+channel, the end-to-end hold when ``split`` is off, write completion
+from ``posted_writes`` — so a registry row is all the coverage a new
+protocol needs.
+
 Rule catalogue (see ``docs/CORRECTNESS.md``): ``lifecycle.*``,
-``<protocol>.source_order``, ``stbus.split_pairing`` / ``stbus.t1_hold`` /
-``stbus.posted_write`` / ``stbus.nonposted`` / ``stbus.packet_order``,
-``ahb.serialization`` / ``ahb.pipelining`` / ``ahb.nonposted`` /
-``ahb.data_order``, ``axi.handshake`` / ``axi.id_order``,
-``bridge.conservation``, ``fifo.*``, ``obs.span_tiling``, ``sdram.*``.
-Registry-served generic fabrics (wishbone, apb, axi4lite, avalon,
-tilelink) get ``<protocol>.pairing`` / ``<protocol>.serialization`` /
-``<protocol>.posted_write`` / ``<protocol>.nonposted`` derived from their
-:class:`~repro.interconnect.protocols.ProtocolSpec`, plus the per-spec
-beat-ordering rule listed in ``_BEAT_RULE``.
+``<protocol>.source_order``; the spec-derived ``<spec>.pairing`` /
+``<spec>.serialization`` / ``<spec>.posted_write`` / ``<spec>.nonposted``,
+which the historical engines spell ``stbus.split_pairing`` /
+``stbus.t1_hold`` / ``stbus.posted_write`` / ``stbus.nonposted``,
+``ahb.pipelining`` / ``ahb.serialization`` / ``ahb.nonposted`` and
+``axi.handshake`` (``_ENGINE_RULES``); the live beat-ordering rule of
+each protocol (``_BEAT_RULE``: ``stbus.packet_order``, ``ahb.data_order``,
+``axi.id_order``, ...); ``bridge.conservation``, ``fifo.*``,
+``obs.span_tiling``, ``sdram.*``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..interconnect.protocols import spec_for_fabric
+from ..interconnect.types import Opcode
 from .sdram_audit import SdramCommandLog, audit_sdram
 from .violations import Violation
 
@@ -60,6 +69,44 @@ _BEAT_RULE = {
     "avalon": "avalon.readdata_order",
     "tilelink": "tilelink.d_order",
 }
+
+#: What :meth:`SimChecker._check_fabric` derives from a spec, in order:
+#: grant/accept pairing per request channel, the end-to-end hold of a
+#: channel without ``split``, posted and acknowledged write completion.
+_RULE_KINDS = ("pairing", "serialization", "posted_write", "nonposted")
+
+#: The historical engines keep the rule ids they shipped with (one per
+#: ``_RULE_KINDS`` entry); every other engine gets ``<spec.name>.<kind>``.
+#: ``None``: nothing to replay — the analytic TLM node grants, but never
+#: hands a request to a target port.
+_ENGINE_RULES: Dict[str, Optional[Tuple[str, ...]]] = {
+    "stbus": ("stbus.split_pairing", "stbus.t1_hold",
+              "stbus.posted_write", "stbus.nonposted"),
+    "ahb": ("ahb.pipelining", "ahb.serialization",
+            "ahb.nonposted", "ahb.nonposted"),
+    "axi": ("axi.handshake",) * 4,
+    "tlm": None,
+}
+
+
+def _request_channels(fabric) -> List[Tuple[str, Optional[Callable]]]:
+    """``(tag, travels)`` per request channel of ``fabric``.
+
+    Pairing and the non-split hold apply to each channel, not across
+    them: a crossbar runs one channel per target, AXI one per opcode (AR
+    and AW are independent), everything else a single one (``travels``
+    ``None``: every transaction).
+    """
+    if fabric.protocol == "stbus-xbar":
+        return [(f" to {target.name}",
+                 lambda txn, target=target:
+                 fabric.try_route(txn.address) is target)
+                for target in fabric.targets]
+    if fabric.protocol == "axi":
+        return [(f" {opcode.value}",
+                 lambda txn, opcode=opcode: txn.opcode is opcode)
+                for opcode in Opcode]
+    return [("", None)]
 
 
 def covered_protocols() -> frozenset:
@@ -177,15 +224,11 @@ class SimChecker:
             self._check_lifecycle(port, txns, expect_drained, found)
             self._check_source_order(port, txns, found)
         for fabric in self.fabrics:
-            if fabric.protocol in ("stbus", "stbus-xbar"):
-                self._check_stbus(fabric, expect_drained, found)
-            elif fabric.protocol == "ahb":
-                self._check_ahb(fabric, expect_drained, found)
-            elif fabric.protocol == "axi":
-                self._check_axi(fabric, expect_drained, found)
-            elif getattr(fabric, "spec", None) is not None:
-                self._check_generic(fabric, fabric.spec, expect_drained,
-                                    found)
+            try:
+                spec = spec_for_fabric(fabric)
+            except ValueError:
+                continue  # no registered spec, no rules to derive
+            self._check_fabric(fabric, spec, expect_drained, found)
         for bridge in self.bridges:
             self._check_bridge(bridge, expect_drained, found)
         for fifo in self.fifos:
@@ -264,25 +307,29 @@ class SimChecker:
                         f"only {len(accepted_ids)} accepted (request lost "
                         "between grant and target)"))
 
-    # -- STBus ----------------------------------------------------------
-    def _check_stbus(self, fabric, expect_drained: bool,
-                     found: List[Violation]) -> None:
-        if fabric.protocol == "stbus-xbar":
-            # One request channel per target: pairing and the Type 1 hold
-            # apply to each channel, not across them.
-            channels = [(f" to {target.name}",
-                         lambda txn, target=target:
-                         fabric.try_route(txn.address) is target)
-                        for target in fabric.targets]
-        else:
-            channels = [("", None)]
-        for tag, travels in channels:
-            self._check_pairing(fabric, "stbus.split_pairing",
-                                expect_drained, found, tag, travels)
-            if fabric.supports_split:
+    # -- spec-derived protocol rules --------------------------------------
+    def _check_fabric(self, fabric, spec, expect_drained: bool,
+                      found: List[Violation]) -> None:
+        """Replay one fabric's grant/accept history against its spec.
+
+        Every toggle is a :class:`ProtocolSpec` field, read the way the
+        channel engine reads it to derive timing: acceptance pairs with
+        grant on every request channel; without ``split`` a channel is
+        held end to end; a write completes at acceptance exactly when it
+        is posted, which ``posted_writes=False`` forbids.
+        """
+        rules = _ENGINE_RULES.get(spec.engine, tuple(
+            f"{spec.name}.{kind}" for kind in _RULE_KINDS))
+        if rules is None:
+            return
+        pairing, hold, posted_write, nonposted = rules
+        for tag, travels in _request_channels(fabric):
+            self._check_pairing(fabric, pairing, expect_drained, found,
+                                tag, travels)
+            if spec.split:
                 continue
-            # Type 1: the channel is held end to end — no grant may
-            # precede the completion of the previous transaction.
+            # The channel is held end to end: no grant may precede the
+            # completion of the previous transaction on it.
             previous = None
             for _port, txn in self._grants.get(fabric, []):
                 if travels is not None and not travels(txn):
@@ -292,162 +339,46 @@ class SimChecker:
                         or txn.t_granted < previous.t_done):
                     found.append(Violation(
                         component=fabric.name, time_ps=txn.t_granted,
-                        rule="stbus.t1_hold",
+                        rule=hold,
                         message=f"txn {txn.tid} granted at {txn.t_granted}ps "
                                 f"while txn {previous.tid} (done="
-                                f"{previous.t_done}) still held the node",
-                        txn=txn))
+                                f"{previous.t_done}) still held the request "
+                                f"channel{tag}", txn=txn))
                 previous = txn
-        for txn in self._accepts.get(fabric, []):
-            if not txn.is_write:
-                continue
-            needs_ack = txn.meta.get("needs_ack")
-            if needs_ack is False and txn.t_done != txn.t_accepted:
-                found.append(Violation(
-                    component=fabric.name, time_ps=txn.t_accepted,
-                    rule="stbus.posted_write",
-                    message=f"posted write completed at {txn.t_done}ps, not "
-                            f"at acceptance ({txn.t_accepted}ps)", txn=txn))
-            if needs_ack and txn.t_done is not None \
-                    and txn.t_done <= txn.t_accepted:
-                found.append(Violation(
-                    component=fabric.name, time_ps=txn.t_done,
-                    rule="stbus.nonposted",
-                    message=f"non-posted write completed at {txn.t_done}ps "
-                            f"without waiting for the acknowledgement "
-                            f"(accepted {txn.t_accepted}ps)", txn=txn))
-
-    # -- AHB -------------------------------------------------------------
-    def _check_ahb(self, fabric, expect_drained: bool,
-                   found: List[Violation]) -> None:
-        self._check_pairing(fabric, "ahb.pipelining", expect_drained, found)
-        # Single data link: one transaction end to end before the next
-        # grant (pipelining overlaps address with data, never two datas).
-        previous = None
-        for _port, txn in self._grants.get(fabric, []):
-            if previous is not None and (previous.t_done is None
-                                         or txn.t_granted < previous.t_done):
-                found.append(Violation(
-                    component=fabric.name, time_ps=txn.t_granted,
-                    rule="ahb.serialization",
-                    message=f"txn {txn.tid} granted at {txn.t_granted}ps "
-                            f"while txn {previous.tid} (done="
-                            f"{previous.t_done}) still occupied the layer",
-                    txn=txn))
-            previous = txn
-        for txn in self._accepts.get(fabric, []):
-            if not txn.is_write:
-                continue
-            if not txn.meta.get("needs_ack"):
-                found.append(Violation(
-                    component=fabric.name, time_ps=txn.t_accepted or 0,
-                    rule="ahb.nonposted",
-                    message="write accepted without the non-posted "
-                            "acknowledgement requirement", txn=txn))
-            elif txn.t_done is not None and txn.t_done <= txn.t_accepted:
-                found.append(Violation(
-                    component=fabric.name, time_ps=txn.t_done,
-                    rule="ahb.nonposted",
-                    message=f"non-posted write completed at {txn.t_done}ps "
-                            f"<= acceptance ({txn.t_accepted}ps)", txn=txn))
-
-    # -- AXI -------------------------------------------------------------
-    def _check_axi(self, fabric, expect_drained: bool,
-                   found: List[Violation]) -> None:
-        from ..interconnect.types import Opcode
-
-        # AR and AW are independent serial channels: pairing holds per
-        # address channel, not across them.
-        for opcode in (Opcode.READ, Opcode.WRITE):
-            self._check_pairing(fabric, "axi.handshake", expect_drained,
-                                found, f" {opcode.value}",
-                                lambda txn, opcode=opcode:
-                                txn.opcode is opcode)
         for txn in self._accepts.get(fabric, []):
             if txn.is_read:
-                if txn.t_done is None:
-                    continue
-                if txn.t_first_data is None:
+                if spec.engine == "axi" and txn.t_done is not None and not (
+                        txn.t_first_data is not None and
+                        txn.t_accepted <= txn.t_first_data <= txn.t_done):
                     found.append(Violation(
                         component=fabric.name, time_ps=txn.t_done,
-                        rule="axi.handshake",
-                        message="read completed without any R-channel data "
-                                "beat", txn=txn))
-                elif not (txn.t_accepted <= txn.t_first_data <= txn.t_done):
-                    found.append(Violation(
-                        component=fabric.name, time_ps=txn.t_first_data,
-                        rule="axi.handshake",
-                        message=f"R data at {txn.t_first_data}ps outside "
-                                f"[AW/AR accept {txn.t_accepted}ps, done "
+                        rule=pairing,
+                        message=f"first R data beat ({txn.t_first_data}) not "
+                                f"inside [AR accept {txn.t_accepted}ps, done "
                                 f"{txn.t_done}ps]", txn=txn))
-            else:
-                if not txn.meta.get("needs_ack"):
-                    found.append(Violation(
-                        component=fabric.name, time_ps=txn.t_accepted or 0,
-                        rule="axi.handshake",
-                        message="write accepted without a B-channel "
-                                "response requirement", txn=txn))
-                elif txn.t_done is not None and txn.t_done <= txn.t_accepted:
-                    found.append(Violation(
-                        component=fabric.name, time_ps=txn.t_done,
-                        rule="axi.handshake",
-                        message=f"write completed at {txn.t_done}ps before "
-                                f"its B response could follow acceptance "
-                                f"({txn.t_accepted}ps)", txn=txn))
-
-    # -- registry-served generic fabrics ---------------------------------
-    def _check_generic(self, fabric, spec, expect_drained: bool,
-                       found: List[Violation]) -> None:
-        """Spec-derived post-run checks for :class:`GenericFabric`.
-
-        The rules mirror the hand-written per-protocol passes, but every
-        behavioural toggle comes from the :class:`ProtocolSpec` entry:
-        request/acceptance pairing always holds; non-split specs must
-        serialize transactions end to end; write completion semantics
-        follow ``spec.posted_writes``.
-        """
-        name = spec.name
-        self._check_pairing(fabric, f"{name}.pairing", expect_drained, found)
-        if not spec.split:
-            previous = None
-            for _port, txn in self._grants.get(fabric, []):
-                if previous is not None and (
-                        previous.t_done is None
-                        or txn.t_granted < previous.t_done):
-                    found.append(Violation(
-                        component=fabric.name, time_ps=txn.t_granted,
-                        rule=f"{name}.serialization",
-                        message=f"txn {txn.tid} granted at {txn.t_granted}ps "
-                                f"while txn {previous.tid} (done="
-                                f"{previous.t_done}) still held the fabric",
-                        txn=txn))
-                previous = txn
-        for txn in self._accepts.get(fabric, []):
-            if not txn.is_write:
                 continue
             needs_ack = txn.meta.get("needs_ack")
-            if not spec.posted_writes and not needs_ack:
+            if needs_ack:
+                if txn.t_done is not None and txn.t_done <= txn.t_accepted:
+                    found.append(Violation(
+                        component=fabric.name, time_ps=txn.t_done,
+                        rule=nonposted,
+                        message=f"non-posted write completed at {txn.t_done}"
+                                "ps without waiting for the acknowledgement "
+                                f"(accepted {txn.t_accepted}ps)", txn=txn))
+            elif not spec.posted_writes:
                 found.append(Violation(
                     component=fabric.name, time_ps=txn.t_accepted or 0,
-                    rule=f"{name}.nonposted",
-                    message="write accepted without the non-posted "
-                            "acknowledgement the protocol requires",
+                    rule=nonposted,
+                    message="write accepted without the acknowledgement "
+                            f"{spec.title} requires of every write",
                     txn=txn))
-                continue
-            if needs_ack is False and txn.t_done != txn.t_accepted:
+            elif needs_ack is False and txn.t_done != txn.t_accepted:
                 found.append(Violation(
                     component=fabric.name, time_ps=txn.t_accepted,
-                    rule=f"{name}.posted_write",
+                    rule=posted_write,
                     message=f"posted write completed at {txn.t_done}ps, not "
                             f"at acceptance ({txn.t_accepted}ps)", txn=txn))
-            if needs_ack and txn.t_done is not None \
-                    and txn.t_done <= txn.t_accepted:
-                found.append(Violation(
-                    component=fabric.name, time_ps=txn.t_done,
-                    rule=f"{name}.nonposted",
-                    message=f"non-posted write completed at {txn.t_done}ps "
-                            f"without waiting for the acknowledgement "
-                            f"(accepted {txn.t_accepted}ps)", txn=txn))
 
     # -- bridges ----------------------------------------------------------
     def _check_bridge(self, bridge, expect_drained: bool,

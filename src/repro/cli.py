@@ -441,33 +441,18 @@ def cmd_check(args) -> int:
         violations = session.finalize()
         print(f"checked {len(session.checkers)} simulator(s)")
     else:
-        import json
-
-        from .platforms.loader import ConfigError, load_config
-        from .sweep import Run, load_sweep
+        from .platforms.loader import ConfigError
+        from .sweep import Run, load_target
 
         try:
-            with open(args.target, encoding="utf-8") as handle:
-                document = json.load(handle)
-        except (OSError, ValueError) as exc:
-            print(f"error: {args.target!r} is neither an experiment "
-                  f"(try 'list') nor a readable JSON file: {exc}",
+            spec = load_target(args.target, int(args.max_us * 1_000_000))
+        except ConfigError as exc:
+            print(f"error: {args.target!r} is neither an experiment (try "
+                  f"'list') nor a valid platform or sweep file: {exc}",
                   file=sys.stderr)
             return 2
-        max_ps = int(args.max_us * 1_000_000)
-        if isinstance(document, dict) and \
-                ("points" in document or "grid" in document):
-            spec = load_sweep(args.target)
-            targets = list(zip(spec.labels, spec.configs))
-            max_ps = spec.max_ps
-        else:
-            try:
-                config = load_config(args.target)
-            except ConfigError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            targets = [(config.label(), config)]
-        for label, config in targets:
+        max_ps = spec.max_ps
+        for label, config in zip(spec.labels, spec.configs):
             if args.diff:
                 outcome = CheckedRun(config, max_ps=max_ps)
                 violations.extend(outcome.violations)
@@ -658,35 +643,19 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _load_submission_target(path: str) -> Dict:
-    """A submit target is a platform config or a sweep spec file."""
-    import json
-
-    from .platforms.loader import ConfigError
-
-    try:
-        with open(path, encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"{path}: not a readable JSON file ({exc})") \
-            from exc
-    if not isinstance(document, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    if "points" in document or "grid" in document or "base" in document:
-        return {"sweep": document}
-    return {"config": document}
-
-
 def cmd_submit(args) -> int:
     """Submit a config/sweep file to a running service."""
-    from .platforms.loader import ConfigError
+    from .platforms.loader import ConfigError, read_document
     from .service import ServiceClient, ServiceError
+    from .sweep import is_sweep_document
 
     try:
-        submission = _load_submission_target(args.spec)
+        document = read_document(args.spec, "submission")
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: not a readable JSON file: {exc}", file=sys.stderr)
         return 2
+    submission = {"sweep" if is_sweep_document(document) else "config":
+                  document}
     submission["tenant"] = args.tenant
     submission["priority"] = args.priority
     if args.max_us is not None:

@@ -54,8 +54,8 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..interconnect.protocols import platform_protocols
 from ..platforms.config import PlatformConfig
-from ..platforms.loader import ConfigError, config_from_dict
-from ..sweep import DEFAULT_MAX_PS, deep_merge, set_dotted
+from ..platforms.loader import ConfigError, config_from_dict, read_document
+from ..sweep import DEFAULT_MAX_PS, bound_ps, deep_merge, set_dotted
 from .objectives import DEFAULT_OBJECTIVES, resolve_objectives
 
 #: One candidate: a value index per axis, in axis order.
@@ -325,11 +325,8 @@ def parse_dse(document: Dict[str, Any]) -> DseSpec:
         if not isinstance(values, list):
             raise ConfigError(f"dse.axes.{name}: must be a value list")
         axes.append(Axis(name=str(name), values=tuple(values)))
-    max_us = document.get("max_us", DEFAULT_MAX_PS / 1_000_000)
-    if not isinstance(max_us, (int, float)) or max_us <= 0:
-        raise ConfigError("dse.max_us: must be a positive number")
     space = SearchSpace(base=base, axes=tuple(axes),
-                        max_ps=int(max_us * 1_000_000))
+                        max_ps=bound_ps(document, "dse"))
 
     objectives = document.get("objectives", list(DEFAULT_OBJECTIVES))
     if not isinstance(objectives, list) or not objectives:
@@ -354,16 +351,7 @@ def parse_dse(document: Dict[str, Any]) -> DseSpec:
 
 def load_dse(path: Union[str, Path]) -> DseSpec:
     """Read and validate a DSE specification file."""
-    try:
-        document = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(
-            f"{path}: {exc.strerror or 'cannot read dse file'}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(document, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    return parse_dse(document)
+    return parse_dse(read_document(path, "dse"))
 
 
 __all__ = [

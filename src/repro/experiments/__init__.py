@@ -32,7 +32,6 @@ from .common import (
     run_config,
     run_config_with_platform,
     run_configs,
-    set_default_jobs,
 )
 
 __all__ = [
@@ -49,6 +48,5 @@ __all__ = [
     "run_config",
     "run_config_with_platform",
     "run_configs",
-    "set_default_jobs",
     "single_layer",
 ]

@@ -32,7 +32,7 @@ from ..memory.onchip import OnChipMemory
 from ..sweep import parallel_map
 from ..traffic.iptg import Iptg, IptgPhase
 from ..traffic.patterns import Fixed, Sequential
-from .common import claim, get_default_jobs
+from .common import claim
 
 _REGION = 1 << 16
 
@@ -92,7 +92,7 @@ def run(initiators: int = 6, transactions: int = 40,
     names = list(_make_arbiters())
     results = parallel_map(
         _policy_job, [(name, initiators, transactions) for name in names],
-        jobs=get_default_jobs() if jobs is None else jobs)
+        jobs=jobs)
     return dict(zip(names, results))
 
 

@@ -27,28 +27,7 @@ from typing import Dict, Iterable, List, Optional
 
 from ..analysis.metrics import RunResult
 from ..platforms.config import PlatformConfig
-from ..sweep import DEFAULT_MAX_PS, Run, default_jobs, sweep
-
-#: Process-wide default worker count override (set by the CLI ``--jobs``).
-_jobs_override: Optional[int] = None
-
-
-def set_default_jobs(jobs: Optional[int]) -> None:
-    """Set the worker count used when an experiment gets ``jobs=None``.
-
-    ``None`` restores the environment default (``$REPRO_JOBS`` or serial).
-    The CLI calls this once so every experiment an invocation touches
-    inherits its ``--jobs`` flag without threading it through each
-    ``run()`` signature twice.
-    """
-    global _jobs_override
-    _jobs_override = None if jobs is None else max(1, int(jobs))
-
-
-def get_default_jobs() -> int:
-    """The effective worker count for ``jobs=None`` callers."""
-    return _jobs_override if _jobs_override is not None else default_jobs()
-
+from ..sweep import DEFAULT_MAX_PS, Run, sweep
 
 def run_config(config: PlatformConfig,
                max_ps: int = DEFAULT_MAX_PS) -> RunResult:
@@ -64,11 +43,9 @@ def run_configs(configs: Iterable[PlatformConfig],
 
     The parallel/caching behaviour lives in :func:`repro.sweep.sweep`;
     this is the thin map every experiment's multi-config loop goes
-    through.  ``jobs=None`` uses the CLI/environment default.
+    through.  ``jobs=None`` reads ``$REPRO_JOBS``.
     """
-    outcomes = sweep(list(configs), max_ps=max_ps,
-                     jobs=get_default_jobs() if jobs is None else jobs,
-                     cache=cache)
+    outcomes = sweep(list(configs), max_ps=max_ps, jobs=jobs, cache=cache)
     return [outcome.result for outcome in outcomes]
 
 

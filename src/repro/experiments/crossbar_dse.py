@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..dse import explore, front_table, parse_dse
-from .common import claim, get_default_jobs
+from .common import claim
 
 
 def spec_document(traffic_scale: float = 0.25) -> Dict[str, Any]:
@@ -49,8 +49,7 @@ def spec_document(traffic_scale: float = 0.25) -> Dict[str, Any]:
 def run(traffic_scale: float = 1.0, jobs: Optional[int] = None) -> Dict:
     """Search the topology space and return the verified front."""
     spec = parse_dse(spec_document(traffic_scale=0.25 * traffic_scale))
-    outcome = explore(
-        spec, jobs=get_default_jobs() if jobs is None else jobs)
+    outcome = explore(spec, jobs=jobs)
     by_cost = sorted(outcome.front,
                      key=lambda m: m.objectives["cost"])
     by_latency = sorted(outcome.front,

@@ -29,7 +29,7 @@ from ..platforms.config import TwoPhaseSpec, reference_clusters
 from ..platforms.loader import config_from_dict, config_to_dict
 from ..platforms.variants import instance, lmi_memory
 from ..sweep import parallel_map
-from .common import claim, get_default_jobs, run_config_with_platform
+from .common import claim, run_config_with_platform
 
 
 def _moderated_clusters(idle_scale: int, phase_time_ns: int = 60_000):
@@ -80,7 +80,7 @@ def run(traffic_scale: float = 1.0, idle_scale: int = 26,
     reports = parallel_map(
         _monitor_report,
         [config_to_dict(stbus_cfg), config_to_dict(ahb_cfg)],
-        jobs=get_default_jobs() if jobs is None else jobs)
+        jobs=jobs)
     return {"stbus": reports[0], "ahb": reports[1]}
 
 

@@ -30,7 +30,7 @@ from ..interconnect.stbus import StbusNode
 from ..interconnect.types import AddressRange, StbusType
 from ..memory.lmi import LmiConfig, LmiController
 from ..sweep import parallel_map
-from .common import claim, get_default_jobs
+from .common import claim
 
 _SPAN = 1 << 24
 _FRAMEBUFFER = 0x0010_0000
@@ -89,7 +89,7 @@ def run(line_period_cycles: int = 330, lines: int = 40,
     results = parallel_map(
         _variant_job,
         [(policy, line_period_cycles, lines) for policy in policies],
-        jobs=get_default_jobs() if jobs is None else jobs)
+        jobs=jobs)
     return dict(zip(policies, results))
 
 

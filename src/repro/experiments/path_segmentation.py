@@ -29,7 +29,7 @@ from ..interconnect.stbus import StbusNode
 from ..interconnect.types import AddressRange, StbusType
 from ..memory.onchip import OnChipMemory
 from ..sweep import parallel_map
-from .common import claim, get_default_jobs
+from .common import claim
 
 _BRIDGE_KINDS = {"lightweight": LightweightBridge, "genconv": GenConvBridge}
 
@@ -98,8 +98,7 @@ def run(max_hops: int = 3, transactions: int = 20,
     """Sweep hop count for both bridge kinds."""
     plan = [(hops, kind, transactions) for hops in range(max_hops + 1)
             for kind in ("lightweight", "genconv")]
-    results = parallel_map(_chain_job, plan,
-                           jobs=get_default_jobs() if jobs is None else jobs)
+    results = parallel_map(_chain_job, plan, jobs=jobs)
     series = []
     for index in range(max_hops + 1):
         series.append({

@@ -27,7 +27,7 @@ from ..platforms.reference import make_fabric
 from ..sweep import parallel_map
 from ..traffic.iptg import Iptg, IptgPhase
 from ..traffic.patterns import Fixed, Sequential
-from .common import claim, get_default_jobs
+from .common import claim
 
 _REGION = 1 << 16
 
@@ -142,8 +142,7 @@ def run_many_to_many(initiators: int = 8, targets: int = 4,
     # remove the shared-channel contention altogether.
     plan.append(dict(protocol="stbus-xbar", idle_cycles=idle_sweep[-1],
                      response_depth=2, request_depth=1, **common))
-    results = parallel_map(_run_layer_job, plan,
-                           jobs=get_default_jobs() if jobs is None else jobs)
+    results = parallel_map(_run_layer_job, plan, jobs=jobs)
     rows = []
     cursor = iter(results)
     for idle in idle_sweep:
@@ -234,7 +233,7 @@ def run_many_to_one(initiators: int = 8, transactions: int = 60,
         [dict(protocol=protocol, initiators=initiators, targets=1,
               transactions=transactions, idle_cycles=0, read_fraction=1.0,
               wait_states=1, response_depth=2) for protocol in protocols],
-        jobs=get_default_jobs() if jobs is None else jobs)
+        jobs=jobs)
     return {"results": dict(zip(protocols, runs))}
 
 

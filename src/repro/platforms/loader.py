@@ -179,8 +179,8 @@ def config_to_dict_item(value) -> Any:
     return value
 
 
-def load_config(path: Union[str, Path]) -> PlatformConfig:
-    """Read a platform configuration from a JSON file.
+def read_document(path: Union[str, Path], what: str) -> Dict[str, Any]:
+    """Read a user-supplied ``what`` specification file as a JSON object.
 
     Every failure mode — missing/unreadable file, malformed JSON, wrong
     document shape — surfaces as :class:`ConfigError`, so callers (the
@@ -190,12 +190,17 @@ def load_config(path: Union[str, Path]) -> PlatformConfig:
         document = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(
-            f"{path}: {exc.strerror or 'cannot read config file'}") from exc
+            f"{path}: {exc.strerror or f'cannot read {what} file'}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(document, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    return config_from_dict(document)
+    return document
+
+
+def load_config(path: Union[str, Path]) -> PlatformConfig:
+    """Read a platform configuration from a JSON file."""
+    return config_from_dict(read_document(path, "config"))
 
 
 def save_config(config: PlatformConfig, path: Union[str, Path]) -> None:

@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..platforms.config import PlatformConfig
 from ..platforms.loader import ConfigError, config_from_dict
-from ..sweep import DEFAULT_MAX_PS, parse_sweep
+from ..sweep import bound_ps, parse_sweep
 
 #: Bumped when the submission schema or the public job view changes
 #: incompatibly; reported by ``GET /healthz`` and checked by the client.
@@ -238,12 +238,8 @@ def parse_submission(document: Any) -> Submission:
         checkpoint_at_ps = int(checkpoint_at_us * 1_000_000)
         preemptible = True
 
-    max_us = document.get("max_us", DEFAULT_MAX_PS / 1_000_000)
-    if not isinstance(max_us, (int, float)) or max_us <= 0:
-        raise SubmissionError("submission.max_us: must be a positive number")
-    max_ps = int(max_us * 1_000_000)
-
     try:
+        max_ps = bound_ps(document, "submission")
         if has_config:
             if not isinstance(document["config"], dict):
                 raise SubmissionError(

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -47,7 +46,7 @@ from ..analysis.metrics import RunResult
 from ..platforms.config import PlatformConfig
 from ..platforms.loader import config_from_dict, config_to_dict
 from ..platforms.reference import PlatformInstance
-from ..sweep import DEFAULT_MAX_PS, Run, result_to_dict
+from ..sweep import DEFAULT_MAX_PS, Run, publish_atomically, result_to_dict
 from .state import (
     StateEncoder,
     canonical_json,
@@ -165,16 +164,10 @@ def save_checkpoint(checkpoint: Checkpoint,
     """
     target = Path(target)
     if target.suffix != ".json" or target.is_dir():
-        target.mkdir(parents=True, exist_ok=True)
         target = target / f"{checkpoint.state_digest[:16]}.ckpt.json"
-    else:
-        target.parent.mkdir(parents=True, exist_ok=True)
-    document = checkpoint.to_document()
-    text = json.dumps(document, sort_keys=True, indent=1)
-    tmp = target.with_suffix(".tmp")
+    text = json.dumps(checkpoint.to_document(), sort_keys=True, indent=1)
     try:
-        tmp.write_text(text + "\n")
-        os.replace(tmp, target)
+        publish_atomically(target, text + "\n")
     except OSError as exc:
         raise SnapshotError(f"cannot write checkpoint {target}: {exc}") \
             from exc

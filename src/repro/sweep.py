@@ -39,10 +39,13 @@ through:
     ``PlatformConfig`` runs (single-layer studies, monitor-instrumented
     runs); falls back to a serial map whenever the work is not picklable.
 
-:func:`load_sweep`
+:func:`load_sweep` / :func:`load_target`
     Parse a ``repro sweep`` specification file — a base platform document
     plus explicit ``points`` and/or a cartesian ``grid`` of dotted-path
-    overrides — into labelled configurations.
+    overrides — into labelled configurations.  ``load_target`` also takes
+    a plain platform file (the sweep of its one point): what ``repro
+    check <file>`` runs.  :func:`is_sweep_document` is the one place that
+    tells the two kinds apart (``repro submit`` asks it too).
 
 Determinism and observability guarantees:
 
@@ -81,7 +84,12 @@ from typing import (
 from .analysis.metrics import RunResult
 from .core import kernel as _kernel
 from .platforms.config import PlatformConfig
-from .platforms.loader import ConfigError, config_from_dict, config_to_dict
+from .platforms.loader import (
+    ConfigError,
+    config_from_dict,
+    config_to_dict,
+    read_document,
+)
 from .platforms.reference import build_platform
 
 #: Default wall-clock guard for platform runs (simulated picoseconds).
@@ -194,6 +202,31 @@ def default_cache_dir() -> Path:
     return home / ".cache" / "repro" / "sweeps"
 
 
+def publish_atomically(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` so that no reader ever sees a torn file.
+
+    The temp file is unique per *writer*, not per target: two processes
+    publishing the same content-addressed file would otherwise interleave
+    writes into one shared ``<name>.tmp`` (a torn entry) or rename it away
+    from under each other (a spurious failure).  ``mkstemp`` in the target
+    directory keeps ``os.replace`` atomic and last-writer-wins.  Raises
+    ``OSError``; the temp file never outlives a failure.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name[:16]}-",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class SweepCache:
     """Disk cache of sweep results, one JSON file per config key.
 
@@ -229,28 +262,11 @@ class SweepCache:
 
     def put(self, key: str, run: CachedRun) -> None:
         document = {"schema": CACHE_SCHEMA, "key": key, **run.to_document()}
-        # The temp file must be unique per *writer*, not per key: two
-        # processes simulating the same uncached config would otherwise
-        # interleave writes into one shared "<key>.tmp" and the rename
-        # could publish a torn entry.  mkstemp gives each writer its own
-        # file in the same directory, so os.replace stays atomic and
-        # last-writer-wins (both writers hold bit-identical results).
-        tmp = None
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.root, prefix=f"{key[:16]}-",
-                                       suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(document, sort_keys=True))
-            os.replace(tmp, self.path_for(key))
+            publish_atomically(self.path_for(key),
+                               json.dumps(document, sort_keys=True))
         except OSError:
-            # An unwritable cache must never fail the sweep; drop the
-            # orphaned temp file if the rename is what failed.
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+            pass  # an unwritable cache must never fail the sweep
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
@@ -663,22 +679,42 @@ def parse_sweep(document: Dict[str, Any]) -> SweepSpec:
     jobs = document.get("jobs")
     if jobs is not None and (not isinstance(jobs, int) or jobs < 1):
         raise ConfigError("sweep.jobs: must be a positive integer")
+    return SweepSpec(labels=labels, configs=configs, jobs=jobs,
+                     max_ps=bound_ps(document, "sweep"))
+
+
+def bound_ps(document: Dict[str, Any], where: str) -> int:
+    """A specification document's optional ``max_us`` run bound, in ps."""
     max_us = document.get("max_us", DEFAULT_MAX_PS / 1_000_000)
     if not isinstance(max_us, (int, float)) or max_us <= 0:
-        raise ConfigError("sweep.max_us: must be a positive number")
-    return SweepSpec(labels=labels, configs=configs, jobs=jobs,
-                     max_ps=int(max_us * 1_000_000))
+        raise ConfigError(f"{where}.max_us: must be a positive number")
+    return int(max_us * 1_000_000)
+
+
+def is_sweep_document(document: Dict[str, Any]) -> bool:
+    """Is this specification a sweep (else: one platform document)?"""
+    return any(key in document for key in ("points", "grid", "base"))
+
+
+def parse_target(document: Dict[str, Any], max_ps: int) -> SweepSpec:
+    """A run target — sweep or platform document — as a :class:`SweepSpec`.
+
+    A platform document is the sweep of its one point, labelled
+    ``config.label()`` and bounded by ``max_ps``; a sweep keeps its own
+    ``max_us``.
+    """
+    if is_sweep_document(document):
+        return parse_sweep(document)
+    config = config_from_dict(document)
+    return SweepSpec(labels=[config.label()], configs=[config], jobs=None,
+                     max_ps=max_ps)
 
 
 def load_sweep(path: Union[str, Path]) -> SweepSpec:
     """Read and expand a sweep specification file."""
-    try:
-        document = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(
-            f"{path}: {exc.strerror or 'cannot read sweep file'}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(document, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    return parse_sweep(document)
+    return parse_sweep(read_document(path, "sweep"))
+
+
+def load_target(path: Union[str, Path], max_ps: int) -> SweepSpec:
+    """Read a platform-or-sweep file (``repro check``'s file targets)."""
+    return parse_target(read_document(path, "target"), max_ps)

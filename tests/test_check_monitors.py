@@ -25,7 +25,7 @@ from repro.check import (
 )
 from repro.core import Simulator
 from repro.core.fifo import Fifo
-from repro.interconnect.types import Opcode, ResponseBeat, Transaction
+from repro.interconnect.types import Opcode, ResponseBeat, StbusType, Transaction
 from repro.platforms import build_platform
 from repro.platforms.config import PlatformConfig
 from repro.platforms.variants import quick_config
@@ -314,6 +314,134 @@ class TestProtocolPasses:
         txn.t_granted = txn.t_issued - 5
         assert "lifecycle.order" in rules_of(
             checker.finalize(expect_drained=False))
+
+
+# ---------------------------------------------------------------------------
+# the one spec-derived pass: every rule fires, under its catalogued id,
+# for every platform protocol (docs/CORRECTNESS.md, "Spec-derived rules")
+# ---------------------------------------------------------------------------
+def _stbus(hold, unacknowledged):
+    return ("stbus.split_pairing", hold, "stbus.nonposted", unacknowledged)
+
+
+def _generic(name, split, posts):
+    return (f"{name}.pairing", None if split else f"{name}.serialization",
+            f"{name}.nonposted",
+            f"{name}.posted_write" if posts else f"{name}.nonposted")
+
+
+#: case -> (quick_config overrides, rule ids expected on the central
+#: fabric: pairing, hold (``None``: a split spec, overlap is legal),
+#: acknowledged write, unacknowledged write).  Written out rather than
+#: derived from the checker's tables: this is the referee.
+SPEC_RULES = {
+    "stbus": ({"protocol": "stbus"}, _stbus(None, "stbus.posted_write")),
+    "stbus-xbar": ({"central_crossbar": True},
+                   _stbus(None, "stbus.posted_write")),
+    "stbus-t1": ({"central_stbus_type": StbusType.T1},
+                 _stbus("stbus.t1_hold", "stbus.nonposted")),
+    "ahb": ({"protocol": "ahb"},
+            ("ahb.pipelining", "ahb.serialization",
+             "ahb.nonposted", "ahb.nonposted")),
+    "axi": ({"protocol": "axi"},
+            ("axi.handshake", None, "axi.handshake", "axi.handshake")),
+    "wishbone": ({"protocol": "wishbone"}, _generic("wishbone", False, False)),
+    "apb": ({"protocol": "apb"}, _generic("apb", False, False)),
+    "axi4lite": ({"protocol": "axi4lite"}, _generic("axi4lite", True, False)),
+    "avalon": ({"protocol": "avalon"}, _generic("avalon", True, True)),
+    "tilelink": ({"protocol": "tilelink"}, _generic("tilelink", True, False)),
+}
+
+HOLD_RULE_SUFFIXES = (".serialization", ".t1_hold")
+
+
+def _lose_acceptance(checker, fabric):
+    checker._accepts[fabric].pop()  # granted, never accepted
+
+
+def _overlap_grants(checker, fabric):
+    # Two reads down one request channel whichever way the fabric slices
+    # its channels (per target on a crossbar, per opcode on AXI).
+    reads = [txn for _port, txn in checker._grants[fabric] if txn.is_read]
+    target = fabric.try_route(reads[0].address)
+    first, second = [txn for txn in reads
+                     if fabric.try_route(txn.address) is target][:2]
+    first.t_done = second.t_granted + 1
+
+
+def _first_write(checker, fabric):
+    return next(t for t in checker._accepts[fabric] if t.is_write)
+
+
+def _acknowledged_write_done_at_acceptance(checker, fabric):
+    txn = _first_write(checker, fabric)
+    txn.meta["needs_ack"] = True
+    txn.t_done = txn.t_accepted
+
+
+def _unacknowledged_write_done_late(checker, fabric):
+    # A spec that posts must complete this write at acceptance; a spec
+    # that does not may not accept it at all.
+    txn = _first_write(checker, fabric)
+    txn.meta["needs_ack"] = False
+    txn.t_done = txn.t_accepted + 100
+
+
+INJECTIONS = (_lose_acceptance, _overlap_grants,
+              _acknowledged_write_done_at_acceptance,
+              _unacknowledged_write_done_late)
+
+
+class TestSpecDerivedRules:
+    def test_catalogue_spans_every_platform_protocol(self):
+        from repro.interconnect.protocols import platform_protocols
+
+        assert set(platform_protocols()) <= set(SPEC_RULES)
+
+    @pytest.mark.parametrize("kind", range(len(INJECTIONS)),
+                             ids=[f.__name__.strip("_") for f in INJECTIONS])
+    @pytest.mark.parametrize("case", sorted(SPEC_RULES))
+    def test_injected_violation_fires_catalogued_rule(self, case, kind):
+        overrides, expected = SPEC_RULES[case]
+        sim, platform, session = run_checked(quick_config(**overrides))
+        assert session.finalize() == []
+        checker = session.checkers[0]
+        INJECTIONS[kind](checker, platform.central)
+        found = rules_of(v for v in checker.finalize(expect_drained=kind == 0)
+                         if v.component == platform.central.name)
+        if expected[kind] is None:
+            assert not [r for r in found if r.endswith(HOLD_RULE_SUFFIXES)]
+        else:
+            assert expected[kind] in found
+
+    def test_type1_write_stripped_of_its_acknowledgement(self):
+        """Type 1 posts nothing: the case no pass covered before the
+        checker read ``posted_writes`` from the spec."""
+        config = quick_config(central_stbus_type=StbusType.T1)
+        sim, platform, session = run_checked(config)
+        checker = session.checkers[0]
+        _first_write(checker, platform.central).meta.pop("needs_ack")
+        assert "stbus.nonposted" in rules_of(
+            checker.finalize(expect_drained=False))
+
+    def test_analytic_tlm_node_is_exempt(self):
+        """Its node grants and completes, but hands nothing to a target
+        port — there is no acceptance history to replay."""
+        sim, platform, session = run_checked(
+            quick_config(abstraction="tlm", topology="collapsed"))
+        checker = session.checkers[0]
+        assert checker._grants and not checker._accepts
+        assert session.finalize() == []
+
+    def test_fabric_without_a_registered_spec_is_skipped(self):
+        sim, platform, session = run_checked(quick_config())
+        checker = session.checkers[0]
+        fabric = platform.central
+        checker._accepts[fabric].pop()
+        del fabric.spec
+        fabric.protocol = "homebrew"
+        assert not [v for v in checker.finalize()
+                    if v.component == fabric.name]
 
 
 # ---------------------------------------------------------------------------

@@ -98,3 +98,34 @@ class TestRunJobs:
         assert "running serially" in captured.err
         assert trace.exists()
         assert json.loads(trace.read_text())["traceEvents"]
+
+
+class TestCheckSweepTargets:
+    """``repro check`` decides "sweep or platform" where ``repro sweep``
+    and ``repro submit`` do (``repro.sweep.is_sweep_document``)."""
+
+    def test_sweep_points_are_checked(self, tmp_path, capsys):
+        spec = _write_spec(tmp_path)
+        assert main(["check", str(spec), "--strict"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("checked point0,memory.wait_states=") == 2
+        assert "no invariant violations" in out
+
+    def test_mistyped_point_key_is_one_error_line(self, tmp_path, capsys):
+        """Regression: the sweep branch parsed outside the ``try`` and
+        died with a ``ConfigError`` traceback."""
+        spec = _write_spec(tmp_path, {
+            "base": SPEC["base"], "points": [{"protocl": "ahb"}]})
+        assert main(["check", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
+        assert "unknown keys ['protocl']" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_base_only_sweep_checks_its_point(self, tmp_path, capsys):
+        """Regression: a sweep with only ``base`` was taken for a platform
+        document and rejected as ``unknown keys ['base']``."""
+        spec = _write_spec(tmp_path, {"base": SPEC["base"]})
+        assert main(["check", str(spec)]) == 0
+        assert "checked point0:" in capsys.readouterr().out

@@ -37,6 +37,15 @@ from repro.snapshot.state import StateEncodingError, diff_states
 MAX_PS = 20_000_000_000_000
 
 
+def _race_save(barrier, seed_path, directory, rounds):
+    """Subprocess body: publish one checkpoint into a shared directory
+    over and over (module-level so it pickles under any start method)."""
+    checkpoint = load_checkpoint(seed_path)
+    barrier.wait(timeout=30)  # maximise overlap between the writers
+    for _ in range(rounds):
+        save_checkpoint(checkpoint, directory)
+
+
 # ----------------------------------------------------------------------
 # resume-vs-straight-through bit-identity
 # ----------------------------------------------------------------------
@@ -105,6 +114,35 @@ class TestPersistence:
         path = save_checkpoint(outcome.checkpoint, tmp_path / "ckpts")
         assert path.parent == tmp_path / "ckpts"
         assert path.name.startswith(outcome.checkpoint.state_digest[:16])
+
+    def test_two_writers_of_one_checkpoint_never_fail_each_other(
+            self, tmp_path):
+        """Regression: every save staged in ``<name>.tmp``, one path
+        shared by all writers of a content-addressed file, so one
+        writer's rename pulled the temp file from under the other's
+        (``SnapshotError: cannot write checkpoint ... [Errno 2]``).  The
+        sweep cache's per-writer temp file now serves both."""
+        import multiprocessing
+
+        context = multiprocessing.get_context()
+        outcome = take_checkpoint(quick_config(traffic_scale=0.05))
+        seed = save_checkpoint(outcome.checkpoint, tmp_path / "seed.ckpt.json")
+        shared = tmp_path / "shared"
+        barrier = context.Barrier(2)
+        writers = [context.Process(target=_race_save,
+                                   args=(barrier, str(seed), str(shared), 300))
+                   for _ in range(2)]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=120)
+        assert [writer.exitcode for writer in writers] == [0, 0]
+        published = list(shared.iterdir())  # one file, no stray temp files
+        assert [path.name for path in published] \
+            == [f"{outcome.checkpoint.state_digest[:16]}.ckpt.json"]
+        resumed = resume_checkpoint(load_checkpoint(published[0]))
+        assert resumed.ok, "\n".join(resumed.mismatches)
+        assert resumed.result == outcome.result
 
     def test_corrupted_payload_rejected(self, tmp_path):
         outcome = take_checkpoint(random_config(13))

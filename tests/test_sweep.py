@@ -13,7 +13,7 @@ import pytest
 
 import repro.sweep as sweep_mod
 from repro.platforms import quick_config
-from repro.platforms.loader import ConfigError
+from repro.platforms.loader import ConfigError, config_from_dict
 from repro.sweep import (
     CACHE_SCHEMA,
     SweepCache,
@@ -23,6 +23,7 @@ from repro.sweep import (
     config_key,
     default_jobs,
     load_sweep,
+    load_target,
     parallel_map,
     parse_sweep,
     result_from_dict,
@@ -591,3 +592,37 @@ class TestLoadSweep:
         }))
         spec = load_sweep(path)
         assert len(spec.configs) == 2
+
+
+class TestLoadTarget:
+    def test_platform_file_is_the_sweep_of_its_one_point(self, tmp_path):
+        path = tmp_path / "platform.json"
+        path.write_text(json.dumps(BASE_DOC))
+        spec = load_target(path, QUICK_MAX_PS)
+        config = config_from_dict(BASE_DOC)
+        assert spec.configs == [config]
+        assert spec.labels == [config.label()]
+        assert (spec.jobs, spec.max_ps) == (None, QUICK_MAX_PS)
+
+    def test_sweep_file_keeps_its_own_bound(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({
+            "max_us": 5.0, "base": dict(BASE_DOC),
+            "grid": {"memory.wait_states": [1, 4]}}))
+        spec = load_target(path, QUICK_MAX_PS)
+        assert spec.labels == load_sweep(path).labels
+        assert len(spec.configs) == 2
+        assert spec.max_ps == 5_000_000
+
+    def test_base_alone_makes_a_sweep(self, tmp_path):
+        path = tmp_path / "base_only.json"
+        path.write_text(json.dumps({"base": dict(BASE_DOC)}))
+        assert load_target(path, QUICK_MAX_PS).labels == ["point0"]
+
+    def test_unreadable_and_malformed_files_are_config_errors(self, tmp_path):
+        with pytest.raises(ConfigError, match="nosuch"):
+            load_target(tmp_path / "nosuch.json", QUICK_MAX_PS)
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"base": dict(BASE_DOC), "pionts": []}))
+        with pytest.raises(ConfigError, match="unknown keys"):
+            load_target(path, QUICK_MAX_PS)

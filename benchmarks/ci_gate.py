@@ -23,11 +23,11 @@ counts, report-only.  The committed rates were measured on some other
 machine, and identical code has been recorded 5-18 % apart on a shared
 box (docs/PERFORMANCE.md), so a wall-clock threshold is red on unchanged
 code; the counts repeat exactly.  The smoke job in
-``.github/workflows/ci.yml`` runs this after the ``bench_smoke`` marker
-tier; see ``docs/CI.md``.
+``.github/workflows/ci.yml`` runs this after the marker tiers and
+``repro run all``; see ``docs/CI.md``.
 
-When the new counts are the intended steady state, refresh both
-baselines with ``python benchmarks/ci_gate.py --update`` and commit the
+When the new counts are the intended steady state, ``--update`` rewrites
+each baseline that is missing or whose gated counts moved; commit the
 rewritten files (``BENCH_kernel.json`` together with the golden corpus).
 """
 
@@ -163,8 +163,8 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed repeats per scenario; best is kept")
     parser.add_argument("--update", action="store_true",
-                        help="rewrite the baseline with this run's numbers "
-                             "instead of gating")
+                        help="instead of gating, rewrite each baseline "
+                             "whose gated counts this run changed")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -184,13 +184,18 @@ def main(argv=None):
     stack = run_stack()
 
     if args.update:
-        write_results(args.baseline, current)
-        print(f"ci_gate: baseline {args.baseline} updated")
+        old = load_baseline(args.baseline) or {}
+        if {name: row["events"] for name, row in old.items()} \
+                != {name: row["events"] for name, row in current.items()}:
+            write_results(args.baseline, current)
+            print(f"ci_gate: baseline {args.baseline} updated")
         print(format_results(current))
-        Path(args.stack_baseline).write_text(json.dumps(
-            {workload: {name: metrics[name] for name in STACK_COUNTS}
-             for workload, metrics in stack.items()}, indent=2) + "\n")
-        print(f"ci_gate: baseline {args.stack_baseline} updated")
+        counts = {workload: {name: metrics[name] for name in STACK_COUNTS}
+                  for workload, metrics in stack.items()}
+        if load_baseline(args.stack_baseline) != counts:
+            Path(args.stack_baseline).write_text(
+                json.dumps(counts, indent=2) + "\n")
+            print(f"ci_gate: baseline {args.stack_baseline} updated")
         return 0
 
     failures, lines = compare(baseline, current)

@@ -2,8 +2,8 @@
 
 The paper's virtual platform earns its keep by being *fast enough* to sweep
 large design spaces; this module keeps us honest about that.  It defines the
-canonical kernel throughput scenarios (the same ones
-``benchmarks/bench_kernel_perf.py`` asserts determinism on), times them with
+canonical kernel throughput scenarios (the ones
+``tests/test_kernel_fastpath.py`` asserts determinism on), times them with
 ``time.perf_counter`` and emits a machine-readable ``BENCH_kernel.json`` so
 every PR leaves a performance trajectory behind it.
 

@@ -1,17 +1,8 @@
 """Experiment harness: one module per paper figure/table.
 
-=======================  ====================================================
-Module                   Reproduces
-=======================  ====================================================
-``single_layer``         Section 4.1.1 (many-to-many) and 4.1.2 (many-to-one)
-``fig3_platform_instances``  Fig. 3 — platform instances, on-chip memory
-``fig4_memory_speed``    Fig. 4 — distributed vs centralized vs memory speed
-``fig5_lmi_platforms``   Fig. 5 — platform instances with LMI + DDR SDRAM
-``fig6_lmi_statistics``  Fig. 6 — LMI bus-interface cycle statistics
-``ablations``            Section 6 guideline ablations
-=======================  ====================================================
-
-Every module exposes ``run() -> dict``, ``report(data) -> str`` and
+``repro.cli.registry()`` is the one enumeration of what each module
+reproduces (``python -m repro list``) and ``repro run <name>`` the one
+runner.  Every module exposes ``run() -> dict``, ``report(data) -> str`` and
 ``check(data) -> list[str]`` (empty list = every paper shape claim holds).
 """
 

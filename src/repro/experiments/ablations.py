@@ -224,14 +224,3 @@ def check(data: Dict) -> List[str]:
           sd["ddr"].execution_time_ps < sd["sdr"].execution_time_ps,
           "the DDR device outperforms SDR on the same platform")
     return failures
-
-
-def main() -> None:  # pragma: no cover
-    data = run()
-    print(report(data))
-    failures = check(data)
-    print("\nshape claims:", "all hold" if not failures else failures)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -122,14 +122,3 @@ def check(data: Dict) -> List[str]:
     claim(failures, data["lru"]["spread"] < 1.5,
           "LRU is fair (spread < 1.5)")
     return failures
-
-
-def main() -> None:  # pragma: no cover
-    data = run()
-    print(report(data))
-    failures = check(data)
-    print("\nshape claims:", "all hold" if not failures else failures)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -10,8 +10,8 @@ Every experiment module exposes
     Verify the *shape* claims of the paper against the results; returns a
     list of failed-claim descriptions (empty = all claims hold).
 
-The benchmark harness calls ``run`` under pytest-benchmark and asserts
-``check`` comes back clean.
+``repro run <name>`` (:func:`repro.cli.registry`) is the one runner: it
+prints ``report`` and exits non-zero unless ``check`` comes back clean.
 
 Multi-configuration loops route through :func:`run_configs`, which hands
 the independent points to the :mod:`repro.sweep` engine — parallel worker

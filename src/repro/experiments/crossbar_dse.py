@@ -96,14 +96,3 @@ def check(data: Dict) -> List[str]:
           or fastest.objectives["cost"] > cheapest.objectives["cost"],
           "the latency win costs wires (fastest is the pricier member)")
     return failures
-
-
-def main() -> None:  # pragma: no cover
-    data = run()
-    print(report(data))
-    failures = check(data)
-    print("\nshape claims:", "all hold" if not failures else failures)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -59,14 +59,3 @@ def check(data: Dict) -> List[str]:
           norm["distributed_axi"] > stbus_group,
           "bridge-limited variants are the slowest group")
     return failures
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    data = run()
-    print(report(data))
-    failures = check(data)
-    print("\nshape claims:", "all hold" if not failures else failures)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -75,14 +75,3 @@ def check(data: Dict) -> List[str]:
           all(ratios[i] <= ratios[i + 1] + 0.05 for i in range(len(ratios) - 1)),
           "the distributed advantage grows (quasi-monotonically) with latency")
     return failures
-
-
-def main() -> None:  # pragma: no cover
-    data = run()
-    print(report(data))
-    failures = check(data)
-    print("\nshape claims:", "all hold" if not failures else failures)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -71,14 +71,3 @@ def check(data: Dict) -> List[str]:
     claim(failures, results["distributed_ahb"].extra["lmi_merges"] == 0,
           "LMI optimisations starved behind blocking AHB bridges")
     return failures
-
-
-def main() -> None:  # pragma: no cover
-    data = run()
-    print(report(data))
-    failures = check(data)
-    print("\nshape claims:", "all hold" if not failures else failures)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

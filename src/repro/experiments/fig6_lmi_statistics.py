@@ -124,14 +124,3 @@ def check(data: Dict) -> List[str]:
     claim(failures, any(row[STATE_IDLE] >= 0.90 for row in ahb_phases),
           "AHB: ~no incoming requests (interconnect is the bottleneck)")
     return failures
-
-
-def main() -> None:  # pragma: no cover
-    data = run()
-    print(report(data))
-    failures = check(data)
-    print("\nshape claims:", "all hold" if not failures else failures)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -118,14 +118,3 @@ def check(data: Dict) -> List[str]:
     claim(failures, prio["dma_bytes"] == rr["dma_bytes"],
           "the DMA work still completes in full (work conservation)")
     return failures
-
-
-def main() -> None:  # pragma: no cover
-    data = run()
-    print(report(data))
-    failures = check(data)
-    print("\nshape claims:", "all hold" if not failures else failures)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

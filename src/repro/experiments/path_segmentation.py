@@ -147,14 +147,3 @@ def check(data: Dict) -> List[str]:
           all(a < b for a, b in zip(latencies, latencies[1:])),
           "every hop adds transport latency, even with split bridges")
     return failures
-
-
-def main() -> None:  # pragma: no cover
-    data = run()
-    print(report(data))
-    failures = check(data)
-    print("\nshape claims:", "all hold" if not failures else failures)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -14,6 +14,7 @@ import http.client
 import json
 import socket
 from typing import Any, Dict, Iterator, List, Optional
+from urllib.parse import quote, urlencode
 
 from .protocol import (
     ProtocolError,
@@ -21,6 +22,12 @@ from .protocol import (
     encode_line,
     error_from_document,
 )
+
+
+def _url(*segments: str, **query: Any) -> str:
+    """A request target, every segment and parameter percent-encoded."""
+    path = "/" + "/".join(quote(segment, safe="") for segment in segments)
+    return f"{path}?{urlencode(query)}" if query else path
 
 
 class ServiceClient:
@@ -57,7 +64,8 @@ class ServiceClient:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProtocolError(
                 f"service returned non-JSON (HTTP {status}): {exc}") from exc
-        if status >= 400 or "error" in document:
+        # A failed job's result carries its error *string*: not an envelope.
+        if status >= 400 or isinstance(document.get("error"), dict):
             raise error_from_document(document)
         return document
 
@@ -72,27 +80,25 @@ class ServiceClient:
         return self._request("POST", "/jobs", body=submission)["job"]
 
     def job(self, job_id: str) -> Dict[str, Any]:
-        return self._request("GET", f"/jobs/{job_id}")["job"]
+        return self._request("GET", _url("jobs", job_id))["job"]
 
     def jobs(self, tenant: Optional[str] = None) -> List[Dict[str, Any]]:
-        path = "/jobs" if tenant is None else f"/jobs?tenant={tenant}"
-        return self._request("GET", path)["jobs"]
+        query = {} if tenant is None else {"tenant": tenant}
+        return self._request("GET", _url("jobs", **query))["jobs"]
 
     def result(self, job_id: str, wait: bool = True,
                timeout: Optional[float] = None) -> Dict[str, Any]:
         """Ordered per-unit results; blocks until terminal by default."""
-        path = f"/jobs/{job_id}/result"
-        if wait:
-            path += "?wait=1"
-            if timeout is not None:
-                path += f"&timeout={timeout}"
-        return self._request("GET", path)
+        query: Dict[str, Any] = {"wait": 1} if wait else {}
+        if wait and timeout is not None:
+            query["timeout"] = timeout
+        return self._request("GET", _url("jobs", job_id, "result", **query))
 
     def events(self, job_id: str,
                since: int = 0) -> List[Dict[str, Any]]:
         """Snapshot of the job's event log after ``since``."""
         return self._request(
-            "GET", f"/jobs/{job_id}/events?since={since}")["events"]
+            "GET", _url("jobs", job_id, "events", since=since))["events"]
 
     def stream_events(self, job_id: str,
                       since: int = 0) -> Iterator[Dict[str, Any]]:
@@ -101,8 +107,8 @@ class ServiceClient:
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout)
         try:
-            connection.request(
-                "GET", f"/jobs/{job_id}/events?since={since}&follow=1")
+            connection.request("GET", _url("jobs", job_id, "events",
+                                           since=since, follow=1))
             response = connection.getresponse()
             if response.status >= 400:
                 self._decode(response.status, response.read())
@@ -118,16 +124,18 @@ class ServiceClient:
 
     def trace(self, job_id: str) -> Dict[str, Any]:
         """The job's merged Perfetto trace document."""
-        return self._request("GET", f"/jobs/{job_id}/trace")
+        return self._request("GET", _url("jobs", job_id, "trace"))
 
     def workers(self) -> List[Dict[str, Any]]:
         return self._request("GET", "/workers")["workers"]
 
     def drain(self, worker: str) -> Dict[str, Any]:
-        return self._request("POST", f"/workers/{worker}/drain")["worker"]
+        return self._request("POST",
+                             _url("workers", worker, "drain"))["worker"]
 
     def undrain(self, worker: str) -> Dict[str, Any]:
-        return self._request("POST", f"/workers/{worker}/undrain")["worker"]
+        return self._request("POST",
+                             _url("workers", worker, "undrain"))["worker"]
 
 
 class SocketClient:
@@ -147,7 +155,7 @@ class SocketClient:
         if not line:
             raise ProtocolError("service closed the socket without replying")
         document = decode_line(line)
-        if "error" in document:
+        if isinstance(document.get("error"), dict):
             raise error_from_document(document)
         return document
 

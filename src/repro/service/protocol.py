@@ -129,7 +129,9 @@ class NotReady(ServiceError):
 
 def error_from_document(document: Dict[str, Any]) -> ServiceError:
     """Rebuild the typed error a response document carries."""
-    payload = document.get("error") or {}
+    payload = document.get("error")
+    if not isinstance(payload, dict):  # a bare message, or nothing at all
+        payload = {"message": str(payload)} if payload else {}
     kind = payload.get("kind", "service_error")
     message = payload.get("message", "unknown service error")
     for cls in (ProtocolError, SubmissionError, QuotaExceeded, UnknownJob,

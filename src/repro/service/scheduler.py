@@ -241,6 +241,14 @@ class Scheduler:
         unit = self.queue.take_next()
         if unit is None:
             return False
+        try:
+            return self._dispatch(unit)
+        except Exception as exc:
+            # A raising store costs this unit, never the dispatch loop.
+            self._fail_unit(unit, f"{type(exc).__name__}: {exc}")
+            return True
+
+    def _dispatch(self, unit: Unit) -> bool:
         queue = self.queue
         job = unit.job
         # Shared-store dedupe first: both paths retire the unit without
@@ -380,6 +388,7 @@ class Scheduler:
         future = self._inflight.pop(unit.key, None)
         if future is not None and not future.done():
             future.set_exception(RuntimeError(message))
+            future.exception()  # retrieved: followers are optional
         self.queue.record_event(unit.job, "unit_failed", unit=unit.index,
                                 label=unit.label, error=message)
         self.queue.finish_unit_bookkeeping(unit.job)

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..sweep import SweepCache, _resolve_cache
 from .jobqueue import DEFAULT_QUOTA_UNITS, JobQueue
@@ -50,6 +51,17 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Long-poll ceiling for ``?wait=1`` result requests (seconds).
 DEFAULT_WAIT_S = 300.0
+
+
+def _number(raw: Any, name: str) -> float:
+    """A finite numeric request parameter, or a typed 400."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ProtocolError(f"{name}: {raw!r} is not a finite number")
+    return value
 
 
 @dataclass
@@ -165,7 +177,10 @@ class ServiceServer:
         method, target, _version = parts
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError as exc:  # longer than the stream limit
+                raise ProtocolError(f"unreadable header line: {exc}") from exc
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _sep, value = line.decode("latin-1").partition(":")
@@ -206,7 +221,7 @@ class ServiceServer:
     async def _route(self, method: str, path: str,
                      query: Dict[str, List[str]], body: bytes,
                      writer: asyncio.StreamWriter) -> None:
-        segments = [segment for segment in path.split("/") if segment]
+        segments = [unquote(part) for part in path.split("/") if part]
         if method == "GET" and segments == ["healthz"]:
             await self._respond_json(writer, 200, self.health_view())
             return
@@ -285,7 +300,8 @@ class ServiceServer:
     async def _respond_result(self, job, query: Dict[str, List[str]],
                               writer: asyncio.StreamWriter) -> None:
         if (query.get("wait") or ["0"])[0] in ("1", "true"):
-            timeout = float((query.get("timeout") or [DEFAULT_WAIT_S])[0])
+            timeout = _number((query.get("timeout") or [DEFAULT_WAIT_S])[0],
+                              "timeout")
             done = await self.queue.wait(
                 lambda: job.state in ("done", "failed"), timeout=timeout)
             if not done:
@@ -295,7 +311,7 @@ class ServiceServer:
 
     async def _respond_events(self, job, query: Dict[str, List[str]],
                               writer: asyncio.StreamWriter) -> None:
-        since = int((query.get("since") or ["0"])[0])
+        since = int(_number((query.get("since") or ["0"])[0], "since"))
         follow = (query.get("follow") or ["0"])[0] in ("1", "true")
         if not follow:
             await self._respond_json(
@@ -405,7 +421,8 @@ class ServiceServer:
         if op == "result":
             job = self.queue.get(str(message.get("job")))
             if message.get("wait"):
-                timeout = float(message.get("timeout", DEFAULT_WAIT_S))
+                timeout = _number(message.get("timeout", DEFAULT_WAIT_S),
+                                  "timeout")
                 done = await self.queue.wait(
                     lambda: job.state in ("done", "failed"), timeout=timeout)
                 if not done:

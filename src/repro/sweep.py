@@ -254,7 +254,8 @@ class SweepCache:
     def get(self, key: str) -> Optional[CachedRun]:
         try:
             document = json.loads(self.path_for(key).read_text())
-            if document.get("schema") != CACHE_SCHEMA:
+            if not isinstance(document, dict) \
+                    or document.get("schema") != CACHE_SCHEMA:
                 return None
             return CachedRun.from_document(document)
         except (OSError, ValueError, KeyError, TypeError):

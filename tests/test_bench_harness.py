@@ -36,7 +36,7 @@ def test_run_benchmarks_tiny_scale():
 @pytest.mark.bench_smoke
 def test_scenarios_are_deterministic_across_calls():
     for name, fn in bench.SCENARIOS.items():
-        if name == "platform_run":  # slow; covered by the full harness tier
+        if name == "platform_run":  # slow; its count is gated by ci_gate.py
             continue
         assert fn(0.05) == fn(0.05), name
 

@@ -143,6 +143,15 @@ class TestGateProcess:
             "events_per_txn": 154.629845, "accuracy_pct": 100.0,
             "repro_calls_per_txn": 1000.0}}
 
+    def test_update_keeps_a_baseline_whose_gated_counts_held(self, gate):
+        """A stack refresh must not churn BENCH_kernel.json's wall-clock."""
+        kernel = self.kernel.read_text()
+        assert gate("--update") == 0
+        assert self.kernel.read_text() == kernel  # 52 000, not this run's
+        self.kernel.write_text(json.dumps({"a": _row(events=999)}))
+        assert gate("--update") == 0
+        assert json.loads(self.kernel.read_text())["a"] == _row(rate=50_000)
+
     def test_changed_count_fails_and_no_override_exists(
             self, gate, monkeypatch, capsys):
         self.kernel.write_text(

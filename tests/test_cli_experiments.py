@@ -13,6 +13,21 @@ class TestRegistryCompleteness:
         names = set(registry())
         assert {"arbitration", "segmentation", "io_qos"} <= names
 
+    def test_registry_is_the_only_runner_and_fully_documented(self):
+        """No third harness, no second runner, no undocumented command."""
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        entries = {path.name for path in (root / "benchmarks").iterdir()}
+        assert entries <= {"ci_gate.py", "lt_gate.py", "stack", "__pycache__"}
+        for path in (root / "src" / "repro" / "experiments").glob("*.py"):
+            source = path.read_text()
+            assert "def main" not in source and "__main__" not in source, path
+        for doc in ("DESIGN.md", "EXPERIMENTS.md"):
+            text = (root / doc).read_text()
+            assert [name for name in registry()
+                    if f"`repro run {name}`" not in text] == [], doc
+
 
 class TestExtensionRuns:
     def test_segmentation_via_cli(self, capsys):

@@ -134,6 +134,16 @@ class TestJobs:
         assert main(["jobs", "job-99", "--url", url]) == 1
         assert "error [unknown_job]" in capsys.readouterr().err
 
+    def test_failed_job_prints_table_and_error_line(self, tmp_path, url,
+                                                    capsys):
+        spec = write(tmp_path, "platform.json", CONFIG)
+        assert main(["submit", spec, "--url", url, "--max-us", "0.2",
+                     "--wait"]) == 1
+        captured = capsys.readouterr()
+        assert "job job-1: failed" in captured.out
+        assert "error: " in captured.err
+        assert "did not finish within 200000 ps" in captured.err
+
 
 class TestServeParser:
     def test_defaults(self):

@@ -1,8 +1,8 @@
 """Smoke tests for the experiment harness (scaled-down runs).
 
-The full-scale shape checks run in ``benchmarks/``; here we verify the
-experiment plumbing end to end at reduced traffic so the suite stays fast,
-plus the shape claims that are robust at small scale.
+The full-scale shape checks are ``repro run all`` (CI's smoke job); here
+we verify the experiment plumbing end to end at reduced traffic so the
+suite stays fast, plus the shape claims that are robust at small scale.
 """
 
 import pytest

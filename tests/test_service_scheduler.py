@@ -248,3 +248,26 @@ class TestFailures:
         unit = jobs[0].units[0]
         assert unit.state == "done"
         assert unit.preemptions == 0
+
+
+class TestStoreFaults:
+    def test_store_faults_cost_one_unit_never_the_dispatch_loop(
+            self, tmp_path, caplog):
+        class FaultyStore(SweepCache):
+            """The first lookup raises; every later one finds ``[]``."""
+
+            def get(self, key):
+                if not self.root.exists():  # the first lookup
+                    self.root.mkdir()
+                    raise LookupError("store exploded")
+                self.path_for(key).write_text("[]")
+                return super().get(key)
+
+        _q, _s, jobs = run_jobs(
+            [doc(seed=1), doc(seed=2, max_us=0.2), doc(seed=3)],
+            cache=FaultyStore(tmp_path / "store"), timeout=20.0)
+        assert [job.state for job in jobs] == ["failed", "failed", "done"]
+        assert "LookupError: store exploded" in jobs[0].error
+        assert "did not finish" in jobs[1].error
+        assert "never retrieved" not in caplog.text  # jobs[1]'s future
+        assert jobs[2].units[0].cached is None  # simulated over the entry

@@ -12,6 +12,7 @@ Every test also runs unmarked in the plain tier-1 invocation; the
 it selects ``bench_smoke``/``check_smoke`` (docs/CI.md).
 """
 
+import http.client
 import json
 
 import pytest
@@ -21,6 +22,7 @@ from repro.platforms.variants import quick_config
 from repro.service import (
     BackgroundService,
     NotReady,
+    ProtocolError,
     QuotaExceeded,
     ServiceClient,
     SocketClient,
@@ -171,6 +173,50 @@ class TestRejections:
                 client.result(view["id"], wait=True, timeout=0.0)
             # Clean drain: let it finish before tearing the loop down.
             client.result(view["id"], wait=True, timeout=120)
+
+    def test_failed_job_is_a_result_not_a_rejection(self, service, client,
+                                                    tmp_path):
+        """The job's error *string* is not an error envelope."""
+        socket_client = SocketClient(str(tmp_path / "queue.sock"),
+                                     timeout=120.0)
+        for api in (client, socket_client):
+            view = api.submit({"tenant": "kim", "config": CONFIG,
+                               "max_us": 0.2})
+            outcome = api.result(view["id"], wait=True, timeout=120)
+            assert outcome["state"] == "failed"
+            assert "did not finish within 200000 ps" in outcome["error"]
+        with pytest.raises(ProtocolError, match="timeout"):
+            socket_client.request({"op": "result", "job": view["id"],
+                                   "wait": True, "timeout": "abc"})
+
+    @pytest.mark.parametrize("target, headers", [
+        ("/jobs/job-1/events?since=abc", {}),
+        ("/jobs/job-1/result?wait=1&timeout=abc", {}),
+        ("/jobs/job-1/result?wait=1&timeout=nan", {}),
+        ("/healthz", {"X-Padding": "a" * 70_000}),  # > the stream limit
+    ])
+    def test_malformed_request_is_a_400_never_a_500_or_a_hangup(
+            self, service, client, target, headers):
+        client.submit({"tenant": "lee", "config": CONFIG, "max_us": MAX_US})
+        connection = http.client.HTTPConnection("127.0.0.1", service.port,
+                                                timeout=30)
+        connection.request("GET", target, headers=headers)
+        response = connection.getresponse()
+        kind = json.loads(response.read())["error"]["kind"]
+        connection.close()
+        assert (response.status, kind) == (400, "protocol_error")
+        assert client.health()["ok"] is True
+
+    @pytest.mark.parametrize("tenant", ["team a", "a&b"])
+    def test_client_percent_encodes_what_it_sends(self, client, tenant):
+        for name in ("other", tenant):
+            view = client.submit({"tenant": name, "config": CONFIG,
+                                  "max_us": MAX_US})
+        assert [job["id"] for job in client.jobs(tenant=tenant)] \
+            == [view["id"]]
+        with pytest.raises(UnknownJob, match="'no such/job'"):
+            client.job("no such/job")
+        client.result(view["id"], wait=True, timeout=120)
 
 
 class TestStreams:

@@ -227,6 +227,21 @@ class TestSweepEngine:
             assert (after.events, after.sim_time_ps) == \
                 (before.events, before.sim_time_ps)
 
+    def test_non_object_entries_are_misses_and_resimulated(self, tmp_path):
+        """Valid JSON that is not an object is a miss like a torn write."""
+        configs = [quick_config(traffic_scale=scale)
+                   for scale in (0.05, 0.06, 0.07, 0.08)]
+        cache = SweepCache(tmp_path / "cache")
+        clean = sweep(configs, max_ps=QUICK_MAX_PS, jobs=1, cache=cache)
+        for outcome, entry in zip(clean, ["[]", "null", "3", '"x"']):
+            cache.path_for(outcome.key).write_text(entry)
+            assert cache.get(outcome.key) is None
+        again = sweep(configs, max_ps=QUICK_MAX_PS, jobs=1, cache=cache)
+        assert [outcome.cached for outcome in again] == [False] * 4
+        assert [outcome.result for outcome in again] \
+            == [outcome.result for outcome in clean]
+        assert all(cache.get(outcome.key) is not None for outcome in again)
+
     def test_duplicate_configs_simulated_once(self, tmp_path):
         config = quick_config(traffic_scale=0.05)
         outcomes = sweep([config, config], max_ps=QUICK_MAX_PS, jobs=1,

@@ -133,14 +133,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_platform(args) -> int:
-    from .platforms.loader import ConfigError, load_config
+    from .platforms.loader import load_config
     from .sweep import Run
 
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = load_config(args.config)
     if args.mode:
         config = config.scaled(resolution=args.mode)
     session = _start_capture(args)
@@ -309,27 +305,14 @@ def cmd_stats(args) -> int:
 def cmd_sweep(args) -> int:
     import dataclasses
 
-    from .platforms.loader import ConfigError
-    from .sweep import SweepCache, SweepError, load_sweep, sweep
+    from .sweep import load_sweep, sweep
 
-    try:
-        spec = load_sweep(args.spec)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = load_sweep(args.spec)
     jobs = args.jobs if args.jobs is not None else spec.jobs
-    if args.no_cache:
-        cache = False
-    elif args.cache_dir:
-        cache = SweepCache(args.cache_dir)
-    else:
-        cache = None  # the default on-disk cache
-    try:
-        outcomes = sweep(spec.configs, max_ps=spec.max_ps, jobs=jobs,
-                         cache=cache, timeout_s=args.timeout)
-    except SweepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # A directory, or None = the default on-disk cache.
+    cache = False if args.no_cache else args.cache_dir
+    outcomes = sweep(spec.configs, max_ps=spec.max_ps, jobs=jobs,
+                     cache=cache, timeout_s=args.timeout)
     results = [dataclasses.replace(outcome.result, label=label)
                for label, outcome in zip(spec.labels, outcomes)]
     # Energy columns appear when any point carried an enabled energy
@@ -373,24 +356,15 @@ def cmd_dse(args) -> int:
     printed; a verification failure exits non-zero.
     """
     from .dse import explore, front_csv, front_json, front_table, load_dse
-    from .platforms.loader import ConfigError
-    from .sweep import SweepError
 
-    try:
-        spec = load_dse(args.spec)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = load_dse(args.spec)
     overrides = {"jobs": args.jobs, "seed": args.seed,
                  "screen": args.screen}
     if args.no_cache:
         overrides["cache"] = False
     try:
         outcome = explore(spec, **overrides)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SweepError, RuntimeError) as exc:
+    except RuntimeError as exc:  # incl. a front that failed its own audit
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"### dse {args.spec} — {outcome.mode} search over "
@@ -487,7 +461,6 @@ def cmd_snapshot(args) -> int:
     ``repro snapshot resume file.ckpt.json``  resume + verify bit-identity
     """
     from .snapshot import (
-        SnapshotError,
         corpus_summary,
         load_checkpoint,
         refresh_golden,
@@ -497,55 +470,47 @@ def cmd_snapshot(args) -> int:
         verify_golden,
     )
 
-    try:
-        if args.refresh_golden:
-            written = refresh_golden(names=args.only or None)
-            for path in written:
-                print(f"wrote {path}")
-            print(f"{len(written)} golden checkpoint(s) refreshed")
-            return 0
-        if args.verify_golden:
-            failures = verify_golden()
-            if failures:
-                print(f"{len(failures)} golden replay failure(s):")
-                for failure in failures:
-                    print(f"  - {failure}")
-                return 1
-            print("golden corpus replayed bit-identically")
-            return 0
-        if args.summary:
-            print(corpus_summary())
-            return 0
-        if args.action and not args.target:
-            print(f"error: snapshot {args.action} needs a target file",
-                  file=sys.stderr)
-            return 2
-        if args.action == "take":
-            from .platforms.loader import ConfigError, load_config
+    if args.refresh_golden:
+        written = refresh_golden(names=args.only or None)
+        for path in written:
+            print(f"wrote {path}")
+        print(f"{len(written)} golden checkpoint(s) refreshed")
+        return 0
+    if args.verify_golden:
+        failures = verify_golden()
+        if failures:
+            print(f"{len(failures)} golden replay failure(s):")
+            for failure in failures:
+                print(f"  - {failure}")
+            return 1
+        print("golden corpus replayed bit-identically")
+        return 0
+    if args.summary:
+        print(corpus_summary())
+        return 0
+    if args.action and not args.target:
+        print(f"error: snapshot {args.action} needs a target file",
+              file=sys.stderr)
+        return 2
+    if args.action == "take":
+        from .platforms.loader import load_config
 
-            try:
-                config = load_config(args.target)
-            except ConfigError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            at_ps = int(args.at_us * 1_000_000) if args.at_us else None
-            outcome = take_checkpoint(config, at_ps=at_ps,
-                                      fraction=args.fraction,
-                                      max_ps=int(args.max_us * 1_000_000))
-            path = save_checkpoint(outcome.checkpoint, args.out)
-            print(f"checkpoint at {outcome.checkpoint.at_ps}ps "
-                  f"({outcome.checkpoint.events} events) -> {path}")
-            print(f"run finished at {outcome.final_time_ps}ps "
-                  f"({outcome.final_events} events)")
-            return 0
-        if args.action == "resume":
-            checkpoint = load_checkpoint(args.target)
-            outcome = resume_checkpoint(checkpoint)
-            print(outcome.format())
-            return 0 if outcome.ok else 1
-    except SnapshotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        config = load_config(args.target)
+        at_ps = int(args.at_us * 1_000_000) if args.at_us else None
+        outcome = take_checkpoint(config, at_ps=at_ps,
+                                  fraction=args.fraction,
+                                  max_ps=int(args.max_us * 1_000_000))
+        path = save_checkpoint(outcome.checkpoint, args.out)
+        print(f"checkpoint at {outcome.checkpoint.at_ps}ps "
+              f"({outcome.checkpoint.events} events) -> {path}")
+        print(f"run finished at {outcome.final_time_ps}ps "
+              f"({outcome.final_events} events)")
+        return 0
+    if args.action == "resume":
+        checkpoint = load_checkpoint(args.target)
+        outcome = resume_checkpoint(checkpoint)
+        print(outcome.format())
+        return 0 if outcome.ok else 1
     print("nothing to do: pass take/resume or a --*-golden/--summary flag "
           "(see repro snapshot --help)", file=sys.stderr)
     return 2
@@ -560,16 +525,9 @@ def cmd_protocols(args) -> int:
     """
     from .bridge.matrix import bridge_matrix, conversion_plan
     from .interconnect.protocols import PROTOCOLS
-    from .platforms.loader import ConfigError
 
     if args.plan:
-        source, dest = args.plan
-        try:
-            plan = conversion_plan(source, dest)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(plan.describe())
+        print(conversion_plan(*args.plan).describe())
         return 0
     if args.matrix:
         matrix = bridge_matrix()
@@ -605,6 +563,15 @@ def _service_endpoint(url: str) -> Tuple[str, int]:
     return split.hostname or "127.0.0.1", split.port or 8458
 
 
+def _service_client(url: str):
+    """The client for ``--url http://host:port`` or ``--url unix:PATH``."""
+    from .service import ServiceClient, SocketClient
+
+    if url.startswith("unix:"):
+        return SocketClient(url[len("unix:"):])
+    return ServiceClient(*_service_endpoint(url))
+
+
 def cmd_serve(args) -> int:
     """Run the simulation job service in the foreground.
 
@@ -616,10 +583,8 @@ def cmd_serve(args) -> int:
 
     from .service import ServiceConfig, ServiceServer
 
-    if args.no_cache:
-        cache = False
-    else:
-        cache = args.cache_dir  # None = the default on-disk sweep cache
+    # A directory, or None = the default on-disk sweep cache.
+    cache = False if args.no_cache else args.cache_dir
     server = ServiceServer(ServiceConfig(
         host=args.host, port=args.port, socket_path=args.socket,
         fleet=args.workers, quota_units=args.quota,
@@ -633,7 +598,7 @@ def cmd_serve(args) -> int:
               f"({args.workers} worker(s), quota {args.quota} "
               f"unit(s)/tenant)")
         if args.socket:
-            print(f"local-socket queue: {args.socket}")
+            print(f"also listening on unix:{args.socket}")
         await server.run_forever()
 
     try:
@@ -646,7 +611,7 @@ def cmd_serve(args) -> int:
 def cmd_submit(args) -> int:
     """Submit a config/sweep file to a running service."""
     from .platforms.loader import ConfigError, read_document
-    from .service import ServiceClient, ServiceError
+    from .service import ServiceError
     from .sweep import is_sweep_document
 
     try:
@@ -667,8 +632,7 @@ def cmd_submit(args) -> int:
     if args.checkpoint_at_us is not None:
         submission["checkpoint_at_us"] = args.checkpoint_at_us
 
-    host, port = _service_endpoint(args.url)
-    client = ServiceClient(host, port)
+    client = _service_client(args.url)
     try:
         job = client.submit(submission)
         print(f"submitted {job['id']} "
@@ -706,10 +670,9 @@ def _print_job_results(outcome: Dict) -> int:
 
 def cmd_jobs(args) -> int:
     """Inspect a running service: jobs, results, events, workers."""
-    from .service import ServiceClient, ServiceError
+    from .service import ServiceError
 
-    host, port = _service_endpoint(args.url)
-    client = ServiceClient(host, port)
+    client = _service_client(args.url)
     try:
         if args.drain:
             worker = client.drain(args.drain)
@@ -778,6 +741,14 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def positive_float(text: str) -> float:
+    """argparse ``type`` of every duration and scale flag."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -790,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run an experiment (or 'all')")
     run_parser.add_argument("experiment")
-    run_parser.add_argument("--scale", type=float, default=1.0,
+    run_parser.add_argument("--scale", type=positive_float, default=1.0,
                             help="traffic scale factor (default 1.0)")
     run_parser.add_argument("--trace", metavar="PATH",
                             help="capture transaction lifecycles and write "
@@ -803,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     plat_parser = sub.add_parser("platform",
                                  help="simulate a JSON platform config")
     plat_parser.add_argument("config")
-    plat_parser.add_argument("--max-us", type=float, default=20_000.0,
+    plat_parser.add_argument("--max-us", type=positive_float, default=20_000.0,
                              help="simulation bound in microseconds")
     plat_parser.add_argument("--mode", choices=("ca", "lt"), default=None,
                              help="simulation resolution: cycle-accurate or "
@@ -813,7 +784,8 @@ def build_parser() -> argparse.ArgumentParser:
     plat_parser.add_argument("--trace", metavar="PATH",
                              help="capture transaction lifecycles and write "
                                   "a Perfetto trace_event JSON file")
-    plat_parser.add_argument("--checkpoint-every", type=float, default=None,
+    plat_parser.add_argument("--checkpoint-every", type=positive_float,
+                             default=None,
                              metavar="US",
                              help="save a resumable checkpoint every US "
                                   "microseconds of simulated time")
@@ -876,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="run an experiment under lifecycle tracing and "
                       "report per-hop latencies")
     trace_parser.add_argument("experiment")
-    trace_parser.add_argument("--scale", type=float, default=1.0,
+    trace_parser.add_argument("--scale", type=positive_float, default=1.0,
                               help="traffic scale factor (default 1.0)")
     trace_parser.add_argument("--out", metavar="PATH",
                               help="trace file (default "
@@ -888,10 +860,11 @@ def build_parser() -> argparse.ArgumentParser:
                       "dump the flat metric registry")
     stats_parser.add_argument("target",
                               help="experiment name or platform config JSON")
-    stats_parser.add_argument("--scale", type=float, default=1.0,
+    stats_parser.add_argument("--scale", type=positive_float, default=1.0,
                               help="traffic scale factor for experiment "
                                    "targets (default 1.0)")
-    stats_parser.add_argument("--max-us", type=float, default=20_000.0,
+    stats_parser.add_argument("--max-us", type=positive_float,
+                              default=20_000.0,
                               help="simulation bound for config targets, "
                                    "in microseconds")
     stats_parser.add_argument("--energy", action="store_true",
@@ -919,10 +892,11 @@ def build_parser() -> argparse.ArgumentParser:
     check_parser.add_argument("--diff", action="store_true",
                               help="also run config targets on both kernel "
                                    "paths and compare bit for bit")
-    check_parser.add_argument("--scale", type=float, default=1.0,
+    check_parser.add_argument("--scale", type=positive_float, default=1.0,
                               help="traffic scale for experiment targets "
                                    "(default 1.0)")
-    check_parser.add_argument("--max-us", type=float, default=20_000.0,
+    check_parser.add_argument("--max-us", type=positive_float,
+                              default=20_000.0,
                               help="simulation bound for config targets, "
                                    "in microseconds")
     check_parser.add_argument("--limit", type=int, default=50, metavar="N",
@@ -957,7 +931,7 @@ def build_parser() -> argparse.ArgumentParser:
     snap_parser.add_argument("--fraction", type=float, default=0.5,
                              help="checkpoint at this fraction of the run's "
                                   "execution time (default 0.5)")
-    snap_parser.add_argument("--max-us", type=float, default=20_000.0,
+    snap_parser.add_argument("--max-us", type=positive_float, default=20_000.0,
                              help="simulation bound in microseconds")
     snap_parser.add_argument("--out", default="checkpoints", metavar="PATH",
                              help="checkpoint file or directory for 'take' "
@@ -1000,14 +974,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--port", type=int, default=8458,
                               help="HTTP port (default 8458; 0 = ephemeral)")
     serve_parser.add_argument("--socket", default=None, metavar="PATH",
-                              help="also serve the JSONL queue on this "
-                                   "local socket")
+                              help="also serve the same endpoints on this "
+                                   "Unix socket (clients: --url unix:PATH)")
     serve_parser.add_argument("--workers", type=int, default=2,
                               help="worker fleet size (default 2)")
     serve_parser.add_argument("--quota", type=int, default=64,
                               help="per-tenant in-flight unit quota "
                                    "(default 64)")
-    serve_parser.add_argument("--slice-us", type=float, default=1.0,
+    serve_parser.add_argument("--slice-us", type=positive_float, default=1.0,
                               help="preemption slice for preemptible jobs, "
                                    "in simulated us (default 1.0)")
     serve_parser.add_argument("--processes", action="store_true",
@@ -1027,15 +1001,16 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument("spec",
                                help="platform config or sweep JSON file")
     submit_parser.add_argument("--url", default="http://127.0.0.1:8458",
-                               help="service endpoint "
-                                    "(default http://127.0.0.1:8458)")
+                               help="service endpoint: http://HOST:PORT or "
+                                    "unix:PATH (default "
+                                    "http://127.0.0.1:8458)")
     submit_parser.add_argument("--tenant", default="cli",
                                help="tenant the job is accounted to "
                                     "(default 'cli')")
     submit_parser.add_argument("--priority", default="normal",
                                choices=("interactive", "normal", "batch"),
                                help="priority lane (default normal)")
-    submit_parser.add_argument("--max-us", type=float, default=None,
+    submit_parser.add_argument("--max-us", type=positive_float, default=None,
                                help="simulated-time bound per unit")
     submit_parser.add_argument("--trace", action="store_true",
                                help="capture a Perfetto trace "
@@ -1058,8 +1033,9 @@ def build_parser() -> argparse.ArgumentParser:
     jobs_parser.add_argument("job", nargs="?", default=None,
                              help="job id to inspect (default: list jobs)")
     jobs_parser.add_argument("--url", default="http://127.0.0.1:8458",
-                             help="service endpoint "
-                                  "(default http://127.0.0.1:8458)")
+                             help="service endpoint: http://HOST:PORT or "
+                                  "unix:PATH (default "
+                                  "http://127.0.0.1:8458)")
     jobs_parser.add_argument("--tenant", default=None,
                              help="filter the job list by tenant")
     jobs_parser.add_argument("--result", action="store_true",
@@ -1085,9 +1061,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from .platforms import RunIncomplete
+    from .platforms.loader import ConfigError
+    from .snapshot import SnapshotError
+    from .sweep import SweepError
+
     args = build_parser().parse_args(argv)
+    # One policy: a bad input file is usage, an incomplete run a failure.
     try:
         return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (SweepError, SnapshotError, RunIncomplete) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # Reports are routinely piped into head/less; a closed pipe is
         # not an error. Detach stdout so interpreter shutdown does not

@@ -21,7 +21,6 @@ from typing import Optional
 from ..core.component import Component
 from ..core.events import Event, _PENDING
 from ..core.kernel import Simulator
-from ..core.statistics import Counter, LatencySummary
 from ..interconnect.base import InitiatorPort
 from ..interconnect.types import Opcode, Transaction
 from .benchmark import SyntheticBenchmark
@@ -43,9 +42,13 @@ class St220Core(Component):
                                       line_bytes=64, ways=2)
         self.dcache = dcache or Cache(f"{name}.dcache", size_bytes=8192,
                                       line_bytes=32, ways=4)
-        self.blocks_retired = Counter(f"{name}.blocks")
-        self.stall_cycles = Counter(f"{name}.stalls")
-        self.miss_latency = LatencySummary(f"{name}.miss_latency")
+        # The caches are sim-less, so their counters are indexed here.
+        for cache in (self.icache, self.dcache):
+            for stat in (cache.hits, cache.misses, cache.writebacks):
+                sim.metrics.register(stat.name, stat)
+        self.blocks_retired = sim.metrics.counter(f"{name}.blocks")
+        self.stall_cycles = sim.metrics.counter(f"{name}.stalls")
+        self.miss_latency = sim.metrics.histogram(f"{name}.miss_latency")
         self.done: Event = sim.event(name=f"{name}.done")
         #: Energy accounting: the caches themselves are sim-less lookup
         #: structures, so the access charges live here at the call sites.

@@ -21,7 +21,6 @@ from typing import List, Optional
 from ..core.component import Component
 from ..core.events import Event
 from ..core.kernel import Simulator
-from ..core.statistics import Counter
 from ..core.sync import Semaphore
 from ..interconnect.base import InitiatorPort
 from ..interconnect.types import Opcode, Transaction
@@ -49,8 +48,8 @@ class DisplayController(Component):
         self.burst_bytes = burst_bytes
         self.beat_bytes = beat_bytes
         self.priority = priority
-        self.underruns = Counter(f"{name}.underruns")
-        self.lines_displayed = Counter(f"{name}.lines")
+        self.underruns = sim.metrics.counter(f"{name}.underruns")
+        self.lines_displayed = sim.metrics.counter(f"{name}.lines")
         #: Per-line deadline margin in ps (negative = missed).
         self.margins_ps: List[int] = []
         self.done: Event = sim.event(name=f"{name}.done")

@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence
 from ..core.component import Component
 from ..core.events import Event
 from ..core.kernel import Simulator
-from ..core.statistics import Counter, LatencySummary
 from ..core.sync import Semaphore
 from ..interconnect.base import InitiatorPort
 from ..interconnect.types import Opcode, Transaction
@@ -79,8 +78,8 @@ class DmaEngine(Component):
         self.port = port
         self.beat_bytes = beat_bytes
         self.channels: List[DmaChannel] = []
-        self.bursts_issued = Counter(f"{name}.bursts")
-        self.copy_latency = LatencySummary(f"{name}.copy_latency")
+        self.bursts_issued = sim.metrics.counter(f"{name}.bursts")
+        self.copy_latency = sim.metrics.histogram(f"{name}.copy_latency")
         self.all_done: Event = sim.event(name=f"{name}.all_done")
         self._started = False
 

@@ -30,7 +30,6 @@ from ..core.clock import Clock
 from ..core.component import Component
 from ..core.events import _PENDING
 from ..core.kernel import Simulator
-from ..core.statistics import Counter
 from ..core.sync import Semaphore
 from ..interconnect.base import TargetPort
 from ..interconnect.types import ResponseBeat, Transaction
@@ -57,9 +56,9 @@ class OnChipMemory(Component):
         self.width_bytes = width_bytes
         self.access_latency_cycles = access_latency_cycles
         self.pipeline_depth = pipeline_depth
-        self.reads = Counter(f"{name}.reads")
-        self.writes = Counter(f"{name}.writes")
-        self.beats_served = Counter(f"{name}.beats")
+        self.reads = sim.metrics.counter(f"{name}.reads")
+        self.writes = sim.metrics.counter(f"{name}.writes")
+        self.beats_served = sim.metrics.counter(f"{name}.beats")
         #: Concurrent latency phases in flight (the interface's slots).
         self._slots = Semaphore(sim, pipeline_depth, name=f"{name}.slots")
         #: The data port: one burst streams at a time, in order.

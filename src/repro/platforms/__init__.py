@@ -10,7 +10,7 @@ from .config import (
     PlatformConfig,
     reference_clusters,
 )
-from .reference import PlatformInstance, build_platform, make_fabric
+from .reference import PlatformInstance, RunIncomplete, build_platform, make_fabric
 from .variants import (
     fig3_instances,
     fig4_pair,
@@ -30,6 +30,7 @@ __all__ = [
     "MemoryConfig",
     "PlatformConfig",
     "PlatformInstance",
+    "RunIncomplete",
     "build_platform",
     "fig3_instances",
     "fig4_pair",

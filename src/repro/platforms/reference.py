@@ -74,6 +74,10 @@ def make_fabric(sim: Simulator, name: str, protocol: str, freq_mhz: float,
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
+class RunIncomplete(RuntimeError):
+    """The platform had traffic outstanding when its run bound was reached."""
+
+
 class PlatformInstance(Component):
     """A fully elaborated MPSoC platform, ready to simulate."""
 
@@ -359,7 +363,7 @@ class PlatformInstance(Component):
         self.prepare()
         self.sim.run(until=max_ps)
         if self._finish_ps is None:
-            raise RuntimeError(
+            raise RunIncomplete(
                 f"{self.config.label()}: platform did not finish "
                 f"within {max_ps} ps")
         return self.result()

@@ -1,8 +1,9 @@
 """``repro.service`` — simulation-as-a-service job scheduler.
 
 The long-running form of the sweep engine (``docs/SERVICE.md``): an
-asyncio job service whose front ends (HTTP and a local-socket queue)
-accept config/sweep submissions from many concurrent tenants, shard them
+asyncio job service whose listeners (a TCP port and, optionally, a Unix
+socket, both speaking the same HTTP endpoints) accept config/sweep
+submissions from many concurrent tenants, shard them
 across a worker fleet, dedupe identical configurations through the
 shared SHA-256 :class:`~repro.sweep.SweepCache`, stream progress events
 and Perfetto traces back live, and preempt/migrate long runs through
@@ -18,6 +19,8 @@ Quick start::
     repro serve --port 8458 --workers 4          # terminal 1
     repro submit examples/configs/quick_sweep.json \\
         --url http://127.0.0.1:8458 --tenant alice --wait   # terminal 2
+
+(``--url unix:PATH`` reaches a service started with ``--socket PATH``.)
 """
 
 from .client import ServiceClient, SocketClient

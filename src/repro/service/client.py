@@ -2,7 +2,9 @@
 
 One HTTP connection per call (the server closes connections after each
 response), so a :class:`ServiceClient` is cheap, stateless and safe to
-share across threads.  Error responses are re-raised as the same typed
+share across threads; :class:`SocketClient` is the same client with the
+connection made over the service's Unix socket instead of its TCP port.
+Error responses are re-raised as the same typed
 :class:`~repro.service.protocol.ServiceError` subclasses the server
 threw — a quota rejection surfaces as :class:`QuotaExceeded` on the
 client too, never as a bare status code.
@@ -16,12 +18,7 @@ import socket
 from typing import Any, Dict, Iterator, List, Optional
 from urllib.parse import quote, urlencode
 
-from .protocol import (
-    ProtocolError,
-    decode_line,
-    encode_line,
-    error_from_document,
-)
+from .protocol import ProtocolError, decode_line, error_from_document
 
 
 def _url(*segments: str, **query: Any) -> str:
@@ -42,10 +39,13 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
+    def _connect(self) -> http.client.HTTPConnection:
+        return http.client.HTTPConnection(self.host, self.port,
+                                          timeout=self.timeout)
+
     def _request(self, method: str, path: str,
                  body: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout)
+        connection = self._connect()
         try:
             payload = None if body is None else \
                 json.dumps(body).encode("utf-8")
@@ -104,8 +104,7 @@ class ServiceClient:
                       since: int = 0) -> Iterator[Dict[str, Any]]:
         """Live event stream; yields until the job reaches a terminal
         state (the server ends the chunked response there)."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout)
+        connection = self._connect()
         try:
             connection.request("GET", _url("jobs", job_id, "events",
                                            since=since, follow=1))
@@ -138,38 +137,25 @@ class ServiceClient:
                              _url("workers", worker, "undrain"))["worker"]
 
 
-class SocketClient:
-    """Talk to the local-socket queue front end (one op per call)."""
+class _UnixConnection(http.client.HTTPConnection):
+    """An HTTP connection whose transport is an ``AF_UNIX`` stream."""
+
+    def __init__(self, path: str, timeout: float) -> None:
+        super().__init__("localhost", timeout=timeout)
+        self.path = path
+
+    def connect(self) -> None:
+        self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self.sock.settimeout(self.timeout)
+        self.sock.connect(self.path)
+
+
+class SocketClient(ServiceClient):
+    """Talk to a running service over its local Unix socket."""
 
     def __init__(self, path: str, timeout: float = 600.0) -> None:
         self.path = path
         self.timeout = timeout
 
-    def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-            sock.settimeout(self.timeout)
-            sock.connect(self.path)
-            sock.sendall(encode_line(message))
-            handle = sock.makefile("rb")
-            line = handle.readline()
-        if not line:
-            raise ProtocolError("service closed the socket without replying")
-        document = decode_line(line)
-        if isinstance(document.get("error"), dict):
-            raise error_from_document(document)
-        return document
-
-    def health(self) -> Dict[str, Any]:
-        return self.request({"op": "health"})
-
-    def submit(self, submission: Dict[str, Any]) -> Dict[str, Any]:
-        return self.request({"op": "submit",
-                             "submission": submission})["job"]
-
-    def result(self, job_id: str, wait: bool = True,
-               timeout: Optional[float] = None) -> Dict[str, Any]:
-        message: Dict[str, Any] = {"op": "result", "job": job_id,
-                                   "wait": wait}
-        if timeout is not None:
-            message["timeout"] = timeout
-        return self.request(message)
+    def _connect(self) -> http.client.HTTPConnection:
+        return _UnixConnection(self.path, self.timeout)

@@ -3,8 +3,7 @@
 Everything that crosses the service boundary is defined here: the
 submission document schema, the typed error taxonomy (each error kind
 maps to one HTTP status), the public JSON views of jobs and events, and
-the newline-delimited JSON framing shared by the local-socket queue and
-the event stream.
+the newline-delimited JSON framing of the chunked event stream.
 
 Validation routes through the *existing* platform loader — a submission
 is either a single platform document (validated by
@@ -275,7 +274,7 @@ def parse_submission(document: Any) -> Submission:
 
 
 # ----------------------------------------------------------------------
-# newline-delimited JSON framing (socket queue + event streams)
+# newline-delimited JSON framing (the chunked event stream)
 # ----------------------------------------------------------------------
 def encode_line(document: Dict[str, Any]) -> bytes:
     """One protocol message as a newline-terminated JSON line."""

@@ -1,10 +1,10 @@
-"""Asyncio front ends: HTTP endpoints and the local-socket queue.
+"""Asyncio front end: one HTTP protocol on a TCP port and a Unix socket.
 
 The server is a thin, dependency-free layer: HTTP/1.1 is parsed by hand
 on top of :func:`asyncio.start_server` (requests are small JSON bodies;
-responses close the connection), and the optional Unix-socket front end
-speaks the same newline-delimited JSON as
-:mod:`repro.service.protocol`.  Both feed the one
+responses close the connection), and the optional Unix-socket listener
+is bound to the same connection handler, so a transport differs only in
+the socket it arrives on.  Every request feeds the one
 :class:`~repro.service.jobqueue.JobQueue`; all routing errors map to the
 typed error taxonomy, so clients can branch on ``error.kind`` instead of
 scraping messages.
@@ -30,7 +30,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..sweep import SweepCache, _resolve_cache
@@ -40,7 +40,6 @@ from .protocol import (
     NotReady,
     ProtocolError,
     ServiceError,
-    decode_line,
     encode_line,
     parse_submission,
 )
@@ -48,6 +47,18 @@ from .scheduler import DEFAULT_SLICE_PS, Scheduler
 
 #: Submission bodies above this are refused before parsing.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: A client that has not sent a whole request after this long is dropped
+#: (seconds); the long-poll and the event stream start after the read.
+READ_TIMEOUT_S = 30.0
+
+#: Header lines accepted per request before it is refused.
+MAX_HEADER_LINES = 100
+
+#: What ends a connection without a response: ``stop()``, a client that
+#: sent nothing in time, or one that went away mid-exchange.
+_CLOSE_QUIETLY = (asyncio.CancelledError, asyncio.TimeoutError,
+                  ConnectionError, asyncio.IncompleteReadError)
 
 #: Long-poll ceiling for ``?wait=1`` result requests (seconds).
 DEFAULT_WAIT_S = 300.0
@@ -81,7 +92,7 @@ class ServiceConfig:
 
 
 class ServiceServer:
-    """One service instance: queue + scheduler + both front ends."""
+    """One service instance: queue + scheduler + both listeners."""
 
     def __init__(self, config: Optional[ServiceConfig] = None,
                  **overrides: Any) -> None:
@@ -96,8 +107,8 @@ class ServiceServer:
             cache=_resolve_cache(config.cache),
             slice_ps=config.slice_ps,
             use_processes=config.use_processes)
-        self._http_server: Optional[asyncio.AbstractServer] = None
-        self._socket_server: Optional[asyncio.AbstractServer] = None
+        self._servers: List[asyncio.AbstractServer] = []
+        self._connections: Set[Any] = set()  # the open handlers' tasks
         self.port: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -105,29 +116,32 @@ class ServiceServer:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         await self.scheduler.start()
-        self._http_server = await asyncio.start_server(
-            self._handle_http, host=self.config.host, port=self.config.port)
-        sockets = self._http_server.sockets or []
-        self.port = sockets[0].getsockname()[1] if sockets else None
+        self._servers = [await asyncio.start_server(
+            self._handle_http, host=self.config.host, port=self.config.port)]
+        self.port = self._servers[0].sockets[0].getsockname()[1]
         if self.config.socket_path:
-            self._socket_server = await asyncio.start_unix_server(
-                self._handle_socket, path=self.config.socket_path)
+            self._servers.append(await asyncio.start_unix_server(
+                self._handle_http, path=self.config.socket_path))
 
     async def stop(self) -> None:
-        for server in (self._http_server, self._socket_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
-        self._http_server = None
-        self._socket_server = None
+        for server in self._servers:
+            server.close()
+        # From Python 3.12 wait_closed() waits for open connections (idle,
+        # long-polling, following): end them first.
+        for task in self._connections:
+            task.cancel()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        for server in self._servers:
+            await server.wait_closed()
+        self._servers = []
         await self.scheduler.stop()
 
     async def run_forever(self) -> None:
         """Serve a started instance until cancelled, then :meth:`stop`."""
-        if self._http_server is None:
+        if not self._servers:
             raise RuntimeError("run_forever() needs start() first")
         try:
-            await self._http_server.serve_forever()
+            await self._servers[0].serve_forever()
         finally:
             await self.stop()
 
@@ -136,19 +150,17 @@ class ServiceServer:
     # ------------------------------------------------------------------
     async def _handle_http(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             try:
-                method, path, query, body = await self._read_request(reader)
-            except ProtocolError as exc:
-                await self._respond_json(writer, exc.http_status,
-                                         exc.to_document())
-                return
-            try:
-                await self._route(method, path, query, body, writer)
+                request = await asyncio.wait_for(self._read_request(reader),
+                                                 READ_TIMEOUT_S)
+                await self._route(*request, writer)
             except ServiceError as exc:
                 await self._respond_json(writer, exc.http_status,
                                          exc.to_document())
-            except asyncio.CancelledError:
+            except _CLOSE_QUIETLY:
                 raise
             except Exception as exc:
                 # Unexpected handler failures must still produce a typed
@@ -156,9 +168,12 @@ class ServiceServer:
                 error = ServiceError(f"{type(exc).__name__}: {exc}")
                 await self._respond_json(writer, error.http_status,
                                          error.to_document())
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-exchange
+        except _CLOSE_QUIETLY:
+            # Not re-raised: this is the whole task body, and before Python
+            # 3.12 the stream logs a cancelled handler as an unhandled error.
+            pass
         finally:
+            self._connections.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -176,7 +191,7 @@ class ServiceServer:
             raise ProtocolError("malformed HTTP request line")
         method, target, _version = parts
         headers: Dict[str, str] = {}
-        while True:
+        for _ in range(MAX_HEADER_LINES + 1):  # the headers + a blank line
             try:
                 line = await reader.readline()
             except ValueError as exc:  # longer than the stream limit
@@ -185,6 +200,8 @@ class ServiceServer:
                 break
             name, _sep, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            raise ProtocolError(f"more than {MAX_HEADER_LINES} header lines")
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError as exc:
@@ -223,14 +240,17 @@ class ServiceServer:
                      writer: asyncio.StreamWriter) -> None:
         segments = [unquote(part) for part in path.split("/") if part]
         if method == "GET" and segments == ["healthz"]:
-            await self._respond_json(writer, 200, self.health_view())
+            await self._respond_json(writer, 200, {
+                "ok": True, "protocol": PROTOCOL_VERSION,
+                "workers": len(self.scheduler.workers),
+                "jobs": len(self.queue.jobs)})
             return
         if segments and segments[0] == "workers":
             await self._route_workers(method, segments, writer)
             return
         if method == "POST" and segments == ["jobs"]:
-            document = self._parse_body(body)
-            job = self.submit(document)
+            job = self.queue.submit(
+                parse_submission(self._parse_body(body)))
             await self._respond_json(writer, 201, {"job": job.view()})
             return
         if method == "GET" and segments == ["jobs"]:
@@ -278,25 +298,8 @@ class ServiceServer:
         return document
 
     # ------------------------------------------------------------------
-    # handlers shared by both front ends
+    # per-route responders
     # ------------------------------------------------------------------
-    def health_view(self) -> Dict[str, Any]:
-        return {"ok": True, "protocol": PROTOCOL_VERSION,
-                "workers": len(self.scheduler.workers),
-                "jobs": len(self.queue.jobs)}
-
-    def submit(self, document: Dict[str, Any]):
-        """Validate and enqueue one submission document."""
-        submission = parse_submission(document)
-        return self.queue.submit(submission)
-
-    def result_view(self, job) -> Dict[str, Any]:
-        view: Dict[str, Any] = {"id": job.id, "state": job.state,
-                                "results": job.results()}
-        if job.error is not None:
-            view["error"] = job.error
-        return view
-
     async def _respond_result(self, job, query: Dict[str, List[str]],
                               writer: asyncio.StreamWriter) -> None:
         if (query.get("wait") or ["0"])[0] in ("1", "true"):
@@ -307,7 +310,11 @@ class ServiceServer:
             if not done:
                 raise NotReady(f"job {job.id} still {job.state} after "
                                f"{timeout}s")
-        await self._respond_json(writer, 200, self.result_view(job))
+        view: Dict[str, Any] = {"id": job.id, "state": job.state,
+                                "results": job.results()}
+        if job.error is not None:
+            view["error"] = job.error
+        await self._respond_json(writer, 200, view)
 
     async def _respond_events(self, job, query: Dict[str, List[str]],
                               writer: asyncio.StreamWriter) -> None:
@@ -374,62 +381,6 @@ class ServiceServer:
         writer.write(f"{len(chunk):x}\r\n".encode("latin-1") + chunk
                      + b"\r\n")
         await writer.drain()
-
-    # ------------------------------------------------------------------
-    # local-socket queue (newline-delimited JSON ops)
-    # ------------------------------------------------------------------
-    async def _handle_socket(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                try:
-                    response = await self._socket_op(decode_line(line))
-                except ServiceError as exc:
-                    response = exc.to_document()
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:
-                    response = ServiceError(
-                        f"{type(exc).__name__}: {exc}").to_document()
-                writer.write(encode_line(response))
-                await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _socket_op(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        op = message.get("op")
-        if op == "health":
-            return self.health_view()
-        if op == "submit":
-            job = self.submit(message.get("submission"))
-            return {"job": job.view()}
-        if op == "status":
-            return {"job": self.queue.get(str(message.get("job"))).view()}
-        if op == "list":
-            tenant = message.get("tenant")
-            return {"jobs": [job.view()
-                             for job in self.queue.list_jobs(tenant)]}
-        if op == "result":
-            job = self.queue.get(str(message.get("job")))
-            if message.get("wait"):
-                timeout = _number(message.get("timeout", DEFAULT_WAIT_S),
-                                  "timeout")
-                done = await self.queue.wait(
-                    lambda: job.state in ("done", "failed"), timeout=timeout)
-                if not done:
-                    raise NotReady(f"job {job.id} still {job.state} "
-                                   f"after {timeout}s")
-            return self.result_view(job)
-        raise ProtocolError(f"unknown socket op {op!r}")
 
 
 # ----------------------------------------------------------------------

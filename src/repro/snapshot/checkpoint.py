@@ -259,7 +259,10 @@ def take_checkpoint(config: PlatformConfig,
         raise ValueError(f"at_ps must be positive, got {at_ps}")
 
     run = Run(config, max_ps)
-    run.advance(at_ps)
+    if not run.advance(at_ps):
+        raise SnapshotError(
+            f"run finished at {run.finish().sim_time_ps} ps, before the "
+            f"requested {at_ps} ps")
     checkpoint = checkpoint_here(run)
     done = run.finish()
     checkpoint.expect = {

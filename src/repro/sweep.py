@@ -90,7 +90,7 @@ from .platforms.loader import (
     config_to_dict,
     read_document,
 )
-from .platforms.reference import build_platform
+from .platforms.reference import RunIncomplete, build_platform
 
 #: Default wall-clock guard for platform runs (simulated picoseconds).
 DEFAULT_MAX_PS = 20_000_000_000_000
@@ -103,7 +103,7 @@ CACHE_SCHEMA = 2
 
 
 class SweepError(RuntimeError):
-    """A sweep could not complete (worker crash loop or job timeout)."""
+    """A sweep could not complete (crash loop, job timeout, bound overrun)."""
 
 
 # ----------------------------------------------------------------------
@@ -346,10 +346,22 @@ class Run:
                          sim_time_ps=self.sim.now)
 
 
-def _worker(payload: Tuple[Dict[str, Any], int]) -> Dict[str, Any]:
+def _finish(config: PlatformConfig,
+            max_ps: int) -> Union[CachedRun, RunIncomplete]:
+    """One point's finished run — or its bound overrun as a value, so
+    that :func:`sweep` can publish the other points before it raises."""
+    try:
+        return Run(config, max_ps).finish()
+    except RunIncomplete as exc:
+        return exc
+
+
+def _worker(payload: Tuple[Dict[str, Any], int]
+            ) -> Union[Dict[str, Any], RunIncomplete]:
     """Process-pool entry point: config document in, result document out."""
     document, max_ps = payload
-    return Run(config_from_dict(document), max_ps).finish().to_document()
+    run = _finish(config_from_dict(document), max_ps)
+    return run.to_document() if isinstance(run, CachedRun) else run
 
 
 def _make_executor(jobs: int):
@@ -431,7 +443,8 @@ def sweep(configs: Iterable[PlatformConfig],
     ``cache=None`` uses the default on-disk cache; pass ``False`` to
     disable caching or a :class:`SweepCache`/path to redirect it.
     Outcomes are returned in input order; duplicate configurations are
-    simulated once and shared.
+    simulated once and shared.  A point that overruns ``max_ps`` raises
+    :class:`SweepError` — after every point that did finish is stored.
     """
     configs = list(configs)
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
@@ -462,25 +475,28 @@ def sweep(configs: Iterable[PlatformConfig],
         misses.append(index)
 
     if misses:
-        executed: Dict[int, CachedRun] = {}
-        pool_out = None
+        runs: Optional[Iterable[Any]] = None
         if jobs > 1 and len(misses) > 1 and not capturing:
             payloads = [(config_to_dict(configs[index]), int(max_ps))
                         for index in misses]
-            pool_out = _pool_map(_worker, payloads, jobs, timeout_s, retries)
-        if pool_out is None:
-            for index in misses:
-                executed[index] = Run(configs[index], max_ps).finish()
-        else:
-            for index, raw in zip(misses, pool_out):
-                executed[index] = CachedRun.from_document(raw)
-        for index in misses:
-            run = executed[index]
+            runs = _pool_map(_worker, payloads, jobs, timeout_s, retries)
+        if runs is None:  # serial: each point is stored as it finishes
+            runs = (_finish(configs[index], max_ps) for index in misses)
+        overruns = []
+        for index, run in zip(misses, runs):
+            if isinstance(run, dict):
+                run = CachedRun.from_document(run)
+            elif isinstance(run, RunIncomplete):
+                overruns.append((index, run))
+                continue
             if store is not None:
                 store.put(keys[index], run)
             outcomes[index] = SweepOutcome(
                 config=configs[index], key=keys[index], result=run.result,
                 events=run.events, sim_time_ps=run.sim_time_ps, cached=False)
+        if overruns:
+            index, overrun = overruns[0]
+            raise SweepError(f"sweep point {index}: {overrun}") from overrun
 
     for index, source in duplicates:
         original = outcomes[source]

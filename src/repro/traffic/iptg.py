@@ -22,7 +22,6 @@ from typing import Callable, List, Optional
 from ..core.component import Component
 from ..core.events import Event, _PENDING
 from ..core.kernel import Simulator
-from ..core.statistics import Counter
 from ..interconnect.base import InitiatorPort
 from ..interconnect.types import Opcode, Transaction
 from .patterns import AddressPattern, Distribution, Fixed, Sequential
@@ -98,7 +97,7 @@ class Iptg(Component):
         self.address_span = address_span
         self.rng = random.Random(seed)
         self.on_phase = on_phase
-        self.generated = Counter(f"{name}.generated")
+        self.generated = sim.metrics.counter(f"{name}.generated")
         self.transactions: List[Transaction] = []
         #: Completes when every generated transaction has finished.
         self.done: Event = sim.event(name=f"{name}.done")

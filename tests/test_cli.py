@@ -124,3 +124,28 @@ class TestProtocols:
         out = capsys.readouterr().out
         assert "100 derived pairings" in out
         assert "wishbone -> tilelink" in out
+
+
+class TestErrorPolicy:
+    """``main()`` holds the one policy: a run that could not complete is
+    one ``error:`` line and exit 1, a nonsense flag is a usage error."""
+
+    @pytest.mark.parametrize("command", ["platform", "stats", "check"])
+    def test_bound_overrun_is_an_error_line_not_a_traceback(
+            self, tmp_path, capsys, command):
+        path = TestPlatform()._write_config(tmp_path)
+        assert main([command, str(path), "--max-us", "0.2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "did not finish within 200000 ps" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["platform", "cfg.json", "--checkpoint-every", "0"],
+        ["platform", "cfg.json", "--checkpoint-every", "-1"],
+        ["run", "fig3", "--scale", "0"],
+    ])
+    def test_nonsense_durations_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as usage:
+            main(argv)
+        assert usage.value.code == 2
+        assert "is not a positive number" in capsys.readouterr().err

@@ -145,6 +145,28 @@ class TestJobs:
         assert "did not finish within 200000 ps" in captured.err
 
 
+class TestUnixSocketUrl:
+    """``--url unix:PATH`` reaches the listener ``serve --socket`` opens."""
+
+    def test_submit_and_jobs_over_the_unix_socket(self, tmp_path, capsys):
+        url = f"unix:{tmp_path / 'q.sock'}"
+        spec = write(tmp_path, "sweep.json", SWEEP)
+        with BackgroundService(port=0, fleet=2, cache=False,
+                               socket_path=url[len("unix:"):]):
+            assert main(["submit", spec, "--url", url, "--wait"]) == 0
+            out = capsys.readouterr().out
+            assert [line.split()[0] for line in out.splitlines()
+                    if line.startswith(("light", "heavy"))] \
+                == ["light", "heavy"]
+            assert "job job-1: done" in out
+            assert main(["jobs", "--url", url]) == 0
+            assert "job-1" in capsys.readouterr().out
+            assert main(["jobs", "--url", url, "--workers"]) == 0
+            assert "worker-1" in capsys.readouterr().out
+        assert main(["jobs", "--url", url]) == 1  # the listener is gone
+        assert "cannot reach the service" in capsys.readouterr().err
+
+
 class TestServeParser:
     def test_defaults(self):
         args = build_parser().parse_args(["serve"])

@@ -54,6 +54,20 @@ class TestTakeResume:
         document = json.loads(out_file.read_text())
         assert document["at_ps"] == 1_000_000
 
+    @pytest.mark.parametrize("flags, complaint", [
+        (["--at-us", "500"], "before the requested 500000000 ps"),
+        (["--max-us", "0.2"], "did not finish within 200000 ps"),
+    ])
+    def test_take_that_cannot_reach_its_instant_is_an_error_line(
+            self, tmp_path, config_path, capsys, flags, complaint):
+        out_dir = tmp_path / "ckpts"
+        assert main(["snapshot", "take", str(config_path), *flags,
+                     "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert complaint in err
+        assert not out_dir.exists()  # nothing nobody asked for is saved
+
     def test_resume_rejects_tampered_file(self, tmp_path, config_path,
                                           capsys):
         out_file = tmp_path / "run.ckpt.json"

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 SPEC = {
@@ -129,3 +131,22 @@ class TestCheckSweepTargets:
         spec = _write_spec(tmp_path, {"base": SPEC["base"]})
         assert main(["check", str(spec)]) == 0
         assert "checked point0:" in capsys.readouterr().out
+
+
+class TestBoundOverrun:
+    """A sweep file whose ``max_us`` is too tight: one ``error:`` line
+    naming the point, exit 1 — from ``sweep`` (serial and pooled) and
+    from ``check``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep"], ["sweep", "--jobs", "2"], ["check"]])
+    def test_overrun_is_an_error_line_not_a_traceback(self, tmp_path,
+                                                      capsys, argv):
+        spec = _write_spec(tmp_path, dict(SPEC, max_us=0.2))
+        command, *flags = argv
+        assert main([command, str(spec), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "did not finish within 200000 ps" in err
+        if command == "sweep":
+            assert "sweep point 0: stbus/collapsed" in err

@@ -40,6 +40,25 @@ class TestStatsCommand:
         assert "metric rows" in text
         assert ".latency.mean" in text
 
+    def test_io_and_memory_subsystem_statistics_are_listed(self, tmp_path,
+                                                           capsys):
+        """The paper's I/O devices, the on-chip memory and the core's
+        caches keep their statistics in the registry too."""
+        assert main(["stats", "io_qos", "--scale", "0.3"]) == 0
+        io_rows = capsys.readouterr().out
+        for row in ("display.underruns", "display.lines", "dma0.bursts",
+                    "dma0.copy_latency.count"):
+            assert f"sim1.{row} " in io_rows
+        config = tmp_path / "platform.json"
+        config.write_text(json.dumps({"traffic_scale": 0.05}))
+        assert main(["stats", str(config)]) == 0
+        rows = capsys.readouterr().out
+        for row in ("mem.reads", "mem.writes", "mem.beats",
+                    "st220.dcache.misses", "st220.icache.hits",
+                    "st220.blocks", "st220.miss_latency.count",
+                    ".generated"):
+            assert row in rows
+
     def test_json_and_csv_outputs(self, tmp_path, capsys):
         json_path = tmp_path / "metrics.json"
         csv_path = tmp_path / "metrics.csv"

@@ -150,3 +150,40 @@ def test_only_run_elaborates_and_watches_for_the_finish():
         f"elaborate through repro.sweep.Run instead: {elaborations}"
     assert finish_reads == [], \
         f"ask Run.advance() instead of reading _finish_ps: {finish_reads}"
+
+
+# ----------------------------------------------------------------------
+# structural invariants: one wire protocol, one statistics store
+# ----------------------------------------------------------------------
+def test_the_service_speaks_one_protocol():
+    """Both listeners are bound to the HTTP handler: nothing under
+    ``repro/service`` builds or parses an ``{"op": ...}`` message."""
+    offenders = []
+    for path in sorted((SRC / "service").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and node.value == "op" \
+                    or getattr(node, "name", None) in ("_socket_op",
+                                                       "_handle_socket"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_statistics_are_built_by_the_registry():
+    """Models obtain counters and latency populations from
+    ``sim.metrics`` so that ``repro stats`` lists them.  The exceptions
+    own no simulator: the statistics module itself, the registry, the
+    trace report's local hop table, and ``Cache`` (whose counters
+    ``St220Core`` registers)."""
+    allowed = {"core/statistics.py", "obs/registry.py", "obs/trace.py",
+               "cpu/cache.py"}
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        where = path.relative_to(SRC).as_posix()
+        if where in allowed:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) \
+                    and _name(node.func) in ("Counter", "LatencySummary"):
+                offenders.append(f"{where}:{node.lineno}")
+    assert offenders == [], f"use sim.metrics.counter/histogram: {offenders}"
+

@@ -1,24 +1,27 @@
 """End-to-end smoke tier for the job service (docs/SERVICE.md).
 
-Boots the real service in-process (HTTP + local-socket front ends on an
-ephemeral port) and drives it through the blocking client exactly the
-way ``repro submit`` does: a two-tenant sweep with ordered results,
-cache-dedupe on resubmission, a checkpoint-preempt-resume round trip
-verified bit-identical, typed quota rejections, and verbatim loader
+Boots the real service in-process (one HTTP protocol on an ephemeral
+TCP port and a Unix socket) and drives it through the blocking client
+exactly the way ``repro submit`` does: a two-tenant sweep with ordered
+results, cache-dedupe on resubmission, a checkpoint-preempt-resume round
+trip verified bit-identical, typed quota rejections, and verbatim loader
 errors for malformed submissions.
 
-Every test also runs unmarked in the plain tier-1 invocation; the
-``service_smoke`` marker exists so CI can select just this tier the way
-it selects ``bench_smoke``/``check_smoke`` (docs/CI.md).
+Every test runs unmarked in the plain tier-1 invocation; the
+``service_smoke`` marker exists so the tier can be selected on its own
+(docs/CI.md).
 """
 
 import http.client
 import json
+import logging
+import socket
 
 import pytest
 
 from repro.platforms.loader import config_from_dict, config_to_dict
 from repro.platforms.variants import quick_config
+from repro.service import server as server_module
 from repro.service import (
     BackgroundService,
     NotReady,
@@ -186,8 +189,7 @@ class TestRejections:
             assert outcome["state"] == "failed"
             assert "did not finish within 200000 ps" in outcome["error"]
         with pytest.raises(ProtocolError, match="timeout"):
-            socket_client.request({"op": "result", "job": view["id"],
-                                   "wait": True, "timeout": "abc"})
+            socket_client.result(view["id"], wait=True, timeout="abc")
 
     @pytest.mark.parametrize("target, headers", [
         ("/jobs/job-1/events?since=abc", {}),
@@ -264,3 +266,87 @@ class TestSocketFrontEnd:
         assert health["ok"] is True
         assert health["protocol"] == 1
         assert health["workers"] == 2
+
+
+class TestOneProtocolTwoListeners:
+    @pytest.mark.parametrize("listener", ["tcp", "unix"])
+    def test_every_client_method_over_either_listener(self, service, client,
+                                                      tmp_path, listener):
+        """The Unix socket serves the endpoints the TCP port serves: one
+        client drives every operation, the other listener's client must
+        read back the same documents."""
+        apis = {"tcp": client,
+                "unix": SocketClient(str(tmp_path / "queue.sock"),
+                                     timeout=120.0)}
+        api = apis.pop(listener)
+        (witness,) = apis.values()
+        assert api.health() == witness.health() \
+            == {"ok": True, "protocol": 1, "workers": 2, "jobs": 0}
+        view = api.submit({"tenant": "both", "config": CONFIG,
+                           "max_us": MAX_US, "trace": True})
+        streamed = list(api.stream_events(view["id"]))
+        assert (streamed[0]["event"], streamed[-1]["event"]) \
+            == ("job_submitted", "job_done")
+        assert api.events(view["id"]) == witness.events(view["id"]) \
+            == streamed
+        assert api.events(view["id"], since=streamed[-2]["seq"]) \
+            == streamed[-1:]
+        outcome = api.result(view["id"], wait=True, timeout=120)
+        assert outcome == witness.result(view["id"], wait=False)
+        assert outcome["state"] == "done"
+        assert api.job(view["id"]) == witness.job(view["id"])
+        assert api.jobs(tenant="both") == witness.jobs() \
+            == [api.job(view["id"])]
+        assert api.trace(view["id"]) == witness.trace(view["id"])
+        assert api.trace(view["id"])["traceEvents"]
+        assert api.workers() == witness.workers()
+        assert api.drain("worker-1") == witness.workers()[1]
+        assert api.undrain("worker-1")["state"] == "idle"
+        with pytest.raises(UnknownJob, match="job-999"):
+            api.job("job-999")
+        with pytest.raises(ProtocolError, match="no route"):
+            api._request("GET", "/nowhere")
+
+
+class TestHardening:
+    """A silent or endless client cannot hold the service."""
+
+    def test_idle_connection_is_closed_after_the_read_timeout(
+            self, monkeypatch):
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.2)
+        with BackgroundService(port=0, fleet=1, cache=False) as running:
+            with socket.create_connection(("127.0.0.1", running.port),
+                                          timeout=10) as idle:
+                assert idle.recv(1) == b""  # hung up on, nothing to say
+            assert ServiceClient(port=running.port).health()["ok"] is True
+
+    def test_header_flood_is_a_400_and_the_service_still_answers(
+            self, service, client):
+        def status_of(header_lines):
+            with socket.create_connection(("127.0.0.1", service.port),
+                                          timeout=10) as raw:
+                raw.sendall(b"GET /healthz HTTP/1.1\r\n"
+                            + b"X-Same: y\r\n" * header_lines + b"\r\n")
+                reply = raw.makefile("rb").read()
+            head, _blank, body = reply.partition(b"\r\n\r\n")
+            return int(head.split()[1]), json.loads(body)
+
+        limit = server_module.MAX_HEADER_LINES
+        assert status_of(limit) == (200, client.health())
+        status, document = status_of(limit + 1)
+        assert (status, document["error"]["kind"]) == (400, "protocol_error")
+        assert client.health()["ok"] is True
+
+    def test_stop_with_an_idle_client_attached_returns_quietly(self, caplog):
+        running = BackgroundService(port=0, fleet=1, cache=False).start()
+        loop_thread = running._thread
+        with socket.create_connection(("127.0.0.1", running.port),
+                                      timeout=10) as idle:
+            ServiceClient(port=running.port).health()  # idle is accepted
+            with caplog.at_level(logging.DEBUG):
+                running.stop()
+            assert not loop_thread.is_alive()
+            assert idle.recv(1) == b""
+        assert "Traceback" not in caplog.text
+        assert [record for record in caplog.records
+                if record.levelno >= logging.ERROR] == []

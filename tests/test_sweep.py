@@ -12,7 +12,7 @@ import os
 import pytest
 
 import repro.sweep as sweep_mod
-from repro.platforms import quick_config
+from repro.platforms import RunIncomplete, quick_config
 from repro.platforms.loader import ConfigError, config_from_dict
 from repro.sweep import (
     CACHE_SCHEMA,
@@ -301,6 +301,30 @@ class TestSweepEngine:
              for c in cold]
         assert [(m.key, m.events, m.sim_time_ps) for m in mixed] == \
             [(c.key, c.events, c.sim_time_ps) for c in cold]
+
+
+class TestBoundOverrun:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_overrun_raises_after_the_finished_points_are_stored(
+            self, tmp_path, jobs):
+        """One over-tight point costs the sweep that point, not the ones
+        that did finish — on the serial and on the pooled path."""
+        scales = [0.02, 1.0, 0.03, 0.04]  # the second needs 43 us, not 3
+        cache = SweepCache(tmp_path / "cache")
+
+        def run():
+            return sweep([quick_config(traffic_scale=scale)
+                          for scale in scales],
+                         max_ps=3_000_000, jobs=jobs, cache=cache)
+
+        with pytest.raises(SweepError, match="sweep point 1: stbus/"
+                           ".* did not finish within 3000000 ps") as failure:
+            run()
+        assert isinstance(failure.value.__cause__, RunIncomplete)
+        assert len(cache) == 3
+        scales[1] = 0.05  # a point that fits: the other three are hits
+        assert [outcome.cached for outcome in run()] \
+            == [True, False, True, True]
 
 
 class TestPoolResilience:

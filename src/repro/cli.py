@@ -8,11 +8,12 @@
     python -m repro run fig5 --trace out.json    # ... with a Perfetto trace
     python -m repro platform my_platform.json    # simulate a config file
     python -m repro sweep my_sweep.json --jobs 4 # design-space sweep file
+    python -m repro sweep my_platform.json       # ... or a one-point sweep
     python -m repro dse my_dse.json --jobs 4     # Pareto search over a space
     python -m repro trace fig5                   # lifecycle trace + hop table
     python -m repro stats fig6 --json out.json   # flat metric dump
     python -m repro stats fig5 --energy          # + per-component energy
-    python -m repro stats my_platform.json --energy  # config files work too
+    python -m repro stats my_sweep.json --energy # platform/sweep files too
     python -m repro protocols                    # bus-protocol registry table
     python -m repro protocols --plan axi apb     # derived bridge conversion plan
     python -m repro bench                        # kernel perf -> BENCH_kernel.json
@@ -21,8 +22,10 @@
 
 Each experiment prints the paper-style report and the outcome of its shape
 checks; the process exits non-zero if any claim fails, so the CLI is
-usable in CI.  ``trace``/``stats`` (and the ``--trace`` flag) run the
-experiment under an observability capture — see ``docs/OBSERVABILITY.md``.
+usable in CI.  ``stats`` and ``check`` take the same targets: an
+experiment, a platform file or a sweep file (:func:`_target`).
+``trace``/``stats`` (and the ``--trace`` flag) run under an
+observability capture — see ``docs/OBSERVABILITY.md``.
 ``--jobs``/``sweep`` fan independent configurations out across worker
 processes with on-disk result caching — see ``docs/PERFORMANCE.md``.
 """
@@ -32,7 +35,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import experiments
 from .analysis import format_table
@@ -107,14 +111,11 @@ def cmd_run(args) -> int:
         print(f"unknown experiment(s): {unknown}; try 'list'",
               file=sys.stderr)
         return 2
-    if getattr(args, "trace", None) and (args.jobs or 0) > 1:
+    if args.trace and (args.jobs or 1) > 1:
         print("note: --trace captures only in-process simulators; "
               "running serially", file=sys.stderr)
-    session = _start_capture(args)
     status = 0
-    # finally: even when a runner raises, the ambient capture hook must
-    # be uninstalled (it is process-wide) and the trace file written.
-    try:
+    with _traced(args):
         for name in names:
             description, runner = table[name]
             print(f"\n### {name}: {description}\n")
@@ -127,8 +128,6 @@ def cmd_run(args) -> int:
                     print(f"  - {failure}")
             else:
                 print("\nall shape claims hold")
-    finally:
-        _finish_capture(args, session)
     return status
 
 
@@ -139,11 +138,8 @@ def cmd_platform(args) -> int:
     config = load_config(args.config)
     if args.mode:
         config = config.scaled(resolution=args.mode)
-    session = _start_capture(args)
-    # finally: a failing run must still uninstall the process-wide
-    # capture hook and write the trace collected so far.
-    try:
-        max_ps = int(args.max_us * 1_000_000)
+    max_ps = int(args.max_us * 1_000_000)
+    with _traced(args):
         if args.checkpoint_every:
             from .snapshot import run_with_checkpoints
 
@@ -154,8 +150,6 @@ def cmd_platform(args) -> int:
                 print(f"checkpoint: {path}")
         else:
             result = Run(config, max_ps).finish().result
-    finally:
-        _finish_capture(args, session)
     print(f"platform:        {config.label()}")
     print(f"resolution:      {config.resolution}")
     print(f"execution time:  {result.execution_time_ps / 1_000_000:.3f} us")
@@ -175,25 +169,23 @@ def cmd_platform(args) -> int:
     return 0
 
 
-def _start_capture(args):
-    """Enter an observability capture when ``--trace PATH`` was given."""
-    if not getattr(args, "trace", None):
-        return None
+@contextmanager
+def _traced(args) -> Iterator[None]:
+    """Capture the body under ``--trace PATH`` and write its Perfetto file,
+    also when the body raises (the capture's process-wide hook still
+    comes off on the way out)."""
+    if not args.trace:
+        yield
+        return
     from .obs import capture
 
-    manager = capture()
-    return manager, manager.__enter__()
-
-
-def _finish_capture(args, session) -> None:
-    """Close the capture and write the Perfetto trace file."""
-    if session is None:
-        return
-    manager, cap = session
-    manager.__exit__(None, None, None)
-    span_count = cap.write_trace(args.trace)
-    print(f"\nwrote {span_count} spans "
-          f"({len(cap.completed())} completed transactions) to {args.trace}")
+    with capture() as cap:
+        try:
+            yield
+        finally:
+            span_count = cap.write_trace(args.trace)
+            print(f"\nwrote {span_count} spans ({len(cap.completed())} "
+                  f"completed transactions) to {args.trace}")
 
 
 def cmd_trace(args) -> int:
@@ -258,30 +250,43 @@ def _energy_report(cap) -> str:
     return "\n".join(lines)
 
 
+def _target(args, name: str):
+    """Resolve a ``stats`` / ``check`` target to ``(title, points)``.
+
+    A point is ``(label, config, max_ps, run)``; ``run()`` simulates it
+    under whatever observer the caller entered.  An experiment is one
+    point without a config, run serially so that the observer sees every
+    simulator it builds.  A platform or sweep file is one point per
+    configuration, and ``run()`` returns its finished ``CachedRun``.
+    """
+    table = registry()
+    if name in table:
+        description, runner = table[name]
+        return f"{name}: {description}", [
+            (name, None, None, lambda: runner(args.scale, 1))]
+    from .platforms.loader import ConfigError
+    from .sweep import Run, load_target
+
+    try:
+        spec = load_target(name, int(args.max_us * 1_000_000))
+    except ConfigError as exc:
+        raise ConfigError(f"{name!r} is neither an experiment (try "
+                          f"'list') nor a valid platform or sweep file: "
+                          f"{exc}") from exc
+    title = spec.labels[0] if len(spec.labels) == 1 else name
+    return title, [(label, config, spec.max_ps,
+                    lambda config=config: Run(config, spec.max_ps).finish())
+                   for label, config in zip(spec.labels, spec.configs)]
+
+
 def cmd_stats(args) -> int:
-    """Metric dump for an experiment name or a platform config JSON."""
+    """Metric dump for an experiment, a platform file or a sweep file."""
     from .obs import capture, metrics_csv, metrics_json, metrics_text
 
-    table = registry()
-    if args.target in table:
-        description, runner = table[args.target]
-        title = f"{args.target}: {description}"
-        with capture(energy=args.energy) as cap:
-            runner(args.scale)
-    else:
-        from .platforms.loader import ConfigError, load_config
-        from .sweep import Run
-
-        try:
-            config = load_config(args.target)
-        except (OSError, ConfigError) as exc:
-            print(f"error: {args.target!r} is neither an experiment "
-                  f"(try 'list') nor a readable platform config: {exc}",
-                  file=sys.stderr)
-            return 2
-        title = config.label()
-        with capture(energy=args.energy) as cap:
-            Run(config, int(args.max_us * 1_000_000)).finish()
+    title, points = _target(args, args.target)
+    with capture(energy=args.energy) as cap:
+        for *__, run in points:
+            run()
     rows = cap.metrics_snapshot()
     sim_time = max((sim.now for sim in cap.simulators), default=0)
     if args.json:
@@ -305,9 +310,9 @@ def cmd_stats(args) -> int:
 def cmd_sweep(args) -> int:
     import dataclasses
 
-    from .sweep import load_sweep, sweep
+    from .sweep import DEFAULT_MAX_PS, load_target, sweep
 
-    spec = load_sweep(args.spec)
+    spec = load_target(args.spec, DEFAULT_MAX_PS)
     jobs = args.jobs if args.jobs is not None else spec.jobs
     # A directory, or None = the default on-disk cache.
     cache = False if args.no_cache else args.cache_dir
@@ -398,48 +403,28 @@ def cmd_check(args) -> int:
     """
     from .check import CheckedRun, checked, format_report
 
-    table = registry()
+    title, points = _target(args, args.target)
     violations = []
     mismatches: List[str] = []
-    if args.target in table:
-        if args.diff:
-            print("note: --diff applies to config targets; running the "
-                  "experiment under monitors only", file=sys.stderr)
-        description, runner = table[args.target]
-        print(f"### check {args.target}: {description}\n")
-        # Serial on purpose: monitors attach to in-process simulators, and
-        # the sweep engine already refuses to fan out or serve cache hits
-        # while a construction hook is installed.
-        with checked() as session:
-            runner(args.scale, 1)
-        violations = session.finalize()
-        print(f"checked {len(session.checkers)} simulator(s)")
-    else:
-        from .platforms.loader import ConfigError
-        from .sweep import Run, load_target
-
-        try:
-            spec = load_target(args.target, int(args.max_us * 1_000_000))
-        except ConfigError as exc:
-            print(f"error: {args.target!r} is neither an experiment (try "
-                  f"'list') nor a valid platform or sweep file: {exc}",
-                  file=sys.stderr)
-            return 2
-        max_ps = spec.max_ps
-        for label, config in zip(spec.labels, spec.configs):
+    for label, config, max_ps, run in points:
+        if config is None:
             if args.diff:
-                outcome = CheckedRun(config, max_ps=max_ps)
-                violations.extend(outcome.violations)
-                mismatches.extend(f"{label}: {m}"
-                                  for m in outcome.mismatches)
-                print(f"checked {label}: {outcome.fast_events} events, "
-                      f"fast vs reference "
-                      f"{'identical' if not outcome.mismatches else 'DIVERGED'}")
-            else:
-                with checked() as session:
-                    done = Run(config, max_ps).finish()
-                violations.extend(session.finalize())
-                print(f"checked {label}: {done.events} events")
+                print("note: --diff applies to config targets; running the "
+                      "experiment under monitors only", file=sys.stderr)
+            print(f"### check {title}\n")
+        elif args.diff:
+            outcome = CheckedRun(config, max_ps=max_ps)
+            violations.extend(outcome.violations)
+            mismatches.extend(f"{label}: {m}" for m in outcome.mismatches)
+            print(f"checked {label}: {outcome.fast_events} events, "
+                  f"fast vs reference "
+                  f"{'identical' if not outcome.mismatches else 'DIVERGED'}")
+            continue
+        with checked() as session:
+            done = run()
+        violations.extend(session.finalize())
+        print(f"checked {len(session.checkers)} simulator(s)" if config is None
+              else f"checked {label}: {done.events} events")
     print()
     if mismatches:
         print("fast path diverged from the reference kernel:")
@@ -496,7 +481,7 @@ def cmd_snapshot(args) -> int:
         from .platforms.loader import load_config
 
         config = load_config(args.target)
-        at_ps = int(args.at_us * 1_000_000) if args.at_us else None
+        at_ps = None if args.at_us is None else int(args.at_us * 1_000_000)
         outcome = take_checkpoint(config, at_ps=at_ps,
                                   fraction=args.fraction,
                                   max_ps=int(args.max_us * 1_000_000))
@@ -749,6 +734,22 @@ def positive_float(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    """argparse ``type`` of every count flag (jobs, workers, quotas)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+def fraction(text: str) -> float:
+    """argparse ``type`` of ``--fraction``: strictly between 0 and 1."""
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not between 0 and 1")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -756,307 +757,241 @@ def build_parser() -> argparse.ArgumentParser:
                     "reproduction)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list available experiments") \
-       .set_defaults(func=cmd_list)
+    def command(name: str, func: Callable, text: str, *parents):
+        """One subcommand; each parent contributes its shared flags."""
+        command_parser = sub.add_parser(name, help=text, parents=parents)
+        command_parser.set_defaults(func=func)
+        return command_parser
 
-    run_parser = sub.add_parser("run", help="run an experiment (or 'all')")
-    run_parser.add_argument("experiment")
-    run_parser.add_argument("--scale", type=positive_float, default=1.0,
-                            help="traffic scale factor (default 1.0)")
-    run_parser.add_argument("--trace", metavar="PATH",
-                            help="capture transaction lifecycles and write "
-                                 "a Perfetto trace_event JSON file")
-    run_parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                            help="worker processes for multi-config "
-                                 "experiments (default $REPRO_JOBS or 1)")
-    run_parser.set_defaults(func=cmd_run)
+    # Parent parsers: every flag two commands share is defined once here.
+    scale = argparse.ArgumentParser(add_help=False)
+    scale.add_argument("--scale", type=positive_float, default=1.0,
+                       help="traffic scale factor for experiments "
+                            "(default 1.0)")
+    max_us = argparse.ArgumentParser(add_help=False)
+    max_us.add_argument("--max-us", type=positive_float, default=20_000.0,
+                        help="simulation bound per configuration, in "
+                             "microseconds (default 20000)")
+    trace = argparse.ArgumentParser(add_help=False)
+    trace.add_argument("--trace", metavar="PATH",
+                       help="capture transaction lifecycles and write a "
+                            "Perfetto trace_event JSON file")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=positive_int, default=None, metavar="N",
+                      help="worker processes (default: the spec file's own "
+                           "setting, else $REPRO_JOBS, else 1)")
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--no-cache", action="store_true",
+                       help="re-simulate everything, bypassing the shared "
+                            "on-disk result cache")
+    cache.add_argument("--cache-dir", metavar="DIR",
+                       help="cache directory (default $REPRO_SWEEP_CACHE or "
+                            "~/.cache/repro/sweeps)")
+    service = argparse.ArgumentParser(add_help=False)
+    service.add_argument("--url", default="http://127.0.0.1:8458",
+                         help="service endpoint: http://HOST:PORT or "
+                              "unix:PATH (default http://127.0.0.1:8458)")
+    service.add_argument("--timeout", type=positive_float, default=600.0,
+                         help="--wait timeout in seconds (default 600)")
 
-    plat_parser = sub.add_parser("platform",
-                                 help="simulate a JSON platform config")
-    plat_parser.add_argument("config")
-    plat_parser.add_argument("--max-us", type=positive_float, default=20_000.0,
-                             help="simulation bound in microseconds")
-    plat_parser.add_argument("--mode", choices=("ca", "lt"), default=None,
-                             help="simulation resolution: cycle-accurate or "
-                                  "loosely-timed fast-forward (overrides the "
-                                  "config's 'resolution'; see docs/FAST_SIM.md)")
-    plat_parser.add_argument("--csv", help="write the result row to CSV")
-    plat_parser.add_argument("--trace", metavar="PATH",
-                             help="capture transaction lifecycles and write "
-                                  "a Perfetto trace_event JSON file")
-    plat_parser.add_argument("--checkpoint-every", type=positive_float,
-                             default=None,
-                             metavar="US",
-                             help="save a resumable checkpoint every US "
-                                  "microseconds of simulated time")
-    plat_parser.add_argument("--checkpoint-dir", default="checkpoints",
-                             metavar="DIR",
-                             help="directory for --checkpoint-every files "
-                                  "(default ./checkpoints)")
-    plat_parser.set_defaults(func=cmd_platform)
+    # ``p`` is the subcommand being built.
+    command("list", cmd_list, "list available experiments")
 
-    sweep_parser = sub.add_parser(
-        "sweep", help="run a design-space sweep file across worker "
-                      "processes with result caching")
-    sweep_parser.add_argument("spec", help="sweep JSON (base/points/grid; "
-                                           "see docs/PERFORMANCE.md)")
-    sweep_parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                              help="worker processes (default: the file's "
-                                   "'jobs', else $REPRO_JOBS, else 1)")
-    sweep_parser.add_argument("--timeout", type=float, default=None,
-                              metavar="S",
-                              help="per-job wall-clock timeout in seconds")
-    sweep_parser.add_argument("--csv", metavar="PATH",
-                              help="write one result row per point to CSV")
-    sweep_parser.add_argument("--no-cache", action="store_true",
-                              help="re-simulate every point, bypassing the "
-                                   "on-disk result cache")
-    sweep_parser.add_argument("--cache-dir", metavar="DIR",
-                              help="cache directory (default "
-                                   "$REPRO_SWEEP_CACHE or "
-                                   "~/.cache/repro/sweeps)")
-    sweep_parser.set_defaults(func=cmd_sweep)
+    p = command("run", cmd_run, "run an experiment (or 'all')",
+                scale, trace, jobs)
+    p.add_argument("experiment")
 
-    dse_parser = sub.add_parser(
-        "dse", help="search a declarative design space and print the "
-                    "verified Pareto front")
-    dse_parser.add_argument("spec", help="DSE JSON (base/axes/objectives/"
-                                         "optimizer; see docs/DSE.md)")
-    dse_parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                            help="worker processes per evaluation batch "
-                                 "(default: the file's optimizer.jobs, "
-                                 "else $REPRO_JOBS, else 1)")
-    dse_parser.add_argument("--seed", type=int, default=None,
-                            help="search seed (default: the file's "
-                                 "optimizer.seed, else 1)")
-    dse_parser.add_argument("--screen", choices=("auto", "lt", "off"),
-                            default=None,
-                            help="loosely-timed candidate screening: auto "
-                                 "(evolutionary mode only), lt (always) or "
-                                 "off (see docs/DSE.md)")
-    dse_parser.add_argument("--json", metavar="PATH",
-                            help="write the front + search provenance as "
-                                 "JSON")
-    dse_parser.add_argument("--csv", metavar="PATH",
-                            help="write the front's objective rows as CSV")
-    dse_parser.add_argument("--no-cache", action="store_true",
-                            help="re-simulate every candidate, bypassing "
-                                 "the sweep result cache")
-    dse_parser.set_defaults(func=cmd_dse)
+    p = command("platform", cmd_platform, "simulate a JSON platform config",
+                max_us, trace)
+    p.add_argument("config")
+    p.add_argument("--mode", choices=("ca", "lt"), default=None,
+                   help="simulation resolution: cycle-accurate or "
+                        "loosely-timed fast-forward (overrides the "
+                        "config's 'resolution'; see docs/FAST_SIM.md)")
+    p.add_argument("--csv", help="write the result row to CSV")
+    p.add_argument("--checkpoint-every", type=positive_float, default=None,
+                   metavar="US", help="save a resumable checkpoint every US "
+                                      "microseconds of simulated time")
+    p.add_argument("--checkpoint-dir", default="checkpoints", metavar="DIR",
+                   help="directory for --checkpoint-every files "
+                        "(default ./checkpoints)")
 
-    trace_parser = sub.add_parser(
-        "trace", help="run an experiment under lifecycle tracing and "
-                      "report per-hop latencies")
-    trace_parser.add_argument("experiment")
-    trace_parser.add_argument("--scale", type=positive_float, default=1.0,
-                              help="traffic scale factor (default 1.0)")
-    trace_parser.add_argument("--out", metavar="PATH",
-                              help="trace file (default "
-                                   "trace_<experiment>.json)")
-    trace_parser.set_defaults(func=cmd_trace)
+    p = command("sweep", cmd_sweep, "run a design-space sweep file across "
+                "worker processes with result caching", jobs, cache)
+    p.add_argument("spec", help="sweep JSON (base/points/grid; see "
+                                "docs/PERFORMANCE.md) or a platform JSON "
+                                "(one point)")
+    p.add_argument("--timeout", type=positive_float, default=None,
+                   metavar="S", help="per-job wall-clock timeout in seconds")
+    p.add_argument("--csv", metavar="PATH",
+                   help="write one result row per point to CSV")
 
-    stats_parser = sub.add_parser(
-        "stats", help="run an experiment (or a platform config JSON) and "
-                      "dump the flat metric registry")
-    stats_parser.add_argument("target",
-                              help="experiment name or platform config JSON")
-    stats_parser.add_argument("--scale", type=positive_float, default=1.0,
-                              help="traffic scale factor for experiment "
-                                   "targets (default 1.0)")
-    stats_parser.add_argument("--max-us", type=positive_float,
-                              default=20_000.0,
-                              help="simulation bound for config targets, "
-                                   "in microseconds")
-    stats_parser.add_argument("--energy", action="store_true",
-                              help="attach the energy accountant and print "
-                                   "the per-component / per-initiator "
-                                   "breakdown (see docs/OBSERVABILITY.md)")
-    stats_parser.add_argument("--json", metavar="PATH",
-                              help="write metrics as JSON")
-    stats_parser.add_argument("--csv", metavar="PATH",
-                              help="write metrics as CSV")
-    stats_parser.add_argument("--prefix", default="",
-                              help="restrict terminal output to one "
-                                   "metric subtree")
-    stats_parser.set_defaults(func=cmd_stats)
+    p = command("dse", cmd_dse, "search a declarative design space and "
+                "print the verified Pareto front", jobs)
+    p.add_argument("spec", help="DSE JSON (base/axes/objectives/optimizer; "
+                                "see docs/DSE.md)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="search seed (default: the file's optimizer.seed, "
+                        "else 1)")
+    p.add_argument("--screen", choices=("auto", "lt", "off"), default=None,
+                   help="loosely-timed candidate screening: auto "
+                        "(evolutionary mode only), lt (always) or off "
+                        "(see docs/DSE.md)")
+    p.add_argument("--json", metavar="PATH",
+                   help="write the front + search provenance as JSON")
+    p.add_argument("--csv", metavar="PATH",
+                   help="write the front's objective rows as CSV")
+    p.add_argument("--no-cache", action="store_true",
+                   help="re-simulate every candidate, bypassing the sweep "
+                        "result cache")
 
-    check_parser = sub.add_parser(
-        "check", help="run a target under the protocol/timing invariant "
-                      "monitors and report violations")
-    check_parser.add_argument("target",
-                              help="experiment name, platform config JSON "
-                                   "or sweep spec JSON")
-    check_parser.add_argument("--strict", action="store_true",
-                              help="exit non-zero on any violation or "
-                                   "fast-vs-reference divergence")
-    check_parser.add_argument("--diff", action="store_true",
-                              help="also run config targets on both kernel "
-                                   "paths and compare bit for bit")
-    check_parser.add_argument("--scale", type=positive_float, default=1.0,
-                              help="traffic scale for experiment targets "
-                                   "(default 1.0)")
-    check_parser.add_argument("--max-us", type=positive_float,
-                              default=20_000.0,
-                              help="simulation bound for config targets, "
-                                   "in microseconds")
-    check_parser.add_argument("--limit", type=int, default=50, metavar="N",
-                              help="violations to print before truncating "
-                                   "(default 50)")
-    check_parser.set_defaults(func=cmd_check)
+    p = command("trace", cmd_trace, "run an experiment under lifecycle "
+                "tracing and report per-hop latencies", scale)
+    p.add_argument("experiment")
+    p.add_argument("--out", metavar="PATH",
+                   help="trace file (default trace_<experiment>.json)")
 
-    snap_parser = sub.add_parser(
-        "snapshot", help="take/resume checkpoints and maintain the golden "
-                         "regression corpus")
-    snap_parser.add_argument("action", nargs="?", choices=["take", "resume"],
-                             help="take: checkpoint a platform config "
-                                  "mid-run; resume: replay a .ckpt.json "
-                                  "and verify bit-identity")
-    snap_parser.add_argument("target", nargs="?",
-                             help="platform config JSON (take) or "
-                                  "checkpoint file (resume)")
-    snap_parser.add_argument("--refresh-golden", action="store_true",
-                             help="regenerate the committed corpus under "
-                                  "tests/golden/ (or $REPRO_GOLDEN_DIR)")
-    snap_parser.add_argument("--only", action="append", metavar="NAME",
-                             help="with --refresh-golden: refresh only this "
-                                  "entry (repeatable)")
-    snap_parser.add_argument("--verify-golden", action="store_true",
-                             help="replay every committed golden checkpoint "
-                                  "and verify bit-identity")
-    snap_parser.add_argument("--summary", action="store_true",
-                             help="list the committed golden corpus")
-    snap_parser.add_argument("--at-us", type=float, default=None,
-                             help="checkpoint instant in microseconds "
-                                  "(default: --fraction of the run)")
-    snap_parser.add_argument("--fraction", type=float, default=0.5,
-                             help="checkpoint at this fraction of the run's "
-                                  "execution time (default 0.5)")
-    snap_parser.add_argument("--max-us", type=positive_float, default=20_000.0,
-                             help="simulation bound in microseconds")
-    snap_parser.add_argument("--out", default="checkpoints", metavar="PATH",
-                             help="checkpoint file or directory for 'take' "
-                                  "(default ./checkpoints)")
-    snap_parser.set_defaults(func=cmd_snapshot)
+    p = command("stats", cmd_stats, "run an experiment, a platform config "
+                "JSON or a sweep file and dump the flat metric registry",
+                scale, max_us)
+    p.add_argument("target", help="experiment name, platform config JSON or "
+                                  "sweep spec JSON")
+    p.add_argument("--energy", action="store_true",
+                   help="attach the energy accountant and print the "
+                        "per-component / per-initiator breakdown (see "
+                        "docs/OBSERVABILITY.md)")
+    p.add_argument("--json", metavar="PATH", help="write metrics as JSON")
+    p.add_argument("--csv", metavar="PATH", help="write metrics as CSV")
+    p.add_argument("--prefix", default="",
+                   help="restrict terminal output to one metric subtree")
 
-    proto_parser = sub.add_parser(
-        "protocols", help="show the bus-protocol registry and the derived "
-                          "bridge matrix")
-    proto_parser.add_argument("--matrix", action="store_true",
-                              help="print every derived source->dest "
-                                   "conversion plan")
-    proto_parser.add_argument("--plan", nargs=2, metavar=("SRC", "DST"),
-                              help="print the derived plan for one pairing "
-                                   "(validated against the registry)")
-    proto_parser.set_defaults(func=cmd_protocols)
+    p = command("check", cmd_check, "run a target under the protocol/timing "
+                "invariant monitors and report violations", scale, max_us)
+    p.add_argument("target", help="experiment name, platform config JSON or "
+                                  "sweep spec JSON")
+    p.add_argument("--strict", action="store_true",
+                   help="exit non-zero on any violation or "
+                        "fast-vs-reference divergence")
+    p.add_argument("--diff", action="store_true",
+                   help="also run config targets on both kernel paths and "
+                        "compare bit for bit")
+    p.add_argument("--limit", type=int, default=50, metavar="N",
+                   help="violations to print before truncating (default 50)")
 
-    bench_parser = sub.add_parser(
-        "bench", help="run the kernel performance scenarios and write "
-                      "BENCH_kernel.json")
-    bench_parser.add_argument("--scenario", action="append",
-                              help="scenario to run (repeatable; default all)")
-    bench_parser.add_argument("--repeats", type=int, default=5,
-                              help="timed repetitions per scenario "
-                                   "(best-of; default 5)")
-    bench_parser.add_argument("--bench-scale", type=float, default=1.0,
-                              help="workload scale factor (default 1.0; "
-                                   "smoke tiers use < 1)")
-    bench_parser.add_argument("--mode", choices=("ca", "lt"), default="ca",
-                              help="simulation resolution the scenarios run "
-                                   "at (default: ca; see docs/FAST_SIM.md)")
-    bench_parser.add_argument("--output", default="BENCH_kernel.json",
-                              help="result file (default BENCH_kernel.json)")
-    bench_parser.set_defaults(func=cmd_bench)
+    p = command("snapshot", cmd_snapshot, "take/resume checkpoints and "
+                "maintain the golden regression corpus", max_us)
+    p.add_argument("action", nargs="?", choices=["take", "resume"],
+                   help="take: checkpoint a platform config mid-run; "
+                        "resume: replay a .ckpt.json and verify "
+                        "bit-identity")
+    p.add_argument("target", nargs="?",
+                   help="platform config JSON (take) or checkpoint file "
+                        "(resume)")
+    p.add_argument("--refresh-golden", action="store_true",
+                   help="regenerate the committed corpus under "
+                        "tests/golden/ (or $REPRO_GOLDEN_DIR)")
+    p.add_argument("--only", action="append", metavar="NAME",
+                   help="with --refresh-golden: refresh only this entry "
+                        "(repeatable)")
+    p.add_argument("--verify-golden", action="store_true",
+                   help="replay every committed golden checkpoint and "
+                        "verify bit-identity")
+    p.add_argument("--summary", action="store_true",
+                   help="list the committed golden corpus")
+    p.add_argument("--at-us", type=positive_float, default=None,
+                   help="checkpoint instant in microseconds (default: "
+                        "--fraction of the run)")
+    p.add_argument("--fraction", type=fraction, default=0.5,
+                   help="checkpoint at this fraction of the run's "
+                        "execution time (default 0.5)")
+    p.add_argument("--out", default="checkpoints", metavar="PATH",
+                   help="checkpoint file or directory for 'take' "
+                        "(default ./checkpoints)")
 
-    serve_parser = sub.add_parser(
-        "serve", help="run the simulation job service (docs/SERVICE.md)")
-    serve_parser.add_argument("--host", default="127.0.0.1",
-                              help="bind address (default 127.0.0.1)")
-    serve_parser.add_argument("--port", type=int, default=8458,
-                              help="HTTP port (default 8458; 0 = ephemeral)")
-    serve_parser.add_argument("--socket", default=None, metavar="PATH",
-                              help="also serve the same endpoints on this "
-                                   "Unix socket (clients: --url unix:PATH)")
-    serve_parser.add_argument("--workers", type=int, default=2,
-                              help="worker fleet size (default 2)")
-    serve_parser.add_argument("--quota", type=int, default=64,
-                              help="per-tenant in-flight unit quota "
-                                   "(default 64)")
-    serve_parser.add_argument("--slice-us", type=positive_float, default=1.0,
-                              help="preemption slice for preemptible jobs, "
-                                   "in simulated us (default 1.0)")
-    serve_parser.add_argument("--processes", action="store_true",
-                              help="offload plain units to a process pool "
-                                   "(the sweep executor)")
-    serve_parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                              help="shared sweep-cache directory (default "
-                                   "$REPRO_SWEEP_CACHE or "
-                                   "~/.cache/repro/sweeps)")
-    serve_parser.add_argument("--no-cache", action="store_true",
-                              help="disable the shared result cache")
-    serve_parser.set_defaults(func=cmd_serve)
+    p = command("protocols", cmd_protocols, "show the bus-protocol registry "
+                "and the derived bridge matrix")
+    p.add_argument("--matrix", action="store_true",
+                   help="print every derived source->dest conversion plan")
+    p.add_argument("--plan", nargs=2, metavar=("SRC", "DST"),
+                   help="print the derived plan for one pairing (validated "
+                        "against the registry)")
 
-    submit_parser = sub.add_parser(
-        "submit", help="submit a platform config or sweep file to a "
-                       "running service")
-    submit_parser.add_argument("spec",
-                               help="platform config or sweep JSON file")
-    submit_parser.add_argument("--url", default="http://127.0.0.1:8458",
-                               help="service endpoint: http://HOST:PORT or "
-                                    "unix:PATH (default "
-                                    "http://127.0.0.1:8458)")
-    submit_parser.add_argument("--tenant", default="cli",
-                               help="tenant the job is accounted to "
-                                    "(default 'cli')")
-    submit_parser.add_argument("--priority", default="normal",
-                               choices=("interactive", "normal", "batch"),
-                               help="priority lane (default normal)")
-    submit_parser.add_argument("--max-us", type=positive_float, default=None,
-                               help="simulated-time bound per unit")
-    submit_parser.add_argument("--trace", action="store_true",
-                               help="capture a Perfetto trace "
-                                    "(GET /jobs/<id>/trace)")
-    submit_parser.add_argument("--preemptible", action="store_true",
-                               help="allow drain-time checkpointing")
-    submit_parser.add_argument("--checkpoint-at-us", type=float, default=None,
-                               help="force one preemption at this simulated "
-                                    "instant (implies --preemptible)")
-    submit_parser.add_argument("--wait", action="store_true",
-                               help="block until the job finishes and print "
-                                    "its results")
-    submit_parser.add_argument("--timeout", type=float, default=600.0,
-                               help="--wait timeout in seconds (default 600)")
-    submit_parser.set_defaults(func=cmd_submit)
+    p = command("bench", cmd_bench, "run the kernel performance scenarios "
+                "and write BENCH_kernel.json")
+    p.add_argument("--scenario", action="append",
+                   help="scenario to run (repeatable; default all)")
+    p.add_argument("--repeats", type=positive_int, default=5,
+                   help="timed repetitions per scenario (best-of; default 5)")
+    p.add_argument("--bench-scale", type=positive_float, default=1.0,
+                   help="workload scale factor (default 1.0; smoke tiers "
+                        "use < 1)")
+    p.add_argument("--mode", choices=("ca", "lt"), default="ca",
+                   help="simulation resolution the scenarios run at "
+                        "(default: ca; see docs/FAST_SIM.md)")
+    p.add_argument("--output", default="BENCH_kernel.json",
+                   help="result file (default BENCH_kernel.json)")
 
-    jobs_parser = sub.add_parser(
-        "jobs", help="inspect a running service: jobs, results, events, "
-                     "workers")
-    jobs_parser.add_argument("job", nargs="?", default=None,
-                             help="job id to inspect (default: list jobs)")
-    jobs_parser.add_argument("--url", default="http://127.0.0.1:8458",
-                             help="service endpoint: http://HOST:PORT or "
-                                  "unix:PATH (default "
-                                  "http://127.0.0.1:8458)")
-    jobs_parser.add_argument("--tenant", default=None,
-                             help="filter the job list by tenant")
-    jobs_parser.add_argument("--result", action="store_true",
-                             help="print the job's per-unit results")
-    jobs_parser.add_argument("--wait", action="store_true",
-                             help="with --result: block until terminal")
-    jobs_parser.add_argument("--timeout", type=float, default=600.0,
-                             help="--wait timeout in seconds (default 600)")
-    jobs_parser.add_argument("--events", action="store_true",
-                             help="print the job's event log")
-    jobs_parser.add_argument("--since", type=int, default=0,
-                             help="with --events: only events after this "
-                                  "sequence number")
-    jobs_parser.add_argument("--workers", action="store_true",
-                             help="show the worker fleet instead of jobs")
-    jobs_parser.add_argument("--drain", default=None, metavar="WORKER",
-                             help="drain a worker (preempts its "
-                                  "preemptible unit)")
-    jobs_parser.add_argument("--undrain", default=None, metavar="WORKER",
-                             help="return a drained worker to service")
-    jobs_parser.set_defaults(func=cmd_jobs)
+    p = command("serve", cmd_serve, "run the simulation job service "
+                "(docs/SERVICE.md)", cache)
+    p.add_argument("--host", default="127.0.0.1",
+                   help="bind address (default 127.0.0.1)")
+    p.add_argument("--port", type=int, default=8458,
+                   help="HTTP port (default 8458; 0 = ephemeral)")
+    p.add_argument("--socket", default=None, metavar="PATH",
+                   help="also serve the same endpoints on this Unix socket "
+                        "(clients: --url unix:PATH)")
+    p.add_argument("--workers", type=positive_int, default=2,
+                   help="worker fleet size (default 2)")
+    p.add_argument("--quota", type=positive_int, default=64,
+                   help="per-tenant in-flight unit quota (default 64)")
+    p.add_argument("--slice-us", type=positive_float, default=1.0,
+                   help="preemption slice for preemptible jobs, in "
+                        "simulated us (default 1.0)")
+    p.add_argument("--processes", action="store_true",
+                   help="offload plain units to a process pool (the sweep "
+                        "executor)")
+
+    p = command("submit", cmd_submit, "submit a platform config or sweep "
+                "file to a running service", service)
+    p.add_argument("spec", help="platform config or sweep JSON file")
+    p.add_argument("--tenant", default="cli",
+                   help="tenant the job is accounted to (default 'cli')")
+    p.add_argument("--priority", default="normal",
+                   choices=("interactive", "normal", "batch"),
+                   help="priority lane (default normal)")
+    p.add_argument("--max-us", type=positive_float, default=None,
+                   help="simulated-time bound per unit")
+    p.add_argument("--trace", action="store_true",
+                   help="capture a Perfetto trace (GET /jobs/<id>/trace)")
+    p.add_argument("--preemptible", action="store_true",
+                   help="allow drain-time checkpointing")
+    p.add_argument("--checkpoint-at-us", type=positive_float, default=None,
+                   help="force one preemption at this simulated instant "
+                        "(implies --preemptible)")
+    p.add_argument("--wait", action="store_true",
+                   help="block until the job finishes and print its results")
+
+    p = command("jobs", cmd_jobs, "inspect a running service: jobs, "
+                "results, events, workers", service)
+    p.add_argument("job", nargs="?", default=None,
+                   help="job id to inspect (default: list jobs)")
+    p.add_argument("--tenant", default=None,
+                   help="filter the job list by tenant")
+    p.add_argument("--result", action="store_true",
+                   help="print the job's per-unit results")
+    p.add_argument("--wait", action="store_true",
+                   help="with --result: block until terminal")
+    p.add_argument("--events", action="store_true",
+                   help="print the job's event log")
+    p.add_argument("--since", type=int, default=0,
+                   help="with --events: only events after this sequence "
+                        "number")
+    p.add_argument("--workers", action="store_true",
+                   help="show the worker fleet instead of jobs")
+    p.add_argument("--drain", default=None, metavar="WORKER",
+                   help="drain a worker (preempts its preemptible unit)")
+    p.add_argument("--undrain", default=None, metavar="WORKER",
+                   help="return a drained worker to service")
     return parser
 
 

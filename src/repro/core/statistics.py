@@ -101,10 +101,6 @@ class TimeWeightedStates:
         self._state = state
         self._since = now
 
-    def mark_epoch(self) -> None:
-        """Remember the current time as a phase boundary."""
-        self._epochs.append(self.sim.now)
-
     def durations(self, until_ps: Optional[int] = None) -> Dict[str, int]:
         """Absolute time (ps) per state, including the open interval."""
         if until_ps is None:

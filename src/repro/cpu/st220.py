@@ -134,12 +134,3 @@ class St220Core(Component):
         stalled = self.sim._now - start
         self.stall_cycles.add(int(clk.to_cycles(stalled)))
         self.miss_latency.add(stalled)
-
-    # ------------------------------------------------------------------
-    @property
-    def cpi_estimate(self) -> float:
-        """Rough cycles-per-block including stalls (for reports)."""
-        if self.blocks_retired.value == 0:
-            return 0.0
-        elapsed_cycles = self.clock.to_cycles(self.sim.now)
-        return elapsed_cycles / self.blocks_retired.value

@@ -33,7 +33,7 @@ from .protocols import (
     register_protocol,
     spec_for_fabric,
 )
-from .stbus import StbusNode, StbusTargetInterface
+from .stbus import StbusNode
 from .types import (
     AddressRange,
     Opcode,
@@ -65,7 +65,6 @@ __all__ = [
     "RoundRobin",
     "StbusCrossbar",
     "StbusNode",
-    "StbusTargetInterface",
     "StbusType",
     "TargetPort",
     "Transaction",

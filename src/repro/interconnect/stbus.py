@@ -42,7 +42,7 @@ from .arbiter import Arbiter, MessageArbiter
 from .base import Fabric
 from .generic import GenericFabric
 from .stbus_protocol import request_packet
-from .types import ResponseBeat, StbusType, Transaction
+from .types import StbusType, Transaction
 
 
 class StbusNode(GenericFabric):
@@ -104,29 +104,3 @@ class StbusNode(GenericFabric):
         state["bus_type"] = int(self.bus_type)
         state["lock_breaks"] = self.lock_breaks.value
         return state
-
-
-class StbusTargetInterface:
-    """Helper mixin-ish adaptor documenting the device-side contract.
-
-    Devices attached to an :class:`StbusNode` interact only through their
-    :class:`~repro.interconnect.base.TargetPort`:
-
-    * ``yield port.get_request()`` to accept a transaction,
-    * ``yield port.put_beat(ResponseBeat(txn, i, is_last))`` per data beat
-      (reads) or a single ``index == -1`` acknowledgement beat (non-posted
-      writes).
-
-    Kept as a class for documentation/discoverability; it has no state.
-    """
-
-    @staticmethod
-    def write_ack(txn: Transaction) -> ResponseBeat:
-        """The acknowledgement beat of a non-posted write."""
-        return ResponseBeat(txn, index=-1, is_last=True)
-
-    @staticmethod
-    def read_beats(txn: Transaction):
-        """Yield the (index, is_last) schedule of a read burst."""
-        for i in range(txn.beats):
-            yield i, i == txn.beats - 1

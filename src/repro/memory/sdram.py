@@ -270,9 +270,6 @@ class SdramDevice:
         bank_index, row, _col = self.geometry.decode(address)
         return self.banks[bank_index].open_row == row
 
-    def bank_of(self, address: int) -> int:
-        return self.geometry.decode(address)[0]
-
     @property
     def row_hit_rate(self) -> float:
         total = self.row_hits.value + self.row_misses.value

@@ -6,7 +6,8 @@ finished results using three layers the repo already trusts:
 * **execution** is one body, :func:`_execute`, driving one
   :class:`repro.sweep.Run` per unit.  It is submitted to the fleet's
   thread executor, or — for plain units under ``use_processes=True`` —
-  unchanged to a :mod:`concurrent.futures` process pool;
+  unchanged to a :mod:`concurrent.futures` process pool, which is
+  replaced when a worker process dies (the unit is retried once);
 * **dedupe** uses the :class:`~repro.sweep.SweepCache` as a *shared
   store*: a unit whose SHA-256 config key is already on disk is served
   without simulating (``cached="cache"``), and identical units in
@@ -34,6 +35,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.kernel import Simulator
@@ -318,10 +320,17 @@ class Scheduler:
         if self._processes is not None and not job.trace_requested \
                 and not job.preemptible:
             executor = self._processes
+        loop = asyncio.get_running_loop()
+        payload = (config_to_dict(unit.config), unit.max_ps, checkpoint_doc,
+                   job.trace_requested, pauses, drain)
         try:
-            out = await asyncio.get_running_loop().run_in_executor(
-                executor, _execute, config_to_dict(unit.config), unit.max_ps,
-                checkpoint_doc, job.trace_requested, pauses, drain)
+            try:
+                out = await loop.run_in_executor(executor, _execute, *payload)
+            except BrokenProcessPool:
+                # The sweep engine's crash policy: a dead pool worker costs
+                # this unit one retry on a fresh pool, not every later unit.
+                out = await loop.run_in_executor(
+                    self._replace_pool(executor), _execute, *payload)
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # simulation / snapshot failures
@@ -344,6 +353,18 @@ class Scheduler:
                           resumed=bool(out.get("resumed")))
         worker.completed += 1
         self._release_worker(worker)
+
+    def _replace_pool(self, broken):
+        """The executor that takes over from the ``broken`` process pool.
+
+        Units that hit the same crash share one replacement: only the
+        first finds ``broken`` still installed.  When no new pool can be
+        made, plain units run on the thread executor from then on.
+        """
+        if self._processes is broken:
+            broken.shutdown(wait=False)
+            self._processes = _make_executor(len(self.workers))
+        return self._processes or self._threads
 
     async def _follow_inflight(
             self, unit: Unit,

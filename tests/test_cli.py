@@ -149,3 +149,88 @@ class TestErrorPolicy:
             main(argv)
         assert usage.value.code == 2
         assert "is not a positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["snapshot", "take", "cfg.json", "--at-us", "0"],
+        ["snapshot", "take", "cfg.json", "--at-us", "-1"],
+        ["snapshot", "take", "cfg.json", "--fraction", "0"],
+        ["snapshot", "take", "cfg.json", "--fraction", "1.5"],
+        ["run", "fig3", "--jobs", "0"],
+        ["run", "fig3", "--jobs", "-2"],
+        ["sweep", "sweep.json", "--jobs", "0"],
+        ["sweep", "sweep.json", "--jobs", "-2"],
+        ["dse", "dse.json", "--jobs", "0"],
+        ["dse", "dse.json", "--jobs", "-2"],
+        ["serve", "--workers", "0"],
+        ["serve", "--quota", "0"],
+        ["bench", "--repeats", "0"],
+        ["bench", "--bench-scale", "0"],
+        ["submit", "cfg.json", "--checkpoint-at-us", "0"],
+        ["submit", "cfg.json", "--timeout", "-1"],
+        ["jobs", "--timeout", "-1"],
+        ["sweep", "sweep.json", "--timeout", "-1"],
+    ], ids=" ".join)
+    def test_nonsense_numbers_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as usage:
+            main(argv)
+        assert usage.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro ") and "Traceback" not in err
+
+    def test_checkpoint_at_zero_writes_nothing(self, tmp_path):
+        """Regression: ``--at-us 0`` read as unset and saved a checkpoint
+        at ``--fraction`` of the run."""
+        config = TestPlatform()._write_config(tmp_path)
+        out = tmp_path / "ckpts"
+        with pytest.raises(SystemExit) as usage:
+            main(["snapshot", "take", str(config), "--at-us", "0",
+                  "--out", str(out)])
+        assert usage.value.code == 2
+        assert not out.exists()
+
+
+#: Every subcommand's option strings, captured before the shared flags
+#: moved into parent parsers: no command may gain or lose one.
+OPTION_SURFACE = {
+    "bench": ["--bench-scale", "--help", "--mode", "--output", "--repeats",
+              "--scenario", "-h"],
+    "check": ["--diff", "--help", "--limit", "--max-us", "--scale",
+              "--strict", "-h"],
+    "dse": ["--csv", "--help", "--jobs", "--json", "--no-cache", "--screen",
+            "--seed", "-h"],
+    "jobs": ["--drain", "--events", "--help", "--result", "--since",
+             "--tenant", "--timeout", "--undrain", "--url", "--wait",
+             "--workers", "-h"],
+    "list": ["--help", "-h"],
+    "platform": ["--checkpoint-dir", "--checkpoint-every", "--csv", "--help",
+                 "--max-us", "--mode", "--trace", "-h"],
+    "protocols": ["--help", "--matrix", "--plan", "-h"],
+    "run": ["--help", "--jobs", "--scale", "--trace", "-h"],
+    "serve": ["--cache-dir", "--help", "--host", "--no-cache", "--port",
+              "--processes", "--quota", "--slice-us", "--socket", "--workers",
+              "-h"],
+    "snapshot": ["--at-us", "--fraction", "--help", "--max-us", "--only",
+                 "--out", "--refresh-golden", "--summary", "--verify-golden",
+                 "-h"],
+    "stats": ["--csv", "--energy", "--help", "--json", "--max-us", "--prefix",
+              "--scale", "-h"],
+    "submit": ["--checkpoint-at-us", "--help", "--max-us", "--preemptible",
+               "--priority", "--tenant", "--timeout", "--trace", "--url",
+               "--wait", "-h"],
+    "sweep": ["--cache-dir", "--csv", "--help", "--jobs", "--no-cache",
+              "--timeout", "-h"],
+    "trace": ["--help", "--out", "--scale", "-h"],
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    import argparse
+
+    from repro.cli import build_parser
+
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    surface = {name: sorted(option for action in parser._actions
+                            for option in action.option_strings)
+               for name, parser in subparsers.choices.items()}
+    assert surface == OPTION_SURFACE

@@ -76,6 +76,17 @@ class TestSweepCommand:
         assert main(["sweep", str(spec)]) == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    def test_platform_file_is_a_one_point_sweep(self, tmp_path, capsys):
+        """``repro sweep`` reads its file as ``repro check`` does
+        (``repro.sweep.load_target``)."""
+        spec = _write_spec(tmp_path, SPEC["base"])
+        assert main(["sweep", str(spec), "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        rows = [line.split() for line in out.splitlines()
+                if line.split()[-1:] == ["run"]]
+        assert [row[0] for row in rows] == ["stbus/collapsed"]
+        assert "1 point(s), 0 served from cache" in out
+
 
 class TestRunJobs:
     def test_run_with_jobs_matches_serial(self, tmp_path, capsys, monkeypatch):

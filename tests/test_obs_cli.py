@@ -84,3 +84,15 @@ class TestStatsCommand:
 
     def test_unknown_experiment_fails(self, capsys):
         assert main(["stats", "nope"]) == 2
+
+    def test_sweep_file_dumps_every_point(self, tmp_path, capsys):
+        """A sweep file is a target, as for ``repro check``: one
+        simulator, hence one ``simN.`` subtree, per point."""
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({
+            "base": {"traffic_scale": 0.05, "cpu": {"enabled": False}},
+            "grid": {"memory.wait_states": [1, 4]}}))
+        assert main(["stats", str(spec)]) == 0
+        rows = capsys.readouterr().out
+        assert "sim1.mem.reads " in rows and "sim2.mem.reads " in rows
+        assert "sim3." not in rows

@@ -2,6 +2,10 @@
 and migration — driven directly on an event loop (docs/SERVICE.md)."""
 
 import asyncio
+import os
+import signal
+from concurrent.futures import Executor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -223,6 +227,67 @@ class TestProcessOffload:
         assert events["unit_done"]["resumed"] is True
         assert len(units[4].trace["traceEvents"]) > 0
         assert all(unit.trace is None for unit in units[:4])
+
+    def test_a_killed_pool_worker_costs_one_retry_not_the_fleet(
+            self, monkeypatch):
+        """SIGKILL the pool's only worker before dispatch: both plain
+        units hit the dead pool, share one replacement and come back
+        bit-identical to a direct run."""
+        from repro.service import scheduler as scheduler_module
+
+        real_make_executor = scheduler_module._make_executor
+        pools = []
+
+        def counting_make_executor(jobs):
+            pools.append(real_make_executor(jobs))
+            return pools[-1]
+
+        def kill_the_pool(scheduler):
+            pool = scheduler._processes
+            if pool is None:
+                pytest.skip("no process pool on this host")
+            os.kill(pool.submit(os.getpid).result(timeout=60), signal.SIGKILL)
+            with pytest.raises(BrokenProcessPool):
+                pool.submit(int).result(timeout=60)
+
+        monkeypatch.setattr(scheduler_module, "_make_executor",
+                            counting_make_executor)
+        _q, _s, jobs = run_jobs([doc(seed=1), doc(seed=2)], fleet=1,
+                                use_processes=True, started=kill_the_pool)
+        assert [job.state for job in jobs] == ["done", "done"]
+        assert len(pools) == 2  # the first pool and one replacement
+        for job in jobs:
+            unit = job.units[0]
+            straight = Run(unit.config, MAX_PS).finish()
+            assert unit.result == result_to_dict(straight.result)
+            assert unit.events == straight.events
+            assert unit.sim_time_ps == straight.sim_time_ps
+
+    def test_an_always_broken_pool_fails_one_unit_and_the_fleet_serves_on(
+            self, monkeypatch):
+        """Every pool is broken: the plain unit is retried once, then
+        fails alone; the trace unit behind it runs on threads."""
+        from repro.service import scheduler as scheduler_module
+
+        submits = []
+
+        class BrokenPool(Executor):
+            def submit(self, fn, *args, **kwargs):
+                submits.append(fn)
+                raise BrokenProcessPool("a child process terminated abruptly")
+
+        monkeypatch.setattr(scheduler_module, "_make_executor",
+                            lambda jobs: BrokenPool())
+        _q, _s, jobs = run_jobs([doc(seed=1), doc(seed=2, trace=True)],
+                                fleet=1, use_processes=True)
+        plain, traced = (job.units[0] for job in jobs)
+        assert plain.state == "failed"
+        assert plain.error.startswith("BrokenProcessPool: ")
+        assert [event["event"] for event in jobs[0].events].count(
+            "unit_failed") == 1
+        assert len(submits) == 2  # the first attempt and one retry
+        assert traced.state == "done"
+        assert len(traced.trace["traceEvents"]) > 0
 
 
 class TestFailures:

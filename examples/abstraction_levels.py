@@ -14,8 +14,8 @@ Run with::
 
 import time
 
-from repro.analysis import format_table
 from repro.core import Simulator
+from repro.obs import format_table
 from repro.platforms import build_platform, onchip_memory, instance
 from repro.platforms.config import CpuConfig
 

@@ -15,29 +15,41 @@ Run with::
     python examples/bottleneck_analysis.py
 """
 
-from repro.analysis import STATE_FULL, STATE_IDLE, STATE_STORING, breakdown_chart
-from repro.analysis.timeline import TimelineSampler, counter_probe
-from repro.core import Simulator
-from repro.platforms import build_platform, instance, lmi_memory
+from repro.analysis import STATE_FULL, STATE_IDLE, STATE_STORING
+from repro.obs import breakdown_chart, capture
+from repro.platforms import instance, lmi_memory
+from repro.sweep import Run
+
+SPARK_GLYPHS = " .:-=+*#%@"
+
+
+def sparkline(times_ps, end_ps: int, width: int = 50) -> str:
+    """One glyph per time bin, scaled to the busiest bin's event count."""
+    counts = [0] * width
+    for t in times_ps:
+        counts[min(width - 1, t * width // end_ps)] += 1
+    peak = max(counts) or 1
+    steps = len(SPARK_GLYPHS) - 1
+    return "".join(SPARK_GLYPHS[round(steps * count / peak)]
+                   for count in counts)
 
 
 def diagnose(label: str, protocol: str) -> None:
     config = instance(protocol, "distributed", lmi_memory(),
                       traffic_scale=0.4)
-    sim = Simulator()
-    platform = build_platform(sim, config)
-    # Section 5 instrument #2: memory bandwidth over time.
-    # Keep the horizon inside the run: an idle sampling tail would dilute
-    # the monitor's time-weighted state fractions.
-    sampler = TimelineSampler(
-        sim, interval_ps=650_000, horizon_ps=32_000_000,
-        probes={"served": counter_probe(platform.lmi.served)})
-    result = platform.run(max_ps=20_000_000_000_000)
-    report = platform.monitor.report()
+    with capture() as cap:
+        run = Run(config, max_ps=20_000_000_000_000)
+        result = run.finish().result
+    # Section 5 instrument #2: memory bandwidth over time, from the
+    # capture's per-request mark at the moment the LMI dequeues it.
+    recorder = cap.recorders[0]
+    dequeues = [t for txn in recorder.transactions
+                for stage, t in recorder.marks(txn) if stage == "lmi.engine"]
+    report = run.platform.monitor.report()
     print(f"\n--- {label} ---")
     print(breakdown_chart(report, (STATE_FULL, STATE_STORING, STATE_IDLE)))
     print(f"memory txn rate over time: "
-          f"|{sampler.sparkline('served', rate=True, width=50)}|")
+          f"|{sparkline(dequeues, result.execution_time_ps)}|")
     row = next(iter(report.values()))
     if row[STATE_FULL] > 0.25:
         verdict = ("memory controller saturated: the interconnect delivers "

@@ -11,7 +11,7 @@ Run with::
 """
 
 from repro import AddressRange, OnChipMemory, Simulator, StbusNode, StbusType
-from repro.analysis import format_table, percent
+from repro.obs import format_table
 from repro.traffic import Fixed, Iptg, IptgPhase
 
 
@@ -51,9 +51,9 @@ def main() -> None:
                        rows, float_digits=1))
     print(f"\nexecution time: {sim.now / 1000:.0f} ns")
     print(f"request-channel utilisation:  "
-          f"{percent(node.req_channel.utilization())}")
+          f"{node.req_channel.utilization():.1%}")
     print(f"response-channel utilisation: "
-          f"{percent(node.resp_channel.utilization())}   "
+          f"{node.resp_channel.utilization():.1%}   "
           "<- the 50% bound of Section 4.1.2")
 
 

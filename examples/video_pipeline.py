@@ -13,9 +13,9 @@ Run with::
 """
 
 from repro import AddressRange, Simulator, StbusNode, StbusType
-from repro.analysis import format_table
 from repro.cpu import BenchmarkConfig, St220Core, SyntheticBenchmark
 from repro.memory import LmiConfig, LmiController
+from repro.obs import format_table
 from repro.traffic import AgentSpec, Fixed, IptgPhase, MultiAgentIp
 
 MEM_BASE = 0x8000_0000

@@ -1,26 +1,15 @@
-"""Analysis: interface monitors, run metrics, plain-text reporting."""
+"""Analysis: the run result and the Fig. 6 interface monitor.
 
-from .export import (
-    histogram_chart,
-    latency_histogram,
-    results_to_csv,
-    transactions_to_csv,
-)
+Renderers and exporters live in :mod:`repro.obs.export`.
+"""
+
 from .fifo_monitor import (
     STATE_FULL,
     STATE_IDLE,
     STATE_STORING,
     InterfaceMonitor,
 )
-from .metrics import RunResult, normalize, speedup, summarize_transactions
-from .report import bar_chart, breakdown_chart, format_table, percent
-from .timeline import (
-    TimelineSampler,
-    busy_probe,
-    counter_probe,
-    fifo_level_probe,
-)
-from .vcd import VcdWriter
+from .metrics import RunResult, summarize_transactions
 
 __all__ = [
     "InterfaceMonitor",
@@ -28,20 +17,5 @@ __all__ = [
     "STATE_FULL",
     "STATE_IDLE",
     "STATE_STORING",
-    "TimelineSampler",
-    "VcdWriter",
-    "bar_chart",
-    "breakdown_chart",
-    "busy_probe",
-    "counter_probe",
-    "fifo_level_probe",
-    "format_table",
-    "histogram_chart",
-    "latency_histogram",
-    "normalize",
-    "percent",
-    "results_to_csv",
-    "speedup",
     "summarize_transactions",
-    "transactions_to_csv",
 ]

@@ -15,10 +15,7 @@ like Fig. 6's two working regimes.
 
 Both state trackers register in the simulator's metric registry
 (``<port>.iface.states`` / ``<port>.iface.empty``), so the Fig. 6 numbers
-appear in ``repro stats`` dumps alongside everything else; under an active
-observability capture the monitor additionally attaches a
-:class:`~repro.obs.registry.FifoProbe` (``<port>.iface.fifo``) measuring
-per-request waiting times in the same FIFO.
+appear in ``repro stats`` dumps alongside everything else.
 """
 
 from __future__ import annotations
@@ -50,10 +47,6 @@ class InterfaceMonitor:
             f"{port.name}.iface.empty",
             initial="empty" if port.request_fifo.is_empty else "nonempty",
             first_phase=first_phase)
-        if sim._spans is not None:
-            # Waiting-time probe only under an active capture: it installs
-            # a level watcher on what is usually the hottest FIFO in a run.
-            metrics.fifo(f"{port.name}.iface.fifo", port.request_fifo)
         port.request_fifo.watch(self._on_level)
         port.request_observers.append(self._on_request_state)
 

@@ -3,14 +3,14 @@
 The macroscopic metric of Figs. 3-5 is *execution time* (reported
 normalised), backed by channel utilisations, latency populations and
 throughput.  :class:`RunResult` is the value object every experiment
-returns; helpers normalise result sets the way the paper's figures do.
+returns; ``repro.experiments.common.normalized`` normalises result sets
+the way the paper's figures do.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from ..interconnect.types import Transaction
 
@@ -57,12 +57,6 @@ class RunResult:
         neither a slow-but-frugal nor a fast-but-hungry corner."""
         return self.energy_total_pj * self.execution_time_ns
 
-    def normalized_to(self, baseline: "RunResult") -> float:
-        """Execution time relative to ``baseline`` (Fig. 3/5 bar heights)."""
-        if baseline.execution_time_ps == 0:
-            return math.inf
-        return self.execution_time_ps / baseline.execution_time_ps
-
 
 def summarize_transactions(label: str, execution_time_ps: int,
                            transactions: Iterable[Transaction],
@@ -88,25 +82,3 @@ def summarize_transactions(label: str, execution_time_ps: int,
         energy_pj=dict(energy_pj or {}),
         energy_total_pj=energy_total_pj,
     )
-
-
-def normalize(results: List[RunResult],
-              baseline_label: Optional[str] = None) -> Dict[str, float]:
-    """Normalised execution times (smallest = 1.0 unless a label is given)."""
-    if not results:
-        return {}
-    if baseline_label is None:
-        baseline = min(results, key=lambda r: r.execution_time_ps)
-    else:
-        matches = [r for r in results if r.label == baseline_label]
-        if not matches:
-            raise KeyError(f"no result labelled {baseline_label!r}")
-        baseline = matches[0]
-    return {r.label: r.normalized_to(baseline) for r in results}
-
-
-def speedup(slow: RunResult, fast: RunResult) -> float:
-    """How many times faster ``fast`` finished than ``slow``."""
-    if fast.execution_time_ps == 0:
-        return math.inf
-    return slow.execution_time_ps / fast.execution_time_ps

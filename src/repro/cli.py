@@ -39,7 +39,7 @@ from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import experiments
-from .analysis import format_table
+from .obs.export import format_table
 
 #: name -> (description, runner(scale) -> (data, report_text, failures))
 Registry = Dict[str, Tuple[str, Callable]]
@@ -162,7 +162,7 @@ def cmd_platform(args) -> int:
     for key, value in sorted(result.extra.items()):
         print(f"{key + ':':<17}{value:.2f}")
     if args.csv:
-        from .analysis import results_to_csv
+        from .obs.export import results_to_csv
 
         results_to_csv(args.csv, [result])
         print(f"\nwrote {args.csv}")
@@ -344,7 +344,7 @@ def cmd_sweep(args) -> int:
         print(f"best energy-delay product: {best.label} "
               f"({best.energy_delay_product:.3e} pJ*ns)")
     if args.csv:
-        from .analysis import results_to_csv
+        from .obs.export import results_to_csv
 
         results_to_csv(args.csv, results)
         print(f"wrote {args.csv}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from ..obs.export import metrics_csv, metrics_json
+from ..obs.export import format_table, metrics_csv, metrics_json
 from .optimizer import DseOutcome
 
 
@@ -69,21 +69,11 @@ def front_table(outcome: DseOutcome) -> str:
     """Aligned terminal table: one line per front member."""
     if not outcome.front:
         return "(empty front)"
-    headers = ["#", "configuration"] + list(outcome.objectives)
-    rows = [headers]
-    for rank, member in enumerate(outcome.front):
-        rows.append([str(rank), member.label]
-                    + [f"{member.objectives[name]:.6g}"
-                       for name in outcome.objectives])
-    widths = [max(len(row[col]) for row in rows)
-              for col in range(len(headers))]
-    lines = []
-    for index, row in enumerate(rows):
-        lines.append("  ".join(cell.ljust(width)
-                               for cell, width in zip(row, widths)).rstrip())
-        if index == 0:
-            lines.append("  ".join("-" * width for width in widths))
-    return "\n".join(lines)
+    rows = [[str(rank), member.label]
+            + [f"{member.objectives[name]:.6g}" for name in outcome.objectives]
+            for rank, member in enumerate(outcome.front)]
+    return format_table(["#", "configuration"] + list(outcome.objectives),
+                        rows)
 
 
 __all__ = ["front_csv", "front_json", "front_rows", "front_table"]

@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.report import format_table
 from ..memory.lmi import LmiConfig
+from ..obs.export import format_table
 from ..platforms.config import PlatformConfig
 from ..platforms.variants import instance, lmi_memory
 from .common import claim, run_configs

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.report import format_table
 from ..core.kernel import Simulator
 from ..interconnect.arbiter import (
     FixedPriority,
@@ -29,6 +28,7 @@ from ..interconnect.arbiter import (
 from ..interconnect.stbus import StbusNode
 from ..interconnect.types import AddressRange, StbusType
 from ..memory.onchip import OnChipMemory
+from ..obs.export import format_table
 from ..sweep import parallel_map
 from ..traffic.iptg import Iptg, IptgPhase
 from ..traffic.patterns import Fixed, Sequential

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..analysis.report import format_table
+from ..obs.export import format_table
 from ..platforms.variants import fig4_pair
 from .common import claim, run_configs
 

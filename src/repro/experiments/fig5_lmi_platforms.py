@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..analysis.report import bar_chart
+from ..obs.export import bar_chart
 from ..platforms.variants import fig5_instances
 from .common import claim, normalized, run_configs
 

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 from dataclasses import replace
 
 from ..analysis.fifo_monitor import STATE_FULL, STATE_IDLE, STATE_STORING
-from ..analysis.report import breakdown_chart
+from ..obs.export import breakdown_chart
 from ..platforms.config import TwoPhaseSpec, reference_clusters
 from ..platforms.loader import config_from_dict, config_to_dict
 from ..platforms.variants import instance, lmi_memory

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.report import format_table
 from ..core.kernel import Simulator
 from ..devices.display import DisplayController
 from ..devices.dma import DmaDescriptor, DmaEngine
@@ -29,6 +28,7 @@ from ..interconnect.arbiter import FixedPriority, RoundRobin
 from ..interconnect.stbus import StbusNode
 from ..interconnect.types import AddressRange, StbusType
 from ..memory.lmi import LmiConfig, LmiController
+from ..obs.export import format_table
 from ..sweep import parallel_map
 from .common import claim
 

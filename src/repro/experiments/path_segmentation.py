@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.report import format_table
 from ..bridge.genconv import GenConvBridge
 from ..bridge.lightweight import LightweightBridge
 from ..core.kernel import Simulator
 from ..interconnect.stbus import StbusNode
 from ..interconnect.types import AddressRange, StbusType
 from ..memory.onchip import OnChipMemory
+from ..obs.export import format_table
 from ..sweep import parallel_map
 from .common import claim
 

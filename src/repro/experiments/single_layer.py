@@ -19,10 +19,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..analysis.metrics import RunResult, summarize_transactions
-from ..analysis.report import format_table
 from ..core.kernel import Simulator
 from ..interconnect.types import AddressRange, StbusType
 from ..memory.onchip import OnChipMemory
+from ..obs.export import format_table
 from ..platforms.reference import make_fabric
 from ..sweep import parallel_map
 from ..traffic.iptg import Iptg, IptgPhase

@@ -14,8 +14,9 @@ Three pieces, composable but independent:
     to the end-to-end latency.
 
 :mod:`repro.obs.perfetto` / :mod:`repro.obs.export`
-    Exporters: Chrome/Perfetto ``trace_event`` JSON for the spans, and
-    JSON/CSV/terminal dumps for the metric snapshot.
+    Exporters: Chrome/Perfetto ``trace_event`` JSON for the spans;
+    JSON/CSV/terminal dumps for the metric snapshot; the run-result CSV;
+    and the tables and bar charts every report prints.
 
 Usage::
 
@@ -43,7 +44,15 @@ from typing import Dict, Iterator, List, Optional
 
 from ..core import kernel as _kernel
 from .energy import EnergyAccountant, EnergyConfig, attach_energy
-from .export import metrics_csv, metrics_json, metrics_text
+from .export import (
+    bar_chart,
+    breakdown_chart,
+    format_table,
+    metrics_csv,
+    metrics_json,
+    metrics_text,
+    results_to_csv,
+)
 from .perfetto import to_trace_json, trace_events, write_trace
 from .registry import FifoProbe, MetricRegistry
 from .trace import (
@@ -65,13 +74,17 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "attach_energy",
+    "bar_chart",
+    "breakdown_chart",
     "build_spans",
     "capture",
     "format_hop_summary",
+    "format_table",
     "hop_summary",
     "metrics_csv",
     "metrics_json",
     "metrics_text",
+    "results_to_csv",
     "to_trace_json",
     "trace_events",
     "write_trace",

@@ -34,6 +34,7 @@ from typing import Dict, List, Tuple
 
 from ..core.statistics import LatencySummary
 from ..interconnect.types import Transaction
+from .export import format_table
 
 #: Span label for the segment *ending* at each lifecycle point.  The
 #: segment between two points is named for the work that filled it.
@@ -211,8 +212,6 @@ def hop_summary(recorders) -> Dict[str, LatencySummary]:
 
 def format_hop_summary(table: Dict[str, LatencySummary]) -> str:
     """Plain-text rendering of :func:`hop_summary` (ps-denominated)."""
-    from ..analysis.report import format_table  # deferred: keep obs light
-
     order = sorted(table, key=lambda name: (name == "end_to_end", name))
     rows = []
     for name in order:

@@ -6,6 +6,7 @@ real file in the repository, so the architecture map in
 External links (http/https/mailto) and pure in-page anchors are skipped.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -76,3 +77,40 @@ def test_docs_cross_link_each_other(name):
     others = [other for other in _ANCHORED_DOCS if other != name]
     assert any(other in text for other in others), (
         f"{name} links none of {others}")
+
+
+#: Top-level docs that name modules in prose and tables.
+_ROOT_DOCS = ("README.md", "DESIGN.md", "GUIDELINES.md", "EXPERIMENTS.md")
+
+_SOURCE_PATH = re.compile(r"(?<![\w/.])(?:src/repro|tests)/[\w/]+\.py")
+_DOTTED_NAME = re.compile(r"(?<![\w/.])repro(?:\.\w+)+")
+
+
+def _resolves(name: str) -> bool:
+    """Import the longest importable prefix of ``name``, then ``getattr``
+    the rest."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name", _ROOT_DOCS)
+def test_root_docs_name_only_real_modules(name):
+    """Every ``src/repro/...py`` / ``tests/...py`` path and every dotted
+    ``repro.x.y`` name in the top-level docs still exists."""
+    text = (REPO_ROOT / name).read_text()
+    missing = [path for path in sorted(set(_SOURCE_PATH.findall(text)))
+               if not (REPO_ROOT / path).is_file()]
+    unresolved = [dotted for dotted in sorted(set(_DOTTED_NAME.findall(text)))
+                  if not _resolves(dotted)]
+    assert not missing, f"{name} names missing files: {missing}"
+    assert not unresolved, f"{name} names missing modules: {unresolved}"

@@ -13,6 +13,7 @@ FAST_EXAMPLES = [
     "video_pipeline.py",
     "abstraction_levels.py",
     "realtime_display.py",
+    "bottleneck_analysis.py",
 ]
 
 
@@ -30,6 +31,22 @@ def test_quickstart_shows_the_50_percent_bound():
         [sys.executable, str(EXAMPLES / "quickstart.py")],
         capture_output=True, text=True, timeout=120)
     assert "50" in result.stdout
+
+
+def test_bottleneck_example_tells_the_two_bottlenecks_apart():
+    """The Fig. 6 instrument blames the LMI on the split-capable STBus
+    platform and the interconnect on the blocking-bridge AHB one."""
+    result = subprocess.run(
+        [sys.executable, str(EXAMPLES / "bottleneck_analysis.py")],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    stbus, ahb = result.stdout.split("--- full AHB")
+    assert "STBus" in stbus and "diagnosis: memory controller saturated" in stbus
+    assert "diagnosis: memory controller starving" in ahb
+    rates = [line.split("|")[1] for line in result.stdout.splitlines()
+             if line.startswith("memory txn rate over time:")]
+    assert len(rates) == 2
+    assert all(len(rate) == 50 and rate.strip() for rate in rates)
 
 
 def test_config_file_example_is_loadable():

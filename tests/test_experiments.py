@@ -53,6 +53,18 @@ class TestCommon:
         norm = normalized({"a": _result("a", 0), "b": _result("b", 0)})
         assert norm == {"a": 1.0, "b": 1.0}
 
+    def test_normalized_to_a_named_baseline(self):
+        results = {"a": _result("a", 100), "b": _result("b", 250)}
+        assert normalized(results, baseline="b") == {"a": 0.4, "b": 1.0}
+        assert normalized(results) == {"a": 1.0, "b": 2.5}
+
+    def test_normalized_unknown_baseline(self):
+        with pytest.raises(KeyError):
+            normalized({"a": _result("a", 1)}, baseline="missing")
+
+    def test_normalized_empty(self):
+        assert normalized({}) == {}
+
 
 class TestSingleLayerSmoke:
     def test_many_to_one_claims_hold(self):

@@ -1,8 +1,13 @@
 """Tests for the observability CLI surface (trace/stats/--trace)."""
 
+import csv
 import json
+from pathlib import Path
 
 from repro.cli import main
+
+LMI_CONFIG = Path(__file__).parent.parent / "examples" / "configs" / \
+    "custom_platform.json"
 
 
 class TestRunTraceFlag:
@@ -72,6 +77,21 @@ class TestStatsCommand:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "metric,value"
         assert len(lines) == len(document["metrics"]) + 1
+
+    def test_csv_values_equal_the_json_values(self, tmp_path, capsys):
+        """No rounding on the CSV side: integers above a million and
+        full-precision utilisations read back exactly."""
+        json_path = tmp_path / "metrics.json"
+        csv_path = tmp_path / "metrics.csv"
+        assert main(["stats", str(LMI_CONFIG), "--json", str(json_path),
+                     "--csv", str(csv_path)]) == 0
+        metrics = json.loads(json_path.read_text())["metrics"]
+        with csv_path.open(newline="") as handle:
+            rows = {row["metric"]: float(row["value"])
+                    for row in csv.DictReader(handle)}
+        assert rows == metrics
+        assert any(value > 1e6 and value.is_integer()
+                   for value in metrics.values())
 
     def test_prefix_filters_terminal_output(self, capsys):
         status = main(["stats", "s412", "--scale", "0.2",

@@ -140,3 +140,22 @@ class TestFifoHighWater:
             fifo.try_get()
         assert fifo.level == 0
         assert fifo.high_water == 5
+
+
+class TestOneProbePerFifo:
+    def test_capture_probes_the_lmi_request_fifo_once(self):
+        """The Fig. 6 monitor reads the FIFO its ``TargetPort`` already
+        probes as ``<fabric>.<port>.req_fifo``; it adds no second probe."""
+        from repro.obs import capture
+        from repro.platforms import instance, lmi_memory
+        from repro.sweep import Run
+
+        with capture():
+            run = Run(instance("stbus", "distributed", lmi_memory(),
+                               traffic_scale=0.05))
+        metrics = run.sim.metrics
+        probes = [metrics.get(path) for path in metrics.paths()
+                  if isinstance(metrics.get(path), FifoProbe)]
+        watched = [id(probe.fifo) for probe in probes]
+        assert len(watched) == len(set(watched))
+        assert id(run.platform.monitor.port.request_fifo) in watched

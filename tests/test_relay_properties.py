@@ -3,10 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.report import bar_chart
 from repro.bridge.base import BridgeBase
 from repro.core import Simulator
 from repro.interconnect import AddressRange, ResponseBeat
+from repro.obs import bar_chart
 
 from .helpers import make_node, read
 

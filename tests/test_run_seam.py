@@ -187,3 +187,33 @@ def test_statistics_are_built_by_the_registry():
                 offenders.append(f"{where}:{node.lineno}")
     assert offenders == [], f"use sim.metrics.counter/histogram: {offenders}"
 
+
+def _imported_modules(node):
+    """Dotted names an import statement reaches, relative ones with their
+    leading dots dropped (``from ..analysis import x`` -> ``analysis``,
+    ``analysis.x``)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = node.module or ""
+        return [base] + [f"{base}.{alias.name}".lstrip(".")
+                         for alias in node.names]
+    return []
+
+
+def test_one_export_module_and_obs_stands_alone():
+    """``obs/export.py`` is the only file under ``src/repro`` that
+    imports ``csv``, and no ``repro.obs`` module imports
+    ``repro.analysis``: every renderer and exporter lives in ``repro.obs``."""
+    csv_importers, upward = set(), []
+    for path in sorted(SRC.rglob("*.py")):
+        where = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            modules = _imported_modules(node)
+            if "csv" in modules:
+                csv_importers.add(where)
+            if where.startswith("obs/") and any(
+                    "analysis" in module.split(".") for module in modules):
+                upward.append(f"{where}:{node.lineno}")
+    assert csv_importers == {"obs/export.py"}
+    assert upward == [], f"repro.obs must not import repro.analysis: {upward}"

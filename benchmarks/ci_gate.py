@@ -13,9 +13,12 @@ command (``python3 benchmarks/stack/run.py --workload W --smoke --seed
 ``repro_calls_per_txn`` against ``BENCH_stack.json``.  The first two
 must not differ at all (a changed simulation again); calls per
 transaction — Python calls plus generator resumes into ``src/repro``,
-what a transaction costs the host on any machine — may not rise by more
-than 2 %, the bound ``BENCHMARK.json`` puts on it.  A fall is reported
-as an improvement to commit with ``--update``.
+what a transaction costs the host on any machine — may move by no more
+than 2 %, the bound ``BENCHMARK.json`` puts on it.  A rise beyond it is
+a costlier transaction; a fall beyond it fails too, until the saving is
+committed with ``--update``: otherwise a later change could give it back
+without ever crossing the stale baseline.  A smaller fall is reported as
+an improvement to commit.
 
 Those are the only failing conditions: every wall-clock figure
 (events/sec, transactions per calibrated second) is printed beside the
@@ -43,8 +46,8 @@ STACK_BASELINE = REPO_ROOT / "BENCH_stack.json"
 STACK_RUN = REPO_ROOT / "benchmarks" / "stack" / "run.py"
 STACK_WORKLOADS = ("platform_ca", "platform_lt", "sweep_fanout",
                    "service_mixed")
-#: Gated stack metric -> how far it may rise (relative); ``None`` means
-#: it may not differ at all.  Values are kept as the benchmark prints
+#: Gated stack metric -> how far it may move either way (relative);
+#: ``None`` means it may not differ at all.  Values are kept as the benchmark prints
 #: them, to six decimals.
 STACK_COUNTS = {"events_per_txn": None, "accuracy_pct": None,
                 "repro_calls_per_txn": 0.02}
@@ -123,22 +126,28 @@ def compare_stack(baseline, current):
         if workload not in current:
             failures.append(f"{workload}: present in baseline but not rerun")
             continue
-        for name, allowed_rise in STACK_COUNTS.items():
+        for name, bound in STACK_COUNTS.items():
             base = baseline[workload][name]
             cur = current[workload][name]
             verdict = "ok"
-            if allowed_rise is None:
+            if bound is None:
                 if cur != base:
                     verdict = "FAIL"
                     failures.append(
                         f"{workload}: {name} changed {base} -> {cur} — the "
                         f"simulation itself changed")
-            elif cur > base * (1 + allowed_rise):
+            elif cur > base * (1 + bound):
                 verdict = "FAIL"
                 failures.append(
                     f"{workload}: {name} rose {base} -> {cur} "
-                    f"({cur / base - 1:+.1%}, bound +{allowed_rise:.0%}) — "
+                    f"({cur / base - 1:+.1%}, bound +{bound:.0%}) — "
                     f"a transaction costs more Python calls than it did")
+            elif cur < base * (1 - bound):
+                verdict = "FAIL"
+                failures.append(
+                    f"{workload}: {name} fell {base} -> {cur} "
+                    f"({cur / base - 1:+.1%}, bound -{bound:.0%}) — commit "
+                    f"the saving with `--update` so it cannot be given back")
             elif cur < base * (1 - STACK_NOISE):
                 verdict = (f"improved {cur / base - 1:+.1%} — refresh with "
                            f"`--update`")

@@ -110,19 +110,33 @@ class GenConvBridge(BridgeBase):
                 txn.complete(self.sim._now)
             yield self.init_port.issue(child)
             if "ack_job" in child.meta or "err_watch" in child.meta:
-                child.ev_done.add_callback(lambda _e: self._notify())
+                child.ev_done.add_callback(
+                    lambda _e, job=job: self._wake(job))
 
     def _enqueue(self, job: _RelayJob) -> None:
         self._jobs.append(job)
-        self._notify()
+        if not self._lt:
+            # CA keeps the wake-up, a scheduled event; LT drops it: a job
+            # whose child is not issued yet cannot be ready.
+            self._relay_work.notify()
 
     def _make_sink(self, job: _RelayJob):
         def sink(beat: ResponseBeat) -> None:
             job.buffer.append(beat)
-            self._notify()
+            self._wake(job)
         return sink
 
-    def _notify(self) -> None:
+    def _wake(self, job: _RelayJob) -> None:
+        """``job`` gained a beat or completed: wake the relay if it can act.
+
+        An in-order LT relay serves only the head job, so progress on any
+        other wakes nothing — the relay rescans after every job it
+        retires anyway.  CA keeps every wake-up, a scheduled event.
+        """
+        if self._lt and self.in_order:
+            jobs = self._jobs
+            if not jobs or jobs[0] is not job:
+                return
         self._relay_work.notify()
 
     def snapshot_state(self, encoder):
@@ -181,7 +195,7 @@ class GenConvBridge(BridgeBase):
         while True:
             job = self._pick_job()
             if job is None:
-                yield self._relay_work.wait()
+                yield self._relay_work.sleep()
                 continue
             if not job.crossed:
                 yield from self.cross(self.source.clock)

@@ -291,8 +291,23 @@ class Clock:
             delay = phase - now
         else:
             delay = period - (now - phase) % period
-        return sim.pooled_timeout(delay + (n - 1) * period, priority=priority,
-                                  name=self._edge_name)
+        delay += (n - 1) * period
+        pool = sim._timeout_pool
+        if not pool:
+            return sim.pooled_timeout(delay, priority=priority,
+                                      name=self._edge_name)
+        # Inlined Simulator.pooled_timeout(), as EdgeStall._on_edge has
+        # it: every transfer on every channel waits here.
+        timeout = pool.pop()
+        timeout.callbacks = []
+        timeout._value = None
+        timeout._ok = True
+        timeout._processed = False
+        timeout.delay = delay
+        timeout.name = self._edge_name
+        sim._sequence = sequence = sim._sequence + 1
+        heappush(sim._queue, (now + delay, priority, sequence, timeout))
+        return timeout
 
     def delay(self, cycles: int) -> Timeout:
         """Event firing exactly ``cycles`` periods from *now* (not aligned).

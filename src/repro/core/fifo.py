@@ -35,6 +35,10 @@ T = TypeVar("T")
 #: Signature of a level watcher: ``fn(time_ps, old_level, new_level)``.
 LevelWatcher = Callable[[int, int, int], None]
 
+#: Signature of a store/take hook (:attr:`Fifo._on_store` /
+#: :attr:`Fifo._on_take`): called with no arguments.
+Hook = Callable[[], None]
+
 
 class Fifo(Generic[T]):
     """Bounded FIFO with blocking, event-based access.
@@ -59,6 +63,14 @@ class Fifo(Generic[T]):
         self._put_waiters: Deque[Tuple[Event, T]] = deque()
         self._get_waiters: Deque[Event] = deque()
         self._watchers: List[LevelWatcher] = []
+        #: The owner's hooks, one slot each, called after the watchers:
+        #: ``_on_store`` once an item was stored (it is ``_items[-1]``),
+        #: ``_on_take`` once one left (``get``, ``try_get``, ``remove``).
+        #: A fabric's target ports wake its channels through them — a
+        #: direct call where a watcher would dispatch through the list
+        #: and filter on the level change.
+        self._on_store: Optional[Hook] = None
+        self._on_take: Optional[Hook] = None
         # Occupancy accounting (time-weighted) -------------------------
         self._last_change_ps = sim.now
         self._level_time: dict = {}
@@ -67,6 +79,10 @@ class Fifo(Generic[T]):
         self.high_water = 0
         #: Loosely-timed flag, captured once (select-once discipline).
         self._lt = sim.lt_enabled
+        #: What an uncontended LT :meth:`put` returns: processed events
+        #: are never written to, so one serves every such put.
+        self._put_done = completed_event(sim, name=self._put_name) \
+            if self._lt else None
         #: Invariant checker, captured once at construction (select-once
         #: discipline; ``None`` outside a ``repro.check.checked()`` session).
         self._checks = getattr(sim, "_checks", None)
@@ -118,7 +134,7 @@ class Fifo(Generic[T]):
             if self._lt:
                 # LT: immediate acceptance costs no scheduled event.
                 self._store(item)
-                return completed_event(sim, name=self._put_name)
+                return self._put_done
             event = Event(sim, name=self._put_name)
             self._store(item)
             # Inlined event.succeed(): the event is fresh, so the
@@ -223,6 +239,8 @@ class Fifo(Generic[T]):
         if self._watchers:
             for fn in self._watchers:
                 fn(now, before, len(items))
+        if self._on_store is not None:
+            self._on_store()
         if self._get_waiters:
             self._serve_waiting_gets()
 
@@ -241,6 +259,8 @@ class Fifo(Generic[T]):
         if self._watchers:
             for fn in self._watchers:
                 fn(now, before, len(items))
+        if self._on_take is not None:
+            self._on_take()
         if self._put_waiters:
             self._admit_waiting_puts()
         return item
@@ -292,6 +312,7 @@ class Fifo(Generic[T]):
             heappush(sim._queue, (sim._now, PRIORITY_NORMAL, sequence, event))
 
     def _level_changed(self, old_level: int) -> None:
+        """Accounting, watchers and the take hook after :meth:`remove`."""
         now = self.sim._now
         span = now - self._last_change_ps
         if span > 0:
@@ -300,6 +321,8 @@ class Fifo(Generic[T]):
         new_level = len(self._items)
         for fn in self._watchers:
             fn(now, old_level, new_level)
+        if self._on_take is not None:
+            self._on_take()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -331,7 +354,7 @@ class CdcFifo(Fifo[T]):
         if self._total_level() < self.capacity and not self._put_waiters:
             self._launch(item)
             if self._lt:
-                return completed_event(sim, name=self._put_name)
+                return self._put_done
             event = Event(sim, name=self._put_name)
             # Inlined event.succeed(), as in Fifo.put.
             event._value = None

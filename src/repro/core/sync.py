@@ -36,8 +36,14 @@ class Semaphore:
         self._tokens = tokens
         self._capacity = tokens
         self._waiters: Deque[Event] = deque()
+        # Precomputed event label keeps the f-string out of acquire().
+        self._acquire_name = name + ".acquire"
         #: Loosely-timed flag, captured once (select-once discipline).
         self._lt = sim.lt_enabled
+        #: What an uncontended LT :meth:`acquire` returns: processed
+        #: events are never written to, so one serves every such grant.
+        self._granted = completed_event(sim, name=self._acquire_name) \
+            if self._lt else None
 
     @property
     def available(self) -> int:
@@ -55,11 +61,11 @@ class Semaphore:
             self._tokens -= 1
             if self._lt:
                 # LT: the grant is immediate — no queue round-trip.
-                return completed_event(self.sim, name=f"{self.name}.acquire")
-            event = Event(self.sim, name=f"{self.name}.acquire")
+                return self._granted
+            event = Event(self.sim, name=self._acquire_name)
             event.succeed()
             return event
-        event = Event(self.sim, name=f"{self.name}.acquire")
+        event = Event(self.sim, name=self._acquire_name)
         self._waiters.append(event)
         return event
 
@@ -105,6 +111,10 @@ class WorkSignal:
     :meth:`notify` bumps and which producers may also bump directly for a
     change that must be *seen* by a stalled consumer without *waking* an
     idle one.
+
+    An idle consumer that has just scanned and found nothing waits with
+    :meth:`sleep`: the same wait, minus — in LT — the resume after a
+    missed notify, whose rescan could only find nothing again.
     """
 
     def __init__(self, sim: Simulator, name: str = "work") -> None:
@@ -120,6 +130,9 @@ class WorkSignal:
         #: What an LT :meth:`wait` after a missed notify returns: processed
         #: events are never written to, so one serves every such wait.
         self._missed = completed_event(sim, name=name) if self._lt else None
+        if not self._lt:
+            # Chosen once: CA's sleep is wait, scheduled wake-up included.
+            self.sleep = self.wait
 
     def notify(self) -> None:
         """Signal that work may be available."""
@@ -139,6 +152,32 @@ class WorkSignal:
                 sim._sequence = sequence = sim._sequence + 1
                 heappush(sim._queue,
                          (sim._now, PRIORITY_NORMAL, sequence, event))
+
+    def touch(self) -> None:
+        """Bump :attr:`generation` without waking anyone: a change a
+        stalled consumer must see but an idle one cannot act on."""
+        self.generation += 1
+
+    def sleep(self) -> Event:
+        """The idle wait of a consumer whose scan just found nothing.
+
+        In LT it is *exactly* the loop ::
+
+            yield signal.wait()
+            while not scan():    # the scan that just found nothing
+                yield signal.wait()
+
+        as far as it runs without a notify: after a missed one, ``wait``
+        resumes the consumer synchronously, the rescan finds the same
+        nothing and the second ``wait`` sleeps.  This does the two waits'
+        work on the signal — re-arm, and clear the dirty flag a stalled
+        sibling consumer reads — and returns the event the loop sleeps
+        on.  The scan must be free of side effects.  (CA: :meth:`wait`.)
+        """
+        if self._event._processed:
+            self._event = Event(self.sim, name=self.name)
+        self._dirty = False
+        return self._event
 
     def wait(self) -> Event:
         """Event that fires when work may be available (possibly now)."""

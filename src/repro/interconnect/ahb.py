@@ -62,7 +62,7 @@ class AhbLayer(Fabric):
             candidates = self.request_candidates()
             if not candidates:
                 pipelined = False  # the bus went idle; pipelining is lost
-                yield self._request_work.wait()
+                yield self._request_work.sleep()
                 continue
             try:
                 port, txn = self.arbiter.select(candidates)

@@ -25,11 +25,14 @@ sustains the 50% efficiency bound of a 1-wait-state memory.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Tuple
 
 from ..core.clock import Clock
 from ..core.component import Component
+from ..core.fifo import Fifo
 from ..core.kernel import Simulator
+from ..core.sync import WorkSignal
 from .arbiter import Arbiter, RoundRobin
 from .base import Fabric, TargetPort
 from .generic import GenericFabric
@@ -72,6 +75,15 @@ class AxiFabric(GenericFabric):
         #: arbitration" at work; zero means responses streamed back-to-back.
         self.r_interleaves = self.sim.metrics.counter(
             f"{self.name}.r_interleaves")
+        #: R and B wake-ups, chosen once: in LT a write acknowledgement
+        #: never resumes R and a data beat never resumes B
+        #: (:meth:`_response_hook`); CA keeps the one shared signal, whose
+        #: wake-ups are scheduled events.
+        if self._lt:
+            self._r_work = WorkSignal(self.sim, name=f"{self.name}.r_work")
+            self._b_work = WorkSignal(self.sim, name=f"{self.name}.b_work")
+        else:
+            self._r_work = self._b_work = self._response_work
         # Every write returns a B response: the spec posts none.
         self.process(self._request_channel(
             self.arbiter, self.ar_channel,
@@ -92,6 +104,18 @@ class AxiFabric(GenericFabric):
     # ------------------------------------------------------------------
     # response side (R / B)
     # ------------------------------------------------------------------
+    def _response_hook(self, fifo: Fifo) -> Callable[[], None]:
+        if not self._lt:
+            return self._response_work.notify
+        return partial(self._on_beat_stored, fifo._items)
+
+    def _on_beat_stored(self, beats) -> None:
+        """LT: wake the one channel the stored beat (``beats[-1]``) is for."""
+        if beats[-1].index == -1:
+            self._b_work.notify()
+        else:
+            self._r_work.notify()
+
     def _scan_beats(self, want_acks: bool) -> List[Tuple[TargetPort, ResponseBeat]]:
         """First matching beat per target (R and B are separate queues in a
         real AXI slave interface; a shared FIFO with kind-filtered extraction
@@ -109,13 +133,14 @@ class AxiFabric(GenericFabric):
     def _data_return_process(self, want_acks: bool):
         clk = self.clock
         channel = self.b_channel if want_acks else self.r_channel
+        work = self._b_work if want_acks else self._r_work
         overhead = self.spec.resp_overhead_cycles
         rotation = 0
         previous_txn = None
         while True:
             candidates = self._scan_beats(want_acks)
             if not candidates:
-                yield self._response_work.wait()
+                yield work.sleep()
                 continue
             # Per-beat (cycle-by-cycle) re-arbitration across targets.
             rotation += 1

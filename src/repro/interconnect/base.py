@@ -68,6 +68,10 @@ class InitiatorPort:
         self._checks = fabric._checks
         #: Loosely-timed flag, captured once (same discipline).
         self._lt = fabric._lt
+        #: The last queue head the fabric's request scan decoded, and its
+        #: target: a head waiting through many scans is decoded once.
+        self._decoded: Optional[Transaction] = None
+        self._decoded_target: Optional["TargetPort"] = None
 
     # ------------------------------------------------------------------
     def issue(self, txn: Transaction) -> Event:
@@ -158,8 +162,11 @@ class TargetPort:
         #: Optional observers of request-channel activity towards this port
         #: (used by the Fig. 6 interface monitor).
         self.request_observers: List[Callable[[str], None]] = []
-        # Wake the fabric's response channel whenever data appears.
-        self.response_fifo.watch(self._on_response_level)
+        # The fabric's wake-ups, as direct FIFO hooks: a stored beat wakes
+        # the response side, a drained request slot the request side.
+        self.response_fifo._on_store = fabric._response_hook(
+            self.response_fifo)
+        self.request_fifo._on_take = fabric._request_take_hook
 
     # -- device-side API -------------------------------------------------
     def get_request(self) -> Event:
@@ -171,10 +178,6 @@ class TargetPort:
         return self.response_fifo.put(beat)
 
     # -- fabric-side plumbing ---------------------------------------------
-    def _on_response_level(self, _time: int, old: int, new: int) -> None:
-        if new > old:
-            self.fabric._response_work.notify()
-
     def notify_request_state(self, state: str) -> None:
         """Forward request-channel activity to any attached monitors."""
         for observer in self.request_observers:
@@ -229,14 +232,23 @@ class Fabric(Component):
         #: channel processes watch (``_stall``): request side = a port
         #: queue gained an item (``InitiatorPort``) or surfaced a new head
         #: (``pop_granted``), or a target request FIFO drained
-        #: (``_on_target_request_level``); response side = a target
-        #: response FIFO gained a beat (``TargetPort._on_response_level``).
+        #: (:attr:`_request_take_hook`); response side = a target
+        #: response FIFO gained a beat (:meth:`_response_hook`).
         self._request_work = WorkSignal(sim, name=f"{name}.req_work")
         self._response_work = WorkSignal(sim, name=f"{name}.resp_work")
         #: Loosely-timed mode, captured once at construction (select-once
         #: discipline).  When set, channel processes batch contention-free
         #: beat runs analytically (docs/FAST_SIM.md).
         self._lt = sim.lt_enabled
+        #: A target request FIFO drained: grants may now be possible for
+        #: initiators that were blocked on that target.  A request channel
+        #: stalled on :attr:`_stall` watches the generation (CA,
+        #: rescanning at its next edge) or sleeps on the signal (LT), so
+        #: LT notifies — CA must not: the wake-up would be an event CA
+        #: never scheduled.  Fills need no hook: they can only take grant
+        #: candidates away.
+        self._request_take_hook = (self._request_work.notify if self._lt
+                                   else self._request_work.touch)
         #: The stall wait, chosen once: ``yield self._stall(signal)`` is
         #: what a channel process does when work is queued but blocked.
         #: CA rides one edge event per stalled cycle until the signal's
@@ -281,23 +293,12 @@ class Fabric(Component):
                           request_depth=request_depth,
                           response_depth=response_depth)
         self.targets.append(port)
-        port.request_fifo.watch(self._on_target_request_level)
         return port
 
-    def _on_target_request_level(self, _time: int, old: int, new: int) -> None:
-        """A target request FIFO drained — grants may now be possible for
-        initiators that were blocked on that target.
-
-        A request channel stalled on :attr:`_stall` watches the generation
-        (CA, rescanning at its next edge) or sleeps on the signal (LT), so
-        LT also notifies — CA must not: the wake-up would be an event CA
-        never scheduled.  Fills are ignored: they can only take grant
-        candidates away.
-        """
-        if new < old:
-            self._request_work.generation += 1
-            if self._lt:
-                self._request_work.notify()
+    def _response_hook(self, fifo: Fifo) -> Callable[[], None]:
+        """What a target response FIFO calls once it stored a beat: wake
+        the response side.  AXI overrides it to wake R or B by beat kind."""
+        return self._response_work.notify
 
     #: What to do with an address no target decodes: "raise" is a wiring
     #: error (strict default); "respond" returns a bus error to the

@@ -154,7 +154,13 @@ class GenericFabric(Fabric):
             if not queue:
                 continue
             txn = queue[0]
-            target = self.try_route(txn.address) if decode else None
+            if not decode:
+                target = None
+            elif port._decoded is txn:
+                target = port._decoded_target
+            else:
+                target = port._decoded_target = self.try_route(txn.address)
+                port._decoded = txn
             if wants is not None and not wants(txn, target):
                 continue
             if split and target is not None \
@@ -185,7 +191,7 @@ class GenericFabric(Fabric):
                 # Blocked: requests exist but every decoded target is
                 # full, so the request/grant handshake stalls until a
                 # head or a target FIFO changes.  Otherwise: idle.
-                yield (self._stall(work) if blocked else work.wait())
+                yield (self._stall(work) if blocked else work.sleep())
                 continue
             try:
                 port, txn = arbiter.select(candidates)
@@ -199,7 +205,8 @@ class GenericFabric(Fabric):
                 continue
             stalled_rounds = 0
             self.pop_granted(port, txn)
-            target = self.try_route(txn.address)
+            target = (port._decoded_target if port._decoded is txn
+                      else self.try_route(txn.address))
             if target is None:
                 yield clk.edges(1)  # the decode stage samples the address
                 self.decode_failed(txn)
@@ -249,7 +256,7 @@ class GenericFabric(Fabric):
                 # is not buffered yet — the channel idles until some
                 # target buffers a beat.
                 yield (self._stall(work) if current is not None
-                       else work.wait())
+                       else work.sleep())
                 continue
             target, item = beat
             taken = target.response_fifo.try_get()
@@ -284,7 +291,7 @@ class GenericFabric(Fabric):
             beat = self._pick_beat(current)
             if beat is None:
                 yield (self._stall(work) if current is not None
-                       else work.wait())
+                       else work.sleep())
                 continue
             target, item = beat
             fifo = target.response_fifo

@@ -177,7 +177,7 @@ class TlmNode(Fabric):
         while True:
             candidates = self.request_candidates()
             if not candidates:
-                yield self._request_work.wait()
+                yield self._request_work.sleep()
                 continue
             try:
                 port, txn = self.arbiter.select(candidates)

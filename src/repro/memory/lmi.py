@@ -246,7 +246,7 @@ class LmiController(Component):
                 continue
             window = fifo.snapshot()[:cfg.lookahead_depth]
             if not window:
-                yield self._work.wait()
+                yield self._work.sleep()
                 continue
             txn = self._choose(window)
             fifo.remove(txn)

@@ -138,10 +138,14 @@ class TestRejections:
         with BackgroundService(port=0, fleet=1, quota_units=2,
                                cache=False) as running:
             client = ServiceClient(port=running.port, timeout=60.0)
+            # Hold dave's first job queued: finished, it would free the
+            # budget before the second submission is judged.
+            client.drain("worker-0")
             client.submit({"tenant": "dave", "sweep": SWEEP})
             with pytest.raises(QuotaExceeded) as excinfo:
                 client.submit({"tenant": "dave", "sweep": SWEEP})
             assert "quota of 2" in str(excinfo.value)
+            client.undrain("worker-0")
             # Other tenants are unaffected, and dave's first job still
             # completes and frees the budget for a retry.
             client.submit({"tenant": "erin", "config": CONFIG,
@@ -171,10 +175,14 @@ class TestRejections:
         """A wait that expires reports 409, it does not block forever."""
         with BackgroundService(port=0, fleet=1, cache=False) as running:
             client = ServiceClient(port=running.port, timeout=60.0)
+            # The only worker is drained, so the job cannot finish
+            # before the zero-length wait expires.
+            client.drain("worker-0")
             view = client.submit({"tenant": "frank", "sweep": SWEEP})
             with pytest.raises(NotReady):
                 client.result(view["id"], wait=True, timeout=0.0)
             # Clean drain: let it finish before tearing the loop down.
+            client.undrain("worker-0")
             client.result(view["id"], wait=True, timeout=120)
 
     def test_failed_job_is_a_result_not_a_rejection(self, service, client,

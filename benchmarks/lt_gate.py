@@ -13,14 +13,14 @@ event ratio of at least ``MIN_CORPUS_EVENT_RATIO``, so a fabric that
 starts scheduling per-cycle events through its stalls again fails here.
 
 On top of the per-entry accuracy clauses, the gate asserts the headline
-speedup claim: the STBus reference platform (the ``platform_run`` bench
-scenario's quick configuration) must keep an event ratio of at least
+speedup claim: the STBus reference platform (its quick configuration,
+``quick_config()``) must keep an event ratio of at least
 ``MIN_EVENT_SPEEDUP``.  The ratio is deterministic (event counts, not
 wall-clock), so it gates reliably on noisy CI runners; the wall-clock
 speedup is measured and reported for information only.
 
 The smoke job in ``.github/workflows/ci.yml`` runs this after the
-throughput gate; see ``docs/CI.md``.  When a change intentionally moves
+count gate; see ``docs/CI.md``.  When a change intentionally moves
 LT accuracy (say, a new fast path with a documented cost), update the
 bounds in ``repro/check/lt_accuracy.py`` *and* the table in
 ``docs/FAST_SIM.md`` together — ``tests/test_docs_examples.py`` asserts

@@ -16,7 +16,6 @@
     python -m repro stats my_sweep.json --energy # platform/sweep files too
     python -m repro protocols                    # bus-protocol registry table
     python -m repro protocols --plan axi apb     # derived bridge conversion plan
-    python -m repro bench                        # kernel perf -> BENCH_kernel.json
     python -m repro check fig5 --strict          # run under invariant monitors
     python -m repro check my_platform.json --diff # + fast-vs-reference diff
 
@@ -709,23 +708,6 @@ def cmd_jobs(args) -> int:
         return 1
 
 
-def cmd_bench(args) -> int:
-    from . import bench
-
-    names = args.scenario or None
-    try:
-        results = bench.run_benchmarks(names=names, repeats=args.repeats,
-                                       scale=args.bench_scale,
-                                       resolution=args.mode)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    print(bench.format_results(results))
-    bench.write_results(args.output, results)
-    print(f"\nwrote {args.output}")
-    return 0
-
-
 def positive_float(text: str) -> float:
     """argparse ``type`` of every duration and scale flag."""
     value = float(text)
@@ -915,21 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", nargs=2, metavar=("SRC", "DST"),
                    help="print the derived plan for one pairing (validated "
                         "against the registry)")
-
-    p = command("bench", cmd_bench, "run the kernel performance scenarios "
-                "and write BENCH_kernel.json")
-    p.add_argument("--scenario", action="append",
-                   help="scenario to run (repeatable; default all)")
-    p.add_argument("--repeats", type=positive_int, default=5,
-                   help="timed repetitions per scenario (best-of; default 5)")
-    p.add_argument("--bench-scale", type=positive_float, default=1.0,
-                   help="workload scale factor (default 1.0; smoke tiers "
-                        "use < 1)")
-    p.add_argument("--mode", choices=("ca", "lt"), default="ca",
-                   help="simulation resolution the scenarios run at "
-                        "(default: ca; see docs/FAST_SIM.md)")
-    p.add_argument("--output", default="BENCH_kernel.json",
-                   help="result file (default BENCH_kernel.json)")
 
     p = command("serve", cmd_serve, "run the simulation job service "
                 "(docs/SERVICE.md)", cache)

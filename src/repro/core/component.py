@@ -90,27 +90,5 @@ class Component:
         """
         return {}
 
-    def restore_state(self, state: Dict[str, Any],
-                      encoder: "StateEncoder") -> None:
-        """Adopt (or verify) stored checkpoint state for this component.
-
-        Resume works by deterministic re-execution: the platform is
-        re-elaborated and fast-forwarded to the checkpoint instant, so by
-        the time this hook runs the component should already *be* in the
-        stored state.  The default therefore re-captures
-        :meth:`snapshot_state` and verifies it bit for bit against
-        ``state``, raising :class:`~repro.snapshot.StateMismatch` on any
-        divergence.  Components whose state can instead be directly
-        installed may override this to do so.
-        """
-        from ..snapshot.checkpoint import StateMismatch
-        from ..snapshot.state import diff_states
-
-        actual = encoder.encode(self.snapshot_state(encoder))
-        if actual != state:
-            diffs = diff_states(state, actual, prefix=self.path)
-            raise StateMismatch(
-                f"component {self.path!r} diverged from checkpoint", diffs)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.path}>"

@@ -10,9 +10,9 @@ RNG streams, cache tags.  The tree is content-addressed (SHA-256 over its
 canonical JSON), versioned and stored on disk.
 
 Resume re-elaborates the configuration on a fresh kernel, deterministically
-fast-forwards to the checkpoint instant and then runs ``restore_state()``
-on every component, which verifies the reconstructed state bit for bit
-against the stored tree before the run continues.  Python cannot serialise
+fast-forwards to the checkpoint instant and then captures the state tree
+once, verifying it bit for bit (by digest) against the stored tree before
+the run continues.  Python cannot serialise
 live generator frames, so this is the classic "checkpoint + deterministic
 re-execution" scheme (gem5-style): what the checkpoint buys is not
 wall-clock savings on the prefix but a *verified* resume point — any

@@ -5,12 +5,12 @@ the configuration document, the kernel position, and the canonical
 component state tree from :func:`~repro.snapshot.state.capture_state`.
 Python cannot serialise live generator frames, so resume is *deterministic
 re-execution*: re-elaborate the configuration on a fresh kernel,
-fast-forward to the checkpoint instant, then run ``restore_state()`` on
-every component — which verifies the reconstructed state bit for bit
-against the stored tree — before letting the run continue.  Continuing a
-paused run is bit-identical to an uninterrupted one (a kernel guarantee
-pinned by ``tests/test_kernel.py``), so a verified resume point makes the
-whole continuation trustworthy.
+fast-forward to the checkpoint instant, then capture the state tree once
+and compare its digest with the stored one — a mismatch names the
+diverged kernel or component paths — before letting the run continue.
+Continuing a paused run is bit-identical to an uninterrupted one (a
+kernel guarantee pinned by ``tests/test_kernel.py``), so a verified
+resume point makes the whole continuation trustworthy.
 
 On-disk format (``*.ckpt.json``)::
 
@@ -45,14 +45,12 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from ..analysis.metrics import RunResult
 from ..platforms.config import PlatformConfig
 from ..platforms.loader import config_from_dict, config_to_dict
-from ..platforms.reference import PlatformInstance
 from ..sweep import DEFAULT_MAX_PS, Run, publish_atomically, result_to_dict
 from .state import (
     StateEncoder,
     canonical_json,
     capture_state,
     diff_states,
-    kernel_state,
     state_digest,
 )
 
@@ -332,84 +330,35 @@ class ResumeOutcome:
         return "\n".join(lines)
 
 
-def _restore_platform(platform: PlatformInstance,
-                      checkpoint: Checkpoint) -> str:
-    """Verify a fast-forwarded platform against the stored state tree.
-
-    Walks the component tree in capture order calling ``restore_state()``
-    (the default implementation re-captures and compares), then checks the
-    kernel position and the whole-tree digest.  Raises
-    :class:`StateMismatch` on the first divergence.
-    """
-    stored = checkpoint.state
-    stored_components: Dict[str, Any] = stored.get("components", {})
-    encoder = StateEncoder()
-
-    kernel_actual = encoder.encode(kernel_state(platform.sim, encoder))
-    kernel_diffs = diff_states(stored.get("kernel", {}), kernel_actual,
-                               prefix="kernel")
-    if kernel_diffs:
-        raise StateMismatch(
-            "kernel position diverged from checkpoint", kernel_diffs)
-
-    seen = set()
-    for component in platform.iter_tree():
-        state = stored_components.get(component.path)
-        if state is None:
-            # Captured as stateless: it must still be stateless now.
-            raw = component.snapshot_state(encoder)
-            if raw:
-                raise StateMismatch(
-                    f"component {component.path!r} has state the "
-                    f"checkpoint recorded as empty",
-                    diff_states({}, encoder.encode(raw),
-                                prefix=component.path))
-            continue
-        seen.add(component.path)
-        component.restore_state(state, encoder)
-    missing = sorted(set(stored_components) - seen)
-    if missing:
-        raise StateMismatch(
-            "checkpointed components absent from the re-elaborated "
-            "platform", [f"{path}: missing" for path in missing])
-
-    actual_tree = capture_state(platform)
-    digest = state_digest(actual_tree)
-    if digest != checkpoint.state_digest:
-        raise StateMismatch(
-            f"state tree digest mismatch after restore "
-            f"(stored {checkpoint.state_digest[:16]}..., "
-            f"resumed {digest[:16]}...)",
-            diff_states(stored, actual_tree))
-    return digest
-
-
-def resume_checkpoint(checkpoint: Checkpoint,
-                      max_ps: Optional[int] = None,
-                      verify: bool = True) -> ResumeOutcome:
+def resume_checkpoint(checkpoint: Checkpoint) -> ResumeOutcome:
     """Resume a checkpoint and run it to completion.
 
     Re-elaborates the stored configuration on a fresh kernel,
-    fast-forwards deterministically to the checkpoint instant, verifies
-    every component against the stored state tree (unless ``verify`` is
-    off), then continues the run.  The returned outcome reports any
-    divergence from the checkpoint's recorded final result.
+    fast-forwards deterministically to the checkpoint instant and
+    captures the state tree once: if its digest differs from the stored
+    one, :class:`StateMismatch` names the diverged paths (kernel
+    position or component).  Then the run continues; the returned
+    outcome reports any divergence from the checkpoint's recorded final
+    result.
     """
-    run = Run(checkpoint.platform_config(),
-              checkpoint.max_ps if max_ps is None else max_ps)
+    run = Run(checkpoint.platform_config(), checkpoint.max_ps)
     run.advance(checkpoint.at_ps)
 
-    if verify:
-        digest = _restore_platform(run.platform, checkpoint)
-    else:
-        digest = state_digest(capture_state(run.platform))
+    actual = capture_state(run.platform)
+    digest = state_digest(actual)
+    if digest != checkpoint.state_digest:
+        raise StateMismatch(
+            f"state tree digest mismatch at the checkpoint instant "
+            f"(stored {checkpoint.state_digest[:16]}..., "
+            f"resumed {digest[:16]}...)",
+            diff_states(checkpoint.state, actual))
 
     done = run.finish()
     result = done.result
 
     mismatches: List[str] = []
     expect = checkpoint.expect
-    if verify and expect is not None and max_ps is None:
+    if expect is not None:
         if done.sim_time_ps != expect.get("final_time_ps"):
             mismatches.append(f"final time: resumed={done.sim_time_ps}ps "
                               f"recorded={expect.get('final_time_ps')}ps")

@@ -1,6 +1,8 @@
-"""Shared builders for interconnect/memory tests."""
+"""Shared builders for interconnect/memory tests, and the kernel scenarios."""
 
-from repro.core import Simulator
+from typing import Tuple
+
+from repro.core import Fifo, Simulator
 from repro.interconnect import (
     AddressRange,
     AhbLayer,
@@ -94,3 +96,85 @@ def run_transactions(sim, port, transactions, until=2_000_000_000):
         raise AssertionError(f"{len(incomplete)} transactions never "
                              f"completed: {incomplete[:3]}")
     return sim.now
+
+
+# ----------------------------------------------------------------------
+# kernel scenarios: ``fn(scale, resolution) -> (processed_events,
+# sim_time_ps)``, deterministic per resolution
+# ----------------------------------------------------------------------
+def timeout_storm(scale: float = 1.0,
+                  resolution: str = "ca") -> Tuple[int, int]:
+    """Raw event churn: four processes racing through bare timeouts.
+
+    Measures the kernel's floor cost per event — Timeout construction, heap
+    traffic and process resumption, nothing else.  (Timeouts are genuine
+    time advances, so the LT mode changes almost nothing here.)
+    """
+    rounds = max(1, int(2_000 * scale))
+    sim = Simulator(resolution=resolution)
+
+    def pinger():
+        for _ in range(rounds):
+            yield sim.timeout(7)
+
+    for _ in range(4):
+        sim.process(pinger())
+    sim.run()
+    return sim.processed_events, sim.now
+
+
+def fifo_pipeline(scale: float = 1.0,
+                  resolution: str = "ca") -> Tuple[int, int]:
+    """Items flowing through a 4-stage bounded FIFO pipeline.
+
+    Exercises the blocking put/get hand-off — the pattern every bus queue,
+    bridge FIFO and LMI input queue in the platform is built from.  In LT
+    mode the hand-offs resolve through the inline trampoline, so this is
+    the scenario that shows the kernel-primitive half of the LT win.
+    """
+    items = max(1, int(1_000 * scale))
+    sim = Simulator(resolution=resolution)
+    stages = [Fifo(sim, 4, name=f"s{i}") for i in range(4)]
+
+    def feeder():
+        for i in range(items):
+            yield stages[0].put(i)
+
+    def mover(src, dst):
+        while True:
+            item = yield src.get()
+            yield dst.put(item)
+
+    def sink():
+        for _ in range(items):
+            yield stages[-1].get()
+
+    sim.process(feeder())
+    for a, b in zip(stages, stages[1:]):
+        sim.process(mover(a, b))
+    sim.process(sink())
+    sim.run(until=10_000_000_000, max_events=10_000_000)
+    return sim.processed_events, sim.now
+
+
+def clock_edges(scale: float = 1.0,
+                resolution: str = "ca") -> Tuple[int, int]:
+    """Multi-domain clock-edge waits: the pooled-timeout fast path.
+
+    Three processes spinning on 400/250/166 MHz edges — the steady-state
+    shape of every cycle-accurate bus model in the platform.  Clock edges
+    are genuine time advances, so LT leaves this scenario unchanged.
+    """
+    edges = max(1, int(3_000 * scale))
+    sim = Simulator(resolution=resolution)
+    clocks = [sim.clock(freq_mhz=mhz, name=f"clk{mhz}")
+              for mhz in (400, 250, 166)]
+
+    def spinner(clk):
+        for _ in range(edges):
+            yield clk.edge()
+
+    for clk in clocks:
+        sim.process(spinner(clk))
+    sim.run()
+    return sim.processed_events, sim.now

@@ -163,8 +163,6 @@ class TestErrorPolicy:
         ["dse", "dse.json", "--jobs", "-2"],
         ["serve", "--workers", "0"],
         ["serve", "--quota", "0"],
-        ["bench", "--repeats", "0"],
-        ["bench", "--bench-scale", "0"],
         ["submit", "cfg.json", "--checkpoint-at-us", "0"],
         ["submit", "cfg.json", "--timeout", "-1"],
         ["jobs", "--timeout", "-1"],
@@ -192,8 +190,6 @@ class TestErrorPolicy:
 #: Every subcommand's option strings, captured before the shared flags
 #: moved into parent parsers: no command may gain or lose one.
 OPTION_SURFACE = {
-    "bench": ["--bench-scale", "--help", "--mode", "--output", "--repeats",
-              "--scenario", "-h"],
     "check": ["--diff", "--help", "--limit", "--max-us", "--scale",
               "--strict", "-h"],
     "dse": ["--csv", "--help", "--jobs", "--json", "--no-cache", "--screen",

@@ -79,6 +79,26 @@ class TestTakeResume:
         assert main(["snapshot", "resume", str(out_file)]) == 1
         assert "corrupt" in capsys.readouterr().err
 
+    def test_resume_of_a_diverged_state_is_an_error_line(
+            self, tmp_path, config_path, capsys):
+        """A resealed file loads cleanly; the resume-time capture rejects
+        it, naming the component path, without a traceback."""
+        from repro.snapshot import state_digest
+        from repro.snapshot.checkpoint import _payload_digest
+
+        out_file = tmp_path / "run.ckpt.json"
+        main(["snapshot", "take", str(config_path), "--out", str(out_file)])
+        capsys.readouterr()
+        document = json.loads(out_file.read_text())
+        document["state"]["components"]["platform.mem"]["reads"] += 1
+        document["state_digest"] = state_digest(document["state"])
+        document["payload_digest"] = _payload_digest(document)
+        out_file.write_text(json.dumps(document))
+        assert main(["snapshot", "resume", str(out_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "state.components.platform.mem.reads" in err
+
     def test_take_with_bad_config_exits_cleanly(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

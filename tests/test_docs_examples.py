@@ -1,6 +1,6 @@
 """Documentation example checker.
 
-Two promises the docs make are enforced here:
+Three promises the docs make are enforced here:
 
 * ``docs/FAST_SIM.md`` quotes the accuracy-contract constants of
   :mod:`repro.check.lt_accuracy` in its bounds table. The table and the
@@ -9,10 +9,16 @@ Two promises the docs make are enforced here:
   their code blocks. Every quoted command must parse against the real
   CLI (known subcommand, known flags), and a fast allowlisted subset is
   actually executed so the quickstart examples cannot rot.
+* The same documents point every "how fast is it" question at the
+  scripts under ``benchmarks/``. Every quoted script invocation must
+  name a script that exists and pass only flags (and flag choices, such
+  as ``--workload`` names) its ``--help`` lists.
 """
 
-import json
+import functools
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,10 +139,6 @@ _EXECUTED = [
     ("FAST_SIM.md",
      ["platform", "examples/configs/custom_platform.json", "--mode", "lt"],
      ["--max-us", "300"]),
-    ("FAST_SIM.md",
-     ["bench", "--mode", "lt", "--scenario", "platform_run",
-      "--output", "/tmp/bench_lt.json"],
-     ["--repeats", "1", "--bench-scale", "0.2"]),
 ]
 
 
@@ -156,6 +158,61 @@ def test_doc_examples_execute(doc, argv, overrides, tmp_path, monkeypatch,
     out = capsys.readouterr().out
     if argv[0] == "platform":
         assert "resolution:      lt" in out
-    if argv[0] == "bench":
-        rows = json.loads((tmp_path / "out.json").read_text())
-        assert rows and all(row["mode"] == "lt" for row in rows.values())
+
+
+# ---------------------------------------------------------------------------
+# Quoted benchmark scripts vs their own --help
+
+
+#: A quoted script invocation: an optional ``$`` prompt, ``python`` or
+#: ``python3``, then a script under ``benchmarks/``.
+_SCRIPT = re.compile(
+    r"^(?:\$\s+)?(?:PYTHONPATH=\S+\s+)?python3?\s+(benchmarks/\S+\.py)(.*)$")
+
+
+def _scripts_by_doc():
+    cases = []
+    for doc in _doc_files():
+        for line in doc.read_text().splitlines():
+            match = _SCRIPT.match(line.strip())
+            if match:
+                tail = match.group(2).split("#", 1)[0].split()
+                cases.append((doc.name, match.group(1), tail))
+    return cases
+
+
+@functools.lru_cache(maxsize=None)
+def _script_help(script):
+    done = subprocess.run([sys.executable, script, "--help"], cwd=REPO_ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, f"{script} --help failed:\n{done.stderr}"
+    return done.stdout
+
+
+def test_docs_quote_benchmark_scripts_at_all():
+    """The extraction is not vacuous: the performance docs quote the
+    stack benchmark and the LT gate."""
+    quoted = {(doc, script) for doc, script, _ in _scripts_by_doc()}
+    assert ("PERFORMANCE.md", "benchmarks/stack/run.py") in quoted
+    assert ("README.md", "benchmarks/lt_gate.py") in quoted
+
+
+@pytest.mark.parametrize(
+    "doc,script,argv", _scripts_by_doc(),
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_quoted_benchmark_commands_parse(doc, script, argv):
+    assert (REPO_ROOT / script).is_file(), (
+        f"{doc} quotes {script}, which does not exist")
+    usage = _script_help(script)
+    for index, token in enumerate(argv):
+        if not token.startswith("--"):
+            continue
+        flag = token.split("=", 1)[0]
+        assert re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", usage), (
+            f"{doc} quotes '{script} {' '.join(argv)}' with {flag}, which "
+            f"{script} --help does not list")
+        choices = re.search(rf"{re.escape(flag)} \{{([^}}]*)\}}", usage)
+        if choices and index + 1 < len(argv):
+            assert argv[index + 1] in choices.group(1).split(","), (
+                f"{doc} quotes '{flag} {argv[index + 1]}'; {script} "
+                f"accepts {choices.group(1)}")

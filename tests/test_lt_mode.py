@@ -513,10 +513,10 @@ class TestInlineAcceptOnEveryFabric:
 
 
 # ---------------------------------------------------------------------------
-# CLI and bench surfaces
+# CLI surface
 # ---------------------------------------------------------------------------
 
-class TestCliAndBench:
+class TestCli:
     def _write_config(self, tmp_path, **overrides):
         document = {
             "protocol": "stbus",
@@ -555,22 +555,3 @@ class TestCliAndBench:
 
         assert field(ca_out, "transactions") == field(lt_out, "transactions")
         assert field(ca_out, "bytes") == field(lt_out, "bytes")
-
-    def test_bench_records_mode(self, tmp_path, capsys):
-        out_file = tmp_path / "bench.json"
-        assert main(["bench", "--scenario", "fifo_pipeline", "--repeats", "1",
-                     "--bench-scale", "0.02", "--mode", "lt",
-                     "--output", str(out_file)]) == 0
-        document = json.loads(out_file.read_text())
-        assert document["fifo_pipeline"]["mode"] == "lt"
-        assert "lt" in capsys.readouterr().out
-
-    def test_bench_defaults_to_ca_mode(self, tmp_path):
-        from repro import bench
-
-        results = bench.run_benchmarks(names=["fifo_pipeline"], repeats=1,
-                                       scale=0.02)
-        assert results["fifo_pipeline"]["mode"] == "ca"
-        with pytest.raises(ValueError, match="resolution"):
-            bench.run_benchmarks(names=["fifo_pipeline"], repeats=1,
-                                 scale=0.02, resolution="warp")

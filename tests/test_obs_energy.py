@@ -36,6 +36,7 @@ from repro.platforms.loader import (
     config_to_dict,
     load_config,
 )
+from repro.sweep import Run
 
 from .helpers import add_memory, make_node
 
@@ -161,6 +162,14 @@ class TestPlatformConservation:
         assert result_energy.execution_time_ps == \
             result_plain.execution_time_ps
         assert sim_energy.processed_events == sim_plain.processed_events
+
+    @pytest.mark.parametrize("resolution", ["ca", "lt"])
+    def test_quick_platform_energy_total_is_pinned(self, resolution):
+        """The quick platform's exact energy total: the same figure in
+        both resolutions."""
+        config = _enabled(quick_config(resolution=resolution))
+        result = Run(config, 10**13).finish().result
+        assert result.energy_total_pj == 22_511.6
 
     @pytest.mark.parametrize(
         "label,config",

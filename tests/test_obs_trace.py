@@ -7,8 +7,17 @@ from repro.interconnect import AddressRange
 from repro.memory import LmiConfig, LmiController
 from repro.obs import capture
 from repro.obs.trace import Span, build_spans, hop_summary
+from repro.platforms import quick_config
+from repro.sweep import Run
 
-from .helpers import add_memory, make_node, read, run_transactions, write
+from .helpers import (
+    add_memory,
+    make_node,
+    read,
+    run_transactions,
+    timeout_storm,
+    write,
+)
 
 
 def lmi_platform(sim, **config_kwargs):
@@ -157,10 +166,14 @@ class TestDeterminismUnderCapture:
     times with and without instrumentation."""
 
     @pytest.mark.parametrize("scenario", ["timeout_storm", "platform_run"])
-    def test_bench_scenarios_unchanged(self, scenario):
-        from repro import bench
+    def test_scenarios_unchanged(self, scenario):
+        def run():
+            if scenario == "timeout_storm":
+                return timeout_storm(0.2)
+            done = Run(quick_config(), 10**13).finish()
+            return done.events, done.sim_time_ps
 
-        baseline = bench.SCENARIOS[scenario](0.2)
+        baseline = run()
         with capture():
-            traced = bench.SCENARIOS[scenario](0.2)
+            traced = run()
         assert traced == baseline

@@ -24,6 +24,7 @@ from repro.snapshot import (
     SnapshotError,
     SnapshotFormatError,
     StateEncoder,
+    StateMismatch,
     capture_state,
     load_checkpoint,
     resume_checkpoint,
@@ -90,10 +91,56 @@ class TestRoundTrip:
         resumed = resume_checkpoint(outcome.checkpoint)
         assert resumed.ok, "\n".join(resumed.mismatches)
 
-    def test_resume_without_verify_still_finishes_identically(self):
-        outcome = take_checkpoint(random_config(3))
-        resumed = resume_checkpoint(outcome.checkpoint, verify=False)
-        assert resumed.result == outcome.result
+
+# ----------------------------------------------------------------------
+# a state tree the re-elaborated platform does not reach
+# ----------------------------------------------------------------------
+def _bump_mem_reads(state):
+    mem = state["components"]["platform.mem"]
+    mem["reads"] += 1
+    return (f"state.components.platform.mem.reads: "
+            f"{mem['reads']} != {mem['reads'] - 1}")
+
+
+def _bump_pending_profile(state):
+    profile = state["kernel"]["pending_profile"]
+    key = min(profile)
+    profile[key] += 1
+    return (f"state.kernel.pending_profile.{key}: "
+            f"{profile[key]} != {profile[key] - 1}")
+
+
+def _add_ghost_component(state):
+    state["components"]["platform.ghost"] = {"reads": 0}
+    return "state.components.platform.ghost: missing from resumed run"
+
+
+class TestStateMismatch:
+    """Every checkpoint here is tampered *and resealed* (state digest,
+    then payload digest), so it loads cleanly and only the resume-time
+    capture can object — with a diff naming what changed."""
+
+    @pytest.fixture(scope="class")
+    def document(self):
+        outcome = take_checkpoint(quick_config(traffic_scale=0.05))
+        return outcome.checkpoint.to_document()
+
+    @pytest.mark.parametrize("tamper", [
+        _bump_mem_reads, _bump_pending_profile, _add_ghost_component],
+        ids=["component-value", "kernel-pending-profile",
+             "component-absent"])
+    def test_resume_names_the_divergence(self, document, tamper, tmp_path):
+        from repro.snapshot.checkpoint import _payload_digest
+
+        document = json.loads(json.dumps(document))
+        expected = tamper(document["state"])
+        document["state_digest"] = state_digest(document["state"])
+        document["payload_digest"] = _payload_digest(document)
+        path = tmp_path / "resealed.ckpt.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(StateMismatch, match="digest mismatch") as caught:
+            resume_checkpoint(load_checkpoint(path))
+        assert caught.value.diffs == [expected]
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ byte-accurately, to the source side's beat size.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..core.component import Component
 from ..core.kernel import Simulator
@@ -40,7 +40,8 @@ class BridgeBase(Component):
         The window on ``source`` that routes across this bridge.
     crossing_cycles:
         One-way latency through the bridge, in destination-clock cycles on
-        the forward path and source-clock cycles on the return path.
+        the forward path and source-clock cycles on the return path; the
+        bridge processes charge it inline (0 = free).
     request_depth / response_depth:
         Buffering of the bridge's source-side bus interface.
     """
@@ -82,11 +83,6 @@ class BridgeBase(Component):
     def kind(self) -> str:
         """Human-readable protocol pair, e.g. ``"ahb-stbus"``."""
         return f"{self.source.protocol}-{self.dest.protocol}"
-
-    def cross(self, clock):
-        """Generator charging the one-way crossing latency (0 = free)."""
-        if self.crossing_cycles > 0:
-            yield clock.edges(self.crossing_cycles)
 
     #: Whether message grouping survives the crossing.  Only safe when the
     #: source fabric delivers message packets contiguously (STBus-family

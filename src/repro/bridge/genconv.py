@@ -86,12 +86,14 @@ class GenConvBridge(BridgeBase):
         never a read in flight.
         """
         lt = self._lt
+        crossing = self.crossing_cycles
         while True:
             txn = self.target_port.request_fifo.try_get() if lt else None
             if txn is None:
                 txn = yield self.target_port.get_request()
-            self.forwarded.add()
-            yield from self.cross(self.dest.clock)
+            self.forwarded.value += 1
+            if crossing > 0:
+                yield self.dest.clock.edges(crossing)
             child = self.make_child(txn)
             child.posted = txn.posted
             if txn.is_read:
@@ -171,6 +173,8 @@ class GenConvBridge(BridgeBase):
             return None
         if self.in_order:
             head = self._jobs[0]
+            if head.buffer:  # a read with beats to relay: ready, no call
+                return head
             return head if self._job_ready(head) else None
         for job in self._jobs:
             if self._job_ready(job):
@@ -191,6 +195,7 @@ class GenConvBridge(BridgeBase):
 
     def _relay_loop(self):
         lt = self._lt
+        crossing = self.crossing_cycles
         fifo = self.target_port.response_fifo
         while True:
             job = self._pick_job()
@@ -198,7 +203,8 @@ class GenConvBridge(BridgeBase):
                 yield self._relay_work.sleep()
                 continue
             if not job.crossed:
-                yield from self.cross(self.source.clock)
+                if crossing > 0:
+                    yield self.source.clock.edges(crossing)
                 job.crossed = True
             if job.is_ack:
                 self._jobs.remove(job)

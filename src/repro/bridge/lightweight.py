@@ -26,10 +26,9 @@ from typing import Optional
 
 from ..core.component import Component
 from ..core.events import _PENDING
-from ..core.fifo import Fifo
 from ..core.kernel import Simulator
 from ..interconnect.base import Fabric
-from ..interconnect.types import AddressRange, ResponseBeat, Transaction
+from ..interconnect.types import AddressRange, ResponseBeat
 from .base import BridgeBase
 
 
@@ -48,63 +47,60 @@ class LightweightBridge(BridgeBase):
         self.process(self._pump(), name="pump")
 
     def _pump(self):
-        """Serve transactions one at a time — the blocking target side."""
-        lt = self._lt
-        while True:
-            txn = self.target_port.request_fifo.try_get() if lt else None
-            if txn is None:
-                txn = yield self.target_port.get_request()
-            self.forwarded.add()
-            # Forward crossing (asynchronous FIFO + resynchronisation).
-            yield from self.cross(self.dest.clock)
-            child = self.make_child(txn)
-            if txn.is_read:
-                yield from self._blocking_read(txn, child)
-            else:
-                yield from self._store_and_forward_write(txn, child)
+        """Serve transactions one at a time — the blocking target side.
 
-    def _blocking_read(self, txn: Transaction, child: Transaction):
-        """Issue the child read and hold the bridge until it completes.
-
-        Response data is only relayed after the child finished (full
+        A read issues its child and holds the bridge until the child
+        completes; response data is only relayed after that (full
         store-and-forward on the return path too — "implementing
         non-blocking read transactions has a heavier impact on bridge
         complexity" and the lightweight design explicitly avoids it).
+
+        A write is forwarded fully buffered: the payload is re-serialised
+        out of the store buffer one destination-width beat per destination
+        cycle before the child can be issued.  The bridge accepts the next
+        transaction once the child has been queued — unless the source
+        side needs an acknowledgement, in which case the non-posted
+        semantics keep the bridge (and therefore the source layer) blocked
+        until the far side confirms.
         """
-        yield self.init_port.issue(child)
-        if child.ev_done._value is _PENDING:
-            yield child.ev_done
-        # Return crossing.
-        yield from self.cross(self.source.clock)
-        relay = self.make_relay(txn)
-        relay.error_seen = child.error  # propagate far-side bus errors
+        lt = self._lt
+        crossing = self.crossing_cycles
+        requests = self.target_port.request_fifo
         fifo = self.target_port.response_fifo
-        for _ in range(txn.beats):
-            beat = relay.emit()
-            if not (self._lt and fifo.try_put(beat)):
-                yield fifo.put(beat)
-
-    def _store_and_forward_write(self, txn: Transaction, child: Transaction):
-        """Forward a fully-buffered write (store-and-forward).
-
-        The payload is re-serialised out of the store buffer one
-        destination-width beat per destination cycle before the child can be
-        issued.  The bridge accepts the next transaction once the child has
-        been queued — unless the source side needs an acknowledgement, in
-        which case the non-posted semantics keep the bridge (and therefore
-        the source layer) blocked until the far side confirms.
-        """
-        child.posted = txn.posted
-        yield self.dest.clock.edges(child.beats)
-        yield self.init_port.issue(child)
-        if txn.meta.get("needs_ack", False):
-            if child.ev_done._value is _PENDING:
-                yield child.ev_done
-            yield from self.cross(self.source.clock)
-            ack = ResponseBeat(txn, index=-1, is_last=True,
-                               error=child.error)
-            fifo = self.target_port.response_fifo
-            if not (self._lt and fifo.try_put(ack)):
-                yield fifo.put(ack)
-        elif txn.ev_done._value is _PENDING:
-            txn.complete(self.sim._now)
+        while True:
+            txn = requests.try_get() if lt else None
+            if txn is None:
+                txn = yield self.target_port.get_request()
+            self.forwarded.value += 1
+            # Forward crossing (asynchronous FIFO + resynchronisation).
+            if crossing > 0:
+                yield self.dest.clock.edges(crossing)
+            child = self.make_child(txn)
+            if txn.is_read:
+                yield self.init_port.issue(child)
+                if child.ev_done._value is _PENDING:
+                    yield child.ev_done
+                # Return crossing.
+                if crossing > 0:
+                    yield self.source.clock.edges(crossing)
+                relay = self.make_relay(txn)
+                relay.error_seen = child.error  # propagate far-side errors
+                for _ in range(txn.beats):
+                    beat = relay.emit()
+                    if not (lt and fifo.try_put(beat)):
+                        yield fifo.put(beat)
+                continue
+            child.posted = txn.posted
+            yield self.dest.clock.edges(child.beats)
+            yield self.init_port.issue(child)
+            if txn.meta.get("needs_ack", False):
+                if child.ev_done._value is _PENDING:
+                    yield child.ev_done
+                if crossing > 0:
+                    yield self.source.clock.edges(crossing)
+                ack = ResponseBeat(txn, index=-1, is_last=True,
+                                   error=child.error)
+                if not (lt and fifo.try_put(ack)):
+                    yield fifo.put(ack)
+            elif txn.ev_done._value is _PENDING:
+                txn.complete(self.sim._now)

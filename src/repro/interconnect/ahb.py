@@ -29,7 +29,6 @@ from ..core.component import Component
 from ..core.kernel import Simulator
 from .arbiter import Arbiter, MessageLockStall
 from .base import Fabric
-from .types import Transaction
 
 
 class AhbLayer(Fabric):
@@ -56,7 +55,12 @@ class AhbLayer(Fabric):
         return state
 
     def _bus_process(self):
+        """Grant one transaction, then drive it end to end while holding
+        the layer: address phase, write data, hand-over, every response
+        beat."""
         clk = self.clock
+        bus = self.bus
+        width = self.data_width_bytes
         pipelined = False  # True when the previous transfer just ended
         while True:
             candidates = self.request_candidates()
@@ -70,63 +74,63 @@ class AhbLayer(Fabric):
                 yield clk.edge()
                 continue
             self.pop_granted(port, txn)
-            yield from self._serve(txn, pipelined)
+            target = self.try_route(txn.address)
+            # Address phase: free when overlapped with the previous
+            # transfer's final data beat (HGRANT raised at the penultimate
+            # address).
+            if not pipelined:
+                yield clk.edge()
+                bus.busy_ps += clk.period_ps
+            else:
+                self.pipelined_handovers.value += 1
             pipelined = True
-
-    def _serve(self, txn: Transaction, pipelined: bool):
-        """Drive one full transaction while holding the layer."""
-        clk = self.clock
-        target = self.try_route(txn.address)
-        # Address phase: free when overlapped with the previous transfer's
-        # final data beat (HGRANT raised at the penultimate address).
-        if not pipelined:
-            yield clk.edge()
-            self.bus.add_busy(clk.period_ps, transfers=0)
-        else:
-            self.pipelined_handovers.add()
-        if target is None:
-            # The decoder's default slave responds with an HRESP error.
-            yield clk.edge()
-            self.decode_failed(txn)
-            return
-        txn.meta["needs_ack"] = txn.is_write  # non-posted paradigm
-        target.notify_request_state("storing")
-        if txn.is_write:
-            # Write data is driven on the (single) data link, one
-            # width-adjusted cycle per beat, before the target commits it.
-            data_cycles = txn.beats * self.bus_cycles_for_beat(txn.beat_bytes)
-            yield clk.edges(data_cycles)
-            self.bus.add_busy(data_cycles * clk.period_ps, transfers=txn.beats)
-        # Hand the transaction to the target; a full target FIFO shows up as
-        # slave wait states that stall the whole layer.
-        yield target.request_fifo.put(txn)
-        target.notify_request_state("idle")
-        target.accepted.add()
-        txn.mark_accepted(self.sim._now)
-        if self._checks is not None:
-            self._checks.note_accept(self, txn)
-        # No split support: hold the layer until every response beat (read
-        # data or write acknowledgement) has been received.
-        responses = target.response_fifo._items
-        while True:
-            beat = None
-            if responses:
-                head = responses[0]
-                if head.txn is txn:
-                    beat = target.response_fifo.try_get()
-                else:  # pragma: no cover - serial layer, single txn in flight
-                    raise RuntimeError(
-                        f"AHB {self.name}: foreign beat {head!r} during {txn!r}")
-            if beat is None:
-                # Slave wait states: the layer idles but stays held until
-                # the target buffers a beat.
-                yield self._stall(self._response_work)
+            if target is None:
+                # The decoder's default slave responds with an HRESP error.
+                yield clk.edge()
+                self.decode_failed(txn)
                 continue
-            cycles = self.bus_cycles_for_beat(txn.beat_bytes)
-            if beat.index == -1:
-                cycles = 1
-            yield clk.edges(cycles)
-            self.bus.add_busy(cycles * clk.period_ps)
-            self.deliver_beat(beat)
-            if beat.is_last:
-                break
+            txn.meta["needs_ack"] = txn.is_write  # non-posted paradigm
+            if target.request_observers:
+                target.notify_request_state("storing")
+            if txn.is_write:
+                # Write data is driven on the (single) data link, one
+                # width-adjusted cycle per beat, before the target commits
+                # it.
+                data_cycles = txn.beats * -(-txn.beat_bytes // width)
+                yield clk.edges(data_cycles)
+                bus.busy_ps += data_cycles * clk.period_ps
+                bus.transfers += txn.beats
+            # Hand the transaction to the target; a full target FIFO shows
+            # up as slave wait states that stall the whole layer.
+            yield target.request_fifo.put(txn)
+            if target.request_observers:
+                target.notify_request_state("idle")
+            target.accepted.value += 1
+            txn.mark_accepted(self.sim._now)
+            if self._checks is not None:
+                self._checks.note_accept(self, txn)
+            # No split support: hold the layer until every response beat
+            # (read data or write acknowledgement) has been received.
+            responses = target.response_fifo._items
+            while True:
+                beat = None
+                if responses:
+                    head = responses[0]
+                    if head.txn is txn:
+                        beat = target.response_fifo.try_get()
+                    else:  # pragma: no cover - serial layer, one txn in flight
+                        raise RuntimeError(f"AHB {self.name}: foreign beat "
+                                           f"{head!r} during {txn!r}")
+                if beat is None:
+                    # Slave wait states: the layer idles but stays held
+                    # until the target buffers a beat.
+                    yield self._stall(self._response_work)
+                    continue
+                cycles = 1 if beat.index == -1 else \
+                    -(-txn.beat_bytes // width)
+                yield clk.edges(cycles)
+                bus.busy_ps += cycles * clk.period_ps
+                bus.transfers += 1
+                self.deliver_beat(beat)
+                if beat.is_last:
+                    break

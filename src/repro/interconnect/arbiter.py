@@ -63,18 +63,21 @@ class RoundRobin(Arbiter):
         self._order: List[object] = []
 
     def select(self, candidates: Sequence[Candidate]) -> Candidate:
-        self._require(candidates)
-        for key, _txn in candidates:
-            if key not in self._order:
-                self._order.append(key)
-        by_key: Dict[object, Candidate] = {key: cand for key, cand in
-                                           ((c[0], c) for c in candidates)}
-        for key in self._order:
+        # One frame: every request channel calls this per grant.
+        if not candidates:
+            raise ValueError("arbitration requested with no candidates")
+        order = self._order
+        by_key: Dict[object, Candidate] = {}
+        for candidate in candidates:
+            key = candidate[0]
+            if key not in order:
+                order.append(key)
+            by_key[key] = candidate
+        for key in order:
             if key in by_key:
-                winner = by_key[key]
-                self._order.remove(key)
-                self._order.append(key)
-                return winner
+                order.remove(key)
+                order.append(key)
+                return by_key[key]
         # Unreachable: every candidate key was added to _order above.
         raise AssertionError("round-robin bookkeeping out of sync")
 

@@ -134,6 +134,7 @@ class AxiFabric(GenericFabric):
         clk = self.clock
         channel = self.b_channel if want_acks else self.r_channel
         work = self._b_work if want_acks else self._r_work
+        width = self.data_width_bytes
         overhead = self.spec.resp_overhead_cycles
         rotation = 0
         previous_txn = None
@@ -149,10 +150,11 @@ class AxiFabric(GenericFabric):
             if (not want_acks and previous_txn is not None
                     and beat.txn is not previous_txn
                     and previous_txn.t_done is None):
-                self.r_interleaves.add()
+                self.r_interleaves.value += 1
             previous_txn = beat.txn
             cycles = 1 if want_acks else (
-                self.bus_cycles_for_beat(beat.txn.beat_bytes) + overhead)
+                -(-beat.txn.beat_bytes // width) + overhead)
             yield clk.edges(cycles)
-            channel.add_busy(cycles * clk.period_ps)
+            channel.busy_ps += cycles * clk.period_ps
+            channel.transfers += 1
             self.deliver_beat(beat)

@@ -99,7 +99,7 @@ class InitiatorPort:
             # timestamp interleaving differs (see docs/FAST_SIM.md).
             txn.ev_done.add_callback(self._on_done)
             self.pending.try_put(txn)
-            self.issued.add()
+            self.issued.value += 1
             self.fabric._request_work.notify()
             return completed_event(sim, txn, name=self._issue_name)
         accepted = Event(sim, name=self._issue_name)
@@ -111,7 +111,7 @@ class InitiatorPort:
         yield self.credits.acquire()
         txn.ev_done.add_callback(self._on_done)
         yield self.pending.put(txn)
-        self.issued.add()
+        self.issued.value += 1
         self.fabric._request_work.notify()
         if self._lt:
             accepted.succeed_inline(txn)
@@ -119,11 +119,11 @@ class InitiatorPort:
             accepted.succeed(txn)
 
     def _on_done(self, event: Event) -> None:
+        # ``complete()`` stamps ``t_done`` before it fires the event and
+        # ``issue()`` bound ``t_created``: the latency is one subtraction.
         txn: Transaction = event._value
-        self.completed.add()
-        latency = txn.latency_ps
-        if latency is not None:
-            self.latency.add(latency)
+        self.completed.value += 1
+        self.latency.add(txn.t_done - txn.t_created)
         self.credits.release()
 
     def __repr__(self) -> str:  # pragma: no cover

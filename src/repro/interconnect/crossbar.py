@@ -92,14 +92,17 @@ class StbusCrossbar(StbusNode):
     # ------------------------------------------------------------------
     def _response_engine(self, port: TargetPort):
         clk = self.clock
+        channel = self.resp_channel
+        width = self.data_width_bytes
         overhead = self.spec.resp_overhead_cycles
         while True:
             beat = yield port.response_fifo.get()
             lane = self._lane(beat.txn.initiator)
             yield lane.acquire()
             cycles = 1 if beat.index == -1 else (
-                self.bus_cycles_for_beat(beat.txn.beat_bytes) + overhead)
+                -(-beat.txn.beat_bytes // width) + overhead)
             yield clk.edges(cycles)
-            self.resp_channel.add_busy(cycles * clk.period_ps)
+            channel.busy_ps += cycles * clk.period_ps
+            channel.transfers += 1
             self.deliver_beat(beat)
             lane.release()

@@ -128,7 +128,7 @@ class GenericFabric(Fabric):
         if txn.is_read:
             # One address cell per transfer, plus per-transfer setup.
             return transfers * (spec.setup_cycles + 1)
-        cells = txn.beats * self.bus_cycles_for_beat(txn.beat_bytes)
+        cells = txn.beats * -(-txn.beat_bytes // self.data_width_bytes)
         return transfers * spec.setup_cycles + cells
 
     def _eligible_requests(self, wants: Optional[HeadFilter] = None):
@@ -214,9 +214,11 @@ class GenericFabric(Fabric):
             if spec.max_burst_beats:
                 self.burst_segments.add(self._transfers(txn) - 1)
             cycles = self.request_cycles(txn)
-            target.notify_request_state("storing")
+            if target.request_observers:
+                target.notify_request_state("storing")
             yield clk.edges(cycles)
-            channel.add_busy(cycles * clk.period_ps)
+            channel.busy_ps += cycles * clk.period_ps
+            channel.transfers += 1
             is_write = txn.is_write
             is_posted = is_write and txn.posted and spec.posted_writes
             txn.meta["needs_ack"] = is_write and not is_posted
@@ -226,8 +228,9 @@ class GenericFabric(Fabric):
                 # to it only when the FIFO is actually full (no split
                 # eligibility, or a sibling channel filled it).
                 yield target.request_fifo.put(txn)
-            target.notify_request_state("idle")
-            target.accepted.add()
+            if target.request_observers:
+                target.notify_request_state("idle")
+            target.accepted.value += 1
             now = sim._now
             txn.mark_accepted(now)
             if self._checks is not None:
@@ -247,6 +250,7 @@ class GenericFabric(Fabric):
         clk = self.clock
         channel = self.resp_channel
         work = self._response_work
+        width = self.data_width_bytes
         overhead = self.spec.resp_overhead_cycles
         current: Optional[Tuple[TargetPort, Transaction]] = None
         while True:
@@ -265,9 +269,10 @@ class GenericFabric(Fabric):
             # A write acknowledgement is a single cell; data costs its
             # width-adjusted cells plus the spec's handshake turnaround.
             cycles = 1 if item.index == -1 else (
-                self.bus_cycles_for_beat(item.txn.beat_bytes) + overhead)
+                -(-item.txn.beat_bytes // width) + overhead)
             yield clk.edges(cycles)
-            channel.add_busy(cycles * clk.period_ps)
+            channel.busy_ps += cycles * clk.period_ps
+            channel.transfers += 1
             self.deliver_beat(item)
             current = None if item.is_last else (target, item.txn)
 
@@ -284,7 +289,9 @@ class GenericFabric(Fabric):
         """
         clk = self.clock
         sim = self.sim
+        channel = self.resp_channel
         work = self._response_work
+        width = self.data_width_bytes
         overhead = self.spec.resp_overhead_cycles
         current: Optional[Tuple[TargetPort, Transaction]] = None
         while True:
@@ -304,11 +311,12 @@ class GenericFabric(Fabric):
                     run += 1
             beats = [fifo.try_get() for _ in range(run)]
             cycles = 1 if item.index == -1 else (
-                self.bus_cycles_for_beat(item.txn.beat_bytes) + overhead)
+                -(-item.txn.beat_bytes // width) + overhead)
             yield clk.edges(cycles * run)
-            self.resp_channel.add_busy(cycles * run * clk.period_ps)
+            channel.busy_ps += cycles * run * clk.period_ps
+            channel.transfers += 1
             if run > 1:
-                sim.note_fastforward(run - 1)
+                sim._lt_fastforwards += run - 1
                 first = beats[0]
                 if first.txn.t_first_data is None and first.index != -1:
                     # CA delivers the run's first beat `cycles` edges in;

@@ -134,6 +134,11 @@ class Transaction:
     ev_accepted: Optional[Event] = None
     ev_done: Optional[Event] = None
 
+    # -- shape, derived once (nothing reassigns opcode, beats or width) --
+    is_read: bool = field(init=False, repr=False, compare=False)
+    is_write: bool = field(init=False, repr=False, compare=False)
+    total_bytes: int = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if self.beats < 1:
             raise ValueError(f"burst must have >= 1 beat, got {self.beats}")
@@ -141,20 +146,11 @@ class Transaction:
             raise ValueError(f"unsupported beat width {self.beat_bytes} bytes")
         if self.address < 0:
             raise ValueError(f"negative address {self.address:#x}")
+        self.is_read = self.opcode is Opcode.READ
+        self.is_write = self.opcode is Opcode.WRITE
+        self.total_bytes = self.beats * self.beat_bytes
 
     # ------------------------------------------------------------------
-    @property
-    def is_read(self) -> bool:
-        return self.opcode is Opcode.READ
-
-    @property
-    def is_write(self) -> bool:
-        return self.opcode is Opcode.WRITE
-
-    @property
-    def total_bytes(self) -> int:
-        return self.beats * self.beat_bytes
-
     @property
     def end_address(self) -> int:
         return self.address + self.total_bytes

@@ -229,10 +229,22 @@ class LmiController(Component):
     # main engine process
     # ------------------------------------------------------------------
     def _engine(self):
+        """Choose, merge, then serve each group with one SDRAM access.
+
+        Write groups wait out the device burst and acknowledge.  Read
+        groups stream back through the output FIFO: bus beats are spread
+        linearly across the device data window, then delayed by the back
+        pipeline.  A full output FIFO back-pressures the return path (the
+        device transfer itself is already committed — the output FIFO is
+        exactly what absorbs that skid).
+        """
         clk = self.clock
         sim = self.sim
         cfg = self.config
+        lt = self._lt
         fifo = self.port.request_fifo
+        out = self.port.response_fifo
+        back = cfg.pipeline_back_cycles * clk.period_ps
         while True:
             if cfg.refresh_enabled and sim._now >= self._next_refresh_ps:
                 done = self.device.refresh(sim._now)
@@ -248,88 +260,66 @@ class LmiController(Component):
             if not window:
                 yield self._work.sleep()
                 continue
-            txn = self._choose(window)
-            fifo.remove(txn)
-            group = self._collect_merges(txn)
-            yield from self._serve_group(group)
-
-    def _serve_group(self, group: List[Transaction]):
-        """One SDRAM access covering every transaction in ``group``."""
-        clk = self.clock
-        cfg = self.config
-        first_txn = group[0]
-        total_bytes = sum(t.total_bytes for t in group)
-        device_beats = max(1, -(-total_bytes // self.device.geometry.width_bytes))
-        spans = self.sim._spans
-        if spans is not None:
-            # Lifecycle marks: engine dequeue now, command issue after the
-            # front pipeline — the two hops Fig. 6 cannot see from the bus.
+            first_txn = self._choose(window)
+            fifo.remove(first_txn)
+            group = self._collect_merges(first_txn)
+            total_bytes = 0
+            bus_beats = 0
             for txn in group:
-                spans.mark(txn, "lmi.engine")
-        # Controller front pipeline: decode, optimisation, command issue.
-        yield clk.edges(cfg.pipeline_front_cycles)
-        first_data, last_data, _hit = self.device.access(
-            first_txn.is_write, first_txn.address, device_beats, self.sim._now)
-        if spans is not None:
+                total_bytes += txn.total_bytes
+                bus_beats += txn.beats
+            device_beats = -(-total_bytes // self.device.geometry.width_bytes)
+            spans = sim._spans
+            if spans is not None:
+                # Lifecycle marks: engine dequeue now, command issue after
+                # the front pipeline — the two hops Fig. 6 cannot see from
+                # the bus.
+                for txn in group:
+                    spans.mark(txn, "lmi.engine")
+            # Controller front pipeline: decode, optimisation, command issue.
+            yield clk.edges(cfg.pipeline_front_cycles)
+            is_write = first_txn.is_write
+            first_data, last_data, _hit = self.device.access(
+                is_write, first_txn.address, device_beats, sim._now)
+            if spans is not None:
+                for txn in group:
+                    spans.mark(txn, "sdram.cmd")
+            self._last_was_write = is_write
+            self.served.value += len(group)
+            if is_write:
+                # Wait out the device write burst, then acknowledge.
+                if last_data > sim._now:
+                    yield sim.timeout(last_data - sim._now)
+                yield clk.edges(cfg.pipeline_back_cycles)
+                for txn in group:
+                    if txn.meta.get("needs_ack", not txn.posted):
+                        ack = ResponseBeat(txn, index=-1, is_last=True)
+                        if not (lt and out.try_put(ack)):
+                            yield out.put(ack)
+                    elif txn.ev_done._value is _PENDING:
+                        txn.complete(sim._now)
+                continue
+            step = max(0, last_data - first_data) // bus_beats
+            beat_no = 0
             for txn in group:
-                spans.mark(txn, "sdram.cmd")
-        self._last_was_write = first_txn.is_write
-        self.served.add(len(group))
-        if first_txn.is_write:
-            yield from self._finish_writes(group, last_data)
-        else:
-            yield from self._return_read_data(group, first_data, last_data)
-
-    def _finish_writes(self, group: List[Transaction], last_data: int):
-        """Wait out the device write burst, then acknowledge if required."""
-        sim = self.sim
-        if last_data > sim._now:
-            yield sim.timeout(last_data - sim._now)
-        yield self.clock.edges(self.config.pipeline_back_cycles)
-        fifo = self.port.response_fifo
-        for txn in group:
-            if txn.meta.get("needs_ack", not txn.posted):
-                ack = ResponseBeat(txn, index=-1, is_last=True)
-                if not (self._lt and fifo.try_put(ack)):
-                    yield fifo.put(ack)
-            elif txn.ev_done._value is _PENDING:
-                txn.complete(sim._now)
-
-    def _return_read_data(self, group: List[Transaction],
-                          first_data: int, last_data: int):
-        """Stream read data back through the output FIFO.
-
-        Bus beats are spread linearly across the device data window, then
-        delayed by the back pipeline.  A full output FIFO back-pressures the
-        return path (the device transfer itself is already committed — the
-        output FIFO is exactly what absorbs that skid).
-        """
-        sim = self.sim
-        back = self.config.pipeline_back_cycles * self.clock.period_ps
-        bus_beats = sum(t.beats for t in group)
-        window = max(0, last_data - first_data)
-        step = window // bus_beats if bus_beats else 0
-        fifo = self.port.response_fifo
-        lt = self._lt
-        beat_no = 0
-        for txn in group:
-            for index in range(txn.beats):
-                # Every beat surfaces at its exact device-window instant in
-                # both modes: the LMI scheduler's row-hit/merge decisions
-                # depend on request *arrival* times, so bunching beats (and
-                # thereby shifting when initiators issue their next request)
-                # would compound into visible execution-time drift.  LT only
-                # skips the put handshake when the FIFO has room — a pure
-                # same-timestamp saving (docs/FAST_SIM.md).
-                ready = first_data + beat_no * step + back
-                if ready > sim._now:
-                    yield sim.timeout(ready - sim._now)
-                beat = ResponseBeat(txn, index=index,
-                                    is_last=index == txn.beats - 1)
-                if lt and fifo.try_put(beat):
-                    sim.note_fastforward()
-                else:
-                    yield fifo.put(beat)
-                beat_no += 1
-            if txn.t_accepted is not None:
-                self.read_latency.add(sim._now - txn.t_accepted)
+                for index in range(txn.beats):
+                    # Every beat surfaces at its exact device-window instant
+                    # in both modes: the LMI scheduler's row-hit/merge
+                    # decisions depend on request *arrival* times, so
+                    # bunching beats (and thereby shifting when initiators
+                    # issue their next request) would compound into visible
+                    # execution-time drift.  LT only skips the put handshake
+                    # when the FIFO has room — a pure same-timestamp saving
+                    # (docs/FAST_SIM.md).
+                    ready = first_data + beat_no * step + back
+                    if ready > sim._now:
+                        yield sim.timeout(ready - sim._now)
+                    beat = ResponseBeat(txn, index=index,
+                                        is_last=index == txn.beats - 1)
+                    if lt and out.try_put(beat):
+                        sim._lt_fastforwards += 1
+                    else:
+                        yield out.put(beat)
+                    beat_no += 1
+                if txn.t_accepted is not None:
+                    self.read_latency.add(sim._now - txn.t_accepted)

@@ -120,7 +120,11 @@ class OnChipMemory(Component):
                          immediate=True)
 
     def _access(self, txn: Transaction, ticket: int):
+        """One burst: latency phase, its turn on the data port, then the
+        array time — a read streams its beats out, a write commits the
+        already-transferred data and acknowledges if needed."""
         clk = self.clock
+        lt = self._lt
         if self.access_latency_cycles > 0:
             yield clk.edges(self.access_latency_cycles)
         # Bursts stream strictly in arrival order on the single data port.
@@ -130,15 +134,69 @@ class OnChipMemory(Component):
                 waiter = self.sim.event(name=f"{self.name}.turn{ticket}")
                 self._turn_events[ticket] = waiter
             yield waiter
-        if not (self._lt and self._data_port.try_acquire()):
+        if not (lt and self._data_port.try_acquire()):
             yield self._data_port.acquire()
+        fifo = self.port.response_fifo
+        beats = txn.beats
         try:
             if txn.is_read:
-                self.reads.add()
-                yield from self._stream_read(txn, clk)
+                self.reads.value += 1
+                # Byte-based array time spread over the beats.
+                total_cycles = self._service_cycles(txn.total_bytes)
+                base = total_cycles // beats
+                remainder = total_cycles - base * beats
+                index = 0
+                while index < beats:
+                    # LT: as many beats as the response FIFO can absorb
+                    # right now advance in one analytic step.  The burst's
+                    # cumulative array time is identical to CA; only the
+                    # instants at which *intermediate* beats surface move
+                    # (docs/FAST_SIM.md).
+                    k = 0
+                    if lt and not fifo._put_waiters:
+                        k = min(fifo.capacity - len(fifo._items),
+                                beats - index)
+                    if k == 0:
+                        # The cycle-accurate shape (CA always; LT under
+                        # back-pressure): a full response FIFO
+                        # back-pressures the array naturally.
+                        cycles = base + (remainder if index == 0 else 0)
+                        if cycles > 0:
+                            yield clk.edges(cycles)
+                        self.beats_served.value += 1
+                        if self._energy is not None:
+                            self._charge_beats(txn, 1)
+                        yield fifo.put(ResponseBeat(
+                            txn, index=index, is_last=index == beats - 1))
+                        index += 1
+                        continue
+                    cycles = base * k + (remainder if index == 0 else 0)
+                    if cycles > 0:
+                        yield clk.edges(cycles)
+                    self.beats_served.value += k
+                    if self._energy is not None:
+                        self._charge_beats(txn, k)
+                    for offset in range(k):
+                        i = index + offset
+                        fifo.try_put(ResponseBeat(txn, index=i,
+                                                  is_last=i == beats - 1))
+                    if k > 1:
+                        self.sim._lt_fastforwards += k - 1
+                    index += k
             else:
-                self.writes.add()
-                yield from self._commit_write(txn, clk)
+                self.writes.value += 1
+                yield clk.edges(self._service_cycles(txn.total_bytes))
+                self.beats_served.value += beats
+                if self._energy is not None:
+                    self._charge_beats(txn, beats)
+                if txn.meta.get("needs_ack", not txn.posted):
+                    ack = ResponseBeat(txn, index=-1, is_last=True)
+                    if not (lt and fifo.try_put(ack)):
+                        yield fifo.put(ack)
+                elif txn.ev_done._value is _PENDING:
+                    # Posted write on a fabric that did not already
+                    # complete it.
+                    txn.complete(self.sim._now)
         finally:
             self._data_port.release()
             self._slots.release()
@@ -151,75 +209,3 @@ class OnChipMemory(Component):
         """Array-access energy for ``count`` served beats of ``txn``."""
         self._energy.charge(self.name, self._e_beat * count, self.sim.now,
                             txn.initiator, txn.tid)
-
-    def _stream_read(self, txn: Transaction, clk: Clock):
-        """Stream the burst out, byte-based array time spread over beats."""
-        total_cycles = self._service_cycles(txn.total_bytes)
-        base = total_cycles // txn.beats
-        remainder = total_cycles - base * txn.beats
-        if self._lt:
-            yield from self._stream_read_lt(txn, clk, base, remainder)
-            return
-        for index in range(txn.beats):
-            cycles = base + (remainder if index == 0 else 0)
-            if cycles > 0:
-                yield clk.edges(cycles)
-            self.beats_served.add()
-            if self._energy is not None:
-                self._charge_beats(txn, 1)
-            beat = ResponseBeat(txn, index=index, is_last=index == txn.beats - 1)
-            # A full response FIFO back-pressures the array naturally.
-            yield self.port.response_fifo.put(beat)
-
-    def _stream_read_lt(self, txn: Transaction, clk: Clock,
-                        base: int, remainder: int):
-        """LT read streaming: as many beats as the response FIFO can absorb
-        right now advance in one analytic step; a full FIFO (contention)
-        falls back to the per-beat cycle-accurate shape.  The cumulative
-        array time of the burst is identical to CA — only the instants at
-        which *intermediate* beats surface move (docs/FAST_SIM.md)."""
-        fifo = self.port.response_fifo
-        index = 0
-        while index < txn.beats:
-            free = 0 if fifo._put_waiters else fifo.capacity - len(fifo._items)
-            k = min(free, txn.beats - index)
-            if k == 0:
-                # Back-pressure: cycle-accurate shape for this beat.
-                cycles = base + (remainder if index == 0 else 0)
-                if cycles > 0:
-                    yield clk.edges(cycles)
-                self.beats_served.add()
-                if self._energy is not None:
-                    self._charge_beats(txn, 1)
-                yield fifo.put(ResponseBeat(
-                    txn, index=index, is_last=index == txn.beats - 1))
-                index += 1
-                continue
-            cycles = base * k + (remainder if index == 0 else 0)
-            if cycles > 0:
-                yield clk.edges(cycles)
-            self.beats_served.add(k)
-            if self._energy is not None:
-                self._charge_beats(txn, k)
-            for offset in range(k):
-                i = index + offset
-                fifo.try_put(ResponseBeat(txn, index=i,
-                                          is_last=i == txn.beats - 1))
-            if k > 1:
-                self.sim.note_fastforward(k - 1)
-            index += k
-
-    def _commit_write(self, txn: Transaction, clk: Clock):
-        """Commit the already-transferred data, then acknowledge if needed."""
-        yield clk.edges(self._service_cycles(txn.total_bytes))
-        self.beats_served.add(txn.beats)
-        if self._energy is not None:
-            self._charge_beats(txn, txn.beats)
-        if txn.meta.get("needs_ack", not txn.posted):
-            ack = ResponseBeat(txn, index=-1, is_last=True)
-            fifo = self.port.response_fifo
-            if not (self._lt and fifo.try_put(ack)):
-                yield fifo.put(ack)
-        elif txn.ev_done._value is _PENDING:
-            # Posted write on a fabric that did not already complete it.
-            txn.complete(self.sim._now)

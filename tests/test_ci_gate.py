@@ -72,6 +72,12 @@ class TestCompareStack:
         failures, _ = ci_gate.compare_stack(_stack(), {})
         assert any("not rerun" in failure for failure in failures)
 
+    def test_workload_missing_from_the_baseline_fails(self):
+        rerun = {**_stack(), "platform_lt": _stack()["platform_ca"]}
+        failures, _ = ci_gate.compare_stack(_stack(), rerun)
+        assert len(failures) == 1
+        assert "platform_lt" in failures[0] and "--update" in failures[0]
+
 
 class TestGateProcess:
     """End-to-end exit codes with the benchmark rerun stubbed out."""
@@ -124,6 +130,23 @@ class TestGateProcess:
         assert gate("--update") == 0
         assert self.stack.read_text() == committed
         assert "updated" not in capsys.readouterr().out
+
+    def test_update_keeps_a_calls_count_that_moved_within_the_noise(
+            self, gate, monkeypatch):
+        """Thread-interleaving jitter (service_mixed) rewrites nothing; a
+        real fall is committed."""
+        counts = _stack()
+        del counts["platform_ca"]["txn_per_cal_s"]
+        self.stack.write_text(json.dumps(counts, indent=4))
+        committed = self.stack.read_text()
+        monkeypatch.setattr(ci_gate, "run_stack",
+                            lambda: _stack(calls=1000.03))
+        assert gate("--update") == 0
+        assert self.stack.read_text() == committed
+        monkeypatch.setattr(ci_gate, "run_stack", lambda: _stack(calls=999.0))
+        assert gate("--update") == 0
+        assert json.loads(self.stack.read_text())["platform_ca"][
+            "repro_calls_per_txn"] == 999.0
 
     def test_changed_count_fails_and_no_override_exists(
             self, gate, monkeypatch, capsys):

@@ -1,11 +1,13 @@
 """Documentation link checker.
 
 Every internal link in ``README.md`` and ``docs/*.md`` must resolve to a
-real file in the repository, so the architecture map in
+real file in the repository, and every ``file.py::Symbol`` anchor to a
+definition in that file, so the architecture map in
 ``docs/ARCHITECTURE.md`` cannot silently drift away from the source tree.
 External links (http/https/mailto) and pure in-page anchors are skipped.
 """
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC = REPO_ROOT / "src" / "repro"
 
 # [text](target) — won't catch reference-style links, which the docs don't use.
 _LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
@@ -50,6 +53,58 @@ def test_internal_links_resolve(doc):
         if not resolved.exists():
             broken.append(target)
     assert not broken, f"{doc.name}: broken links {broken}"
+
+
+#: ``path.py::Symbol`` (``Class.method`` and pytest's ``Class::test`` too);
+#: ``path`` may be a suffix naming exactly one file under ``src/repro``.
+_SYMBOL_ANCHOR = re.compile(r"(?<![\w/.])([\w/]+\.py)::(\w+(?:(?:\.|::)\w+)*)")
+#: The line anchors symbol anchors replaced: they drift with every edit.
+_LINE_ANCHOR = re.compile(r"\b\w+\.py:\d+")
+
+
+def _anchor_file(path: str):
+    if path.startswith(("src/", "tests/")):
+        return REPO_ROOT / path if (REPO_ROOT / path).is_file() else None
+    matches = [candidate for candidate in SRC.rglob(path.rsplit("/", 1)[-1])
+               if candidate.as_posix().endswith("/" + path)]
+    return matches[0] if len(matches) == 1 else None
+
+
+def _defines(path: Path, symbol: str) -> bool:
+    """``symbol`` (dotted through classes) is a class or function in
+    ``path``."""
+    scope = ast.parse(path.read_text(), filename=str(path)).body
+    for name in re.split(r"\.|::", symbol):
+        found = [node for node in scope
+                 if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                      ast.AsyncFunctionDef))
+                 and node.name == name]
+        if not found:
+            return False
+        scope = found[0].body
+    return True
+
+
+@pytest.mark.parametrize("doc", _doc_files(), ids=lambda d: d.name)
+def test_symbol_anchors_resolve(doc):
+    """Each ``file.py::Symbol`` names one file and a definition in it,
+    and no ``file.py:123`` line anchor is left to drift."""
+    text = doc.read_text()
+    broken = []
+    for path, symbol in sorted(set(_SYMBOL_ANCHOR.findall(text))):
+        source = _anchor_file(path)
+        if source is None or not _defines(source, symbol):
+            broken.append(f"{path}::{symbol}")
+    assert not broken, f"{doc.name}: unresolved anchors {broken}"
+    assert not _LINE_ANCHOR.findall(text), \
+        f"{doc.name}: use file.py::Symbol, not line numbers"
+
+
+def test_architecture_map_uses_symbol_anchors():
+    """The map anchors its stages by symbol, so the resolver above has
+    something to check (a pattern that matched nothing would pass)."""
+    text = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
+    assert len(set(_SYMBOL_ANCHOR.findall(text))) >= 40
 
 
 #: Docs that anchor their claims to source files: every ``src/repro/...``

@@ -217,3 +217,48 @@ def test_one_export_module_and_obs_stands_alone():
                 upward.append(f"{where}:{node.lineno}")
     assert csv_importers == {"obs/export.py"}
     assert upward == [], f"repro.obs must not import repro.analysis: {upward}"
+
+
+# ----------------------------------------------------------------------
+# structural invariant: one frame per resume on the beat path
+# ----------------------------------------------------------------------
+BEAT_PATH = ("interconnect", "bridge", "memory")
+
+#: The delegating helpers the beat-path processes were flattened out of.
+FLATTENED = {
+    "bridge/base.py": {"BridgeBase": {"cross"}},
+    "bridge/lightweight.py": {"LightweightBridge": {"_blocking_read",
+                                                    "_store_and_forward_write"}},
+    "interconnect/ahb.py": {"AhbLayer": {"_serve"}},
+    "memory/onchip.py": {"OnChipMemory": {"_stream_read", "_stream_read_lt",
+                                          "_commit_write"}},
+    "memory/lmi.py": {"LmiController": {"_serve_group", "_return_read_data",
+                                        "_finish_writes"}},
+}
+
+
+def test_beat_path_processes_are_single_generators():
+    """Nothing under ``repro/{interconnect,bridge,memory}`` delegates with
+    ``yield from``: every resume of a chain enters each level, so a bus,
+    bridge or memory process is one generator (docs/PERFORMANCE.md, "One
+    frame per resume").  The helpers they were flattened out of stay
+    gone."""
+    delegations, revived, seen = [], [], set()
+    for package in BEAT_PATH:
+        for path in sorted((SRC / package).glob("*.py")):
+            where = path.relative_to(SRC).as_posix()
+            tree = ast.parse(path.read_text(), filename=str(path))
+            delegations += [f"{where}:{node.lineno}" for node in ast.walk(tree)
+                            if isinstance(node, ast.YieldFrom)]
+            for cls in tree.body:
+                if not isinstance(cls, ast.ClassDef) \
+                        or cls.name not in FLATTENED.get(where, {}):
+                    continue
+                seen.add(cls.name)
+                revived += [f"{cls.name}.{member.name}" for member in cls.body
+                            if getattr(member, "name", None)
+                            in FLATTENED[where][cls.name]]
+    assert delegations == [], f"inline the delegated generator: {delegations}"
+    assert revived == [], f"flattened helpers are back: {revived}"
+    assert seen == {cls for classes in FLATTENED.values() for cls in classes}, \
+        "a class moved: update FLATTENED"

@@ -47,7 +47,8 @@ class InterfaceMonitor:
             f"{port.name}.iface.empty",
             initial="empty" if port.request_fifo.is_empty else "nonempty",
             first_phase=first_phase)
-        port.request_fifo.watch(self._on_level)
+        port.request_fifo.store_listeners.append(self._on_level)
+        port.request_fifo.take_listeners.append(self._on_level)
         port.request_observers.append(self._on_request_state)
 
     # ------------------------------------------------------------------
@@ -59,7 +60,7 @@ class InterfaceMonitor:
             return STATE_STORING
         return STATE_IDLE
 
-    def _on_level(self, _time: int, _old: int, _new: int) -> None:
+    def _on_level(self) -> None:
         self._states.set_state(self._classify())
         self._empty.set_state(
             "nonempty" if self.port.request_fifo._items else "empty")

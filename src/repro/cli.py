@@ -5,12 +5,11 @@
     python -m repro list                         # available experiments
     python -m repro run fig5 --scale 0.5         # run one, print the figure
     python -m repro run all --jobs 4             # the whole evaluation, parallel
-    python -m repro run fig5 --trace out.json    # ... with a Perfetto trace
+    python -m repro run fig5 --trace out.json    # ... + Perfetto trace, hop table
     python -m repro platform my_platform.json    # simulate a config file
     python -m repro sweep my_sweep.json --jobs 4 # design-space sweep file
     python -m repro sweep my_platform.json       # ... or a one-point sweep
     python -m repro dse my_dse.json --jobs 4     # Pareto search over a space
-    python -m repro trace fig5                   # lifecycle trace + hop table
     python -m repro stats fig6 --json out.json   # flat metric dump
     python -m repro stats fig5 --energy          # + per-component energy
     python -m repro stats my_sweep.json --energy # platform/sweep files too
@@ -23,8 +22,8 @@ Each experiment prints the paper-style report and the outcome of its shape
 checks; the process exits non-zero if any claim fails, so the CLI is
 usable in CI.  ``stats`` and ``check`` take the same targets: an
 experiment, a platform file or a sweep file (:func:`_target`).
-``trace``/``stats`` (and the ``--trace`` flag) run under an
-observability capture — see ``docs/OBSERVABILITY.md``.
+``stats`` (and the ``--trace`` flag) run under an observability
+capture — see ``docs/OBSERVABILITY.md``.
 ``--jobs``/``sweep`` fan independent configurations out across worker
 processes with on-disk result caching — see ``docs/PERFORMANCE.md``.
 """
@@ -170,9 +169,9 @@ def cmd_platform(args) -> int:
 
 @contextmanager
 def _traced(args) -> Iterator[None]:
-    """Capture the body under ``--trace PATH`` and write its Perfetto file,
-    also when the body raises (the capture's process-wide hook still
-    comes off on the way out)."""
+    """Capture the body under ``--trace PATH``, write its Perfetto file and
+    print the per-hop latency table, also when the body raises (the
+    capture's process-wide hook still comes off on the way out)."""
     if not args.trace:
         yield
         return
@@ -184,30 +183,8 @@ def _traced(args) -> Iterator[None]:
         finally:
             span_count = cap.write_trace(args.trace)
             print(f"\nwrote {span_count} spans ({len(cap.completed())} "
-                  f"completed transactions) to {args.trace}")
-
-
-def cmd_trace(args) -> int:
-    table = registry()
-    if args.experiment not in table:
-        print(f"unknown experiment {args.experiment!r}; try 'list'",
-              file=sys.stderr)
-        return 2
-    from .obs import capture
-
-    description, runner = table[args.experiment]
-    print(f"### {args.experiment}: {description} (tracing)\n")
-    with capture() as cap:
-        runner(args.scale)
-    out = args.out or f"trace_{args.experiment}.json"
-    span_count = cap.write_trace(out)
-    completed = len(cap.completed())
-    print(f"captured {len(cap.transactions())} transactions "
-          f"({completed} completed) across {len(cap.recorders)} simulator(s)")
-    print(f"wrote {span_count} spans to {out} "
-          f"(load in ui.perfetto.dev or chrome://tracing)\n")
-    print(cap.format_summary())
-    return 0
+                  f"completed transactions) to {args.trace}\n")
+            print(cap.format_summary())
 
 
 def _energy_report(cap) -> str:
@@ -756,8 +733,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "microseconds (default 20000)")
     trace = argparse.ArgumentParser(add_help=False)
     trace.add_argument("--trace", metavar="PATH",
-                       help="capture transaction lifecycles and write a "
-                            "Perfetto trace_event JSON file")
+                       help="capture transaction lifecycles, write a "
+                            "Perfetto trace_event JSON file and print "
+                            "per-hop latencies")
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument("--jobs", type=positive_int, default=None, metavar="N",
                       help="worker processes (default: the spec file's own "
@@ -826,12 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true",
                    help="re-simulate every candidate, bypassing the sweep "
                         "result cache")
-
-    p = command("trace", cmd_trace, "run an experiment under lifecycle "
-                "tracing and report per-hop latencies", scale)
-    p.add_argument("experiment")
-    p.add_argument("--out", metavar="PATH",
-                   help="trace file (default trace_<experiment>.json)")
 
     p = command("stats", cmd_stats, "run an experiment, a platform config "
                 "JSON or a sweep file and dump the flat metric registry",

@@ -17,27 +17,24 @@ Two flavours:
     ``latency_ps`` after they were written, modelling synchroniser delay in
     bridges between clock domains.
 
-Both emit level-change notifications so the statistics system can integrate
-occupancy over time without per-cycle sampling.
+Both call their store/take listeners on every change (SystemC ``sc_fifo``'s
+written/read events): fabric wake-ups, the LMI engine and the statistics
+probes that integrate occupancy over time all register there.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Any, Callable, Deque, Generic, List, Optional, Tuple, TypeVar
+from typing import Callable, Deque, Generic, List, Optional, Tuple, TypeVar
 
 from .events import Event, PRIORITY_NORMAL, completed_event
 from .kernel import Simulator
 
 T = TypeVar("T")
 
-#: Signature of a level watcher: ``fn(time_ps, old_level, new_level)``.
-LevelWatcher = Callable[[int, int, int], None]
-
-#: Signature of a store/take hook (:attr:`Fifo._on_store` /
-#: :attr:`Fifo._on_take`): called with no arguments.
-Hook = Callable[[], None]
+#: Signature of a store/take listener: called with no arguments.
+Listener = Callable[[], None]
 
 
 class Fifo(Generic[T]):
@@ -62,20 +59,13 @@ class Fifo(Generic[T]):
         self._items: Deque[T] = deque()
         self._put_waiters: Deque[Tuple[Event, T]] = deque()
         self._get_waiters: Deque[Event] = deque()
-        self._watchers: List[LevelWatcher] = []
-        #: The owner's hooks, one slot each, called after the watchers:
-        #: ``_on_store`` once an item was stored (it is ``_items[-1]``),
-        #: ``_on_take`` once one left (``get``, ``try_get``, ``remove``).
-        #: A fabric's target ports wake its channels through them — a
-        #: direct call where a watcher would dispatch through the list
-        #: and filter on the level change.
-        self._on_store: Optional[Hook] = None
-        self._on_take: Optional[Hook] = None
-        # Occupancy accounting (time-weighted) -------------------------
-        self._last_change_ps = sim.now
-        self._level_time: dict = {}
+        #: Change listeners, called in registration order right after one
+        #: item was stored (it is ``_items[-1]``) or removed (``get``,
+        #: ``try_get``, ``remove``), before any waiter is served.
+        self.store_listeners: List[Listener] = []
+        self.take_listeners: List[Listener] = []
         #: Highest occupancy ever reached (even transiently within one
-        #: timestamp, which the time-weighted histogram cannot see).
+        #: timestamp, which a time-weighted histogram cannot see).
         self.high_water = 0
         #: Loosely-timed flag, captured once (select-once discipline).
         self._lt = sim.lt_enabled
@@ -185,36 +175,10 @@ class Fifo(Generic[T]):
         middle of its input FIFO; STBus Type-3 targets may likewise retire
         shaped packets out of order.
         """
-        before = len(self._items)
         self._items.remove(item)  # raises ValueError when absent
-        self._level_changed(before)
+        for listener in self.take_listeners:
+            listener()
         self._admit_waiting_puts()
-
-    # ------------------------------------------------------------------
-    # telemetry
-    # ------------------------------------------------------------------
-    def watch(self, fn: LevelWatcher) -> None:
-        """Call ``fn(time_ps, old_level, new_level)`` on every level change."""
-        self._watchers.append(fn)
-
-    def occupancy_histogram(self, until_ps: Optional[int] = None) -> dict:
-        """Time spent (ps) at each occupancy level, including the open
-        interval up to ``until_ps`` (default: now)."""
-        if until_ps is None:
-            until_ps = self.sim.now
-        hist = dict(self._level_time)
-        open_span = until_ps - self._last_change_ps
-        if open_span > 0:
-            hist[self.level] = hist.get(self.level, 0) + open_span
-        return hist
-
-    def mean_occupancy(self, until_ps: Optional[int] = None) -> float:
-        """Time-weighted mean number of stored items."""
-        hist = self.occupancy_histogram(until_ps)
-        total = sum(hist.values())
-        if total == 0:
-            return float(self.level)
-        return sum(level * span for level, span in hist.items()) / total
 
     # ------------------------------------------------------------------
     # internals
@@ -227,40 +191,20 @@ class Fifo(Generic[T]):
         items.append(item)
         if before >= self.high_water:
             self.high_water = before + 1
-        # Inlined _level_changed(): store/take run twice per transferred
-        # item, so the accounting is flattened and the (usually empty)
+        # store/take run twice per transferred item: the (usually empty)
         # waiter scans are guarded instead of unconditionally called.
-        now = self.sim._now
-        span = now - self._last_change_ps
-        if span > 0:
-            level_time = self._level_time
-            level_time[before] = level_time.get(before, 0) + span
-            self._last_change_ps = now
-        if self._watchers:
-            for fn in self._watchers:
-                fn(now, before, len(items))
-        if self._on_store is not None:
-            self._on_store()
+        for listener in self.store_listeners:
+            listener()
         if self._get_waiters:
             self._serve_waiting_gets()
 
     def _take(self) -> T:
         items = self._items
-        before = len(items)
         if not items:
             self._bounds_violation("underflow", 0)
         item = items.popleft()
-        now = self.sim._now
-        span = now - self._last_change_ps
-        if span > 0:
-            level_time = self._level_time
-            level_time[before] = level_time.get(before, 0) + span
-            self._last_change_ps = now
-        if self._watchers:
-            for fn in self._watchers:
-                fn(now, before, len(items))
-        if self._on_take is not None:
-            self._on_take()
+        for listener in self.take_listeners:
+            listener()
         if self._put_waiters:
             self._admit_waiting_puts()
         return item
@@ -310,19 +254,6 @@ class Fifo(Generic[T]):
             event._value = None
             sim._sequence = sequence = sim._sequence + 1
             heappush(sim._queue, (sim._now, PRIORITY_NORMAL, sequence, event))
-
-    def _level_changed(self, old_level: int) -> None:
-        """Accounting, watchers and the take hook after :meth:`remove`."""
-        now = self.sim._now
-        span = now - self._last_change_ps
-        if span > 0:
-            self._level_time[old_level] = self._level_time.get(old_level, 0) + span
-        self._last_change_ps = now
-        new_level = len(self._items)
-        for fn in self._watchers:
-            fn(now, old_level, new_level)
-        if self._on_take is not None:
-            self._on_take()
 
     def __len__(self) -> int:
         return len(self._items)

@@ -150,8 +150,8 @@ class Simulator:
         self._inline_active = False
         #: Analytic fast-forwards taken so far (LT mode only): every time a
         #: component computed a contention-free stretch in closed form and
-        #: advanced time in one step, it bumps this via
-        #: :meth:`note_fastforward`.  Stays 0 in CA mode by construction.
+        #: advanced time in one step, it bumps this in place.  Stays 0 in
+        #: CA mode by construction.
         self._lt_fastforwards = 0
         if _new_sim_hooks:
             for hook in tuple(_new_sim_hooks):
@@ -164,11 +164,6 @@ class Simulator:
     def now(self) -> int:
         """Current simulation time in picoseconds."""
         return self._now
-
-    @property
-    def now_ns(self) -> float:
-        """Current simulation time in nanoseconds (for reporting only)."""
-        return self._now / NS
 
     @property
     def processed_events(self) -> int:
@@ -187,14 +182,6 @@ class Simulator:
     def lt_fastforwards(self) -> int:
         """Analytic fast-forwards taken (always 0 in CA mode)."""
         return self._lt_fastforwards
-
-    def note_fastforward(self, count: int = 1) -> None:
-        """Record that a component fast-forwarded a contention-free stretch.
-
-        Called only on LT code paths — never on the CA hot path — so CA
-        runs pay nothing for the bookkeeping.
-        """
-        self._lt_fastforwards += count
 
     def set_resolution(self, resolution: str) -> None:
         """Switch resolution before any model activity.
@@ -340,32 +327,16 @@ class Simulator:
         if not event._pinned and len(self._timeout_pool) < _POOL_MAX:
             self._timeout_pool.append(event)
 
-    def step(self) -> None:
-        """Process exactly one event."""
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        when, _priority, _seq, event = heapq.heappop(self._queue)
-        if when < self._now:  # pragma: no cover - guarded by _enqueue
-            raise SimulationError("event queue time went backwards")
-        self._now = when
-        self._processed_events += 1
-        if self._trace is not None:
-            self._trace(when, event)
-        event._run_callbacks()
-        if event.__class__ is _PooledTimeout:
-            self._reclaim(event)
-
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run until the queue drains, ``until`` ps is reached, or
-        ``max_events`` more events have been processed.
+    def run(self, until: Optional[int] = None) -> int:
+        """Run until the queue drains or ``until`` ps is reached.
 
         Returns the simulation time when the run stopped.  ``until`` is a
         *bound*: when the queue drains earlier, ``now`` stays at the last
         event time (so time-weighted statistics are not diluted by a
-        trailing idle span nobody simulated).
+        trailing idle span nobody simulated).  A run may be resumed with a
+        later bound; slicing a run this way processes exactly the events
+        of one straight run.
         """
-        if max_events is not None:
-            return self._run_budgeted(until, max_events)
         if self._trace is not None:
             return self._run_traced(until)
         return self._run_fast(until)
@@ -429,57 +400,6 @@ class Simulator:
                 if event.__class__ is _PooledTimeout:
                     self._reclaim(event)
             self._processed_events += processed
-        return self._now
-
-    def _run_budgeted(self, until: Optional[int], max_events: int) -> int:
-        """Clustered loop that additionally stops after ``max_events``.
-
-        Same batching as :meth:`_run_fast` with a per-event budget check;
-        used for both bounded debugging runs and watchdog-bounded platform
-        runs, so it must stay fast too.
-        """
-        budget = max_events
-        queue = self._queue
-        pop = heappop
-        trace = self._trace
-        pooled = _PooledTimeout
-        while queue and budget > 0:
-            when = queue[0][0]
-            if until is not None and when > until:
-                self._now = until
-                break
-            self._now = when
-            processed = 0
-            while budget > 0 and queue and queue[0][0] == when:
-                budget -= 1
-                event = pop(queue)[3]
-                processed += 1
-                if trace is not None:
-                    trace(when, event)
-                event._run_callbacks()
-                if event.__class__ is pooled:
-                    self._reclaim(event)
-            self._processed_events += processed
-        return self._now
-
-    def run_until_idle(self, quiet_ps: int) -> int:
-        """Run until no event fires for *more than* ``quiet_ps`` picoseconds.
-
-        The boundary is inclusive: an event (or burst) landing exactly at
-        ``last_activity + quiet_ps`` is still processed and restarts the
-        quiet window; the run only stops when the next queued event lies
-        strictly beyond it.  Useful for "run to completion" of platforms
-        whose clock processes would otherwise keep the queue non-empty
-        forever.  (Our clocks are lazy — they only schedule edges someone
-        waits for — so a plain :meth:`run` usually suffices; this helper
-        exists for models that keep background refresh processes alive.)
-        """
-        last_activity = self._now
-        while self._queue:
-            if self._queue[0][0] > last_activity + quiet_ps:
-                break
-            self.step()
-            last_activity = self._now
         return self._now
 
 

@@ -73,8 +73,9 @@ class TimeWeightedStates:
     """Integrates the time spent in each of a set of named states.
 
     This is the primitive behind the Fig. 6 breakdown (FIFO full / storing /
-    idle-no-request / empty).  Call :meth:`set_state` whenever the observed
-    condition changes; query :meth:`breakdown` for fractions over a window.
+    idle-no-request / empty) and behind FIFO occupancy, whose states are
+    the levels.  Call :meth:`set_state` whenever the observed condition
+    changes; query :meth:`breakdown` for fractions over a window.
     """
 
     def __init__(self, sim: Simulator, initial: str = "idle") -> None:

@@ -154,19 +154,21 @@ class TargetPort:
         prefix = f"{fabric.name}.{name}"
         self.accepted = metrics.counter(f"{prefix}.accepted")
         if self.sim._spans is not None:
-            # FIFO probes install level watchers, so only under an active
-            # observability capture (they are the Fig. 6 occupancy/waiting
-            # instruments, not always-on bookkeeping).
+            # FIFO probes register FIFO listeners and integrate occupancy,
+            # so only under an active observability capture (they are the
+            # Fig. 6 occupancy/waiting instruments, not always-on
+            # bookkeeping).  Registered first: they see every change
+            # before a wake-up below can re-enter the FIFO.
             metrics.fifo(f"{prefix}.req_fifo", self.request_fifo)
             metrics.fifo(f"{prefix}.resp_fifo", self.response_fifo)
         #: Optional observers of request-channel activity towards this port
         #: (used by the Fig. 6 interface monitor).
         self.request_observers: List[Callable[[str], None]] = []
-        # The fabric's wake-ups, as direct FIFO hooks: a stored beat wakes
+        # The fabric's wake-ups, as FIFO listeners: a stored beat wakes
         # the response side, a drained request slot the request side.
-        self.response_fifo._on_store = fabric._response_hook(
-            self.response_fifo)
-        self.request_fifo._on_take = fabric._request_take_hook
+        self.response_fifo.store_listeners.append(
+            fabric._response_hook(self.response_fifo))
+        self.request_fifo.take_listeners.append(fabric._request_take_hook)
 
     # -- device-side API -------------------------------------------------
     def get_request(self) -> Event:

@@ -106,7 +106,7 @@ class LmiController(Component):
         self._lt = sim.lt_enabled
         # Wake the engine whenever a request lands in the input FIFO.
         self._work = WorkSignal(sim, name=f"{name}.work")
-        port.request_fifo.watch(self._on_input_level)
+        port.request_fifo.store_listeners.append(self._work.notify)
         self.process(self._engine(), name="engine")
 
     # ------------------------------------------------------------------
@@ -161,11 +161,6 @@ class LmiController(Component):
                 "row_misses": device.row_misses.value,
             },
         }
-
-    # ------------------------------------------------------------------
-    def _on_input_level(self, _time: int, old: int, new: int) -> None:
-        if new > old:
-            self._work.notify()
 
     # ------------------------------------------------------------------
     # optimisation engine

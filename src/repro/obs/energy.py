@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..interconnect.protocols import spec_for_fabric
 from ..memory.timing import DDR_ENERGY, SdramEnergy
 
 #: Accounting grain: coefficients are configured in pJ, accumulated in fJ.
@@ -121,21 +122,14 @@ class EnergyConfig:
 
     # ------------------------------------------------------------------
     def fabric_pj_per_beat(self, fabric) -> float:
-        """Coefficient for one bus cell on ``fabric``.
-
-        Channel-engine fabrics (STBus, AXI, the registry-spec protocols)
-        resolve through their spec's ``energy_coefficient`` field; AHB
-        and TLM are identified by their ``protocol`` label.
-        """
-        spec = getattr(fabric, "spec", None)
-        if spec is not None:
-            return float(getattr(self, spec.energy_coefficient))
-        protocol = getattr(fabric, "protocol", "")
-        if protocol == "ahb":
-            return self.ahb_pj_per_beat
-        if protocol == "tlm":
-            return self.tlm_pj_per_beat
-        return self.stbus_t2_pj_per_beat
+        """Coefficient for one bus cell on ``fabric``: its registry spec's
+        ``energy_coefficient`` field (``spec_for_fabric``), or the STBus
+        Type 2 coefficient for a fabric no spec describes."""
+        try:
+            spec = spec_for_fabric(fabric)
+        except ValueError:
+            return self.stbus_t2_pj_per_beat
+        return float(getattr(self, spec.energy_coefficient))
 
 
 class EnergyAccountant:

@@ -48,29 +48,48 @@ class FifoProbe:
 
     The paper's Fig. 6 quantities — how full the LMI input FIFO sits and how
     long requests wait in it — used to require bespoke callbacks per
-    experiment.  A probe watches any :class:`~repro.core.fifo.Fifo` and
-    derives both uniformly: occupancy comes from the FIFO's own
-    time-weighted accounting, waiting times from pairing each level increase
-    with the next decrease (FIFO discipline; with out-of-order ``remove()``
-    extraction, as in the LMI optimisation engine, the reported waits are
-    the FIFO-order approximation, which bounds the true in-order wait).
+    experiment.  A probe registers store/take listeners on any
+    :class:`~repro.core.fifo.Fifo` and derives both uniformly: occupancy
+    integrates the level over time (a :class:`TimeWeightedStates` whose
+    state is the level), waiting times pair each store with the next take
+    (FIFO discipline; with out-of-order ``remove()`` extraction, as in the
+    LMI optimisation engine, the reported waits are the FIFO-order
+    approximation, which bounds the true in-order wait).  Attach it when
+    the FIFO is built: occupancy is integrated from that instant.
     """
 
     def __init__(self, fifo: Fifo, path: str) -> None:
         self.fifo = fifo
         self.path = path
         self.wait = LatencySummary(f"{path}.wait")
+        self.occupancy = TimeWeightedStates(fifo.sim, initial=fifo.level)
         self._entries: Deque[int] = deque()
-        fifo.watch(self._on_level)
+        fifo.store_listeners.append(self._on_store)
+        fifo.take_listeners.append(self._on_take)
 
-    def _on_level(self, time_ps: int, old: int, new: int) -> None:
-        if new > old:
-            for _ in range(new - old):
-                self._entries.append(time_ps)
-        else:
-            for _ in range(old - new):
-                if self._entries:
-                    self.wait.add(time_ps - self._entries.popleft())
+    def _on_store(self) -> None:
+        fifo = self.fifo
+        self._entries.append(fifo.sim._now)
+        self.occupancy.set_state(len(fifo._items))
+
+    def _on_take(self) -> None:
+        fifo = self.fifo
+        self.occupancy.set_state(len(fifo._items))
+        if self._entries:
+            self.wait.add(fifo.sim._now - self._entries.popleft())
+
+    def occupancy_histogram(self, until_ps: Optional[int] = None) -> dict:
+        """Time spent (ps) at each occupancy level, including the open
+        interval up to ``until_ps`` (default: now)."""
+        return self.occupancy.durations(until_ps)
+
+    def mean_occupancy(self, until_ps: Optional[int] = None) -> float:
+        """Time-weighted mean number of stored items."""
+        hist = self.occupancy_histogram(until_ps)
+        total = sum(hist.values())
+        if total == 0:
+            return float(self.fifo.level)
+        return sum(level * span for level, span in hist.items()) / total
 
 
 class MetricRegistry:
@@ -129,9 +148,9 @@ class MetricRegistry:
     def fifo(self, path: str, fifo: Fifo) -> FifoProbe:
         """Attach a :class:`FifoProbe` to ``fifo`` and register it.
 
-        Note this installs a level watcher on the FIFO — unlike the other
-        factories it is *not* free, so callers gate it on an active
-        observability capture (``sim._spans is not None``).
+        Note this registers FIFO listeners — unlike the other factories
+        it is *not* free, so callers gate it on an active observability
+        capture (``sim._spans is not None``).
         """
         return self.register(path, FifoProbe(fifo, path))
 
@@ -204,7 +223,7 @@ class MetricRegistry:
             rows[f"{path}.level"] = float(fifo.level)
             rows[f"{path}.capacity"] = float(fifo.capacity)
             rows[f"{path}.high_water"] = float(fifo.high_water)
-            rows[f"{path}.mean_occupancy"] = fifo.mean_occupancy(until_ps)
+            rows[f"{path}.mean_occupancy"] = metric.mean_occupancy(until_ps)
             self._flatten(rows, f"{path}.wait", metric.wait, until_ps)
         elif hasattr(metric, "rows") and callable(metric.rows):
             # Self-flattening composites (the energy accountant): the

@@ -233,6 +233,7 @@ def parse_submission(document: Any) -> Submission:
     checkpoint_at_ps: Optional[int] = None
     if checkpoint_at_us is not None:
         if not isinstance(checkpoint_at_us, (int, float)) \
+                or isinstance(checkpoint_at_us, bool) \
                 or checkpoint_at_us <= 0:
             raise SubmissionError(
                 "submission.checkpoint_at_us: must be a positive number")

@@ -694,16 +694,19 @@ def parse_sweep(document: Dict[str, Any]) -> SweepSpec:
             labels.append(label)
 
     jobs = document.get("jobs")
-    if jobs is not None and (not isinstance(jobs, int) or jobs < 1):
+    if jobs is not None and (not isinstance(jobs, int)
+                             or isinstance(jobs, bool) or jobs < 1):
         raise ConfigError("sweep.jobs: must be a positive integer")
     return SweepSpec(labels=labels, configs=configs, jobs=jobs,
                      max_ps=bound_ps(document, "sweep"))
 
 
 def bound_ps(document: Dict[str, Any], where: str) -> int:
-    """A specification document's optional ``max_us`` run bound, in ps."""
+    """A specification document's optional ``max_us`` run bound, in ps
+    (a JSON boolean is not a number here)."""
     max_us = document.get("max_us", DEFAULT_MAX_PS / 1_000_000)
-    if not isinstance(max_us, (int, float)) or max_us <= 0:
+    if not isinstance(max_us, (int, float)) or isinstance(max_us, bool) \
+            or max_us <= 0:
         raise ConfigError(f"{where}.max_us: must be a positive number")
     return int(max_us * 1_000_000)
 

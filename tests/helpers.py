@@ -153,7 +153,7 @@ def fifo_pipeline(scale: float = 1.0,
     for a, b in zip(stages, stages[1:]):
         sim.process(mover(a, b))
     sim.process(sink())
-    sim.run(until=10_000_000_000, max_events=10_000_000)
+    sim.run(until=10_000_000_000)
     return sim.processed_events, sim.now
 
 

@@ -215,7 +215,6 @@ OPTION_SURFACE = {
                "--wait", "-h"],
     "sweep": ["--cache-dir", "--csv", "--help", "--jobs", "--no-cache",
               "--timeout", "-h"],
-    "trace": ["--help", "--out", "--scale", "-h"],
 }
 
 

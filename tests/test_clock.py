@@ -186,7 +186,7 @@ class TestMultiClock:
 # ----------------------------------------------------------------------
 STALL_PERIOD = 1_000
 STALL_HORIZON = 30 * STALL_PERIOD
-RUN_MODES = ("fast", "traced", "budgeted", "step")
+RUN_MODES = ("fast", "traced", "sliced")
 
 
 def _literal_edge_until(clk, signal):
@@ -263,14 +263,12 @@ def _run_stall_schedule(use_wait, mode, changes, rounds, gap_ps):
         else:
             sim.process(from_other_domain(cycle, apply), name=f"other{index}")
 
-    if mode in ("fast", "traced"):
-        sim.run(until=STALL_HORIZON)
-    elif mode == "budgeted":
+    if mode == "sliced":
+        # Bounded runs that stop off the bus grid, as Run.advance slices.
         while sim.peek() is not None and sim.peek() <= STALL_HORIZON:
-            sim.run(until=STALL_HORIZON, max_events=7)
+            sim.run(until=min(sim.now + 700, STALL_HORIZON))
     else:
-        while sim.peek() is not None and sim.peek() <= STALL_HORIZON:
-            sim.step()
+        sim.run(until=STALL_HORIZON)
     return {"log": log, "trace": trace, "events": sim.processed_events,
             "pool": len(sim._timeout_pool)}
 
@@ -448,9 +446,7 @@ class TestEdgeUntil:
                 assert waited == polled, mode
                 outcomes[mode] = waited
             assert len({o["events"] for o in outcomes.values()}) == 1
-            assert outcomes["traced"]["trace"] \
-                == outcomes["budgeted"]["trace"] \
-                == outcomes["step"]["trace"]
+            assert outcomes["traced"]["trace"] == outcomes["sliced"]["trace"]
             # (time, who) order is the kernel's, whichever loop ran it.
             orders = {mode: [(who, when) for who, when, _ in o["log"]]
                       for mode, o in outcomes.items()}

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import CdcFifo, Fifo, Simulator
+from repro.core.sync import WorkSignal
+from repro.obs import FifoProbe
 
 
 class TestBasics:
@@ -139,10 +141,13 @@ class TestBlocking:
 
 
 class TestTelemetry:
-    def test_watchers_see_level_changes(self, sim):
+    def test_listeners_see_level_changes(self, sim):
         fifo = Fifo(sim, 2)
         changes = []
-        fifo.watch(lambda t, old, new: changes.append((t, old, new)))
+        fifo.store_listeners.append(
+            lambda: changes.append((sim.now, fifo.level - 1, fifo.level)))
+        fifo.take_listeners.append(
+            lambda: changes.append((sim.now, fifo.level + 1, fifo.level)))
 
         def body():
             yield fifo.put("a")
@@ -155,6 +160,7 @@ class TestTelemetry:
 
     def test_occupancy_histogram_integrates_time(self, sim):
         fifo = Fifo(sim, 2)
+        probe = FifoProbe(fifo, "f")
 
         def body():
             yield sim.timeout(100)   # level 0 for 100 ps
@@ -165,12 +171,13 @@ class TestTelemetry:
 
         sim.process(body())
         sim.run()
-        hist = fifo.occupancy_histogram()
+        hist = probe.occupancy_histogram()
         assert hist[0] == 150
         assert hist[1] == 300
 
     def test_mean_occupancy(self, sim):
         fifo = Fifo(sim, 2)
+        probe = FifoProbe(fifo, "f")
 
         def body():
             yield fifo.put("x")
@@ -180,7 +187,72 @@ class TestTelemetry:
 
         sim.process(body())
         sim.run()
-        assert fifo.mean_occupancy() == pytest.approx(1.5)
+        assert probe.mean_occupancy() == pytest.approx(1.5)
+
+
+class TestListeners:
+    """One notification mechanism: store/take listener lists, called in
+    registration order right after each change."""
+
+    @staticmethod
+    def _logged(fifo, log):
+        for name in ("a", "b"):
+            fifo.store_listeners.append(
+                lambda name=name: log.append(("store", name, fifo.level)))
+            fifo.take_listeners.append(
+                lambda name=name: log.append(("take", name, fifo.level)))
+
+    def test_store_take_and_remove_in_registration_order(self, sim):
+        fifo = Fifo(sim, 4)
+        log = []
+        self._logged(fifo, log)
+        fifo.try_put("x")
+        fifo.try_put("y")
+        fifo.remove("y")
+        assert fifo.try_get() == "x"
+        assert log == [("store", "a", 1), ("store", "b", 1),
+                       ("store", "a", 2), ("store", "b", 2),
+                       ("take", "a", 1), ("take", "b", 1),
+                       ("take", "a", 0), ("take", "b", 0)]
+
+    def test_take_listeners_run_before_a_blocked_put_is_admitted(self, sim):
+        fifo = Fifo(sim, 1)
+        fifo.try_put("x")
+        log = []
+        self._logged(fifo, log)
+
+        def producer():
+            yield fifo.put("y")
+
+        sim.process(producer())
+        sim.run()
+        fifo.remove("x")
+        assert log == [("take", "a", 0), ("take", "b", 0),
+                       ("store", "a", 1), ("store", "b", 1)]
+
+    def test_reentrant_listener_under_lt_inline(self):
+        """A take listener whose wake-up resumes a producer inline (the
+        LT fabric wake-up): the producer's store runs every store
+        listener before the next take listener sees the FIFO."""
+        sim = Simulator(resolution="lt")
+        fifo = Fifo(sim, 1)
+        signal = WorkSignal(sim)
+        log = []
+        fifo.take_listeners.append(signal.notify)
+        self._logged(fifo, log)
+
+        def producer():
+            yield signal.wait()
+            fifo.try_put("refill")
+
+        sim.process(producer())
+        sim.run()
+        fifo.try_put("x")
+        del log[:]
+        assert fifo.try_get() == "x"
+        assert log == [("store", "a", 1), ("store", "b", 1),
+                       ("take", "a", 1), ("take", "b", 1)]
+        assert fifo.snapshot() == ("refill",)
 
 
 class TestCdcFifo:
@@ -274,6 +346,7 @@ class TestProperties:
     def test_occupancy_histogram_spans_elapsed_time(self, items):
         sim = Simulator()
         fifo = Fifo(sim, max(1, len(items)))
+        probe = FifoProbe(fifo, "f")
 
         def body():
             for item in items:
@@ -282,5 +355,5 @@ class TestProperties:
 
         sim.process(body())
         sim.run()
-        hist = fifo.occupancy_histogram()
+        hist = probe.occupancy_histogram()
         assert sum(hist.values()) == sim.now

@@ -8,7 +8,6 @@ from repro.core import (
     Event,
     EventError,
     Interrupt,
-    SimulationError,
     Simulator,
 )
 from repro.core.events import PRIORITY_URGENT
@@ -22,11 +21,6 @@ class TestTime:
         sim.timeout(1500)
         sim.run()
         assert sim.now == 1500
-
-    def test_now_ns_conversion(self, sim):
-        sim.timeout(2500)
-        sim.run()
-        assert sim.now_ns == 2.5
 
     def test_negative_timeout_rejected(self, sim):
         with pytest.raises(ValueError):
@@ -43,12 +37,6 @@ class TestTime:
         sim.timeout(1_000)
         sim.run(until=1_000_000)
         assert sim.now == 1_000
-
-    def test_max_events_budget(self, sim):
-        for _ in range(10):
-            sim.timeout(100)
-        sim.run(max_events=3)
-        assert sim.processed_events == 3
 
 
 class TestEvents:
@@ -299,11 +287,7 @@ class TestDeterminism:
         assert order == ["urgent", "normal"]
 
 
-class TestStep:
-    def test_step_empty_queue_raises(self, sim):
-        with pytest.raises(SimulationError):
-            sim.step()
-
+class TestPeek:
     def test_peek(self, sim):
         assert sim.peek() is None
         sim.timeout(500)

@@ -1,5 +1,5 @@
-"""Additional kernel coverage: tracing, idle detection, time constants,
-and scheduling-order properties."""
+"""Additional kernel coverage: tracing, time constants and
+scheduling-order properties."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,31 +24,6 @@ class TestTraceHook:
         sim.run()
         assert seen == [10, 20]
         assert sim.processed_events == 2
-
-
-class TestRunUntilIdle:
-    def test_stops_after_quiet_gap(self):
-        sim = Simulator()
-
-        def sparse():
-            yield sim.timeout(100)
-            yield sim.timeout(100)
-            yield sim.timeout(100_000)  # long gap the idle check rejects
-
-        sim.process(sparse())
-        end = sim.run_until_idle(quiet_ps=1_000)
-        assert end == 200  # stopped at the gap
-
-    def test_drains_dense_activity(self):
-        sim = Simulator()
-
-        def dense():
-            for _ in range(20):
-                yield sim.timeout(10)
-
-        sim.process(dense())
-        end = sim.run_until_idle(quiet_ps=1_000)
-        assert end == 200  # ran to natural completion
 
 
 class TestClockFactoryBookkeeping:

@@ -4,7 +4,7 @@ The optimised kernel batches same-timestamp events, pre-binds its loop body
 on the ``trace`` setting, and recycles clock-edge timeouts through a pool.
 These tests pin down what those optimisations must preserve: deterministic
 ``(time, priority, sequence)`` ordering, bit-identical ``processed_events``
-counts versus the seed kernel, and the documented ``run``/``run_until_idle``
+counts versus the seed kernel, and the documented ``run(until=...)``
 boundary behaviour.
 """
 
@@ -95,7 +95,7 @@ class TestSameTimestampBatching:
         assert len(seen) == traced.processed_events
         assert seen == sorted(seen)
 
-    def test_budgeted_run_matches_unbudgeted_totals(self):
+    def test_sliced_run_matches_straight_totals(self):
         def build():
             sim = Simulator()
             for i in range(30):
@@ -104,11 +104,11 @@ class TestSameTimestampBatching:
 
         free = build()
         free.run()
-        stepped = build()
-        while stepped.peek() is not None:
-            stepped.run(max_events=1)
-        assert stepped.processed_events == free.processed_events
-        assert stepped.now == free.now
+        sliced = build()
+        while sliced.peek() is not None:
+            sliced.run(until=sliced.peek())
+        assert sliced.processed_events == free.processed_events
+        assert sliced.now == free.now
 
 
 class TestSeedDeterminism:
@@ -158,41 +158,6 @@ class TestRunUntilClamping:
         sim = Simulator(trace=lambda t, e: None)
         sim.timeout(10_000)
         assert sim.run(until=123) == 123
-
-
-class TestRunUntilIdleBoundary:
-    def test_burst_exactly_at_quiet_boundary_is_processed(self):
-        """Regression: an event landing exactly quiet_ps after the last
-        activity restarts the window instead of being dropped."""
-        sim = Simulator()
-
-        def bursty():
-            yield sim.timeout(100)
-            yield sim.timeout(1_000)   # exactly at 100 + quiet_ps
-            yield sim.timeout(1_000)   # and again, at 1100 + quiet_ps
-
-        sim.process(bursty())
-        end = sim.run_until_idle(quiet_ps=1_000)
-        assert end == 2_100
-        assert sim.peek() is None  # nothing dropped
-
-    def test_event_just_past_boundary_stops_the_run(self):
-        sim = Simulator()
-
-        def sparse():
-            yield sim.timeout(100)
-            yield sim.timeout(1_001)  # one ps beyond the quiet window
-
-        sim.process(sparse())
-        end = sim.run_until_idle(quiet_ps=1_000)
-        assert end == 100
-        assert sim.peek() == 1_101  # still queued, not processed
-
-    def test_initial_window_measured_from_start_time(self):
-        sim = Simulator()
-        sim.timeout(500)
-        assert sim.run_until_idle(quiet_ps=500) == 500
-        assert sim.processed_events == 1
 
 
 class TestTimeoutPool:
@@ -258,7 +223,7 @@ class TestTimeoutPool:
         sim.run()
         assert sim._timeout_pool == []
 
-    def test_pool_reclaim_in_traced_and_budgeted_paths(self):
+    def test_pool_reclaim_in_both_loop_bodies(self):
         for kwargs in ({"trace": lambda t, e: None}, {}):
             sim = Simulator(**kwargs)
             clk = sim.clock(period_ps=100)
@@ -268,10 +233,7 @@ class TestTimeoutPool:
                     yield clk.edge()
 
             sim.process(spinner())
-            if kwargs:
-                sim.run()
-            else:
-                sim.run(max_events=1_000)
+            sim.run()
             assert len(sim._timeout_pool) >= 1
 
     def test_isinstance_timeout_still_holds(self, sim):

@@ -1,4 +1,4 @@
-"""Tests for the observability CLI surface (trace/stats/--trace)."""
+"""Tests for the observability CLI surface (stats and --trace)."""
 
 import csv
 import json
@@ -8,6 +8,33 @@ from repro.cli import main
 
 LMI_CONFIG = Path(__file__).parent.parent / "examples" / "configs" / \
     "custom_platform.json"
+
+#: ``repro stats fig6 --scale 0.1 --json`` rows of its first (LMI)
+#: platform, bit for bit: the request-FIFO probe's occupancy and waits,
+#: the output FIFO's occupancy and the Fig. 6 interface breakdown.
+FIG6_LMI_ROWS = {
+    "central.lmi.req_fifo.capacity": 6.0,
+    "central.lmi.req_fifo.high_water": 6.0,
+    "central.lmi.req_fifo.level": 0.0,
+    "central.lmi.req_fifo.mean_occupancy": 0.46653411402435,
+    "central.lmi.req_fifo.wait.count": 150.0,
+    "central.lmi.req_fifo.wait.max": 496380.0,
+    "central.lmi.req_fifo.wait.mean": 289227.7866666667,
+    "central.lmi.req_fifo.wait.min": 0.0,
+    "central.lmi.req_fifo.wait.p95": 455667.19999999995,
+    "central.lmi.resp_fifo.mean_occupancy": 0.08431455237545639,
+    "lmi.iface.empty.phase1.frac.empty": 0.055692076228686056,
+    "lmi.iface.empty.phase1.frac.nonempty": 0.9443079237713139,
+    "lmi.iface.empty.phase2.frac.empty": 0.9373954266216329,
+    "lmi.iface.empty.phase2.frac.nonempty": 0.06260457337836717,
+    "lmi.iface.states.phase1.frac.fifo_full": 0.2150100300902708,
+    "lmi.iface.states.phase1.frac.no_incoming_request": 0.7037462387161485,
+    "lmi.iface.states.phase1.frac.storing_request": 0.08124373119358075,
+    "lmi.iface.states.phase2.frac.fifo_full": 0.030244182742784835,
+    "lmi.iface.states.phase2.frac.no_incoming_request": 0.9634639997030262,
+    "lmi.iface.states.phase2.frac.storing_request": 0.0062918175541889524,
+    "lmi.served": 150.0,
+}
 
 
 class TestRunTraceFlag:
@@ -20,12 +47,10 @@ class TestRunTraceFlag:
         assert any(event["ph"] == "X" for event in document["traceEvents"])
         assert f"to {out}" in capsys.readouterr().out
 
-
-class TestTraceCommand:
-    def test_trace_reports_hops_and_writes_file(self, tmp_path, capsys):
+    def test_run_trace_reports_hops(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
-        status = main(["trace", "s412", "--scale", "0.2",
-                       "--out", str(out)])
+        status = main(["run", "s412", "--scale", "0.2",
+                       "--trace", str(out)])
         assert status == 0
         text = capsys.readouterr().out
         assert "end_to_end" in text
@@ -33,8 +58,10 @@ class TestTraceCommand:
         document = json.loads(out.read_text())
         assert document["traceEvents"]
 
-    def test_unknown_experiment_fails(self, capsys):
-        assert main(["trace", "nope"]) == 2
+    def test_unknown_experiment_fails(self, tmp_path, capsys):
+        out = tmp_path / "trace.json"
+        assert main(["run", "nope", "--trace", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestStatsCommand:
@@ -104,6 +131,16 @@ class TestStatsCommand:
 
     def test_unknown_experiment_fails(self, capsys):
         assert main(["stats", "nope"]) == 2
+
+    def test_lmi_probe_and_interface_rows_are_pinned(self, tmp_path, capsys):
+        json_path = tmp_path / "metrics.json"
+        assert main(["stats", "fig6", "--scale", "0.1",
+                     "--json", str(json_path)]) == 0
+        document = json.loads(json_path.read_text())
+        assert document["sim_time_ps"] == 93167184
+        rows = {path: document["metrics"]["sim1." + path]
+                for path in FIG6_LMI_ROWS}
+        assert rows == FIG6_LMI_ROWS
 
     def test_sweep_file_dumps_every_point(self, tmp_path, capsys):
         """A sweep file is a target, as for ``repro check``: one

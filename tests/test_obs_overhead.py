@@ -1,7 +1,7 @@
 """Bench guard: the instrumentation layer must cost nothing when disabled.
 
 The observability hooks follow the kernel's select-once discipline — with no
-active capture, ``sim._spans`` stays ``None``, no FIFO watcher is attached
+active capture, ``sim._spans`` stays ``None``, no FIFO probe is attached
 and no mark is recorded.  These tests pin that down on exact counts:
 
 * **Disabled hooks** — runs with no capture, check session or energy

@@ -159,3 +159,15 @@ class TestEnergyResolution:
         assert cfg.fabric_pj_per_beat(node) == cfg.stbus_t1_pj_per_beat
         ahb = AhbLayer(sim, "a", clk)
         assert cfg.fabric_pj_per_beat(ahb) == cfg.ahb_pj_per_beat
+
+    def test_protocol_label_and_unregistered_fallback(self):
+        """Fabrics without a ``spec`` resolve like ``spec_for_fabric``
+        does, by protocol label; one no spec describes is charged the
+        STBus Type 2 coefficient."""
+        from types import SimpleNamespace
+
+        cfg = EnergyConfig(tlm_pj_per_beat=1.25, stbus_t2_pj_per_beat=2.5)
+        tlm = SimpleNamespace(name="t", protocol="tlm")
+        assert cfg.fabric_pj_per_beat(tlm) == 1.25
+        custom = SimpleNamespace(name="c", protocol="custom")
+        assert cfg.fabric_pj_per_beat(custom) == 2.5

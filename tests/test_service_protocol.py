@@ -105,9 +105,18 @@ class TestParseSubmission:
         with pytest.raises(SubmissionError, match="checkpoint_at_us"):
             parse_submission(doc(checkpoint_at_us="soon"))
 
+    def test_boolean_checkpoint_rejected(self):
+        """JSON ``true`` does not force a preemption at 1 us."""
+        with pytest.raises(SubmissionError, match="checkpoint_at_us"):
+            parse_submission(doc(checkpoint_at_us=True))
+
     def test_max_us_must_be_positive(self):
         with pytest.raises(SubmissionError, match="max_us"):
             parse_submission(doc(max_us=-1))
+
+    def test_boolean_max_us_rejected(self):
+        with pytest.raises(SubmissionError, match="submission.max_us"):
+            parse_submission(doc(max_us=True))
 
     def test_loader_error_passes_through_verbatim(self):
         """A malformed platform surfaces the exact local loader message."""

@@ -461,6 +461,16 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="max_us"):
             parse_sweep({"base": dict(BASE_DOC), "max_us": -1})
 
+    def test_boolean_jobs_rejected(self):
+        """JSON ``true`` is not a worker count (``bool`` subclasses ``int``)."""
+        with pytest.raises(ConfigError, match="sweep.jobs"):
+            parse_sweep({"base": dict(BASE_DOC), "jobs": True})
+
+    def test_boolean_max_us_rejected(self):
+        """JSON ``true`` is not a 1 us bound."""
+        with pytest.raises(ConfigError, match="sweep.max_us"):
+            parse_sweep({"base": dict(BASE_DOC), "max_us": True})
+
     def test_invalid_point_names_the_label(self):
         with pytest.raises(ConfigError, match="point0"):
             parse_sweep({"base": dict(BASE_DOC),

@@ -15,8 +15,7 @@ Run with::
     python examples/bottleneck_analysis.py
 """
 
-from repro.analysis import STATE_FULL, STATE_IDLE, STATE_STORING
-from repro.obs import breakdown_chart, capture
+from repro.obs import STATE_FULL, STATE_IDLE, STATE_STORING, breakdown_chart, capture
 from repro.platforms import instance, lmi_memory
 from repro.sweep import Run
 

@@ -10,7 +10,7 @@ twice — once per loop body, each leg inside its own :func:`repro.check.checked
 session — and asserts:
 
 * identical processed-event counts and final simulation time,
-* field-for-field identical :class:`~repro.analysis.metrics.RunResult`
+* field-for-field identical :class:`~repro.platforms.result.RunResult`
   (execution time, transaction/byte counts, latency statistics,
   utilization, extras),
 * zero invariant violations from the full monitor suite on both legs.
@@ -29,7 +29,6 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..analysis.metrics import RunResult
 from ..core.kernel import Simulator
 from ..platforms.config import (
     ClusterSpec,
@@ -40,6 +39,7 @@ from ..platforms.config import (
     TwoPhaseSpec,
 )
 from ..interconnect.types import StbusType
+from ..platforms.result import RunResult
 from ..sweep import Run
 from .violations import Violation
 

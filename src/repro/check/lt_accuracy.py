@@ -20,8 +20,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..analysis.metrics import RunResult
 from ..platforms.config import PlatformConfig
+from ..platforms.result import RunResult
 from ..sweep import Run
 
 # ---------------------------------------------------------------------------

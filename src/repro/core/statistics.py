@@ -146,9 +146,9 @@ class PhasedStates:
         if state == self._current_state:
             return
         self._current_state = state
-        # Inlined TimeWeightedStates.set_state() on the open phase: an
-        # interface monitor reports a state per request and per FIFO level
-        # change, and the tracker's frame would double each report.
+        # Inlined TimeWeightedStates.set_state() on the open phase: the
+        # Fig. 6 interface probe reports a state per request and per FIFO
+        # level change, and the tracker's frame would double each report.
         tracker = self._phases[-1][1]
         now = self.sim._now
         span = now - tracker._since

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from ..analysis.metrics import RunResult
 from ..check.lt_accuracy import (
     ENERGY_DRIFT,
     EXECUTION_TIME_DRIFT,
@@ -28,6 +27,7 @@ from ..check.lt_accuracy import (
     UTILIZATION_ABS_DRIFT,
 )
 from ..platforms.config import PlatformConfig
+from ..platforms.result import RunResult
 from .cost import platform_cost
 
 

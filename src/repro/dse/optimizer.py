@@ -40,9 +40,9 @@ from pathlib import Path
 from random import Random
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..analysis.metrics import RunResult
 from ..platforms.config import PlatformConfig
 from ..platforms.loader import ConfigError
+from ..platforms.result import RunResult
 from ..sweep import sweep
 from .objectives import Objective, drift_bounds, resolve_objectives
 from .pareto import (

@@ -21,7 +21,6 @@ from . import (
 from .common import (
     normalized,
     run_config,
-    run_config_with_platform,
     run_configs,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "normalized",
     "path_segmentation",
     "run_config",
-    "run_config_with_platform",
     "run_configs",
     "single_layer",
 ]

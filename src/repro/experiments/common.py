@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from ..analysis.metrics import RunResult
 from ..platforms.config import PlatformConfig
+from ..platforms.result import RunResult
 from ..sweep import DEFAULT_MAX_PS, Run, sweep
 
 def run_config(config: PlatformConfig,
@@ -47,13 +47,6 @@ def run_configs(configs: Iterable[PlatformConfig],
     """
     outcomes = sweep(list(configs), max_ps=max_ps, jobs=jobs, cache=cache)
     return [outcome.result for outcome in outcomes]
-
-
-def run_config_with_platform(config: PlatformConfig,
-                             max_ps: int = DEFAULT_MAX_PS):
-    """Like :func:`run_config` but also returns the platform for inspection."""
-    run = Run(config, max_ps)
-    return run.finish().result, run.platform
 
 
 def normalized(results: Dict[str, RunResult],

@@ -23,13 +23,14 @@ from typing import Dict, List, Optional
 
 from dataclasses import replace
 
-from ..analysis.fifo_monitor import STATE_FULL, STATE_IDLE, STATE_STORING
+from ..core.kernel import Simulator
+from ..obs import STATE_FULL, STATE_IDLE, STATE_STORING, Capture
 from ..obs.export import breakdown_chart
 from ..platforms.config import TwoPhaseSpec, reference_clusters
 from ..platforms.loader import config_from_dict, config_to_dict
 from ..platforms.variants import instance, lmi_memory
-from ..sweep import parallel_map
-from .common import claim, run_config_with_platform
+from ..sweep import Run, parallel_map
+from .common import claim
 
 
 def _moderated_clusters(idle_scale: int, phase_time_ns: int = 60_000):
@@ -61,10 +62,16 @@ def _monitor_report(document: Dict) -> Dict:
     """Worker body: run one config and return its LMI FIFO phase report.
 
     Takes the serialised config document (not the dataclass) so the job
-    can cross a process boundary through the loader round trip.
+    can cross a process boundary through the loader round trip.  The
+    interface probe exists only under a capture: the ambient one of
+    ``repro stats``, or one attached here (a pool worker has none).
     """
-    _result, platform = run_config_with_platform(config_from_dict(document))
-    return platform.monitor.report()
+    sim = Simulator()
+    if sim._spans is None:
+        Capture().attach(sim)
+    run = Run(config_from_dict(document), sim=sim)
+    run.finish()
+    return run.platform.monitor.report()
 
 
 def run(traffic_scale: float = 1.0, idle_scale: int = 26,

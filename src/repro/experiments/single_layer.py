@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..analysis.metrics import RunResult, summarize_transactions
 from ..core.kernel import Simulator
 from ..interconnect.types import AddressRange, StbusType
 from ..memory.onchip import OnChipMemory
 from ..obs.export import format_table
 from ..platforms.reference import make_fabric
+from ..platforms.result import RunResult, summarize_transactions
 from ..sweep import parallel_map
 from ..traffic.iptg import Iptg, IptgPhase
 from ..traffic.patterns import Fixed, Sequential

@@ -90,8 +90,8 @@ class AhbLayer(Fabric):
                 self.decode_failed(txn)
                 continue
             txn.meta["needs_ack"] = txn.is_write  # non-posted paradigm
-            if target.request_observers:
-                target.notify_request_state("storing")
+            if target.interface_probe is not None:
+                target.interface_probe.storing(True)
             if txn.is_write:
                 # Write data is driven on the (single) data link, one
                 # width-adjusted cycle per beat, before the target commits
@@ -103,8 +103,8 @@ class AhbLayer(Fabric):
             # Hand the transaction to the target; a full target FIFO shows
             # up as slave wait states that stall the whole layer.
             yield target.request_fifo.put(txn)
-            if target.request_observers:
-                target.notify_request_state("idle")
+            if target.interface_probe is not None:
+                target.interface_probe.storing(False)
             target.accepted.value += 1
             txn.mark_accepted(self.sim._now)
             if self._checks is not None:

@@ -21,7 +21,7 @@ the protocol subclasses.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..core.clock import Clock
 from ..core.component import Component
@@ -32,6 +32,9 @@ from ..core.statistics import ChannelUtilization
 from ..core.sync import Semaphore, WorkSignal
 from .arbiter import Arbiter, RoundRobin
 from .types import AddressRange, ResponseBeat, Transaction
+
+if TYPE_CHECKING:
+    from ..obs.registry import InterfaceProbe
 
 
 class FabricError(RuntimeError):
@@ -161,9 +164,10 @@ class TargetPort:
             # before a wake-up below can re-enter the FIFO.
             metrics.fifo(f"{prefix}.req_fifo", self.request_fifo)
             metrics.fifo(f"{prefix}.resp_fifo", self.response_fifo)
-        #: Optional observers of request-channel activity towards this port
-        #: (used by the Fig. 6 interface monitor).
-        self.request_observers: List[Callable[[str], None]] = []
+        #: The Fig. 6 :class:`~repro.obs.registry.InterfaceProbe` (``None``
+        #: unless a capture probed this port): the request channel reports
+        #: its hand-overs to it, a single attribute test when unprobed.
+        self.interface_probe: Optional["InterfaceProbe"] = None
         # The fabric's wake-ups, as FIFO listeners: a stored beat wakes
         # the response side, a drained request slot the request side.
         self.response_fifo.store_listeners.append(
@@ -174,16 +178,6 @@ class TargetPort:
     def get_request(self) -> Event:
         """Device side: event completing with the next transaction."""
         return self.request_fifo.get()
-
-    def put_beat(self, beat: ResponseBeat) -> Event:
-        """Device side: enqueue one response beat (blocking on FIFO space)."""
-        return self.response_fifo.put(beat)
-
-    # -- fabric-side plumbing ---------------------------------------------
-    def notify_request_state(self, state: str) -> None:
-        """Forward request-channel activity to any attached monitors."""
-        for observer in self.request_observers:
-            observer(state)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<TargetPort {self.name} {self.address_range}>"
@@ -350,11 +344,6 @@ class Fabric(Component):
         # every arbitration round on every fabric.
         return [(port, port.pending._items[0])
                 for port in self.initiators if port.pending._items]
-
-    def response_candidates(self) -> List[Tuple[TargetPort, ResponseBeat]]:
-        """Target ports with a response beat ready."""
-        return [(target, target.response_fifo._items[0])
-                for target in self.targets if target.response_fifo._items]
 
     def bus_cycles_for_beat(self, beat_bytes: int) -> int:
         """Bus cycles one data beat occupies on this fabric's data path."""

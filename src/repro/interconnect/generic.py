@@ -214,8 +214,8 @@ class GenericFabric(Fabric):
             if spec.max_burst_beats:
                 self.burst_segments.add(self._transfers(txn) - 1)
             cycles = self.request_cycles(txn)
-            if target.request_observers:
-                target.notify_request_state("storing")
+            if target.interface_probe is not None:
+                target.interface_probe.storing(True)
             yield clk.edges(cycles)
             channel.busy_ps += cycles * clk.period_ps
             channel.transfers += 1
@@ -228,8 +228,8 @@ class GenericFabric(Fabric):
                 # to it only when the FIFO is actually full (no split
                 # eligibility, or a sibling channel filled it).
                 yield target.request_fifo.put(txn)
-            if target.request_observers:
-                target.notify_request_state("idle")
+            if target.interface_probe is not None:
+                target.interface_probe.storing(False)
             target.accepted.value += 1
             now = sim._now
             txn.mark_accepted(now)

@@ -5,7 +5,9 @@ Three pieces, composable but independent:
 :mod:`repro.obs.registry`
     A per-simulator :class:`MetricRegistry` (reached as ``sim.metrics``)
     through which components create their counters, gauges, histograms and
-    state trackers, making every statistic addressable by dotted path.
+    state trackers, making every statistic addressable by dotted path; and
+    the capture-only instruments, :class:`FifoProbe` and the Fig. 6
+    :class:`InterfaceProbe`.
 
 :mod:`repro.obs.trace`
     Transaction-lifecycle :class:`SpanRecorder` — per-hop timestamps from
@@ -54,7 +56,14 @@ from .export import (
     results_to_csv,
 )
 from .perfetto import to_trace_json, trace_events, write_trace
-from .registry import FifoProbe, MetricRegistry
+from .registry import (
+    STATE_FULL,
+    STATE_IDLE,
+    STATE_STORING,
+    FifoProbe,
+    InterfaceProbe,
+    MetricRegistry,
+)
 from .trace import (
     Instant,
     Span,
@@ -65,11 +74,15 @@ from .trace import (
 )
 
 __all__ = [
+    "STATE_FULL",
+    "STATE_IDLE",
+    "STATE_STORING",
     "Capture",
     "EnergyAccountant",
     "EnergyConfig",
     "FifoProbe",
     "Instant",
+    "InterfaceProbe",
     "MetricRegistry",
     "Span",
     "SpanRecorder",

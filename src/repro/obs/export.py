@@ -9,7 +9,7 @@ two runs' dumps directly diffable.
 Alongside them live the renderers the experiment reports, the CLI and the
 DSE front table print with (:func:`format_table`, :func:`bar_chart`,
 :func:`breakdown_chart`), and :func:`results_to_csv`, the one-row-per-run
-export of :class:`~repro.analysis.metrics.RunResult` s behind
+export of :class:`~repro.platforms.result.RunResult` s behind
 ``repro platform --csv`` and ``repro sweep --csv``.
 """
 
@@ -81,7 +81,7 @@ def metrics_text(rows: Dict[str, float], prefix: str = "") -> str:
 
 
 def results_to_csv(path: PathLike, results: Iterable) -> None:
-    """One row per :class:`~repro.analysis.metrics.RunResult`: execution
+    """One row per :class:`~repro.platforms.result.RunResult`: execution
     time, throughput, latencies, extras.
 
     Extra/utilisation keys are unioned across runs; missing cells are

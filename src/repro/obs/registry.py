@@ -92,6 +92,93 @@ class FifoProbe:
         return sum(level * span for level, span in hist.items()) / total
 
 
+#: The cycle-state partition of Fig. 6.
+STATE_FULL = "fifo_full"
+STATE_STORING = "storing_request"
+STATE_IDLE = "no_incoming_request"
+
+
+class InterfaceProbe:
+    """The Fig. 6 bus-interface instrument of a target port.
+
+    "Properly monitoring the behaviour of the bus-memory controller
+    interface can help system designers identify where bottlenecks are"
+    (Section 5).  The paper partitions every cycle at the LMI bus interface
+    into three states — the input FIFO is **full** (requests wait), the
+    interface is **storing** a new request (request and grant both
+    asserted), or there is **no incoming request** — and reports, per
+    execution phase, the fraction of time in each, plus how long the FIFO
+    sat completely **empty**.
+
+    The probe integrates state *durations* from the request FIFO's
+    store/take listeners and from :meth:`storing`, which the fabric's
+    request channel calls around each hand-over once the probe occupies
+    the port's ``interface_probe`` slot.  Like :class:`FifoProbe` it is
+    attached only under an observability capture (``sim._spans is not
+    None``), so a run without one never enters it.  Both trackers register
+    in the metric registry (``<port>.iface.states`` /
+    ``<port>.iface.empty``), so the Fig. 6 numbers appear in ``repro
+    stats`` dumps.
+    """
+
+    def __init__(self, port) -> None:
+        self.port = port
+        self._storing = False
+        fifo = port.request_fifo
+        metrics = port.sim.metrics
+        self._states = metrics.phased_states(f"{port.name}.iface.states",
+                                             initial=self._classify(),
+                                             first_phase="phase1")
+        self._empty = metrics.phased_states(
+            f"{port.name}.iface.empty",
+            initial="empty" if fifo.is_empty else "nonempty",
+            first_phase="phase1")
+        fifo.store_listeners.append(self._on_level)
+        fifo.take_listeners.append(self._on_level)
+        port.interface_probe = self
+
+    def _classify(self) -> str:
+        fifo = self.port.request_fifo
+        if len(fifo._items) >= fifo.capacity:
+            return STATE_FULL
+        if self._storing:
+            return STATE_STORING
+        return STATE_IDLE
+
+    def _on_level(self) -> None:
+        self._states.set_state(self._classify())
+        self._empty.set_state(
+            "nonempty" if self.port.request_fifo._items else "empty")
+
+    def storing(self, active: bool) -> None:
+        """The request channel starts (True) or ends (False) handing a
+        request to the port."""
+        self._storing = active
+        self._states.set_state(self._classify())
+
+    def begin_phase(self, name: str) -> None:
+        """Mark a new execution phase (a Fig. 6 "working regime")."""
+        self._states.begin_phase(name)
+        self._empty.begin_phase(name)
+
+    def report(self) -> Dict[str, Dict[str, float]]:
+        """Per-phase breakdown.
+
+        Each phase maps to the three-state partition (fractions summing to
+        ~1.0) plus an independent ``fifo_empty`` fraction, mirroring the
+        paper's presentation ("the FIFO is empty only for a marginal time
+        fraction").
+        """
+        empty = self._empty.breakdowns()
+        result: Dict[str, Dict[str, float]] = {}
+        for phase, fractions in self._states.breakdowns().items():
+            row = {STATE_FULL: 0.0, STATE_STORING: 0.0, STATE_IDLE: 0.0}
+            row.update(fractions)
+            row["fifo_empty"] = empty.get(phase, {}).get("empty", 0.0)
+            result[phase] = row
+        return result
+
+
 class MetricRegistry:
     """Path-addressed store of every metric a simulation collects."""
 

@@ -11,6 +11,7 @@ from .config import (
     reference_clusters,
 )
 from .reference import PlatformInstance, RunIncomplete, build_platform, make_fabric
+from .result import RunResult, summarize_transactions
 from .variants import (
     fig3_instances,
     fig4_pair,
@@ -31,6 +32,7 @@ __all__ = [
     "PlatformConfig",
     "PlatformInstance",
     "RunIncomplete",
+    "RunResult",
     "build_platform",
     "fig3_instances",
     "fig4_pair",
@@ -41,4 +43,5 @@ __all__ = [
     "onchip_memory",
     "quick_config",
     "reference_clusters",
+    "summarize_transactions",
 ]

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..analysis.fifo_monitor import InterfaceMonitor
-from ..analysis.metrics import RunResult, summarize_transactions
 from ..bridge.matrix import make_bridge
 from ..core.component import Component
 from ..core.kernel import Simulator
@@ -27,6 +25,7 @@ from ..interconnect.stbus import StbusNode
 from ..interconnect.types import AddressRange, StbusType
 from ..memory.lmi import LmiController
 from ..memory.onchip import OnChipMemory
+from ..obs.registry import InterfaceProbe
 from ..traffic.iptg import Iptg, IptgPhase
 from ..traffic.patterns import (
     Choice,
@@ -43,6 +42,7 @@ from .config import (
     IpSpec,
     PlatformConfig,
 )
+from .result import RunResult, summarize_transactions
 
 #: Bytes of unified memory assigned to each IP's private working region.
 _IP_REGION = 1 << 20
@@ -104,7 +104,8 @@ class PlatformInstance(Component):
         self.cpu: Optional[St220Core] = None
         self.memory_port: Optional[TargetPort] = None
         self.lmi: Optional[LmiController] = None
-        self.monitor: Optional[InterfaceMonitor] = None
+        #: The Fig. 6 interface probe on the memory port (capture only).
+        self.monitor: Optional[InterfaceProbe] = None
         self._finish_ps: Optional[int] = None
         self._ip_index = 0
         self._phase2_entries = 0
@@ -112,12 +113,15 @@ class PlatformInstance(Component):
         self._build()
 
     def _on_ip_phase(self, index: int) -> None:
-        """Advance the interface monitor once the platform's second traffic
-        regime is established (half the generators have switched)."""
-        if index != 1 or self.monitor is None:
+        """Advance the interface probe once the platform's second traffic
+        regime is established (half the generators have switched).  The
+        count is kept with or without a probe: checkpoint state does not
+        depend on observation."""
+        if index != 1:
             return
         self._phase2_entries += 1
-        if self._phase2_entries == max(1, len(self.iptgs) // 2):
+        if self._phase2_entries == max(1, len(self.iptgs) // 2) \
+                and self.monitor is not None:
             self.monitor.begin_phase("phase2")
 
     # ------------------------------------------------------------------
@@ -207,7 +211,9 @@ class PlatformInstance(Component):
                     split=cfg.lmi_bridge_split,
                     crossing_cycles=cfg.bridge_crossing_cycles, parent=self))
             self.memory_port = self.lmi.port
-        self.monitor = InterfaceMonitor(self.sim, self.memory_port)
+        if self.sim._spans is not None:
+            # Same gate as the port's FIFO probes: observation only.
+            self.monitor = InterfaceProbe(self.memory_port)
 
     def _build_tlm_memory(self) -> None:
         """The analytic memory target of the transaction-level tier."""

@@ -22,7 +22,7 @@ continued run silently.
 
 The committed golden regression corpus (``tests/golden/``) is built from
 these checkpoints: CI replays every entry and compares both the mid-run
-state digest and the final :class:`~repro.analysis.metrics.RunResult`
+state digest and the final :class:`~repro.platforms.result.RunResult`
 digest bit for bit (see ``docs/CI.md``).
 """
 

@@ -42,9 +42,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..analysis.metrics import RunResult
 from ..platforms.config import PlatformConfig
 from ..platforms.loader import config_from_dict, config_to_dict
+from ..platforms.result import RunResult
 from ..sweep import DEFAULT_MAX_PS, Run, publish_atomically, result_to_dict
 from .state import (
     StateEncoder,

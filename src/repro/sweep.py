@@ -19,7 +19,7 @@ through:
 :func:`sweep`
     Fan a list of :class:`~repro.platforms.config.PlatformConfig` objects
     out across worker processes and aggregate the
-    :class:`~repro.analysis.metrics.RunResult` s deterministically (results
+    :class:`~repro.platforms.result.RunResult` s deterministically (results
     come back in input order regardless of completion order).  Workers
     receive configurations serialised through the existing
     ``config_to_dict``/``config_from_dict`` round trip, run with an
@@ -81,7 +81,6 @@ from typing import (
     Union,
 )
 
-from .analysis.metrics import RunResult
 from .core import kernel as _kernel
 from .platforms.config import PlatformConfig
 from .platforms.loader import (
@@ -91,6 +90,7 @@ from .platforms.loader import (
     read_document,
 )
 from .platforms.reference import RunIncomplete, build_platform
+from .platforms.result import RunResult
 
 #: Default wall-clock guard for platform runs (simulated picoseconds).
 DEFAULT_MAX_PS = 20_000_000_000_000

@@ -1,17 +1,9 @@
-"""Tests for metrics, the interface monitor and plain-text reporting."""
+"""Tests for the run result and plain-text reporting."""
 
 import pytest
 
-from repro.analysis import (
-    InterfaceMonitor,
-    RunResult,
-    STATE_FULL,
-    STATE_IDLE,
-    STATE_STORING,
-    summarize_transactions,
-)
-from repro.interconnect import AddressRange
 from repro.obs import bar_chart, breakdown_chart, format_table
+from repro.platforms import RunResult, summarize_transactions
 
 from .helpers import add_memory, make_node, read, run_transactions
 
@@ -71,47 +63,6 @@ class TestSummarize:
         result = summarize_transactions("c", 0, [], utilization=utilization)
         utilization["bus.request"] = 0.9
         assert result.utilization == {"bus.request": 0.5}
-
-
-class TestInterfaceMonitor:
-    def test_state_partition(self, sim):
-        node = make_node(sim)
-        port, __ = add_memory(sim, node, request_depth=1, wait_states=6)
-        monitor = InterfaceMonitor(sim, port)
-        ip = node.connect_initiator("ip0", max_outstanding=4)
-        txns = [read(i * 64) for i in range(6)]
-        run_transactions(sim, ip, txns)
-        report = monitor.report()
-        assert set(report) == {"phase1"}
-        row = report["phase1"]
-        total = row[STATE_FULL] + row[STATE_STORING] + row[STATE_IDLE]
-        assert total == pytest.approx(1.0, abs=0.01)
-        assert 0.0 <= row["fifo_empty"] <= 1.0
-
-    def test_phases_split_the_timeline(self, sim):
-        node = make_node(sim)
-        port, __ = add_memory(sim, node)
-        monitor = InterfaceMonitor(sim, port)
-
-        def body():
-            yield sim.timeout(1_000)
-            monitor.begin_phase("phase2")
-            yield sim.timeout(1_000)
-
-        sim.process(body())
-        sim.run()
-        report = monitor.report()
-        assert list(report) == ["phase1", "phase2"]
-
-    def test_idle_system_is_all_idle(self, sim):
-        node = make_node(sim)
-        port, __ = add_memory(sim, node)
-        monitor = InterfaceMonitor(sim, port)
-        sim.timeout(10_000)
-        sim.run()
-        row = monitor.report()["phase1"]
-        assert row[STATE_IDLE] == pytest.approx(1.0)
-        assert row["fifo_empty"] == pytest.approx(1.0)
 
 
 class TestReporting:

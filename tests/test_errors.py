@@ -69,8 +69,8 @@ class TestTargetErrorResponses:
         def server():
             while True:
                 txn = yield port.get_request()
-                yield port.put_beat(ResponseBeat(txn, index=0, is_last=True,
-                                                 error=True))
+                yield port.response_fifo.put(
+                    ResponseBeat(txn, index=0, is_last=True, error=True))
 
         sim.process(server(), name="faulty")
         return port

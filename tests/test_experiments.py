@@ -14,9 +14,8 @@ from repro.experiments import (
     fig6_lmi_statistics,
     single_layer,
 )
-from repro.analysis.metrics import RunResult
 from repro.experiments.common import normalized, run_config, run_configs
-from repro.platforms import quick_config
+from repro.platforms import RunResult, quick_config
 
 
 def _result(label, execution_time_ps):

@@ -6,9 +6,9 @@ import json
 
 import pytest
 
-from repro.analysis import RunResult
 from repro.obs import results_to_csv
 from repro.obs.export import metrics_csv, metrics_json, metrics_text
+from repro.platforms import RunResult
 
 
 class TestMetricsCsv:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import Simulator
+from repro.obs import capture
 from repro.platforms import MemoryConfig, build_platform, quick_config
 
 
@@ -69,7 +70,8 @@ class TestPlatformInvariants:
         assert result.bytes_transferred == injected
 
     def test_monitor_fractions_are_sane(self, overrides):
-        __, platform, __ = run_platform(**overrides)
+        with capture():
+            __, platform, __ = run_platform(**overrides)
         for phase, row in platform.monitor.report().items():
             partition = (row["fifo_full"] + row["storing_request"]
                          + row["no_incoming_request"])

@@ -247,7 +247,7 @@ class TestZeroTraffic:
         assert cap.format_summary()  # renders, no division by zero
 
     def test_zero_byte_run_result_properties(self):
-        from repro.analysis import RunResult
+        from repro.platforms import RunResult
 
         result = RunResult(label="idle", execution_time_ps=0,
                            transactions=0, bytes_transferred=0,

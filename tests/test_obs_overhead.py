@@ -123,3 +123,46 @@ def test_checked_run_only_adds_observation_not_events(resolution):
     assert monitored == plain
     assert session.checkers, "checked() saw no simulators"
     assert session.finalize() == []
+
+
+def _two_phase_run():
+    from repro.platforms.config import TwoPhaseSpec
+
+    return Run(quick_config(two_phase=TwoPhaseSpec(fraction=0.5,
+                                                   idle_multiplier=4)),
+               10**13)
+
+
+def _paused_then_finished(at_ps):
+    """A two-phase quick run's checkpoint at ``at_ps``, then its finish."""
+    from repro.snapshot import checkpoint_here
+
+    run = _two_phase_run()
+    run.advance(at_ps)
+    return checkpoint_here(run), run.finish()
+
+
+def test_capture_changes_neither_checkpoint_state_nor_result():
+    """The Fig. 6 interface probe exists only under a capture; the state
+    a checkpoint records (the phase-2 entry count included) and the final
+    result are the same with or without it."""
+    from repro.obs import capture
+
+    end_ps = _two_phase_run().finish().sim_time_ps
+    plain, plain_done = _paused_then_finished(end_ps * 3 // 4)
+    with capture():
+        traced, traced_done = _paused_then_finished(end_ps * 3 // 4)
+    assert plain.state["components"]["platform"]["phase2_entries"] > 0
+    assert (traced.at_ps, traced.events) == (plain.at_ps, plain.events)
+    assert traced.state == plain.state
+    assert traced.state_digest == plain.state_digest
+    assert traced_done == plain_done
+
+
+def test_fig6_pool_workers_probe_their_own_runs():
+    """A pool worker has no ambient capture: it attaches its own, so the
+    fanned-out Fig. 6 report equals the serial one."""
+    from repro.experiments import fig6_lmi_statistics
+
+    serial = fig6_lmi_statistics.run(traffic_scale=0.1, jobs=1)
+    assert fig6_lmi_statistics.run(traffic_scale=0.1, jobs=2) == serial

@@ -3,7 +3,16 @@
 import pytest
 
 from repro.core import Fifo, Gauge, Simulator
-from repro.obs.registry import FifoProbe, MetricRegistry
+from repro.obs.registry import (
+    STATE_FULL,
+    STATE_IDLE,
+    STATE_STORING,
+    FifoProbe,
+    InterfaceProbe,
+    MetricRegistry,
+)
+
+from .helpers import add_memory, make_node, read, run_transactions
 
 
 class TestGauge:
@@ -131,6 +140,61 @@ class TestFifoProbe:
         assert rows["lmi.input.wait.count"] == 0.0
 
 
+class TestInterfaceProbe:
+    def test_state_partition(self, sim):
+        node = make_node(sim)
+        port, __ = add_memory(sim, node, request_depth=1, wait_states=6)
+        probe = InterfaceProbe(port)
+        assert port.interface_probe is probe
+        ip = node.connect_initiator("ip0", max_outstanding=4)
+        txns = [read(i * 64) for i in range(6)]
+        run_transactions(sim, ip, txns)
+        report = probe.report()
+        assert set(report) == {"phase1"}
+        row = report["phase1"]
+        total = row[STATE_FULL] + row[STATE_STORING] + row[STATE_IDLE]
+        assert total == pytest.approx(1.0, abs=0.01)
+        assert row[STATE_STORING] > 0.0
+        assert 0.0 <= row["fifo_empty"] <= 1.0
+
+    def test_phases_split_the_timeline(self, sim):
+        node = make_node(sim)
+        port, __ = add_memory(sim, node)
+        probe = InterfaceProbe(port)
+
+        def body():
+            yield sim.timeout(1_000)
+            probe.begin_phase("phase2")
+            yield sim.timeout(1_000)
+
+        sim.process(body())
+        sim.run()
+        report = probe.report()
+        assert list(report) == ["phase1", "phase2"]
+
+    def test_idle_system_is_all_idle(self, sim):
+        node = make_node(sim)
+        port, __ = add_memory(sim, node)
+        probe = InterfaceProbe(port)
+        sim.timeout(10_000)
+        sim.run()
+        row = probe.report()["phase1"]
+        assert row[STATE_IDLE] == pytest.approx(1.0)
+        assert row["fifo_empty"] == pytest.approx(1.0)
+
+    def test_platform_probes_its_memory_port_only_under_capture(self):
+        from repro.obs import capture
+        from repro.platforms import build_platform, quick_config
+
+        plain = build_platform(Simulator(), quick_config())
+        assert plain.monitor is None
+        assert plain.memory_port.interface_probe is None
+        with capture():
+            traced = build_platform(Simulator(), quick_config())
+        assert traced.memory_port.interface_probe is traced.monitor
+        assert "mem.iface.states" in traced.sim.metrics
+
+
 class TestFifoHighWater:
     def test_high_water_survives_drain(self, sim):
         fifo = Fifo(sim, 8, name="f")
@@ -144,8 +208,9 @@ class TestFifoHighWater:
 
 class TestOneProbePerFifo:
     def test_capture_probes_the_lmi_request_fifo_once(self):
-        """The Fig. 6 monitor reads the FIFO its ``TargetPort`` already
-        probes as ``<fabric>.<port>.req_fifo``; it adds no second probe."""
+        """The Fig. 6 interface probe reads the FIFO its ``TargetPort``
+        already probes as ``<fabric>.<port>.req_fifo``; it adds no second
+        ``FifoProbe``."""
         from repro.obs import capture
         from repro.platforms import instance, lmi_memory
         from repro.sweep import Run

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import Simulator
+from repro.obs import capture
 from repro.platforms import (
     ClusterSpec,
     CpuConfig,
@@ -76,9 +77,9 @@ class TestElaboration:
     @pytest.mark.parametrize("protocol", ["stbus", "ahb", "axi"])
     @pytest.mark.parametrize("topology", ["distributed", "collapsed"])
     def test_builds_all_variants(self, protocol, topology):
-        sim = Simulator()
         config = quick_config(protocol=protocol, topology=topology)
-        platform = build_platform(sim, config)
+        with capture():
+            platform = build_platform(Simulator(), config)
         assert platform.memory_port is not None
         assert platform.monitor is not None
         expected_ips = sum(len(c.ips) for c in config.clusters)
@@ -159,10 +160,10 @@ class TestExecution:
         assert crossbar == pytest.approx(shared, rel=0.1)
 
     def test_two_phase_traffic_runs(self):
-        sim = Simulator()
         config = quick_config(
             two_phase=TwoPhaseSpec(fraction=0.5, idle_multiplier=4))
-        platform = build_platform(sim, config)
+        with capture():
+            platform = build_platform(Simulator(), config)
         platform.run(max_ps=10**13)
         report = platform.monitor.report()
         assert "phase2" in report

@@ -109,6 +109,7 @@ class TestFinishedRunDocument:
 # structural invariant: one elaboration site
 # ----------------------------------------------------------------------
 SRC = Path(repro.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 ELABORATORS = {"build_platform", "PlatformInstance"}
 
 
@@ -201,22 +202,39 @@ def _imported_modules(node):
     return []
 
 
-def test_one_export_module_and_obs_stands_alone():
+def test_one_export_module():
     """``obs/export.py`` is the only file under ``src/repro`` that
-    imports ``csv``, and no ``repro.obs`` module imports
-    ``repro.analysis``: every renderer and exporter lives in ``repro.obs``."""
-    csv_importers, upward = set(), []
+    imports ``csv``: every renderer and exporter lives in ``repro.obs``."""
+    csv_importers = set()
     for path in sorted(SRC.rglob("*.py")):
         where = path.relative_to(SRC).as_posix()
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            modules = _imported_modules(node)
-            if "csv" in modules:
+            if "csv" in _imported_modules(node):
                 csv_importers.add(where)
-            if where.startswith("obs/") and any(
-                    "analysis" in module.split(".") for module in modules):
-                upward.append(f"{where}:{node.lineno}")
     assert csv_importers == {"obs/export.py"}
-    assert upward == [], f"repro.obs must not import repro.analysis: {upward}"
+
+
+def test_no_analysis_package():
+    """``repro.analysis`` is gone: the run result lives in
+    ``repro.platforms`` and the Fig. 6 instrument is the ``repro.obs``
+    :class:`~repro.obs.registry.InterfaceProbe`.  Nothing imports it, and
+    the string-protocol request hook it needed stays gone from ``src``."""
+    roots = (SRC, ROOT / "tests", ROOT / "examples")
+    importers = []
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if any(module.split(".")[:2] == ["repro", "analysis"]
+                       or module.split(".")[0] == "analysis"
+                       for module in _imported_modules(node)):
+                    importers.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert importers == [], f"imports of repro.analysis: {importers}"
+    assert not (SRC / "analysis").exists()
+    hooks = [f"{path.relative_to(ROOT)}" for path in sorted(SRC.rglob("*.py"))
+             if "request_observers" in path.read_text()
+             or "notify_request_state" in path.read_text()]
+    assert hooks == [], f"request-observer hook revived: {hooks}"
 
 
 # ----------------------------------------------------------------------

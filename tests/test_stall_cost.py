@@ -44,10 +44,10 @@ def _device(sim, port, clk, hold_before=0, pause_after_beats=None,
                 for index in range(txn.beats):
                     if index == pause_after_beats:
                         yield clk.edges(pause_cycles)
-                    yield port.put_beat(ResponseBeat(
+                    yield port.response_fifo.put(ResponseBeat(
                         txn, index, index == txn.beats - 1))
             elif txn.meta.get("needs_ack"):
-                yield port.put_beat(ResponseBeat(txn, -1, True))
+                yield port.response_fifo.put(ResponseBeat(txn, -1, True))
     sim.process(body(), name="device")
 
 

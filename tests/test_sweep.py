@@ -62,7 +62,7 @@ def _race_put(barrier, root, key, fill, size, rounds):
     The two writers use different entry sizes: a shared temp path lets
     the shorter document land over the longer one and leave a stale tail
     behind the closing brace."""
-    from repro.analysis.metrics import RunResult
+    from repro.platforms import RunResult
     from repro.sweep import CachedRun
 
     run = CachedRun(

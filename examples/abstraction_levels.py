@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Multi-abstraction simulation: transaction-level vs cycle-accurate.
+"""Two simulation resolutions: cycle-accurate (CA) vs loosely timed (LT).
 
-The paper's virtual platform is explicitly multi-abstraction — traffic can
-be simulated at "transaction-level [or] bus cycle-accurate" detail.  This
-example runs the same collapsed platform at both tiers and reports the
-accuracy/speed trade: the TLM tier should land within a few tens of
-percent on execution time while processing far fewer kernel events.
+LT fast-forwards provably contention-free stretches analytically and
+falls back to the cycle-accurate engine under contention (see
+docs/FAST_SIM.md).  It changes how the models execute, not what they
+model, so it still ranks candidates the way CA does.  This example runs
+the two Fig. 5 collapsed platforms (STBus and AXI in front of the LMI
+memory controller) at both resolutions, reports execution time, kernel
+events and wall time, and checks that LT keeps the CA ordering.
 
 Run with::
 
@@ -14,59 +16,47 @@ Run with::
 
 import time
 
-from repro.core import Simulator
 from repro.obs import format_table
-from repro.platforms import build_platform, onchip_memory, instance
-from repro.platforms.config import CpuConfig
+from repro.platforms import fig5_instances
+from repro.sweep import Run
+
+PLATFORMS = ("collapsed_stbus", "collapsed_axi")
 
 
-def saturating_clusters():
-    """Back-to-back traffic so the memory, not generation, sets the pace
-    (the regime where abstraction accuracy actually matters)."""
-    from dataclasses import replace
-
-    from repro.platforms import reference_clusters
-
-    return tuple(
-        replace(cluster, ips=tuple(replace(ip, idle_cycles=0)
-                                   for ip in cluster.ips))
-        for cluster in reference_clusters())
-
-
-def run_tier(abstraction: str):
-    config = instance("stbus", "collapsed", onchip_memory(1),
-                      abstraction=abstraction,
-                      clusters=saturating_clusters(),
-                      cpu=CpuConfig(enabled=False),
-                      traffic_scale=0.5)
-    sim = Simulator()
+def run(config):
     started = time.perf_counter()
-    result = build_platform(sim, config).run(max_ps=10**13)
+    finished = Run(config).finish()
     wall = time.perf_counter() - started
-    return result, sim.processed_events, wall
+    return finished.result.execution_time_ps / 1e6, finished.events, wall
 
 
 def main() -> None:
-    print("Multi-abstraction platform simulation\n")
-    cycle, cycle_events, cycle_wall = run_tier("cycle")
-    tlm, tlm_events, tlm_wall = run_tier("tlm")
-    rows = [
-        ["cycle-accurate", cycle.execution_time_ps / 1e6, cycle_events,
-         cycle_wall * 1000],
-        ["transaction-level", tlm.execution_time_ps / 1e6, tlm_events,
-         tlm_wall * 1000],
-    ]
+    print("Fig. 5 collapsed platforms at both simulation resolutions\n")
+    instances = fig5_instances(traffic_scale=0.3)
+    exec_us = {}
+    rows = []
+    for name in PLATFORMS:
+        for mode in ("ca", "lt"):
+            exec_us[name, mode], events, wall = run(
+                instances[name].scaled(resolution=mode))
+            rows.append([name, mode, exec_us[name, mode], events,
+                         wall * 1000])
     print(format_table(
-        ["tier", "simulated exec (us)", "kernel events", "wall time (ms)"],
-        rows, float_digits=2))
-    error = abs(tlm.execution_time_ps - cycle.execution_time_ps) \
-        / cycle.execution_time_ps
-    speedup = cycle_events / max(1, tlm_events)
-    print(f"\nTLM accuracy: {error:.1%} execution-time deviation")
-    print(f"TLM event reduction: {speedup:.1f}x fewer kernel events")
-    print("\nFlow: explore broadly at transaction level, confirm the "
-          "short-list cycle-accurately (Section 3's multi-abstraction "
-          "methodology).")
+        ["platform", "mode", "simulated exec (us)", "kernel events",
+         "wall time (ms)"], rows, float_digits=2))
+
+    print()
+    for name in PLATFORMS:
+        ca, lt = exec_us[name, "ca"], exec_us[name, "lt"]
+        print(f"{name}: LT deviates {(lt - ca) / ca:+.2%} from CA")
+    orders = {mode: sorted(PLATFORMS, key=lambda name: exec_us[name, mode])
+              for mode in ("ca", "lt")}
+    print(f"fastest first, CA: {' < '.join(orders['ca'])}")
+    print(f"fastest first, LT: {' < '.join(orders['lt'])}")
+    if orders["ca"] != orders["lt"]:
+        raise SystemExit("LT ranks the platforms differently from CA")
+    print("LT keeps the CA ordering: explore in LT, confirm the short-list "
+          "in CA.")
 
 
 if __name__ == "__main__":

@@ -10,10 +10,9 @@ whole matrix from the protocol registry instead:
   the explicit store-and-forward conversion steps a bridge between them
   performs (handshake adaptation, width and clock crossing, burst
   serialisation, split downgrade, posted-write adaptation);
-* :func:`validate_bridge_pair` rejects nonsensical pairings — bridging
-  into or out of the TLM tier builds silently but deadlocks on the
-  first forwarded transaction — with a
-  :class:`~repro.platforms.loader.ConfigError` naming both protocols;
+* :func:`validate_bridge_pair` resolves both ends of a pairing against
+  the registry, raising :class:`~repro.platforms.loader.ConfigError` for
+  an unregistered protocol name;
 * :func:`make_bridge` turns a plan into a live bridge instance.  Both
   bridge classes were always protocol-agnostic behind the port
   abstraction; the matrix makes the pairing an explicit, validated,
@@ -33,9 +32,8 @@ from ..core.component import Component
 from ..core.kernel import Simulator
 from ..interconnect.base import Fabric
 from ..interconnect.protocols import (
+    PROTOCOLS,
     ProtocolSpec,
-    bridge_pair_unsupported,
-    bridgeable_specs,
     get_spec,
     spec_for_fabric,
 )
@@ -98,20 +96,13 @@ def _config_error(message: str) -> Exception:
 
 
 def validate_bridge_pair(source, dest) -> Tuple[ProtocolSpec, ProtocolSpec]:
-    """Check a ``source -> dest`` bridge pairing against the registry.
+    """Resolve a ``source -> dest`` bridge pairing against the registry.
 
     Accepts specs, registered protocol names or live fabric instances.
-    Returns the resolved spec pair; raises ``ConfigError`` naming both
-    protocols when the pairing cannot work.
+    Returns the resolved spec pair; raises ``ConfigError`` for a name
+    the registry does not know.  Every registered pair is bridgeable.
     """
-    src = _resolve(source)
-    dst = _resolve(dest)
-    reason = bridge_pair_unsupported(src, dst)
-    if reason is not None:
-        raise _config_error(
-            f"unsupported bridge pairing {src.name!r} -> {dst.name!r}: "
-            f"{reason}")
-    return src, dst
+    return _resolve(source), _resolve(dest)
 
 
 def _resolve(endpoint) -> ProtocolSpec:
@@ -202,7 +193,7 @@ def make_bridge(sim: Simulator, name: str, source: Fabric, dest: Fabric,
 def bridge_matrix() -> Dict[Tuple[str, str], BridgePlan]:
     """Every derivable ``(source, dest)`` plan, including same-protocol
     pairs (width/frequency conversion is still meaningful there)."""
-    specs = bridgeable_specs()
+    specs = PROTOCOLS.values()
     return {(a.name, b.name): conversion_plan(a, b)
             for a in specs for b in specs}
 

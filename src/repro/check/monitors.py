@@ -8,7 +8,7 @@ a single ``is not None`` check per transaction hop:
 
 * ``note_issue``  — :meth:`InitiatorPort.issue` (per-source program order),
 * ``note_grant``  — :meth:`Fabric.pop_granted` (the single grant point of
-  every fabric: shared-bus STBus, AHB, AXI, crossbar, TLM),
+  every fabric: shared-bus STBus, crossbar, AHB, AXI, generic engine),
 * ``note_accept`` — the channel engine's request body and AHB's serve
   path, right after ``mark_accepted`` (request/acceptance pairing),
 * ``note_beat``   — :meth:`Fabric.deliver_beat` (live per-transaction beat
@@ -62,7 +62,6 @@ _BEAT_RULE = {
     "stbus": "stbus.packet_order",
     "stbus-xbar": "stbus.packet_order",
     "ahb": "ahb.data_order",
-    "tlm": "tlm.completion_order",
     "wishbone": "wishbone.ack_order",
     "apb": "apb.access_order",
     "axi4lite": "axi4lite.channel_order",
@@ -77,15 +76,12 @@ _RULE_KINDS = ("pairing", "serialization", "posted_write", "nonposted")
 
 #: The historical engines keep the rule ids they shipped with (one per
 #: ``_RULE_KINDS`` entry); every other engine gets ``<spec.name>.<kind>``.
-#: ``None``: nothing to replay — the analytic TLM node grants, but never
-#: hands a request to a target port.
-_ENGINE_RULES: Dict[str, Optional[Tuple[str, ...]]] = {
+_ENGINE_RULES: Dict[str, Tuple[str, ...]] = {
     "stbus": ("stbus.split_pairing", "stbus.t1_hold",
               "stbus.posted_write", "stbus.nonposted"),
     "ahb": ("ahb.pipelining", "ahb.serialization",
             "ahb.nonposted", "ahb.nonposted"),
     "axi": ("axi.handshake",) * 4,
-    "tlm": None,
 }
 
 
@@ -320,8 +316,6 @@ class SimChecker:
         """
         rules = _ENGINE_RULES.get(spec.engine, tuple(
             f"{spec.name}.{kind}" for kind in _RULE_KINDS))
-        if rules is None:
-            return
         pairing, hold, posted_write, nonposted = rules
         for tag, travels in _request_channels(fabric):
             self._check_pairing(fabric, pairing, expect_drained, found,

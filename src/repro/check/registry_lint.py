@@ -12,8 +12,8 @@ against the four places a protocol must be covered:
   declared ``beat_rule``,
 * snapshot coverage — the engine class serialises protocol state
   (overrides ``snapshot_state``),
-* a derivable bridge plan to **every** other bridgeable protocol (the
-  N x N matrix has no holes).
+* a derivable bridge plan to **every** other protocol (the N x N
+  matrix has no holes).
 
 Run standalone (CI lint job)::
 
@@ -26,22 +26,21 @@ from __future__ import annotations
 
 from typing import List
 
-from ..interconnect.protocols import PROTOCOLS, ProtocolSpec, bridgeable_specs
+from ..interconnect.protocols import PROTOCOLS, ProtocolSpec
 
 
 def _engine_class(spec: ProtocolSpec) -> type:
     """The class serving ``spec``.  Channel-engine classes declare the
-    ``engine`` value they accept (and refuse every other spec); AHB and
-    the TLM tier are models of their own."""
+    ``engine`` value they accept (and refuse every other spec); AHB is a
+    model of its own."""
     from ..interconnect.ahb import AhbLayer
     from ..interconnect.axi import AxiFabric
     from ..interconnect.generic import GenericFabric
     from ..interconnect.stbus import StbusNode
-    from ..interconnect.tlm import TlmNode
 
     served = {cls.engine: cls
               for cls in (GenericFabric, StbusNode, AxiFabric)}
-    served.update(ahb=AhbLayer, tlm=TlmNode)
+    served.update(ahb=AhbLayer)
     return served[spec.engine]
 
 
@@ -73,13 +72,6 @@ def lint_registry() -> List[str]:
             problems.append(
                 f"{name}: engine {engine.__name__} does not serialise "
                 "protocol state (snapshot_state not overridden)")
-        if spec.platform_key is not None:
-            from ..interconnect.protocols import platform_protocols
-
-            if spec.platform_key not in platform_protocols():
-                problems.append(
-                    f"{name}: platform key {spec.platform_key!r} is not "
-                    "reachable from PlatformConfig.protocol")
     problems.extend(_lint_bridge_matrix())
     return problems
 
@@ -88,7 +80,7 @@ def _lint_bridge_matrix() -> List[str]:
     from ..bridge.matrix import conversion_plan
 
     problems: List[str] = []
-    specs = bridgeable_specs()
+    specs = PROTOCOLS.values()
     for a in specs:
         for b in specs:
             try:
@@ -107,7 +99,7 @@ def main() -> int:
         print(f"registry-lint: {len(problems)} missing cell(s)")
         return 1
     print(f"registry-lint: {len(PROTOCOLS)} protocols fully covered "
-          f"({len(bridgeable_specs())}^2 bridge matrix, energy, monitors, "
+          f"({len(PROTOCOLS)}^2 bridge matrix, energy, monitors, "
           "snapshot)")
     return 0
 

@@ -506,7 +506,7 @@ def cmd_protocols(args) -> int:
         if spec.max_burst_beats == 1:
             caps.append("single-beat")
         rows.append([name, spec.title, spec.family, spec.engine,
-                     spec.platform_key or "-",
+                     spec.platform_key,
                      ",".join(caps) or "-"])
     print(format_table(
         ["protocol", "title", "family", "engine", "platform", "semantics"],
@@ -520,8 +520,13 @@ def _service_endpoint(url: str) -> Tuple[str, int]:
     """Split ``--url http://host:port`` into a client endpoint."""
     from urllib.parse import urlsplit
 
-    split = urlsplit(url if "//" in url else f"http://{url}")
-    return split.hostname or "127.0.0.1", split.port or 8458
+    from .platforms.loader import ConfigError
+
+    try:
+        split = urlsplit(url if "//" in url else f"http://{url}")
+        return split.hostname or "127.0.0.1", split.port or 8458
+    except ValueError as exc:
+        raise ConfigError(f"--url {url!r}: {exc}") from None
 
 
 def _service_client(url: str):
@@ -686,9 +691,10 @@ def cmd_jobs(args) -> int:
 
 
 def positive_float(text: str) -> float:
-    """argparse ``type`` of every duration and scale flag."""
+    """argparse ``type`` of every duration and scale flag; a microsecond
+    flag is converted to picoseconds, so that count must stay finite."""
     value = float(text)
-    if not 0 < value < float("inf"):
+    if not 0 < value * 1_000_000 < float("inf"):
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
     return value
 

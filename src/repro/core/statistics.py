@@ -222,9 +222,9 @@ class LatencySummary:
 class ChannelUtilization:
     """Busy-time accounting for a bus channel.
 
-    Channels report each occupied cycle (or busy interval); utilisation is
-    busy time over elapsed time — the paper's "ratio of bus busy cycles over
-    execution time".
+    Channels add each busy interval to ``busy_ps`` and count ``transfers``
+    in place; utilisation is busy time over elapsed time — the paper's
+    "ratio of bus busy cycles over execution time".
     """
 
     def __init__(self, sim: Simulator, name: str = "channel") -> None:
@@ -233,12 +233,6 @@ class ChannelUtilization:
         self.busy_ps = 0
         self.transfers = 0
         self._start_ps = sim.now
-
-    def add_busy(self, duration_ps: int, transfers: int = 1) -> None:
-        if duration_ps < 0:
-            raise ValueError("negative busy duration")
-        self.busy_ps += duration_ps
-        self.transfers += transfers
 
     def utilization(self, until_ps: Optional[int] = None) -> float:
         """Fraction of elapsed time the channel was occupied."""

@@ -4,8 +4,7 @@ One channel engine, :class:`GenericFabric`, elaborates any registered
 :class:`ProtocolSpec`: Wishbone, APB, AXI4-Lite, Avalon-MM and
 TileLink-UL are pure spec entries (see docs/PROTOCOLS.md); STBus nodes,
 the STBus crossbar and AMBA AXI are subclasses that choose which
-channels to instantiate.  AMBA AHB and the analytic TLM tier are models
-of their own.
+channels to instantiate.  AMBA AHB is a model of its own.
 """
 
 from .arbiter import (
@@ -26,7 +25,6 @@ from .generic import GenericFabric
 from .protocols import (
     PROTOCOLS,
     ProtocolSpec,
-    bridgeable_specs,
     generic_specs,
     get_spec,
     platform_protocols,
@@ -69,7 +67,6 @@ __all__ = [
     "TargetPort",
     "Transaction",
     "WeightedLottery",
-    "bridgeable_specs",
     "generic_specs",
     "get_spec",
     "make_arbiter",

@@ -12,8 +12,8 @@ TileLink-UL are this class itself, one request and one response
 channel — adding another protocol is a registry entry (docs/PROTOCOLS.md
 walks through it); the STBus node, the STBus crossbar and AXI subclass
 it only to choose which channels exist.  AHB (one data link = one
-process) and the analytic TLM tier stay outside; devices, bridges,
-monitors, the energy model and the snapshot encoder see the same
+process) stays outside; devices, bridges, monitors, the energy model and
+the snapshot encoder see the same
 :class:`~repro.interconnect.base.Fabric` port contracts on all of them.
 
 Timing rules, all spec-driven:

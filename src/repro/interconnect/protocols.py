@@ -20,8 +20,8 @@ protocol, a registry keyed by spec name, and lookup helpers used by
 
 STBus T1/T2/T3 and AXI are served by the same engine through classes
 that choose which channels to instantiate (``engine`` names the class);
-AHB and the analytic TLM tier keep models of their own.  The golden
-corpus pins every one of them bit for bit.
+AHB keeps a model of its own.  The golden corpus pins every one of them
+bit for bit.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ class ProtocolSpec:
     channel engine, parameterised entirely by this spec; ``"stbus"``
     (:class:`StbusNode`, :class:`StbusCrossbar`) and ``"axi"``
     (:class:`AxiFabric`) are subclasses that run the same channel bodies
-    and only choose how many to instantiate; ``"ahb"`` and ``"tlm"`` are
-    models of their own, which the engine refuses.
+    and only choose how many to instantiate; ``"ahb"`` is a model of its
+    own, which the engine refuses.
     """
 
     #: Registry key; also the ``Fabric.protocol`` label of generic
@@ -56,12 +56,10 @@ class ProtocolSpec:
     title: str
     #: Protocol family ("stbus", "amba", "open").
     family: str
-    #: Serving class: "stbus" | "ahb" | "axi" | "tlm" | "generic".
+    #: Serving class: "stbus" | "ahb" | "axi" | "generic".
     engine: str
-    #: ``PlatformConfig.protocol`` value that elaborates this spec
-    #: (``None`` for specs not selectable as a platform protocol —
-    #: the TLM tier is chosen via ``abstraction="tlm"`` instead).
-    platform_key: Optional[str]
+    #: ``PlatformConfig.protocol`` value that elaborates this spec.
+    platform_key: str
     #: Bus-interface signal table, initiator perspective.
     signals: Tuple[Signal, ...]
     #: Physical/logical channels the protocol multiplexes traffic over.
@@ -93,15 +91,11 @@ class ProtocolSpec:
     #: Rule id the checker attaches to beat-ordering violations (must
     #: agree with ``repro.check.monitors``; the lint verifies).
     beat_rule: str = "fabric.beat_order"
-    #: May this protocol terminate a bridge?  The TLM tier opts out:
-    #: its node serves analytic service models and never drains a
-    #: bridge's target-side FIFO.
-    bridgeable: bool = True
     #: One-line rationale / reference for docs.
     notes: str = ""
 
     def __post_init__(self) -> None:
-        if self.engine not in ("stbus", "ahb", "axi", "tlm", "generic"):
+        if self.engine not in ("stbus", "ahb", "axi", "generic"):
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.max_burst_beats < 0:
             raise ValueError("max_burst_beats must be >= 0")
@@ -167,8 +161,8 @@ def get_spec(name: str) -> ProtocolSpec:
 def spec_for_fabric(fabric) -> ProtocolSpec:
     """The spec describing a live fabric instance.
 
-    Channel-engine fabrics carry their spec directly; AHB and TLM
-    resolve through their protocol label.
+    Channel-engine fabrics carry their spec directly; AHB resolves
+    through its protocol label.
     """
     spec = getattr(fabric, "spec", None)
     if spec is not None:
@@ -185,7 +179,7 @@ def platform_protocols() -> Tuple[str, ...]:
     """Valid ``PlatformConfig.protocol`` values, registry-derived."""
     seen = []
     for spec in PROTOCOLS.values():
-        if spec.platform_key is not None and spec.platform_key not in seen:
+        if spec.platform_key not in seen:
             seen.append(spec.platform_key)
     return tuple(seen)
 
@@ -210,34 +204,6 @@ def spec_for_platform(platform_key: str,
 def generic_specs() -> Tuple[ProtocolSpec, ...]:
     """Specs served by the bare channel engine, with no class of their own."""
     return tuple(s for s in PROTOCOLS.values() if s.engine == "generic")
-
-
-def bridgeable_specs() -> Tuple[ProtocolSpec, ...]:
-    """Specs that may terminate a bridge (one entry per fabric label)."""
-    out, seen = [], set()
-    for spec in PROTOCOLS.values():
-        if spec.bridgeable and spec.name not in seen:
-            out.append(spec)
-            seen.add(spec.name)
-    return tuple(out)
-
-
-def bridge_pair_unsupported(source: ProtocolSpec,
-                            dest: ProtocolSpec) -> Optional[str]:
-    """Why a ``source -> dest`` bridge cannot exist (``None`` = fine).
-
-    The port abstraction makes most pairings mechanical; the genuinely
-    nonsensical ones are bridges into or out of a non-bridgeable
-    protocol (TLM: its node never drains a bridge's target-side FIFO,
-    so the pairing silently deadlocks the first forwarded read).
-    """
-    if not source.bridgeable:
-        return (f"source protocol {source.name!r} is not bridgeable"
-                f" ({source.notes or 'no bus-level target side'})")
-    if not dest.bridgeable:
-        return (f"destination protocol {dest.name!r} is not bridgeable"
-                f" ({dest.notes or 'no bus-level initiator side'})")
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +282,7 @@ _TILELINK_SIGNALS = (
 
 
 # ---------------------------------------------------------------------------
-# the paper's protocols (and the TLM tier), served through their classes
+# the paper's protocols, served through their classes
 # ---------------------------------------------------------------------------
 register_protocol(ProtocolSpec(
     name="stbus_t1", title="STBus Type 1", family="stbus", engine="stbus",
@@ -365,17 +331,6 @@ register_protocol(ProtocolSpec(
     multi_outstanding=True, response_interleave=True, max_burst_beats=0,
     energy_coefficient="axi_pj_per_beat", beat_rule="axi.id_order",
     notes="five independent channels, per-beat R re-arbitration"))
-
-register_protocol(ProtocolSpec(
-    name="tlm", title="Analytic TLM tier", family="tlm", engine="tlm",
-    platform_key=None, signals=(),
-    channels=("transport",), handshake="function call",
-    split=True, posted_writes=True, pipelined=True,
-    multi_outstanding=True, response_interleave=True, max_burst_beats=0,
-    energy_coefficient="tlm_pj_per_beat",
-    beat_rule="tlm.completion_order", bridgeable=False,
-    notes="serves analytic service models only; never drains a bridge "
-          "target FIFO, so bridging to or from it deadlocks"))
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +392,6 @@ __all__ = [
     "PROTOCOLS",
     "ProtocolSpec",
     "Signal",
-    "bridge_pair_unsupported",
-    "bridgeable_specs",
     "generic_specs",
     "get_spec",
     "platform_protocols",

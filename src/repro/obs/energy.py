@@ -82,7 +82,6 @@ class EnergyConfig:
     stbus_t3_pj_per_beat: float = 6.8
     ahb_pj_per_beat: float = 5.0
     axi_pj_per_beat: float = 7.5
-    tlm_pj_per_beat: float = 5.6
     #: Registry-served generic fabrics (docs/PROTOCOLS.md): simpler
     #: handshakes switch less control logic per cell than the
     #: full-featured buses above.
@@ -106,7 +105,7 @@ class EnergyConfig:
     def __post_init__(self) -> None:
         for name in ("stbus_t1_pj_per_beat", "stbus_t2_pj_per_beat",
                      "stbus_t3_pj_per_beat", "ahb_pj_per_beat",
-                     "axi_pj_per_beat", "tlm_pj_per_beat",
+                     "axi_pj_per_beat",
                      "wishbone_pj_per_beat", "apb_pj_per_beat",
                      "axi4lite_pj_per_beat", "avalon_pj_per_beat",
                      "tilelink_pj_per_beat",
@@ -209,15 +208,6 @@ class EnergyAccountant:
             entry = self._resolve_fabric(fabric)
         path, fj = entry
         self.charge(path, fj, fabric.sim.now, txn.initiator, txn.tid)
-
-    def bus_beats(self, fabric, txn, count: int) -> None:
-        """Batched response charge (the TLM node's analytic completion)."""
-        entry = self._fabric_cache.get(id(fabric))
-        if entry is None:
-            entry = self._resolve_fabric(fabric)
-        path, fj = entry
-        self.charge(path, fj * count, fabric.sim.now,
-                    txn.initiator, txn.tid)
 
     def _resolve_fabric(self, fabric) -> Tuple[str, int]:
         entry = (fabric.name,

@@ -156,17 +156,11 @@ class PlatformConfig:
     #: "tilelink").
     protocol: str = "stbus"
     topology: str = "distributed"  # "distributed" | "collapsed"
-    #: Modelling abstraction: "cycle" simulates every beat; "tlm" uses the
-    #: approximately-timed transaction-level tier (collapsed topology only)
-    #: for fast design-space exploration — the paper's multi-abstraction
-    #: flow.
-    abstraction: str = "cycle"  # "cycle" | "tlm"
     #: Simulation resolution: "ca" simulates every arbitration cycle; "lt"
     #: (loosely timed) fast-forwards provably contention-free stretches
     #: analytically and falls back to the cycle-accurate engine under
-    #: contention.  Orthogonal to ``abstraction`` — it changes how the
-    #: cycle-accurate models *execute*, not what they model.  See
-    #: docs/FAST_SIM.md for the speed/accuracy contract.
+    #: contention — it changes how the models *execute*, not what they
+    #: model.  See docs/FAST_SIM.md for the speed/accuracy contract.
     resolution: str = "ca"  # "ca" | "lt"
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     cpu: CpuConfig = field(default_factory=CpuConfig)
@@ -214,14 +208,8 @@ class PlatformConfig:
                 f"{sorted(platform_protocols())}")
         if self.topology not in ("distributed", "collapsed"):
             raise ValueError(f"unknown topology {self.topology!r}")
-        if self.abstraction not in ("cycle", "tlm"):
-            raise ValueError(f"unknown abstraction {self.abstraction!r}")
         if self.resolution not in ("ca", "lt"):
             raise ValueError(f"unknown resolution {self.resolution!r}")
-        if self.abstraction == "tlm" and self.topology != "collapsed":
-            raise ValueError(
-                "the TLM tier models a single layer: use topology="
-                "'collapsed' (cycle-accurate models cover multi-layer)")
         if self.traffic_scale <= 0:
             raise ValueError("traffic_scale must be positive")
         if not self.clusters:

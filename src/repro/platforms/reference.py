@@ -129,15 +129,7 @@ class PlatformInstance(Component):
     # ------------------------------------------------------------------
     def _build(self) -> None:
         cfg = self.config
-        if cfg.abstraction == "tlm":
-            from ..interconnect.tlm import TlmNode
-
-            clock = self.sim.clock(freq_mhz=cfg.central_freq_mhz,
-                                   name="central.clk")
-            self.central = TlmNode(self.sim, "central", clock,
-                                   data_width_bytes=cfg.central_width_bytes,
-                                   parent=self)
-        elif cfg.central_crossbar and cfg.protocol == "stbus":
+        if cfg.central_crossbar and cfg.protocol == "stbus":
             from ..interconnect.crossbar import StbusCrossbar
 
             clock = self.sim.clock(freq_mhz=cfg.central_freq_mhz,
@@ -153,10 +145,7 @@ class PlatformInstance(Component):
                 cfg.central_width_bytes, cfg.central_stbus_type,
                 message_arbitration=cfg.message_arbitration, parent=self)
         self.fabrics["central"] = self.central
-        if cfg.abstraction == "tlm":
-            self._build_tlm_memory()
-        else:
-            self._build_memory()
+        self._build_memory()
         for cluster in cfg.clusters:
             self._build_cluster(cluster)
         if cfg.cpu.enabled:
@@ -214,25 +203,6 @@ class PlatformInstance(Component):
         if self.sim._spans is not None:
             # Same gate as the port's FIFO probes: observation only.
             self.monitor = InterfaceProbe(self.memory_port)
-
-    def _build_tlm_memory(self) -> None:
-        """The analytic memory target of the transaction-level tier."""
-        from ..interconnect.tlm import SdramServiceModel, SramServiceModel
-
-        cfg = self.config
-        mem_range = AddressRange(MEMORY_BASE, MEMORY_SPAN)
-        if cfg.memory.kind == "onchip":
-            model = SramServiceModel(
-                self.central.clock, wait_states=cfg.memory.wait_states,
-                width_bytes=cfg.central_width_bytes,
-                access_latency_cycles=cfg.memory.access_latency_cycles)
-        else:
-            lmi_clock = self.sim.clock(freq_mhz=cfg.memory.lmi_freq_mhz,
-                                       name="lmi.clk")
-            model = SdramServiceModel(
-                lmi_clock,
-                beats_per_clock=cfg.memory.sdram.beats_per_clock)
-        self.central.add_tlm_target("mem", mem_range, model)
 
     def _build_cluster(self, cluster: ClusterSpec) -> None:
         cfg = self.config

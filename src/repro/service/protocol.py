@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..platforms.config import PlatformConfig
 from ..platforms.loader import ConfigError, config_from_dict
-from ..sweep import bound_ps, parse_sweep
+from ..sweep import bound_ps, parse_sweep, us_to_ps
 
 #: Bumped when the submission schema or the public job view changes
 #: incompatibly; reported by ``GET /healthz`` and checked by the client.
@@ -231,16 +231,11 @@ def parse_submission(document: Any) -> Submission:
             "are mutually exclusive")
     checkpoint_at_us = document.get("checkpoint_at_us")
     checkpoint_at_ps: Optional[int] = None
-    if checkpoint_at_us is not None:
-        if not isinstance(checkpoint_at_us, (int, float)) \
-                or isinstance(checkpoint_at_us, bool) \
-                or checkpoint_at_us <= 0:
-            raise SubmissionError(
-                "submission.checkpoint_at_us: must be a positive number")
-        checkpoint_at_ps = int(checkpoint_at_us * 1_000_000)
-        preemptible = True
-
     try:
+        if checkpoint_at_us is not None:
+            checkpoint_at_ps = us_to_ps(checkpoint_at_us,
+                                        "submission.checkpoint_at_us")
+            preemptible = True
         max_ps = bound_ps(document, "submission")
         if has_config:
             if not isinstance(document["config"], dict):

@@ -15,7 +15,7 @@ resume point makes the whole continuation trustworthy.
 On-disk format (``*.ckpt.json``)::
 
     {
-      "format": 1,                  # SNAPSHOT_FORMAT, checked on load
+      "format": 2,                  # SNAPSHOT_FORMAT, checked on load
       "generator": "repro.snapshot",
       "config": {...},              # platform document (config_to_dict)
       "max_ps": 20000000000000,     # run bound the checkpoint was taken under
@@ -54,9 +54,10 @@ from .state import (
     state_digest,
 )
 
-#: Bumped whenever the checkpoint document schema or the state-tree
-#: encoding changes; old files then fail with :class:`SnapshotFormatError`.
-SNAPSHOT_FORMAT = 1
+#: Bumped whenever the checkpoint document schema, the configuration
+#: schema it embeds or the state-tree encoding changes; old files then
+#: fail with :class:`SnapshotFormatError`.
+SNAPSHOT_FORMAT = 2
 
 _GENERATOR = "repro.snapshot"
 

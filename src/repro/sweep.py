@@ -702,13 +702,24 @@ def parse_sweep(document: Dict[str, Any]) -> SweepSpec:
 
 
 def bound_ps(document: Dict[str, Any], where: str) -> int:
-    """A specification document's optional ``max_us`` run bound, in ps
-    (a JSON boolean is not a number here)."""
-    max_us = document.get("max_us", DEFAULT_MAX_PS / 1_000_000)
-    if not isinstance(max_us, (int, float)) or isinstance(max_us, bool) \
-            or max_us <= 0:
-        raise ConfigError(f"{where}.max_us: must be a positive number")
-    return int(max_us * 1_000_000)
+    """A specification document's optional ``max_us`` run bound, in ps."""
+    return us_to_ps(document.get("max_us", DEFAULT_MAX_PS / 1_000_000),
+                    f"{where}.max_us")
+
+
+def us_to_ps(value: Any, where: str) -> int:
+    """A positive microsecond count from a specification document, in ps.
+
+    A JSON boolean is not a number here, and neither is NaN, an infinity
+    or a value whose picosecond count overflows a float.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool) \
+            or not value > 0:
+        raise ConfigError(f"{where}: must be a positive number")
+    try:
+        return int(value * 1_000_000)
+    except OverflowError:
+        raise ConfigError(f"{where}: must be a finite number") from None
 
 
 def is_sweep_document(document: Dict[str, Any]) -> bool:

@@ -22,7 +22,7 @@ FAST_SETTINGS = settings(max_examples=60, deadline=None)
 #: The differential harness's seed domain (``repro.check.random_config``).
 config_seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
-#: Bridgeable registry pairings, for sampling a source -> dest bridge.
+#: Registry pairings, for sampling a source -> dest bridge.
 def bridge_pairs():
     from repro.bridge import bridge_matrix
 

@@ -25,7 +25,6 @@ import pytest
 
 import repro
 from repro.core import Clock, Event, Simulator
-from repro.core.statistics import ChannelUtilization
 from repro.interconnect import Fabric, ResponseBeat
 from repro.obs import InterfaceProbe
 from repro.platforms import (build_platform, fig3_instances, fig5_instances,
@@ -55,8 +54,8 @@ CASES = {
 HEADROOM = 1.03
 
 #: Read as fields, or done in place, on the hot path; never called during
-#: a run.  ``bus_cycles_for_beat`` and ``add_busy`` stay public for cold
-#: callers and ``tlm.py``.
+#: a run.  ``bus_cycles_for_beat`` stays public for cold callers (AHB's
+#: energy charge).
 ZERO_CALLS = [
     Simulator.now.fget,
     Event.triggered.fget,
@@ -65,7 +64,6 @@ ZERO_CALLS = [
     Clock.next_edge_time,
     Clock.to_ps,
     Fabric.bus_cycles_for_beat,
-    ChannelUtilization.add_busy,
     # The Fig. 6 probe exists only under a capture: a run without one
     # never enters its FIFO listener or its request-channel report.
     InterfaceProbe._on_level,

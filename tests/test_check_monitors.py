@@ -424,15 +424,6 @@ class TestSpecDerivedRules:
         assert "stbus.nonposted" in rules_of(
             checker.finalize(expect_drained=False))
 
-    def test_analytic_tlm_node_is_exempt(self):
-        """Its node grants and completes, but hands nothing to a target
-        port — there is no acceptance history to replay."""
-        sim, platform, session = run_checked(
-            quick_config(abstraction="tlm", topology="collapsed"))
-        checker = session.checkers[0]
-        assert checker._grants and not checker._accepts
-        assert session.finalize() == []
-
     def test_fabric_without_a_registered_spec_is_skipped(self):
         sim, platform, session = run_checked(quick_config())
         checker = session.checkers[0]

@@ -167,6 +167,14 @@ class TestUnixSocketUrl:
         assert "cannot reach the service" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["http://localhost:abc",
+                                 "http://localhost:99999", "http://[::1"])
+def test_malformed_url_is_a_usage_error(capsys, bad):
+    assert main(["jobs", "--url", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --url {bad!r}") and err.count("\n") == 1
+
+
 class TestServeParser:
     def test_defaults(self):
         args = build_parser().parse_args(["serve"])

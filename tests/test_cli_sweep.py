@@ -144,6 +144,16 @@ class TestCheckSweepTargets:
         assert "checked point0:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e303])
+def test_non_finite_bound_is_an_error_line_not_a_traceback(tmp_path, capsys,
+                                                            value):
+    """``json`` reads ``NaN`` and ``Infinity``; 1e303 us overflows in ps."""
+    spec = _write_spec(tmp_path, dict(SPEC, max_us=value))
+    assert main(["sweep", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep.max_us:") and err.count("\n") == 1
+
+
 class TestBoundOverrun:
     """A sweep file whose ``max_us`` is too tight: one ``error:`` line
     naming the point, exit 1 — from ``sweep`` (serial and pooled) and

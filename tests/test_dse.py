@@ -95,6 +95,11 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match="watts"):
             parse_dse(tiny_document(objectives=["latency", "watts"]))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e303])
+    def test_non_finite_max_us_rejected(self, value):
+        with pytest.raises(ConfigError, match="dse.max_us"):
+            parse_dse(tiny_document(max_us=value))
+
     def test_unknown_optimizer_key_rejected(self):
         spec = parse_dse(tiny_document(optimizer={"sede": 1}))
         with pytest.raises(ConfigError, match="sede"):

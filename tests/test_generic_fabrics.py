@@ -24,15 +24,14 @@ class TestConstruction:
         assert by_name.spec is by_spec.spec
         assert by_name.protocol == "wishbone"
 
-    def test_refuses_ahb_and_tlm_specs(self, sim):
-        # AHB and the TLM tier are models of their own, not channel-engine
-        # instances: no engine class takes their specs.
+    def test_refuses_ahb_spec(self, sim):
+        # AHB is a model of its own, not a channel-engine instance: no
+        # engine class takes its spec.
         from repro.interconnect import AxiFabric, StbusNode
 
         clk = sim.clock(freq_mhz=200, name="gclk")
-        for name in ("ahb", "tlm"):
-            with pytest.raises(ValueError, match="engine"):
-                GenericFabric(sim, f"bad_{name}", clk, name)
+        with pytest.raises(ValueError, match="engine"):
+            GenericFabric(sim, "bad_ahb", clk, "ahb")
         assert {cls.engine for cls in (GenericFabric, StbusNode, AxiFabric)} \
             == {"generic", "stbus", "axi"}
 

@@ -61,13 +61,16 @@ class TestFromDict:
         assert config.clusters[0].ips[0].message_packets == 2
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown keys"):
-            config_from_dict({"protocol": "stbus", "warp_drive": True})
+        for key in ("warp_drive", "abstraction"):
+            with pytest.raises(ConfigError, match=f"unknown keys.*{key}"):
+                config_from_dict({"protocol": "stbus", key: "tlm"})
 
     def test_unknown_nested_key_rejected(self):
         doc = {"memory": {"kind": "lmi", "lmi": {"bogus": 1}}}
         with pytest.raises(ConfigError, match="memory.lmi"):
             config_from_dict(doc)
+        with pytest.raises(ConfigError, match="energy"):
+            config_from_dict({"energy": {"tlm_pj_per_beat": 5.6}})
 
     def test_unknown_sdram_preset_rejected(self):
         with pytest.raises(ConfigError, match="preset"):

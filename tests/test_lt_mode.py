@@ -9,6 +9,8 @@ the accuracy contract on the reference platform and randomized
 configurations, and the differential harness's bit-identity *within* LT.
 """
 
+import dataclasses
+import itertools
 import json
 
 import pytest
@@ -36,7 +38,14 @@ from repro.core.events import (
 )
 from repro.core.fifo import Fifo
 from repro.core.sync import WorkSignal
-from repro.platforms import build_platform, instance, onchip_memory, quick_config
+from repro.memory import LmiConfig
+from repro.platforms import (
+    build_platform,
+    fig5_instances,
+    instance,
+    onchip_memory,
+    quick_config,
+)
 from repro.platforms.loader import config_from_dict, load_config, save_config
 
 QUICK_MAX_PS = 10**13
@@ -387,6 +396,68 @@ class TestAccuracyContract:
         config = random_config(seed).scaled(resolution="lt")
         outcome = CheckedRun(config)
         assert outcome.ok, outcome.format()
+
+
+# ---------------------------------------------------------------------------
+# LT separates candidates along the paper's axes (docs/FAST_SIM.md)
+# ---------------------------------------------------------------------------
+
+PROTOCOL_SWAP = ("stbus", "ahb", "axi", "wishbone", "apb")
+LMI_SETTINGS = [(1, 1), (1, 8), (8, 1), (8, 8)]
+
+
+def _protocol_swap(protocol):
+    return dataclasses.replace(fig5_instances(0.3)["collapsed_axi"],
+                               protocol=protocol)
+
+
+def _lmi_setting(lookahead_depth, input_fifo_depth):
+    lmi = LmiConfig(lookahead_depth=lookahead_depth,
+                    input_fifo_depth=input_fifo_depth)
+    return fig5_instances(0.3, lmi)["collapsed_stbus"]
+
+
+def _execution_ps(comparisons, resolution):
+    return [getattr(c, resolution).execution_time_ps for c in comparisons]
+
+
+class TestLtRanksLikeCa:
+    """The one approximate mode must tell apart the candidates the paper
+    compares: swapping the fabric protocol or the LMI settings moves the
+    CA execution time, and LT has to follow it within the corpus bounds
+    and keep the CA ordering."""
+
+    @pytest.mark.parametrize("protocol", PROTOCOL_SWAP)
+    def test_protocol_swap_within_bounds(self, protocol):
+        comparison = LtRun(_protocol_swap(protocol))
+        assert comparison.ok, comparison.describe()
+
+    @pytest.mark.parametrize("lookahead_depth, input_fifo_depth",
+                             LMI_SETTINGS)
+    def test_lmi_setting_within_bounds(self, lookahead_depth,
+                                       input_fifo_depth):
+        comparison = LtRun(_lmi_setting(lookahead_depth, input_fifo_depth))
+        assert comparison.ok, comparison.describe()
+
+    def test_protocol_swap_keeps_ca_ordering(self):
+        comparisons = [LtRun(_protocol_swap(p)) for p in PROTOCOL_SWAP]
+        ca = _execution_ps(comparisons, "ca")
+        lt = _execution_ps(comparisons, "lt")
+        # The protocols really differ, so the ordering is informative.
+        assert len(set(ca)) == len(PROTOCOL_SWAP)
+        assert (sorted(PROTOCOL_SWAP, key=dict(zip(PROTOCOL_SWAP, ca)).get)
+                == sorted(PROTOCOL_SWAP, key=dict(zip(PROTOCOL_SWAP, lt)).get))
+
+    def test_lmi_settings_keep_ca_ordering(self):
+        comparisons = [LtRun(_lmi_setting(*s)) for s in LMI_SETTINGS]
+        ca = _execution_ps(comparisons, "ca")
+        lt = _execution_ps(comparisons, "lt")
+        assert len(set(ca)) > 1
+        for i, j in itertools.combinations(range(len(LMI_SETTINGS)), 2):
+            assert (ca[i] > ca[j]) == (lt[i] > lt[j]), (LMI_SETTINGS[i],
+                                                        LMI_SETTINGS[j])
+            assert (ca[i] == ca[j]) == (lt[i] == lt[j]), (LMI_SETTINGS[i],
+                                                          LMI_SETTINGS[j])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from repro.interconnect import (
     ProtocolSpec,
     StbusNode,
     StbusType,
-    bridgeable_specs,
     generic_specs,
     get_spec,
     platform_protocols,
@@ -23,16 +22,15 @@ from repro.interconnect import (
 )
 from repro.interconnect.crossbar import StbusCrossbar
 from repro.interconnect.generic import GenericFabric
-from repro.interconnect.tlm import TlmNode
 from repro.obs.energy import EnergyConfig
 
 
 class TestRegistryContents:
-    def test_all_eleven_protocols_registered(self):
+    def test_all_ten_protocols_registered(self):
         assert sorted(PROTOCOLS) == [
             "ahb", "apb", "avalon", "axi", "axi4lite",
             "stbus_t1", "stbus_t2", "stbus_t3",
-            "tilelink", "tlm", "wishbone",
+            "tilelink", "wishbone",
         ]
 
     def test_platform_keys_cover_cli_protocols(self):
@@ -40,16 +38,12 @@ class TestRegistryContents:
         assert keys[:3] == ("stbus", "ahb", "axi")  # legacy order stable
         for new in ("wishbone", "apb", "axi4lite", "avalon", "tilelink"):
             assert new in keys
-        assert "tlm" not in keys  # the analytic tier is not a platform bus
+        # every registered spec is reachable as a platform bus
+        assert {s.platform_key for s in PROTOCOLS.values()} == set(keys)
 
     def test_generic_specs_are_the_five_new_fabrics(self):
         assert sorted(s.name for s in generic_specs()) == [
             "apb", "avalon", "axi4lite", "tilelink", "wishbone"]
-
-    def test_tlm_is_not_bridgeable(self):
-        names = [s.name for s in bridgeable_specs()]
-        assert "tlm" not in names
-        assert len(names) == len(PROTOCOLS) - 1
 
     def test_stbus_capability_ladder(self):
         t1, t2, t3 = (get_spec(f"stbus_t{n}") for n in (1, 2, 3))
@@ -96,7 +90,6 @@ class TestSpecForFabric:
             == "stbus_t3"
         assert spec_for_fabric(AhbLayer(sim, "n2", clk)).name == "ahb"
         assert spec_for_fabric(AxiFabric(sim, "n3", clk)).name == "axi"
-        assert spec_for_fabric(TlmNode(sim, "n4", clk)).name == "tlm"
         assert spec_for_fabric(
             GenericFabric(sim, "n5", clk, get_spec("avalon"))).name \
             == "avalon"
@@ -166,8 +159,8 @@ class TestEnergyResolution:
         STBus Type 2 coefficient."""
         from types import SimpleNamespace
 
-        cfg = EnergyConfig(tlm_pj_per_beat=1.25, stbus_t2_pj_per_beat=2.5)
-        tlm = SimpleNamespace(name="t", protocol="tlm")
-        assert cfg.fabric_pj_per_beat(tlm) == 1.25
+        cfg = EnergyConfig(ahb_pj_per_beat=1.25, stbus_t2_pj_per_beat=2.5)
+        ahb = SimpleNamespace(name="a", protocol="ahb")
+        assert cfg.fabric_pj_per_beat(ahb) == 1.25
         custom = SimpleNamespace(name="c", protocol="custom")
         assert cfg.fabric_pj_per_beat(custom) == 2.5

@@ -280,3 +280,40 @@ def test_beat_path_processes_are_single_generators():
     assert revived == [], f"flattened helpers are back: {revived}"
     assert seen == {cls for classes in FLATTENED.values() for cls in classes}, \
         "a class moved: update FLATTENED"
+
+
+# ----------------------------------------------------------------------
+# structural invariant: one approximate tier
+# ----------------------------------------------------------------------
+def test_one_approximate_tier():
+    """LT (``resolution="lt"``) is the only fast mode.  The protocol-blind
+    transaction-level tier is gone (docs/FAST_SIM.md records why), with
+    its config key, energy coefficient, registry exemption and helpers.
+    The match is case-sensitive: ``protocols.py`` still cites the Samsung
+    AMBA TLM work."""
+    import dataclasses
+    import re
+
+    from repro.core.statistics import ChannelUtilization
+    from repro.interconnect import protocols
+    from repro.obs.energy import EnergyAccountant, EnergyConfig
+    from repro.platforms import PlatformConfig
+
+    banned = re.compile(r"\b(?:tlm|TlmNode)\b|TLM tier")
+    mentions = [f"{path.relative_to(SRC).as_posix()}:{number}"
+                for path in sorted(SRC.rglob("*.py"))
+                for number, line in enumerate(path.read_text().splitlines(),
+                                              start=1)
+                if banned.search(line)]
+    assert mentions == [], f"transaction-level tier revived: {mentions}"
+    assert not (SRC / "interconnect" / "tlm.py").exists()
+    fields = {cls.__name__: {f.name for f in dataclasses.fields(cls)}
+              for cls in (PlatformConfig, EnergyConfig, protocols.ProtocolSpec)}
+    assert "abstraction" not in fields["PlatformConfig"]
+    assert "tlm_pj_per_beat" not in fields["EnergyConfig"]
+    assert "bridgeable" not in fields["ProtocolSpec"]
+    leftovers = [name for owner, name in (
+        (protocols, "bridgeable_specs"), (protocols, "bridge_pair_unsupported"),
+        (EnergyAccountant, "bus_beats"), (ChannelUtilization, "add_busy"))
+        if hasattr(owner, name)]
+    assert leftovers == []

@@ -118,6 +118,21 @@ class TestParseSubmission:
         with pytest.raises(SubmissionError, match="submission.max_us"):
             parse_submission(doc(max_us=True))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e303])
+    def test_non_finite_max_us_is_a_bad_submission(self, value):
+        """A bound whose picosecond count is not an integer is a 400
+        ``bad_submission`` naming the field, not a 500."""
+        with pytest.raises(SubmissionError, match="submission.max_us") as err:
+            parse_submission(doc(max_us=value))
+        assert err.value.http_status == 400
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e303])
+    def test_non_finite_checkpoint_is_a_bad_submission(self, value):
+        with pytest.raises(SubmissionError,
+                           match="submission.checkpoint_at_us") as err:
+            parse_submission(doc(checkpoint_at_us=value))
+        assert err.value.http_status == 400
+
     def test_loader_error_passes_through_verbatim(self):
         """A malformed platform surfaces the exact local loader message."""
         bad = json.loads(json.dumps(CONFIG))

@@ -225,6 +225,19 @@ class TestPersistence:
         with pytest.raises(SnapshotFormatError, match="format"):
             load_checkpoint(path)
 
+    def test_pre_schema_change_checkpoint_rejected(self, tmp_path):
+        # A checkpoint written before the config schema last changed
+        # (format 1 still carried ``abstraction``) is refused with the
+        # typed "regenerate it" error, not a loader KeyError.
+        outcome = take_checkpoint(random_config(17))
+        path = save_checkpoint(outcome.checkpoint, tmp_path / "run.ckpt.json")
+        document = json.loads(path.read_text())
+        document["format"] = SNAPSHOT_FORMAT - 1
+        document["config"]["abstraction"] = "ca"
+        path.write_text(json.dumps(document))
+        with pytest.raises(SnapshotFormatError, match="regenerate"):
+            load_checkpoint(path)
+
     def test_unreadable_and_malformed_files_rejected(self, tmp_path):
         with pytest.raises(SnapshotError):
             load_checkpoint(tmp_path / "missing.ckpt.json")

@@ -145,7 +145,8 @@ class TestChannelUtilization:
             yield sim.timeout(1_000)
 
         sim.process(body())
-        channel.add_busy(400, transfers=4)
+        channel.busy_ps += 400
+        channel.transfers += 4
         sim.run()
         assert channel.utilization() == pytest.approx(0.4)
         assert channel.transfers == 4
@@ -156,7 +157,7 @@ class TestChannelUtilization:
 
     def test_reset(self, sim):
         channel = ChannelUtilization(sim)
-        channel.add_busy(100)
+        channel.busy_ps += 100
 
         def body():
             yield sim.timeout(500)
@@ -166,8 +167,3 @@ class TestChannelUtilization:
         channel.reset()
         assert channel.busy_ps == 0
         assert channel.utilization() == 0.0
-
-    def test_negative_busy_rejected(self, sim):
-        channel = ChannelUtilization(sim)
-        with pytest.raises(ValueError):
-            channel.add_busy(-1)

@@ -61,6 +61,7 @@ class AhbLayer(Fabric):
         clk = self.clock
         bus = self.bus
         width = self.data_width_bytes
+        take_run = self._take_run_hook
         pipelined = False  # True when the previous transfer just ended
         while True:
             candidates = self.request_candidates()
@@ -90,6 +91,7 @@ class AhbLayer(Fabric):
                 self.decode_failed(txn)
                 continue
             txn.meta["needs_ack"] = txn.is_write  # non-posted paradigm
+            target.open_responses += 1
             if target.interface_probe is not None:
                 target.interface_probe.storing(True)
             if txn.is_write:
@@ -111,26 +113,36 @@ class AhbLayer(Fabric):
                 self._checks.note_accept(self, txn)
             # No split support: hold the layer until every response beat
             # (read data or write acknowledgement) has been received.
-            responses = target.response_fifo._items
+            fifo = target.response_fifo
+            responses = fifo._items
             while True:
-                beat = None
-                if responses:
-                    head = responses[0]
-                    if head.txn is txn:
-                        beat = target.response_fifo.try_get()
-                    else:  # pragma: no cover - serial layer, one txn in flight
-                        raise RuntimeError(f"AHB {self.name}: foreign beat "
-                                           f"{head!r} during {txn!r}")
-                if beat is None:
+                if not responses:
                     # Slave wait states: the layer idles but stays held
                     # until the target buffers a beat.
                     yield self._stall(self._response_work)
                     continue
+                beat = responses[0]
+                if beat.txn is not txn:  # pragma: no cover - serial layer
+                    raise RuntimeError(f"AHB {self.name}: foreign beat "
+                                       f"{beat!r} during {txn!r}")
+                run = None
+                if take_run is not None and not beat.is_last \
+                        and (len(responses) > 1 or fifo._put_waiters):
+                    run = take_run(target, beat)
+                if run is None:
+                    n = 1
+                    fifo.try_get()
+                else:
+                    n = len(run)
                 cycles = 1 if beat.index == -1 else \
                     -(-txn.beat_bytes // width)
-                yield clk.edges(cycles)
-                bus.busy_ps += cycles * clk.period_ps
-                bus.transfers += 1
-                self.deliver_beat(beat)
+                yield clk.edges(cycles * n)
+                bus.busy_ps += cycles * n * clk.period_ps
+                bus.transfers += n
+                if run is None:
+                    self.deliver_beat(beat)
+                else:
+                    beat = self._deliver_run(run, cycles)
                 if beat.is_last:
+                    target.open_responses -= 1
                     break

@@ -105,4 +105,6 @@ class StbusCrossbar(StbusNode):
             channel.busy_ps += cycles * clk.period_ps
             channel.transfers += 1
             self.deliver_beat(beat)
+            if beat.is_last:
+                port.open_responses -= 1
             lane.release()

@@ -87,6 +87,7 @@ class GenericFabric(Fabric):
         super().__init__(sim, name, clock, data_width_bytes=data_width_bytes,
                          arbiter=arbiter, parent=parent)
         self.spec = spec
+        self._packet_atomic = not spec.response_interleave
         #: Forced message-lock releases (bounded atomicity tripped); a
         #: non-zero value flags pathological message shaping.
         self.lock_breaks = sim.metrics.counter(f"{name}.lock_breaks")
@@ -105,11 +106,7 @@ class GenericFabric(Fabric):
         self.resp_channel = self.channel("response")
         self.process(self._request_channel(self.arbiter, self.req_channel),
                      name="req")
-        # The loosely-timed batched body is a separate generator so the
-        # cycle-accurate one pays nothing for it.
-        self.process(self._response_channel_lt()
-                     if self._lt and self.lt_batch_responses
-                     else self._response_channel(), name="resp")
+        self.process(self._response_channel(), name="resp")
 
     # ------------------------------------------------------------------
     # request channel
@@ -222,6 +219,8 @@ class GenericFabric(Fabric):
             is_write = txn.is_write
             is_posted = is_write and txn.posted and spec.posted_writes
             txn.meta["needs_ack"] = is_write and not is_posted
+            if not is_posted:
+                target.open_responses += 1
             if not (lt and target.request_fifo.try_put(txn)):
                 # CA always takes the queued put (the same-timestamp
                 # round trip is the modelled handshake); LT falls back
@@ -252,6 +251,7 @@ class GenericFabric(Fabric):
         work = self._response_work
         width = self.data_width_bytes
         overhead = self.spec.resp_overhead_cycles
+        take_run = self._take_run_hook
         current: Optional[Tuple[TargetPort, Transaction]] = None
         while True:
             beat = self._pick_beat(current)
@@ -263,70 +263,34 @@ class GenericFabric(Fabric):
                        else work.sleep())
                 continue
             target, item = beat
-            taken = target.response_fifo.try_get()
-            if taken is not item:  # pragma: no cover - single consumer
-                raise RuntimeError("response FIFO raced")
+            fifo = target.response_fifo
             # A write acknowledgement is a single cell; data costs its
             # width-adjusted cells plus the spec's handshake turnaround.
             cycles = 1 if item.index == -1 else (
                 -(-item.txn.beat_bytes // width) + overhead)
-            yield clk.edges(cycles)
-            channel.busy_ps += cycles * clk.period_ps
-            channel.transfers += 1
-            self.deliver_beat(item)
-            current = None if item.is_last else (target, item.txn)
-
-    def _response_channel_lt(self):
-        """Loosely-timed response channel (see docs/FAST_SIM.md).
-
-        One departure from the cycle-accurate body: a run of consecutive
-        buffered beats of the same packet is transferred in one
-        closed-form step — CA would stream exactly those beats back to
-        back anyway (the in-flight packet always wins :meth:`_pick_beat`),
-        so the run's start, duration and last-beat instant are identical;
-        only the intermediate beats' delivery is deferred to the end of
-        the run.  The first-data timestamp is back-annotated analytically.
-        """
-        clk = self.clock
-        sim = self.sim
-        channel = self.resp_channel
-        work = self._response_work
-        width = self.data_width_bytes
-        overhead = self.spec.resp_overhead_cycles
-        current: Optional[Tuple[TargetPort, Transaction]] = None
-        while True:
-            beat = self._pick_beat(current)
-            if beat is None:
-                yield (self._stall(work) if current is not None
-                       else work.sleep())
-                continue
-            target, item = beat
-            fifo = target.response_fifo
-            items = fifo._items
-            run = 1
-            if not item.is_last:
-                txn = item.txn
-                while run < len(items) and items[run].txn is txn \
-                        and not items[run - 1].is_last:
-                    run += 1
-            beats = [fifo.try_get() for _ in range(run)]
-            cycles = 1 if item.index == -1 else (
-                -(-item.txn.beat_bytes // width) + overhead)
-            yield clk.edges(cycles * run)
-            channel.busy_ps += cycles * run * clk.period_ps
-            channel.transfers += 1
-            if run > 1:
-                sim._lt_fastforwards += run - 1
-                first = beats[0]
-                if first.txn.t_first_data is None and first.index != -1:
-                    # CA delivers the run's first beat `cycles` edges in;
-                    # the batch ends (run-1)*cycles later.
-                    first.txn.t_first_data = \
-                        sim._now - cycles * (run - 1) * clk.period_ps
-            for delivered in beats:
-                self.deliver_beat(delivered)
-            last = beats[-1]
-            current = None if last.is_last else (target, last.txn)
+            run = None
+            if take_run is not None and not item.is_last \
+                    and (len(fifo._items) > 1 or fifo._put_waiters):
+                run = take_run(target, item)
+            if run is None:
+                n = 1
+                taken = fifo.try_get()
+                if taken is not item:  # pragma: no cover - single consumer
+                    raise RuntimeError("response FIFO raced")
+            else:
+                n = len(run)
+            yield clk.edges(cycles * n)
+            channel.busy_ps += cycles * n * clk.period_ps
+            channel.transfers += n
+            if run is None:
+                self.deliver_beat(item)
+            else:
+                item = self._deliver_run(run, cycles)
+            if item.is_last:
+                target.open_responses -= 1
+                current = None
+            else:
+                current = (target, item.txn)
 
     def _pick_beat(self, current):
         """Choose the next response beat to forward.

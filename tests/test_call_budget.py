@@ -28,7 +28,7 @@ from repro.core import Clock, Event, Simulator
 from repro.interconnect import Fabric, ResponseBeat
 from repro.obs import InterfaceProbe
 from repro.platforms import (build_platform, fig3_instances, fig5_instances,
-                             quick_config)
+                             instance, onchip_memory, quick_config)
 
 SRC = str(Path(repro.__file__).resolve().parent)
 
@@ -36,7 +36,7 @@ SRC = str(Path(repro.__file__).resolve().parent)
 CASES = {
     "quick_ca": (lambda: quick_config(traffic_scale=0.03, seed=1), 591.70),
     "quick_lt": (lambda: quick_config(traffic_scale=0.03, seed=1,
-                                      resolution="lt"), 476.13),
+                                      resolution="lt"), 466.78),
     "distributed_axi": (lambda: fig3_instances(0.05)["distributed_axi"],
                         840.52),
     "full_ahb": (lambda: fig3_instances(0.05)["full_ahb"], 648.08),
@@ -45,7 +45,14 @@ CASES = {
     "distributed_axi_lt": (lambda: fig3_instances(0.05)["distributed_axi"]
                            .scaled(resolution="lt"), 575.80),
     "full_stbus_lt": (lambda: fig3_instances(0.05)["full_stbus"]
-                      .scaled(resolution="lt"), 664.65),
+                      .scaled(resolution="lt"), 654.23),
+    # The engines whose LT response path takes exact runs: the AHB layer
+    # and the spec-driven channel engine.
+    "full_ahb_lt": (lambda: fig3_instances(0.05)["full_ahb"]
+                    .scaled(resolution="lt"), 488.62),
+    "generic_tilelink_lt": (lambda: instance(
+        "tilelink", "distributed", onchip_memory(1), traffic_scale=0.05)
+        .scaled(resolution="lt"), 547.90),
     # The LMI engine behind a collapsed AXI fabric: the one benchmarked
     # memory process the cases above do not reach.
     "lmi_collapsed_axi": (lambda: fig5_instances(0.05)["collapsed_axi"],

@@ -16,7 +16,6 @@ See ``examples/quickstart.py`` for a complete runnable example and
 """
 
 from .core import (
-    Barrier,
     Clock,
     Component,
     Event,
@@ -43,7 +42,6 @@ __all__ = [
     "AddressRange",
     "AhbLayer",
     "AxiFabric",
-    "Barrier",
     "Clock",
     "Component",
     "DisplayController",

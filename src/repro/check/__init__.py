@@ -14,9 +14,10 @@ pins that against the kernel benchmark baseline).
 Usage::
 
     from repro.check import checked, format_report
+    from repro.sweep import Run
 
     with checked() as session:
-        result = run_config(config)        # builds its own Simulator(s)
+        result = Run(config).finish().result   # builds its own Simulator
     violations = session.finalize()
     print(format_report(violations))
 

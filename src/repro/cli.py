@@ -43,8 +43,9 @@ from .obs.export import format_table
 Registry = Dict[str, Tuple[str, Callable]]
 
 
-def _wrap(module, suffix: str = "", sizing=None):
-    """Registry runner for ``module``'s ``run/report/check<suffix>``.
+def _wrap(run: Callable, report: Callable, check: Callable, sizing=None):
+    """Registry runner: ``run`` an experiment, then ``report`` and
+    ``check`` its data.
 
     ``sizing`` is ``(keyword, floor, per_unit_scale)`` for the studies
     sized by a count rather than by ``traffic_scale``.
@@ -55,42 +56,46 @@ def _wrap(module, suffix: str = "", sizing=None):
         else:
             keyword, floor, per_scale = sizing
             size = {keyword: max(floor, int(per_scale * scale))}
-        data = getattr(module, "run" + suffix)(jobs=jobs, **size)
-        return (data, getattr(module, "report" + suffix)(data),
-                getattr(module, "check" + suffix)(data))
+        data = run(jobs=jobs, **size)
+        return data, report(data), check(data)
     return runner
 
 
 def registry() -> Registry:
+    single = experiments.single_layer
+
+    def study(module, sizing=None):
+        return _wrap(module.run, module.report, module.check, sizing)
+
     return {
         "s411": ("Section 4.1.1 — many-to-many single layer",
-                 _wrap(experiments.single_layer, "_many_to_many",
-                       ("transactions", 8, 50))),
+                 _wrap(single.run_many_to_many, single.report_many_to_many,
+                       single.check_many_to_many, ("transactions", 8, 50))),
         "s412": ("Section 4.1.2 — many-to-one single layer",
-                 _wrap(experiments.single_layer, "_many_to_one",
-                       ("transactions", 8, 60))),
+                 _wrap(single.run_many_to_one, single.report_many_to_one,
+                       single.check_many_to_one, ("transactions", 8, 60))),
         "fig3": ("Fig. 3 — platform instances, on-chip memory",
-                 _wrap(experiments.fig3_platform_instances)),
+                 study(experiments.fig3_platform_instances)),
         "fig4": ("Fig. 4 — distributed vs centralized vs memory speed",
-                 _wrap(experiments.fig4_memory_speed)),
+                 study(experiments.fig4_memory_speed)),
         "fig5": ("Fig. 5 — platform instances with LMI + DDR",
-                 _wrap(experiments.fig5_lmi_platforms)),
+                 study(experiments.fig5_lmi_platforms)),
         "fig6": ("Fig. 6 — LMI bus-interface statistics",
-                 _wrap(experiments.fig6_lmi_statistics)),
+                 study(experiments.fig6_lmi_statistics)),
         "ablations": ("Section 6 — guideline ablations",
-                      _wrap(experiments.ablations)),
+                      study(experiments.ablations)),
         "arbitration": ("Extension — arbitration policy study",
-                        _wrap(experiments.arbitration_study,
-                              sizing=("transactions", 8, 40))),
+                        study(experiments.arbitration_study,
+                              ("transactions", 8, 40))),
         "segmentation": ("Extension — path segmentation (guideline 5)",
-                         _wrap(experiments.path_segmentation,
-                               sizing=("transactions", 8, 20))),
+                         study(experiments.path_segmentation,
+                               ("transactions", 8, 20))),
         "io_qos": ("Extension — display QoS under DMA contention "
                    "(guideline 4)",
-                   _wrap(experiments.io_qos, sizing=("lines", 10, 40))),
+                   study(experiments.io_qos, ("lines", 10, 40))),
         "crossbar_dse": ("Extension — application-specific crossbar "
                          "choice via Pareto search",
-                         _wrap(experiments.crossbar_dse)),
+                         study(experiments.crossbar_dse)),
     }
 
 

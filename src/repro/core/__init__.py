@@ -8,10 +8,8 @@ from .clock import Clock
 from .component import Component
 from .events import (
     AllOf,
-    AnyOf,
     Event,
     EventError,
-    Interrupt,
     Process,
     Timeout,
     completed_event,
@@ -19,7 +17,7 @@ from .events import (
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
 )
-from .fifo import CdcFifo, Fifo
+from .fifo import Fifo
 from .kernel import MS, NS, US, SimulationError, Simulator
 from .statistics import (
     ChannelUtilization,
@@ -29,13 +27,10 @@ from .statistics import (
     PhasedStates,
     TimeWeightedStates,
 )
-from .sync import Barrier, Semaphore
+from .sync import Semaphore
 
 __all__ = [
     "AllOf",
-    "AnyOf",
-    "Barrier",
-    "CdcFifo",
     "ChannelUtilization",
     "Clock",
     "completed_event",
@@ -45,7 +40,6 @@ __all__ = [
     "EventError",
     "Fifo",
     "Gauge",
-    "Interrupt",
     "LatencySummary",
     "MS",
     "NS",

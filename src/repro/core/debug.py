@@ -11,7 +11,7 @@ code base were found).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from .clock import EdgeStall, SignalStall
 from .component import Component
@@ -56,10 +56,10 @@ def _scheduled_wakes(sim: Simulator) -> Dict[int, int]:
 def _wake_time(event: Event, table: Dict[int, int]) -> Optional[int]:
     """When ``event`` will fire, if anything scheduled leads to it.
 
-    Composite conditions (``AllOf``/``AnyOf``) are resolved through their
-    child events: the earliest scheduled child is reported, which is exact
-    for *any-of* and a lower bound for *all-of* — either way it proves the
-    wait is drainable, which is what separates slow-drain from deadlock.
+    An :class:`~repro.core.events.AllOf` is resolved through its child
+    events: the earliest scheduled child is reported, a lower bound that
+    still proves the wait is drainable, which is what separates slow-drain
+    from deadlock.
     """
     when = table.get(id(event))
     if when is not None:
@@ -124,22 +124,4 @@ def diagnose(root: Component) -> str:
         if entries:
             lines.append(f"  {component.path}:")
             lines.extend(entries)
-    return "\n".join(lines)
-
-
-def incomplete_transactions(transactions: Iterable[Any]) -> List[Any]:
-    """Filter a transaction population down to the never-completed ones."""
-    return [txn for txn in transactions if txn.t_done is None]
-
-
-def stall_summary(root: Component, transactions: Iterable[Any]) -> str:
-    """Diagnosis plus the stuck-transaction list (the usual entry point)."""
-    stuck = incomplete_transactions(transactions)
-    lines = [f"{len(stuck)} transaction(s) never completed"]
-    for txn in stuck[:10]:
-        lines.append(f"  {txn!r} issued={txn.t_issued} "
-                     f"granted={txn.t_granted} accepted={txn.t_accepted}")
-    if len(stuck) > 10:
-        lines.append(f"  ... and {len(stuck) - 10} more")
-    lines.append(diagnose(root))
     return "\n".join(lines)

@@ -25,7 +25,7 @@ simulated transaction decomposes into dozens of these objects.  The hot
 constructors (:class:`Timeout`, :meth:`Event.succeed`) therefore schedule
 straight onto the simulator heap instead of going through
 ``Simulator._enqueue``, and :class:`Process` resumption appends its callback
-directly.  Cold paths (``fail``, ``interrupt``, process completion) keep the
+directly.  Cold paths (``fail``, process completion) keep the
 method-call layering for clarity.
 """
 
@@ -240,9 +240,9 @@ class _PooledTimeout(Timeout):
     has run its callbacks the instance is returned to the pool and may be
     re-armed for a later wait, so holders must not inspect it once a new
     wait could have been issued (clock-edge waits are yielded and dropped,
-    which is exactly the safe pattern).  Wrapping one in a
-    :class:`Condition` pins it out of the pool, so ``all_of``/``any_of``
-    over clock edges stay sound.
+    which is exactly the safe pattern).  Wrapping one in an
+    :class:`AllOf` pins it out of the pool, so ``all_of`` over clock
+    edges stays sound.
     """
 
     __slots__ = ("_pinned",)
@@ -292,22 +292,9 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw an :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            raise EventError(f"cannot interrupt finished process {self!r}")
-        wakeup = Event(self.sim, name=f"{self.name}.interrupt")
-        wakeup._ok = False
-        wakeup._value = Interrupt(cause)
-        self.sim._enqueue(wakeup, 0, PRIORITY_URGENT)
-        wakeup.add_callback(self._resume_cb)
-
     # ------------------------------------------------------------------
     def _resume(self, trigger: Event) -> None:
         """Advance the generator with the trigger's outcome."""
-        if self._value is not _PENDING:
-            # Interrupted-then-completed race; nothing to resume.
-            return
         event: Optional[Event]
         while True:
             self._target = None
@@ -346,16 +333,11 @@ class Process(Event):
             trigger = event
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
+class AllOf(Event):
+    """Triggers when *all* child events have triggered.
 
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
-
-
-class Condition(Event):
-    """Base for composite events (:class:`AllOf` / :class:`AnyOf`)."""
+    Fails immediately when any child fails.
+    """
 
     __slots__ = ("events", "_remaining")
 
@@ -386,18 +368,6 @@ class Condition(Event):
         return {event: event._value for event in self.events if event._processed}
 
     def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(Condition):
-    """Triggers when *all* child events have triggered.
-
-    Fails immediately when any child fails.
-    """
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
         if self._value is not _PENDING:
             return
         if not event._ok:
@@ -406,17 +376,3 @@ class AllOf(Condition):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed(self._collect())
-
-
-class AnyOf(Condition):
-    """Triggers when *any* child event triggers (value = dict of done ones)."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self._value is not _PENDING:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self.succeed(self._collect())

@@ -5,19 +5,13 @@ FIFOs at STBus target interfaces, the request/response queues inside bridges
 (the "asynchronous FIFOs" of Fig. 2), and the input/output FIFOs of the LMI
 memory controller whose occupancy Fig. 6 dissects.
 
-Two flavours:
+:class:`Fifo` is a zero-latency bounded queue with blocking ``put``/``get``
+events.  All *timing* is imposed by the surrounding processes (which pace
+themselves with clock edges); the FIFO only models capacity and ordering.
+A bridge's clock-domain-crossing delay is its ``crossing_cycles``, not a
+FIFO property.
 
-:class:`Fifo`
-    Zero-latency bounded queue with blocking ``put``/``get`` events.  All
-    *timing* is imposed by the surrounding processes (which pace themselves
-    with clock edges); the FIFO only models capacity and ordering.
-
-:class:`CdcFifo`
-    A clock-domain-crossing FIFO: items become visible to the reader only
-    ``latency_ps`` after they were written, modelling synchroniser delay in
-    bridges between clock domains.
-
-Both call their store/take listeners on every change (SystemC ``sc_fifo``'s
+It calls its store/take listeners on every change (SystemC ``sc_fifo``'s
 written/read events): fabric wake-ups, the LMI engine and the statistics
 probes that integrate occupancy over time all register there.
 """
@@ -260,81 +254,3 @@ class Fifo(Generic[T]):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Fifo {self.name} {self.level}/{self.capacity}>"
-
-
-class CdcFifo(Fifo[T]):
-    """FIFO whose items only become readable ``latency_ps`` after writing.
-
-    Models the synchroniser latency of the asynchronous FIFOs inside bridges
-    (Fig. 2 of the paper).  Capacity is still enforced at write time, exactly
-    like a real dual-clock FIFO whose write pointer advances immediately.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int, latency_ps: int,
-                 name: str = "cdc_fifo") -> None:
-        super().__init__(sim, capacity, name=name)
-        if latency_ps < 0:
-            raise ValueError(f"negative CDC latency {latency_ps}")
-        self.latency_ps = latency_ps
-        self._cdc_name = name + ".cdc"
-        #: Items written but not yet visible, as (ready_time, item).
-        self._in_flight: Deque[Tuple[int, T]] = deque()
-
-    def put(self, item: T) -> Event:
-        sim = self.sim
-        if self._total_level() < self.capacity and not self._put_waiters:
-            self._launch(item)
-            if self._lt:
-                return self._put_done
-            event = Event(sim, name=self._put_name)
-            # Inlined event.succeed(), as in Fifo.put.
-            event._value = None
-            sim._sequence = sequence = sim._sequence + 1
-            heappush(sim._queue, (sim._now, PRIORITY_NORMAL, sequence, event))
-            return event
-        event = Event(sim, name=self._put_name)
-        self._put_waiters.append((event, item))
-        return event
-
-    def try_put(self, item: T) -> bool:
-        if self._total_level() >= self.capacity or self._put_waiters:
-            return False
-        self._launch(item)
-        return True
-
-    @property
-    def is_full(self) -> bool:
-        return self._total_level() >= self.capacity
-
-    def _total_level(self) -> int:
-        return len(self._items) + len(self._in_flight)
-
-    def _launch(self, item: T) -> None:
-        if self.latency_ps == 0:
-            self._store(item)
-            return
-        ready = self.sim._now + self.latency_ps
-        self._in_flight.append((ready, item))
-        # Pooled: the synchroniser wakeup is internal and never outlives
-        # _land, so the kernel can recycle it like a clock-edge wait.
-        self.sim.pooled_timeout(self.latency_ps,
-                                name=self._cdc_name).add_callback(self._land)
-
-    def _land(self, _event: Event) -> None:
-        now = self.sim._now
-        while self._in_flight and self._in_flight[0][0] <= now:
-            __, item = self._in_flight.popleft()
-            self._store(item)
-
-    def _admit_waiting_puts(self) -> None:
-        sim = self.sim
-        while self._put_waiters and self._total_level() < self.capacity:
-            event, item = self._put_waiters.popleft()
-            self._launch(item)
-            if self._lt:
-                event.succeed_inline()
-            else:
-                event._value = None
-                sim._sequence = sequence = sim._sequence + 1
-                heappush(sim._queue,
-                         (sim._now, PRIORITY_NORMAL, sequence, event))

@@ -49,7 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 from .events import (
     AllOf,
-    AnyOf,
     Event,
     EventError,
     Process,
@@ -245,10 +244,9 @@ class Simulator:
         ``yield clk.edge()`` — yield it, forget it.  The kernel reclaims the
         object right after its callbacks ran, so **do not** keep a reference
         across a later wait on the same clock/FIFO: the instance may have
-        been re-armed for somebody else's wait by then.  Conditions
-        (``all_of``/``any_of``) pin their children automatically and stay
-        safe.  Used by :class:`~repro.core.clock.Clock` edge waits and the
-        CDC FIFO synchroniser delay, which between them account for most
+        been re-armed for somebody else's wait by then.  ``all_of``
+        pins its children automatically and stays safe.  Used by
+        :class:`~repro.core.clock.Clock` edge waits, which account for most
         events in a cycle-accurate platform run.
         """
         pool = self._timeout_pool
@@ -285,10 +283,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event triggering when every event in ``events`` has triggered."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event triggering when the first event in ``events`` triggers."""
-        return AnyOf(self, events)
 
     def clock(self, freq_mhz: Optional[float] = None,
               period_ps: Optional[int] = None, phase_ps: int = 0,

@@ -242,9 +242,3 @@ class ChannelUtilization:
         if elapsed <= 0:
             return 0.0
         return self.busy_ps / elapsed
-
-    def reset(self) -> None:
-        """Restart accounting from the current time."""
-        self.busy_ps = 0
-        self.transfers = 0
-        self._start_ps = self.sim.now

@@ -201,38 +201,3 @@ class WorkSignal:
                          (sim._now, PRIORITY_NORMAL, sequence, event))
         self._dirty = False
         return event
-
-
-class Barrier:
-    """N-party synchronisation point.
-
-    IPTG multi-agent configurations use barriers to model inter-agent
-    dependencies ("inter-agent synchronization points can be set to emulate
-    dependencies between them").  All parties block in :meth:`wait` until the
-    last one arrives, then everyone is released and the barrier re-arms.
-    """
-
-    def __init__(self, sim: Simulator, parties: int, name: str = "barrier") -> None:
-        if parties < 1:
-            raise ValueError(f"barrier needs >= 1 party, got {parties}")
-        self.sim = sim
-        self.name = name
-        self.parties = parties
-        self._waiting: Deque[Event] = deque()
-        self.generations = 0
-
-    @property
-    def waiting(self) -> int:
-        """Parties currently blocked."""
-        return len(self._waiting)
-
-    def wait(self) -> Event:
-        """Event completing when all parties have arrived."""
-        event = Event(self.sim, name=f"{self.name}.wait")
-        self._waiting.append(event)
-        if len(self._waiting) >= self.parties:
-            self.generations += 1
-            released, self._waiting = self._waiting, deque()
-            for waiter in released:
-                waiter.succeed(self.generations)
-        return event

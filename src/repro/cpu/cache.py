@@ -86,17 +86,6 @@ class Cache:
         return CacheAccess(hit=False, writeback_address=writeback,
                            refill_address=self.line_address(address))
 
-    def flush(self) -> list:
-        """Invalidate everything; return addresses of dirty lines."""
-        dirty_addresses = []
-        for set_index, lines in self._lines.items():
-            for tag, dirty in lines.items():
-                if dirty:
-                    line = tag * self.sets + set_index
-                    dirty_addresses.append(line * self.line_bytes)
-            lines.clear()
-        return dirty_addresses
-
     @property
     def miss_rate(self) -> float:
         total = self.hits.value + self.misses.value

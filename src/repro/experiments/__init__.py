@@ -20,7 +20,6 @@ from . import (
 )
 from .common import (
     normalized,
-    run_config,
     run_configs,
 )
 
@@ -35,7 +34,6 @@ __all__ = [
     "io_qos",
     "normalized",
     "path_segmentation",
-    "run_config",
     "run_configs",
     "single_layer",
 ]

@@ -27,12 +27,7 @@ from typing import Dict, Iterable, List, Optional
 
 from ..platforms.config import PlatformConfig
 from ..platforms.result import RunResult
-from ..sweep import DEFAULT_MAX_PS, Run, sweep
-
-def run_config(config: PlatformConfig,
-               max_ps: int = DEFAULT_MAX_PS) -> RunResult:
-    """Elaborate and run one platform configuration on a fresh simulator."""
-    return Run(config, max_ps).finish().result
+from ..sweep import DEFAULT_MAX_PS, sweep
 
 
 def run_configs(configs: Iterable[PlatformConfig],

@@ -26,7 +26,7 @@ from ..devices.display import DisplayController
 from ..devices.dma import DmaDescriptor, DmaEngine
 from ..interconnect.arbiter import FixedPriority, RoundRobin
 from ..interconnect.stbus import StbusNode
-from ..interconnect.types import AddressRange, StbusType
+from ..interconnect.types import StbusType
 from ..memory.lmi import LmiConfig, LmiController
 from ..obs.export import format_table
 from ..sweep import parallel_map
@@ -45,9 +45,9 @@ def _run_variant(policy: str, line_period_cycles: int = 330,
     node = StbusNode(sim, "node", clock, data_width_bytes=8,
                      bus_type=StbusType.T3, arbiter=arbiter,
                      message_arbitration=False)
-    lmi = LmiController.attach(sim, node, "lmi", 0, _SPAN,
-                               sim.clock(freq_mhz=166, name="lmi_clk"),
-                               config=LmiConfig(read_priority=False))
+    LmiController.attach(sim, node, "lmi", 0, _SPAN,
+                         sim.clock(freq_mhz=166, name="lmi_clk"),
+                         config=LmiConfig(read_priority=False))
     display_port = node.connect_initiator("display", max_outstanding=4)
     display = DisplayController(
         sim, "display", display_port, framebuffer_base=_FRAMEBUFFER,
@@ -66,8 +66,6 @@ def _run_variant(policy: str, line_period_cycles: int = 330,
     sim.run(until=1_000_000_000_000)
     if not display.done.triggered:
         raise RuntimeError(f"display did not finish under {policy}")
-    hog_done = max((e.all_done.value is not None and sim.now) or 0
-                   for e in engines)
     return {
         "underruns": display.underruns.value,
         "underrun_rate": display.underrun_rate,

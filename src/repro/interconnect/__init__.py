@@ -15,7 +15,6 @@ from .arbiter import (
     MessageLockStall,
     RoundRobin,
     WeightedLottery,
-    make_arbiter,
 )
 from .ahb import AhbLayer
 from .axi import AxiFabric
@@ -25,7 +24,6 @@ from .generic import GenericFabric
 from .protocols import (
     PROTOCOLS,
     ProtocolSpec,
-    generic_specs,
     get_spec,
     platform_protocols,
     register_protocol,
@@ -35,11 +33,9 @@ from .stbus import StbusNode
 from .types import (
     AddressRange,
     Opcode,
-    ProtocolKind,
     ResponseBeat,
     StbusType,
     Transaction,
-    make_message,
 )
 
 __all__ = [
@@ -57,7 +53,6 @@ __all__ = [
     "MessageLockStall",
     "Opcode",
     "PROTOCOLS",
-    "ProtocolKind",
     "ProtocolSpec",
     "ResponseBeat",
     "RoundRobin",
@@ -67,10 +62,7 @@ __all__ = [
     "TargetPort",
     "Transaction",
     "WeightedLottery",
-    "generic_specs",
     "get_spec",
-    "make_arbiter",
-    "make_message",
     "platform_protocols",
     "register_protocol",
     "spec_for_fabric",

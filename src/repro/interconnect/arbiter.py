@@ -200,28 +200,3 @@ class MessageLockStall(Exception):
     def __init__(self, locked_key: object) -> None:
         super().__init__(f"message lock held by {locked_key!r}")
         self.locked_key = locked_key
-
-
-def make_arbiter(policy: str, **kwargs) -> Arbiter:
-    """Factory keyed by policy name (used by platform configuration files).
-
-    ``policy`` may carry a ``message:`` prefix to wrap the base policy in a
-    :class:`MessageArbiter`, e.g. ``"message:round_robin"``.
-    """
-    wrapped = False
-    if policy.startswith("message:"):
-        wrapped = True
-        policy = policy[len("message:"):]
-    makers = {
-        "fixed_priority": FixedPriority,
-        "round_robin": RoundRobin,
-        "lru": LeastRecentlyGranted,
-        "lottery": WeightedLottery,
-    }
-    if policy not in makers:
-        raise ValueError(f"unknown arbitration policy {policy!r}; "
-                         f"choose from {sorted(makers)}")
-    arbiter = makers[policy](**kwargs)
-    if wrapped:
-        arbiter = MessageArbiter(arbiter)
-    return arbiter

@@ -201,11 +201,6 @@ def spec_for_platform(platform_key: str,
                      f"valid: {sorted(platform_protocols())}")
 
 
-def generic_specs() -> Tuple[ProtocolSpec, ...]:
-    """Specs served by the bare channel engine, with no class of their own."""
-    return tuple(s for s in PROTOCOLS.values() if s.engine == "generic")
-
-
 # ---------------------------------------------------------------------------
 # signal-table shorthands
 # ---------------------------------------------------------------------------
@@ -392,7 +387,6 @@ __all__ = [
     "PROTOCOLS",
     "ProtocolSpec",
     "Signal",
-    "generic_specs",
     "get_spec",
     "platform_protocols",
     "register_protocol",

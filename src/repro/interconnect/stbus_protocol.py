@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Tuple
-
-from .types import Opcode, Transaction
+from .types import Transaction
 
 #: Operation sizes (bytes) the STBus opcode repertoire encodes.
 VALID_SIZES = (1, 2, 4, 8, 16, 32, 64)
@@ -66,19 +64,6 @@ class StbusOpcode(enum.Enum):
         return cls[f"{prefix}{size_bytes}"]
 
 
-def operations_for(txn: Transaction) -> List[Tuple[StbusOpcode, int]]:
-    """Decompose a transaction into sized STBus operations.
-
-    Each burst beat becomes one operation of the beat size; the result is
-    a list of ``(opcode, address)`` pairs.  (A smarter encoder could fuse
-    beats into larger opcodes — that is exactly the *opcode merging* the
-    LMI performs downstream, which is why the generators do not.)
-    """
-    opcode = StbusOpcode.encode(txn.is_read, txn.beat_bytes)
-    return [(opcode, txn.address + i * txn.beat_bytes)
-            for i in range(txn.beats)]
-
-
 @dataclass(frozen=True)
 class RequestPacket:
     """The request-channel footprint of one transaction."""
@@ -92,19 +77,6 @@ class RequestPacket:
     #: Priority label (Type >= 2).
     priority: int = 0
     #: Shaped packet (Type 3): byte enables restrict active lanes.
-    shaped: bool = False
-
-    def __post_init__(self) -> None:
-        if self.cells < 1:
-            raise ValueError("a packet has at least one cell")
-
-
-@dataclass(frozen=True)
-class ResponsePacket:
-    """The response-channel footprint of one transaction."""
-
-    opcode: StbusOpcode
-    cells: int
     shaped: bool = False
 
     def __post_init__(self) -> None:
@@ -127,14 +99,3 @@ def request_packet(txn: Transaction, bus_width_bytes: int,
     return RequestPacket(opcode=opcode, address=txn.address, cells=cells,
                          source=txn.initiator, priority=txn.priority,
                          shaped=shaped)
-
-
-def response_packet(txn: Transaction, bus_width_bytes: int,
-                    shaped: bool = False) -> ResponsePacket:
-    """Compose the response packet of ``txn`` on a bus of the given width."""
-    opcode = StbusOpcode.encode(txn.is_read, txn.beat_bytes)
-    if txn.is_read:
-        cells = _chunks(txn.total_bytes, bus_width_bytes)
-    else:
-        cells = 1  # store acknowledge
-    return ResponsePacket(opcode=opcode, cells=cells, shaped=shaped)

@@ -31,24 +31,6 @@ class Opcode(enum.Enum):
     WRITE = "write"
 
 
-class ProtocolKind(enum.Enum):
-    """The communication protocol family a port speaks.
-
-    The authoritative per-protocol semantics live in the declarative
-    registry (:mod:`repro.interconnect.protocols`); this enum only tags
-    the coarse families used by legacy call sites.
-    """
-
-    STBUS = "stbus"
-    AHB = "ahb"
-    AXI = "axi"
-    WISHBONE = "wishbone"
-    APB = "apb"
-    AXI4LITE = "axi4lite"
-    AVALON = "avalon"
-    TILELINK = "tilelink"
-
-
 class StbusType(enum.IntEnum):
     """STBus protocol types, in increasing order of capability.
 
@@ -250,34 +232,3 @@ class ResponseBeat:
     @property
     def is_write_ack(self) -> bool:
         return self.index == -1
-
-
-def make_message(sim: Simulator, initiator: str, opcode: Opcode, address: int,
-                 packets: int, beats: int, beat_bytes: int = 4,
-                 priority: int = 0, posted: bool = False) -> list:
-    """Build a *message*: a list of packets arbitration should keep together.
-
-    STBus nodes arbitrate at message granularity so that sequences which the
-    memory controller can optimise (e.g. consecutive bursts of a DMA stream)
-    reach it without interleaving.  All packets share a ``message_id``; only
-    the final one has ``message_last`` set.
-    """
-    if packets < 1:
-        raise ValueError(f"message needs >= 1 packet, got {packets}")
-    message_id = next(_txn_ids)
-    txns = []
-    for i in range(packets):
-        txn = Transaction(
-            initiator=initiator,
-            opcode=opcode,
-            address=address + i * beats * beat_bytes,
-            beats=beats,
-            beat_bytes=beat_bytes,
-            priority=priority,
-            posted=posted,
-            message_id=message_id,
-            message_last=(i == packets - 1),
-        )
-        txn.bind(sim)
-        txns.append(txn)
-    return txns

@@ -4,8 +4,8 @@ Three pieces, composable but independent:
 
 :mod:`repro.obs.registry`
     A per-simulator :class:`MetricRegistry` (reached as ``sim.metrics``)
-    through which components create their counters, gauges, histograms and
-    state trackers, making every statistic addressable by dotted path; and
+    through which components create or register their statistics, making
+    every one addressable by dotted path; and
     the capture-only instruments, :class:`FifoProbe` and the Fig. 6
     :class:`InterfaceProbe`.
 
@@ -23,9 +23,10 @@ Three pieces, composable but independent:
 Usage::
 
     from repro.obs import capture
+    from repro.sweep import Run
 
     with capture() as cap:
-        result = run_config(config)      # builds its own Simulator(s)
+        result = Run(config).finish().result   # builds its own Simulator
     cap.write_trace("out.json")          # Perfetto-loadable
     print(cap.format_summary())          # per-hop latency table
 

@@ -51,11 +51,6 @@ def fj_from_pj(pj: float) -> int:
     return int(round(pj * FJ_PER_PJ))
 
 
-def fj_from_power(mw: float, duration_ps: int) -> int:
-    """Energy of ``mw`` milliwatts over ``duration_ps``: 1 mW x 1 ps = 1 fJ."""
-    return int(round(mw * duration_ps))
-
-
 @dataclass(frozen=True)
 class EnergyConfig:
     """The energy model's coefficient block.
@@ -316,5 +311,4 @@ __all__ = [
     "FJ_PER_PJ",
     "attach_energy",
     "fj_from_pj",
-    "fj_from_power",
 ]

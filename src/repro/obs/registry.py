@@ -209,10 +209,6 @@ class MetricRegistry:
         """Create and register a monotonically increasing counter."""
         return self.register(path, Counter(path))
 
-    def gauge(self, path: str, initial: int = 0) -> Gauge:
-        """Create and register an instantaneous value with watermarks."""
-        return self.register(path, Gauge(path, initial=initial))
-
     def histogram(self, path: str) -> LatencySummary:
         """Create and register a latency/duration population."""
         return self.register(path, LatencySummary(path))

@@ -508,60 +508,6 @@ def sweep(configs: Iterable[PlatformConfig],
     return outcomes  # type: ignore[return-value]
 
 
-def warm_sweep(configs: Iterable[PlatformConfig],
-               checkpoint_dir: Union[str, Path],
-               max_ps: int = DEFAULT_MAX_PS,
-               fraction: float = 0.5) -> List[SweepOutcome]:
-    """Warm-started sweep: every point runs from a verified checkpoint.
-
-    The first invocation populates ``checkpoint_dir`` with one mid-run
-    checkpoint per configuration (keyed like the result cache) while
-    producing the results; later invocations resume each point from its
-    stored checkpoint, which re-verifies the entire state tree bit for
-    bit at the checkpoint instant before continuing — so any simulator
-    change that silently alters behaviour is caught at the prefix, not
-    discovered as drifted sweep numbers.  Outcomes are bit-identical to
-    :func:`sweep` either way; ``cached=True`` marks resumed points.
-    Serial by design: resume verification attaches to in-process state.
-    """
-    from .snapshot import (
-        SnapshotError,
-        load_checkpoint,
-        resume_checkpoint,
-        save_checkpoint,
-        take_checkpoint,
-    )
-
-    root = Path(checkpoint_dir)
-    outcomes: List[SweepOutcome] = []
-    for config in configs:
-        key = config_key(config, max_ps)
-        path = root / f"{key}.ckpt.json"
-        if path.is_file():
-            try:
-                resumed = resume_checkpoint(load_checkpoint(path))
-            except SnapshotError as exc:
-                raise SweepError(
-                    f"warm-start checkpoint {path.name} failed: {exc}") \
-                    from exc
-            if not resumed.ok:
-                raise SweepError(
-                    f"warm-start checkpoint {path.name} diverged:\n  "
-                    + "\n  ".join(resumed.mismatches))
-            outcomes.append(SweepOutcome(
-                config=config, key=key, result=resumed.result,
-                events=resumed.final_events,
-                sim_time_ps=resumed.final_time_ps, cached=True))
-            continue
-        taken = take_checkpoint(config, fraction=fraction, max_ps=max_ps)
-        save_checkpoint(taken.checkpoint, path)
-        outcomes.append(SweepOutcome(
-            config=config, key=key, result=taken.result,
-            events=taken.final_events, sim_time_ps=taken.final_time_ps,
-            cached=False))
-    return outcomes
-
-
 def parallel_map(fn: Callable[[Any], Any], items: Iterable[Any],
                  jobs: Optional[int] = None,
                  timeout_s: Optional[float] = None) -> List[Any]:

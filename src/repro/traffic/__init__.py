@@ -11,7 +11,6 @@ from .patterns import (
     RandomUniform,
     Sequential,
     Strided,
-    UniformRange,
 )
 from .trace import TracePlayer, TraceRecord, TraceRecorder, load_trace, save_trace
 
@@ -31,7 +30,6 @@ __all__ = [
     "TracePlayer",
     "TraceRecord",
     "TraceRecorder",
-    "UniformRange",
     "load_trace",
     "save_trace",
 ]

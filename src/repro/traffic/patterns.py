@@ -42,26 +42,6 @@ class Fixed(Distribution):
         return f"Fixed({self.value})"
 
 
-class UniformRange(Distribution):
-    """Uniform over ``[low, high]`` inclusive."""
-
-    def __init__(self, low: int, high: int) -> None:
-        if low > high:
-            raise ValueError(f"empty range [{low}, {high}]")
-        self.low = int(low)
-        self.high = int(high)
-
-    def sample(self, rng: random.Random) -> int:
-        return rng.randint(self.low, self.high)
-
-    @property
-    def mean(self) -> float:
-        return (self.low + self.high) / 2
-
-    def __repr__(self) -> str:
-        return f"UniformRange({self.low}, {self.high})"
-
-
 class Choice(Distribution):
     """Weighted choice among explicit values (e.g. burst lengths 4/8/16)."""
 

@@ -11,7 +11,6 @@ from repro.interconnect.arbiter import (
     MessageLockStall,
     RoundRobin,
     WeightedLottery,
-    make_arbiter,
 )
 
 
@@ -143,20 +142,3 @@ class TestMessageArbiter:
         arb = MessageArbiter(RoundRobin())
         arb.select([("a", txn(message_id=4, message_last=True))])
         assert not arb.locked
-
-
-class TestFactory:
-    def test_known_policies(self):
-        assert isinstance(make_arbiter("round_robin"), RoundRobin)
-        assert isinstance(make_arbiter("fixed_priority"), FixedPriority)
-        assert isinstance(make_arbiter("lru"), LeastRecentlyGranted)
-        assert isinstance(make_arbiter("lottery"), WeightedLottery)
-
-    def test_message_prefix_wraps(self):
-        arb = make_arbiter("message:round_robin")
-        assert isinstance(arb, MessageArbiter)
-        assert isinstance(arb.inner, RoundRobin)
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            make_arbiter("tdma")

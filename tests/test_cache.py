@@ -75,16 +75,6 @@ class TestReplacement:
         assert result.writeback_address == 0x0
 
 
-class TestFlush:
-    def test_flush_returns_dirty_lines(self):
-        cache = Cache("c", size_bytes=256, line_bytes=32, ways=2)
-        cache.access(0x00, is_write=True)
-        cache.access(0x40, is_write=False)
-        dirty = cache.flush()
-        assert dirty == [0x00]
-        assert not cache.access(0x00).hit  # everything invalidated
-
-
 class TestProperties:
     @given(st.lists(st.tuples(st.integers(0, 1 << 16), st.booleans()),
                     min_size=1, max_size=200))

@@ -411,14 +411,14 @@ class TestEdgeUntil:
 
         def body():
             stall = clk.edge_until(signal)
-            limit = sim.timeout(2_500)
-            done = yield sim.any_of([stall, limit])
+            limit = sim.timeout(1_500)
+            done = yield sim.all_of([stall, limit])
             out.append((sim.now, stall in done, limit in done))
 
         sim.process(body())
         sim.timeout(1_200).add_callback(lambda _e: signal.notify())
         sim.run(until=4_000)
-        assert out == [(2_000, True, False)]
+        assert out == [(2_000, True, True)]
 
     def test_equivalent_to_the_literal_loop(self):
         pytest.importorskip("hypothesis")

@@ -1,7 +1,7 @@
 """Tests for the stall-diagnosis utilities."""
 
 from repro.core import Component, Fifo, Simulator
-from repro.core.debug import diagnose, incomplete_transactions, stall_summary
+from repro.core.debug import diagnose
 
 from .helpers import add_memory, make_node, read
 
@@ -155,24 +155,3 @@ class TestDiagnose:
         assert txns[1].t_accepted is not None
         line = self._req_line(diagnose(node))
         assert "stalled" not in line and "req_work" in line
-
-    def test_incomplete_transactions_filter(self, sim):
-        done = read(0x0)
-        done.t_done = 100
-        pending = read(0x40)
-        assert incomplete_transactions([done, pending]) == [pending]
-
-    def test_stall_summary_lists_stuck_transactions(self, sim):
-        from repro.interconnect import AddressRange
-
-        node = make_node(sim)
-        # A target whose device never consumes: the request is accepted
-        # into the FIFO and then nothing happens -> a genuine stall.
-        node.add_target("dead", AddressRange(0, 1 << 20), request_depth=1)
-        port = node.connect_initiator("ip0", max_outstanding=1)
-        txn = read(0x0)
-        port.issue(txn)
-        sim.run(until=1_000_000)
-        text = stall_summary(node, [txn])
-        assert "1 transaction(s) never completed" in text
-        assert "Txn" in text

@@ -14,8 +14,9 @@ from repro.experiments import (
     fig6_lmi_statistics,
     single_layer,
 )
-from repro.experiments.common import normalized, run_config, run_configs
+from repro.experiments.common import normalized, run_configs
 from repro.platforms import RunResult, quick_config
+from repro.sweep import Run
 
 
 def _result(label, execution_time_ps):
@@ -24,18 +25,15 @@ def _result(label, execution_time_ps):
 
 
 class TestCommon:
-    def test_run_config(self):
-        result = run_config(quick_config())
-        assert result.execution_time_ps > 0
-
-    def test_run_configs_matches_run_config(self, tmp_path):
+    def test_run_configs_matches_a_direct_run(self, tmp_path):
         config = quick_config(traffic_scale=0.1)
-        direct = run_config(config)
+        direct = Run(config).finish().result
+        assert direct.execution_time_ps > 0
         batched = run_configs([config], cache=tmp_path / "cache")
         assert batched == [direct]
 
     def test_normalized_uses_first_key_by_default(self):
-        a = run_config(quick_config())
+        a = Run(quick_config()).finish().result
         results = {"a": a, "b": a}
         norm = normalized(results)
         assert norm["a"] == 1.0

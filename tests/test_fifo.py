@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CdcFifo, Fifo, Simulator
+from repro.core import Fifo, Simulator
 from repro.core.sync import WorkSignal
 from repro.obs import FifoProbe
 
@@ -253,55 +253,6 @@ class TestListeners:
         assert log == [("store", "a", 1), ("store", "b", 1),
                        ("take", "a", 1), ("take", "b", 1)]
         assert fifo.snapshot() == ("refill",)
-
-
-class TestCdcFifo:
-    def test_items_delayed_by_latency(self, sim):
-        fifo = CdcFifo(sim, 4, latency_ps=250)
-        got = []
-
-        def consumer():
-            item = yield fifo.get()
-            got.append((sim.now, item))
-
-        sim.process(consumer())
-        fifo.try_put("x")
-        sim.run()
-        assert got == [(250, "x")]
-
-    def test_zero_latency_behaves_like_fifo(self, sim):
-        fifo = CdcFifo(sim, 2, latency_ps=0)
-        fifo.try_put("a")
-        assert fifo.try_get() == "a"
-
-    def test_capacity_counts_in_flight(self, sim):
-        fifo = CdcFifo(sim, 1, latency_ps=1_000)
-        assert fifo.try_put("a")
-        assert fifo.is_full
-        assert not fifo.try_put("b")
-
-    def test_ordering_preserved(self, sim):
-        fifo = CdcFifo(sim, 8, latency_ps=100)
-        got = []
-
-        def producer():
-            for i in range(4):
-                yield fifo.put(i)
-                yield sim.timeout(10)
-
-        def consumer():
-            for _ in range(4):
-                item = yield fifo.get()
-                got.append(item)
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert got == [0, 1, 2, 3]
-
-    def test_negative_latency_rejected(self, sim):
-        with pytest.raises(ValueError):
-            CdcFifo(sim, 1, latency_ps=-5)
 
 
 class TestProperties:

@@ -4,10 +4,8 @@ import pytest
 
 from repro.core import (
     AllOf,
-    AnyOf,
     Event,
     EventError,
-    Interrupt,
     Simulator,
 )
 from repro.core.events import PRIORITY_URGENT
@@ -156,35 +154,6 @@ class TestProcesses:
         sim.run()
         assert caught == ["boom"]
 
-    def test_interrupt(self, sim):
-        trace = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(1_000_000)
-            except Interrupt as interrupt:
-                trace.append(interrupt.cause)
-
-        proc = sim.process(sleeper())
-
-        def interrupter():
-            yield sim.timeout(50)
-            proc.interrupt("wake up")
-
-        sim.process(interrupter())
-        sim.run()
-        assert trace == ["wake up"]
-        assert sim.now == 1_000_000  # the orphan timeout still fires
-
-    def test_interrupt_finished_process_rejected(self, sim):
-        def quick():
-            yield sim.timeout(1)
-
-        proc = sim.process(quick())
-        sim.run()
-        with pytest.raises(EventError):
-            proc.interrupt()
-
     def test_is_alive(self, sim):
         def body():
             yield sim.timeout(10)
@@ -208,18 +177,6 @@ class TestConditions:
         sim.run()
         assert done == [["a", "b"]]
         assert sim.now == 30
-
-    def test_any_of_fires_on_first(self, sim):
-        t1, t2 = sim.timeout(10, value="fast"), sim.timeout(50, value="slow")
-        seen = []
-
-        def body():
-            result = yield sim.any_of([t1, t2])
-            seen.append(list(result.values()))
-
-        sim.process(body())
-        sim.run(until=20)
-        assert seen == [["fast"]]
 
     def test_empty_all_of_fires_immediately(self, sim):
         cond = sim.all_of([])

@@ -94,11 +94,3 @@ class TestConditionValues:
         cond = sim.all_of([t1, t2])
         sim.run()
         assert cond.value == {t1: "x", t2: "y"}
-
-    def test_any_of_value_contains_only_fired(self):
-        sim = Simulator()
-        fast = sim.timeout(1, value="fast")
-        slow = sim.timeout(100, value="slow")
-        cond = sim.any_of([fast, slow])
-        sim.run(until=10)
-        assert cond.value == {fast: "fast"}

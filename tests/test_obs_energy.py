@@ -27,7 +27,6 @@ from repro.obs.energy import (
     EnergyConfig,
     attach_energy,
     fj_from_pj,
-    fj_from_power,
 )
 from repro.platforms import build_platform, quick_config
 from repro.platforms.loader import (
@@ -99,9 +98,6 @@ class TestAccountantUnit:
     def test_conversion_identities(self):
         assert fj_from_pj(1.0) == 1000
         assert fj_from_pj(4.2) == 4200
-        # 1 mW over 1 ps is 1 fJ.
-        assert fj_from_power(1.0, 1) == 1
-        assert fj_from_power(45.0, 1_000_000) == 45_000_000
 
     def test_attach_is_idempotent_and_configure_repoints(self):
         sim = Simulator()

@@ -37,7 +37,7 @@ class TestRegistryBasics:
         metrics = sim.metrics
         counter = metrics.counter("node.ip0.issued")
         histogram = metrics.histogram("node.ip0.latency")
-        gauge = metrics.gauge("node.credits", initial=4)
+        gauge = metrics.register("node.credits", Gauge("node.credits", initial=4))
         assert metrics.get("node.ip0.issued") is counter
         assert metrics.get("node.ip0.latency") is histogram
         assert metrics.get("node.credits") is gauge
@@ -70,7 +70,7 @@ class TestSnapshot:
     def test_counter_and_gauge_rows(self, sim):
         metrics = sim.metrics
         metrics.counter("hits").add(3)
-        gauge = metrics.gauge("level")
+        gauge = metrics.register("level", Gauge("level"))
         gauge.set(7)
         gauge.set(2)
         rows = metrics.snapshot()

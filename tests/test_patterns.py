@@ -12,7 +12,6 @@ from repro.traffic import (
     RandomUniform,
     Sequential,
     Strided,
-    UniformRange,
 )
 
 
@@ -22,15 +21,6 @@ class TestDistributions:
         rng = random.Random(0)
         assert all(dist.sample(rng) == 7 for _ in range(10))
         assert dist.mean == 7.0
-
-    def test_uniform_range(self):
-        dist = UniformRange(5, 10)
-        rng = random.Random(0)
-        samples = [dist.sample(rng) for _ in range(200)]
-        assert all(5 <= s <= 10 for s in samples)
-        assert dist.mean == 7.5
-        with pytest.raises(ValueError):
-            UniformRange(10, 5)
 
     def test_choice_weighted(self):
         dist = Choice([4, 8, 16], weights=[0, 0, 1])

@@ -14,7 +14,6 @@ from repro.interconnect import (
     ProtocolSpec,
     StbusNode,
     StbusType,
-    generic_specs,
     get_spec,
     platform_protocols,
     register_protocol,
@@ -40,10 +39,6 @@ class TestRegistryContents:
             assert new in keys
         # every registered spec is reachable as a platform bus
         assert {s.platform_key for s in PROTOCOLS.values()} == set(keys)
-
-    def test_generic_specs_are_the_five_new_fabrics(self):
-        assert sorted(s.name for s in generic_specs()) == [
-            "apb", "avalon", "axi4lite", "tilelink", "wishbone"]
 
     def test_stbus_capability_ladder(self):
         t1, t2, t3 = (get_spec(f"stbus_t{n}") for n in (1, 2, 3))

@@ -154,16 +154,3 @@ class TestChannelUtilization:
     def test_zero_elapsed(self, sim):
         channel = ChannelUtilization(sim)
         assert channel.utilization() == 0.0
-
-    def test_reset(self, sim):
-        channel = ChannelUtilization(sim)
-        channel.busy_ps += 100
-
-        def body():
-            yield sim.timeout(500)
-
-        sim.process(body())
-        sim.run()
-        channel.reset()
-        assert channel.busy_ps == 0
-        assert channel.utilization() == 0.0

@@ -8,8 +8,7 @@ from .helpers import add_memory, drive, make_node, read, run_transactions, write
 
 
 def make_unbound_message(initiator, base, message_id, packets=3, beats=4):
-    """Message packets ready for ``port.issue`` (unlike ``make_message``,
-    which binds them for direct injection)."""
+    """Message packets ready for ``port.issue``."""
     txns = []
     for i in range(packets):
         txns.append(Transaction(
@@ -40,7 +39,7 @@ class TestManyToOneEfficiency:
 
 class TestWriteAcknowledge:
     def test_ack_is_one_response_cell_whatever_the_beat_width(self, sim):
-        """A store acknowledge is one cell (``response_packet``), also when
+        """A store acknowledge is one response cell, also when
         the write's beats are wider than the node's data path."""
         node = make_node(sim, bus_type=StbusType.T1, width=4)
         add_memory(sim, node)

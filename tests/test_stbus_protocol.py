@@ -5,12 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.interconnect.stbus_protocol import (
     RequestPacket,
-    ResponsePacket,
     StbusOpcode,
     VALID_SIZES,
-    operations_for,
     request_packet,
-    response_packet,
 )
 
 from .helpers import read, write
@@ -36,15 +33,6 @@ class TestOpcodes:
         assert StbusOpcode.encode(False, size).size_bytes == size
 
 
-class TestOperations:
-    def test_one_operation_per_beat(self):
-        txn = read(0x100, beats=4, beat_bytes=8)
-        ops = operations_for(txn)
-        assert len(ops) == 4
-        assert all(op is StbusOpcode.LD8 for op, __ in ops)
-        assert [addr for __, addr in ops] == [0x100, 0x108, 0x110, 0x118]
-
-
 class TestPackets:
     def test_read_request_is_single_cell(self):
         txn = read(0x0, beats=16, beat_bytes=8)
@@ -58,19 +46,9 @@ class TestPackets:
         assert request_packet(txn, bus_width_bytes=4).cells == 8
         assert request_packet(txn, bus_width_bytes=8).cells == 4
 
-    def test_read_response_cells(self):
-        txn = read(0x0, beats=8, beat_bytes=4)
-        assert response_packet(txn, bus_width_bytes=4).cells == 8
-
-    def test_write_response_is_single_ack(self):
-        txn = write(0x0, beats=8, beat_bytes=4)
-        assert response_packet(txn, bus_width_bytes=4).cells == 1
-
     def test_packet_validation(self):
         with pytest.raises(ValueError):
             RequestPacket(StbusOpcode.LD4, 0, cells=0)
-        with pytest.raises(ValueError):
-            ResponsePacket(StbusOpcode.LD4, cells=0)
 
     @given(beats=st.sampled_from([1, 2, 4, 8, 16]),
            beat_bytes=st.sampled_from([1, 2, 4, 8]),

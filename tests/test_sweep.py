@@ -551,71 +551,6 @@ class TestLazyCacheRoot:
         assert cache.get(key) is None
 
 
-class TestWarmSweep:
-    def test_cold_populates_then_warm_resumes_bit_identically(self, tmp_path):
-        from repro.sweep import warm_sweep
-
-        configs = [quick_config(traffic_scale=0.05),
-                   quick_config(traffic_scale=0.07)]
-        cold = warm_sweep(configs, tmp_path / "warm", max_ps=QUICK_MAX_PS)
-        assert [outcome.cached for outcome in cold] == [False, False]
-        warm = warm_sweep(configs, tmp_path / "warm", max_ps=QUICK_MAX_PS)
-        assert [outcome.cached for outcome in warm] == [True, True]
-        for before, after in zip(cold, warm):
-            assert after.result == before.result
-            assert (after.events, after.sim_time_ps) == \
-                (before.events, before.sim_time_ps)
-
-    def test_matches_plain_sweep(self, tmp_path):
-        from repro.sweep import warm_sweep
-
-        config = quick_config(traffic_scale=0.05)
-        plain = sweep([config], max_ps=QUICK_MAX_PS, jobs=1, cache=False)
-        warmed = warm_sweep([config], tmp_path / "warm",
-                            max_ps=QUICK_MAX_PS)
-        assert warmed[0].result == plain[0].result
-        assert (warmed[0].events, warmed[0].sim_time_ps) == \
-            (plain[0].events, plain[0].sim_time_ps)
-
-    def test_partially_warm_start_matches_pooled_sweep_bit_for_bit(
-            self, tmp_path):
-        """Regression: a warm-started sweep where resumed and cold points
-        interleave must agree byte-for-byte, in input order, with a
-        pooled ``jobs=2`` sweep of the same list — the determinism
-        contract spans both engines and both hit/miss interleavings."""
-        from repro.sweep import warm_sweep
-
-        configs = [quick_config(traffic_scale=0.05 + 0.02 * i)
-                   for i in range(4)]
-        # Checkpoint only the odd points, so the full pass interleaves
-        # resumed (cached) and freshly-simulated points.
-        warm_sweep([configs[1], configs[3]], tmp_path / "warm",
-                   max_ps=QUICK_MAX_PS)
-        mixed = warm_sweep(configs, tmp_path / "warm", max_ps=QUICK_MAX_PS)
-        assert [outcome.cached for outcome in mixed] == \
-            [False, True, False, True]
-        pooled = sweep(configs, max_ps=QUICK_MAX_PS, jobs=2, cache=False)
-        assert [json.dumps(result_to_dict(m.result), sort_keys=True)
-                for m in mixed] == \
-            [json.dumps(result_to_dict(p.result), sort_keys=True)
-             for p in pooled]
-        assert [(m.key, m.events, m.sim_time_ps) for m in mixed] == \
-            [(p.key, p.events, p.sim_time_ps) for p in pooled]
-
-    def test_tampered_checkpoint_fails_the_sweep(self, tmp_path):
-        from repro.sweep import warm_sweep
-
-        config = quick_config(traffic_scale=0.05)
-        warm_sweep([config], tmp_path / "warm", max_ps=QUICK_MAX_PS)
-        key = config_key(config, QUICK_MAX_PS)
-        path = tmp_path / "warm" / f"{key}.ckpt.json"
-        document = json.loads(path.read_text())
-        document["at_ps"] += 1
-        path.write_text(json.dumps(document))
-        with pytest.raises(SweepError, match="warm-start"):
-            warm_sweep([config], tmp_path / "warm", max_ps=QUICK_MAX_PS)
-
-
 class TestLoadSweep:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="nosuch"):

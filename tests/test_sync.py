@@ -1,8 +1,8 @@
-"""Unit tests for synchronisation primitives (Semaphore, Barrier, WorkSignal)."""
+"""Unit tests for synchronisation primitives (Semaphore, WorkSignal)."""
 
 import pytest
 
-from repro.core import Semaphore, Barrier
+from repro.core import Semaphore
 from repro.core.sync import WorkSignal
 
 
@@ -61,56 +61,6 @@ class TestSemaphore:
         sim.process(releaser())
         sim.run()
         assert order == ["w0", "w1", "w2"]
-
-
-class TestBarrier:
-    def test_all_parties_released_together(self, sim):
-        barrier = Barrier(sim, 3)
-        log = []
-
-        def party(name, delay):
-            yield sim.timeout(delay)
-            yield barrier.wait()
-            log.append((sim.now, name))
-
-        sim.process(party("a", 10))
-        sim.process(party("b", 50))
-        sim.process(party("c", 30))
-        sim.run()
-        # Released together, in arrival order.
-        assert log == [(50, "a"), (50, "c"), (50, "b")]
-
-    def test_barrier_rearms(self, sim):
-        barrier = Barrier(sim, 2)
-        times = []
-
-        def party(offset):
-            for i in range(2):
-                yield sim.timeout(offset)
-                yield barrier.wait()
-                times.append(sim.now)
-
-        sim.process(party(10))
-        sim.process(party(25))
-        sim.run()
-        assert barrier.generations == 2
-        assert times == [25, 25, 50, 50]
-
-    def test_single_party_barrier_never_blocks(self, sim):
-        barrier = Barrier(sim, 1)
-        done = []
-
-        def party():
-            yield barrier.wait()
-            done.append(sim.now)
-
-        sim.process(party())
-        sim.run()
-        assert done == [0]
-
-    def test_invalid_parties(self, sim):
-        with pytest.raises(ValueError):
-            Barrier(sim, 0)
 
 
 class TestWorkSignal:

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import Simulator
 from repro.interconnect import AddressRange, Opcode, ResponseBeat, Transaction
-from repro.interconnect.types import make_message
 
 
 class TestAddressRange:
@@ -105,22 +104,3 @@ class TestResponseBeat:
         data = ResponseBeat(txn, index=0, is_last=False)
         assert ack.is_write_ack
         assert not data.is_write_ack
-
-
-class TestMessages:
-    def test_message_grouping(self):
-        sim = Simulator()
-        packets = make_message(sim, "dma0", Opcode.READ, 0x1000,
-                               packets=3, beats=8, beat_bytes=8)
-        assert len(packets) == 3
-        ids = {p.message_id for p in packets}
-        assert len(ids) == 1 and None not in ids
-        assert [p.message_last for p in packets] == [False, False, True]
-        # Packets are address-contiguous — the property opcode merging needs.
-        for first, second in zip(packets, packets[1:]):
-            assert second.address == first.end_address
-
-    def test_message_needs_packets(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            make_message(sim, "x", Opcode.READ, 0, packets=0, beats=1)

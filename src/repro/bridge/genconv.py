@@ -216,11 +216,18 @@ class GenConvBridge(BridgeBase):
             if not job.buffer:
                 # Errored child with no data: synthesise the error response.
                 self._jobs.remove(job)
-                job.relay.error_seen = True
-                while not job.relay.done:
-                    beat = job.relay.emit()
-                    if not (lt and fifo.try_put(beat)):
-                        yield fifo.put(beat)
+                relay = job.relay
+                relay.error_seen = True
+                if lt:
+                    packet = []
+                    while not relay.done:
+                        packet.append(relay.emit())
+                    blocked = fifo.put_run(packet)
+                    if blocked is not None:
+                        yield blocked
+                    continue
+                while not relay.done:
+                    yield fifo.put(relay.emit())
                 continue
             beat = job.buffer.popleft()
             fresh = job.relay.arrived(beat)

@@ -44,6 +44,11 @@ class LightweightBridge(BridgeBase):
                          request_depth=request_depth,
                          response_depth=response_depth,
                          child_outstanding=1, parent=parent)
+        # The LT run proof (``Fabric._take_run``): released, the pump
+        # crosses to the destination and back before it stores again.
+        self.target_port.response_fifo.turnaround_ps = max(
+            0, (crossing_cycles - 1)
+            * (dest.clock.period_ps + source.clock.period_ps))
         self.process(self._pump(), name="pump")
 
     def _pump(self):
@@ -85,10 +90,17 @@ class LightweightBridge(BridgeBase):
                     yield self.source.clock.edges(crossing)
                 relay = self.make_relay(txn)
                 relay.error_seen = child.error  # propagate far-side errors
+                if lt:
+                    # The whole packet is in hand: commit it at once.
+                    packet = []
+                    for _ in range(txn.beats):
+                        packet.append(relay.emit())
+                    blocked = fifo.put_run(packet)
+                    if blocked is not None:
+                        yield blocked
+                    continue
                 for _ in range(txn.beats):
-                    beat = relay.emit()
-                    if not (lt and fifo.try_put(beat)):
-                        yield fifo.put(beat)
+                    yield fifo.put(relay.emit())
                 continue
             child.posted = txn.posted
             yield self.dest.clock.edges(child.beats)
@@ -100,7 +112,8 @@ class LightweightBridge(BridgeBase):
                     yield self.source.clock.edges(crossing)
                 ack = ResponseBeat(txn, index=-1, is_last=True,
                                    error=child.error)
-                if not (lt and fifo.try_put(ack)):
-                    yield fifo.put(ack)
+                blocked = fifo.put_run([ack]) if lt else fifo.put(ack)
+                if blocked is not None:
+                    yield blocked
             elif txn.ev_done._value is _PENDING:
                 txn.complete(self.sim._now)

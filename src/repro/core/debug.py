@@ -116,7 +116,11 @@ def diagnose(root: Component) -> str:
                 "FULL" if fifo.is_full else f"{fifo.level}/{fifo.capacity}")
             waiters = ""
             if fifo._put_waiters:
-                waiters += f" [{len(fifo._put_waiters)} blocked put(s)]"
+                # A put_run queues many items behind one event.
+                producers = sum(event is not None
+                                for event, _item in fifo._put_waiters)
+                waiters += (f" [{len(fifo._put_waiters)} item(s) held by "
+                            f"{producers} blocked put(s)]")
             if fifo._get_waiters:
                 waiters += f" [{len(fifo._get_waiters)} blocked get(s)]"
             entries.append(f"    fifo {fifo.name}: {state}{waiters} "

@@ -51,7 +51,10 @@ class Fifo(Generic[T]):
         self._put_name = name + ".put"
         self._get_name = name + ".get"
         self._items: Deque[T] = deque()
-        self._put_waiters: Deque[Tuple[Event, T]] = deque()
+        #: Blocked puts, served in order: ``(event, item)``, where a
+        #: :meth:`put_run` queues its items with ``None`` for every event
+        #: but the last.
+        self._put_waiters: Deque[Tuple[Optional[Event], T]] = deque()
         self._get_waiters: Deque[Event] = deque()
         #: Change listeners, called in registration order right after one
         #: item was stored (it is ``_items[-1]``) or removed (``get``,
@@ -67,6 +70,16 @@ class Fifo(Generic[T]):
         #: are never written to, so one serves every such put.
         self._put_done = completed_event(sim, name=self._put_name) \
             if self._lt else None
+        #: LT: the instant a producer last had all of its items stored (a
+        #: :meth:`put_run` that fit, or the admission of a blocked put's
+        #: last item).  With :attr:`turnaround_ps` it proves
+        #: ``Fabric._take_run``'s runs.  Kept out of ``snapshot_state``
+        #: (a checkpoint records the items only): only LT reads it.
+        self.released_ps = 0
+        #: The least time the FIFO's producer takes from a release to its
+        #: next store, when it declares one (``LightweightBridge``); 0
+        #: proves nothing.
+        self.turnaround_ps = 0
         #: Invariant checker, captured once at construction (select-once
         #: discipline; ``None`` outside a ``repro.check.checked()`` session).
         self._checks = getattr(sim, "_checks", None)
@@ -144,6 +157,33 @@ class Fifo(Generic[T]):
             return event
         event = Event(sim, name=self._get_name)
         self._get_waiters.append(event)
+        return event
+
+    def put_run(self, items: List[T]) -> Optional[Event]:
+        """LT: store ``items`` in order, as a producer that has them all in
+        hand would with one blocking ``put`` per item.
+
+        What fits now is stored now; the rest is queued as one blocked
+        put, admitted one item per take.  Returns ``None`` when every item
+        was stored, otherwise the event that fires once the last one is.
+        Either way the release instant is :attr:`released_ps`.
+        """
+        if self._put_done is None:
+            raise RuntimeError(f"{self.name}: put_run is loosely timed only")
+        count = len(items)
+        index = 0
+        while index < count and len(self._items) < self.capacity \
+                and not self._put_waiters:
+            self._store(items[index])
+            index += 1
+        if index == count:
+            self.released_ps = self.sim._now
+            return None
+        waiters = self._put_waiters
+        for index in range(index, count - 1):
+            waiters.append((None, items[index]))
+        event = Event(self.sim, name=self._put_name)
+        waiters.append((event, items[-1]))
         return event
 
     # ------------------------------------------------------------------
@@ -240,7 +280,9 @@ class Fifo(Generic[T]):
             while self._put_waiters and len(self._items) < self.capacity:
                 event, item = self._put_waiters.popleft()
                 self._store(item)
-                event.succeed_inline()
+                if event is not None:
+                    self.released_ps = sim._now
+                    event.succeed_inline()
             return
         while self._put_waiters and len(self._items) < self.capacity:
             event, item = self._put_waiters.popleft()

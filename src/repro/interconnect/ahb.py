@@ -125,17 +125,17 @@ class AhbLayer(Fabric):
                 if beat.txn is not txn:  # pragma: no cover - serial layer
                     raise RuntimeError(f"AHB {self.name}: foreign beat "
                                        f"{beat!r} during {txn!r}")
+                cycles = 1 if beat.index == -1 else \
+                    -(-txn.beat_bytes // width)
                 run = None
                 if take_run is not None and not beat.is_last \
                         and (len(responses) > 1 or fifo._put_waiters):
-                    run = take_run(target, beat)
+                    run = take_run(target, beat, cycles)
                 if run is None:
                     n = 1
                     fifo.try_get()
                 else:
                     n = len(run)
-                cycles = 1 if beat.index == -1 else \
-                    -(-txn.beat_bytes // width)
                 yield clk.edges(cycles * n)
                 bus.busy_ps += cycles * n * clk.period_ps
                 bus.transfers += n

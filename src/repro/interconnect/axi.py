@@ -148,10 +148,12 @@ class AxiFabric(GenericFabric):
             rotation += 1
             target, beat = candidates[rotation % len(candidates)]
             fifo = target.response_fifo
+            cycles = 1 if want_acks else (
+                -(-beat.txn.beat_bytes // width) + overhead)
             run = None
             if take_run is not None and not beat.is_last \
                     and (len(fifo._items) > 1 or fifo._put_waiters):
-                run = take_run(target, beat)
+                run = take_run(target, beat, cycles)
             if run is None:
                 n = 1
                 fifo.remove(beat)
@@ -162,8 +164,6 @@ class AxiFabric(GenericFabric):
                     and previous_txn.t_done is None):
                 self.r_interleaves.value += 1
             previous_txn = beat.txn
-            cycles = 1 if want_acks else (
-                -(-beat.txn.beat_bytes // width) + overhead)
             yield clk.edges(cycles * n)
             channel.busy_ps += cycles * n * clk.period_ps
             channel.transfers += n

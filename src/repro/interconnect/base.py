@@ -387,37 +387,68 @@ class Fabric(Component):
             # (e.g. AXI's AW engine when a write emerges behind reads).
             self._request_work.notify()
 
-    def _take_run(self, target: TargetPort,
-                  beat: ResponseBeat) -> Optional[List[ResponseBeat]]:
+    def _take_run(self, target: TargetPort, beat: ResponseBeat,
+                  cycles: int) -> Optional[List[ResponseBeat]]:
         """LT: take ``beat`` (the head of ``target``'s response FIFO, not
-        its packet's last) with the rest of its packet, to cross the
-        channel as one ``clk.edges(cycles * n)`` step; ``None`` (take
-        nothing) unless streaming them beat by beat could not be told
-        apart:
+        its packet's last) with more of its packet, to cross the channel
+        as one ``clk.edges(cycles * n)`` step; ``None`` (take nothing)
+        unless streaming them beat by beat could not be told apart.
+        Always: no GenConv bridge relays the intermediate beats (no
+        ``beat_sink``), and no other packet can take the channel before
+        the step ends (a packet-atomic channel, or a single target port).
+        Then one of two steps:
 
-        * no GenConv bridge relays the intermediate beats (no
-          ``beat_sink``);
-        * no other packet can take the channel before the run ends (a
-          packet-atomic channel, or a single target port);
-        * the packet's last beat is buffered, or held by the producer's
-          put blocked on the full FIFO (the run's first take admits it,
-          as the first beat-by-beat take would), so the producer is done
-          with this packet; and
-        * no other response-producing transaction is open at ``target``,
-          so the FIFO slots the run frees early pace no producer.
-
-        The last two mean the FIFO and its blocked put hold exactly the
-        rest of this packet.
+        * The producer's :meth:`~repro.core.fifo.Fifo.put_run` is blocked
+          with more than its last beat queued: the step takes beats up to
+          the take that would release it.  Every take admits one queued
+          beat, so the FIFO stays full and the producer blocked, as beat
+          by beat.
+        * Otherwise the step takes the rest of the packet: buffered, or
+          its last beat held by a blocked put the first take admits
+          (releasing the producer when the first beat-by-beat take
+          would).  No store may land while the step frees slots early:
+          no other response-producing transaction is open at ``target``,
+          or the producer's turnaround bound keeps its next store past
+          the step's end.
         """
+        txn = beat.txn
         fifo = target.response_fifo
-        waiting = fifo._put_waiters
-        last = waiting[-1][1] if waiting else fifo._items[-1]
-        if not (target.open_responses == 1 and last.is_last
-                and (self._packet_atomic or len(self.targets) == 1)
-                and "beat_sink" not in beat.txn.meta):
+        items = fifo._items
+        if not ((self._packet_atomic or len(self.targets) == 1)
+                and items[0] is beat and "beat_sink" not in txn.meta):
             return None
+        waiting = fifo._put_waiters
+        if waiting and waiting[0][0] is None:
+            n = 0
+            for event, _item in waiting:
+                if event is not None:
+                    break
+                n += 1
+            last = (items[n - 1] if n <= len(items)
+                    else waiting[n - len(items) - 1][1])
+            if n < 2 or last.txn is not txn:
+                return None
+        else:
+            n = 0
+            for last in items:
+                n += 1
+                if last.is_last:
+                    break
+            else:
+                if not waiting:
+                    return None
+                last = waiting[0][1]
+                n += 1
+            if not (last.is_last and last.txn is txn and len(waiting) < 2):
+                return None
+            if target.open_responses != 1:
+                now = self.sim._now
+                release = now if waiting else fifo.released_ps
+                if release + fifo.turnaround_ps \
+                        < now + cycles * n * self.clock.period_ps:
+                    return None
         run = []
-        for _ in range(len(fifo._items) + len(waiting)):
+        for _ in range(n):
             run.append(fifo.try_get())
         return run
 

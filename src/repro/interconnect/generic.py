@@ -271,7 +271,7 @@ class GenericFabric(Fabric):
             run = None
             if take_run is not None and not item.is_last \
                     and (len(fifo._items) > 1 or fifo._put_waiters):
-                run = take_run(target, item)
+                run = take_run(target, item, cycles)
             if run is None:
                 n = 1
                 taken = fifo.try_get()

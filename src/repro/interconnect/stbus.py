@@ -91,8 +91,8 @@ class StbusNode(GenericFabric):
         """Shaped/out-of-order packets may interleave beats (Type 3)."""
         return self.spec.response_interleave
 
-    def _take_run(self, target: TargetPort,
-                  beat: ResponseBeat) -> Optional[List[ResponseBeat]]:
+    def _take_run(self, target: TargetPort, beat: ResponseBeat,
+                  cycles: int) -> Optional[List[ResponseBeat]]:
         """LT: every buffered beat of the in-flight packet, whatever else
         is open.  Measured rather than proved (within the LT accuracy
         gate, pinned by the LT tests), unlike :meth:`Fabric._take_run`."""

@@ -176,10 +176,11 @@ class OnChipMemory(Component):
                     self.beats_served.value += k
                     if self._energy is not None:
                         self._charge_beats(txn, k)
-                    for offset in range(k):
-                        i = index + offset
-                        fifo.try_put(ResponseBeat(txn, index=i,
-                                                  is_last=i == beats - 1))
+                    run = []
+                    for i in range(index, index + k):
+                        run.append(ResponseBeat(txn, index=i,
+                                                is_last=i == beats - 1))
+                    fifo.put_run(run)  # k beats fit: stored now
                     if k > 1:
                         self.sim._lt_fastforwards += k - 1
                     index += k

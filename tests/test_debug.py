@@ -38,6 +38,19 @@ class TestDiagnose:
         assert "req_work" in text
         assert "FULL" not in text
 
+    def test_counts_a_put_run_as_one_blocked_producer(self):
+        sim = Simulator(resolution="lt")
+        root = Component(sim, "root")
+        root.fifo = Fifo(sim, 2, name="packet")
+
+        def relay():
+            yield root.fifo.put_run(list(range(5)))
+
+        root.process(relay(), name="relay")
+        sim.run(until=1_000)
+        assert "packet: FULL [3 item(s) held by 1 blocked put(s)]" \
+            in diagnose(root)
+
     def test_deadlocked_process_shows_no_scheduled_wake(self, sim):
         root = Component(sim, "root")
         root.fifo = Fifo(sim, 1, name="wedge")

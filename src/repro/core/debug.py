@@ -73,6 +73,35 @@ def _wake_time(event: Event, table: Dict[int, int]) -> Optional[int]:
     return None
 
 
+def _schedules(sim: Simulator, fifos: List[Fifo]) -> Dict[int, Fifo]:
+    """FIFOs with a :meth:`Fifo.put_schedule` pending, keyed by ``id()``
+    of the release event their producer waits on: the given ones, and
+    those a queued schedule timer advances (a port FIFO is often no
+    component attribute)."""
+    owners = list(fifos)
+    for _when, _priority, _sequence, event in sim._queue:
+        for callback in event.callbacks or ():
+            owner = getattr(callback, "__self__", None)
+            if isinstance(owner, Fifo):
+                owners.append(owner)
+    return {id(fifo._schedule_release): fifo for fifo in owners
+            if fifo._schedule_release is not None}
+
+
+def _schedule_note(fifo: Fifo) -> str:
+    """What is left of a FIFO's pending schedule, and when it next acts."""
+    pending = fifo._scheduled
+    if pending:
+        return (f" [{len(pending)} item(s) scheduled, "
+                f"next at t={pending[0][0]} ps]")
+    stores = fifo.store_instants
+    if fifo._schedule_release is not None and stores \
+            and stores[-1] > fifo.sim._now:
+        return (f" [claimed by a response run, releases at "
+                f"t={stores[-1]} ps]")
+    return ""
+
+
 def diagnose(root: Component) -> str:
     """A human-readable stall report for ``root``'s component tree.
 
@@ -80,13 +109,17 @@ def diagnose(root: Component) -> str:
     ("no scheduled wake" is the deadlock signature); a process ticking
     through a stall on :meth:`Clock.edge_until` shows since when and the
     edge it will re-check on, one sleeping through it on
-    :meth:`Clock.edge_after` since when and the signal that ends it.
-    Every FIFO shows its high-water mark so undersized buffers stand out
-    even after they drained.
+    :meth:`Clock.edge_after` since when and the signal that ends it; a
+    producer waiting on a :meth:`Fifo.put_schedule`, the schedule that
+    releases it.  Every FIFO shows what is left of its pending schedule
+    and its high-water mark, so undersized buffers stand out even after
+    they drained.
     """
     lines = [f"stall diagnosis of {root.path!r} at t={root.sim.now} ps",
              f"event queue: {'empty' if root.sim.peek() is None else 'non-empty'}"]
     wakes = _scheduled_wakes(root.sim)
+    schedules = _schedules(root.sim, [fifo for component in root.iter_tree()
+                                      for fifo in _fifos_of(component)])
     for component in root.iter_tree():
         entries = []
         for proc in component.processes:
@@ -99,7 +132,12 @@ def diagnose(root: Component) -> str:
             when = _wake_time(target, wakes)
             stalled = isinstance(target, _STALL_WAITS) and (
                 f"stalled since t={target.since} ps on {target.clock.name}")
-            if when is None and isinstance(target, SignalStall):
+            schedule = schedules.get(id(target))
+            if schedule is not None:
+                # Live: the schedule's own timer or a take advances it.
+                fate = (f"released by the schedule of {schedule.name}"
+                        f"{_schedule_note(schedule)}")
+            elif when is None and isinstance(target, SignalStall):
                 # Live, not lost: whatever unblocks the channel notifies
                 # the signal.
                 fate = f"{stalled}, waiting for {target.signal.name}"
@@ -123,6 +161,7 @@ def diagnose(root: Component) -> str:
                             f"{producers} blocked put(s)]")
             if fifo._get_waiters:
                 waiters += f" [{len(fifo._get_waiters)} blocked get(s)]"
+            waiters += _schedule_note(fifo)
             entries.append(f"    fifo {fifo.name}: {state}{waiters} "
                            f"high_water={fifo.high_water}")
         if entries:

@@ -80,6 +80,18 @@ class Fifo(Generic[T]):
         #: next store, when it declares one (``LightweightBridge``); 0
         #: proves nothing.
         self.turnaround_ps = 0
+        #: LT: the items of a pending :meth:`put_schedule` that are neither
+        #: stored nor claimed yet, head first, as ``(instant, item)``.  Kept
+        #: out of ``snapshot_state``, like :attr:`released_ps`: a resume
+        #: re-executes the run, schedules included.
+        self._scheduled: Deque[Tuple[int, T]] = deque()
+        #: LT: the event a pending schedule fires once it is released;
+        #: ``None`` when none is pending.
+        self._schedule_release: Optional[Event] = None
+        #: LT: when each item of the latest schedule was stored, in item
+        #: order (a claimed item: its scheduled instant, so the schedule
+        #: is released at the last entry).
+        self.store_instants: List[int] = []
         #: Invariant checker, captured once at construction (select-once
         #: discipline; ``None`` outside a ``repro.check.checked()`` session).
         self._checks = getattr(sim, "_checks", None)
@@ -186,6 +198,43 @@ class Fifo(Generic[T]):
         waiters.append((event, items[-1]))
         return event
 
+    def put_schedule(self, items: List[T],
+                     instants: List[int]) -> Optional[Event]:
+        """LT: store ``items[i]`` at ``instants[i]``, or as soon after as a
+        slot frees, in order: what a producer does that loops ``wait until
+        the instant; put`` over them, with one pooled timer at a time in
+        place of a process resume per item.
+
+        :attr:`store_instants` records when each item was stored.  Returns
+        ``None`` when every item was stored at once, otherwise the event
+        that fires once the last one is (or, when a response run claimed
+        the tail, at the tail's last instant).  A run may claim the items
+        still pending (:meth:`claim_scheduled`): they are never stored.
+        """
+        if self._put_done is None:
+            raise RuntimeError(
+                f"{self.name}: put_schedule is loosely timed only")
+        if self._schedule_release is not None:
+            raise RuntimeError(f"{self.name}: a schedule is already pending")
+        self.store_instants = []
+        self._scheduled.extend(zip(instants, items))
+        release = self._schedule_release = Event(self.sim,
+                                                 name=self._put_name)
+        self._advance_schedule()
+        return release if self._schedule_release is release else None
+
+    def claim_scheduled(self) -> List[T]:
+        """LT: take every pending item of the schedule without storing it,
+        recording its instant as its store; the schedule is then released
+        at the last of them.  Only a response run that proved beat-by-beat
+        streaming would store each at its instant may claim
+        (``Fabric._claim_schedule``)."""
+        scheduled = self._scheduled
+        self.store_instants.extend(instant for instant, _item in scheduled)
+        items = [item for _instant, item in scheduled]
+        scheduled.clear()
+        return items
+
     # ------------------------------------------------------------------
     # non-blocking access
     # ------------------------------------------------------------------
@@ -242,6 +291,48 @@ class Fifo(Generic[T]):
         if self._put_waiters:
             self._admit_waiting_puts()
         return item
+
+    def _advance_schedule(self, _timer: Optional[Event] = None) -> None:
+        """Store the pending schedule's items that are due, then wait: on
+        a timer for the next instant, or as a blocked put when the FIFO is
+        full.  The decisions, and the instants the timers are armed at,
+        are the ones a ``timeout; put`` loop makes."""
+        sim = self.sim
+        now = sim._now
+        scheduled = self._scheduled
+        while scheduled:
+            instant, item = scheduled[0]
+            if instant > now:
+                sim.pooled_timeout(instant - now, name=self._put_name
+                                   ).callbacks.append(self._advance_schedule)
+                return
+            scheduled.popleft()
+            if len(self._items) >= self.capacity or self._put_waiters:
+                admitted = Event(sim, name=self._put_name)
+                admitted.callbacks.append(self._schedule_admitted)
+                self._put_waiters.append((admitted, item))
+                return
+            self.store_instants.append(now)
+            # (A stored item may wake a response run that claims the rest:
+            # the loop then finds nothing pending.)
+            self._store(item)
+        stores = self.store_instants
+        if stores and stores[-1] > now:
+            # A run claimed the tail: release at its last instant.
+            sim.pooled_timeout(stores[-1] - now, name=self._put_name
+                               ).callbacks.append(self._advance_schedule)
+            return
+        self.released_ps = now
+        release = self._schedule_release
+        self._schedule_release = None
+        # Resume the producer right here, as the loop would continue after
+        # its last put: not queued behind other inline work.
+        release._value = None
+        release._run_callbacks()
+
+    def _schedule_admitted(self, _admitted: Event) -> None:
+        self.store_instants.append(self.sim._now)
+        self._advance_schedule()
 
     def _bounds_violation(self, kind: str, level: int) -> None:
         """Cold path: an occupancy bound was broken.  The public API makes

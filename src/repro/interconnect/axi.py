@@ -54,6 +54,9 @@ class AxiFabric(GenericFabric):
     #: latency and fails the LT gate.
     lt_stall_same_edge = False
 
+    #: R streams in its own body, which crosses no claimed run.
+    _claims_schedules = False
+
     def __init__(self, sim: Simulator, name: str, clock: Clock,
                  data_width_bytes: int = 4,
                  arbiter: Optional[Arbiter] = None,

@@ -189,6 +189,15 @@ class TargetPort:
         return f"<TargetPort {self.name} {self.address_range}>"
 
 
+class ClaimedRun(list):
+    """A response run that claimed scheduled beats
+    (:meth:`Fabric._claim_schedule`): it crosses the channel in ``edges``
+    bus cycles, the stalls before late beats included, and its head beat
+    ends its crossing at ``first_ps``."""
+
+    __slots__ = ("edges", "first_ps")
+
+
 class Fabric(Component):
     """Shared base of every fabric model.
 
@@ -214,6 +223,11 @@ class Fabric(Component):
     #: beat, whatever else is buffered (AHB: the layer is held by its
     #: transaction; the channel engine: ``not spec.response_interleave``).
     _packet_atomic = True
+
+    #: The response body crosses a :class:`ClaimedRun` in its ``edges``:
+    #: the channel engine's does, AHB's data phase does not (no platform
+    #: puts a scheduling producer behind it).
+    _claims_schedules = False
 
     def __init__(self, sim: Simulator, name: str, clock: Clock,
                  data_width_bytes: int = 4,
@@ -410,9 +424,15 @@ class Fabric(Component):
           no other response-producing transaction is open at ``target``,
           or the producer's turnaround bound keeps its next store past
           the step's end.
+
+        While the FIFO's :meth:`~repro.core.fifo.Fifo.put_schedule` is
+        pending its producer is not released, so only
+        :meth:`_claim_schedule` may take a run.
         """
         txn = beat.txn
         fifo = target.response_fifo
+        if fifo._scheduled:
+            return self._claim_schedule(target, beat, cycles)
         items = fifo._items
         if not ((self._packet_atomic or len(self.targets) == 1)
                 and items[0] is beat and "beat_sink" not in txn.meta):
@@ -452,17 +472,85 @@ class Fabric(Component):
             run.append(fifo.try_get())
         return run
 
+    def _claim_schedule(self, target: TargetPort, beat: ResponseBeat,
+                        cycles: int) -> Optional[ClaimedRun]:
+        """LT: take ``beat`` (the head of ``target``'s response FIFO) with
+        the rest of its packet, buffered or still pending in the FIFO's
+        :meth:`~repro.core.fifo.Fifo.put_schedule`, to cross as one step
+        that ends where streaming would: beat *j* at ``e_j = max(e_{j-1},
+        wake(r_j)) + cycles * period``, ``wake(r)`` being ``r`` on a bus
+        edge and the next edge otherwise.  Claimed beats are never stored.
+
+        ``None`` unless streaming would store each claimed beat at its
+        instant and could not be told apart (docs/FAST_SIM.md, step 3):
+        :meth:`_take_run`'s common conditions and a same-edge wake; the
+        FIFO and schedule hold this packet only, up to its last beat, and
+        all of it fits; and no store from outside the packet can land
+        before the run ends, as no other response-producing transaction
+        is open at ``target`` and the fabric's one initiator port has one
+        credit, held by this packet's transaction.
+        """
+        fifo = target.response_fifo
+        items = fifo._items
+        pending = fifo._scheduled
+        txn = beat.txn
+        if not (self._claims_schedules and self.lt_stall_same_edge
+                and (self._packet_atomic or len(self.targets) == 1)
+                and items[0] is beat and "beat_sink" not in txn.meta
+                and target.open_responses == 1 and len(self.initiators) == 1
+                and self.initiators[0].max_outstanding == 1
+                and not fifo._put_waiters
+                and len(items) + len(pending) <= fifo.capacity
+                and pending[-1][1].is_last):
+            return None
+        for item in items:
+            if item.txn is not txn:
+                return None
+        for _instant, item in pending:
+            if item.txn is not txn:
+                return None
+        # Edge arithmetic inlined: the hot path calls no Clock accessor.
+        clock = self.clock
+        period = clock.period_ps
+        phase = clock.phase_ps
+        now = self.sim._now
+        cross = cycles * period
+        # The head crosses as ``clk.edges(cycles)`` from now; the buffered
+        # beats follow back to back.
+        if now < phase:
+            first = phase + cross - period
+        else:
+            first = now - (now - phase) % period + cross
+        end = first + cross * (len(items) - 1)
+        for instant, _item in pending:
+            if instant < phase:
+                wake = phase
+            else:
+                wake = instant + (phase - instant) % period
+            if wake > end:
+                end = wake
+            end += cross
+        run = ClaimedRun()
+        run.edges = cycles + (end - first) // period
+        run.first_ps = first
+        for _ in range(len(items)):
+            run.append(fifo.try_get())
+        run.extend(fifo.claim_scheduled())
+        return run
+
     def _deliver_run(self, run: List[ResponseBeat],
                      cycles: int) -> ResponseBeat:
-        """End of a ``cycles``-per-beat response run: back-annotate the
-        first-data instant beat-by-beat streaming stamps, deliver the beats
-        in order and return the last."""
+        """End of a ``cycles``-per-beat response run: stamp the first-data
+        instant beat-by-beat streaming stamps (back-annotated, or the one a
+        :class:`ClaimedRun` computed), deliver the beats in order and
+        return the last."""
         sim = self.sim
         sim._lt_fastforwards += len(run) - 1
         txn = run[0].txn
         if txn.t_first_data is None:
-            txn.t_first_data = (sim._now
-                                - cycles * (len(run) - 1) * self.clock.period_ps)
+            txn.t_first_data = (
+                run.first_ps if run.__class__ is ClaimedRun else
+                sim._now - cycles * (len(run) - 1) * self.clock.period_ps)
         for beat in run:
             self.deliver_beat(beat)
         return beat

@@ -53,7 +53,7 @@ from ..core.events import _PENDING
 from ..core.kernel import Simulator
 from ..core.statistics import ChannelUtilization
 from .arbiter import Arbiter, MessageArbiter, MessageLockStall
-from .base import Fabric, TargetPort
+from .base import ClaimedRun, Fabric, TargetPort
 from .protocols import ProtocolSpec, get_spec
 from .types import ResponseBeat, Transaction
 
@@ -68,6 +68,9 @@ class GenericFabric(Fabric):
     #: The ``ProtocolSpec.engine`` value this class serves; subclasses
     #: that instantiate the channels differently name their own.
     engine = "generic"
+
+    #: Its response body crosses a :class:`~repro.interconnect.base.ClaimedRun`.
+    _claims_schedules = True
 
     #: Arbitration rounds a message lock may stall a request channel
     #: before it is forcibly broken (bounded message atomicity).
@@ -270,16 +273,20 @@ class GenericFabric(Fabric):
                 -(-item.txn.beat_bytes // width) + overhead)
             run = None
             if take_run is not None and not item.is_last \
-                    and (len(fifo._items) > 1 or fifo._put_waiters):
+                    and (len(fifo._items) > 1 or fifo._put_waiters
+                         or fifo._scheduled):
                 run = take_run(target, item, cycles)
             if run is None:
                 n = 1
                 taken = fifo.try_get()
                 if taken is not item:  # pragma: no cover - single consumer
                     raise RuntimeError("response FIFO raced")
+                step = cycles
             else:
                 n = len(run)
-            yield clk.edges(cycles * n)
+                step = (run.edges if run.__class__ is ClaimedRun
+                        else cycles * n)
+            yield clk.edges(step)
             channel.busy_ps += cycles * n * clk.period_ps
             channel.transfers += n
             if run is None:

@@ -93,10 +93,16 @@ class StbusNode(GenericFabric):
 
     def _take_run(self, target: TargetPort, beat: ResponseBeat,
                   cycles: int) -> Optional[List[ResponseBeat]]:
-        """LT: every buffered beat of the in-flight packet, whatever else
-        is open.  Measured rather than proved (within the LT accuracy
-        gate, pinned by the LT tests), unlike :meth:`Fabric._take_run`."""
+        """LT: the packet's scheduled beats when the exact claim holds
+        (:meth:`Fabric._claim_schedule`); otherwise every buffered beat of
+        the in-flight packet, whatever else is open.  The latter is
+        measured rather than proved (within the LT accuracy gate, pinned
+        by the LT tests), unlike :meth:`Fabric._take_run`."""
         fifo = target.response_fifo
+        if fifo._scheduled:
+            claimed = self._claim_schedule(target, beat, cycles)
+            if claimed is not None:
+                return claimed
         beats = fifo._items
         txn = beat.txn
         n = 1

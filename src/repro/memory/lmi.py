@@ -294,27 +294,42 @@ class LmiController(Component):
                     elif txn.ev_done._value is _PENDING:
                         txn.complete(sim._now)
                 continue
+            # Every beat surfaces at its exact device-window instant in both
+            # modes: the LMI scheduler's row-hit/merge decisions depend on
+            # request *arrival* times, so bunching beats (and thereby
+            # shifting when initiators issue their next request) would
+            # compound into visible execution-time drift.
             step = max(0, last_data - first_data) // bus_beats
+            if lt:
+                # LT commits the group as one schedule, at those instants,
+                # and sleeps until its release (docs/FAST_SIM.md).
+                beats = []
+                for txn in group:
+                    last = txn.beats - 1
+                    for index in range(txn.beats):
+                        beats.append(ResponseBeat(txn, index=index,
+                                                  is_last=index == last))
+                start = first_data + back
+                release = out.put_schedule(
+                    beats, [start + n * step for n in range(bus_beats)])
+                sim._lt_fastforwards += bus_beats
+                if release is not None:
+                    yield release
+                stores = out.store_instants
+                end = -1
+                for txn in group:
+                    end += txn.beats
+                    if txn.t_accepted is not None:
+                        self.read_latency.add(stores[end] - txn.t_accepted)
+                continue
             beat_no = 0
             for txn in group:
                 for index in range(txn.beats):
-                    # Every beat surfaces at its exact device-window instant
-                    # in both modes: the LMI scheduler's row-hit/merge
-                    # decisions depend on request *arrival* times, so
-                    # bunching beats (and thereby shifting when initiators
-                    # issue their next request) would compound into visible
-                    # execution-time drift.  LT only skips the put handshake
-                    # when the FIFO has room — a pure same-timestamp saving
-                    # (docs/FAST_SIM.md).
                     ready = first_data + beat_no * step + back
                     if ready > sim._now:
                         yield sim.timeout(ready - sim._now)
-                    beat = ResponseBeat(txn, index=index,
-                                        is_last=index == txn.beats - 1)
-                    if lt and out.try_put(beat):
-                        sim._lt_fastforwards += 1
-                    else:
-                        yield out.put(beat)
+                    yield out.put(ResponseBeat(txn, index=index,
+                                               is_last=index == txn.beats - 1))
                     beat_no += 1
                 if txn.t_accepted is not None:
                     self.read_latency.add(sim._now - txn.t_accepted)

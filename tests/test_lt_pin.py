@@ -20,6 +20,7 @@ each marked *events only* or *result changed*, with::
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,16 @@ SEED_MAX_PS = 10**9
 
 #: ``seed digest-prefix processed_events`` per line.
 SEEDS_FILE = Path(__file__).with_name("lt_pin_seeds.txt")
+
+#: Its "Measured effect" table quotes pinned LT event counts.
+FAST_SIM = Path(__file__).resolve().parent.parent / "docs" / "FAST_SIM.md"
+
+#: The table rows that name a pinned configuration without a figure.
+QUICK_ROWS = {
+    "quick (stbus/distributed, on-chip)": "quick_config",
+    "quick + two-phase IPs": "quick_two_phase",
+    "quick + central crossbar": "quick_crossbar",
+}
 
 #: name -> (sha256 of the sorted-key JSON of ``result_to_dict``,
 #: ``processed_events``).
@@ -74,7 +85,7 @@ PINNED = {
         4805),
     "fig5_collapsed_axi": (
         "fcf8fed43ad78c339b95e9dbfe931fa9f3e91cf5ce7c9bf82165d15014e3fe0c",
-        4569),
+        3188),
     "fig5_distributed_stbus": (
         "111b9d22499a6b3a44e523ea29f8b43c3589bb2adb9d7857326b1ca68970908e",
         4217),
@@ -191,6 +202,30 @@ def test_random_seeds_are_bit_identical():
     moved = _changed_seeds()
     assert not moved, "LT runs moved on seeds: " + ", ".join(
         f"{seed} ({change})" for seed, _old, _new, change in moved)
+
+
+def _measured_effect():
+    """``{pinned name: LT events}`` of the rows of FAST_SIM.md's
+    "Measured effect" table that name a pinned configuration."""
+    section = FAST_SIM.read_text().split("\n## Measured effect", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    quoted = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 5 or not cells[2].replace(" ", "").isdigit():
+            continue
+        figure = re.fullmatch(r"(fig\d) `(\w+)` \(scale [\d.]+\)", cells[0])
+        name = (f"{figure[1]}_{figure[2]}" if figure
+                else QUICK_ROWS.get(cells[0]))
+        if name in PINNED:
+            quoted[name] = int(cells[2].replace(" ", ""))
+    return quoted
+
+
+def test_fast_sim_quotes_the_pinned_lt_events():
+    quoted = _measured_effect()
+    assert len(quoted) == 10, sorted(quoted)
+    assert quoted == {name: PINNED[name][1] for name in quoted}
 
 
 def test_pinned_seeds_cover_every_protocol():

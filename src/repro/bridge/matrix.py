@@ -63,13 +63,6 @@ class BridgePlan:
     split_capable: bool
     steps: Tuple[ConversionStep, ...]
 
-    @property
-    def bridge_cls(self) -> type:
-        """Split-capable plans run the GenConv machinery (multiple
-        outstanding children, cut-through relay); blocking plans the
-        lightweight store-and-forward one."""
-        return GenConvBridge if self.split_capable else LightweightBridge
-
     def describe(self) -> str:
         """One line per step, for docs/CLI output."""
         head = (f"{self.source} -> {self.dest} "

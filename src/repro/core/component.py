@@ -61,18 +61,6 @@ class Component:
         for child in self.children:
             yield from child.iter_tree()
 
-    def find(self, path: str) -> "Component":
-        """Look up a descendant by dotted relative path."""
-        node: Component = self
-        for part in path.split("."):
-            for child in node.children:
-                if child.name == part:
-                    node = child
-                    break
-            else:
-                raise KeyError(f"no component {part!r} under {node.path!r}")
-        return node
-
     # ------------------------------------------------------------------
     # checkpoint state protocol
     # ------------------------------------------------------------------

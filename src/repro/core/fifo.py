@@ -114,11 +114,6 @@ class Fifo(Generic[T]):
     def is_full(self) -> bool:
         return len(self._items) >= self.capacity
 
-    @property
-    def free(self) -> int:
-        """Number of free slots."""
-        return self.capacity - len(self._items)
-
     def peek(self) -> T:
         """The item ``get`` would return next (FIFO is not modified)."""
         if not self._items:

@@ -50,11 +50,6 @@ class Semaphore:
         """Tokens currently free."""
         return self._tokens
 
-    @property
-    def in_use(self) -> int:
-        """Tokens currently held (bounded semaphores only)."""
-        return self._capacity - self._tokens
-
     def acquire(self) -> Event:
         """Event completing once a token has been granted."""
         if self._tokens > 0 and not self._waiters:

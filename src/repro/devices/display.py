@@ -124,10 +124,5 @@ class DisplayController(Component):
 
     # ------------------------------------------------------------------
     @property
-    def underrun_rate(self) -> float:
-        shown = self.lines_displayed.value
-        return self.underruns.value / shown if shown else 0.0
-
-    @property
     def worst_margin_ps(self) -> int:
         return min(self.margins_ps) if self.margins_ps else 0

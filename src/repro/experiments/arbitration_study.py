@@ -16,84 +16,51 @@ steering bandwidth by ticket share.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..core.kernel import Simulator
-from ..interconnect.arbiter import (
-    FixedPriority,
-    LeastRecentlyGranted,
-    RoundRobin,
-    WeightedLottery,
-)
-from ..interconnect.stbus import StbusNode
-from ..interconnect.types import AddressRange, StbusType
-from ..memory.onchip import OnChipMemory
 from ..obs.export import format_table
-from ..sweep import parallel_map
-from ..traffic.iptg import Iptg, IptgPhase
-from ..traffic.patterns import Fixed, Sequential
-from .common import claim
+from ..platforms.config import PlatformConfig
+from ..platforms.netlist import NetEntry
+from .common import claim, run_configs
 
 _REGION = 1 << 16
 
-
-def _make_arbiters():
-    return {
-        "fixed_priority": FixedPriority(),
-        "round_robin": RoundRobin(),
-        "lru": LeastRecentlyGranted(),
-        "lottery": WeightedLottery(seed=7),
-    }
+#: The compared arbiters, by their netlist names.
+POLICIES = ("fixed_priority", "round_robin", "lru", "lottery")
 
 
-def _run_policy(arbiter, initiators: int, transactions: int) -> Dict:
-    sim = Simulator()
-    clk = sim.clock(freq_mhz=200, name="clk")
-    node = StbusNode(sim, "node", clk, data_width_bytes=4,
-                     bus_type=StbusType.T2, arbiter=arbiter,
-                     message_arbitration=False)
-    port = node.add_target("mem", AddressRange(0, _REGION * initiators),
-                           request_depth=2, response_depth=4)
-    OnChipMemory(sim, "mem", port, clk, wait_states=1, width_bytes=4)
-    iptgs = []
-    for i in range(initiators):
-        phase = IptgPhase(
-            transactions=transactions,
-            burst_beats=Fixed(8), beat_bytes=4,
-            idle_cycles=Fixed(0), read_fraction=1.0,
-            # Higher index = higher hard-wired priority.
-            priority=i,
-            address_pattern=Sequential(i * _REGION, _REGION))
-        ip = node.connect_initiator(f"ip{i}", max_outstanding=2)
-        iptgs.append(Iptg(sim, f"ip{i}", ip, [phase], seed=20 + i))
-    finish = {}
-    sim.all_of([ip.done for ip in iptgs]).add_callback(
-        lambda _e: finish.update(ps=sim.now))
-    sim.run(until=1_000_000_000_000)
-    if "ps" not in finish:
-        raise RuntimeError("arbitration study run did not finish")
-    latencies = [ip.mean_latency_ps() for ip in iptgs]
-    return {
-        "execution_ps": finish["ps"],
-        "mean_latency_per_ip": latencies,
-        "spread": max(latencies) / max(1.0, min(latencies)),
-    }
-
-
-def _policy_job(payload: Tuple[str, int, int]) -> Dict:
-    """Picklable worker: the arbiter is rebuilt by name inside the job."""
-    name, initiators, transactions = payload
-    return _run_policy(_make_arbiters()[name], initiators, transactions)
+def policy_config(policy: str, initiators: int,
+                  transactions: int) -> PlatformConfig:
+    """``initiators`` back-to-back burst readers on one STBus Type-2 node
+    arbitrated by ``policy``, all reading one 1-wait-state memory.  A
+    higher initiator index carries a higher hard-wired priority."""
+    return PlatformConfig(netlist=(
+        NetEntry.of("fabric", "node", arbiter=policy,
+                    message_arbitration=False),
+        NetEntry.of("onchip", "mem", fabric="node", base=0,
+                    span=_REGION * initiators, request_depth=2,
+                    response_depth=4),
+        *(NetEntry.of("iptg", f"ip{i}", fabric="node", base=i * _REGION,
+                      span=_REGION, transactions=transactions, seed=20 + i,
+                      priority=i, max_outstanding=2)
+          for i in range(initiators))))
 
 
 def run(initiators: int = 6, transactions: int = 40,
         jobs: Optional[int] = None) -> Dict:
     """Run every policy on the same saturated many-to-one workload."""
-    names = list(_make_arbiters())
-    results = parallel_map(
-        _policy_job, [(name, initiators, transactions) for name in names],
-        jobs=jobs)
-    return dict(zip(names, results))
+    results = run_configs([policy_config(policy, initiators, transactions)
+                           for policy in POLICIES], jobs=jobs)
+    data = {}
+    for policy, result in zip(POLICIES, results):
+        latencies = [result.extra[f"ip{i}.mean_latency_ps"]
+                     for i in range(initiators)]
+        data[policy] = {
+            "execution_ps": result.execution_time_ps,
+            "mean_latency_per_ip": latencies,
+            "spread": max(latencies) / max(1.0, min(latencies)),
+        }
+    return data
 
 
 def report(data: Dict) -> str:

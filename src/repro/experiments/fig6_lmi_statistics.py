@@ -19,17 +19,16 @@ controller."
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from dataclasses import replace
 from typing import Dict, List, Optional
 
-from dataclasses import replace
-
-from ..core.kernel import Simulator
-from ..obs import STATE_FULL, STATE_IDLE, STATE_STORING, Capture
+from ..obs import STATE_FULL, STATE_IDLE, STATE_STORING, capture
 from ..obs.export import breakdown_chart
 from ..platforms.config import TwoPhaseSpec, reference_clusters
 from ..platforms.loader import config_from_dict, config_to_dict
 from ..platforms.variants import instance, lmi_memory
-from ..sweep import Run, parallel_map
+from ..sweep import Run, _pool_map, capture_active, default_jobs
 from .common import claim
 
 
@@ -58,37 +57,36 @@ def _moderated_clusters(idle_scale: int, phase_time_ns: int = 60_000):
     return tuple(clusters)
 
 
-def _monitor_report(document: Dict) -> Dict:
-    """Worker body: run one config and return its LMI FIFO phase report.
-
-    Takes the serialised config document (not the dataclass) so the job
-    can cross a process boundary through the loader round trip.  The
-    interface probe exists only under a capture: the ambient one of
-    ``repro stats``, or one attached here (a pool worker has none).
-    """
-    sim = Simulator()
-    if sim._spans is None:
-        Capture().attach(sim)
-    run = Run(config_from_dict(document), sim=sim)
-    run.finish()
-    return run.platform.monitor.report()
+def _interface_report(document: Dict) -> Dict:
+    """One config's per-phase LMI interface report.  The probe exists
+    only under a capture: the ambient one of ``repro stats``, or one
+    opened here (a pool worker has none)."""
+    with nullcontext() if capture_active() else capture():
+        point = Run(config_from_dict(document))
+    point.finish()
+    return point.platform.monitor.report()
 
 
 def run(traffic_scale: float = 1.0, idle_scale: int = 26,
         jobs: Optional[int] = None) -> Dict:
-    """Run the two-phase full STBus platform and the full AHB comparison."""
+    """Run the two-phase full STBus platform and the full AHB comparison,
+    on the sweep pool when ``jobs`` > 1 and no capture is active."""
     memory = lmi_memory()
     two_phase = TwoPhaseSpec(fraction=0.7, idle_multiplier=1.2, burst_run=40)
     clusters = _moderated_clusters(idle_scale)
-    stbus_cfg = instance("stbus", "distributed", memory, clusters=clusters,
-                         traffic_scale=traffic_scale, two_phase=two_phase)
-    ahb_cfg = instance("ahb", "distributed", memory, clusters=clusters,
-                       traffic_scale=traffic_scale, two_phase=two_phase)
-    reports = parallel_map(
-        _monitor_report,
-        [config_to_dict(stbus_cfg), config_to_dict(ahb_cfg)],
-        jobs=jobs)
-    return {"stbus": reports[0], "ahb": reports[1]}
+    protocols = ("stbus", "ahb")
+    documents = [config_to_dict(instance(
+        protocol, "distributed", memory, clusters=clusters,
+        traffic_scale=traffic_scale, two_phase=two_phase))
+        for protocol in protocols]
+    jobs = default_jobs() if jobs is None else jobs
+    reports = None
+    if jobs > 1 and not capture_active():
+        reports = _pool_map(_interface_report, documents, jobs,
+                            timeout_s=None)
+    if reports is None:
+        reports = [_interface_report(document) for document in documents]
+    return dict(zip(protocols, reports))
 
 
 def report(data: Dict) -> str:

@@ -19,93 +19,57 @@ for pushing complexity to the boundaries.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..bridge.genconv import GenConvBridge
-from ..bridge.lightweight import LightweightBridge
-from ..core.kernel import Simulator
-from ..interconnect.stbus import StbusNode
-from ..interconnect.types import AddressRange, StbusType
-from ..memory.onchip import OnChipMemory
 from ..obs.export import format_table
-from ..sweep import parallel_map
-from .common import claim
-
-_BRIDGE_KINDS = {"lightweight": LightweightBridge, "genconv": GenConvBridge}
+from ..platforms.config import PlatformConfig
+from ..platforms.netlist import NetEntry
+from .common import claim, run_configs
 
 _SPAN = 1 << 20
 
-
-def build_chain(sim: Simulator, hops: int, bridge_cls,
-                wait_states: int = 2, crossing_cycles: int = 2):
-    """``hops`` bridges in series: node0 -> br -> node1 -> ... -> memory.
-
-    Returns ``(first_node, memory)``; initiators attach to the first node.
-    """
-    nodes = []
-    for i in range(hops + 1):
-        clock = sim.clock(freq_mhz=250, name=f"chain{i}.clk")
-        nodes.append(StbusNode(sim, f"chain{i}", clock, data_width_bytes=8,
-                               bus_type=StbusType.T3))
-    window = AddressRange(0, _SPAN)
-    for i in range(hops):
-        bridge_cls(sim, f"hop{i}", nodes[i], nodes[i + 1], window,
-                   crossing_cycles=crossing_cycles)
-    port = nodes[-1].add_target("mem", window, request_depth=2,
-                                response_depth=4)
-    memory = OnChipMemory(sim, "mem", port, nodes[-1].clock,
-                          wait_states=wait_states, width_bytes=8)
-    return nodes[0], memory
+_BRIDGE_KINDS = ("lightweight", "genconv")
 
 
-def _run_chain(hops: int, bridge_cls, initiators: int = 2,
-               transactions: int = 20) -> Dict:
-    from ..traffic.iptg import Iptg, IptgPhase
-    from ..traffic.patterns import Fixed, Sequential
-
-    sim = Simulator()
-    first, __ = build_chain(sim, hops, bridge_cls)
-    iptgs = []
-    for i in range(initiators):
-        base = i * (_SPAN // initiators)
-        phase = IptgPhase(transactions=transactions, burst_beats=Fixed(8),
-                          beat_bytes=8, idle_cycles=Fixed(0),
-                          read_fraction=1.0,
-                          address_pattern=Sequential(base,
-                                                     _SPAN // initiators))
-        port = first.connect_initiator(f"ip{i}", max_outstanding=4)
-        iptgs.append(Iptg(sim, f"ip{i}", port, [phase], seed=4 + i))
-    finish = {}
-    sim.all_of([ip.done for ip in iptgs]).add_callback(
-        lambda _e: finish.update(ps=sim.now))
-    sim.run(until=1_000_000_000_000)
-    if "ps" not in finish:
-        raise RuntimeError(f"chain with {hops} hops did not finish")
-    latencies = [lat for ip in iptgs for lat in
-                 (t.latency_ps for t in ip.transactions)]
-    return {"execution_ps": finish["ps"],
-            "mean_latency_ps": sum(latencies) / len(latencies)}
-
-
-def _chain_job(payload: Tuple[int, str, int]) -> Dict:
-    """Picklable worker: the bridge class is rebuilt by kind name."""
-    hops, kind, transactions = payload
-    return _run_chain(hops, _BRIDGE_KINDS[kind], transactions=transactions)
+def chain_config(hops: int, bridge: str, transactions: int = 20,
+                 initiators: int = 2) -> PlatformConfig:
+    """``hops`` bridges of kind ``bridge`` in series, node ``chain0`` ->
+    ``hop0`` -> ``chain1`` -> ... -> a 2-wait-state memory, with
+    ``initiators`` pipelined burst readers on ``chain0``."""
+    netlist = [NetEntry.of("fabric", f"chain{i}", freq_mhz=250,
+                           width_bytes=8, stbus_type=3)
+               for i in range(hops + 1)]
+    netlist.extend(
+        NetEntry.of("bridge", f"hop{i}", source=f"chain{i}",
+                    dest=f"chain{i + 1}", base=0, span=_SPAN,
+                    split=bridge == "genconv")
+        for i in range(hops))
+    netlist.append(NetEntry.of("onchip", "mem", fabric=f"chain{hops}",
+                               base=0, span=_SPAN, wait_states=2,
+                               request_depth=2, response_depth=4))
+    window = _SPAN // initiators
+    netlist.extend(
+        NetEntry.of("iptg", f"ip{i}", fabric="chain0", base=i * window,
+                    span=window, transactions=transactions, seed=4 + i)
+        for i in range(initiators))
+    return PlatformConfig(netlist=tuple(netlist))
 
 
 def run(max_hops: int = 3, transactions: int = 20,
         jobs: Optional[int] = None) -> Dict:
     """Sweep hop count for both bridge kinds."""
-    plan = [(hops, kind, transactions) for hops in range(max_hops + 1)
-            for kind in ("lightweight", "genconv")]
-    results = parallel_map(_chain_job, plan, jobs=jobs)
+    results = iter(run_configs(
+        [chain_config(hops, kind, transactions)
+         for hops in range(max_hops + 1) for kind in _BRIDGE_KINDS],
+        jobs=jobs))
     series = []
-    for index in range(max_hops + 1):
-        series.append({
-            "hops": index,
-            "lightweight": results[2 * index],
-            "genconv": results[2 * index + 1],
-        })
+    for hops in range(max_hops + 1):
+        point = {"hops": hops}
+        for kind in _BRIDGE_KINDS:
+            result = next(results)
+            point[kind] = {"execution_ps": result.execution_time_ps,
+                           "mean_latency_ps": result.mean_latency_ps}
+        series.append(point)
     return {"series": series}
 
 

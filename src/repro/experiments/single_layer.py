@@ -18,93 +18,40 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..core.kernel import Simulator
-from ..interconnect.types import AddressRange, StbusType
-from ..memory.onchip import OnChipMemory
 from ..obs.export import format_table
-from ..platforms.reference import make_fabric
-from ..platforms.result import RunResult, summarize_transactions
-from ..sweep import parallel_map
-from ..traffic.iptg import Iptg, IptgPhase
-from ..traffic.patterns import Fixed, Sequential
-from .common import claim
+from ..platforms.config import PlatformConfig
+from ..platforms.netlist import NetEntry
+from ..platforms.result import RunResult
+from .common import claim, run_configs
 
 _REGION = 1 << 16
 
 
-def build_single_layer(protocol: str, initiators: int, targets: int,
-                       wait_states: int = 1, response_depth: int = 2,
-                       request_depth: int = 1,
-                       transactions: int = 60, burst_beats: int = 8,
-                       idle_cycles: int = 0, read_fraction: float = 0.7,
-                       freq_mhz: float = 200.0, width_bytes: int = 4,
-                       stbus_type: StbusType = StbusType.T2,
-                       max_outstanding: int = 4, seed: int = 3):
-    """One shared layer with ``initiators`` IPTGs and ``targets`` memories.
-
-    Returns ``(sim, fabric, iptgs)`` ready to run.  The STBus instance
-    defaults to Type 2 — split and pipelined, but with packet-atomic
-    response delivery, which is what makes target-side prefetch buffering
-    matter (Type 3's shaped packets can interleave and need it less).
-    """
-    sim = Simulator()
-    if protocol == "stbus-xbar":
-        from ..interconnect.crossbar import StbusCrossbar
-
-        clock = sim.clock(freq_mhz=freq_mhz, name="layer.clk")
-        fabric = StbusCrossbar(sim, "layer", clock,
-                               data_width_bytes=width_bytes,
-                               bus_type=stbus_type)
-    else:
-        fabric = make_fabric(sim, "layer", protocol, freq_mhz, width_bytes,
-                             stbus_type)
+def layer_config(protocol: str, initiators: int, targets: int,
+                 wait_states: int = 1, response_depth: int = 2,
+                 request_depth: int = 1, transactions: int = 60,
+                 idle_cycles: int = 0, read_fraction: float = 0.7,
+                 max_outstanding: int = 4) -> PlatformConfig:
+    """One shared 200 MHz, 32-bit ``layer`` with ``initiators`` IPTGs and
+    ``targets`` memories.  The STBus node is Type 2: split and pipelined,
+    but packet-atomic responses make target-side prefetch buffering
+    matter (Type 3's shaped packets interleave and need it less)."""
+    netlist = [NetEntry.of("fabric", "layer", protocol=protocol)]
     for t in range(targets):
-        base = t * (_REGION * initiators)
-        port = fabric.add_target(
-            f"mem{t}", AddressRange(base, _REGION * initiators),
-            request_depth=request_depth, response_depth=response_depth)
-        OnChipMemory(sim, f"mem{t}", port, fabric.clock,
-                     wait_states=wait_states, width_bytes=width_bytes)
-    iptgs = []
+        netlist.append(NetEntry.of(
+            "onchip", f"mem{t}", fabric="layer",
+            base=t * (_REGION * initiators),
+            span=_REGION * initiators, wait_states=wait_states,
+            request_depth=request_depth, response_depth=response_depth))
     for i in range(initiators):
-        # Interleave initiators across targets so the pattern is genuinely
-        # many-to-many (initiator i's stream walks "its" region of target
-        # i % targets).
-        target_index = i % targets
-        base = target_index * (_REGION * initiators) + \
+        # Initiator i streams through "its" region of target i % targets.
+        base = (i % targets) * (_REGION * initiators) + \
             (i // targets) * _REGION
-        phase = IptgPhase(
-            transactions=transactions,
-            burst_beats=Fixed(burst_beats),
-            beat_bytes=width_bytes,
-            idle_cycles=Fixed(idle_cycles),
-            read_fraction=read_fraction,
-            address_pattern=Sequential(base, _REGION),
-        )
-        port = fabric.connect_initiator(f"ip{i}",
-                                        max_outstanding=max_outstanding)
-        iptgs.append(Iptg(sim, f"ip{i}", port, [phase], address_base=base,
-                          address_span=_REGION, seed=seed + i))
-    return sim, fabric, iptgs
-
-
-def _run_layer_job(kwargs: Dict) -> RunResult:
-    """Picklable worker wrapper so layer runs can fan out across processes."""
-    return _run_layer(**kwargs)
-
-
-def _run_layer(**kwargs) -> RunResult:
-    protocol = kwargs.pop("protocol")
-    sim, fabric, iptgs = build_single_layer(protocol, **kwargs)
-    finish = {"ps": None}
-    done = sim.all_of([ip.done for ip in iptgs])
-    done.add_callback(lambda _e: finish.update(ps=sim.now))
-    sim.run(until=500_000_000_000)
-    if finish["ps"] is None:
-        raise RuntimeError(f"single-layer {protocol} did not finish")
-    txns = [t for ip in iptgs for t in ip.transactions]
-    return summarize_transactions(protocol, finish["ps"], txns,
-                                  utilization=fabric.utilization_report())
+        netlist.append(NetEntry.of(
+            "iptg", f"ip{i}", fabric="layer", base=base, span=_REGION,
+            transactions=transactions, seed=3 + i, idle_cycles=idle_cycles,
+            read_fraction=read_fraction, max_outstanding=max_outstanding))
+    return PlatformConfig(netlist=tuple(netlist))
 
 
 # ----------------------------------------------------------------------
@@ -130,19 +77,18 @@ def run_many_to_many(initiators: int = 8, targets: int = 4,
                   read_fraction=read_fraction,
                   max_outstanding=max_outstanding)
     # Every independent layer run in one flat fan-out, regrouped below.
-    plan = [dict(protocol=protocol, idle_cycles=idle, response_depth=2,
-                 request_depth=1, **common)
+    plan = [layer_config(protocol, idle_cycles=idle, **common)
             for idle in idle_sweep for protocol in ("ahb", "stbus", "axi")]
     depths = ((1, 1), (2, 2), (4, 4), (8, 8))
-    plan.extend(dict(protocol="stbus", idle_cycles=idle_sweep[-1],
-                     response_depth=response_depth,
-                     request_depth=request_depth, **common)
+    plan.extend(layer_config("stbus", idle_cycles=idle_sweep[-1],
+                             response_depth=response_depth,
+                             request_depth=request_depth, **common)
                 for request_depth, response_depth in depths)
     # The crossbar instance of the same node: per-flow physical paths
     # remove the shared-channel contention altogether.
-    plan.append(dict(protocol="stbus-xbar", idle_cycles=idle_sweep[-1],
-                     response_depth=2, request_depth=1, **common))
-    results = parallel_map(_run_layer_job, plan, jobs=jobs)
+    plan.append(layer_config("stbus-xbar", idle_cycles=idle_sweep[-1],
+                             **common))
+    results = run_configs(plan, jobs=jobs)
     rows = []
     cursor = iter(results)
     for idle in idle_sweep:
@@ -228,18 +174,17 @@ def run_many_to_one(initiators: int = 8, transactions: int = 60,
                     jobs: Optional[int] = None) -> Dict:
     """All initiators hammer one 1-wait-state memory with burst reads."""
     protocols = ("ahb", "stbus", "axi")
-    runs = parallel_map(
-        _run_layer_job,
-        [dict(protocol=protocol, initiators=initiators, targets=1,
-              transactions=transactions, idle_cycles=0, read_fraction=1.0,
-              wait_states=1, response_depth=2) for protocol in protocols],
+    runs = run_configs(
+        [layer_config(protocol, initiators, targets=1,
+                      transactions=transactions, read_fraction=1.0)
+         for protocol in protocols],
         jobs=jobs)
     return {"results": dict(zip(protocols, runs))}
 
 
 def _response_efficiency(result: RunResult) -> float:
     """Utilisation of the read-data return channel."""
-    for key in ("response", "r", "bus"):
+    for key in ("layer.response", "layer.r", "layer.bus"):
         if key in result.utilization:
             return result.utilization[key]
     raise KeyError(f"no response channel in {sorted(result.utilization)}")

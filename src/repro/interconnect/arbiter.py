@@ -148,11 +148,6 @@ class MessageArbiter(Arbiter):
         self._locked_key: Optional[object] = None
         self._locked_message: Optional[int] = None
 
-    @property
-    def locked(self) -> bool:
-        """True while a message lock is in force."""
-        return self._locked_key is not None
-
     def break_lock(self) -> None:
         """Forcibly release the message lock.
 

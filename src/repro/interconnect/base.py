@@ -324,13 +324,6 @@ class Fabric(Component):
     #: initiator, like a real interconnect's default-slave.
     decode_error_policy = "raise"
 
-    def route(self, address: int) -> TargetPort:
-        """Decode ``address`` to the owning target port."""
-        target = self.try_route(address)
-        if target is None:
-            raise FabricError(f"{self.name}: no target decodes {address:#x}")
-        return target
-
     def try_route(self, address: int) -> Optional[TargetPort]:
         """Decode ``address``; ``None`` when nothing claims it."""
         # Inlined AddressRange.contains(): decode runs per request *and*

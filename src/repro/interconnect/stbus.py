@@ -77,19 +77,9 @@ class StbusNode(GenericFabric):
     # feature gates
     # ------------------------------------------------------------------
     @property
-    def supports_split(self) -> bool:
-        """Split transactions free the request path during target latency."""
-        return self.spec.split
-
-    @property
     def posted_writes(self) -> bool:
         """Posted writes complete at target acceptance (Type >= 2)."""
         return self.spec.posted_writes
-
-    @property
-    def interleave_responses(self) -> bool:
-        """Shaped/out-of-order packets may interleave beats (Type 3)."""
-        return self.spec.response_interleave
 
     def _take_run(self, target: TargetPort, beat: ResponseBeat,
                   cycles: int) -> Optional[List[ResponseBeat]]:

@@ -57,10 +57,6 @@ class SdramTiming:
                 f"inconsistent timings: tRC ({self.t_rc}) < "
                 f"tRAS + tRP ({self.t_ras + self.t_rp})")
 
-    @property
-    def is_ddr(self) -> bool:
-        return self.beats_per_clock == 2
-
     def scaled(self, **overrides) -> "SdramTiming":
         """A copy with selected parameters replaced (for sweeps)."""
         return replace(self, **overrides)

@@ -225,10 +225,6 @@ class EnergyAccountant:
         for fn in self._finalizers:
             fn(now_ps)
 
-    @property
-    def finalized(self) -> bool:
-        return self._finalized_at is not None
-
     # ------------------------------------------------------------------
     # queries (reporting grain: pJ floats)
     # ------------------------------------------------------------------

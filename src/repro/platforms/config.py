@@ -17,12 +17,17 @@ Architectural variants (Section 3.2) are configuration changes:
   actors attached to the central cluster" — taken to the limit, every
   cluster collapses onto the central node);
 * ``memory.kind``— on-chip shared memory vs LMI + off-chip DDR SDRAM.
+
+A configuration may instead carry a ``netlist`` of
+:class:`~repro.platforms.netlist.NetEntry` components, built in list
+order, and no reference topology (the single-layer, arbitration,
+segmentation and I/O studies).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..interconnect.protocols import platform_protocols
 from ..interconnect.types import StbusType
@@ -200,6 +205,9 @@ class PlatformConfig:
     #: in sweep cache keys and checkpoint digests like every other knob.
     energy: EnergyConfig = field(default_factory=EnergyConfig)
     seed: int = 1
+    #: Hand-placed components built in list order instead of the
+    #: reference template; () = the reference template.
+    netlist: Tuple["NetEntry", ...] = ()
 
     def __post_init__(self) -> None:
         if self.protocol not in platform_protocols():
@@ -212,7 +220,11 @@ class PlatformConfig:
             raise ValueError(f"unknown resolution {self.resolution!r}")
         if self.traffic_scale <= 0:
             raise ValueError("traffic_scale must be positive")
-        if not self.clusters:
+        if self.netlist:
+            from .netlist import check_netlist  # netlist.py builds on this
+
+            check_netlist(self.netlist)
+        elif not self.clusters:
             object.__setattr__(self, "clusters", reference_clusters())
 
     @property
@@ -228,6 +240,8 @@ class PlatformConfig:
 
     def label(self) -> str:
         """Short instance name used in figures, e.g. ``stbus/distributed``."""
+        if self.netlist:
+            return "netlist"
         return f"{self.protocol}/{self.topology}"
 
 

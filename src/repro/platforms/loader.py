@@ -23,6 +23,21 @@ Schema (all sections optional; omitted fields keep their defaults)::
                   "message_packets": 2, "pattern": "seq"}]}
       ]
     }
+
+A *netlist* document places components by hand, built in list order
+(which fixes same-instant event order); beside ``netlist`` it may carry
+only ``resolution`` and ``energy``.  Each kind's keys and defaults are
+:data:`~repro.platforms.netlist.NETLIST_SCHEMA`; ``fabric``, ``source``
+and ``dest`` name a fabric declared earlier, names are unique, every
+value is checked against its key (addresses are integers >= 0, spans
+and counts >= 1), and the target windows of ``onchip``, ``lmi`` and
+``bridge`` entries do not overlap on one fabric::
+
+    {"netlist": [{"kind": "fabric", "name": "node", "arbiter": "lru"},
+                 {"kind": "onchip", "name": "mem", "fabric": "node",
+                  "base": 0, "span": 65536},
+                 {"kind": "iptg", "name": "ip0", "fabric": "node",
+                  "base": 0, "span": 65536, "transactions": 40, "seed": 20}]}
 """
 
 from __future__ import annotations
@@ -30,7 +45,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, Tuple, Union
 
 from ..interconnect.types import StbusType
 from ..memory.lmi import LmiConfig
@@ -44,139 +59,153 @@ from .config import (
     PlatformConfig,
     TwoPhaseSpec,
 )
+from .netlist import NetEntry
 
 
 class ConfigError(ValueError):
     """A malformed platform configuration document."""
 
 
-def _take(data: Dict[str, Any], cls, context: str) -> Dict[str, Any]:
-    """Validate that ``data``'s keys are fields of dataclass ``cls``."""
+def _object(data: Any, context: str) -> Dict[str, Any]:
+    """A copy of ``data``, which must be a JSON object."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{context}: must be an object, not {data!r}")
+    return dict(data)
+
+
+def _make(cls, data: Any, context: str):
+    """``cls(**data)`` for a JSON object ``data`` of ``cls`` fields."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{context}: must be an object, not {data!r}")
     allowed = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(
             f"{context}: unknown keys {sorted(unknown)}; "
             f"allowed: {sorted(allowed)}")
-    return data
+    return cls(**data)
 
 
-def _ip_from_dict(data: Dict[str, Any]) -> IpSpec:
-    return IpSpec(**_take(dict(data), IpSpec, f"ip {data.get('name')!r}"))
+def _clusters_from_list(clusters: Any) -> Tuple[ClusterSpec, ...]:
+    parsed = []
+    for data in clusters:
+        payload = _object(data, "clusters entry")
+        context = f"cluster {payload.get('name')!r}"
+        ips = payload.pop("ips", [])
+        if not isinstance(ips, list) or not ips:
+            raise ConfigError(f"{context}: needs an 'ips' list")
+        payload["ips"] = tuple([_make(IpSpec, ip, f"{context}: ip")
+                                for ip in ips])
+        if "stbus_type" in payload:
+            payload["stbus_type"] = StbusType(payload["stbus_type"])
+        parsed.append(_make(ClusterSpec, payload, context))
+    return tuple(parsed)
 
 
-def _cluster_from_dict(data: Dict[str, Any]) -> ClusterSpec:
-    payload = dict(data)
-    ips = payload.pop("ips", [])
-    if not isinstance(ips, list) or not ips:
-        raise ConfigError(f"cluster {data.get('name')!r}: needs an 'ips' list")
-    payload["ips"] = tuple(_ip_from_dict(ip) for ip in ips)
-    if "stbus_type" in payload:
-        payload["stbus_type"] = StbusType(payload["stbus_type"])
-    return ClusterSpec(**_take(payload, ClusterSpec,
-                               f"cluster {data.get('name')!r}"))
+def _preset(value: Any, presets: Dict[str, Any], cls, context: str):
+    """A named preset or an object of ``cls`` fields."""
+    if isinstance(value, str):
+        if value not in presets:
+            raise ConfigError(f"{context}: unknown preset {value!r}; "
+                              f"choose from {sorted(presets)}")
+        return presets[value]
+    return _make(cls, value, context)
 
 
-def _memory_from_dict(data: Dict[str, Any]) -> MemoryConfig:
-    payload = dict(data)
+def _memory_from_dict(data: Any) -> MemoryConfig:
+    payload = _object(data, "memory")
     if "lmi" in payload:
-        payload["lmi"] = LmiConfig(**_take(dict(payload["lmi"]), LmiConfig,
-                                           "memory.lmi"))
+        payload["lmi"] = _make(LmiConfig, payload["lmi"], "memory.lmi")
     if "sdram" in payload:
-        sdram = payload["sdram"]
-        if isinstance(sdram, str):
-            if sdram not in TIMING_PRESETS:
-                raise ConfigError(f"memory.sdram: unknown preset {sdram!r}; "
-                                  f"choose from {sorted(TIMING_PRESETS)}")
-            payload["sdram"] = TIMING_PRESETS[sdram]
-        else:
-            payload["sdram"] = SdramTiming(**_take(dict(sdram), SdramTiming,
-                                                   "memory.sdram"))
-    return MemoryConfig(**_take(payload, MemoryConfig, "memory"))
+        payload["sdram"] = _preset(payload["sdram"], TIMING_PRESETS,
+                                   SdramTiming, "memory.sdram")
+    return _make(MemoryConfig, payload, "memory")
 
 
-def _energy_from_dict(data: Dict[str, Any]) -> EnergyConfig:
-    payload = dict(data)
+def _energy_from_dict(data: Any) -> EnergyConfig:
+    payload = _object(data, "energy")
     if "sdram" in payload:
-        sdram = payload["sdram"]
-        if isinstance(sdram, str):
-            if sdram not in ENERGY_PRESETS:
-                raise ConfigError(f"energy.sdram: unknown preset {sdram!r}; "
-                                  f"choose from {sorted(ENERGY_PRESETS)}")
-            payload["sdram"] = ENERGY_PRESETS[sdram]
-        else:
-            payload["sdram"] = SdramEnergy(**_take(dict(sdram), SdramEnergy,
-                                                   "energy.sdram"))
-    return EnergyConfig(**_take(payload, EnergyConfig, "energy"))
+        payload["sdram"] = _preset(payload["sdram"], ENERGY_PRESETS,
+                                   SdramEnergy, "energy.sdram")
+    return _make(EnergyConfig, payload, "energy")
+
+
+def _netlist(entries: Any) -> Tuple[NetEntry, ...]:
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError("netlist: must be a non-empty list of entries")
+    return tuple([NetEntry.of(**_object(entry, "netlist entry"))
+                  for entry in entries])
+
+
+#: The top-level keys a netlist document may carry beside ``netlist``;
+#: every other key describes the reference topology.
+NETLIST_KEYS = frozenset({"netlist", "resolution", "energy"})
+
+#: Top-level section -> its parser, or the dataclass it holds.
+_SECTIONS = {
+    "clusters": _clusters_from_list,
+    "memory": _memory_from_dict,
+    "energy": _energy_from_dict,
+    "cpu": CpuConfig,
+    "two_phase": TwoPhaseSpec,
+    "central_stbus_type": StbusType,
+    "netlist": _netlist,
+}
 
 
 def config_from_dict(document: Dict[str, Any]) -> PlatformConfig:
-    """Build a :class:`PlatformConfig` from a parsed JSON document."""
+    """Build a :class:`PlatformConfig` from a parsed JSON document; any
+    malformed section is a :class:`ConfigError` that names it."""
     payload = dict(document)
-    if "clusters" in payload:
-        payload["clusters"] = tuple(_cluster_from_dict(c)
-                                    for c in payload["clusters"])
-    if "memory" in payload:
-        payload["memory"] = _memory_from_dict(payload["memory"])
-    if "energy" in payload:
-        payload["energy"] = _energy_from_dict(payload["energy"])
-    if "cpu" in payload:
-        payload["cpu"] = CpuConfig(**_take(dict(payload["cpu"]), CpuConfig,
-                                           "cpu"))
-    if "two_phase" in payload and payload["two_phase"] is not None:
-        payload["two_phase"] = TwoPhaseSpec(
-            **_take(dict(payload["two_phase"]), TwoPhaseSpec, "two_phase"))
-    if "central_stbus_type" in payload:
-        payload["central_stbus_type"] = StbusType(
-            payload["central_stbus_type"])
+    if "netlist" in payload and set(payload) - NETLIST_KEYS:
+        raise ConfigError(
+            f"netlist: cannot be combined with reference-topology keys "
+            f"{sorted(set(payload) - NETLIST_KEYS)}")
+    section = "platform"
     try:
-        return PlatformConfig(**_take(payload, PlatformConfig, "platform"))
-    except TypeError as exc:  # pragma: no cover - _take catches key issues
-        raise ConfigError(str(exc)) from exc
+        for section, parse in _SECTIONS.items():
+            value = payload.get(section)
+            if section not in payload or parse is TwoPhaseSpec \
+                    and value is None:
+                continue  # absent, or a single-phase lifetime
+            payload[section] = _make(parse, value, section) \
+                if dataclasses.is_dataclass(parse) else parse(value)
+        section = "platform"
+        return _make(PlatformConfig, payload, section)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def config_to_dict(config: PlatformConfig) -> Dict[str, Any]:
-    """Serialise a :class:`PlatformConfig` to a JSON-compatible dict."""
-    def convert(value):
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            return {k: convert(v)
-                    for k, v in dataclasses.asdict(value).items()}
-        if isinstance(value, StbusType):
-            return int(value)
-        if isinstance(value, tuple):
-            return [convert(v) for v in value]
-        return value
-
-    result: Dict[str, Any] = {}
-    for field in dataclasses.fields(config):
-        value = getattr(config, field.name)
-        if isinstance(value, tuple):
-            result[field.name] = [config_to_dict_item(v) for v in value]
-        elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-            result[field.name] = convert(value)
-        elif isinstance(value, StbusType):
-            result[field.name] = int(value)
-        else:
-            result[field.name] = value
-    return result
+    """Serialise a :class:`PlatformConfig` to a JSON-compatible dict; a
+    netlist platform has no reference-topology keys."""
+    document = _plain(config)
+    del document["netlist"]
+    if config.netlist:
+        document = {key: value for key, value in document.items()
+                    if key in NETLIST_KEYS}
+        document["netlist"] = [{"kind": entry.kind, "name": entry.name,
+                                **dict(entry.params)}
+                               for entry in config.netlist]
+    return document
 
 
-def config_to_dict_item(value) -> Any:
-    """Serialise one nested dataclass (cluster/ip) recursively."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        out = {}
-        for field in dataclasses.fields(value):
-            item = getattr(value, field.name)
-            if isinstance(item, tuple):
-                out[field.name] = [config_to_dict_item(v) for v in item]
-            elif isinstance(item, StbusType):
-                out[field.name] = int(item)
-            elif dataclasses.is_dataclass(item) and not isinstance(item, type):
-                out[field.name] = config_to_dict_item(item)
-            else:
-                out[field.name] = item
-        return out
-    return value
+def _plain(value: Any) -> Dict[str, Any]:
+    """A dataclass as JSON types (dicts, lists, ints for enums)."""
+    out = {}
+    for field in dataclasses.fields(value):
+        item = getattr(value, field.name)
+        if isinstance(item, tuple):
+            item = [_plain(entry) if dataclasses.is_dataclass(entry)
+                    else entry for entry in item]
+        elif isinstance(item, StbusType):
+            item = int(item)
+        elif dataclasses.is_dataclass(item) and not isinstance(item, type):
+            item = _plain(item)
+        out[field.name] = item
+    return out
 
 
 def read_document(path: Union[str, Path], what: str) -> Dict[str, Any]:

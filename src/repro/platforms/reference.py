@@ -17,8 +17,10 @@ from ..core.kernel import Simulator
 from ..cpu.benchmark import BenchmarkConfig, SyntheticBenchmark
 from ..cpu.st220 import St220Core
 from ..interconnect.ahb import AhbLayer
+from ..interconnect.arbiter import Arbiter
 from ..interconnect.axi import AxiFabric
 from ..interconnect.base import Fabric, TargetPort
+from ..interconnect.crossbar import StbusCrossbar
 from ..interconnect.generic import GenericFabric
 from ..interconnect.protocols import PROTOCOLS
 from ..interconnect.stbus import StbusNode
@@ -51,14 +53,16 @@ _IP_REGION = 1 << 20
 def make_fabric(sim: Simulator, name: str, protocol: str, freq_mhz: float,
                 width_bytes: int, stbus_type: StbusType,
                 message_arbitration: bool = True,
-                parent: Optional[Component] = None) -> Fabric:
-    """Instantiate one interconnect layer of the requested protocol."""
+                parent: Optional[Component] = None,
+                arbiter: Optional[Arbiter] = None) -> Fabric:
+    """Instantiate one interconnect layer of the requested protocol
+    (``stbus-xbar``: the crossbar instance of the STBus node)."""
     clock = sim.clock(freq_mhz=freq_mhz, name=f"{name}.clk")
-    if protocol == "stbus":
-        return StbusNode(sim, name, clock, data_width_bytes=width_bytes,
-                         bus_type=stbus_type,
-                         message_arbitration=message_arbitration,
-                         parent=parent)
+    if protocol in ("stbus", "stbus-xbar"):
+        node = StbusCrossbar if protocol == "stbus-xbar" else StbusNode
+        return node(sim, name, clock, data_width_bytes=width_bytes,
+                    bus_type=stbus_type, arbiter=arbiter,
+                    message_arbitration=message_arbitration, parent=parent)
     if protocol == "ahb":
         return AhbLayer(sim, name, clock, data_width_bytes=width_bytes,
                         parent=parent)
@@ -129,21 +133,12 @@ class PlatformInstance(Component):
     # ------------------------------------------------------------------
     def _build(self) -> None:
         cfg = self.config
-        if cfg.central_crossbar and cfg.protocol == "stbus":
-            from ..interconnect.crossbar import StbusCrossbar
-
-            clock = self.sim.clock(freq_mhz=cfg.central_freq_mhz,
-                                   name="central.clk")
-            self.central = StbusCrossbar(
-                self.sim, "central", clock,
-                data_width_bytes=cfg.central_width_bytes,
-                bus_type=cfg.central_stbus_type,
-                message_arbitration=cfg.message_arbitration, parent=self)
-        else:
-            self.central = make_fabric(
-                self.sim, "central", cfg.protocol, cfg.central_freq_mhz,
-                cfg.central_width_bytes, cfg.central_stbus_type,
-                message_arbitration=cfg.message_arbitration, parent=self)
+        crossbar = cfg.central_crossbar and cfg.protocol == "stbus"
+        self.central = make_fabric(
+            self.sim, "central", "stbus-xbar" if crossbar else cfg.protocol,
+            cfg.central_freq_mhz, cfg.central_width_bytes,
+            cfg.central_stbus_type,
+            message_arbitration=cfg.message_arbitration, parent=self)
         self.fabrics["central"] = self.central
         self._build_memory()
         for cluster in cfg.clusters:
@@ -323,11 +318,15 @@ class PlatformInstance(Component):
         if self._prepared:
             return
         self._prepared = True
+        finish = self.sim.all_of(self.done_events())
+        finish.add_callback(self._record_finish)
+
+    def done_events(self) -> List:
+        """The events whose conjunction is the platform's finish."""
         done_events = [iptg.done for iptg in self.iptgs]
         if self.cpu is not None:
             done_events.append(self.cpu.done)
-        finish = self.sim.all_of(done_events)
-        finish.add_callback(self._record_finish)
+        return done_events
 
     def run(self, max_ps: Optional[int] = None) -> RunResult:
         """Simulate to completion and summarise.
@@ -394,5 +393,10 @@ class PlatformInstance(Component):
 
 def build_platform(sim: Simulator, config: PlatformConfig) -> PlatformInstance:
     """Convenience constructor mirroring the paper's flow: configure,
-    elaborate, simulate."""
+    elaborate, simulate.  A netlist configuration is elaborated entry by
+    entry (:mod:`repro.platforms.netlist`)."""
+    if config.netlist:
+        from .netlist import NetlistPlatform
+
+        return NetlistPlatform(sim, config)
     return PlatformInstance(sim, config)

@@ -99,6 +99,10 @@ def golden_configs() -> Dict[str, Tuple[PlatformConfig, int]]:
         # the corpus replay stays fast.
         config = _scaled(config, 0.1)
         entries["example_custom_platform"] = (config, DEFAULT_MAX_PS)
+    netlist = examples / "single_layer_netlist.json"
+    if netlist.is_file():
+        entries["example_single_layer_netlist"] = (load_config(netlist),
+                                                   DEFAULT_MAX_PS)
     sweep_file = examples / "quick_sweep.json"
     if sweep_file.is_file():
         spec = load_sweep(sweep_file)

@@ -34,11 +34,6 @@ through:
     already-simulated configurations.  Because every simulation is
     deterministic, a cache hit is bit-identical to a fresh run.
 
-:func:`parallel_map`
-    The same pool machinery for experiment workloads that are not plain
-    ``PlatformConfig`` runs (single-layer studies, monitor-instrumented
-    runs); falls back to a serial map whenever the work is not picklable.
-
 :func:`load_sweep` / :func:`load_target`
     Parse a ``repro sweep`` specification file — a base platform document
     plus explicit ``points`` and/or a cartesian ``grid`` of dotted-path
@@ -65,7 +60,6 @@ import hashlib
 import itertools
 import json
 import os
-import pickle
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -299,7 +293,7 @@ def default_jobs() -> int:
         return 1
 
 
-def _capture_active() -> bool:
+def capture_active() -> bool:
     """Is an ambient observability capture installed in this process?"""
     return bool(_kernel._new_sim_hooks)
 
@@ -452,7 +446,7 @@ def sweep(configs: Iterable[PlatformConfig],
     # Span recorders attach only to simulators built in this process, and
     # a cache hit would skip simulation entirely — under a capture the
     # sweep runs serially and re-simulates every point.
-    capturing = _capture_active()
+    capturing = capture_active()
 
     keys = [config_key(config, max_ps) for config in configs]
     outcomes: List[Optional[SweepOutcome]] = [None] * len(configs)
@@ -506,35 +500,6 @@ def sweep(configs: Iterable[PlatformConfig],
             events=original.events, sim_time_ps=original.sim_time_ps,
             cached=True)
     return outcomes  # type: ignore[return-value]
-
-
-def parallel_map(fn: Callable[[Any], Any], items: Iterable[Any],
-                 jobs: Optional[int] = None,
-                 timeout_s: Optional[float] = None) -> List[Any]:
-    """Ordered map over ``items``, fanned out when it is safe to do so.
-
-    Runs serially in-process when ``jobs <= 1``, when an observability
-    capture is active, or when ``fn``/``items`` cannot cross a process
-    boundary (pickling failure) — so callers never need a fallback path.
-    """
-    items = list(items)
-    jobs = default_jobs() if jobs is None else max(1, int(jobs))
-    if jobs <= 1 or len(items) <= 1 or _capture_active():
-        return [fn(item) for item in items]
-    # Probe picklability *before* creating a pool: submitting an
-    # unpicklable callable poisons the executor's call queue (the worker
-    # blocks forever on a work item that never arrives), which can
-    # deadlock interpreter shutdown.  An eager check keeps the fallback
-    # decision entirely in this process.
-    try:
-        pickle.dumps(fn)
-        pickle.dumps(items)
-    except Exception:
-        return [fn(item) for item in items]
-    mapped = _pool_map(fn, items, jobs, timeout_s)
-    if mapped is None:
-        return [fn(item) for item in items]
-    return mapped
 
 
 # ----------------------------------------------------------------------

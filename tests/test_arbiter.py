@@ -114,9 +114,9 @@ class TestMessageArbiter:
                txn(message_id=7, message_last=True)]
         other = ("b", txn())
         first = arb.select([("a", msg[0]), other])
-        assert first[0] == "a" and arb.locked
+        assert first[0] == "a" and arb._locked_key is not None
         second = arb.select([("a", msg[1]), other])
-        assert second[0] == "a" and not arb.locked
+        assert second[0] == "a" and arb._locked_key is None
         third = arb.select([("a", txn()), other])
         assert third[0] == "b"  # round robin resumes
 
@@ -136,9 +136,9 @@ class TestMessageArbiter:
         arb = MessageArbiter(RoundRobin(), release_when_absent=True)
         arb.select([("a", txn(message_id=1, message_last=False))])
         assert arb.select([("b", txn())])[0] == "b"
-        assert not arb.locked
+        assert arb._locked_key is None
 
     def test_single_packet_messages_do_not_lock(self):
         arb = MessageArbiter(RoundRobin())
         arb.select([("a", txn(message_id=4, message_last=True))])
-        assert not arb.locked
+        assert arb._locked_key is None

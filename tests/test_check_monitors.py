@@ -241,7 +241,7 @@ class TestProtocolPasses:
         sim, platform, session = run_checked(config)
         assert session.finalize() == []  # T1 runs are legally serial
         checker = session.checkers[0]
-        fabric = next(f for f in checker.fabrics if not f.supports_split
+        fabric = next(f for f in checker.fabrics if not f.spec.split
                       and len(checker._grants.get(f, [])) >= 2)
         # Pretend the first granted transaction completed *after* the
         # second was granted — an overlap a Type 1 node must never allow.

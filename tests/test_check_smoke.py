@@ -57,7 +57,7 @@ def test_energy_accounted_checked_run_is_clean_and_conserves():
     violations = session.finalize()
     assert violations == [], format_report(violations, limit=20)
     accountant = sim._energy
-    assert accountant is not None and accountant.finalized
+    assert accountant is not None and accountant._finalized_at is not None
     assert sum(accountant.component_fj().values()) == accountant.total_fj
     assert result.energy_total_pj > 0
     assert abs(sum(result.energy_pj.values())

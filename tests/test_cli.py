@@ -55,11 +55,32 @@ class TestPlatform:
         header = csv_path.read_text().splitlines()[0]
         assert "execution_time_ps" in header
 
-    def test_bad_config_raises(self, tmp_path):
+    @pytest.mark.parametrize("document,section", [
+        ({"protocol": "nope"}, "platform"),
+        ({"memory": 5}, "memory"),
+        ({"memory": None}, "memory"),
+        ({"memory": {"kind": "dram"}}, "memory"),
+        ({"central_stbus_type": 9}, "central_stbus_type"),
+        ({"clusters": [{"name": "c", "freq_mhz": 100, "data_width_bytes": 4,
+                        "stbus_type": 2, "ips": [1]}]}, "cluster 'c'"),
+        ({"netlist": [{"kind": "fabric", "name": "n"},
+                      {"kind": "lmi", "name": "m", "fabric": "n", "base": 0,
+                       "span": 0}]}, "netlist: lmi 'm'"),
+    ], ids=["protocol", "memory-not-object", "memory-null", "memory-kind",
+            "stbus-type", "ip-not-object", "netlist-zero-span"])
+    def test_malformed_document_is_a_config_error(self, tmp_path, capsys,
+                                                  document, section):
+        """One ``error:`` line naming the section and exit 2 from the
+        CLI; a 400-class submission error from the service parser."""
+        from repro.service.protocol import SubmissionError, parse_submission
+
         path = tmp_path / "bad.json"
-        path.write_text("{\"protocol\": \"pci\"}")
-        with pytest.raises(ValueError):
-            main(["platform", str(path)])
+        path.write_text(json.dumps(document))
+        assert main(["platform", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {section}") and err.count("\n") == 1
+        with pytest.raises(SubmissionError, match=section):
+            parse_submission({"tenant": "t", "config": document})
 
     def test_missing_config_file_exits_cleanly(self, tmp_path, capsys):
         missing = tmp_path / "nosuch.json"

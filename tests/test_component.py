@@ -1,7 +1,5 @@
 """Unit tests for the component hierarchy."""
 
-import pytest
-
 from repro.core import Component
 
 
@@ -26,13 +24,13 @@ class TestHierarchy:
         names = [c.name for c in root.iter_tree()]
         assert names == ["root", "a", "a1", "b"]
 
-    def test_find(self, sim):
+    def test_children_nest(self, sim):
         root = Component(sim, "root")
         a = Component(sim, "a", parent=root)
         a1 = Component(sim, "a1", parent=a)
-        assert root.find("a.a1") is a1
-        with pytest.raises(KeyError):
-            root.find("a.missing")
+        assert root.children == [a] and a.children == [a1]
+        assert list(root.iter_tree()) == [root, a, a1]
+        assert a1.path == "root.a.a1"
 
 
 class TestProcesses:

@@ -118,7 +118,7 @@ class TestDisplayController:
         sim.run(until=100_000_000_000)
         assert display.done.triggered
         assert display.underruns.value > 0
-        assert display.underrun_rate > 0.3
+        assert display.underruns.value > 0.3 * display.lines_displayed.value
         assert display.worst_margin_ps < 0
 
     def test_contention_causes_underruns(self, sim):

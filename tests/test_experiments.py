@@ -5,8 +5,11 @@ we verify the experiment plumbing end to end at reduced traffic so the
 suite stays fast, plus the shape claims that are robust at small scale.
 """
 
+import hashlib
+
 import pytest
 
+from repro.cli import registry
 from repro.experiments import (
     fig3_platform_instances,
     fig4_memory_speed,
@@ -78,6 +81,30 @@ class TestSingleLayerSmoke:
         # Structural integrity of the result dict.
         assert len(data["rows"]) == 2
         assert len(data["buffering_series"]) == 4
+
+
+#: sha256 of ``repro run <name> --scale 0.1``'s report text, as the
+#: hand-wired studies printed it before they became netlist configs.
+REPORT_PINS = {
+    "s411": "d873226194de8d9db5230008ecb51e056fbfb7f591942f51739ab9b8c03e7f8e",
+    "s412": "9cc1f2483a24f4259ed09f858f2177f0520d3e2afdabd99fc71701f99b2c4a8f",
+    "arbitration":
+        "eb517d00b0c7de8974005bf77ee87702188576b592c0fbe2fb45d840fe76a2d4",
+    "segmentation":
+        "22bf8254bf6f6a5829733742218d6cd32c9ad0b13f663319a7beb50e3f241503",
+    "io_qos": "28a25467f3422dd17415750f8b999831326f610d326fc234abd01ee6414a3f61",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_PINS))
+def test_study_report_is_pinned(name, monkeypatch, tmp_path):
+    """The same report from a cold cache and from the cache hit."""
+    monkeypatch.setenv("REPRO_SWEEP_CACHE", str(tmp_path))
+    runner = registry()[name][1]
+    for _pass in ("cold", "warm"):
+        __, text, failures = runner(0.1, 1)
+        assert failures == []
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_PINS[name]
 
 
 class TestFig3Smoke:

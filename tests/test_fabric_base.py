@@ -13,14 +13,13 @@ class TestRouting:
         node = make_node(sim)
         a = node.add_target("a", AddressRange(0x0000, 0x1000))
         b = node.add_target("b", AddressRange(0x1000, 0x1000))
-        assert node.route(0x0800) is a
-        assert node.route(0x1800) is b
+        assert node.try_route(0x0800) is a
+        assert node.try_route(0x1800) is b
 
-    def test_unmapped_address_raises(self, sim):
+    def test_unmapped_address_decodes_to_none(self, sim):
         node = make_node(sim)
         node.add_target("a", AddressRange(0, 0x1000))
-        with pytest.raises(FabricError):
-            node.route(0x9999)
+        assert node.try_route(0x9999) is None
 
     def test_overlapping_ranges_rejected(self, sim):
         node = make_node(sim)

@@ -21,11 +21,11 @@ class TestBasics:
 
     def test_level_and_flags(self, sim):
         fifo = Fifo(sim, 2)
-        assert fifo.is_empty and not fifo.is_full and fifo.free == 2
+        assert fifo.is_empty and not fifo.is_full and fifo.capacity == 2
         fifo.try_put("x")
         assert fifo.level == 1 and len(fifo) == 1
         fifo.try_put("y")
-        assert fifo.is_full and fifo.free == 0
+        assert fifo.is_full and fifo.level == fifo.capacity
         assert not fifo.try_put("z")
 
     def test_try_get_empty_returns_none(self, sim):

@@ -56,6 +56,9 @@ PINNED = {
     "example_custom_platform": (
         "a2a5b92d3cdec65a3c555cfb5aa3f80029380f59dbaba51447c13c3eeead85c2",
         321),
+    "example_single_layer_netlist": (
+        "ad08eef37304207b9daf714676cb569eee80b393682e24a07c6bbc7f6275a1a5",
+        7218),
     "example_sweep_onchip_memory_wait_states1": (
         "2a38d2438e7154269023f1bfeb49fa336b6349e940699846710d3d38f42fcac9",
         2877),

@@ -116,7 +116,7 @@ class TestAccountantUnit:
         accountant.finalize(100)
         accountant.finalize(200)
         assert calls == [100]
-        assert accountant.finalized
+        assert accountant._finalized_at is not None
 
     def test_txn_energy_requires_per_transaction_mode(self):
         plain = EnergyAccountant()
@@ -134,7 +134,7 @@ class TestPlatformConservation:
         platform = build_platform(sim, _enabled(quick_config()))
         result = platform.run(max_ps=10**13)
         accountant = sim._energy
-        assert accountant is not None and accountant.finalized
+        assert accountant is not None and accountant._finalized_at is not None
         assert accountant.total_fj > 0
         assert sum(accountant.component_fj().values()) == accountant.total_fj
         assert result.energy_total_pj == pytest.approx(accountant.total_pj)

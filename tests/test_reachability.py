@@ -66,32 +66,12 @@ ALLOWLIST: Dict[str, Tuple[str, str]] = {
     "core.clock.Clock.next_edge_time": (
         "observer", "tests/test_clock.py::TestEdges::"
                     "test_edges_fire_where_next_edge_time_says"),
-    "core.component.Component.find": (
-        "observer", "tests/test_component.py::TestHierarchy::test_find"),
-    "core.fifo.Fifo.free": (
-        "observer", "tests/test_fifo.py::TestBasics::test_level_and_flags"),
-    "core.sync.Semaphore.in_use": (
-        "observer", "tests/test_sync.py::TestSemaphore::test_initial_tokens"),
-    "interconnect.arbiter.MessageArbiter.locked": (
-        "observer", "tests/test_arbiter.py::TestMessageArbiter::"
-                    "test_locks_until_message_end"),
-    "interconnect.base.Fabric.route": (
-        "observer", "tests/test_fabric_base.py::TestRouting::test_route_by_address"),
-    "interconnect.stbus.StbusNode.supports_split": (
-        "observer", "tests/test_stbus.py::TestTypeFeatureFlags::test_gates"),
-    "interconnect.stbus.StbusNode.interleave_responses": (
-        "observer", "tests/test_stbus.py::TestTypeFeatureFlags::test_gates"),
     "interconnect.types.AddressRange.contains": (
         "observer", "tests/test_types.py::TestAddressRange::test_contains"),
-    "memory.timing.SdramTiming.is_ddr": (
-        "observer", "tests/test_sdram.py::TestTimingParameters::test_ddr_flag"),
     "memory.timing.SdramGeometry.row_bytes": (
         "observer", "tests/test_sdram.py::TestGeometry::test_row_bytes_and_capacity"),
     "memory.timing.SdramGeometry.capacity_bytes": (
         "observer", "tests/test_sdram.py::TestGeometry::test_row_bytes_and_capacity"),
-    "obs.energy.EnergyAccountant.finalized": (
-        "observer", "tests/test_obs_energy.py::TestAccountantUnit::"
-                    "test_finalize_is_idempotent"),
     "obs.energy.EnergyAccountant.component_fj": (
         "observer", "tests/test_obs_energy.py::TestAccountantUnit::"
                     "test_charge_conserves_exactly_in_fj"),

@@ -153,6 +153,27 @@ def test_only_run_elaborates_and_watches_for_the_finish():
         f"ask Run.advance() instead of reading _finish_ps: {finish_reads}"
 
 
+def test_experiments_describe_platforms_and_run_them_through_run():
+    """Every experiment hands configurations to ``Run`` (directly or via
+    ``run_configs``/``sweep``): nothing under ``repro/experiments``
+    builds a ``Simulator``, drives one with ``.run(until=...)`` or keeps
+    a private fan-out (``parallel_map``).  Fig. 6 reads a probe that no
+    ``RunResult`` carries, so its per-point job runs on the sweep pool
+    (``_pool_map``)."""
+    offenders = []
+    for path in sorted((SRC / "experiments").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Call):
+                called = _name(node.func)
+                if called == "Simulator" or called == "run" and any(
+                        keyword.arg == "until" for keyword in node.keywords):
+                    offenders.append(f"{where} {called}(")
+            elif "parallel_map" in (_name(node), getattr(node, "name", None)):
+                offenders.append(f"{where} parallel_map")
+    assert offenders == [], f"run experiments through Run: {offenders}"
+
+
 # ----------------------------------------------------------------------
 # structural invariants: one wire protocol, one statistics store
 # ----------------------------------------------------------------------

@@ -30,7 +30,8 @@ class TestTimingParameters:
             assert timing.t_rc >= timing.t_ras + timing.t_rp
 
     def test_ddr_flag(self):
-        assert DDR_SDRAM.is_ddr and not SDR_SDRAM.is_ddr
+        assert DDR_SDRAM.beats_per_clock == 2
+        assert SDR_SDRAM.beats_per_clock == 1
 
     def test_inconsistent_timing_rejected(self):
         with pytest.raises(ValueError):

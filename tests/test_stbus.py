@@ -177,6 +177,6 @@ class TestTypeFeatureFlags:
     ])
     def test_gates(self, sim, bus_type, split, posted, interleave):
         node = make_node(sim, bus_type=bus_type)
-        assert node.supports_split == split
+        assert node.spec.split == split
         assert node.posted_writes == posted
-        assert node.interleave_responses == interleave
+        assert node.spec.response_interleave == interleave

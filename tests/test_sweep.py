@@ -2,8 +2,8 @@
 
 Covers cache keying, disk-cache hit/miss behaviour, duplicate dedup, the
 serial/pooled determinism guarantee, worker-crash retry, per-job timeouts,
-graceful degradation without multiprocessing, ``parallel_map`` fallbacks,
-the observability-capture interaction and sweep-spec parsing.
+graceful degradation without multiprocessing, the observability-capture
+interaction and sweep-spec parsing.
 """
 
 import json
@@ -24,7 +24,6 @@ from repro.sweep import (
     default_jobs,
     load_sweep,
     load_target,
-    parallel_map,
     parse_sweep,
     result_from_dict,
     result_to_dict,
@@ -35,14 +34,6 @@ QUICK_MAX_PS = 10**13
 
 
 # Worker functions must be module-level so they pickle across the pool.
-def _square(value):
-    return value * value
-
-
-def _pid_probe(_value):
-    return os.getpid()
-
-
 def _crash_always(_value):
     os._exit(3)
 
@@ -341,28 +332,6 @@ class TestPoolResilience:
     def test_job_timeout_raises_sweep_error(self):
         with pytest.raises(SweepError, match="timeout"):
             _pool_map(_sleep_job, [2.0], jobs=2, timeout_s=0.2)
-
-
-class TestParallelMap:
-    def test_serial_when_jobs_is_one(self):
-        assert parallel_map(_square, [3, 1, 2], jobs=1) == [9, 1, 4]
-
-    def test_pooled_preserves_order(self):
-        assert parallel_map(_square, [3, 1, 2], jobs=2) == [9, 1, 4]
-
-    def test_pooled_runs_in_worker_processes(self):
-        pids = parallel_map(_pid_probe, [0, 1], jobs=2)
-        assert all(pid != os.getpid() for pid in pids)
-
-    def test_unpicklable_fn_falls_back_to_serial(self):
-        assert parallel_map(lambda x: x + 1, [1, 2, 3], jobs=2) == [2, 3, 4]
-
-    def test_capture_forces_serial(self):
-        from repro.obs import capture
-
-        with capture():
-            pids = parallel_map(_pid_probe, [0, 1], jobs=2)
-        assert pids == [os.getpid(), os.getpid()]
 
 
 class TestCaptureInteraction:

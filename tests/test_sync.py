@@ -9,7 +9,7 @@ from repro.core.sync import WorkSignal
 class TestSemaphore:
     def test_initial_tokens(self, sim):
         sem = Semaphore(sim, 3)
-        assert sem.available == 3 and sem.in_use == 0
+        assert sem.available == 3
 
     def test_negative_tokens_rejected(self, sim):
         with pytest.raises(ValueError):

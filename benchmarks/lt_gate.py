@@ -39,22 +39,20 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 def measure_reference_speedup():
     """Event ratio and wall-clock speedup of the quick STBus platform."""
-    from repro.core import Simulator
-    from repro.platforms import build_platform, quick_config
+    from repro.platforms import quick_config
+    from repro.sweep import Run
 
     timings = {}
     events = {}
     for resolution in ("ca", "lt"):
         best = float("inf")
         for _ in range(2):
-            sim = Simulator()
-            platform = build_platform(
-                sim, quick_config(resolution=resolution))
+            run = Run(quick_config(resolution=resolution), max_ps=10**13)
             start = time.perf_counter()
-            platform.run(max_ps=10**13)
+            finished = run.finish()
             best = min(best, time.perf_counter() - start)
         timings[resolution] = best
-        events[resolution] = sim.processed_events
+        events[resolution] = finished.events
     event_ratio = events["ca"] / events["lt"]
     wall_ratio = timings["ca"] / timings["lt"] if timings["lt"] else 0.0
     return event_ratio, wall_ratio, events

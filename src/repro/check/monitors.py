@@ -35,9 +35,9 @@ which the historical engines spell ``stbus.split_pairing`` /
 ``stbus.t1_hold`` / ``stbus.posted_write`` / ``stbus.nonposted``,
 ``ahb.pipelining`` / ``ahb.serialization`` / ``ahb.nonposted`` and
 ``axi.handshake`` (``_ENGINE_RULES``); the live beat-ordering rule of
-each protocol (``_BEAT_RULE``: ``stbus.packet_order``, ``ahb.data_order``,
-``axi.id_order``, ...); ``bridge.conservation``, ``fifo.*``,
-``obs.span_tiling``, ``sdram.*``.
+each protocol (``ProtocolSpec.beat_rule``: ``stbus.packet_order``,
+``ahb.data_order``, ``axi.id_order``, ...); ``bridge.conservation``,
+``fifo.*``, ``obs.span_tiling``, ``sdram.*``.
 """
 
 from __future__ import annotations
@@ -53,21 +53,6 @@ from .violations import Violation
 #: non-decreasing (posted writes legally have ``t_done == t_accepted``).
 _STAMP_ORDER = ("t_created", "t_issued", "t_granted", "t_accepted",
                 "t_first_data", "t_done")
-
-#: Rule id for beat-ordering violations, per fabric protocol.  A unique
-#: transaction id is a unique AXI ID / STBus packet, so in-order beats per
-#: transaction *is* the per-ID ordering rule.
-_BEAT_RULE = {
-    "axi": "axi.id_order",
-    "stbus": "stbus.packet_order",
-    "stbus-xbar": "stbus.packet_order",
-    "ahb": "ahb.data_order",
-    "wishbone": "wishbone.ack_order",
-    "apb": "apb.access_order",
-    "axi4lite": "axi4lite.channel_order",
-    "avalon": "avalon.readdata_order",
-    "tilelink": "tilelink.d_order",
-}
 
 #: What :meth:`SimChecker._check_fabric` derives from a spec, in order:
 #: grant/accept pairing per request channel, the end-to-end hold of a
@@ -103,16 +88,6 @@ def _request_channels(fabric) -> List[Tuple[str, Optional[Callable]]]:
                  lambda txn, opcode=opcode: txn.opcode is opcode)
                 for opcode in Opcode]
     return [("", None)]
-
-
-def covered_protocols() -> frozenset:
-    """Protocol labels the checker has a beat-ordering rule for.
-
-    The registry-completeness lint (:mod:`repro.check.registry_lint`)
-    cross-references this against the declarative protocol registry so a
-    new fabric cannot ship without monitor coverage.
-    """
-    return frozenset(_BEAT_RULE)
 
 
 class SimChecker:
@@ -168,9 +143,15 @@ class SimChecker:
         self._accepts.setdefault(fabric, []).append(txn)
 
     def note_beat(self, fabric, beat) -> None:
-        """Live beat legality: direction, per-transaction order, last flag."""
+        """Live beat legality: direction, per-transaction order, last flag.
+
+        Violations carry the fabric spec's ``beat_rule``.  A unique
+        transaction id is a unique AXI ID / STBus packet, so in-order
+        beats per transaction *is* the per-ID ordering rule.
+        """
         txn = beat.txn
-        rule = _BEAT_RULE.get(fabric.protocol, "fabric.beat_order")
+        spec = getattr(fabric, "spec", None)
+        rule = "fabric.beat_order" if spec is None else spec.beat_rule
         component = f"{fabric.name}.{txn.initiator}"
         now = self.sim.now
         if txn.t_done is not None:
@@ -458,4 +439,4 @@ class SimChecker:
                     rule="obs.span_tiling", message=defect, txn=txn))
 
 
-__all__ = ["SimChecker", "covered_protocols"]
+__all__ = ["SimChecker"]

@@ -960,6 +960,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except (SweepError, SnapshotError, RunIncomplete) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        overrun = exc if isinstance(exc, RunIncomplete) else exc.__cause__
+        if isinstance(overrun, RunIncomplete) and overrun.diagnosis:
+            print(overrun.diagnosis, file=sys.stderr)
         return 1
     except BrokenPipeError:
         # Reports are routinely piped into head/less; a closed pipe is

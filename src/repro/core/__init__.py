@@ -22,7 +22,6 @@ from .kernel import MS, NS, US, SimulationError, Simulator
 from .statistics import (
     ChannelUtilization,
     Counter,
-    Gauge,
     LatencySummary,
     PhasedStates,
     TimeWeightedStates,
@@ -39,7 +38,6 @@ __all__ = [
     "Event",
     "EventError",
     "Fifo",
-    "Gauge",
     "LatencySummary",
     "MS",
     "NS",

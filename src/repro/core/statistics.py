@@ -37,38 +37,6 @@ class Counter:
         return f"<Counter {self.name}={self.value}>"
 
 
-class Gauge:
-    """A named instantaneous value with high/low watermark tracking.
-
-    Counters only go up; gauges move both ways (FIFO levels, outstanding
-    transaction counts, credit balances).  The watermarks make transient
-    extremes visible after the fact — a FIFO that momentarily filled is
-    invisible in a time-weighted mean but decisive for sizing it.
-    """
-
-    __slots__ = ("name", "value", "high_water", "low_water")
-
-    def __init__(self, name: str, initial: int = 0) -> None:
-        self.name = name
-        self.value = initial
-        self.high_water = initial
-        self.low_water = initial
-
-    def set(self, value) -> None:
-        self.value = value
-        if value > self.high_water:
-            self.high_water = value
-        elif value < self.low_water:
-            self.low_water = value
-
-    def add(self, delta) -> None:
-        self.set(self.value + delta)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"<Gauge {self.name}={self.value} "
-                f"[{self.low_water}..{self.high_water}]>")
-
-
 class TimeWeightedStates:
     """Integrates the time spent in each of a set of named states.
 

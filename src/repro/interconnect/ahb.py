@@ -29,12 +29,15 @@ from ..core.component import Component
 from ..core.kernel import Simulator
 from .arbiter import Arbiter, MessageLockStall
 from .base import Fabric
+from .protocols import get_spec
 
 
 class AhbLayer(Fabric):
     """A single AHB layer (shared bus, one active transfer at a time)."""
 
     protocol = "ahb"
+    #: The registry row this model serves (monitors, energy, bridges).
+    spec = get_spec("ahb")
 
     def __init__(self, sim: Simulator, name: str, clock: Clock,
                  data_width_bytes: int = 4,

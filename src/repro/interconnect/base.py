@@ -326,8 +326,8 @@ class Fabric(Component):
 
     def try_route(self, address: int) -> Optional[TargetPort]:
         """Decode ``address``; ``None`` when nothing claims it."""
-        # Inlined AddressRange.contains(): decode runs per request *and*
-        # per eligibility scan, so two property frames per probe add up.
+        # base + size, not the ``end`` property: decode runs per request
+        # *and* per eligibility scan, so a property frame per probe adds up.
         for target in self.targets:
             window = target.address_range
             if window.base <= address < window.base + window.size:

@@ -14,9 +14,9 @@ protocol, a registry keyed by spec name, and lookup helpers used by
 * :mod:`repro.bridge.matrix` — the derived N x N bridge matrix
   (spec diff -> store-and-forward conversion plan),
 * :mod:`repro.platforms` — configuration validation and elaboration,
-* :mod:`repro.check` / :mod:`repro.obs.energy` — monitor rule ids and
-  per-beat energy coefficients, cross-checked by the
-  registry-completeness lint (:mod:`repro.check.registry_lint`).
+* :mod:`repro.check` / :mod:`repro.obs.energy` — the beat-ordering rule
+  id (``beat_rule``) and the per-beat energy coefficient (the
+  ``EnergyConfig`` field ``<name>_pj_per_beat``).
 
 STBus T1/T2/T3 and AXI are served by the same engine through classes
 that choose which channels to instantiate (``engine`` names the class);
@@ -38,7 +38,8 @@ Signal = Tuple[str, int, int]
 @dataclass(frozen=True)
 class ProtocolSpec:
     """Everything the generic engine, bridge matrix, monitors and energy
-    model need to know about one bus protocol.
+    model need to know about one bus protocol.  The energy model's
+    coefficient is the ``EnergyConfig`` field ``<name>_pj_per_beat``.
 
     ``engine`` names the class that serves the spec.  ``"generic"`` is
     :class:`~repro.interconnect.generic.GenericFabric` itself — the
@@ -85,11 +86,8 @@ class ProtocolSpec:
     #: Per-beat response handshake overhead cycles (classic Wishbone
     #: ack turnaround).
     resp_overhead_cycles: int = 0
-    #: ``EnergyConfig`` field holding this protocol's pJ-per-beat
-    #: coefficient (the completeness lint verifies the field exists).
-    energy_coefficient: str = "stbus_t2_pj_per_beat"
-    #: Rule id the checker attaches to beat-ordering violations (must
-    #: agree with ``repro.check.monitors``; the lint verifies).
+    #: Rule id the checker attaches to beat-ordering violations
+    #: (:meth:`repro.check.monitors.SimChecker.note_beat` reads it).
     beat_rule: str = "fabric.beat_order"
     #: One-line rationale / reference for docs.
     notes: str = ""
@@ -159,20 +157,14 @@ def get_spec(name: str) -> ProtocolSpec:
 
 
 def spec_for_fabric(fabric) -> ProtocolSpec:
-    """The spec describing a live fabric instance.
-
-    Channel-engine fabrics carry their spec directly; AHB resolves
-    through its protocol label.
-    """
+    """The spec a live fabric instance carries (every fabric class of
+    this package carries one)."""
     spec = getattr(fabric, "spec", None)
-    if spec is not None:
-        return spec
-    protocol = getattr(fabric, "protocol", None)
-    if protocol in PROTOCOLS:
-        return PROTOCOLS[protocol]
-    raise ValueError(f"no registered spec for fabric "
-                     f"{getattr(fabric, 'name', fabric)!r} "
-                     f"(protocol {protocol!r})")
+    if spec is None:
+        raise ValueError(f"no registered spec for fabric "
+                         f"{getattr(fabric, 'name', fabric)!r} "
+                         f"(protocol {getattr(fabric, 'protocol', None)!r})")
+    return spec
 
 
 def platform_protocols() -> Tuple[str, ...]:
@@ -285,7 +277,6 @@ register_protocol(ProtocolSpec(
     channels=("request", "response"), handshake="req/gnt",
     split=False, posted_writes=False, pipelined=False,
     multi_outstanding=False, response_interleave=False, max_burst_beats=0,
-    energy_coefficient="stbus_t1_pj_per_beat",
     beat_rule="stbus.packet_order",
     notes="low cost; the node is held end to end per transaction"))
 
@@ -295,7 +286,6 @@ register_protocol(ProtocolSpec(
     channels=("request", "response"), handshake="req/gnt",
     split=True, posted_writes=True, pipelined=True,
     multi_outstanding=True, response_interleave=False, max_burst_beats=0,
-    energy_coefficient="stbus_t2_pj_per_beat",
     beat_rule="stbus.packet_order",
     notes="split + pipelined, posted writes, packet-atomic responses"))
 
@@ -305,7 +295,6 @@ register_protocol(ProtocolSpec(
     channels=("request", "response"), handshake="req/gnt",
     split=True, posted_writes=True, pipelined=True,
     multi_outstanding=True, response_interleave=True, max_burst_beats=0,
-    energy_coefficient="stbus_t3_pj_per_beat",
     beat_rule="stbus.packet_order",
     notes="adds shaped packets and out-of-order response interleaving"))
 
@@ -315,7 +304,7 @@ register_protocol(ProtocolSpec(
     channels=("bus",), handshake="hbusreq/hgrant + hready",
     split=False, posted_writes=False, pipelined=True,
     multi_outstanding=False, response_interleave=False, max_burst_beats=0,
-    energy_coefficient="ahb_pj_per_beat", beat_rule="ahb.data_order",
+    beat_rule="ahb.data_order",
     notes="single data link, address pipelining, non-posted writes"))
 
 register_protocol(ProtocolSpec(
@@ -324,7 +313,7 @@ register_protocol(ProtocolSpec(
     channels=("ar", "aw", "w", "r", "b"), handshake="valid/ready",
     split=True, posted_writes=False, pipelined=True,
     multi_outstanding=True, response_interleave=True, max_burst_beats=0,
-    energy_coefficient="axi_pj_per_beat", beat_rule="axi.id_order",
+    beat_rule="axi.id_order",
     notes="five independent channels, per-beat R re-arbitration"))
 
 
@@ -338,7 +327,6 @@ register_protocol(ProtocolSpec(
     split=False, posted_writes=False, pipelined=False,
     multi_outstanding=False, response_interleave=False, max_burst_beats=0,
     setup_cycles=1, resp_overhead_cycles=1,
-    energy_coefficient="wishbone_pj_per_beat",
     beat_rule="wishbone.ack_order",
     notes="classic cycles: cyc assertion + one ack turnaround per beat"))
 
@@ -348,8 +336,7 @@ register_protocol(ProtocolSpec(
     channels=("bus",), handshake="psel/penable/pready",
     split=False, posted_writes=False, pipelined=False,
     multi_outstanding=False, response_interleave=False, max_burst_beats=1,
-    setup_cycles=1,
-    energy_coefficient="apb_pj_per_beat", beat_rule="apb.access_order",
+    setup_cycles=1, beat_rule="apb.access_order",
     notes="two-phase SETUP/ACCESS, one beat per transfer, no bursts"))
 
 register_protocol(ProtocolSpec(
@@ -358,7 +345,6 @@ register_protocol(ProtocolSpec(
     channels=("ar", "aw", "w", "r", "b"), handshake="valid/ready",
     split=True, posted_writes=False, pipelined=True,
     multi_outstanding=True, response_interleave=True, max_burst_beats=1,
-    energy_coefficient="axi4lite_pj_per_beat",
     beat_rule="axi4lite.channel_order",
     notes="AXI channels without bursts or IDs; every beat is a transfer"))
 
@@ -368,7 +354,6 @@ register_protocol(ProtocolSpec(
     channels=("bus",), handshake="waitrequest",
     split=True, posted_writes=True, pipelined=True,
     multi_outstanding=True, response_interleave=False, max_burst_beats=0,
-    energy_coefficient="avalon_pj_per_beat",
     beat_rule="avalon.readdata_order",
     notes="pipelined reads via readdatavalid, posted writes, bursts"))
 
@@ -378,7 +363,7 @@ register_protocol(ProtocolSpec(
     channels=("a", "d"), handshake="valid/ready",
     split=True, posted_writes=False, pipelined=True,
     multi_outstanding=True, response_interleave=True, max_burst_beats=1,
-    energy_coefficient="tilelink_pj_per_beat", beat_rule="tilelink.d_order",
+    beat_rule="tilelink.d_order",
     notes="uncached-lightweight: single-beat A/D messages, every write "
           "acked on D"))
 

@@ -63,9 +63,6 @@ class AddressRange:
         """First address past the window."""
         return self.base + self.size
 
-    def contains(self, address: int) -> bool:
-        return self.base <= address < self.end
-
     def overlaps(self, other: "AddressRange") -> bool:
         return self.base < other.end and other.base < self.end
 

@@ -36,7 +36,7 @@ keeps the LT energy-drift clause of the accuracy contract at <=1%.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..interconnect.protocols import spec_for_fabric
@@ -98,16 +98,11 @@ class EnergyConfig:
     sdram: SdramEnergy = DDR_ENERGY
 
     def __post_init__(self) -> None:
-        for name in ("stbus_t1_pj_per_beat", "stbus_t2_pj_per_beat",
-                     "stbus_t3_pj_per_beat", "ahb_pj_per_beat",
-                     "axi_pj_per_beat",
-                     "wishbone_pj_per_beat", "apb_pj_per_beat",
-                     "axi4lite_pj_per_beat", "avalon_pj_per_beat",
-                     "tilelink_pj_per_beat",
-                     "bridge_pj_per_beat", "onchip_pj_per_beat",
-                     "cache_hit_pj", "cache_miss_pj"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"energy coefficient {name} cannot be "
+        # Every coefficient is a float-annotated field; the check goes by
+        # annotation, not by value type, so an int from JSON is checked too.
+        for item in fields(self):
+            if item.type == "float" and getattr(self, item.name) < 0:
+                raise ValueError(f"energy coefficient {item.name} cannot be "
                                  f"negative")
 
     def scaled(self, **overrides: Any) -> "EnergyConfig":
@@ -116,14 +111,15 @@ class EnergyConfig:
 
     # ------------------------------------------------------------------
     def fabric_pj_per_beat(self, fabric) -> float:
-        """Coefficient for one bus cell on ``fabric``: its registry spec's
-        ``energy_coefficient`` field (``spec_for_fabric``), or the STBus
-        Type 2 coefficient for a fabric no spec describes."""
+        """Coefficient for one bus cell on ``fabric``: the field
+        ``<spec.name>_pj_per_beat`` of its registry spec
+        (``spec_for_fabric``), or the STBus Type 2 coefficient for a
+        fabric no spec describes."""
         try:
             spec = spec_for_fabric(fabric)
         except ValueError:
             return self.stbus_t2_pj_per_beat
-        return float(getattr(self, spec.energy_coefficient))
+        return float(getattr(self, f"{spec.name}_pj_per_beat"))
 
 
 class EnergyAccountant:
@@ -235,10 +231,6 @@ class EnergyAccountant:
     @property
     def total_pj(self) -> float:
         return self.total_fj / FJ_PER_PJ
-
-    def component_fj(self) -> Dict[str, int]:
-        """The exact ledger — values sum to :attr:`total_fj` precisely."""
-        return dict(sorted(self._totals.items()))
 
     def component_pj(self) -> Dict[str, float]:
         return {name: fj / FJ_PER_PJ

@@ -9,9 +9,8 @@ by dotted path — ``central.request.utilization``, ``lmi.served``,
 
 The registry stores the *same* primitive objects the models always used
 (:class:`~repro.core.statistics.Counter`,
-:class:`~repro.core.statistics.Gauge`,
 :class:`~repro.core.statistics.LatencySummary`,
-:class:`~repro.core.statistics.TimeWeightedStates`, ...), so registering a
+:class:`~repro.core.statistics.PhasedStates`, ...), so registering a
 metric changes nothing about its update cost: the hot paths still bump a
 plain attribute on a plain object.  Observability is a *view*, not a tax.
 
@@ -36,7 +35,6 @@ from ..core.fifo import Fifo
 from ..core.statistics import (
     ChannelUtilization,
     Counter,
-    Gauge,
     LatencySummary,
     PhasedStates,
     TimeWeightedStates,
@@ -213,10 +211,6 @@ class MetricRegistry:
         """Create and register a latency/duration population."""
         return self.register(path, LatencySummary(path))
 
-    def states(self, path: str, initial: str = "idle") -> TimeWeightedStates:
-        """Create and register a time-weighted state tracker."""
-        return self.register(path, TimeWeightedStates(self.sim, initial=initial))
-
     def phased_states(self, path: str, initial: str = "idle",
                       first_phase: str = "phase0") -> PhasedStates:
         """Create and register a per-phase state tracker (Fig. 6 shape)."""
@@ -254,12 +248,6 @@ class MetricRegistry:
         """All registered paths, in registration order."""
         return iter(self._metrics)
 
-    def subtree(self, prefix: str) -> Dict[str, object]:
-        """Every metric whose path equals ``prefix`` or starts ``prefix.``."""
-        dotted = prefix + "."
-        return {path: metric for path, metric in self._metrics.items()
-                if path == prefix or path.startswith(dotted)}
-
     # ------------------------------------------------------------------
     # flattening
     # ------------------------------------------------------------------
@@ -267,7 +255,7 @@ class MetricRegistry:
         """Flatten every metric into ``path -> number`` rows.
 
         Composite metrics expand into dotted sub-rows
-        (``....latency.mean``, ``....states.frac.fifo_full``), so the result
+        (``....latency.mean``, ``....states.phase0.frac.fifo_full``), so the result
         is directly dumpable as CSV/JSON and diffable between runs.
         """
         rows: Dict[str, float] = {}
@@ -279,10 +267,6 @@ class MetricRegistry:
                  until_ps: Optional[int]) -> None:
         if isinstance(metric, Counter):
             rows[path] = float(metric.value)
-        elif isinstance(metric, Gauge):
-            rows[path] = float(metric.value)
-            rows[f"{path}.high_water"] = float(metric.high_water)
-            rows[f"{path}.low_water"] = float(metric.low_water)
         elif isinstance(metric, LatencySummary):
             rows[f"{path}.count"] = float(metric.count)
             if metric.count:
@@ -298,9 +282,6 @@ class MetricRegistry:
             for phase, fractions in metric.breakdowns().items():
                 for state, fraction in sorted(fractions.items()):
                     rows[f"{path}.{phase}.frac.{state}"] = fraction
-        elif isinstance(metric, TimeWeightedStates):
-            for state, fraction in sorted(metric.breakdown(until_ps).items()):
-                rows[f"{path}.frac.{state}"] = fraction
         elif isinstance(metric, FifoProbe):
             fifo = metric.fifo
             rows[f"{path}.level"] = float(fifo.level)

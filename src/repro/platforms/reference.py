@@ -13,6 +13,7 @@ from typing import Dict, List, Optional
 
 from ..bridge.matrix import make_bridge
 from ..core.component import Component
+from ..core.debug import diagnose
 from ..core.kernel import Simulator
 from ..cpu.benchmark import BenchmarkConfig, SyntheticBenchmark
 from ..cpu.st220 import St220Core
@@ -79,7 +80,15 @@ def make_fabric(sim: Simulator, name: str, protocol: str, freq_mhz: float,
 
 
 class RunIncomplete(RuntimeError):
-    """The platform had traffic outstanding when its run bound was reached."""
+    """The platform had traffic outstanding when its run bound was reached.
+
+    ``str()`` is the one-line message; ``diagnosis`` is the stall report
+    of :func:`repro.core.debug.diagnose`.  Both survive pickling.
+    """
+
+    def __init__(self, message: str, diagnosis: str = "") -> None:
+        super().__init__(message)
+        self.diagnosis = diagnosis
 
 
 class PlatformInstance(Component):
@@ -340,7 +349,7 @@ class PlatformInstance(Component):
         if self._finish_ps is None:
             raise RunIncomplete(
                 f"{self.config.label()}: platform did not finish "
-                f"within {max_ps} ps")
+                f"within {max_ps} ps", diagnose(self))
         return self.result()
 
     def _record_finish(self, _event) -> None:

@@ -14,6 +14,7 @@ from repro.interconnect import (
     Transaction,
     get_spec,
 )
+from repro.interconnect.crossbar import StbusCrossbar
 from repro.memory import OnChipMemory
 
 MEM_SPAN = 1 << 20
@@ -48,6 +49,15 @@ def make_spec_node(sim, spec_name, freq_mhz=200, width=4, name=None,
         return make_node(sim, spec.engine, freq_mhz, width, name=name,
                          **kwargs)
     return make_node(sim, spec_name, freq_mhz, width, name=name, **kwargs)
+
+
+def make_registered_fabric(sim, name):
+    """A fabric for registry entry ``name``, or for ``"stbus-xbar"`` the
+    STBus Type 3 crossbar: every fabric the registry describes."""
+    if name == "stbus-xbar":
+        clk = sim.clock(freq_mhz=200, name="xbar_clk")
+        return StbusCrossbar(sim, "xbar", clk, bus_type=StbusType.T3)
+    return make_spec_node(sim, name)
 
 
 def add_memory(sim, fabric, base=0, wait_states=1, request_depth=2,

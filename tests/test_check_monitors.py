@@ -18,7 +18,6 @@ import pytest
 from repro.check import (
     CheckSession,
     InvariantViolation,
-    SimChecker,
     Violation,
     checked,
     format_report,
@@ -27,8 +26,9 @@ from repro.core import Simulator
 from repro.core.fifo import Fifo
 from repro.interconnect.types import Opcode, ResponseBeat, StbusType, Transaction
 from repro.platforms import build_platform
-from repro.platforms.config import PlatformConfig
 from repro.platforms.variants import quick_config
+
+from .helpers import make_registered_fabric
 
 
 def run_checked(config, max_ps=None):
@@ -141,6 +141,25 @@ class TestBeatOrdering:
         fabric.deliver_beat(ResponseBeat(txn, 1, is_last=False))
         assert any(v.rule == "axi.id_order" and "out of order" in v.message
                    for v in session.violations)
+
+    @pytest.mark.parametrize("name, rule", sorted({
+        "stbus_t1": "stbus.packet_order", "stbus_t2": "stbus.packet_order",
+        "stbus_t3": "stbus.packet_order", "stbus-xbar": "stbus.packet_order",
+        "ahb": "ahb.data_order", "axi": "axi.id_order",
+        "wishbone": "wishbone.ack_order", "apb": "apb.access_order",
+        "axi4lite": "axi4lite.channel_order",
+        "avalon": "avalon.readdata_order", "tilelink": "tilelink.d_order",
+    }.items()))
+    def test_every_fabric_flags_under_its_spec_rule(self, name, rule):
+        session = CheckSession(with_spans=False)
+        sim = Simulator()
+        session.attach(sim)
+        fabric = make_registered_fabric(sim, name)
+        txn = Transaction(initiator="ip0", opcode=Opcode.READ, address=0,
+                          beats=4, beat_bytes=4)
+        txn.bind(sim)
+        fabric.deliver_beat(ResponseBeat(txn, 1, is_last=False))
+        assert [v.rule for v in session.violations] == [rule]
 
     def test_in_order_beats_clean(self):
         session, fabric, txn = self._fabric_and_txn(beats=2)

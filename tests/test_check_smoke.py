@@ -58,7 +58,8 @@ def test_energy_accounted_checked_run_is_clean_and_conserves():
     assert violations == [], format_report(violations, limit=20)
     accountant = sim._energy
     assert accountant is not None and accountant._finalized_at is not None
-    assert sum(accountant.component_fj().values()) == accountant.total_fj
+    assert abs(sum(accountant.component_pj().values())
+               - accountant.total_pj) < 1e-6
     assert result.energy_total_pj > 0
     assert abs(sum(result.energy_pj.values())
                - result.energy_total_pj) < 1e-6

@@ -149,16 +149,18 @@ class TestProtocols:
 
 class TestErrorPolicy:
     """``main()`` holds the one policy: a run that could not complete is
-    one ``error:`` line and exit 1, a nonsense flag is a usage error."""
+    one ``error:`` line, then the stall diagnosis, and exit 1; a nonsense
+    flag is a usage error."""
 
     @pytest.mark.parametrize("command", ["platform", "stats", "check"])
     def test_bound_overrun_is_an_error_line_not_a_traceback(
             self, tmp_path, capsys, command):
         path = TestPlatform()._write_config(tmp_path)
         assert main([command, str(path), "--max-us", "0.2"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "did not finish within 200000 ps" in err
+        line, _, diagnosis = capsys.readouterr().err.partition("\n")
+        assert line.startswith("error: ")
+        assert line.endswith("did not finish within 200000 ps")
+        assert diagnosis.startswith("stall diagnosis of 'platform'")
 
     @pytest.mark.parametrize("argv", [
         ["platform", "cfg.json", "--checkpoint-every", "0"],

@@ -156,8 +156,8 @@ def test_non_finite_bound_is_an_error_line_not_a_traceback(tmp_path, capsys,
 
 class TestBoundOverrun:
     """A sweep file whose ``max_us`` is too tight: one ``error:`` line
-    naming the point, exit 1 — from ``sweep`` (serial and pooled) and
-    from ``check``."""
+    naming the point, then the stall diagnosis, exit 1 — from ``sweep``
+    (serial and pooled) and from ``check``."""
 
     @pytest.mark.parametrize("argv", [
         ["sweep"], ["sweep", "--jobs", "2"], ["check"]])
@@ -166,8 +166,9 @@ class TestBoundOverrun:
         spec = _write_spec(tmp_path, dict(SPEC, max_us=0.2))
         command, *flags = argv
         assert main([command, str(spec), *flags]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "did not finish within 200000 ps" in err
+        err, _, diagnosis = capsys.readouterr().err.partition("\n")
+        assert err.startswith("error: ")
+        assert err.endswith("did not finish within 200000 ps")
+        assert diagnosis.startswith("stall diagnosis of 'platform'")
         if command == "sweep":
             assert "sweep point 0: stbus/collapsed" in err

@@ -85,7 +85,8 @@ class TestAccountantUnit:
         accountant = EnergyAccountant()
         for index in range(100):
             accountant.charge(f"c{index % 7}", 13 * index + 1, index)
-        assert sum(accountant.component_fj().values()) == accountant.total_fj
+        assert accountant.total_fj == sum(13 * index + 1
+                                          for index in range(100))
         assert accountant.total_pj == accountant.total_fj / 1000
 
     def test_non_positive_charges_are_ignored(self):
@@ -93,7 +94,7 @@ class TestAccountantUnit:
         accountant.charge("c", 0)
         accountant.charge("c", -5)
         assert accountant.total_fj == 0
-        assert accountant.component_fj() == {}
+        assert accountant.component_pj() == {}
 
     def test_conversion_identities(self):
         assert fj_from_pj(1.0) == 1000
@@ -136,7 +137,8 @@ class TestPlatformConservation:
         accountant = sim._energy
         assert accountant is not None and accountant._finalized_at is not None
         assert accountant.total_fj > 0
-        assert sum(accountant.component_fj().values()) == accountant.total_fj
+        assert sum(accountant.component_pj().values()) == \
+            pytest.approx(accountant.total_pj)
         assert result.energy_total_pj == pytest.approx(accountant.total_pj)
         assert sum(result.energy_pj.values()) == \
             pytest.approx(result.energy_total_pj)
@@ -178,7 +180,8 @@ class TestPlatformConservation:
         accountant = sim._energy
         assert accountant is not None
         assert accountant.total_fj > 0, f"{label}: no energy recorded"
-        assert sum(accountant.component_fj().values()) == accountant.total_fj
+        assert sum(accountant.component_pj().values()) == \
+            pytest.approx(accountant.total_pj)
         assert sum(result.energy_pj.values()) == \
             pytest.approx(result.energy_total_pj)
         assert result.pj_per_byte > 0
@@ -196,8 +199,8 @@ class TestExperimentConservation:
         assert any(a.total_fj > 0 for a in accountants), (
             f"{name}: no energy recorded")
         for accountant in accountants:
-            assert sum(accountant.component_fj().values()) == \
-                accountant.total_fj
+            assert sum(accountant.component_pj().values()) == \
+                pytest.approx(accountant.total_pj)
         # The registry surfaces the same ledger as flat metric rows.
         totals = [value for path, value in rows.items()
                   if path.endswith("energy.total.pj")]
@@ -273,6 +276,17 @@ class TestLoaderRoundTrip:
         document = config_to_dict(quick_config())
         document["energy"] = {"enabled": True, "sdram": "nope"}
         with pytest.raises(ConfigError, match="unknown preset"):
+            config_from_dict(document)
+
+    @pytest.mark.parametrize("name", [
+        item.name for item in dataclasses.fields(EnergyConfig)
+        if item.name.endswith(("_pj_per_beat", "_pj"))])
+    def test_negative_coefficient_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            EnergyConfig(**{name: -0.5})
+        document = config_to_dict(quick_config())
+        document["energy"] = {name: -1}  # an int, as JSON carries it
+        with pytest.raises(ConfigError, match=name):
             config_from_dict(document)
 
     def test_unknown_energy_key_rejected(self):

@@ -3,7 +3,7 @@
 import json
 
 from repro.core import Simulator
-from repro.obs import capture, to_trace_json
+from repro.obs import capture
 
 from .helpers import add_memory, make_node, read, run_transactions, write
 
@@ -126,7 +126,7 @@ class TestPowerCounters:
         assert counters, "energy capture produced no power counter events"
         # One track per charged component, every sample non-negative.
         accountant = cap.accountants[0]
-        charged = set(accountant.component_fj())
+        charged = set(accountant.component_pj())
         tracks = {event["name"] for event in counters}
         assert tracks == {f"power.{name}" for name in charged}
 

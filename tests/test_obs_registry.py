@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Fifo, Gauge, Simulator
+from repro.core import Fifo, Simulator
 from repro.obs.registry import (
     STATE_FULL,
     STATE_IDLE,
@@ -13,17 +13,6 @@ from repro.obs.registry import (
 )
 
 from .helpers import add_memory, make_node, read, run_transactions
-
-
-class TestGauge:
-    def test_watermarks_track_extremes(self):
-        gauge = Gauge("g", initial=5)
-        gauge.set(9)
-        gauge.set(2)
-        gauge.add(1)
-        assert gauge.value == 3
-        assert gauge.high_water == 9
-        assert gauge.low_water == 2
 
 
 class TestRegistryBasics:
@@ -37,12 +26,10 @@ class TestRegistryBasics:
         metrics = sim.metrics
         counter = metrics.counter("node.ip0.issued")
         histogram = metrics.histogram("node.ip0.latency")
-        gauge = metrics.register("node.credits", Gauge("node.credits", initial=4))
         assert metrics.get("node.ip0.issued") is counter
         assert metrics.get("node.ip0.latency") is histogram
-        assert metrics.get("node.credits") is gauge
         assert "node.ip0.issued" in metrics
-        assert len(metrics) == 3
+        assert len(metrics) == 2
 
     def test_empty_path_rejected(self, sim):
         with pytest.raises(ValueError):
@@ -57,26 +44,11 @@ class TestRegistryBasics:
         assert second is metrics.get("dup~2")
         assert third is metrics.get("dup~3")
 
-    def test_subtree_selects_dotted_prefix(self, sim):
-        metrics = sim.metrics
-        metrics.counter("node.ip0.issued")
-        metrics.counter("node.ip1.issued")
-        metrics.counter("nodeish.other")
-        subtree = metrics.subtree("node")
-        assert set(subtree) == {"node.ip0.issued", "node.ip1.issued"}
-
 
 class TestSnapshot:
-    def test_counter_and_gauge_rows(self, sim):
-        metrics = sim.metrics
-        metrics.counter("hits").add(3)
-        gauge = metrics.register("level", Gauge("level"))
-        gauge.set(7)
-        gauge.set(2)
-        rows = metrics.snapshot()
-        assert rows["hits"] == 3.0
-        assert rows["level"] == 2.0
-        assert rows["level.high_water"] == 7.0
+    def test_counter_rows(self, sim):
+        sim.metrics.counter("hits").add(3)
+        assert sim.metrics.snapshot() == {"hits": 3.0}
 
     def test_histogram_rows(self, sim):
         latency = sim.metrics.histogram("lat")
@@ -95,7 +67,7 @@ class TestSnapshot:
         assert "lat.mean" not in rows
 
     def test_states_rows_sum_to_one(self, sim):
-        states = sim.metrics.states("unit", initial="idle")
+        states = sim.metrics.phased_states("unit", initial="idle")
 
         def body():
             yield sim.timeout(400)
@@ -104,9 +76,9 @@ class TestSnapshot:
 
         sim.process(body())
         sim.run()
-        rows = sim.metrics.snapshot(until_ps=1_000)
-        assert rows["unit.frac.idle"] == pytest.approx(0.4)
-        assert rows["unit.frac.busy"] == pytest.approx(0.6)
+        rows = sim.metrics.snapshot()
+        assert rows["unit.phase0.frac.idle"] == pytest.approx(0.4)
+        assert rows["unit.phase0.frac.busy"] == pytest.approx(0.6)
 
 
 class TestFifoProbe:

@@ -1,17 +1,16 @@
-"""The declarative protocol registry and its completeness lint."""
+"""The declarative protocol registry, and what a registry row must come
+with: an energy coefficient field and an engine that serialises its
+protocol state."""
 
 import dataclasses
 
 import pytest
 
-from repro.check.monitors import covered_protocols
-from repro.check.registry_lint import lint_registry
 from repro.core import Simulator
 from repro.interconnect import (
     AhbLayer,
     AxiFabric,
     PROTOCOLS,
-    ProtocolSpec,
     StbusNode,
     StbusType,
     get_spec,
@@ -19,9 +18,20 @@ from repro.interconnect import (
     register_protocol,
     spec_for_fabric,
 )
+from repro.interconnect.base import Fabric
 from repro.interconnect.crossbar import StbusCrossbar
 from repro.interconnect.generic import GenericFabric
 from repro.obs.energy import EnergyConfig
+
+from .helpers import make_registered_fabric, make_spec_node
+
+#: Per-fabric energy coefficient under the default ``EnergyConfig``: the
+#: ten registered protocols and the STBus crossbar (a T3 node).
+DEFAULT_PJ_PER_BEAT = {
+    "stbus_t1": 4.2, "stbus_t2": 5.6, "stbus_t3": 6.8, "ahb": 5.0,
+    "axi": 7.5, "wishbone": 3.8, "apb": 2.4, "axi4lite": 4.6,
+    "avalon": 4.0, "tilelink": 4.4, "stbus-xbar": 6.8,
+}
 
 
 class TestRegistryContents:
@@ -91,71 +101,55 @@ class TestSpecForFabric:
 
     def test_unregistered_fabric_rejected(self):
         class Alien:
-            protocol = "alien"
+            protocol = "ahb"  # a label alone no longer resolves
 
-        with pytest.raises(ValueError, match="alien"):
+        with pytest.raises(ValueError, match="no registered spec"):
             spec_for_fabric(Alien())
 
 
 class TestCoverage:
-    def test_lint_is_clean(self):
-        assert lint_registry() == []
+    """One test per fact a registry row must come with; each fails on a
+    planted defect (the ``*_fails`` tests plant one)."""
 
-    def test_every_spec_has_an_energy_coefficient(self):
+    def test_every_spec_has_a_pj_per_beat_field(self):
         cfg = EnergyConfig()
-        for spec in PROTOCOLS.values():
-            assert hasattr(cfg, spec.energy_coefficient), spec.name
+        missing = [name for name in PROTOCOLS
+                   if not hasattr(cfg, f"{name}_pj_per_beat")]
+        assert missing == [], \
+            f"EnergyConfig has no <name>_pj_per_beat field for {missing}"
 
-    def test_every_label_has_a_beat_rule(self):
-        covered = covered_protocols()
-        for spec in PROTOCOLS.values():
-            assert spec.fabric_label in covered, spec.name
+    def test_a_spec_without_a_coefficient_field_fails(self, monkeypatch):
+        monkeypatch.setitem(PROTOCOLS, "maybus", dataclasses.replace(
+            get_spec("wishbone"), name="maybus"))
+        with pytest.raises(AssertionError, match="maybus"):
+            self.test_every_spec_has_a_pj_per_beat_field()
 
-    def test_lint_reports_missing_cells(self, monkeypatch):
-        broken = dataclasses.replace(
-            get_spec("wishbone"), name="maybus",
-            energy_coefficient="maybus_pj_per_beat",
-            beat_rule="maybus.order")
-        monkeypatch.setitem(PROTOCOLS, "maybus", broken)
-        problems = lint_registry()
-        assert any("maybus" in p and "coefficient" in p for p in problems)
-        assert any("maybus" in p and "beat rule" in p for p in problems)
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_engine_serialises_protocol_state(self, name):
+        engine = type(make_spec_node(Simulator(), name))
+        assert engine.snapshot_state is not Fabric.snapshot_state, \
+            f"{engine.__name__} does not override snapshot_state"
 
-    def test_lint_reports_rule_mismatch(self, monkeypatch):
-        skewed = dataclasses.replace(get_spec("wishbone"),
-                                     beat_rule="wishbone.wrong_rule")
-        monkeypatch.setitem(PROTOCOLS, "wishbone", skewed)
-        problems = lint_registry()
-        assert any("does not match" in p for p in problems)
+    def test_an_engine_without_snapshot_state_fails(self, monkeypatch):
+        monkeypatch.setattr(AhbLayer, "snapshot_state", Fabric.snapshot_state)
+        with pytest.raises(AssertionError, match="AhbLayer"):
+            self.test_engine_serialises_protocol_state("ahb")
 
 
 class TestEnergyResolution:
-    def test_generic_fabrics_resolve_spec_coefficient(self):
-        sim = Simulator()
-        clk = sim.clock(freq_mhz=200, name="clk")
-        cfg = EnergyConfig()
-        for name in ("wishbone", "apb", "axi4lite", "avalon", "tilelink"):
-            fabric = GenericFabric(sim, f"f_{name}", clk, get_spec(name))
-            assert cfg.fabric_pj_per_beat(fabric) == getattr(
-                cfg, f"{name}_pj_per_beat")
+    @pytest.mark.parametrize("name", sorted(DEFAULT_PJ_PER_BEAT))
+    def test_every_fabric_keeps_its_coefficient(self, name):
+        fabric = make_registered_fabric(Simulator(), name)
+        assert EnergyConfig().fabric_pj_per_beat(fabric) \
+            == DEFAULT_PJ_PER_BEAT[name]
 
-    def test_legacy_resolution_unchanged(self):
-        sim = Simulator()
-        clk = sim.clock(freq_mhz=200, name="clk")
-        cfg = EnergyConfig()
-        node = StbusNode(sim, "n", clk, bus_type=StbusType.T1)
-        assert cfg.fabric_pj_per_beat(node) == cfg.stbus_t1_pj_per_beat
-        ahb = AhbLayer(sim, "a", clk)
-        assert cfg.fabric_pj_per_beat(ahb) == cfg.ahb_pj_per_beat
-
-    def test_protocol_label_and_unregistered_fallback(self):
-        """Fabrics without a ``spec`` resolve like ``spec_for_fabric``
-        does, by protocol label; one no spec describes is charged the
-        STBus Type 2 coefficient."""
+    def test_unregistered_fallback(self):
+        """Only the spec a fabric carries resolves; one without a spec is
+        charged the STBus Type 2 coefficient."""
         from types import SimpleNamespace
 
         cfg = EnergyConfig(ahb_pj_per_beat=1.25, stbus_t2_pj_per_beat=2.5)
-        ahb = SimpleNamespace(name="a", protocol="ahb")
+        ahb = SimpleNamespace(name="a", protocol="ahb", spec=get_spec("ahb"))
         assert cfg.fabric_pj_per_beat(ahb) == 1.25
-        custom = SimpleNamespace(name="c", protocol="custom")
-        assert cfg.fabric_pj_per_beat(custom) == 2.5
+        label_only = SimpleNamespace(name="c", protocol="ahb")
+        assert cfg.fabric_pj_per_beat(label_only) == 2.5

@@ -66,18 +66,10 @@ ALLOWLIST: Dict[str, Tuple[str, str]] = {
     "core.clock.Clock.next_edge_time": (
         "observer", "tests/test_clock.py::TestEdges::"
                     "test_edges_fire_where_next_edge_time_says"),
-    "interconnect.types.AddressRange.contains": (
-        "observer", "tests/test_types.py::TestAddressRange::test_contains"),
     "memory.timing.SdramGeometry.row_bytes": (
         "observer", "tests/test_sdram.py::TestGeometry::test_row_bytes_and_capacity"),
     "memory.timing.SdramGeometry.capacity_bytes": (
         "observer", "tests/test_sdram.py::TestGeometry::test_row_bytes_and_capacity"),
-    "obs.energy.EnergyAccountant.component_fj": (
-        "observer", "tests/test_obs_energy.py::TestAccountantUnit::"
-                    "test_charge_conserves_exactly_in_fj"),
-    "obs.registry.MetricRegistry.subtree": (
-        "observer", "tests/test_obs_registry.py::TestRegistryBasics::"
-                    "test_subtree_selects_dotted_prefix"),
     "service.client.ServiceClient.health": (
         "observer", "tests/test_service_smoke.py::TestSocketFrontEnd::"
                     "test_http_health_reports_protocol_and_fleet"),

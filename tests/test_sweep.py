@@ -311,7 +311,10 @@ class TestBoundOverrun:
         with pytest.raises(SweepError, match="sweep point 1: stbus/"
                            ".* did not finish within 3000000 ps") as failure:
             run()
-        assert isinstance(failure.value.__cause__, RunIncomplete)
+        overrun = failure.value.__cause__
+        assert isinstance(overrun, RunIncomplete)
+        # The stall report crosses the pool with the exception.
+        assert overrun.diagnosis.startswith("stall diagnosis of 'platform'")
         assert len(cache) == 3
         scales[1] = 0.05  # a point that fits: the other three are hits
         assert [outcome.cached for outcome in run()] \

@@ -6,14 +6,24 @@ from hypothesis import given, settings, strategies as st
 from repro.core import Simulator
 from repro.interconnect import AddressRange, Opcode, ResponseBeat, Transaction
 
+from .helpers import make_node
+
+
+def _decoder(window):
+    """A fabric whose one target claims ``window``: decode is where the
+    program tests an address against a range."""
+    fabric = make_node(Simulator())
+    target = fabric.add_target("mem", window)
+    return fabric, target
+
 
 class TestAddressRange:
-    def test_contains(self):
-        window = AddressRange(0x1000, 0x100)
-        assert window.contains(0x1000)
-        assert window.contains(0x10FF)
-        assert not window.contains(0x1100)
-        assert not window.contains(0xFFF)
+    def test_decode_is_half_open(self):
+        fabric, target = _decoder(AddressRange(0x1000, 0x100))
+        assert fabric.try_route(0x1000) is target
+        assert fabric.try_route(0x10FF) is target
+        assert fabric.try_route(0x1100) is None
+        assert fabric.try_route(0xFFF) is None
 
     def test_overlap(self):
         a = AddressRange(0, 100)
@@ -28,9 +38,10 @@ class TestAddressRange:
 
     @given(st.integers(0, 2**32), st.integers(1, 2**20), st.integers(0, 2**32))
     @settings(max_examples=50, deadline=None)
-    def test_contains_matches_interval(self, base, size, addr):
-        window = AddressRange(base, size)
-        assert window.contains(addr) == (base <= addr < base + size)
+    def test_decode_matches_interval(self, base, size, addr):
+        fabric, target = _decoder(AddressRange(base, size))
+        assert (fabric.try_route(addr) is target) == \
+            (base <= addr < base + size)
 
 
 class TestTransaction:

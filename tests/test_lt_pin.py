@@ -6,9 +6,10 @@ This test does: every golden-corpus configuration re-run at
 ``resolution="lt"``, plus ``quick_config(resolution="lt")``, must
 reproduce the committed sha256 of its ``result_to_dict`` document and
 its exact ``processed_events`` count.  So must ``random_config(seed)``
-for seeds 0-399 (``lt_pin_seeds.txt``, a 16-hex-digit digest prefix per
-seed): the seeds draw all eight protocols, and a broken LT rule often
-shows on only one or two of them.
+for seeds 0-399, in LT (``lt_pin_seeds.txt``, a 16-hex-digit digest
+prefix per seed) and in CA (``ca_pin_seeds.txt``, same format): the
+seeds draw all eight protocols, and a broken rule often shows on only
+one or two of them.
 
 A host-side optimisation of LT (fewer wake-ups, fewer frames) must pass
 this unchanged.  A change that *means* to move LT timing refreshes the
@@ -37,8 +38,9 @@ QUICK_MAX_PS = 10**13
 #: Run bound of the ``random_config`` seeds (their generous drain bound).
 SEED_MAX_PS = 10**9
 
-#: ``seed digest-prefix processed_events`` per line.
-SEEDS_FILE = Path(__file__).with_name("lt_pin_seeds.txt")
+#: Resolution -> its ``seed digest-prefix processed_events`` lines.
+SEEDS_FILES = {resolution: Path(__file__).with_name(
+    f"{resolution}_pin_seeds.txt") for resolution in ("lt", "ca")}
 
 #: Its "Measured effect" table quotes pinned LT event counts.
 FAST_SIM = Path(__file__).resolve().parent.parent / "docs" / "FAST_SIM.md"
@@ -125,10 +127,11 @@ def _pin(config, bound):
             sim.processed_events)
 
 
-def _pinned_seeds():
-    """seed -> (digest prefix, processed_events), from :data:`SEEDS_FILE`."""
+def _pinned_seeds(resolution="lt"):
+    """seed -> (digest prefix, processed_events), from the resolution's
+    :data:`SEEDS_FILES` entry."""
     rows = {}
-    for line in SEEDS_FILE.read_text().splitlines():
+    for line in SEEDS_FILES[resolution].read_text().splitlines():
         fields = line.split("#")[0].split()
         if fields:
             seed, digest, events = fields
@@ -136,8 +139,8 @@ def _pinned_seeds():
     return rows
 
 
-def _seed_pin(seed):
-    digest, events = _pin(random_config(seed).scaled(resolution="lt"),
+def _seed_pin(seed, resolution="lt"):
+    digest, events = _pin(random_config(seed).scaled(resolution=resolution),
                           SEED_MAX_PS)
     return digest[:16], events
 
@@ -151,12 +154,12 @@ def _change(old, new):
     return "events only" if old[0] == new[0] else "result changed"
 
 
-def _changed_seeds():
-    """``(seed, old row, new row, change)`` for every seed whose LT run
-    moved."""
+def _changed_seeds(resolution="lt"):
+    """``(seed, old row, new row, change)`` for every seed whose run at
+    ``resolution`` moved."""
     moved = []
-    for seed, old in sorted(_pinned_seeds().items()):
-        new = _seed_pin(seed)
+    for seed, old in sorted(_pinned_seeds(resolution).items()):
+        new = _seed_pin(seed, resolution)
         change = _change(old, new)
         if change is not None:
             moved.append((seed, old, new, change))
@@ -175,9 +178,11 @@ def current():
         if change is not None:
             print(f"    {name!r}: {new!r},  # {change}")
             moved.append((old, new, change))
-    for seed, old, (digest, events), change in _changed_seeds():
-        print(f"{seed} {digest} {events}  # {change}")
-        moved.append((old, (digest, events), change))
+    for resolution in SEEDS_FILES:
+        for seed, old, (digest, events), change in \
+                _changed_seeds(resolution):
+            print(f"{seed} {digest} {events}  # {resolution}: {change}")
+            moved.append((old, (digest, events), change))
     kinds = [change for _old, _new, change in moved]
     before = sum(old[1] for old, _new, _change in moved if old is not None)
     after = sum(new[1] for old, new, _change in moved if old is not None)
@@ -201,9 +206,10 @@ def test_lt_run_is_bit_identical(name):
         f"{name}: LT result changed (events unchanged)")
 
 
-def test_random_seeds_are_bit_identical():
-    moved = _changed_seeds()
-    assert not moved, "LT runs moved on seeds: " + ", ".join(
+@pytest.mark.parametrize("resolution", sorted(SEEDS_FILES))
+def test_random_seeds_are_bit_identical(resolution):
+    moved = _changed_seeds(resolution)
+    assert not moved, f"{resolution} runs moved on seeds: " + ", ".join(
         f"{seed} ({change})" for seed, _old, _new, change in moved)
 
 
@@ -231,8 +237,9 @@ def test_fast_sim_quotes_the_pinned_lt_events():
     assert quoted == {name: PINNED[name][1] for name in quoted}
 
 
-def test_pinned_seeds_cover_every_protocol():
-    seeds = _pinned_seeds()
+@pytest.mark.parametrize("resolution", sorted(SEEDS_FILES))
+def test_pinned_seeds_cover_every_protocol(resolution):
+    seeds = _pinned_seeds(resolution)
     assert sorted(seeds) == list(range(400))
     assert len({random_config(seed).protocol for seed in seeds}) == 8
 

@@ -180,23 +180,6 @@ class Clock:
         """Nominal frequency in MHz (derived from the integer period)."""
         return _PS_PER_S / self.period_ps / 1_000_000
 
-    def cycle_index(self, time_ps: Optional[int] = None) -> int:
-        """Number of rising edges at or before ``time_ps`` (default: now)."""
-        if time_ps is None:
-            time_ps = self.sim._now
-        if time_ps < self.phase_ps:
-            return 0
-        return (time_ps - self.phase_ps) // self.period_ps + 1
-
-    def next_edge_time(self, time_ps: Optional[int] = None) -> int:
-        """Absolute time of the next strictly-future rising edge."""
-        if time_ps is None:
-            time_ps = self.sim._now
-        if time_ps < self.phase_ps:
-            return self.phase_ps
-        since = (time_ps - self.phase_ps) % self.period_ps
-        return time_ps + (self.period_ps - since)
-
     def at_edge(self, time_ps: Optional[int] = None) -> bool:
         """True when ``time_ps`` (default now) falls exactly on a rising edge."""
         if time_ps is None:
@@ -218,9 +201,9 @@ class Clock:
         sim = self.sim
         now = sim._now
         phase = self.phase_ps
-        # Inlined next_edge_time() (here and in edges()): one frame less per
-        # edge wait, and edge waits are most of what a cycle-accurate
-        # platform schedules.
+        # The next strictly-future edge, computed inline (here and in
+        # edges()): edge waits are most of what a cycle-accurate platform
+        # schedules.
         if now < phase:
             delay = phase - now
         else:

@@ -80,15 +80,6 @@ class SdramGeometry:
         if self.width_bytes not in (1, 2, 4, 8, 16):
             raise ValueError(f"unsupported device width {self.width_bytes}")
 
-    @property
-    def row_bytes(self) -> int:
-        """Bytes per open row (page size)."""
-        return (1 << self.col_bits) * self.width_bytes
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.banks * (1 << self.row_bits) * self.row_bytes
-
     def decode(self, address: int) -> tuple:
         """Map a byte address to ``(bank, row, column)``.
 

@@ -10,7 +10,7 @@ from .config import (
     PlatformConfig,
     reference_clusters,
 )
-from .reference import PlatformInstance, RunIncomplete, build_platform, make_fabric
+from .reference import PlatformInstance, RunIncomplete, build_platform
 from .result import RunResult, summarize_transactions
 from .variants import (
     fig3_instances,
@@ -39,7 +39,6 @@ __all__ = [
     "fig5_instances",
     "instance",
     "lmi_memory",
-    "make_fabric",
     "onchip_memory",
     "quick_config",
     "reference_clusters",

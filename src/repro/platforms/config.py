@@ -18,9 +18,10 @@ Architectural variants (Section 3.2) are configuration changes:
   cluster collapses onto the central node);
 * ``memory.kind``— on-chip shared memory vs LMI + off-chip DDR SDRAM.
 
-A configuration may instead carry a ``netlist`` of
-:class:`~repro.platforms.netlist.NetEntry` components, built in list
-order, and no reference topology (the single-layer, arbitration,
+Every platform is built from a netlist of
+:class:`~repro.platforms.netlist.NetEntry` components: the one
+:func:`~repro.platforms.netlist.lower` makes of the reference topology,
+or the configuration's own ``netlist`` (the single-layer, arbitration,
 segmentation and I/O studies).
 """
 

@@ -26,12 +26,22 @@ Schema (all sections optional; omitted fields keep their defaults)::
 
 A *netlist* document places components by hand, built in list order
 (which fixes same-instant event order); beside ``netlist`` it may carry
-only ``resolution`` and ``energy``.  Each kind's keys and defaults are
-:data:`~repro.platforms.netlist.NETLIST_SCHEMA`; ``fabric``, ``source``
-and ``dest`` name a fabric declared earlier, names are unique, every
-value is checked against its key (addresses are integers >= 0, spans
-and counts >= 1), and the target windows of ``onchip``, ``lmi`` and
-``bridge`` entries do not overlap on one fabric::
+only ``resolution`` and ``energy``.  A reference document is built as
+the netlist :func:`~repro.platforms.netlist.lower` makes of it, itself a
+valid document.  Kinds and keys (defaults in
+:data:`~repro.platforms.netlist.NETLIST_SCHEMA`): ``fabric`` protocol,
+freq_mhz, width_bytes, stbus_type, arbiter, message_arbitration;
+``onchip`` fabric, base, span, wait_states, request_depth,
+response_depth, access_latency_cycles, pipeline_depth; ``lmi`` fabric,
+base, span, freq_mhz, config, sdram; ``bridge`` source, dest, base, span,
+split, crossing_cycles, child_outstanding; ``iptg`` fabric, base, span,
+transactions, seed, idle_cycles, read_fraction, priority,
+max_outstanding, burst_beats, message_packets, pattern, clock_mhz,
+beat_bytes, two_phase; ``cpu`` fabric, base, blocks, working_set, seed;
+``dma`` fabric, src, dst, length; ``display`` fabric, framebuffer_base,
+lines.  Every value is checked against its key (addresses are integers
+>= 0, spans and counts >= 1) and the whole list against
+:func:`~repro.platforms.netlist.check_netlist`::
 
     {"netlist": [{"kind": "fabric", "name": "node", "arbiter": "lru"},
                  {"kind": "onchip", "name": "mem", "fabric": "node",

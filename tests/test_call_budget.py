@@ -73,7 +73,6 @@ ZERO_CALLS = [
     Event.triggered.fget,
     Event.processed.fget,
     ResponseBeat.is_write_ack.fget,
-    Clock.next_edge_time,
     Clock.to_ps,
     Fabric.bus_cycles_for_beat,
     # The Fig. 6 probe exists only under a capture: a run without one

@@ -218,7 +218,7 @@ class TestProtocolPasses:
         sim, platform, session = run_checked(config)
         assert session.finalize() == []
         checker = session.checkers[0]
-        crossbar = platform.central
+        crossbar = platform.fabrics["central"]
         assert crossbar.protocol == "stbus-xbar"
         # Every request channel of the crossbar reports its acceptances...
         assert len(checker._accepts[crossbar]) \
@@ -236,7 +236,7 @@ class TestProtocolPasses:
         # Type 1 channels to different targets legally overlap.
         assert session.finalize() == []
         checker = session.checkers[0]
-        crossbar = platform.central
+        crossbar = platform.fabrics["central"]
         target = max(crossbar.targets, key=lambda t: t.accepted.value)
         first, second = [txn for _port, txn in checker._grants[crossbar]
                          if crossbar.try_route(txn.address) is target][:2]
@@ -425,9 +425,9 @@ class TestSpecDerivedRules:
         sim, platform, session = run_checked(quick_config(**overrides))
         assert session.finalize() == []
         checker = session.checkers[0]
-        INJECTIONS[kind](checker, platform.central)
+        INJECTIONS[kind](checker, platform.fabrics["central"])
         found = rules_of(v for v in checker.finalize(expect_drained=kind == 0)
-                         if v.component == platform.central.name)
+                         if v.component == platform.fabrics["central"].name)
         if expected[kind] is None:
             assert not [r for r in found if r.endswith(HOLD_RULE_SUFFIXES)]
         else:
@@ -439,14 +439,14 @@ class TestSpecDerivedRules:
         config = quick_config(central_stbus_type=StbusType.T1)
         sim, platform, session = run_checked(config)
         checker = session.checkers[0]
-        _first_write(checker, platform.central).meta.pop("needs_ack")
+        _first_write(checker, platform.fabrics["central"]).meta.pop("needs_ack")
         assert "stbus.nonposted" in rules_of(
             checker.finalize(expect_drained=False))
 
     def test_fabric_without_a_registered_spec_is_skipped(self):
         sim, platform, session = run_checked(quick_config())
         checker = session.checkers[0]
-        fabric = platform.central
+        fabric = platform.fabrics["central"]
         checker._accepts[fabric].pop()
         del fabric.spec
         fabric.protocol = "homebrew"

@@ -13,6 +13,13 @@ from repro.core.events import (
 from repro.core.sync import WorkSignal
 
 
+
+def next_edge_time(clk, time_ps):
+    """Absolute time of the next strictly-future rising edge of ``clk``."""
+    if time_ps < clk.phase_ps:
+        return clk.phase_ps
+    return time_ps + clk.period_ps - (time_ps - clk.phase_ps) % clk.period_ps
+
 class TestConstruction:
     def test_freq_to_period(self, sim):
         clk = sim.clock(freq_mhz=200)
@@ -75,8 +82,8 @@ class TestEdges:
         assert log == [5_000]
 
     def test_edges_fire_where_next_edge_time_says(self):
-        # edges() inlines the arithmetic of next_edge_time(); the public
-        # method stays the definition.
+        # edges() computes the next strictly-future edge inline; this is
+        # the definition it must agree with.
         pytest.importorskip("hypothesis")
         from hypothesis import given, settings, strategies as st
 
@@ -91,7 +98,7 @@ class TestEdges:
             def body():
                 if start:  # before the first edge, on an edge, between two
                     yield sim.timeout(start)
-                expected = clk.next_edge_time() + (n - 1) * period
+                expected = next_edge_time(clk, sim.now) + (n - 1) * period
                 yield clk.edges(n)
                 fired.append((sim.now, expected))
 
@@ -109,8 +116,17 @@ class TestEdges:
 
     def test_phase_offset(self, sim):
         clk = sim.clock(period_ps=1_000, phase_ps=300)
-        assert clk.next_edge_time(0) == 300
-        assert clk.next_edge_time(300) == 1_300
+        log = []
+
+        def body():
+            yield clk.edge()
+            log.append(sim.now)
+            yield clk.edge()
+            log.append(sim.now)
+
+        sim.process(body())
+        sim.run()
+        assert log == [300, 1_300]
 
     def test_delay_unaligned(self, sim):
         clk = sim.clock(period_ps=1_000)
@@ -133,10 +149,17 @@ class TestEdges:
 
 class TestConversions:
     def test_cycle_index(self, sim):
+        # Rising edges at or before t (the edge at t=0 counts) step up
+        # exactly where at_edge() says.
         clk = sim.clock(period_ps=1_000)
-        assert clk.cycle_index(0) == 1  # edge at t=0 counts
-        assert clk.cycle_index(999) == 1
-        assert clk.cycle_index(1_000) == 2
+
+        def cycle_index(t):
+            return (t - clk.phase_ps) // clk.period_ps + 1
+
+        assert [cycle_index(t) for t in (0, 999, 1_000)] == [1, 1, 2]
+        assert [t for t in range(1, 3_001)
+                if cycle_index(t) != cycle_index(t - 1)] \
+            == [t for t in range(1, 3_001) if clk.at_edge(t)]
 
     def test_at_edge(self, sim):
         clk = sim.clock(period_ps=1_000, phase_ps=500)

@@ -39,7 +39,8 @@ class TestLatencyCalibration:
     def test_row_miss_costs_more(self, sim):
         node, lmi = lmi_system(sim)
         port = node.connect_initiator("ip0", max_outstanding=1)
-        row_bytes = lmi.device.geometry.row_bytes * lmi.device.geometry.banks
+        geom = lmi.device.geometry
+        row_bytes = (1 << geom.col_bits) * geom.width_bytes * geom.banks
         t0 = read(0x0, beats=8, beat_bytes=8)
         hit = read(0x40, beats=8, beat_bytes=8)
         miss = read(row_bytes * 2, beats=8, beat_bytes=8)
@@ -79,7 +80,8 @@ class TestOptimisationEngine:
                            input_fifo_depth=4)
         node, lmi = lmi_system(sim, config=config)
         port = node.connect_initiator("ip0", max_outstanding=4)
-        row_stride = lmi.device.geometry.row_bytes * lmi.device.geometry.banks
+        geom = lmi.device.geometry
+        row_stride = (1 << geom.col_bits) * geom.width_bytes * geom.banks
         # The opener keeps the engine busy while the conflict + hit pile up
         # in the input FIFO, giving the lookahead a window to reorder.
         opener = read(0x0, beats=8, beat_bytes=8)

@@ -576,7 +576,7 @@ class TestInlineAcceptOnEveryFabric:
         monkeypatch.undo()
         # (The queued put survives only as the fallback for a FIFO that
         # is actually full at hand-over.)
-        assert {t.request_fifo for t in platform.central.targets} <= inline
+        assert {t.request_fifo for t in platform.fabrics["central"].targets} <= inline
         assert sim.processed_events <= events_before
         assert (result.transactions, result.bytes_transferred) == (126, 6336)
         outcome = CheckedRun(config)

@@ -1,4 +1,5 @@
-"""Netlist platforms: hand-placed components built in document order."""
+"""Netlists: hand-placed components built in document order, and the
+reference topology lowered to one."""
 
 import copy
 import inspect
@@ -7,16 +8,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.platforms import PlatformConfig
+from repro.check import random_config
+from repro.core import Simulator
+from repro.platforms import CpuConfig, PlatformConfig
 from repro.platforms.loader import (
     ConfigError,
     config_from_dict,
     config_to_dict,
     load_config,
 )
-from repro.platforms.netlist import NETLIST_SCHEMA, NetlistPlatform
-from repro.snapshot import resume_checkpoint, take_checkpoint
-from repro.sweep import Run, SweepCache, sweep
+from repro.platforms.netlist import NETLIST_SCHEMA, lower
+from repro.platforms.reference import PlatformInstance
+from repro.snapshot import golden_configs, resume_checkpoint, take_checkpoint
+from repro.snapshot.state import capture_state, state_digest
+from repro.sweep import Run, SweepCache, result_to_dict, sweep
 
 EXAMPLE = (Path(__file__).resolve().parents[1] / "examples" / "configs"
            / "single_layer_netlist.json")
@@ -71,7 +76,7 @@ class TestDocument:
 
     @pytest.mark.parametrize("kind", sorted(NETLIST_SCHEMA))
     def test_builder_takes_exactly_the_schema_keys(self, kind):
-        builder = getattr(NetlistPlatform, f"_{kind}")
+        builder = getattr(PlatformInstance, f"_{kind}")
         keys = list(inspect.signature(builder).parameters)
         assert keys == ["self", "name", *NETLIST_SCHEMA[kind]]
 
@@ -93,10 +98,10 @@ def _bridge_loop(document):
 
 
 @pytest.mark.parametrize("document,match", [
-    (_edited(lambda d: d["netlist"][5].update(kind="cpu")),
-     "netlist: unknown kind 'cpu'"),
-    (_edited(lambda d: d["netlist"][5].update(clock_mhz=100)),
-     r"netlist: iptg 'ip0': unknown keys \['clock_mhz'\]"),
+    (_edited(lambda d: d["netlist"][5].update(kind="gpu")),
+     "netlist: unknown kind 'gpu'"),
+    (_edited(lambda d: d["netlist"][5].update(clock_hz=100)),
+     r"netlist: iptg 'ip0': unknown keys \['clock_hz'\]"),
     (_edited(lambda d: d["netlist"][2].update(dest="later")),
      "entry 'hop': dest 'later' is not a fabric declared before it"),
     (_edited(lambda d: d["netlist"].insert(0, d["netlist"].pop(3))),
@@ -147,6 +152,30 @@ def _bridge_loop(document):
      r"entry 'display': addresses .* do not lie in one memory's window"),
     (_edited(_bridge_loop),
      r"entry 'ip0': addresses .* do not lie in one memory's window"),
+    ({"netlist": [
+        {"kind": "fabric", "name": "n"},
+        {"kind": "onchip", "name": "m", "fabric": "n", "base": 0, "span": 16},
+        {"kind": "iptg", "name": "ip", "fabric": "n", "base": 0, "span": 16,
+         "transactions": 3, "seed": 1}]},
+     r"entry 'ip': a 32-byte seq burst does not fit its 16-byte window"),
+    (_edited(lambda d: d["netlist"][5].update(pattern="strided",
+                                               span=8192)),
+     r"entry 'ip0': a 64-byte strided burst does not fit its 8192-byte "
+     r"window"),
+    (_edited(lambda d: d["netlist"].append(
+        {"kind": "cpu", "name": "cpu1", "fabric": "front", "base": 0})
+        or d["netlist"].append(
+        {"kind": "cpu", "name": "cpu2", "fabric": "front", "base": 0})),
+     r"entry 'cpu2': a platform has one CPU"),
+    (_edited(lambda d: d["netlist"].append(
+        {"kind": "cpu", "name": "cpu", "fabric": "front", "base": 0x100})),
+     r"entry 'cpu': addresses \[0x1000100, 0x1004100\) do not lie"),
+    (_edited(lambda d: d["netlist"][3].update(sdram="ddr")),
+     r"lmi 'lmi': sdram must be null or an object of SdramTiming fields"),
+    (_edited(lambda d: d["netlist"][3].update(config={"merge_limit": 0})),
+     r"lmi 'lmi': config must be null or an object of LmiConfig fields"),
+    (_edited(lambda d: d["netlist"][5].update(two_phase={"fraction": 0})),
+     r"iptg 'ip0': two_phase must be null or an object of TwoPhaseSpec"),
 ], ids=["unknown-kind", "unknown-key", "forward-reference",
         "out-of-order", "not-a-fabric", "duplicate-name",
         "beside-reference-key", "arbiter-off-stbus", "empty", "zero-span",
@@ -155,7 +184,9 @@ def _bridge_loop(document):
         "unknown-arbiter", "non-bool", "fraction-above-one",
         "zero-outstanding", "bool-count", "unhashable-reference",
         "no-lines", "dma-undecoded", "iptg-past-bridge", "display-undecoded",
-        "bridge-loop"])
+        "bridge-loop", "burst-wider-than-window", "strided-under-a-stride",
+        "two-cpus", "cpu-code-undecoded", "sdram-preset-name",
+        "bad-lmi-config", "bad-two-phase"])
 def test_loader_names_the_bad_entry(document, match):
     with pytest.raises(ConfigError, match=match):
         config_from_dict(document)
@@ -188,3 +219,63 @@ class TestRun:
         assert resumed.ok, resumed.format()
         assert resumed.result == direct.result
         assert resumed.final_events == direct.events
+
+
+#: The golden corpus entries that describe the reference topology.
+REFERENCE_GOLDENS = sorted(name for name, (config, _) in
+                           golden_configs().items() if not config.netlist)
+
+
+def _outcome(config, bound):
+    """Result document, processed events and final state digest."""
+    sim = Simulator()
+    platform = PlatformInstance(sim, config)
+    result = result_to_dict(platform.run(max_ps=bound))
+    return result, sim.processed_events, state_digest(capture_state(platform))
+
+
+class TestLower:
+    @pytest.mark.parametrize("name", REFERENCE_GOLDENS)
+    def test_lowered_document_runs_like_the_reference(self, name):
+        """A lowered reference is a valid user document: it round-trips
+        through the loader and runs bit-identical, apart from the label
+        and the rows each kind of platform reports."""
+        config, bound = golden_configs()[name]
+        lowered = PlatformConfig(netlist=lower(config),
+                                 resolution=config.resolution,
+                                 energy=config.energy)
+        document = json.loads(json.dumps(config_to_dict(lowered)))
+        assert config_from_dict(document) == lowered
+        (reference, events, state), (netlist, net_events, net_state) = (
+            _outcome(config, bound),
+            _outcome(config_from_dict(document), bound))
+        assert (net_events, net_state) == (events, state)
+        assert (reference.pop("label"), netlist.pop("label")) \
+            == (config.label(), "netlist")
+        rows, net_rows = reference.pop("extra"), netlist.pop("extra")
+        assert netlist == reference
+        assert all(key.startswith(("cpu_", "lmi_")) for key in rows)
+        assert sorted(net_rows) == sorted(
+            f"{entry.name}.mean_latency_ps" for entry in lowered.netlist
+            if entry.kind == "iptg")
+
+    def test_order_names_and_windows(self):
+        config = golden_configs()["fig5_collapsed_axi"][0]
+        entries = lower(config.scaled(cpu=CpuConfig()))
+        assert [entry.name for entry in entries[:4]] == [
+            "central", "lmi_node", "lmi", "to_lmi"]
+        ips = [dict(entry.params) for entry in entries
+               if entry.kind == "iptg"]
+        assert [ip["seed"] for ip in ips] == [
+            config.seed * 1000 + i for i in range(1, len(ips) + 1)]
+        assert [ip["base"] - ips[0]["base"] for ip in ips] == [
+            i << 20 for i in range(len(ips))]
+        assert {ip["fabric"] for ip in ips} == {"central"}
+        assert entries[-1].kind == "cpu" and entries[-1].name == "st220"
+
+    def test_random_configs_lower_to_valid_documents(self):
+        """Every value lower() emits passes the loader's key checks and
+        check_netlist, on every protocol and topology the seeds draw."""
+        for seed in range(400):
+            lowered = PlatformConfig(netlist=lower(random_config(seed)))
+            assert config_from_dict(config_to_dict(lowered)) == lowered

@@ -61,15 +61,6 @@ ALLOWLIST: Dict[str, Tuple[str, str]] = {
         "paper", "DESIGN.md: (statistical, trace-driven, and"),
     "traffic.trace.TraceRecorder": (
         "paper", "DESIGN.md: (statistical, trace-driven, and"),
-    "core.clock.Clock.cycle_index": (
-        "observer", "tests/test_clock.py::TestConversions::test_cycle_index"),
-    "core.clock.Clock.next_edge_time": (
-        "observer", "tests/test_clock.py::TestEdges::"
-                    "test_edges_fire_where_next_edge_time_says"),
-    "memory.timing.SdramGeometry.row_bytes": (
-        "observer", "tests/test_sdram.py::TestGeometry::test_row_bytes_and_capacity"),
-    "memory.timing.SdramGeometry.capacity_bytes": (
-        "observer", "tests/test_sdram.py::TestGeometry::test_row_bytes_and_capacity"),
     "service.client.ServiceClient.health": (
         "observer", "tests/test_service_smoke.py::TestSocketFrontEnd::"
                     "test_http_health_reports_protocol_and_fleet"),

@@ -57,9 +57,15 @@ class TestGeometry:
         assert second[2] == first[2] + 1
 
     def test_row_bytes_and_capacity(self):
+        # A row holds 2**col_bits beats; the next row's worth of data goes
+        # to the next bank, and the address space wraps at the capacity.
         geom = SdramGeometry(banks=4, row_bits=13, col_bits=10, width_bytes=8)
-        assert geom.row_bytes == 8192
-        assert geom.capacity_bytes == 4 * (1 << 13) * 8192
+        row_bytes, capacity = 8192, 4 * (1 << 13) * 8192
+        assert geom.decode(row_bytes - 8) == (0, 0, 1023)
+        assert geom.decode(row_bytes) == (1, 0, 0)
+        assert geom.decode(4 * row_bytes) == (0, 1, 0)
+        assert geom.decode(capacity - 8) == (3, (1 << 13) - 1, 1023)
+        assert geom.decode(capacity) == (0, 0, 0)
 
     def test_invalid_banks(self):
         with pytest.raises(ValueError):
@@ -154,7 +160,8 @@ class TestAccessHelper:
 
     def test_row_conflict_precharges(self, device):
         geom = device.geometry
-        row_stride = geom.row_bytes * geom.banks  # same bank, next row
+        # Same bank, next row.
+        row_stride = (1 << geom.col_bits) * geom.width_bytes * geom.banks
         device.access(False, 0x0, beats=4, not_before_ps=0)
         pre_before = device.precharges.value
         device.access(False, row_stride, beats=4, not_before_ps=10**9)

@@ -160,10 +160,12 @@ class TestInterfaceProbe:
 
         plain = build_platform(Simulator(), quick_config())
         assert plain.monitor is None
-        assert plain.memory_port.interface_probe is None
+        memory_port, = plain.fabrics["central"].targets
+        assert memory_port.interface_probe is None
         with capture():
             traced = build_platform(Simulator(), quick_config())
-        assert traced.memory_port.interface_probe is traced.monitor
+        memory_port, = traced.fabrics["central"].targets
+        assert memory_port.interface_probe is traced.monitor
         assert "mem.iface.states" in traced.sim.metrics
 
 

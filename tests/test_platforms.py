@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bridge.base import BridgeBase
 from repro.core import Simulator
 from repro.obs import capture
 from repro.platforms import (
@@ -80,7 +81,6 @@ class TestElaboration:
         config = quick_config(protocol=protocol, topology=topology)
         with capture():
             platform = build_platform(Simulator(), config)
-        assert platform.memory_port is not None
         assert platform.monitor is not None
         expected_ips = sum(len(c.ips) for c in config.clusters)
         assert len(platform.iptgs) == expected_ips
@@ -96,7 +96,9 @@ class TestElaboration:
                               topology="collapsed")
         platform = build_platform(sim, config)
         assert platform.lmi is not None
-        assert not platform.bridges  # native STBus interface
+        # Native STBus interface: nothing between the node and the LMI.
+        assert not [c for c in platform.iter_tree()
+                    if isinstance(c, BridgeBase)]
 
     def test_axi_lmi_gets_converter(self):
         sim = Simulator()
@@ -105,7 +107,8 @@ class TestElaboration:
                               topology="collapsed")
         platform = build_platform(sim, config)
         assert platform.lmi is not None
-        assert any(b.name == "to_lmi" for b in platform.bridges)
+        assert any(isinstance(c, BridgeBase) and c.name == "to_lmi"
+                   for c in platform.iter_tree())
 
     def test_cpu_subsystem_present_when_enabled(self):
         sim = Simulator()

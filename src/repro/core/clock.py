@@ -11,9 +11,9 @@ immediately yields ``clock.edge()`` therefore advances exactly one period —
 there is no way to observe the same edge twice.
 
 A process that must retry on *every* edge until something changes does not
-loop over :meth:`Clock.edge` itself: :meth:`Clock.edge_until` schedules the
-same edge events and spares the process the resumes that would find nothing
-new (``docs/PERFORMANCE.md``, "The edge-stall wait").
+loop over :meth:`Clock.edge` itself: :meth:`Clock.edge_until` queues the same
+edge events, ticks them in the kernel loop and resumes the process only on
+the one that finds a change (``docs/PERFORMANCE.md``, "The edge-stall wait").
 """
 
 from __future__ import annotations
@@ -31,66 +31,36 @@ _PS_PER_S = 1_000_000_000_000
 
 
 class EdgeStall(Event):
-    """The event behind :meth:`Clock.edge_until`: a wait that rides the
-    clock's per-cycle edge events instead of resuming its process on them.
+    """The event behind :meth:`Clock.edge_until`, resolved by the kernel.
 
-    It is never queued itself.  It hangs :meth:`_on_edge` on one pooled
-    edge timeout at a time — the very timeout ``yield clk.edge()`` would
-    have scheduled, created at the same point of the same callback, so it
-    takes the same ``(time, priority, sequence)`` slot — and runs its own
-    callbacks (resuming the waiting process) from inside the first edge
-    event that finds the watched generation moved.  No reference to a
-    timeout is kept, so the pool may recycle each one as usual.
+    It is never queued itself; its :class:`StallTick` is, in the slot
+    ``yield clk.edge()`` would take, and the kernel re-queues the tick one
+    period later — the slot the poll's next edge takes — until an edge
+    finds the watched generation moved, then runs this wait's callbacks
+    (resuming the waiting process) inside that event.  ``since`` is when
+    the wait began (for :func:`repro.core.debug.diagnose`).
     """
 
     __slots__ = ("clock", "since", "_watched", "_seen")
 
-    def __init__(self, clock: "Clock", watched: Any) -> None:
-        # Flattened Event.__init__, as SignalStall below has it.
-        sim = self.sim = clock.sim
-        self.name = clock._stall_name
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = True
-        self._processed = False
-        self.clock = clock
-        #: When the wait began (for :func:`repro.core.debug.diagnose`).
-        self.since = sim._now
-        self._watched = watched
-        self._seen = watched.generation
-        clock.edge().callbacks.append(self._on_edge)
 
-    def _on_edge(self, _edge: Event) -> None:
-        if self._watched.generation != self._seen:
-            # Inlined Event._run_callbacks(), as SignalStall._fire has it.
-            self._value = None
-            callbacks, self.callbacks = self.callbacks, None
-            self._processed = True
-            for callback in callbacks:
-                callback(self)
+class StallTick(Event):
+    """The queued half of an :class:`EdgeStall`, named like its clock's edge
+    events and carrying no callbacks: the kernel ticks it by class, with
+    :meth:`_run_callbacks` inlined in ``Simulator._run_fast``."""
+
+    __slots__ = ("stall",)
+
+    def _run_callbacks(self) -> None:
+        stall = self.stall
+        if stall._watched.generation == stall._seen:
+            sim = self.sim
+            sim._sequence = sequence = sim._sequence + 1
+            heappush(sim._queue, (sim._now + stall.clock.period_ps,
+                                  PRIORITY_NORMAL, sequence, self))
             return
-        # Still stalled.  The callback runs on an edge, so the next one is
-        # exactly a period away.
-        clock = self.clock
-        sim = self.sim
-        period = clock.period_ps
-        pool = sim._timeout_pool
-        if not pool:
-            sim.pooled_timeout(period, name=clock._edge_name
-                               ).callbacks.append(self._on_edge)
-            return
-        # Inlined Simulator.pooled_timeout(): the re-arm is all a stalled
-        # cycle costs, so it does not pay for a second frame.
-        timeout = pool.pop()
-        timeout.callbacks = [self._on_edge]
-        timeout._value = None
-        timeout._ok = True
-        timeout._processed = False
-        timeout.delay = period
-        timeout.name = clock._edge_name
-        sim._sequence = sequence = sim._sequence + 1
-        heappush(sim._queue,
-                 (sim._now + period, PRIORITY_NORMAL, sequence, timeout))
+        stall._value = None
+        stall._run_callbacks()
 
 
 class SignalStall(Event):
@@ -201,9 +171,9 @@ class Clock:
         sim = self.sim
         now = sim._now
         phase = self.phase_ps
-        # The next strictly-future edge, computed inline (here and in
-        # edges()): edge waits are most of what a cycle-accurate platform
-        # schedules.
+        # The next strictly-future edge, computed inline (here, in edges()
+        # and in edge_until()): edge waits are most of what a
+        # cycle-accurate platform schedules.
         if now < phase:
             delay = phase - now
         else:
@@ -224,16 +194,38 @@ class Clock:
             while watched.generation == seen:
                 yield clk.edge()
 
-        including the events it schedules: one pooled edge timeout per
-        cycle, under the same name and in the same queue slot, so event
-        counts, traces and checkpoints cannot tell the two apart.  What it
-        saves is host work — a stalled cycle costs one integer comparison
-        and a re-arm instead of a generator resume and a rescan.  Use it
-        where a process must retry on every edge until one of its inputs
-        changes, and make every such change bump the generation at the
-        instant it happens.
+        including the events it schedules: one edge event per cycle, under
+        the same name and in the same queue slot, so event counts, traces
+        and checkpoints cannot tell the two apart.  What it saves is host
+        work: the kernel ticks a stalled cycle itself, with no generator
+        resume, rescan or Python frame.  Use it where a process must retry
+        on every edge until one of its inputs changes, and make every such
+        change bump the generation at the instant it happens.
         """
-        return EdgeStall(self, watched)
+        # Both halves are built frame-free (neither runs an __init__).
+        sim = self.sim
+        stall = EdgeStall.__new__(EdgeStall)
+        stall.sim = sim
+        stall.name = self._stall_name
+        stall.callbacks = []
+        stall._value = _PENDING
+        stall._ok = True
+        stall._processed = False
+        stall.clock = self
+        stall.since = now = sim._now
+        stall._watched = watched
+        stall._seen = watched.generation
+        tick = StallTick.__new__(StallTick)
+        tick.sim = sim
+        tick.name = self._edge_name
+        tick.callbacks = tick._value = None
+        tick._processed = False
+        tick.stall = stall
+        phase, period = self.phase_ps, self.period_ps
+        when = phase if now < phase else now + period - (now - phase) % period
+        sim._sequence = sequence = sim._sequence + 1
+        heappush(sim._queue, (when, PRIORITY_NORMAL, sequence, tick))
+        return stall
 
     def edge_after(self, signal: Any, same_edge: bool = True) -> Event:
         """Loosely-timed counterpart of :meth:`edge_until`: sleep until
@@ -279,8 +271,8 @@ class Clock:
         if not pool:
             return sim.pooled_timeout(delay, priority=priority,
                                       name=self._edge_name)
-        # Inlined Simulator.pooled_timeout(), as EdgeStall._on_edge has
-        # it: every transfer on every channel waits here.
+        # Inlined Simulator.pooled_timeout(): every transfer on every
+        # channel waits here.
         timeout = pool.pop()
         timeout.callbacks = []
         timeout._value = None

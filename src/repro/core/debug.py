@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .clock import EdgeStall, SignalStall
+from .clock import EdgeStall, SignalStall, StallTick
 from .component import Component
 from .events import Event
 from .fifo import Fifo
@@ -35,13 +35,15 @@ def _fifos_of(obj: object) -> List[Fifo]:
 def _scheduled_wakes(sim: Simulator) -> Dict[int, int]:
     """Earliest scheduled fire time per queued event, keyed by ``id()``.
 
-    An :class:`EdgeStall` is never queued itself; it is entered under the
-    clock-edge event its per-cycle callback currently hangs on — as is a
-    :class:`SignalStall` that was notified and is realigning to an edge.
+    An :class:`EdgeStall` is never queued itself; it is entered under its
+    queued :class:`StallTick` — and a :class:`SignalStall` that was
+    notified and is realigning to an edge under that edge's event.
     """
     table: Dict[int, int] = {}
     for when, _priority, _sequence, event in sim._queue:
         waits = [event]
+        if isinstance(event, StallTick):
+            waits.append(event.stall)
         for callback in event.callbacks or ():
             owner = getattr(callback, "__self__", None)
             if isinstance(owner, _STALL_WAITS):

@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING, Any, Generator, Iterable, List, Optional, Tupl
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.registry import MetricRegistry
 
+from .clock import Clock, StallTick
 from .events import (
     AllOf,
     Event,
@@ -114,9 +115,10 @@ class Simulator:
         self._clocks: List[Any] = []
         #: Free list of recyclable :class:`_PooledTimeout` instances.
         self._timeout_pool: List[_PooledTimeout] = []
-        # Shadow the `timeout` method with a C-level partial straight onto
-        # the constructor: one Python frame less on the single most-called
-        # factory in the system (see the method below for the signature).
+        #: ``timeout(delay, value=None, priority=PRIORITY_NORMAL)``: a
+        #: :class:`Timeout` ``delay`` ps from now, from a C-level partial
+        #: straight onto the constructor — no Python frame on the single
+        #: most-called factory in the system.
         self.timeout = partial(Timeout, self)
         #: Transaction-span recorder (``repro.obs.trace.SpanRecorder``) or
         #: ``None``.  Components read this once at construction; model code
@@ -225,16 +227,6 @@ class Simulator:
         """A fresh untriggered event."""
         return Event(self, name=name)
 
-    def timeout(self, delay: int, value: Any = None,
-                priority: int = PRIORITY_NORMAL) -> Timeout:
-        """An event triggering ``delay`` picoseconds from now.
-
-        (Instances overwrite this with ``partial(Timeout, self)`` in
-        ``__init__`` — identical behaviour, one call frame cheaper.  This
-        def documents the signature and serves as the fallback.)
-        """
-        return Timeout(self, delay, value=value, priority=priority)
-
     def pooled_timeout(self, delay: int, value: Any = None,
                        priority: int = PRIORITY_NORMAL,
                        name: str = "") -> Timeout:
@@ -288,8 +280,6 @@ class Simulator:
               period_ps: Optional[int] = None, phase_ps: int = 0,
               name: str = "clk"):
         """Create a :class:`~repro.core.clock.Clock` bound to this simulator."""
-        from .clock import Clock  # local import to avoid a cycle
-
         clk = Clock(self, freq_mhz=freq_mhz, period_ps=period_ps,
                     phase_ps=phase_ps, name=name)
         self._clocks.append(clk)
@@ -343,11 +333,13 @@ class Simulator:
         with no bound/trace checks.  Events a callback schedules for the
         current timestamp join the live cluster in correct
         priority-then-sequence order because the heap invariant holds across
-        pushes.
+        pushes.  A :class:`~repro.core.clock.StallTick` has no callbacks and
+        is ticked here, so no event with callbacks pays for the check.
         """
         queue = self._queue
         pop = heappop
         pooled = _PooledTimeout
+        tick = StallTick
         pool = self._timeout_pool
         pool_append = pool.append
         while queue:
@@ -367,6 +359,20 @@ class Simulator:
                 if callbacks:
                     for callback in callbacks:
                         callback(event)
+                elif event.__class__ is tick:
+                    # Inlined StallTick._run_callbacks(): no frame.
+                    stall = event.stall
+                    if stall._watched.generation == stall._seen:
+                        self._sequence = sequence = self._sequence + 1
+                        heappush(queue, (when + stall.clock.period_ps,
+                                         PRIORITY_NORMAL, sequence, event))
+                    else:
+                        stall._value = None
+                        callbacks, stall.callbacks = stall.callbacks, None
+                        stall._processed = True
+                        for callback in callbacks:
+                            callback(stall)
+                    continue
                 # Inlined _reclaim().
                 if event.__class__ is pooled and not event._pinned \
                         and len(pool) < _POOL_MAX:

@@ -28,9 +28,13 @@ the LT screening drift bound for the ``cost`` objective is zero.
 
 from __future__ import annotations
 
+from typing import Any, Dict, Tuple
+
 from ..bridge.matrix import conversion_plan
 from ..interconnect.protocols import spec_for_platform
+from ..memory.lmi import LmiConfig
 from ..platforms.config import PlatformConfig
+from ..platforms.netlist import lower
 
 #: Bits per lookahead-window entry: a 32-bit address plus opcode/length
 #: bookkeeping, matching the LMI controller's queue entries.
@@ -57,53 +61,63 @@ def wire_cost(protocol: str, initiators: int, targets: int,
     return ports
 
 
-def _fifo_bits(config: PlatformConfig) -> int:
-    """Storage bits of the memory-side buffering."""
-    memory = config.memory
-    if memory.kind == "lmi":
-        word = config.central_width_bytes * 8
-        return (word * (memory.lmi.input_fifo_depth
-                        + memory.lmi.output_fifo_depth)
-                + _LOOKAHEAD_ENTRY_BITS * memory.lmi.lookahead_depth)
-    word = config.central_width_bytes * 8
-    return word * (memory.request_depth + memory.response_depth)
+def _fifo_bits(kind: str, params: Dict[str, Any], width_bytes: int) -> int:
+    """Storage bits of one memory's buffering, in words of its fabric."""
+    word = width_bytes * 8
+    if kind == "lmi":
+        lmi = LmiConfig(**(params["config"] or {}))
+        return (word * (lmi.input_fifo_depth + lmi.output_fifo_depth)
+                + _LOOKAHEAD_ENTRY_BITS * lmi.lookahead_depth)
+    return word * (params["request_depth"] + params["response_depth"])
+
+
+def _node(fabric: Dict[str, Any]) -> Tuple[str, int]:
+    """A netlist fabric's platform protocol key and STBus type."""
+    protocol = fabric["protocol"]
+    return ("stbus" if protocol == "stbus-xbar" else protocol,
+            fabric["stbus_type"])
 
 
 def platform_cost(config: PlatformConfig) -> int:
     """Total interconnect wire bits + FIFO storage bits of a platform.
 
-    Collapsed topologies are a single node holding every IP (plus the
-    CPU when enabled) against the memory target; distributed ones sum
-    the per-cluster nodes, one bridge per cluster into the central node,
-    and the central node itself.  ``central_crossbar`` turns the central
-    node into the full switch matrix (STBus platforms only — the
-    builder ignores the flag elsewhere, and so does the cost model).
+    It prices what the builder builds: ``config.netlist or
+    lower(config)``.  Each fabric is a node wired to its initiators (the
+    traffic sources on it and the bridges into it) and its targets (the
+    memories on it and the bridges out of it); an ``stbus-xbar`` fabric
+    is the full switch matrix.  Each bridge adds the ports of its
+    conversion plan, and each memory its buffering at its fabric's
+    width.
     """
-    cpu_ports = 1 if config.cpu.enabled else 0
-    is_crossbar = config.central_crossbar and config.protocol == "stbus"
-    central_type = int(config.central_stbus_type)
+    entries = [(entry.kind, entry.name, entry.filled())
+               for entry in config.netlist or lower(config)]
+    fabrics = {name: params for kind, name, params in entries
+               if kind == "fabric"}
+    initiators = dict.fromkeys(fabrics, 0)
+    targets = dict.fromkeys(fabrics, 0)
     total = 0
-    if config.topology == "collapsed":
-        initiators = cpu_ports + sum(len(c.ips) for c in config.clusters)
-        total += wire_cost(config.protocol, max(1, initiators), 1,
-                           config.central_width_bytes,
-                           crossbar=is_crossbar, stbus_type=central_type)
-    else:
-        central_spec = spec_for_platform(config.protocol, central_type)
-        for cluster in config.clusters:
-            cluster_spec = spec_for_platform(config.protocol,
-                                             int(cluster.stbus_type))
-            total += wire_cost(config.protocol, max(1, len(cluster.ips)), 1,
-                               cluster.data_width_bytes,
-                               stbus_type=int(cluster.stbus_type))
-            plan = conversion_plan(cluster_spec, central_spec)
-            total += plan.wire_bits(cluster.data_width_bytes,
-                                    config.central_width_bytes)
-        central_initiators = max(1, len(config.clusters) + cpu_ports)
-        total += wire_cost(config.protocol, central_initiators, 1,
-                           config.central_width_bytes,
-                           crossbar=is_crossbar, stbus_type=central_type)
-    return total + _fifo_bits(config)
+    for kind, _name, params in entries:
+        if kind == "bridge":
+            source, dest = fabrics[params["source"]], fabrics[params["dest"]]
+            targets[params["source"]] += 1
+            initiators[params["dest"]] += 1
+            plan = conversion_plan(spec_for_platform(*_node(source)),
+                                   spec_for_platform(*_node(dest)))
+            total += plan.wire_bits(source["width_bytes"],
+                                    dest["width_bytes"])
+        elif kind in ("onchip", "lmi"):
+            targets[params["fabric"]] += 1
+            total += _fifo_bits(kind, params,
+                                fabrics[params["fabric"]]["width_bytes"])
+        elif kind != "fabric":
+            initiators[params["fabric"]] += 1
+    for name, fabric in fabrics.items():
+        protocol, stbus_type = _node(fabric)
+        total += wire_cost(protocol, max(1, initiators[name]),
+                           max(1, targets[name]), fabric["width_bytes"],
+                           crossbar=fabric["protocol"] == "stbus-xbar",
+                           stbus_type=stbus_type)
+    return total
 
 
 __all__ = ["platform_cost", "wire_cost"]

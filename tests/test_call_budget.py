@@ -34,12 +34,12 @@ SRC = str(Path(repro.__file__).resolve().parent)
 
 #: case -> (configuration, calls + resumes per transaction as measured).
 CASES = {
-    "quick_ca": (lambda: quick_config(traffic_scale=0.03, seed=1), 591.70),
+    "quick_ca": (lambda: quick_config(traffic_scale=0.03, seed=1), 545.17),
     "quick_lt": (lambda: quick_config(traffic_scale=0.03, seed=1,
                                       resolution="lt"), 466.78),
     "distributed_axi": (lambda: fig3_instances(0.05)["distributed_axi"],
-                        840.52),
-    "full_ahb": (lambda: fig3_instances(0.05)["full_ahb"], 648.08),
+                        786.60),
+    "full_ahb": (lambda: fig3_instances(0.05)["full_ahb"], 539.75),
     # LT's two costliest fabrics: AXI's four channel processes and the
     # STBus response path, each woken only by work it can act on.
     "distributed_axi_lt": (lambda: fig3_instances(0.05)["distributed_axi"]
@@ -56,7 +56,7 @@ CASES = {
     # The LMI engine behind a collapsed AXI fabric: the one benchmarked
     # memory process the cases above do not reach.
     "lmi_collapsed_axi": (lambda: fig5_instances(0.05)["collapsed_axi"],
-                          781.27),
+                          717.55),
     # The same platform loosely timed: its lightweight bridges commit
     # whole response packets and the LMI whole read groups, the LT path
     # that moves most.

@@ -292,8 +292,11 @@ def _run_stall_schedule(use_wait, mode, changes, rounds, gap_ps):
             sim.run(until=min(sim.now + 700, STALL_HORIZON))
     else:
         sim.run(until=STALL_HORIZON)
+    # Every pooled timeout the run created: free, or still queued.
+    pooled = len(sim._timeout_pool) + sum(
+        isinstance(event, _PooledTimeout) for *_, event in sim._queue)
     return {"log": log, "trace": trace, "events": sim.processed_events,
-            "pool": len(sim._timeout_pool)}
+            "pooled": pooled}
 
 
 class TestEdgeUntil:
@@ -357,15 +360,15 @@ class TestEdgeUntil:
         assert isinstance(stall, EdgeStall) and stall.since == 0
         held = [getattr(stall, slot) for slot in EdgeStall.__slots__]
         assert not any(isinstance(value, _PooledTimeout) for value in held)
-        # Fifty re-arms, two timeouts: each edge is re-armed from inside
-        # the previous one's callback, before that one is reclaimed.
-        assert len(sim._timeout_pool) == 1
-        assert len(sim._queue) == 1
+        # Fifty re-queues of one tick: the wait draws nothing from the
+        # pool, and its tick is all it keeps queued.
+        assert len(sim._timeout_pool) == 0
+        assert [event.stall for *_, event in sim._queue] == [stall]
 
     def test_rearms_from_an_empty_pool_like_from_a_stocked_one(self):
-        # The re-arm recycles a pooled timeout inline and falls back to a
-        # fresh one when the pool is empty: either way the same events, in
-        # the same slots, and the same wake-up.
+        # The kernel re-queues the wait's own tick and never touches the
+        # pool: an empty one gives the same events, in the same slots, and
+        # the same wake-up as a stocked one.
         def run(drain_pool):
             trace = []
             sim = Simulator(trace=lambda when, event:
@@ -398,8 +401,8 @@ class TestEdgeUntil:
         drained_trace, drained_woke, drained_objects = run(True)
         assert drained_trace == stocked_trace
         assert drained_woke == stocked_woke and stocked_woke[0][0] == 9_000
-        # Nine edges: two timeouts taking turns, or a fresh one each time.
-        assert (stocked_objects, drained_objects) == (2, 9)
+        # Nine edges, one tick, whatever the pool holds.
+        assert (stocked_objects, drained_objects) == (1, 1)
 
     def test_conditions_over_edges_stay_pinned_during_a_stall(self, sim):
         clk = sim.clock(period_ps=1_000, name="a")
@@ -466,6 +469,9 @@ class TestEdgeUntil:
                                              gap_ps)
                 polled = _run_stall_schedule(False, mode, changes, rounds,
                                              gap_ps)
+                # The poll's one edge timeout is the only pooled timeout
+                # the wait does not need: it ticks without one.
+                assert waited.pop("pooled") + 1 == polled.pop("pooled")
                 assert waited == polled, mode
                 outcomes[mode] = waited
             assert len({o["events"] for o in outcomes.values()}) == 1

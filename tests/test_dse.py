@@ -17,9 +17,12 @@ The search *core* invariants are property-tested in
 The tiny seeded searches double as the ``dse_smoke`` CI tier.
 """
 
+import dataclasses
 import json
 
 import pytest
+
+from repro.bridge.matrix import conversion_plan
 
 from repro.dse import (
     OptimizerOptions,
@@ -35,7 +38,9 @@ from repro.dse import (
     platform_cost,
     wire_cost,
 )
+from repro.dse.cost import _LOOKAHEAD_ENTRY_BITS
 from repro.dse.objectives import OBJECTIVES, drift_bounds, resolve_objectives
+from repro.interconnect.protocols import get_spec, spec_for_platform
 from repro.platforms.loader import ConfigError, config_from_dict
 
 _BASE = {
@@ -223,6 +228,67 @@ class TestWireCost:
         spec = parse_dse(tiny_document(axes={"fifo_depth": [1, 8]}))
         assert platform_cost(spec.space.config((1,))) > \
             platform_cost(spec.space.config((0,)))
+
+
+class TestPlatformCost:
+    """``platform_cost`` prices the netlist the builder builds,
+    ``config.netlist or lower(config)``, one component at a time."""
+
+    def test_crossbar_example_prices_as_before(self):
+        # CPU off, on-chip STBus memory: nothing the netlist adds to the
+        # reference keys, so every candidate keeps its price.
+        spec = load_dse("examples/configs/dse_crossbar.json")
+        costs = [platform_cost(spec.space.config(candidate))
+                 for candidate in spec.space.candidates()]
+        assert costs == [2624, 2624, 3008, 3008, 6036, 6036, 6420, 6420,
+                         4912, 4912, 5296, 5296]
+
+    def test_distributed_cpu_prices_its_layer_and_bridge(self):
+        def config(cpu):
+            return config_from_dict({"protocol": "axi",
+                                     "topology": "distributed",
+                                     "cpu": {"enabled": cpu}})
+
+        with_cpu = config(True)
+        width = with_cpu.central_width_bytes
+        axi = spec_for_platform("axi")
+        # The ST220's 32-bit layer (one initiator, one target), its bridge
+        # to the central node, and the central node's extra initiator.
+        extra = (wire_cost("axi", 1, 1, 4)
+                 + conversion_plan(axi, axi).wire_bits(4, width)
+                 + axi.wire_bits(width))
+        assert platform_cost(with_cpu) == platform_cost(config(False)) + extra
+
+    def test_non_stbus_lmi_prices_lmi_node_and_converter(self):
+        config = config_from_dict({"protocol": "axi",
+                                   "topology": "collapsed",
+                                   "memory": {"kind": "lmi"},
+                                   "cpu": {"enabled": False}})
+        width = config.central_width_bytes
+        initiators = sum(len(cluster.ips) for cluster in config.clusters)
+        lmi = config.memory.lmi
+        # The central node's one target is the to_lmi converter into the
+        # 8-byte STBus lmi_node, whose one target is the LMI; the LMI's
+        # FIFOs hold words of the lmi_node.
+        assert platform_cost(config) == (
+            wire_cost("axi", initiators, 1, width)
+            + wire_cost("stbus", 1, 1, 8, stbus_type=3)
+            + conversion_plan(spec_for_platform("axi"), get_spec("stbus_t3"))
+            .wire_bits(width, 8)
+            + 64 * (lmi.input_fifo_depth + lmi.output_fifo_depth)
+            + _LOOKAHEAD_ENTRY_BITS * lmi.lookahead_depth)
+
+    def test_netlist_config_is_priced_from_its_entries(self):
+        with open("examples/configs/single_layer_netlist.json") as handle:
+            config = config_from_dict(json.load(handle))
+        # One 4-byte STBus T2 layer with eight IPTGs and one memory (one
+        # request and two response slots).
+        expected = wire_cost("stbus", 8, 1, 4, stbus_type=2) + 32 * (1 + 2)
+        assert platform_cost(config) == expected
+        # Reference keys the netlist does not use change nothing.
+        unused = dataclasses.replace(config, central_width_bytes=16,
+                                     central_crossbar=True)
+        assert platform_cost(unused) == expected
 
 
 class TestObjectives:

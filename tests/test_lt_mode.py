@@ -27,7 +27,7 @@ from repro.check.lt_accuracy import (
 )
 from repro.cli import main
 from repro.core import Simulator
-from repro.core.clock import EdgeStall, SignalStall
+from repro.core.clock import SignalStall, StallTick
 from repro.core.events import (
     PRIORITY_NORMAL,
     _PENDING,
@@ -493,20 +493,21 @@ class TestStallsScheduleNothing:
         monkeypatch.setattr(SignalStall, "_fire", recording_fire)
 
         def run(resolution):
-            """Clock-edge events a stall wait hung a callback on: per
-            ``EdgeStall`` tick, and per ``SignalStall`` realignment."""
+            """Clock-edge events of a stall wait: per ``EdgeStall`` tick
+            (its queued ``StallTick``), and per ``SignalStall``
+            realignment (the edge it hung a callback on)."""
             ticks, realigns = 0, {}
 
             def hook(_when, event):
                 nonlocal ticks
+                if isinstance(event, StallTick):
+                    assert event.name == event.stall.clock.name + ".edge"
+                    ticks += 1
                 for callback in event.callbacks or ():
                     owner = getattr(callback, "__self__", None)
-                    if isinstance(owner, (EdgeStall, SignalStall)):
+                    if isinstance(owner, SignalStall):
                         assert event.name == owner.clock.name + ".edge"
-                        if isinstance(owner, EdgeStall):
-                            ticks += 1
-                        else:
-                            realigns[owner] = realigns.get(owner, 0) + 1
+                        realigns[owner] = realigns.get(owner, 0) + 1
 
             sim = Simulator(trace=hook)
             build_platform(sim, config.scaled(resolution=resolution)).run()

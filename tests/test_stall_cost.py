@@ -5,18 +5,25 @@ beat of an atomic packet, on AHB slave wait states — must still *schedule*
 one clock-edge event per stalled cycle (that is what keeps cycle-accurate
 event counts and orderings exact), but it must not be *resumed* on them:
 it waits on ``Clock.edge_until`` and is resumed once, when something it
-scanned changed.  Each case below holds one engine's channel stalled for
-40 and then for 400 cycles and requires the same number of generator
-resumes both times, while the event count grows with the stall — so a
-refactor cannot quietly bring the per-cycle rescan back.
+scanned changed.  Nor may a stalled cycle enter any other Python frame:
+the kernel ticks the wait's edge event itself.  Each case below holds one
+engine's channel stalled for 40 and then for 400 cycles and requires the
+same number of generator resumes, and the same number of calls into
+``src/repro``, both times, while the event count grows with the stall —
+so a refactor cannot quietly bring the per-cycle rescan or a per-cycle
+callback back.
 
 Loosely timed, the same channels sleep on the work signal through
-``Clock.edge_after`` and schedule nothing while blocked: resumes *and*
-processed events are the same at both stall lengths.
+``Clock.edge_after`` and schedule nothing while blocked: resumes, calls
+*and* processed events are the same at both stall lengths.
 """
+
+import cProfile
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import Simulator
 from repro.interconnect import AddressRange, ResponseBeat, StbusType
 from repro.interconnect.crossbar import StbusCrossbar
@@ -24,6 +31,7 @@ from repro.interconnect.crossbar import StbusCrossbar
 from .helpers import make_node, read, write
 
 HOLDS = (40, 400)
+SRC = str(Path(repro.__file__).resolve().parent)
 
 
 def _crossbar(sim):
@@ -52,8 +60,8 @@ def _device(sim, port, clk, hold_before=0, pause_after_beats=None,
 
 
 def _stalled_run(build, channel, txns, hold, where, resolution="ca"):
-    """Resumes of ``channel`` and total events for one run whose stall
-    lasts ``hold`` cycles."""
+    """Resumes of ``channel``, total events and calls + resumes under
+    ``src/repro`` for one run whose stall lasts ``hold`` cycles."""
     sim = Simulator(resolution=resolution)
     node = build(sim)
     port = node.add_target("mem", AddressRange(0, 1 << 20),
@@ -78,9 +86,17 @@ def _stalled_run(build, channel, txns, hold, where, resolution="ca"):
     initiator = node.connect_initiator("ip0", max_outstanding=len(txns))
     for txn in txns:
         initiator.issue(txn)
-    sim.run(until=(hold + 200) * node.clock.period_ps * len(txns))
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        sim.run(until=(hold + 200) * node.clock.period_ps * len(txns))
+    finally:
+        profile.disable()
     assert all(txn.t_done is not None for txn in txns)
-    return resumes[0], sim.processed_events
+    calls = sum(entry.callcount for entry in profile.getstats()
+                if not isinstance(entry.code, str)
+                and entry.code.co_filename.startswith(SRC))
+    return resumes[0], sim.processed_events, calls
 
 
 def _reads():
@@ -123,10 +139,13 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stalled_channel_resumes_do_not_grow_with_the_stall(case):
     build, channel, make_txns, where = CASES[case]
-    (short_resumes, short_events), (long_resumes, long_events) = (
-        _stalled_run(build, channel, make_txns(), hold, where)
-        for hold in HOLDS)
+    (short_resumes, short_events, short_calls), \
+        (long_resumes, long_events, long_calls) = (
+            _stalled_run(build, channel, make_txns(), hold, where)
+            for hold in HOLDS)
     assert long_resumes == short_resumes
+    # ...and no frame at all: the kernel ticks the stalled edges.
+    assert long_calls == short_calls
     # The stall is real and still ticks: one edge event per extra cycle.
     assert long_events - short_events >= HOLDS[1] - HOLDS[0]
 
@@ -137,5 +156,6 @@ def test_loosely_timed_stall_schedules_nothing(case):
     short, long = (
         _stalled_run(build, channel, make_txns(), hold, where, "lt")
         for hold in HOLDS)
-    # Neither generator resumes nor kernel events grow with the stall.
+    # Neither generator resumes, calls nor kernel events grow with the
+    # stall.
     assert long == short

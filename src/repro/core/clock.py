@@ -69,8 +69,7 @@ class SignalStall(Event):
     nothing, however long the stall lasts — and fires on the clock edge
     the stalled channel re-enters arbitration on: the instant of the
     wake-up when that is an edge and ``same_edge`` allows it, otherwise
-    the next edge (one pooled edge timeout, the only event the whole stall
-    costs).
+    the next edge (one edge timeout, the only event the whole stall costs).
     """
 
     __slots__ = ("clock", "since", "signal", "_same_edge")
@@ -141,7 +140,6 @@ class Clock:
         # Event labels are precomputed: an f-string per edge wait is pure
         # overhead on the hottest allocation site in the simulator.
         self._edge_name = name + ".edge"
-        self._delay_name = name + ".delay"
         self._stall_name = name + ".stall"
 
     # ------------------------------------------------------------------
@@ -160,14 +158,8 @@ class Clock:
     # ------------------------------------------------------------------
     # events
     # ------------------------------------------------------------------
-    def edge(self, priority: int = PRIORITY_NORMAL) -> Timeout:
-        """Event firing at the next strictly-future rising edge.
-
-        The returned timeout comes from the simulator's reuse pool: yield
-        it (or attach a callback) and forget it.  Holding one across a
-        later edge wait is not supported — see
-        :meth:`~repro.core.kernel.Simulator.pooled_timeout`.
-        """
+    def edge(self) -> Timeout:
+        """Event firing at the next strictly-future rising edge."""
         sim = self.sim
         now = sim._now
         phase = self.phase_ps
@@ -179,8 +171,7 @@ class Clock:
         else:
             period = self.period_ps
             delay = period - (now - phase) % period
-        return sim.pooled_timeout(delay, priority=priority,
-                                  name=self._edge_name)
+        return sim.timeout(delay, name=self._edge_name)
 
     def edge_until(self, watched: Any) -> EdgeStall:
         """Event firing at the first future rising edge that finds
@@ -252,10 +243,8 @@ class Clock:
             return self.edge()
         return SignalStall(self, signal, wake, same_edge)
 
-    def edges(self, n: int, priority: int = PRIORITY_NORMAL) -> Timeout:
-        """Event firing ``n`` rising edges from now (``n`` >= 1).
-
-        Pooled, like :meth:`edge`."""
+    def edges(self, n: int) -> Timeout:
+        """Event firing ``n`` rising edges from now (``n`` >= 1)."""
         if n < 1:
             raise ValueError(f"edges() needs n >= 1, got {n}")
         sim = self.sim
@@ -267,34 +256,19 @@ class Clock:
         else:
             delay = period - (now - phase) % period
         delay += (n - 1) * period
-        pool = sim._timeout_pool
-        if not pool:
-            return sim.pooled_timeout(delay, priority=priority,
-                                      name=self._edge_name)
-        # Inlined Simulator.pooled_timeout(): every transfer on every
+        # Built frame-free (no Timeout.__init__): every transfer on every
         # channel waits here.
-        timeout = pool.pop()
+        timeout = Timeout.__new__(Timeout)
+        timeout.sim = sim
+        timeout.name = self._edge_name
         timeout.callbacks = []
         timeout._value = None
         timeout._ok = True
         timeout._processed = False
         timeout.delay = delay
-        timeout.name = self._edge_name
         sim._sequence = sequence = sim._sequence + 1
-        heappush(sim._queue, (now + delay, priority, sequence, timeout))
+        heappush(sim._queue, (now + delay, PRIORITY_NORMAL, sequence, timeout))
         return timeout
-
-    def delay(self, cycles: int) -> Timeout:
-        """Event firing exactly ``cycles`` periods from *now* (not aligned).
-
-        Use :meth:`edges` for edge-aligned waits; this is for modelling
-        latencies quoted in cycles that start mid-cycle (e.g. combinational
-        paths crossing a node).  Pooled, like :meth:`edge`.
-        """
-        if cycles < 0:
-            raise ValueError(f"negative cycle delay {cycles}")
-        return self.sim.pooled_timeout(cycles * self.period_ps,
-                                       name=self._delay_name)
 
     def to_ps(self, cycles: int) -> int:
         """Convert a cycle count to picoseconds."""

@@ -233,26 +233,6 @@ class Timeout(Event):
         heappush(sim._queue, (sim._now + delay, priority, sequence, self))
 
 
-class _PooledTimeout(Timeout):
-    """A :class:`Timeout` owned by its simulator's reuse pool.
-
-    Only created through :meth:`Simulator.pooled_timeout`.  After the kernel
-    has run its callbacks the instance is returned to the pool and may be
-    re-armed for a later wait, so holders must not inspect it once a new
-    wait could have been issued (clock-edge waits are yielded and dropped,
-    which is exactly the safe pattern).  Wrapping one in an
-    :class:`AllOf` pins it out of the pool, so ``all_of`` over clock
-    edges stays sound.
-    """
-
-    __slots__ = ("_pinned",)
-
-    def __init__(self, sim: "Simulator", delay: int, value: Any = None,
-                 priority: int = PRIORITY_NORMAL, name: str = "") -> None:
-        super().__init__(sim, delay, value=value, priority=priority, name=name)
-        self._pinned = False
-
-
 class Process(Event):
     """A running generator.  The process *is* an event: it triggers when the
     generator returns (value = return value) or raises (failure).
@@ -347,10 +327,6 @@ class AllOf(Event):
         for event in self.events:
             if event.sim is not sim:
                 raise EventError("condition mixes events from different simulators")
-            if event.__class__ is _PooledTimeout:
-                # _collect reads children after they were processed; pin the
-                # event so the pool can never re-arm it under us.
-                event._pinned = True
         self._remaining = len(self.events)
         if not self.events:
             self.succeed(self._collect())

@@ -197,8 +197,8 @@ class Fifo(Generic[T]):
                      instants: List[int]) -> Optional[Event]:
         """LT: store ``items[i]`` at ``instants[i]``, or as soon after as a
         slot frees, in order: what a producer does that loops ``wait until
-        the instant; put`` over them, with one pooled timer at a time in
-        place of a process resume per item.
+        the instant; put`` over them, with one timer at a time in place of
+        a process resume per item.
 
         :attr:`store_instants` records when each item was stored.  Returns
         ``None`` when every item was stored at once, otherwise the event
@@ -298,8 +298,8 @@ class Fifo(Generic[T]):
         while scheduled:
             instant, item = scheduled[0]
             if instant > now:
-                sim.pooled_timeout(instant - now, name=self._put_name
-                                   ).callbacks.append(self._advance_schedule)
+                sim.timeout(instant - now, name=self._put_name
+                            ).callbacks.append(self._advance_schedule)
                 return
             scheduled.popleft()
             if len(self._items) >= self.capacity or self._put_waiters:
@@ -314,8 +314,8 @@ class Fifo(Generic[T]):
         stores = self.store_instants
         if stores and stores[-1] > now:
             # A run claimed the tail: release at its last instant.
-            sim.pooled_timeout(stores[-1] - now, name=self._put_name
-                               ).callbacks.append(self._advance_schedule)
+            sim.timeout(stores[-1] - now, name=self._put_name
+                        ).callbacks.append(self._advance_schedule)
             return
         self.released_ps = now
         release = self._schedule_release

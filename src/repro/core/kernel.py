@@ -23,10 +23,9 @@ FIFOs.
 
 Hot-path design (see ``docs/PERFORMANCE.md``): :meth:`Simulator.run` selects
 one of two pre-bound loop bodies once — traced or untraced — instead of
-checking ``trace is None`` per event, pops the heap once per *timestamp
-cluster* (all events sharing ``now`` drain in an inner loop with no bound
-checks), and recycles clock-edge :class:`Timeout` objects through a pool so
-steady-state cycle-accurate models stop allocating on every edge.
+checking ``trace is None`` per event, and pops the heap once per
+*timestamp cluster* (all events sharing ``now`` drain in an inner loop
+with no bound checks).
 
 Observability hooks (see ``docs/OBSERVABILITY.md``) follow the same
 select-once discipline: the only per-run instrumentation points are the
@@ -54,7 +53,6 @@ from .events import (
     EventError,
     Process,
     Timeout,
-    _PooledTimeout,
     PRIORITY_NORMAL,
 )
 
@@ -64,10 +62,6 @@ NS = 1_000
 US = 1_000_000
 #: One millisecond in picoseconds.
 MS = 1_000_000_000
-
-#: Upper bound on retained pooled timeouts (a platform rarely has more
-#: concurrent edge waits than this; beyond it we just let the GC work).
-_POOL_MAX = 512
 
 #: Construction observers: each callable is invoked with every newly built
 #: :class:`Simulator`.  Empty by default — ``repro.obs.capture()`` appends a
@@ -113,8 +107,6 @@ class Simulator:
         self._trace = trace
         self._processed_events = 0
         self._clocks: List[Any] = []
-        #: Free list of recyclable :class:`_PooledTimeout` instances.
-        self._timeout_pool: List[_PooledTimeout] = []
         #: ``timeout(delay, value=None, priority=PRIORITY_NORMAL)``: a
         #: :class:`Timeout` ``delay`` ps from now, from a C-level partial
         #: straight onto the constructor — no Python frame on the single
@@ -227,37 +219,6 @@ class Simulator:
         """A fresh untriggered event."""
         return Event(self, name=name)
 
-    def pooled_timeout(self, delay: int, value: Any = None,
-                       priority: int = PRIORITY_NORMAL,
-                       name: str = "") -> Timeout:
-        """A :class:`Timeout` drawn from (and returned to) a reuse pool.
-
-        Behaves exactly like :meth:`timeout` for the canonical wait pattern
-        ``yield clk.edge()`` — yield it, forget it.  The kernel reclaims the
-        object right after its callbacks ran, so **do not** keep a reference
-        across a later wait on the same clock/FIFO: the instance may have
-        been re-armed for somebody else's wait by then.  ``all_of``
-        pins its children automatically and stays safe.  Used by
-        :class:`~repro.core.clock.Clock` edge waits, which account for most
-        events in a cycle-accurate platform run.
-        """
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"negative timeout delay {delay}")
-            timeout = pool.pop()
-            timeout.callbacks = []
-            timeout._value = value
-            timeout._ok = True
-            timeout._processed = False
-            timeout.delay = delay
-            timeout.name = name
-            self._sequence = sequence = self._sequence + 1
-            heappush(self._queue, (self._now + delay, priority, sequence, timeout))
-            return timeout
-        return _PooledTimeout(self, delay, value=value, priority=priority,
-                              name=name)
-
     def process(self, generator: Generator[Event, Any, Any],
                 name: str = "", immediate: bool = False) -> Process:
         """Register ``generator`` as a process starting at the current time.
@@ -306,11 +267,6 @@ class Simulator:
         """Time of the next queued event, or None when the queue is empty."""
         return self._queue[0][0] if self._queue else None
 
-    def _reclaim(self, event: Event) -> None:
-        """Return a processed pooled timeout to the free list."""
-        if not event._pinned and len(self._timeout_pool) < _POOL_MAX:
-            self._timeout_pool.append(event)
-
     def run(self, until: Optional[int] = None) -> int:
         """Run until the queue drains or ``until`` ps is reached.
 
@@ -329,19 +285,15 @@ class Simulator:
         """The untraced hot loop: batch every event sharing a timestamp.
 
         The heap top is inspected once per *cluster*; inside a cluster the
-        inner loop pops, runs callbacks inline and recycles pooled timeouts
-        with no bound/trace checks.  Events a callback schedules for the
-        current timestamp join the live cluster in correct
-        priority-then-sequence order because the heap invariant holds across
-        pushes.  A :class:`~repro.core.clock.StallTick` has no callbacks and
+        inner loop pops and runs callbacks inline with no bound/trace
+        checks.  Events a callback schedules for the current timestamp join
+        the live cluster in correct priority-then-sequence order because the
+        heap invariant holds across pushes.  A :class:`~repro.core.clock.StallTick` has no callbacks and
         is ticked here, so no event with callbacks pays for the check.
         """
         queue = self._queue
         pop = heappop
-        pooled = _PooledTimeout
         tick = StallTick
-        pool = self._timeout_pool
-        pool_append = pool.append
         while queue:
             when = queue[0][0]
             if until is not None and when > until:
@@ -372,11 +324,6 @@ class Simulator:
                         stall._processed = True
                         for callback in callbacks:
                             callback(stall)
-                    continue
-                # Inlined _reclaim().
-                if event.__class__ is pooled and not event._pinned \
-                        and len(pool) < _POOL_MAX:
-                    pool_append(event)
             self._processed_events += processed
         return self._now
 
@@ -397,8 +344,6 @@ class Simulator:
                 processed += 1
                 trace(when, event)
                 event._run_callbacks()
-                if event.__class__ is _PooledTimeout:
-                    self._reclaim(event)
             self._processed_events += processed
         return self._now
 

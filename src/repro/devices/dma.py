@@ -43,11 +43,6 @@ class DmaDescriptor:
         if self.source < 0 or self.destination < 0:
             raise ValueError("addresses must be non-negative")
 
-    @property
-    def bursts(self) -> int:
-        """Bus bursts needed for this descriptor."""
-        return -(-self.length // self.burst_bytes)
-
 
 class DmaChannel:
     """One channel: an ordered descriptor chain plus completion event."""

@@ -49,10 +49,6 @@ class StbusOpcode(enum.Enum):
     def is_load(self) -> bool:
         return self.value[0] == "load"
 
-    @property
-    def size_bytes(self) -> int:
-        return self.value[1]
-
     @classmethod
     def encode(cls, is_load: bool, size_bytes: int) -> "StbusOpcode":
         """The opcode for one operation of ``size_bytes``."""

@@ -368,6 +368,18 @@ def _make_executor(jobs: int):
         return None
 
 
+def _stop_workers(executor) -> None:
+    """Kill a pool's worker processes: ``shutdown`` cancels queued jobs but
+    lets a running one finish, so a job past its timeout would keep its
+    worker (and the interpreter's exit) waiting.  ``concurrent.futures``
+    has no public call for this before Python 3.14."""
+    processes = list(executor._processes.values())
+    for process in processes:
+        process.kill()
+    for process in processes:
+        process.join()
+
+
 def _pool_map(fn: Callable[[Any], Any], payloads: Sequence[Any], jobs: int,
               timeout_s: Optional[float], retries: int = 1) -> Optional[List]:
     """Ordered process-pool map with per-job timeout and crash retry.
@@ -375,7 +387,8 @@ def _pool_map(fn: Callable[[Any], Any], payloads: Sequence[Any], jobs: int,
     Returns ``None`` when no pool could be created at all (the caller
     falls back to a serial map).  A job whose worker process dies is
     resubmitted to a fresh pool up to ``retries`` times; a job that
-    exceeds ``timeout_s`` aborts the sweep with :class:`SweepError`.
+    exceeds ``timeout_s`` aborts the sweep with :class:`SweepError`, once
+    the pool's workers are stopped.
     """
     import concurrent.futures as cf
     from concurrent.futures.process import BrokenProcessPool
@@ -398,6 +411,7 @@ def _pool_map(fn: Callable[[Any], Any], payloads: Sequence[Any], jobs: int,
                 try:
                     results[index] = future.result(timeout=timeout_s)
                 except cf.TimeoutError:
+                    _stop_workers(executor)
                     raise SweepError(
                         f"sweep job {index} exceeded the {timeout_s}s "
                         f"wall-clock timeout") from None

@@ -169,7 +169,7 @@ def fifo_pipeline(scale: float = 1.0,
 
 def clock_edges(scale: float = 1.0,
                 resolution: str = "ca") -> Tuple[int, int]:
-    """Multi-domain clock-edge waits: the pooled-timeout fast path.
+    """Multi-domain clock-edge waits: the edge-timeout fast path.
 
     Three processes spinning on 400/250/166 MHz edges — the steady-state
     shape of every cycle-accurate bus model in the platform.  Clock edges

@@ -10,9 +10,17 @@ from .helpers import add_memory, drive, make_node, read
 
 class TestDmaDescriptor:
     def test_burst_count(self):
-        descriptor = DmaDescriptor(source=0, destination=0x1000,
-                                   length=200, burst_bytes=64)
-        assert descriptor.bursts == 4
+        # 200 bytes in 64-byte bursts: four reads, each with its write.
+        sim = Simulator()
+        node = make_node(sim, width=8)
+        add_memory(sim, node, width=8)
+        engine = DmaEngine(sim, "dma", node.connect_initiator("dma"),
+                           beat_bytes=8)
+        engine.program([DmaDescriptor(source=0, destination=0x1000,
+                                      length=200, burst_bytes=64)])
+        engine.start()
+        sim.run(until=10_000_000_000)
+        assert engine.bursts_issued.value == 8
 
     def test_validation(self):
         with pytest.raises(ValueError):

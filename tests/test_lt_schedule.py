@@ -3,7 +3,7 @@
 ``Fifo.put_schedule`` stores a producer's items at instants fixed in
 advance (the LMI streams each read group out of its output FIFO at
 device-window instants fixed once the SDRAM access is issued), on one
-pooled timer at a time.  ``Fabric._claim_schedule`` lets a response run
+timer at a time.  ``Fabric._claim_schedule`` lets a response run
 take a picked packet's still-scheduled beats and cross them in one step
 that ends where beat-by-beat streaming would.  Each is checked here
 against the beat-by-beat behaviour it replaces; that no platform result

@@ -7,11 +7,15 @@ The analysis is a name-based ``ast`` call graph run to a fixpoint:
   and ``__all__`` (registry tables, ``PROTOCOLS``, CLI wiring), the name
   ``main`` (``repro.cli.main``) and every file under ``examples/`` and
   ``benchmarks/``.
-* **Reach** — a reached name reaches every definition of that name, so
-  overrides and ``process(...)`` targets count.  A reached function
-  reaches every name in it; a reached class reaches its bases, decorators,
-  class-level statements and dunder methods, plus the methods that
-  override a base outside ``src/repro`` (framework callbacks such as
+* **Reach** — a name a piece of code loads as an attribute, imports or
+  spells as an identifier-like string (``getattr``) reaches every
+  definition of that name, so overrides and ``process(...)`` targets
+  count.  A bare-name load reaches only module-level definitions, and a
+  store reaches nothing: a local variable or an attribute assignment that
+  shares a method's name does not reach the method.  A reached function
+  reaches every name it loads; a reached class reaches its bases,
+  decorators, class-level statements and dunder methods, plus the methods
+  that override a base outside ``src/repro`` (framework callbacks such as
   ``http.client.HTTPConnection.connect``).
 
 A name collision can make dead code look reached, never reached code look
@@ -76,16 +80,24 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _names(nodes: Iterable[ast.AST]) -> set:
-    """Every name a piece of code mentions: loads, attributes, imports."""
+    """What a piece of code reaches, as ``(name, member)`` pairs: bare-name
+    loads reach module-level definitions only (``member`` false);
+    attribute loads, imports and identifier-like strings reach methods
+    too.  Stores reach nothing."""
     found = set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
-                found.add(sub.id)
+                if isinstance(sub.ctx, ast.Load):
+                    found.add((sub.id, False))
             elif isinstance(sub, ast.Attribute):
-                found.add(sub.attr)
+                if isinstance(sub.ctx, ast.Load):
+                    found.add((sub.attr, True))
             elif isinstance(sub, ast.alias):
-                found.add(sub.name.rsplit(".", 1)[-1])
+                found.add((sub.name.rsplit(".", 1)[-1], True))
+            elif isinstance(sub, ast.Constant) and \
+                    isinstance(sub.value, str) and sub.value.isidentifier():
+                found.add((sub.value, True))
     return found
 
 
@@ -134,6 +146,8 @@ class Definition:
                  imports: Dict[str, str]) -> None:
         self.qualname = f"{module}.{qualname}"
         self.module = module
+        #: A module-level function or class (a bare name reaches it).
+        self.top = "." not in qualname
         self.node = node
         self.imports = imports
 
@@ -160,7 +174,7 @@ def analyse(src: Path, root_files: Iterable[Path] = (),
     definitions: List[Definition] = []
     by_node: Dict[int, Definition] = {}
     aliases: Dict[str, set] = {}
-    roots = set(root_names)
+    roots = {(name, True) for name in root_names}
 
     def collect(module, prefix, body, imports):
         for stmt in body:
@@ -216,13 +230,14 @@ def analyse(src: Path, root_files: Iterable[Path] = (),
             reach(by_node[id(member)])
 
     while pending:
-        name = pending.pop()
-        if name in seen:
+        name, member = mention = pending.pop()
+        if mention in seen:
             continue
-        seen.add(name)
-        pending.extend(aliases.get(name, ()))
+        seen.add(mention)
+        pending.extend((alias, True) for alias in aliases.get(name, ()))
         for definition in by_name.get(name, ()):
-            reach(definition)
+            if member or definition.top:
+                reach(definition)
 
     dead = {d.qualname for d in definitions if id(d) not in reached}
     unreached = {name for name in dead
@@ -327,8 +342,23 @@ class Connection(http.client.HTTPConnection):
         pass
 
 
+class Tally:
+    def count(self):
+        return 0
+
+    def total(self):
+        return 1
+
+
 def helper():
     return "shape"
+
+
+def tally():
+    count = 3
+    board = Tally()
+    board.count = count
+    return getattr(board, "total")()
 
 
 def planted():
@@ -341,6 +371,7 @@ def example_only():
 
 TOTAL = sum(shape.area() for shape in [Square()])
 CONNECTION = Connection
+TALLY = tally()
 """,
 }
 
@@ -360,11 +391,11 @@ def test_planted_unreachable_function_is_reported_by_name(planted_tree):
     package, example = planted_tree
     defined, unreached = analyse(package, [example])
     assert unreached == {"shapes.planted", "shapes.Square.unused_method",
-                         "shapes.Connection.unused_hook"}
+                         "shapes.Connection.unused_hook", "shapes.Tally.count"}
     assert problems("shapes", defined, unreached, {}) == [
         f"{name}: reached only from tests; delete it or allowlist it"
         for name in ("shapes.Connection.unused_hook", "shapes.Square.unused_method",
-                     "shapes.planted")]
+                     "shapes.Tally.count", "shapes.planted")]
 
 
 def test_override_of_a_reached_method_is_not_reported(planted_tree):
@@ -372,7 +403,8 @@ def test_override_of_a_reached_method_is_not_reported(planted_tree):
     __, unreached = analyse(package, [example])
     for reached in ("shapes.Shape.area", "shapes.Square.area",
                     "shapes.Shape.__repr__", "shapes.helper",
-                    "shapes.Connection.connect", "shapes.example_only"):
+                    "shapes.Connection.connect", "shapes.example_only",
+                    "shapes.Tally.total"):
         assert reached not in unreached
 
 
@@ -381,7 +413,8 @@ def test_stale_allowlist_entries_fail_with_their_names(planted_tree):
     defined, unreached = analyse(package, [example])
     allowlist = {name: ("observer", "") for name in (
         "shapes.planted", "shapes.Square.unused_method",
-        "shapes.Connection.unused_hook", "shapes.helper", "shapes.gone")}
+        "shapes.Connection.unused_hook", "shapes.Tally.count",
+        "shapes.helper", "shapes.gone")}
     assert problems("shapes", defined, unreached, allowlist) == [
         "shapes.gone: allowlisted but no longer exists",
         "shapes.helper: allowlisted but now reached; drop the entry"]

@@ -17,7 +17,7 @@ class TestOpcodes:
     def test_encode_load(self):
         assert StbusOpcode.encode(True, 8) is StbusOpcode.LD8
         assert StbusOpcode.LD8.is_load
-        assert StbusOpcode.LD8.size_bytes == 8
+        assert StbusOpcode.LD8.value == ("load", 8)
 
     def test_encode_store(self):
         assert StbusOpcode.encode(False, 4) is StbusOpcode.ST4
@@ -29,8 +29,8 @@ class TestOpcodes:
 
     @pytest.mark.parametrize("size", VALID_SIZES)
     def test_full_repertoire(self, size):
-        assert StbusOpcode.encode(True, size).size_bytes == size
-        assert StbusOpcode.encode(False, size).size_bytes == size
+        assert StbusOpcode.encode(True, size).value == ("load", size)
+        assert StbusOpcode.encode(False, size).value == ("store", size)
 
 
 class TestPackets:

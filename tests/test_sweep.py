@@ -7,7 +7,9 @@ interaction and sweep-spec parsing.
 """
 
 import json
+import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -334,7 +336,13 @@ class TestPoolResilience:
 
     def test_job_timeout_raises_sweep_error(self):
         with pytest.raises(SweepError, match="timeout"):
-            _pool_map(_sleep_job, [2.0], jobs=2, timeout_s=0.2)
+            _pool_map(_sleep_job, [30.0], jobs=2, timeout_s=0.2)
+        # The timed-out job's worker is stopped, not left running.
+        deadline = time.monotonic() + 3
+        while multiprocessing.active_children() and \
+                time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert multiprocessing.active_children() == []
 
 
 class TestCaptureInteraction:

@@ -17,8 +17,9 @@ STBus platforms to keep their performance advantage.
 
 Responses are relayed *cut-through*: data beats stream to the source side
 as they arrive (after the return-crossing latency), in source-acceptance
-order by default (STBus Type 2 in-order delivery); ``in_order=False``
-models a Type-3 instance that reassociates shaped packets out of order.
+order (STBus Type 2 in-order delivery).  ``in_order=False``, a Type-3
+instance that reassociates shaped packets out of order, is built by tests
+only; no platform selects it.
 """
 
 from __future__ import annotations

@@ -65,18 +65,17 @@ __all__ = [
 class CheckSession:
     """One checking session: a checker for every simulator it saw."""
 
-    def __init__(self, with_spans: bool = True) -> None:
-        #: Also attach a :class:`~repro.obs.trace.SpanRecorder` (unless one
-        #: is already present from an enclosing ``repro.obs.capture()``) so
-        #: the span-tiling monitor has spans to audit.
-        self.with_spans = with_spans
+    def __init__(self) -> None:
         self.checkers: List[SimChecker] = []
 
     def attach(self, sim) -> SimChecker:
         """Attach invariant checking to an already-built simulator."""
         if sim._checks is not None:
             raise RuntimeError("simulator already has an invariant checker")
-        if self.with_spans and sim._spans is None:
+        # Also attach a :class:`~repro.obs.trace.SpanRecorder` (unless one
+        # is already present from an enclosing ``repro.obs.capture()``) so
+        # the span-tiling monitor has spans to audit.
+        if sim._spans is None:
             from ..obs.trace import SpanRecorder
 
             sim._spans = SpanRecorder(sim)
@@ -97,7 +96,7 @@ class CheckSession:
 
 
 @contextmanager
-def checked(with_spans: bool = True) -> Iterator[CheckSession]:
+def checked() -> Iterator[CheckSession]:
     """Ambiently check every simulator built while the context is active.
 
     Note on composition with :func:`repro.obs.capture`: ``capture()`` refuses
@@ -105,7 +104,7 @@ def checked(with_spans: bool = True) -> Iterator[CheckSession]:
     are wanted, enter ``capture()`` *first* and ``checked()`` inside it (the
     session then reuses the capture's recorder instead of making its own).
     """
-    session = CheckSession(with_spans=with_spans)
+    session = CheckSession()
     _kernel._new_sim_hooks.append(session.attach)
     try:
         yield session

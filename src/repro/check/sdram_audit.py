@@ -51,8 +51,7 @@ class SdramCommandLog:
         self.commands.append((time_ps, cmd, bank, row))
 
 
-def audit_sdram(log: SdramCommandLog,
-                banks: Optional[int] = None) -> List[Violation]:
+def audit_sdram(log: SdramCommandLog) -> List[Violation]:
     """Replay ``log`` against its timing parameters; return violations.
 
     Rules checked (rule ids in parentheses):
@@ -82,8 +81,9 @@ def audit_sdram(log: SdramCommandLog,
         violations.append(Violation(component=log.name, time_ps=time_ps,
                                     rule=rule, message=message, txn=cmd))
 
-    nbanks = banks if banks is not None else 1 + max(
-        [bank for _, _, bank, _ in commands if bank >= 0], default=0)
+    # Banks no command names are never opened: they need no state.
+    nbanks = 1 + max([bank for _, _, bank, _ in commands if bank >= 0],
+                     default=0)
     open_row = [None] * nbanks
     last_act = [None] * nbanks
     last_pre = [None] * nbanks

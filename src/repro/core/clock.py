@@ -118,12 +118,12 @@ class Clock:
         Frequency in MHz.  Mutually exclusive with ``period_ps``.
     period_ps:
         Period in integer picoseconds.
-    phase_ps:
-        Offset of the first rising edge from time zero.
+
+    Rising edges fall on every multiple of the period, time zero included.
     """
 
     def __init__(self, sim: "Simulator", freq_mhz: Optional[float] = None,
-                 period_ps: Optional[int] = None, phase_ps: int = 0,
+                 period_ps: Optional[int] = None,
                  name: str = "clk") -> None:
         if (freq_mhz is None) == (period_ps is None):
             raise ValueError("specify exactly one of freq_mhz / period_ps")
@@ -131,12 +131,9 @@ class Clock:
             period_ps = round(_PS_PER_S / (freq_mhz * 1_000_000))
         if period_ps <= 0:
             raise ValueError(f"non-positive clock period {period_ps}")
-        if phase_ps < 0:
-            raise ValueError(f"negative clock phase {phase_ps}")
         self.sim = sim
         self.name = name
         self.period_ps = int(period_ps)
-        self.phase_ps = int(phase_ps)
         # Event labels are precomputed: an f-string per edge wait is pure
         # overhead on the hottest allocation site in the simulator.
         self._edge_name = name + ".edge"
@@ -148,12 +145,9 @@ class Clock:
         """Nominal frequency in MHz (derived from the integer period)."""
         return _PS_PER_S / self.period_ps / 1_000_000
 
-    def at_edge(self, time_ps: Optional[int] = None) -> bool:
-        """True when ``time_ps`` (default now) falls exactly on a rising edge."""
-        if time_ps is None:
-            time_ps = self.sim._now
-        return time_ps >= self.phase_ps and (
-            (time_ps - self.phase_ps) % self.period_ps == 0)
+    def at_edge(self) -> bool:
+        """True when now falls exactly on a rising edge."""
+        return self.sim._now % self.period_ps == 0
 
     # ------------------------------------------------------------------
     # events
@@ -161,17 +155,11 @@ class Clock:
     def edge(self) -> Timeout:
         """Event firing at the next strictly-future rising edge."""
         sim = self.sim
-        now = sim._now
-        phase = self.phase_ps
+        period = self.period_ps
         # The next strictly-future edge, computed inline (here, in edges()
         # and in edge_until()): edge waits are most of what a
         # cycle-accurate platform schedules.
-        if now < phase:
-            delay = phase - now
-        else:
-            period = self.period_ps
-            delay = period - (now - phase) % period
-        return sim.timeout(delay, name=self._edge_name)
+        return sim.timeout(period - sim._now % period, name=self._edge_name)
 
     def edge_until(self, watched: Any) -> EdgeStall:
         """Event firing at the first future rising edge that finds
@@ -212,8 +200,8 @@ class Clock:
         tick.callbacks = tick._value = None
         tick._processed = False
         tick.stall = stall
-        phase, period = self.phase_ps, self.period_ps
-        when = phase if now < phase else now + period - (now - phase) % period
+        period = self.period_ps
+        when = now + period - now % period
         sim._sequence = sequence = sim._sequence + 1
         heappush(sim._queue, (when, PRIORITY_NORMAL, sequence, tick))
         return stall
@@ -249,13 +237,8 @@ class Clock:
             raise ValueError(f"edges() needs n >= 1, got {n}")
         sim = self.sim
         now = sim._now
-        phase = self.phase_ps
         period = self.period_ps
-        if now < phase:
-            delay = phase - now
-        else:
-            delay = period - (now - phase) % period
-        delay += (n - 1) * period
+        delay = n * period - now % period
         # Built frame-free (no Timeout.__init__): every transfer on every
         # channel waits here.
         timeout = Timeout.__new__(Timeout)

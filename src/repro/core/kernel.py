@@ -238,11 +238,9 @@ class Simulator:
         return AllOf(self, events)
 
     def clock(self, freq_mhz: Optional[float] = None,
-              period_ps: Optional[int] = None, phase_ps: int = 0,
-              name: str = "clk"):
+              period_ps: Optional[int] = None, name: str = "clk"):
         """Create a :class:`~repro.core.clock.Clock` bound to this simulator."""
-        clk = Clock(self, freq_mhz=freq_mhz, period_ps=period_ps,
-                    phase_ps=phase_ps, name=name)
+        clk = Clock(self, freq_mhz=freq_mhz, period_ps=period_ps, name=name)
         self._clocks.append(clk)
         return clk
 

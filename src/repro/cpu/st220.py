@@ -32,16 +32,14 @@ class St220Core(Component):
 
     def __init__(self, sim: Simulator, name: str, port: InitiatorPort,
                  benchmark: SyntheticBenchmark,
-                 icache: Optional[Cache] = None,
-                 dcache: Optional[Cache] = None,
                  parent: Optional[Component] = None) -> None:
         super().__init__(sim, name, clock=port.fabric.clock, parent=parent)
         self.port = port
         self.benchmark = benchmark
-        self.icache = icache or Cache(f"{name}.icache", size_bytes=8192,
-                                      line_bytes=64, ways=2)
-        self.dcache = dcache or Cache(f"{name}.dcache", size_bytes=8192,
-                                      line_bytes=32, ways=4)
+        self.icache = Cache(f"{name}.icache", size_bytes=8192,
+                            line_bytes=64, ways=2)
+        self.dcache = Cache(f"{name}.dcache", size_bytes=8192,
+                            line_bytes=32, ways=4)
         # The caches are sim-less, so their counters are indexed here.
         for cache in (self.icache, self.dcache):
             for stat in (cache.hits, cache.misses, cache.writebacks):

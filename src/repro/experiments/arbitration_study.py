@@ -10,8 +10,8 @@ time (efficiency) and the per-initiator mean-latency spread (fairness).
 Expected shape: under a saturated many-to-one pattern, throughput is
 memory-bound and near-identical across policies, but *fairness* is not —
 fixed priority starves the low-priority initiators (large latency spread)
-while round-robin/LRU keep the spread tight; the lottery sits in between,
-steering bandwidth by ticket share.
+while round-robin/LRU keep the spread tight; the lottery, one ticket per
+source, sits in between.
 """
 
 from __future__ import annotations

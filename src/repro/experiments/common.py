@@ -27,20 +27,18 @@ from typing import Dict, Iterable, List, Optional
 
 from ..platforms.config import PlatformConfig
 from ..platforms.result import RunResult
-from ..sweep import DEFAULT_MAX_PS, sweep
+from ..sweep import sweep
 
 
 def run_configs(configs: Iterable[PlatformConfig],
-                max_ps: int = DEFAULT_MAX_PS,
-                jobs: Optional[int] = None,
-                cache=None) -> List[RunResult]:
+                jobs: Optional[int] = None) -> List[RunResult]:
     """Run many independent configurations; results in input order.
 
     The parallel/caching behaviour lives in :func:`repro.sweep.sweep`;
     this is the thin map every experiment's multi-config loop goes
     through.  ``jobs=None`` reads ``$REPRO_JOBS``.
     """
-    outcomes = sweep(list(configs), max_ps=max_ps, jobs=jobs, cache=cache)
+    outcomes = sweep(list(configs), jobs=jobs)
     return [outcome.result for outcome in outcomes]
 
 

@@ -27,7 +27,7 @@ from typing import Optional
 from ..core.clock import Clock
 from ..core.component import Component
 from ..core.kernel import Simulator
-from .arbiter import Arbiter, MessageLockStall
+from .arbiter import MessageLockStall
 from .base import Fabric
 from .protocols import get_spec
 
@@ -41,10 +41,9 @@ class AhbLayer(Fabric):
 
     def __init__(self, sim: Simulator, name: str, clock: Clock,
                  data_width_bytes: int = 4,
-                 arbiter: Optional[Arbiter] = None,
                  parent: Optional[Component] = None) -> None:
         super().__init__(sim, name, clock, data_width_bytes=data_width_bytes,
-                         arbiter=arbiter, parent=parent)
+                         parent=parent)
         self.bus = self.channel("bus")
         #: Back-to-back transfers whose address phase overlapped the
         #: previous data phase (the AHB pipelining win, visible in stats).

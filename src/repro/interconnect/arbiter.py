@@ -101,29 +101,16 @@ class LeastRecentlyGranted(Arbiter):
 class WeightedLottery(Arbiter):
     """Lottery-style probabilistic bandwidth allocation (LOTTERYBUS [1]).
 
-    Each source holds a configurable number of tickets; a seeded RNG makes
-    runs reproducible.  Unknown sources get ``default_tickets``.
+    Every source holds one ticket, so each candidate wins with the same
+    probability; a seeded RNG makes runs reproducible.
     """
 
-    def __init__(self, tickets: Optional[Dict[object, int]] = None,
-                 default_tickets: int = 1, seed: int = 1) -> None:
-        if default_tickets < 1:
-            raise ValueError("default_tickets must be >= 1")
-        self.tickets = dict(tickets or {})
-        self.default_tickets = default_tickets
+    def __init__(self, seed: int = 1) -> None:
         self._rng = random.Random(seed)
 
     def select(self, candidates: Sequence[Candidate]) -> Candidate:
         self._require(candidates)
-        weights = [max(1, self.tickets.get(key, self.default_tickets))
-                   for key, _txn in candidates]
-        total = sum(weights)
-        draw = self._rng.randrange(total)
-        for candidate, weight in zip(candidates, weights):
-            draw -= weight
-            if draw < 0:
-                return candidate
-        return candidates[-1]  # pragma: no cover - float-free, unreachable
+        return candidates[self._rng.randrange(len(candidates))]
 
 
 class MessageArbiter(Arbiter):
@@ -137,14 +124,11 @@ class MessageArbiter(Arbiter):
 
     If the locked source temporarily has nothing to offer, the lock holds and
     other candidates wait (the node idles), which is the conservative
-    interpretation of message atomicity; :attr:`release_when_absent` relaxes
-    this for ablation studies.
+    interpretation of message atomicity.
     """
 
-    def __init__(self, inner: Optional[Arbiter] = None,
-                 release_when_absent: bool = False) -> None:
+    def __init__(self, inner: Optional[Arbiter] = None) -> None:
         self.inner = inner if inner is not None else RoundRobin()
-        self.release_when_absent = release_when_absent
         self._locked_key: Optional[object] = None
         self._locked_message: Optional[int] = None
 
@@ -166,12 +150,9 @@ class MessageArbiter(Arbiter):
                 if key == self._locked_key and txn.message_id == self._locked_message:
                     self._update_lock(candidate)
                     return candidate
-            if not self.release_when_absent:
-                # Nothing from the locked source: report "no grant" by raising
-                # a dedicated signal the caller turns into an idle cycle.
-                raise MessageLockStall(self._locked_key)
-            self._locked_key = None
-            self._locked_message = None
+            # Nothing from the locked source: report "no grant" by raising
+            # a dedicated signal the caller turns into an idle cycle.
+            raise MessageLockStall(self._locked_key)
         winner = self.inner.select(candidates)
         self._update_lock(winner)
         return winner

@@ -33,7 +33,7 @@ from ..core.component import Component
 from ..core.fifo import Fifo
 from ..core.kernel import Simulator
 from ..core.sync import WorkSignal
-from .arbiter import Arbiter, RoundRobin
+from .arbiter import RoundRobin
 from .base import Fabric, TargetPort
 from .generic import GenericFabric
 from .types import Opcode, ResponseBeat
@@ -59,14 +59,11 @@ class AxiFabric(GenericFabric):
 
     def __init__(self, sim: Simulator, name: str, clock: Clock,
                  data_width_bytes: int = 4,
-                 arbiter: Optional[Arbiter] = None,
-                 write_arbiter: Optional[Arbiter] = None,
                  parent: Optional[Component] = None) -> None:
         #: Write path gets its own arbiter: AR and AW are independent.
-        self.write_arbiter = write_arbiter if write_arbiter is not None else RoundRobin()
+        self.write_arbiter = RoundRobin()
         super().__init__(sim, name, clock, "axi",
-                         data_width_bytes=data_width_bytes,
-                         arbiter=arbiter, parent=parent)
+                         data_width_bytes=data_width_bytes, parent=parent)
 
     def _start_channels(self) -> None:
         self.ar_channel = self.channel("ar")

@@ -44,17 +44,16 @@ class FabricError(RuntimeError):
 class InitiatorPort:
     """An initiator's attachment point to a fabric."""
 
-    def __init__(self, fabric: "Fabric", name: str, max_outstanding: int = 1,
-                 queue_depth: Optional[int] = None) -> None:
+    def __init__(self, fabric: "Fabric", name: str,
+                 max_outstanding: int = 1) -> None:
         if max_outstanding < 1:
             raise ValueError(f"max_outstanding must be >= 1, got {max_outstanding}")
         self.fabric = fabric
         self.sim = fabric.sim
         self.name = name
         self.max_outstanding = max_outstanding
-        depth = queue_depth if queue_depth is not None else max_outstanding
         #: Transactions granted a credit, waiting for the request channel.
-        self.pending: Fifo[Transaction] = Fifo(self.sim, depth,
+        self.pending: Fifo[Transaction] = Fifo(self.sim, max_outstanding,
                                                name=f"{name}.pending")
         self.credits = Semaphore(self.sim, max_outstanding, name=f"{name}.credits")
         # Precomputed event label: issue() runs once per transaction.
@@ -294,10 +293,9 @@ class Fabric(Component):
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
-    def connect_initiator(self, name: str, max_outstanding: int = 1,
-                          queue_depth: Optional[int] = None) -> InitiatorPort:
-        port = InitiatorPort(self, name, max_outstanding=max_outstanding,
-                             queue_depth=queue_depth)
+    def connect_initiator(self, name: str,
+                          max_outstanding: int = 1) -> InitiatorPort:
+        port = InitiatorPort(self, name, max_outstanding=max_outstanding)
         self.initiators.append(port)
         return port
 
@@ -503,23 +501,15 @@ class Fabric(Component):
             if item.txn is not txn:
                 return None
         # Edge arithmetic inlined: the hot path calls no Clock accessor.
-        clock = self.clock
-        period = clock.period_ps
-        phase = clock.phase_ps
+        period = self.clock.period_ps
         now = self.sim._now
         cross = cycles * period
         # The head crosses as ``clk.edges(cycles)`` from now; the buffered
         # beats follow back to back.
-        if now < phase:
-            first = phase + cross - period
-        else:
-            first = now - (now - phase) % period + cross
+        first = now - now % period + cross
         end = first + cross * (len(items) - 1)
         for instant, _item in pending:
-            if instant < phase:
-                wake = phase
-            else:
-                wake = instant + (phase - instant) % period
+            wake = instant + -instant % period
             if wake > end:
                 end = wake
             end += cross

@@ -41,7 +41,6 @@ from ..core.kernel import Simulator
 from .arbiter import Arbiter, MessageArbiter
 from .base import Fabric, TargetPort
 from .generic import GenericFabric
-from .stbus_protocol import request_packet
 from .types import ResponseBeat, StbusType, Transaction
 
 
@@ -107,10 +106,13 @@ class StbusNode(GenericFabric):
         return run
 
     def request_cycles(self, txn: Transaction) -> int:
-        """Request-channel occupancy from the packet composition rules."""
-        packet = request_packet(txn, self.data_width_bytes,
-                                shaped=self.spec.response_interleave)
-        return packet.cells
+        """Request-channel occupancy: the cells of the request packet.
+
+        A load is one opcode/address cell, whatever its size; a store
+        carries its data, one cell per bus-width chunk.
+        """
+        return 1 if txn.is_read else max(
+            1, -(-txn.total_bytes // self.data_width_bytes))
 
     def snapshot_state(self, encoder):
         # The node's own keys, not the bare engine's.

@@ -83,13 +83,12 @@ class LmiController(Component):
     def __init__(self, sim: Simulator, name: str, port: TargetPort,
                  clock: Clock, config: Optional[LmiConfig] = None,
                  timing: SdramTiming = DDR_SDRAM,
-                 geometry: Optional[SdramGeometry] = None,
                  parent: Optional[Component] = None) -> None:
         super().__init__(sim, name, clock=clock, parent=parent)
         self.port = port
         self.config = config or LmiConfig()
         self.device = SdramDevice(sim, f"{name}.sdram", clock, timing,
-                                  geometry or SdramGeometry())
+                                  SdramGeometry())
         if self.device.cmd_log is not None:
             # The auditor only enforces the autorefresh interval when the
             # controller's refresh engine is actually enabled.
@@ -115,7 +114,6 @@ class LmiController(Component):
                address_size: int, clock: Clock,
                config: Optional[LmiConfig] = None,
                timing: SdramTiming = DDR_SDRAM,
-               geometry: Optional[SdramGeometry] = None,
                parent: Optional[Component] = None) -> "LmiController":
         """Create the target port on ``fabric`` and the controller in one go."""
         from ..interconnect.types import AddressRange
@@ -125,7 +123,7 @@ class LmiController(Component):
                                  request_depth=cfg.input_fifo_depth,
                                  response_depth=cfg.output_fifo_depth)
         return cls(sim, name, port, clock, config=cfg, timing=timing,
-                   geometry=geometry, parent=parent)
+                   parent=parent)
 
     # ------------------------------------------------------------------
     def snapshot_state(self, encoder):

@@ -137,26 +137,26 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
     return "\n".join(line.rstrip() for line in lines)
 
 
-def bar_chart(values: Mapping[str, float], width: int = 40,
-              unit: str = "", max_value: Optional[float] = None) -> str:
+def bar_chart(values: Mapping[str, float], width: int = 40) -> str:
     """Horizontal ASCII bar chart (one bar per label)."""
     if not values:
         return "(no data)"
-    peak = max_value if max_value is not None else max(values.values())
+    peak = max(values.values())
     peak = peak if peak > 0 else 1.0
     label_width = max(len(label) for label in values)
     lines = []
     for label, value in values.items():
-        filled = int(round(width * min(value, peak) / peak))
+        filled = int(round(width * value / peak))
         bar = "#" * filled
         lines.append(f"{label.ljust(label_width)} |{bar.ljust(width)}| "
-                     f"{value:.3f}{unit}")
+                     f"{value:.3f}")
     return "\n".join(lines)
 
 
 def breakdown_chart(breakdowns: Mapping[str, Mapping[str, float]],
-                    states: Sequence[str], width: int = 50) -> str:
+                    states: Sequence[str]) -> str:
     """Stacked-bar rendering of per-phase state fractions (Fig. 6 style)."""
+    width = 50
     glyphs = "#=+.~o*"
     lines = []
     for phase, fractions in breakdowns.items():

@@ -78,8 +78,7 @@ def fig4_pair(access_latency_cycles: int,
     }
 
 
-def fig5_instances(traffic_scale: float = 1.0,
-                   lmi: LmiConfig = LmiConfig()) -> Dict[str, PlatformConfig]:
+def fig5_instances(traffic_scale: float = 1.0) -> Dict[str, PlatformConfig]:
     """The Fig. 5 bars (LMI memory controller + DDR SDRAM).
 
     Expected shape: distributed STBus best; collapsed STBus close behind
@@ -88,7 +87,7 @@ def fig5_instances(traffic_scale: float = 1.0,
     optimisation engine); distributed AHB worst, with a larger gap to
     STBus than in Fig. 3.
     """
-    memory = lmi_memory(lmi)
+    memory = lmi_memory()
     common = dict(traffic_scale=traffic_scale)
     return {
         "distributed_stbus": instance("stbus", "distributed", memory, **common),

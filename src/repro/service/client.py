@@ -15,10 +15,10 @@ from __future__ import annotations
 import http.client
 import json
 import socket
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 from urllib.parse import quote, urlencode
 
-from .protocol import ProtocolError, decode_line, error_from_document
+from .protocol import ProtocolError, error_from_document
 
 
 def _url(*segments: str, **query: Any) -> str:
@@ -72,9 +72,6 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
-    def health(self) -> Dict[str, Any]:
-        return self._request("GET", "/healthz")
-
     def submit(self, submission: Dict[str, Any]) -> Dict[str, Any]:
         """Submit a job; returns its public view (``view["id"]``)."""
         return self._request("POST", "/jobs", body=submission)["job"]
@@ -99,27 +96,6 @@ class ServiceClient:
         """Snapshot of the job's event log after ``since``."""
         return self._request(
             "GET", _url("jobs", job_id, "events", since=since))["events"]
-
-    def stream_events(self, job_id: str,
-                      since: int = 0) -> Iterator[Dict[str, Any]]:
-        """Live event stream; yields until the job reaches a terminal
-        state (the server ends the chunked response there)."""
-        connection = self._connect()
-        try:
-            connection.request("GET", _url("jobs", job_id, "events",
-                                           since=since, follow=1))
-            response = connection.getresponse()
-            if response.status >= 400:
-                self._decode(response.status, response.read())
-            while True:
-                line = response.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if line:
-                    yield decode_line(line)
-        finally:
-            connection.close()
 
     def trace(self, job_id: str) -> Dict[str, Any]:
         """The job's merged Perfetto trace document."""
@@ -153,9 +129,9 @@ class _UnixConnection(http.client.HTTPConnection):
 class SocketClient(ServiceClient):
     """Talk to a running service over its local Unix socket."""
 
-    def __init__(self, path: str, timeout: float = 600.0) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.timeout = timeout
+        self.timeout = 600.0
 
     def _connect(self) -> http.client.HTTPConnection:
         return _UnixConnection(self.path, self.timeout)

@@ -24,7 +24,7 @@ from ..platforms.loader import ConfigError, config_from_dict
 from ..sweep import bound_ps, parse_sweep, us_to_ps
 
 #: Bumped when the submission schema or the public job view changes
-#: incompatibly; reported by ``GET /healthz`` and checked by the client.
+#: incompatibly; reported by ``GET /healthz``.
 PROTOCOL_VERSION = 1
 
 #: Priority lanes, highest first.  The scheduler always drains lower
@@ -276,14 +276,3 @@ def encode_line(document: Dict[str, Any]) -> bytes:
     """One protocol message as a newline-terminated JSON line."""
     return (json.dumps(document, sort_keys=True,
                        separators=(",", ":")) + "\n").encode("utf-8")
-
-
-def decode_line(line: bytes) -> Dict[str, Any]:
-    """Parse one protocol line; raises :class:`ProtocolError`."""
-    try:
-        document = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"invalid JSON line: {exc}") from exc
-    if not isinstance(document, dict):
-        raise ProtocolError("protocol messages must be JSON objects")
-    return document

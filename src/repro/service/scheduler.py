@@ -41,7 +41,14 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from ..core.kernel import Simulator
 from ..platforms.loader import config_from_dict, config_to_dict
 from ..snapshot import Checkpoint, checkpoint_here, resume_checkpoint
-from ..sweep import CachedRun, Run, SweepCache, _make_executor, result_to_dict
+from ..sweep import (
+    CachedRun,
+    Run,
+    SweepCache,
+    _make_executor,
+    _stop_workers,
+    result_to_dict,
+)
 from .jobqueue import JobQueue, Unit
 from .protocol import UnknownWorker
 
@@ -171,7 +178,10 @@ class Scheduler:
             self._threads.shutdown(wait=False)
             self._threads = None
         if self._processes is not None:
-            self._processes.shutdown(wait=False)
+            # ``shutdown`` cancels nothing that is running: a unit still
+            # simulating would keep its worker process alive.
+            _stop_workers(self._processes)
+            self._processes.shutdown(wait=False, cancel_futures=True)
             self._processes = None
 
     # ------------------------------------------------------------------

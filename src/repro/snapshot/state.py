@@ -185,8 +185,7 @@ def kernel_state(sim: Any, encoder: StateEncoder) -> Dict[str, Json]:
     }
 
 
-def capture_state(platform: Any,
-                  encoder: Optional[StateEncoder] = None) -> Dict[str, Json]:
+def capture_state(platform: Any) -> Dict[str, Json]:
     """Encoded state tree of a live platform (components + kernel).
 
     Components are visited depth-first in construction order — the same
@@ -194,7 +193,7 @@ def capture_state(platform: Any,
     resulting digest are reproducible.  Components whose state is empty are
     omitted.
     """
-    encoder = encoder or StateEncoder()
+    encoder = StateEncoder()
     components: Dict[str, Json] = {}
     for component in platform.iter_tree():
         raw = component.snapshot_state(encoder)
@@ -206,11 +205,11 @@ def capture_state(platform: Any,
     }
 
 
-def diff_states(expected: Json, actual: Json, prefix: str = "",
-                limit: int = 20) -> List[str]:
-    """Human-readable paths where two encoded trees differ (for reports)."""
+def diff_states(expected: Json, actual: Json) -> List[str]:
+    """Human-readable paths where two encoded trees differ (for reports),
+    the first 20 at most."""
     diffs: List[str] = []
-    _walk_diff(expected, actual, prefix or "state", diffs, limit)
+    _walk_diff(expected, actual, "state", diffs, 20)
     return diffs
 
 

@@ -61,6 +61,7 @@ import itertools
 import json
 import os
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -350,6 +351,31 @@ def _finish(config: PlatformConfig,
         return exc
 
 
+#: Simulated time a serial sweep runs between two looks at the wall clock
+#: when ``timeout_s`` is set.
+_TIMEOUT_SLICE_PS = 1_000_000  # 1 simulated microsecond
+
+
+def _finish_within(config: PlatformConfig, max_ps: int, index: int,
+                   timeout_s: float) -> Union[CachedRun, RunIncomplete]:
+    """:func:`_finish` in slices of :data:`_TIMEOUT_SLICE_PS`, raising
+    :class:`SweepError` once point ``index`` has run for ``timeout_s``
+    wall-clock seconds (the serial twin of the pool's future timeout)."""
+    deadline = time.monotonic() + timeout_s
+    try:
+        run = Run(config, max_ps)
+        until = _TIMEOUT_SLICE_PS
+        while run.advance(until):
+            if time.monotonic() > deadline:
+                raise SweepError(
+                    f"sweep job {index} exceeded the {timeout_s}s "
+                    f"wall-clock timeout")
+            until += _TIMEOUT_SLICE_PS
+        return run.finish()
+    except RunIncomplete as exc:
+        return exc
+
+
 def _worker(payload: Tuple[Dict[str, Any], int]
             ) -> Union[Dict[str, Any], RunIncomplete]:
     """Process-pool entry point: config document in, result document out."""
@@ -381,12 +407,12 @@ def _stop_workers(executor) -> None:
 
 
 def _pool_map(fn: Callable[[Any], Any], payloads: Sequence[Any], jobs: int,
-              timeout_s: Optional[float], retries: int = 1) -> Optional[List]:
+              timeout_s: Optional[float]) -> Optional[List]:
     """Ordered process-pool map with per-job timeout and crash retry.
 
     Returns ``None`` when no pool could be created at all (the caller
     falls back to a serial map).  A job whose worker process dies is
-    resubmitted to a fresh pool up to ``retries`` times; a job that
+    resubmitted to a fresh pool once; a job that
     exceeds ``timeout_s`` aborts the sweep with :class:`SweepError`, once
     the pool's workers are stopped.
     """
@@ -419,7 +445,7 @@ def _pool_map(fn: Callable[[Any], Any], payloads: Sequence[Any], jobs: int,
                     crashed.append((index, payload))
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
-        if crashed and attempt >= retries:
+        if crashed and attempt >= 1:
             raise SweepError(
                 f"{len(crashed)} sweep worker(s) crashed "
                 f"{attempt + 1} time(s); giving up")
@@ -443,8 +469,7 @@ def sweep(configs: Iterable[PlatformConfig],
           max_ps: int = DEFAULT_MAX_PS,
           jobs: Optional[int] = None,
           cache: Union[SweepCache, str, Path, bool, None] = None,
-          timeout_s: Optional[float] = None,
-          retries: int = 1) -> List[SweepOutcome]:
+          timeout_s: Optional[float] = None) -> List[SweepOutcome]:
     """Run every configuration, in parallel where possible, with caching.
 
     ``jobs=None`` reads ``$REPRO_JOBS`` (default 1 = serial in-process).
@@ -487,9 +512,12 @@ def sweep(configs: Iterable[PlatformConfig],
         if jobs > 1 and len(misses) > 1 and not capturing:
             payloads = [(config_to_dict(configs[index]), int(max_ps))
                         for index in misses]
-            runs = _pool_map(_worker, payloads, jobs, timeout_s, retries)
+            runs = _pool_map(_worker, payloads, jobs, timeout_s)
         if runs is None:  # serial: each point is stored as it finishes
-            runs = (_finish(configs[index], max_ps) for index in misses)
+            runs = (_finish(configs[index], max_ps) if timeout_s is None
+                    else _finish_within(configs[index], max_ps, index,
+                                        timeout_s)
+                    for index in misses)
         overruns = []
         for index, run in zip(misses, runs):
             if isinstance(run, dict):

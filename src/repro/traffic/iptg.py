@@ -47,10 +47,9 @@ class IptgPhase:
     message_packets:
         Group this many consecutive transactions into one STBus *message*
         (kept together by message-based arbitration).  1 disables grouping.
-    blocking:
-        Wait for each transaction to finish before generating the next one
-        (a non-pipelined IP); otherwise the port's ``max_outstanding``
-        credits govern the overlap.
+
+    Writes are posted wherever the fabric allows it, and the port's
+    ``max_outstanding`` credits govern how transactions overlap.
     """
 
     transactions: int = 100
@@ -58,10 +57,8 @@ class IptgPhase:
     beat_bytes: int = 4
     idle_cycles: Distribution = field(default_factory=lambda: Fixed(0))
     read_fraction: float = 1.0
-    posted_writes: bool = True
     priority: int = 0
     message_packets: int = 1
-    blocking: bool = False
     address_pattern: Optional[AddressPattern] = None
 
     def __post_init__(self) -> None:
@@ -161,15 +158,13 @@ class Iptg(Component):
                 beats=beats,
                 beat_bytes=phase.beat_bytes,
                 priority=phase.priority,
-                posted=phase.posted_writes and not is_read,
+                posted=not is_read,
                 message_id=message_id,
                 message_last=(i == packets - 1),
             )
             self.transactions.append(txn)
             self.generated.add()
             yield self.port.issue(txn)
-            if phase.blocking and txn.ev_done._value is _PENDING:
-                yield txn.ev_done
 
     # ------------------------------------------------------------------
     @property

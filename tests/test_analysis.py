@@ -95,21 +95,21 @@ class TestReporting:
     def test_format_table_without_rows(self):
         assert format_table(["a", "bb"], []) == "a  bb\n-  --"
 
-    def test_bar_chart_max_value_clamps_overflow(self):
-        text = bar_chart({"half": 1.0, "over": 3.0}, width=10, max_value=2.0)
-        half, over = text.splitlines()
+    def test_bar_chart_scales_to_the_largest_value(self):
+        text = bar_chart({"half": 1.0, "full": 2.0}, width=10)
+        half, full = text.splitlines()
         assert half.count("#") == 5
-        assert over.count("#") == 10
-        assert over.endswith("3.000")
+        assert full.count("#") == 10
+        assert full.endswith("2.000")
 
     def test_bar_chart_all_zero_draws_empty_bars(self):
         text = bar_chart({"a": 0.0, "b": 0.0}, width=4)
         assert text.splitlines() == ["a |    | 0.000", "b |    | 0.000"]
 
-    def test_bar_chart_unit_and_label_alignment(self):
-        text = bar_chart({"a": 1.0, "long": 1.0}, width=2, unit=" us")
-        assert text.splitlines() == ["a    |##| 1.000 us",
-                                     "long |##| 1.000 us"]
+    def test_bar_chart_label_alignment(self):
+        text = bar_chart({"a": 1.0, "long": 1.0}, width=2)
+        assert text.splitlines() == ["a    |##| 1.000",
+                                     "long |##| 1.000"]
 
     def test_bar_chart_empty(self):
         assert bar_chart({}) == "(no data)"
@@ -121,14 +121,13 @@ class TestReporting:
         assert "full=50%" in chart
 
     def test_breakdown_chart_missing_state_counts_as_zero(self):
-        chart = breakdown_chart({"p": {"full": 1.0}}, states=("full", "idle"),
-                                width=4)
-        assert chart.splitlines()[0] == "p          |####| full=100% idle=0%"
+        chart = breakdown_chart({"p": {"full": 1.0}}, states=("full", "idle"))
+        assert chart.splitlines()[0] == \
+            "p          |" + "#" * 50 + "| full=100% idle=0%"
 
     def test_breakdown_chart_bar_never_exceeds_width(self):
-        chart = breakdown_chart({"p": {"a": 0.8, "b": 0.8}}, states=("a", "b"),
-                                width=10)
-        assert chart.splitlines()[0].split("|")[1] == "########=="
+        chart = breakdown_chart({"p": {"a": 0.8, "b": 0.8}}, states=("a", "b"))
+        assert chart.splitlines()[0].split("|")[1] == "#" * 40 + "=" * 10
 
     def test_breakdown_chart_glyphs_cycle_past_seven_states(self):
         states = [f"s{i}" for i in range(8)]

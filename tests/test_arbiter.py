@@ -95,16 +95,30 @@ class TestWeightedLottery:
                    for _ in range(1)]
         assert grants1 == grants2
 
-    def test_weights_bias_bandwidth(self):
-        arb = WeightedLottery(tickets={"heavy": 9, "light": 1}, seed=3)
-        candidates = [("heavy", txn()), ("light", txn())]
-        grants = [arb.select(candidates)[0] for _ in range(500)]
-        heavy_share = grants.count("heavy") / len(grants)
-        assert heavy_share > 0.8
+    @pytest.mark.parametrize("seed", [1, 7, 9])
+    def test_draw_is_the_weighted_loop_with_one_ticket_each(self, seed):
+        """The RNG stream of the one-ticket lottery: the weighted draw
+        (``randrange(total)``, walked down the weights) with every weight
+        1 picks the same candidate from the same stream."""
+        import random
 
-    def test_bad_default_tickets(self):
-        with pytest.raises(ValueError):
-            WeightedLottery(default_tickets=0)
+        reference = random.Random(seed)
+        arb = WeightedLottery(seed=seed)
+        for size in [1, 2, 3, 5, 2, 4] * 20:
+            candidates = [(f"s{i}", txn()) for i in range(size)]
+            draw = reference.randrange(sum(1 for _ in candidates))
+            for expected in candidates:
+                draw -= 1
+                if draw < 0:
+                    break
+            assert arb.select(candidates) is expected
+
+    def test_sources_share_bandwidth_evenly(self):
+        arb = WeightedLottery(seed=3)
+        candidates = [("a", txn()), ("b", txn()), ("c", txn())]
+        grants = [arb.select(candidates)[0] for _ in range(600)]
+        for key in "abc":
+            assert 0.25 < grants.count(key) / len(grants) < 0.42
 
 
 class TestMessageArbiter:
@@ -126,17 +140,21 @@ class TestMessageArbiter:
         with pytest.raises(MessageLockStall):
             arb.select([("b", txn())])
 
+    def test_lock_holds_until_the_message_ends(self):
+        arb = MessageArbiter(RoundRobin())
+        arb.select([("a", txn(message_id=1, message_last=False))])
+        for _ in range(3):  # the locked source stays away: the node idles
+            with pytest.raises(MessageLockStall):
+                arb.select([("b", txn())])
+        last = ("a", txn(message_id=1, message_last=True))
+        assert arb.select([("b", txn()), last]) is last
+        assert arb.select([("b", txn())])[0] == "b"
+
     def test_break_lock(self):
         arb = MessageArbiter(RoundRobin())
         arb.select([("a", txn(message_id=1, message_last=False))])
         arb.break_lock()
         assert arb.select([("b", txn())])[0] == "b"
-
-    def test_release_when_absent(self):
-        arb = MessageArbiter(RoundRobin(), release_when_absent=True)
-        arb.select([("a", txn(message_id=1, message_last=False))])
-        assert arb.select([("b", txn())])[0] == "b"
-        assert arb._locked_key is None
 
     def test_single_packet_messages_do_not_lock(self):
         arb = MessageArbiter(RoundRobin())

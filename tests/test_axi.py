@@ -7,6 +7,16 @@ from repro.interconnect import Opcode
 from .helpers import add_memory, drive, make_node, read, run_transactions, write
 
 
+class TestArbiters:
+    def test_write_path_has_its_own_round_robin(self, sim):
+        from repro.interconnect.arbiter import RoundRobin
+
+        fabric = make_node(sim, protocol="axi")
+        assert type(fabric.arbiter) is RoundRobin
+        assert type(fabric.write_arbiter) is RoundRobin
+        assert fabric.write_arbiter is not fabric.arbiter
+
+
 class TestOutstandingTransactions:
     def test_multiple_outstanding_reads(self, sim):
         fabric = make_node(sim, protocol="axi")

@@ -34,34 +34,34 @@ SRC = str(Path(repro.__file__).resolve().parent)
 
 #: case -> (configuration, calls + resumes per transaction as measured).
 CASES = {
-    "quick_ca": (lambda: quick_config(traffic_scale=0.03, seed=1), 545.17),
+    "quick_ca": (lambda: quick_config(traffic_scale=0.03, seed=1), 537.05),
     "quick_lt": (lambda: quick_config(traffic_scale=0.03, seed=1,
-                                      resolution="lt"), 466.78),
+                                      resolution="lt"), 457.31),
     "distributed_axi": (lambda: fig3_instances(0.05)["distributed_axi"],
-                        786.60),
-    "full_ahb": (lambda: fig3_instances(0.05)["full_ahb"], 539.75),
+                        785.48),
+    "full_ahb": (lambda: fig3_instances(0.05)["full_ahb"], 538.80),
     # LT's two costliest fabrics: AXI's four channel processes and the
     # STBus response path, each woken only by work it can act on.
     "distributed_axi_lt": (lambda: fig3_instances(0.05)["distributed_axi"]
-                           .scaled(resolution="lt"), 523.60),
+                           .scaled(resolution="lt"), 522.55),
     "full_stbus_lt": (lambda: fig3_instances(0.05)["full_stbus"]
-                      .scaled(resolution="lt"), 652.30),
+                      .scaled(resolution="lt"), 642.58),
     # The engines whose LT response path takes exact runs: the AHB layer
     # and the spec-driven channel engine.
     "full_ahb_lt": (lambda: fig3_instances(0.05)["full_ahb"]
-                    .scaled(resolution="lt"), 444.05),
+                    .scaled(resolution="lt"), 443.10),
     "generic_tilelink_lt": (lambda: instance(
         "tilelink", "distributed", onchip_memory(1), traffic_scale=0.05)
-        .scaled(resolution="lt"), 489.00),
+        .scaled(resolution="lt"), 488.03),
     # The LMI engine behind a collapsed AXI fabric: the one benchmarked
     # memory process the cases above do not reach.
     "lmi_collapsed_axi": (lambda: fig5_instances(0.05)["collapsed_axi"],
-                          717.55),
+                          712.28),
     # The same platform loosely timed: its lightweight bridges commit
     # whole response packets and the LMI whole read groups, the LT path
     # that moves most.
     "lmi_collapsed_axi_lt": (lambda: fig5_instances(0.05)["collapsed_axi"]
-                             .scaled(resolution="lt"), 472.45),
+                             .scaled(resolution="lt"), 467.18),
 }
 HEADROOM = 1.03
 

@@ -100,7 +100,7 @@ class TestFifoBounds:
         assert excinfo.value.violation.component == "bridge.resp"
 
     def test_violation_recorded_in_active_session(self):
-        session = CheckSession(with_spans=False)
+        session = CheckSession()
         sim = Simulator()
         session.attach(sim)
         fifo = Fifo(sim, capacity=1, name="f")
@@ -110,7 +110,7 @@ class TestFifoBounds:
         assert rules_of(session.violations) == {"fifo.overflow"}
 
     def test_finalize_flags_over_capacity_state(self):
-        session = CheckSession(with_spans=False)
+        session = CheckSession()
         sim = Simulator()
         session.attach(sim)
         fifo = Fifo(sim, capacity=2, name="f")
@@ -125,7 +125,7 @@ class TestFifoBounds:
 # ---------------------------------------------------------------------------
 class TestBeatOrdering:
     def _fabric_and_txn(self, opcode=Opcode.READ, beats=4):
-        session = CheckSession(with_spans=False)
+        session = CheckSession()
         sim = Simulator()
         session.attach(sim)
         config = quick_config(protocol="axi")
@@ -151,7 +151,7 @@ class TestBeatOrdering:
         "avalon": "avalon.readdata_order", "tilelink": "tilelink.d_order",
     }.items()))
     def test_every_fabric_flags_under_its_spec_rule(self, name, rule):
-        session = CheckSession(with_spans=False)
+        session = CheckSession()
         sim = Simulator()
         session.attach(sim)
         fabric = make_registered_fabric(sim, name)

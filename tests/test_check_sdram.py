@@ -120,6 +120,13 @@ class TestViolationTable:
         ])
         assert {v.rule for v in audit_sdram(log)} == {"sdram.row_state"}
 
+    def test_refresh_checks_the_highest_bank_the_log_names(self):
+        log = make_log(DDR_SDRAM, False, [
+            (0, CMD_ACTIVATE, 3, 5),
+            (20, CMD_REFRESH, -1, -1),
+        ])
+        assert {v.rule for v in audit_sdram(log)} == {"sdram.row_state"}
+
     def test_unknown_command_flagged(self):
         log = SdramCommandLog(name="sdram", timing=DDR_SDRAM, period_ps=P)
         log.record(0, "NOP")
@@ -142,7 +149,7 @@ class TestDeviceIntegration:
         assert device.cmd_log is None
 
     def test_device_commands_audit_clean(self):
-        session = CheckSession(with_spans=False)
+        session = CheckSession()
         sim = Simulator()
         session.attach(sim)
         device = self._device(sim)

@@ -11,9 +11,8 @@ from repro.core.sync import WorkSignal
 
 def next_edge_time(clk, time_ps):
     """Absolute time of the next strictly-future rising edge of ``clk``."""
-    if time_ps < clk.phase_ps:
-        return clk.phase_ps
-    return time_ps + clk.period_ps - (time_ps - clk.phase_ps) % clk.period_ps
+    return time_ps + clk.period_ps - time_ps % clk.period_ps
+
 
 class TestConstruction:
     def test_freq_to_period(self, sim):
@@ -34,7 +33,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             sim.clock(period_ps=0)
         with pytest.raises(ValueError):
-            sim.clock(period_ps=100, phase_ps=-1)
+            sim.clock(period_ps=-100)
 
 
 class TestEdges:
@@ -83,15 +82,15 @@ class TestEdges:
         from hypothesis import given, settings, strategies as st
 
         @settings(max_examples=200, derandomize=True, deadline=None)
-        @given(period=st.integers(1, 5_000), phase=st.integers(0, 12_000),
-               start=st.integers(0, 20_000), n=st.integers(1, 9))
-        def check(period, phase, start, n):
+        @given(period=st.integers(1, 5_000), start=st.integers(0, 20_000),
+               n=st.integers(1, 9))
+        def check(period, start, n):
             sim = Simulator()
-            clk = sim.clock(period_ps=period, phase_ps=phase)
+            clk = sim.clock(period_ps=period)
             fired = []
 
             def body():
-                if start:  # before the first edge, on an edge, between two
+                if start:  # on an edge or between two
                     yield sim.timeout(start)
                 expected = next_edge_time(clk, sim.now) + (n - 1) * period
                 yield clk.edges(n)
@@ -104,24 +103,26 @@ class TestEdges:
 
         check()
 
+    @pytest.mark.parametrize("freq_mhz", [400, 250, 166])
+    def test_edges_fall_on_multiples_of_the_period(self, freq_mhz):
+        sim = Simulator()
+        clk = sim.clock(freq_mhz=freq_mhz)
+        log = []
+
+        def body():
+            assert clk.at_edge()  # time zero is an edge
+            for _ in range(3):
+                yield clk.edge()
+                log.append(sim.now)
+
+        sim.process(body())
+        sim.run()
+        assert log == [clk.period_ps, 2 * clk.period_ps, 3 * clk.period_ps]
+
     def test_edges_requires_positive(self, sim):
         clk = sim.clock(period_ps=1_000)
         with pytest.raises(ValueError):
             clk.edges(0)
-
-    def test_phase_offset(self, sim):
-        clk = sim.clock(period_ps=1_000, phase_ps=300)
-        log = []
-
-        def body():
-            yield clk.edge()
-            log.append(sim.now)
-            yield clk.edge()
-            log.append(sim.now)
-
-        sim.process(body())
-        sim.run()
-        assert log == [300, 1_300]
 
     def test_an_edge_event_can_be_held_across_later_waits(self, sim):
         clk = sim.clock(period_ps=1_000)
@@ -158,10 +159,11 @@ class TestEdges:
         assert log == [3_000, 3_000, 4_000]
 
     def test_an_edges_event_can_be_held_across_later_waits(self, sim):
-        clk = sim.clock(period_ps=1_000, phase_ps=200)
+        clk = sim.clock(period_ps=1_000)
         seen = {}
 
         def body():
+            yield sim.timeout(800)
             held = clk.edges(2)
             yield held
             yield clk.edges(3)
@@ -181,21 +183,36 @@ class TestConversions:
         # Rising edges at or before t (the edge at t=0 counts) step up
         # exactly where at_edge() says.
         clk = sim.clock(period_ps=1_000)
+        at_edge = []
 
         def cycle_index(t):
-            return (t - clk.phase_ps) // clk.period_ps + 1
+            return t // clk.period_ps + 1
 
+        def body():
+            for _ in range(3_000):
+                yield sim.timeout(1)
+                if clk.at_edge():
+                    at_edge.append(sim.now)
+
+        sim.process(body())
+        sim.run()
         assert [cycle_index(t) for t in (0, 999, 1_000)] == [1, 1, 2]
         assert [t for t in range(1, 3_001)
-                if cycle_index(t) != cycle_index(t - 1)] \
-            == [t for t in range(1, 3_001) if clk.at_edge(t)]
+                if cycle_index(t) != cycle_index(t - 1)] == at_edge
 
     def test_at_edge(self, sim):
-        clk = sim.clock(period_ps=1_000, phase_ps=500)
-        assert not clk.at_edge(0)
-        assert clk.at_edge(500)
-        assert clk.at_edge(1_500)
-        assert not clk.at_edge(1_000)
+        clk = sim.clock(period_ps=1_000)
+        seen = []
+
+        def body():
+            for delay in (0, 500, 500, 500):
+                yield sim.timeout(delay)
+                seen.append((sim.now, clk.at_edge()))
+
+        sim.process(body())
+        sim.run()
+        assert seen == [(0, True), (500, False), (1_000, True),
+                        (1_500, False)]
 
     def test_to_ps_and_back(self, sim):
         clk = sim.clock(period_ps=6_024)  # 166 MHz
@@ -210,9 +227,11 @@ class TestMultiClock:
         mid = sim.clock(freq_mhz=250)    # 4000 ps
         slow = sim.clock(freq_mhz=200)   # 5000 ps
         lcm = 20_000  # ps
+        sim.timeout(lcm)
+        sim.run()
         for clk in (fast, mid, slow):
             assert lcm % clk.period_ps == 0
-            assert clk.at_edge(lcm)
+            assert sim.now == lcm and clk.at_edge()
 
     def test_independent_processes_per_domain(self, sim):
         a = sim.clock(period_ps=2_000)
@@ -263,7 +282,7 @@ def _run_stall_schedule(use_wait, mode, changes, rounds, gap_ps):
     sim = Simulator(trace=None if mode == "fast" else
                     (lambda when, event: trace.append((when, event.name))))
     clk = sim.clock(period_ps=STALL_PERIOD, name="bus")
-    other = sim.clock(period_ps=700, phase_ps=300, name="other")
+    other = sim.clock(period_ps=700, name="other")
     signal = WorkSignal(sim, name="sig")
     log = []
 

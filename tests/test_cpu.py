@@ -50,6 +50,12 @@ class TestSt220:
             data_base=0x0, code_base=0x40000, seed=11))
         return St220Core(sim, "st220", port, bench), node
 
+    def test_split_caches_are_the_st220s(self, sim):
+        core, __ = self._system(sim)
+        assert [(c.size_bytes, c.line_bytes, c.ways)
+                for c in (core.icache, core.dcache)] \
+            == [(8192, 64, 2), (8192, 32, 4)]
+
     def test_runs_to_completion(self, sim):
         core, __ = self._system(sim)
         sim.run(until=100_000_000_000)

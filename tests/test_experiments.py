@@ -28,11 +28,12 @@ def _result(label, execution_time_ps):
 
 
 class TestCommon:
-    def test_run_configs_matches_a_direct_run(self, tmp_path):
+    def test_run_configs_matches_a_direct_run(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SWEEP_CACHE", str(tmp_path / "cache"))
         config = quick_config(traffic_scale=0.1)
         direct = Run(config).finish().result
         assert direct.execution_time_ps > 0
-        batched = run_configs([config], cache=tmp_path / "cache")
+        batched = run_configs([config])
         assert batched == [direct]
 
     def test_normalized_uses_first_key_by_default(self):

@@ -8,6 +8,15 @@ from repro.interconnect.base import Fabric
 from .helpers import add_memory, make_node, read, run_transactions, write
 
 
+class TestInitiatorPort:
+    @pytest.mark.parametrize("max_outstanding", [1, 2, 4])
+    def test_pending_queue_holds_one_entry_per_credit(self, sim,
+                                                      max_outstanding):
+        node = make_node(sim)
+        port = node.connect_initiator("ip0", max_outstanding=max_outstanding)
+        assert port.pending.capacity == max_outstanding
+
+
 class TestRouting:
     def test_route_by_address(self, sim):
         node = make_node(sim)

@@ -44,6 +44,12 @@ class TestIptg:
         sim.run(until=10_000_000_000)
         assert all(t.is_read for t in iptg.transactions)
 
+    def test_every_write_is_offered_posted(self, sim):
+        iptg = self._system(sim, [small_phase(transactions=20)])
+        sim.run(until=10_000_000_000)
+        assert {t.is_read for t in iptg.transactions} == {True, False}
+        assert all(t.posted is not t.is_read for t in iptg.transactions)
+
     def test_message_grouping(self, sim):
         iptg = self._system(
             sim, [small_phase(transactions=6, message_packets=3)])
@@ -54,14 +60,6 @@ class TestIptg:
         assert len(messages) == 2
         for packets in messages.values():
             assert [p.message_last for p in packets] == [False, False, True]
-
-    def test_blocking_phase_serialises(self, sim):
-        iptg = self._system(sim, [small_phase(transactions=6, blocking=True,
-                                              read_fraction=1.0)])
-        sim.run(until=10_000_000_000)
-        txns = iptg.transactions
-        for earlier, later in zip(txns, txns[1:]):
-            assert later.t_issued >= earlier.t_done
 
     def test_idle_cycles_pace_generation(self):
         def span(idle):

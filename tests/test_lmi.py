@@ -20,6 +20,16 @@ def lmi_system(sim, config=None, bus_type=StbusType.T3, freq_mhz=166):
     return node, lmi
 
 
+class TestDevice:
+    def test_one_device_organisation(self, sim):
+        from repro.memory.timing import SdramGeometry
+
+        _node, lmi = lmi_system(sim)
+        assert lmi.device.geometry == SdramGeometry(
+            banks=4, row_bits=13, col_bits=10, width_bytes=8)
+        assert len(lmi.device.banks) == 4
+
+
 class TestLatencyCalibration:
     def test_row_hit_first_read_data_about_11_cycles(self, sim):
         """Section 4.2: '11 cycles to get the first read data word since

@@ -43,6 +43,7 @@ from repro.platforms import (
     build_platform,
     fig5_instances,
     instance,
+    lmi_memory,
     onchip_memory,
     quick_config,
 )
@@ -414,7 +415,8 @@ def _protocol_swap(protocol):
 def _lmi_setting(lookahead_depth, input_fifo_depth):
     lmi = LmiConfig(lookahead_depth=lookahead_depth,
                     input_fifo_depth=input_fifo_depth)
-    return fig5_instances(0.3, lmi)["collapsed_stbus"]
+    return dataclasses.replace(fig5_instances(0.3)["collapsed_stbus"],
+                               memory=lmi_memory(lmi))
 
 
 def _execution_ps(comparisons, resolution):

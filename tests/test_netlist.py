@@ -115,6 +115,12 @@ def _bridge_loop(document):
     (_edited(lambda d: d["netlist"][0].update(protocol="axi",
                                                arbiter="lru")),
      "'front'.*STBus nodes only"),
+    (_edited(lambda d: d["netlist"][0].update(protocol="ahb",
+                                               arbiter="round_robin")),
+     "'front'.*STBus nodes only"),
+    (_edited(lambda d: d["netlist"][0].update(protocol="wishbone",
+                                               message_arbitration=False)),
+     "'front'.*STBus nodes only"),
     ({"netlist": []}, "netlist: must be a non-empty list"),
     (_edited(lambda d: d["netlist"][3].update(span=0)),
      r"lmi 'lmi': span must be an integer >= 1, not 0"),
@@ -176,9 +182,12 @@ def _bridge_loop(document):
      r"lmi 'lmi': config must be null or an object of LmiConfig fields"),
     (_edited(lambda d: d["netlist"][5].update(two_phase={"fraction": 0})),
      r"iptg 'ip0': two_phase must be null or an object of TwoPhaseSpec"),
+    (_edited(lambda d: d["netlist"][5].update(beat_bytes=3)),
+     r"iptg 'ip0': beat_bytes must be null or one of 1, 2, 4, 8, 16, 32"),
 ], ids=["unknown-kind", "unknown-key", "forward-reference",
         "out-of-order", "not-a-fabric", "duplicate-name",
-        "beside-reference-key", "arbiter-off-stbus", "empty", "zero-span",
+        "beside-reference-key", "arbiter-off-stbus", "arbiter-on-ahb",
+        "message-arbitration-on-wishbone", "empty", "zero-span",
         "negative-base", "string-base", "overlapping-windows",
         "unknown-stbus-type", "odd-width", "zero-frequency",
         "unknown-arbiter", "non-bool", "fraction-above-one",
@@ -186,7 +195,7 @@ def _bridge_loop(document):
         "no-lines", "dma-undecoded", "iptg-past-bridge", "display-undecoded",
         "bridge-loop", "burst-wider-than-window", "strided-under-a-stride",
         "two-cpus", "cpu-code-undecoded", "sdram-preset-name",
-        "bad-lmi-config", "bad-two-phase"])
+        "bad-lmi-config", "bad-two-phase", "odd-beat-bytes"])
 def test_loader_names_the_bad_entry(document, match):
     with pytest.raises(ConfigError, match=match):
         config_from_dict(document)

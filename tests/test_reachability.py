@@ -65,15 +65,6 @@ ALLOWLIST: Dict[str, Tuple[str, str]] = {
         "paper", "DESIGN.md: (statistical, trace-driven, and"),
     "traffic.trace.TraceRecorder": (
         "paper", "DESIGN.md: (statistical, trace-driven, and"),
-    "service.client.ServiceClient.health": (
-        "observer", "tests/test_service_smoke.py::TestSocketFrontEnd::"
-                    "test_http_health_reports_protocol_and_fleet"),
-    "service.client.ServiceClient.stream_events": (
-        "observer", "tests/test_service_smoke.py::TestStreams::"
-                    "test_event_stream_follows_to_terminal_state"),
-    "service.protocol.decode_line": (
-        "observer", "tests/test_service_smoke.py::TestStreams::"
-                    "test_event_stream_follows_to_terminal_state"),
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

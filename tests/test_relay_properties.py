@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.bridge.base import BridgeBase
 from repro.core import Simulator
 from repro.interconnect import AddressRange, ResponseBeat
-from repro.obs import bar_chart
 
 from .helpers import make_node, read
 
@@ -109,13 +108,3 @@ class TestRelayProperties:
                 relay.emit()
             emitted_bytes = relay.beats_emitted * txn.beat_bytes
             assert emitted_bytes <= relay.bytes_arrived
-
-
-class TestBarChartMaxValue:
-    def test_explicit_scale(self):
-        chart = bar_chart({"a": 1.0}, width=10, max_value=2.0)
-        assert chart.count("#") == 5
-
-    def test_values_clamped_to_scale(self):
-        chart = bar_chart({"a": 5.0}, width=10, max_value=2.0)
-        assert chart.count("#") == 10

@@ -2,8 +2,10 @@
 and migration — driven directly on an event loop (docs/SERVICE.md)."""
 
 import asyncio
+import multiprocessing
 import os
 import signal
+import time
 from concurrent.futures import Executor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -272,6 +274,9 @@ class TestProcessOffload:
         submits = []
 
         class BrokenPool(Executor):
+            #: A real pool's worker table, which ``stop()`` kills: empty.
+            _processes: dict = {}
+
             def submit(self, fn, *args, **kwargs):
                 submits.append(fn)
                 raise BrokenProcessPool("a child process terminated abruptly")
@@ -336,3 +341,31 @@ class TestStoreFaults:
         assert "did not finish" in jobs[1].error
         assert "never retrieved" not in caplog.text  # jobs[1]'s future
         assert jobs[2].units[0].cached is None  # simulated over the entry
+
+
+class TestStop:
+    def test_stop_ends_the_pool_worker_of_a_running_unit(self):
+        """Stopping the service kills a pool worker mid-unit: nothing it
+        started outlives ``stop()``."""
+        from repro.service import BackgroundService, ServiceClient
+
+        service = BackgroundService(port=0, fleet=1, use_processes=True,
+                                    cache=False).start()
+        try:
+            client = ServiceClient(port=service.port, timeout=60.0)
+            # Several seconds of simulation: longer than the wait below.
+            long_unit = config_to_dict(quick_config(traffic_scale=20.0))
+            view = client.submit({"tenant": "stop", "config": long_unit})
+            deadline = time.monotonic() + 30
+            while client.job(view["id"])["state"] != "running":
+                assert time.monotonic() < deadline, "the unit never started"
+                time.sleep(0.01)
+            if not multiprocessing.active_children():
+                pytest.skip("no process pool on this host")
+        finally:
+            service.stop()
+        deadline = time.monotonic() + 2
+        while multiprocessing.active_children() \
+                and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert multiprocessing.active_children() == []

@@ -51,6 +51,30 @@ SWEEP = {
 }
 
 
+def health(api):
+    """The service's ``/healthz`` document, over ``api``'s listener."""
+    return api._request("GET", "/healthz")
+
+
+def stream_events(api, job_id):
+    """Follow a job's live event stream (``follow=1``) over ``api``'s
+    listener until the server ends it at the job's terminal state."""
+    connection = api._connect()
+    try:
+        connection.request("GET", f"/jobs/{job_id}/events?since=0&follow=1")
+        response = connection.getresponse()
+        assert response.status == 200
+        events = []
+        while True:
+            line = response.readline()
+            if not line:
+                return events
+            if line.strip():
+                events.append(json.loads(line))
+    finally:
+        connection.close()
+
+
 @pytest.fixture()
 def service(tmp_path):
     with BackgroundService(port=0, fleet=2,
@@ -188,8 +212,7 @@ class TestRejections:
     def test_failed_job_is_a_result_not_a_rejection(self, service, client,
                                                     tmp_path):
         """The job's error *string* is not an error envelope."""
-        socket_client = SocketClient(str(tmp_path / "queue.sock"),
-                                     timeout=120.0)
+        socket_client = SocketClient(str(tmp_path / "queue.sock"))
         for api in (client, socket_client):
             view = api.submit({"tenant": "kim", "config": CONFIG,
                                "max_us": 0.2})
@@ -215,7 +238,7 @@ class TestRejections:
         kind = json.loads(response.read())["error"]["kind"]
         connection.close()
         assert (response.status, kind) == (400, "protocol_error")
-        assert client.health()["ok"] is True
+        assert health(client)["ok"] is True
 
     @pytest.mark.parametrize("tenant", ["team a", "a&b"])
     def test_client_percent_encodes_what_it_sends(self, client, tenant):
@@ -234,7 +257,7 @@ class TestStreams:
         view = client.submit({"tenant": "gail", "config": CONFIG,
                               "max_us": MAX_US})
         seen = [event["event"]
-                for event in client.stream_events(view["id"])]
+                for event in stream_events(client, view["id"])]
         assert seen[0] == "job_submitted"
         assert seen[-1] == "job_done"
         assert "unit_done" in seen
@@ -260,20 +283,18 @@ class TestStreams:
 
 class TestSocketFrontEnd:
     def test_socket_submit_and_result(self, service, tmp_path):
-        socket_client = SocketClient(str(tmp_path / "queue.sock"),
-                                     timeout=120.0)
-        health = socket_client.health()
-        assert health["ok"] is True
+        socket_client = SocketClient(str(tmp_path / "queue.sock"))
+        assert health(socket_client)["ok"] is True
         view = socket_client.submit({"tenant": "jane", "config": CONFIG,
                                      "max_us": MAX_US})
         outcome = socket_client.result(view["id"], wait=True, timeout=120)
         assert outcome["state"] == "done"
 
     def test_http_health_reports_protocol_and_fleet(self, client):
-        health = client.health()
-        assert health["ok"] is True
-        assert health["protocol"] == 1
-        assert health["workers"] == 2
+        document = health(client)
+        assert document["ok"] is True
+        assert document["protocol"] == 1
+        assert document["workers"] == 2
 
 
 class TestOneProtocolTwoListeners:
@@ -284,15 +305,14 @@ class TestOneProtocolTwoListeners:
         client drives every operation, the other listener's client must
         read back the same documents."""
         apis = {"tcp": client,
-                "unix": SocketClient(str(tmp_path / "queue.sock"),
-                                     timeout=120.0)}
+                "unix": SocketClient(str(tmp_path / "queue.sock"))}
         api = apis.pop(listener)
         (witness,) = apis.values()
-        assert api.health() == witness.health() \
+        assert health(api) == health(witness) \
             == {"ok": True, "protocol": 1, "workers": 2, "jobs": 0}
         view = api.submit({"tenant": "both", "config": CONFIG,
                            "max_us": MAX_US, "trace": True})
-        streamed = list(api.stream_events(view["id"]))
+        streamed = stream_events(api, view["id"])
         assert (streamed[0]["event"], streamed[-1]["event"]) \
             == ("job_submitted", "job_done")
         assert api.events(view["id"]) == witness.events(view["id"]) \
@@ -326,7 +346,7 @@ class TestHardening:
             with socket.create_connection(("127.0.0.1", running.port),
                                           timeout=10) as idle:
                 assert idle.recv(1) == b""  # hung up on, nothing to say
-            assert ServiceClient(port=running.port).health()["ok"] is True
+            assert health(ServiceClient(port=running.port))["ok"] is True
 
     def test_header_flood_is_a_400_and_the_service_still_answers(
             self, service, client):
@@ -340,17 +360,17 @@ class TestHardening:
             return int(head.split()[1]), json.loads(body)
 
         limit = server_module.MAX_HEADER_LINES
-        assert status_of(limit) == (200, client.health())
+        assert status_of(limit) == (200, health(client))
         status, document = status_of(limit + 1)
         assert (status, document["error"]["kind"]) == (400, "protocol_error")
-        assert client.health()["ok"] is True
+        assert health(client)["ok"] is True
 
     def test_stop_with_an_idle_client_attached_returns_quietly(self, caplog):
         running = BackgroundService(port=0, fleet=1, cache=False).start()
         loop_thread = running._thread
         with socket.create_connection(("127.0.0.1", running.port),
                                       timeout=10) as idle:
-            ServiceClient(port=running.port).health()  # idle is accepted
+            health(ServiceClient(port=running.port))  # idle is accepted
             with caplog.at_level(logging.DEBUG):
                 running.stop()
             assert not loop_thread.is_alive()

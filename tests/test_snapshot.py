@@ -302,6 +302,14 @@ class TestStateEncoder:
         assert first == second
         assert state_digest(first) == state_digest(second)
 
+    def test_diff_states_reports_the_first_20_paths(self):
+        expected = {f"k{i:02d}": i for i in range(25)}
+        actual = {key: value + 1 for key, value in expected.items()}
+        diffs = diff_states(expected, actual)
+        assert len(diffs) == 20
+        assert diffs[0] == "state.k00: 0 != 1"
+        assert diffs[-1] == "state.k19: 19 != 20"
+
     def test_diff_states_pinpoints_changes(self):
         diffs = diff_states({"a": 1, "b": {"c": 2}},
                             {"a": 1, "b": {"c": 3}})

@@ -19,6 +19,7 @@ Loosely timed, the same channels sleep on the work signal through
 """
 
 import cProfile
+import gc
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,9 @@ def _stalled_run(build, channel, txns, hold, where, resolution="ca"):
     initiator = node.connect_initiator("ip0", max_outstanding=len(txns))
     for txn in txns:
         initiator.issue(txn)
+    # Collect an earlier run's cyclic garbage now: a generator of its
+    # processes finalised inside the profiled run would count as a call.
+    gc.collect()
     profile = cProfile.Profile()
     profile.enable()
     try:

@@ -112,6 +112,25 @@ class TestPostedWrites:
         assert node.req_channel.busy_ps == 8 * node.clock.period_ps
 
 
+class TestRequestCells:
+    """The request packet: one opcode/address cell per load whatever its
+    size, one cell per bus-width chunk of data per store."""
+
+    @pytest.mark.parametrize("width", [4, 8, 16])
+    def test_a_load_is_one_cell(self, sim, width):
+        node = make_node(sim, bus_type=StbusType.T2, width=width)
+        assert node.request_cycles(read(0x0, beats=16, beat_bytes=32)) == 1
+
+    @pytest.mark.parametrize("beats, beat_bytes, width, cells", [
+        (8, 4, 4, 8), (8, 4, 8, 4), (1, 1, 4, 1), (3, 8, 16, 2),
+        (16, 32, 8, 64)])
+    def test_a_store_carries_its_data(self, sim, beats, beat_bytes, width,
+                                      cells):
+        node = make_node(sim, bus_type=StbusType.T2, width=width)
+        txn = write(0x0, beats=beats, beat_bytes=beat_bytes)
+        assert node.request_cycles(txn) == cells
+
+
 class TestMessageArbitration:
     def _run_messages(self, sim, message_arbitration):
         node = make_node(sim, bus_type=StbusType.T3,

@@ -332,7 +332,7 @@ class TestPoolResilience:
 
     def test_crash_loop_raises_sweep_error(self):
         with pytest.raises(SweepError, match="crashed"):
-            _pool_map(_crash_always, ["x"], jobs=2, timeout_s=60, retries=1)
+            _pool_map(_crash_always, ["x"], jobs=2, timeout_s=60)
 
     def test_job_timeout_raises_sweep_error(self):
         with pytest.raises(SweepError, match="timeout"):
@@ -343,6 +343,34 @@ class TestPoolResilience:
                 time.monotonic() < deadline:
             time.sleep(0.05)
         assert multiprocessing.active_children() == []
+
+
+class TestSerialTimeout:
+    def test_serial_point_past_its_timeout_raises_sweep_error(self):
+        started = time.monotonic()
+        with pytest.raises(SweepError, match="timeout"):
+            sweep([quick_config(traffic_scale=0.2)], jobs=1, cache=False,
+                  timeout_s=0.001)
+        assert time.monotonic() - started < 5
+
+    def test_sliced_overrun_raises_after_the_finished_points_are_stored(
+            self, tmp_path):
+        cache = SweepCache(tmp_path / "cache")
+        configs = [quick_config(traffic_scale=scale)
+                   for scale in (0.02, 1.0, 0.03)]
+        with pytest.raises(SweepError, match="sweep point 1: stbus/"
+                           ".* did not finish within 3000000 ps") as failure:
+            sweep(configs, max_ps=3_000_000, jobs=1, cache=cache,
+                  timeout_s=600)
+        assert isinstance(failure.value.__cause__, RunIncomplete)
+        assert len(cache) == 2
+
+    def test_sliced_serial_run_is_bit_identical(self):
+        config = quick_config(traffic_scale=0.1)
+        straight, = sweep([config], jobs=1, cache=False)
+        sliced, = sweep([config], jobs=1, cache=False, timeout_s=600)
+        assert (sliced.result, sliced.events, sliced.sim_time_ps) \
+            == (straight.result, straight.events, straight.sim_time_ps)
 
 
 class TestCaptureInteraction:

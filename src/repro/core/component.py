@@ -12,12 +12,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Generator, Iterator, List, Optional
 
-from .events import Event, Process
+from .events import _PENDING, Event, Process
 from .kernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..snapshot.state import StateEncoder
     from .clock import Clock
+
+#: Length of :attr:`Component.processes` at which the first prune runs.
+_PRUNE_MIN = 16
 
 
 class Component:
@@ -31,7 +34,10 @@ class Component:
         self.clock = clock
         self.parent = parent
         self.children: List[Component] = []
+        #: Processes this component spawned; finished ones are dropped as
+        #: it spawns more (see :meth:`process`).
         self.processes: List[Process] = []
+        self._prune_at = _PRUNE_MIN
         if parent is not None:
             parent.children.append(self)
 
@@ -48,11 +54,19 @@ class Component:
         """Register a process owned by this component.
 
         ``immediate`` is the LT-only mid-run spawn hint of
-        :meth:`~repro.core.kernel.Simulator.process`.
+        :meth:`~repro.core.kernel.Simulator.process`.  Finished processes
+        are dropped from :attr:`processes` whenever the list has doubled
+        since the last prune (amortised O(1) per spawn), so a component
+        that spawns one per transaction does not keep them all.
         """
         label = f"{self.path}.{name}" if name else self.path
         proc = self.sim.process(generator, name=label, immediate=immediate)
-        self.processes.append(proc)
+        processes = self.processes
+        processes.append(proc)
+        if len(processes) >= self._prune_at:
+            processes[:] = [alive for alive in processes
+                            if alive._value is _PENDING]
+            self._prune_at = max(2 * len(processes), _PRUNE_MIN)
         return proc
 
     def iter_tree(self) -> Iterator["Component"]:

@@ -24,9 +24,9 @@ Performance note: this module is the simulator's innermost layer — every
 simulated transaction decomposes into dozens of these objects.  The hot
 constructors (:class:`Timeout`, :meth:`Event.succeed`) therefore schedule
 straight onto the simulator heap instead of going through
-``Simulator._enqueue``, and :class:`Process` resumption appends its callback
-directly.  Cold paths (``fail``, process completion) keep the
-method-call layering for clarity.
+``Simulator._enqueue``, a waiting :class:`Process` appends itself as the
+event's callback, and the dispatch loops resume it in place.  Cold paths
+(``fail``, process completion) keep the method-call layering for clarity.
 """
 
 from __future__ import annotations
@@ -137,13 +137,35 @@ class Event:
             try:
                 while pending:
                     event = pending.popleft()
-                    # Inlined Event._run_callbacks(), as _run_fast has it.
+                    # Inlined Event._run_callbacks(), as _run_fast has it,
+                    # resuming a process in place as _run_fast does.
                     callbacks = event.callbacks
                     event.callbacks = None
                     event._processed = True
                     if callbacks:
                         for callback in callbacks:
-                            callback(event)
+                            if type(callback) is not Process:
+                                callback(event)
+                                continue
+                            callback._target = None
+                            try:
+                                if event._ok:
+                                    target = callback._send(event._value)
+                                else:
+                                    target = callback._throw(event._value)
+                            except BaseException as exc:  # noqa: BLE001
+                                callback._end(exc)
+                                continue
+                            if not isinstance(target, Event):
+                                raise EventError(
+                                    f"process {callback.name!r} yielded "
+                                    f"non-event {target!r}")
+                            callback._target = target
+                            waiting = target.callbacks
+                            if waiting is not None:
+                                waiting.append(callback)
+                            else:
+                                callback._resume(target)
             finally:
                 sim._inline_active = False
         return self
@@ -236,9 +258,17 @@ class Timeout(Event):
 class Process(Event):
     """A running generator.  The process *is* an event: it triggers when the
     generator returns (value = return value) or raises (failure).
+
+    It is also its own wake-up callback: waiting appends the process itself
+    to the awaited event's callbacks, and calling it resumes it.  The
+    dispatch loops (``Simulator._run_fast`` and the
+    :meth:`Event.succeed_inline` drain) resume a plain ``Process`` in place
+    instead, with the body of :meth:`_resume`; every other caller, and every
+    subclass, goes through ``__call__``.  Holding no bound method of itself,
+    a finished process is freed by reference counting.
     """
 
-    __slots__ = ("generator", "_send", "_throw", "_target", "_resume_cb")
+    __slots__ = ("generator", "_send", "_throw", "_target")
 
     def __init__(self, sim: "Simulator", generator: Generator[Event, Any, Any],
                  name: str = "", immediate: bool = False) -> None:
@@ -246,18 +276,17 @@ class Process(Event):
             raise TypeError(f"process body must be a generator, got {generator!r}")
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self.generator = generator
-        # Pre-bound: _resume runs once per processed event in busy models.
+        # Pre-bound: a resume runs once per processed event in busy models.
         self._send = generator.send
         self._throw = generator.throw
         #: The event this process currently waits on (None when running/finished).
         self._target: Optional[Event] = None
-        self._resume_cb = self._resume
         if immediate:
             # LT-only (per-transaction workers spawned mid-run): prime the
             # generator synchronously via the inline trampoline instead of
             # paying a scheduled init event.
             bootstrap = Event(sim, name=f"{self.name}.init")
-            bootstrap.callbacks.append(self._resume_cb)
+            bootstrap.callbacks.append(self)
             bootstrap.succeed_inline()
             return
         # Kick-start on the next kernel step at the current time.
@@ -265,7 +294,7 @@ class Process(Event):
         bootstrap._ok = True
         bootstrap._value = None
         sim._enqueue(bootstrap, 0, PRIORITY_URGENT)
-        bootstrap.add_callback(self._resume_cb)
+        bootstrap.add_callback(self)
 
     @property
     def is_alive(self) -> bool:
@@ -283,21 +312,8 @@ class Process(Event):
                     event = self._send(trigger._value)
                 else:
                     event = self._throw(trigger._value)
-            except StopIteration as stop:
-                if self.sim.lt_enabled:
-                    self.succeed_inline(stop.value)
-                else:
-                    self._ok = True
-                    self._value = stop.value
-                    self.sim._enqueue(self, 0, PRIORITY_NORMAL)
-                return
             except BaseException as exc:  # noqa: BLE001 - propagate as failure
-                self._ok = False
-                self._value = exc
-                self.sim._enqueue(self, 0, PRIORITY_NORMAL)
-                if not self.callbacks:
-                    # Nobody is watching: re-raise so errors never pass silently.
-                    raise
+                self._end(exc)
                 return
             if not isinstance(event, Event):
                 raise EventError(
@@ -306,11 +322,31 @@ class Process(Event):
             # Inline add_callback: one call per process step adds up.
             callbacks = event.callbacks
             if callbacks is not None:
-                callbacks.append(self._resume_cb)
+                callbacks.append(self)
                 return
             # Already processed (LT completions): continue the generator
             # here — a loop, so a run of them costs no stack depth.
             trigger = event
+
+    __call__ = _resume
+
+    def _end(self, exc: BaseException) -> None:
+        """The generator ended with ``exc``: a ``StopIteration`` completes
+        the process with its value, anything else fails it — and is
+        re-raised when nobody is watching, so errors never pass silently."""
+        if isinstance(exc, StopIteration):
+            if self.sim.lt_enabled:
+                self.succeed_inline(exc.value)
+            else:
+                self._ok = True
+                self._value = exc.value
+                self.sim._enqueue(self, 0, PRIORITY_NORMAL)
+            return
+        self._ok = False
+        self._value = exc
+        self.sim._enqueue(self, 0, PRIORITY_NORMAL)
+        if not self.callbacks:
+            raise exc
 
 
 class AllOf(Event):

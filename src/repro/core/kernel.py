@@ -287,11 +287,16 @@ class Simulator:
         checks.  Events a callback schedules for the current timestamp join
         the live cluster in correct priority-then-sequence order because the
         heap invariant holds across pushes.  A :class:`~repro.core.clock.StallTick` has no callbacks and
-        is ticked here, so no event with callbacks pays for the check.
+        is ticked here, so no event with callbacks pays for the check; a
+        tick that fires hands its stall's callbacks to the same loop.  A
+        callback that is a plain :class:`Process` is resumed in place, with
+        the body of ``Process._resume``: a wake-up enters no frame but the
+        generator's own.
         """
         queue = self._queue
         pop = heappop
         tick = StallTick
+        process = Process
         while queue:
             when = queue[0][0]
             if until is not None and when > until:
@@ -306,22 +311,45 @@ class Simulator:
                 callbacks = event.callbacks
                 event.callbacks = None
                 event._processed = True
-                if callbacks:
-                    for callback in callbacks:
-                        callback(event)
-                elif event.__class__ is tick:
+                if not callbacks:
+                    if type(event) is not tick:
+                        continue
                     # Inlined StallTick._run_callbacks(): no frame.
                     stall = event.stall
                     if stall._watched.generation == stall._seen:
                         self._sequence = sequence = self._sequence + 1
                         heappush(queue, (when + stall.clock.period_ps,
                                          PRIORITY_NORMAL, sequence, event))
+                        continue
+                    stall._value = None
+                    callbacks, stall.callbacks = stall.callbacks, None
+                    stall._processed = True
+                    event = stall
+                for callback in callbacks:
+                    if type(callback) is not process:
+                        callback(event)
+                        continue
+                    # Inlined Process._resume(event).
+                    callback._target = None
+                    try:
+                        if event._ok:
+                            target = callback._send(event._value)
+                        else:
+                            target = callback._throw(event._value)
+                    except BaseException as exc:  # noqa: BLE001
+                        callback._end(exc)
+                        continue
+                    if not isinstance(target, Event):
+                        raise EventError(
+                            f"process {callback.name!r} yielded "
+                            f"non-event {target!r}")
+                    callback._target = target
+                    waiting = target.callbacks
+                    if waiting is not None:
+                        waiting.append(callback)
                     else:
-                        stall._value = None
-                        callbacks, stall.callbacks = stall.callbacks, None
-                        stall._processed = True
-                        for callback in callbacks:
-                            callback(stall)
+                        # Already processed: _resume continues it in a loop.
+                        callback._resume(target)
             self._processed_events += processed
         return self._now
 

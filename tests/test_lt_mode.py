@@ -158,16 +158,24 @@ class TestKernelPrimitives:
         sim.run()
         assert seen == list(range(5000))
 
-    def test_resume_loop_equals_the_recursion_it_replaced(self, monkeypatch):
+    def test_resume_loop_equals_the_recursion_it_replaced(self):
         # Two processes ping-ponging through FIFOs and work signals — runs
         # of completed puts/gets, inline wake-ups, real waits, a failure
         # thrown in — log the same side effects, in the same order, at the
-        # same times, whether Process._resume continues a completed event
-        # by looping or (the implementation it replaced) by calling itself.
+        # same times, whether the dispatch loops resume a Process in place
+        # and Process._resume continues a completed event by looping, or
+        # every resume goes through the recursion the loop replaced.  The
+        # kernel loop and the inline drain hand any class but Process to
+        # __call__, so the reference runs a trivial subclass whose _resume
+        # and __call__ are both the recursion; the generator refuses to
+        # be resumed from anywhere else.
+        resuming = []   # the processes inside the recursion, innermost last
+
         def resume_by_recursion(self, trigger):
             if self._value is not _PENDING:
                 return
             self._target = None
+            resuming.append(self)
             try:
                 if trigger._ok:
                     event = self._send(trigger._value)
@@ -183,15 +191,32 @@ class TestKernelPrimitives:
                 if not self.callbacks:
                     raise
                 return
+            finally:
+                resuming.pop()
             if not isinstance(event, Event):
                 raise EventError(f"yielded non-event {event!r}")
             self._target = event
             if event.callbacks is None:
-                self._resume_cb(event)
+                self._resume(event)
             else:
-                event.callbacks.append(self._resume_cb)
+                event.callbacks.append(self)
 
-        def scenario():
+        class Recursing(Process):
+            __slots__ = ()
+            _resume = __call__ = resume_by_recursion
+
+        def recursing(sim, body, name):
+            """A ``Recursing`` process whose generator asserts that every
+            resume comes through the recursion."""
+            proc = Recursing(sim, body, name=name)
+            for attr in ("_send", "_throw"):
+                def guarded(value, resume=getattr(proc, attr)):
+                    assert resuming[-1:] == [proc], "resumed in place"
+                    return resume(value)
+                setattr(proc, attr, guarded)
+            return proc
+
+        def scenario(spawn):
             sim = Simulator(resolution="lt")
             clk = sim.clock(period_ps=1_000)
             ping, pong = Fifo(sim, 4, name="ping"), Fifo(sim, 2, name="pong")
@@ -235,14 +260,12 @@ class TestKernelPrimitives:
                     yield completed_event(sim)
                     yield clk.edges(2)
 
-            procs = [sim.process(left(), name="left"),
-                     sim.process(right(), name="right")]
+            procs = [spawn(sim, left(), "left"), spawn(sim, right(), "right")]
             sim.run(until=100_000)
             return log, sim.now, sim.processed_events, procs[0].value
 
-        looped = scenario()
-        monkeypatch.setattr(Process, "_resume", resume_by_recursion)
-        recursed = scenario()
+        looped = scenario(lambda sim, body, name: sim.process(body, name=name))
+        recursed = scenario(recursing)
         assert looped == recursed
         assert looped[3] == "left done"
         assert looped[0][-1][2:] == ("left caught", "boom")
